@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -95,8 +97,12 @@ class Transition:
         return "%s -%s-> %s" % (self.src, self.action, "√" if self.terminal else self.dst)
 
 
+# ``\S`` excludes exactly the characters for which ``str.isspace`` holds.
+_TOKEN_RE = re.compile(r"\S+")
+
+
 def _check_token(kind, value):
-    if not isinstance(value, str) or not value or value == "!" or any(c.isspace() for c in value):
+    if not isinstance(value, str) or value == "!" or not _TOKEN_RE.fullmatch(value):
         raise ValueError("invalid %s token: %r" % (kind, value))
 
 
@@ -111,26 +117,25 @@ class Chart:
     def __init__(self, transitions, nodes=(), initial=None, alphabet=()):
         ts = frozenset(transitions)
         ns = set(nodes)
-        ab = set(alphabet)
+        actions = set()
         for t in ts:
             if not isinstance(t, Transition):
                 raise TypeError("not a Transition: %r" % (t,))
-            _check_token("node", t.src)
             ns.add(t.src)
             if not t.terminal:
-                _check_token("node", t.dst)
                 ns.add(t.dst)
-            if not _expr._ACTION_RE.fullmatch(t.action):
-                raise ValueError("invalid action token: %r" % (t.action,))
-            ab.add(t.action)
+            actions.add(t.action)
         for n in ns:
             _check_token("node", n)
+        for a in actions:
+            if not _expr._ACTION_RE.fullmatch(a):
+                raise ValueError("invalid action token: %r" % (a,))
         if initial is not None:
             if initial not in ns:
                 raise UnknownNode("initial node %r is not a node" % (initial,))
         self.transitions = ts
         self.nodes = frozenset(ns)
-        self.alphabet = frozenset(ab)
+        self.alphabet = frozenset(actions.union(alphabet))
         self.initial = initial
         if initial is not None:
             missing = self.nodes - self.reachable([initial])
@@ -161,11 +166,10 @@ class Chart:
         """Nodes reachable from ``roots`` (which are included if they are nodes)."""
         seen = set(r for r in roots if r in self.nodes)
         stack = list(seen)
-        out = self._out if "_out" in self.__dict__ else None
+        out = self._out
         while stack:
             n = stack.pop()
-            ts = out[n] if out is not None else [t for t in self.transitions if t.src == n]
-            for t in ts:
+            for t in out[n]:
                 if not t.terminal and t.dst not in seen:
                     seen.add(t.dst)
                     stack.append(t.dst)
@@ -526,12 +530,8 @@ def simple_cycles(chart, distinct_nodes=False):
 
     ``chart`` may be a :class:`Chart` or a :class:`NodeSetChart`.
     """
-    if isinstance(chart, NodeSetChart):
-        trans = [t for t in chart.transitions if not t.terminal]
-    else:
-        trans = [t for t in chart.transitions if not t.terminal]
     out = {}
-    for t in sorted(trans, key=Transition.sort_key):
+    for t in sorted((t for t in chart.transitions if not t.terminal), key=Transition.sort_key):
         out.setdefault(t.src, []).append(t)
     cycles = []
     # Enumerate cycles whose minimal node is `s`, for each s: DFS over nodes
@@ -610,6 +610,41 @@ def step(e):
     raise TypeError("not an expression: %r" % (e,))
 
 
+def _explore(roots, cap, what):
+    """Breadth-first closure of ``roots`` under :func:`step`.
+
+    Returns ``(names, transitions)``: ``names`` maps every reachable
+    expression to its printed node id and doubles as the visited set, so
+    each state is printed exactly once.  Raises :class:`StateExplosion`,
+    naming ``what``, if more than ``cap`` states appear (``cap`` defaults to
+    the ``LLEEKIT_STATE_CAP`` environment variable, or 100000).
+    """
+    if cap is None:
+        cap = int(os.environ.get("LLEEKIT_STATE_CAP", DEFAULT_STATE_CAP))
+    names = {}
+    queue = deque()
+    transitions = []
+
+    def visit(e):
+        name = names.get(e)
+        if name is None:
+            if len(names) >= cap:
+                raise StateExplosion("more than %d states while %s" % (cap, what))
+            name = names[e] = _expr.unparse(e)
+            queue.append(e)
+        return name
+
+    for r in roots:
+        visit(r)
+    while queue:
+        cur = queue.popleft()
+        src = names[cur]
+        for action, tgt in step(cur):
+            dst = TERMINATION if tgt is TERMINATION else visit(tgt)
+            transitions.append(Transition(src, action, dst))
+    return names, transitions
+
+
 def interpret(e, cap=None):
     """The chart of all expressions reachable from ``e`` under :func:`step`.
 
@@ -618,29 +653,5 @@ def interpret(e, cap=None):
     (``cap`` defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or
     100000).
     """
-    if cap is None:
-        cap = int(os.environ.get("LLEEKIT_STATE_CAP", DEFAULT_STATE_CAP))
-    start = e
-    seen = {start}
-    queue = [start]
-    transitions = []
-    while queue:
-        cur = queue.pop(0)
-        src = _expr.unparse(cur)
-        for action, tgt in step(cur):
-            if tgt is TERMINATION:
-                transitions.append(Transition(src, action, TERMINATION))
-                continue
-            if tgt not in seen:
-                if len(seen) >= cap:
-                    raise StateExplosion(
-                        "more than %d states while interpreting %r" % (cap, _expr.unparse(e))
-                    )
-                seen.add(tgt)
-                queue.append(tgt)
-            transitions.append(Transition(src, action, _expr.unparse(tgt)))
-    return Chart(
-        transitions,
-        nodes={_expr.unparse(x) for x in seen},
-        initial=_expr.unparse(start),
-    )
+    names, transitions = _explore([e], cap, "interpreting %r" % _expr.unparse(e))
+    return Chart(transitions, nodes=names.values(), initial=names[e])

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from dataclasses import dataclass
 
@@ -35,9 +34,7 @@ class Config:
     """Resolved global options."""
 
     cap: int = DEFAULT_STATE_CAP
-    seed: int = 0
     format: str = "text"
-    certificate: str | None = None
 
     def __post_init__(self):
         if self.cap <= 0:
@@ -333,9 +330,8 @@ def _cmd_equiv(args, cfg):
     res = equiv(e1, e2, cap=cfg.cap)
     if res.equal:
         cert = res.certificate
-        directory = args.certificate or cfg.certificate
-        if directory:
-            _write_certificate(cert, directory)
+        if args.certificate:
+            _write_certificate(cert, args.certificate)
         if cfg.format == "json":
             doc = {
                 "v": 1,
@@ -386,7 +382,6 @@ def _build_parser():
         help="state cap for interpretation (default %d, env LLEEKIT_STATE_CAP)"
         % DEFAULT_STATE_CAP,
     )
-    top.add_argument("--seed", type=int, default=0, help="random seed")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse an expression and print it back")
@@ -451,11 +446,10 @@ def run(argv=None):
         if cap is None:
             # explicit flag beats the environment beats the default
             cap = int(os.environ.get("LLEEKIT_STATE_CAP", DEFAULT_STATE_CAP))
-        cfg = Config(cap=cap, seed=args.seed, format=args.format)
+        cfg = Config(cap=cap, format=args.format)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    random.seed(cfg.seed)
     try:
         return args.func(args, cfg)
     except ParseError as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 from .errors import AssocError, ParseError
 
@@ -47,46 +47,114 @@ _ACTION_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 class Expression:
-    """Base class for expression nodes.  All nodes are immutable and hashable."""
+    """Base class for expression nodes.  All nodes are immutable and hashable.
 
-    __slots__ = ()
+    Each node computes its hash once, when it is built, from its children's
+    cached hashes (hash-consing without the sharing: Filliâtre & Conchon,
+    *Type-safe modular hash-consing*, 2006).  Hashing a node, and comparing
+    two nodes whose hashes differ, then takes constant time however deep the
+    tree; interpretation keys dictionaries by whole expressions.
+    """
+
+    __slots__ = ("_hash",)
 
     def __str__(self):
         return unparse(self)
 
+    def __hash__(self):
+        return self._hash
 
-@dataclass(frozen=True)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % (name,))
+
+
 class Action(Expression):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _ACTION_RE.fullmatch(self.name):
-            raise ValueError("invalid action name: %r" % (self.name,))
+    def __init__(self, name):
+        if not _ACTION_RE.fullmatch(name):
+            raise ValueError("invalid action name: %r" % (name,))
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(("action", name)))
+
+    def __eq__(self, other):
+        if other.__class__ is not Action:
+            return NotImplemented
+        return self.name == other.name
+
+    __hash__ = Expression.__hash__
+
+    def __repr__(self):
+        return "Action(name=%r)" % (self.name,)
+
+    def __reduce__(self):
+        return (Action, (self.name,))
 
 
-@dataclass(frozen=True)
 class Zero(Expression):
-    pass
+    __slots__ = ()
+
+    def __init__(self):
+        object.__setattr__(self, "_hash", hash("0"))
+
+    def __eq__(self, other):
+        if other.__class__ is not Zero:
+            return NotImplemented
+        return True
+
+    __hash__ = Expression.__hash__
+
+    def __repr__(self):
+        return "Zero()"
+
+    def __reduce__(self):
+        return (Zero, ())
 
 
-@dataclass(frozen=True)
-class Plus(Expression):
-    left: Expression
-    right: Expression
+class _Binary(Expression):
+    """A node with two operands, ``left`` and ``right``."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_hash", hash((self._op, hash(left), hash(right))))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # the tuple comparison skips identical operands without recursing
+        return self._hash == other._hash and (self.left, self.right) == (other.left, other.right)
+
+    __hash__ = Expression.__hash__
+
+    def __repr__(self):
+        return "%s(left=%r, right=%r)" % (self.__class__.__name__, self.left, self.right)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so no stale cached hash is carried
+        return (self.__class__, (self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Seq(Expression):
-    left: Expression
-    right: Expression
+class Plus(_Binary):
+    __slots__ = ()
+    _op = "+"
 
 
-@dataclass(frozen=True)
-class Star(Expression):
+class Seq(_Binary):
+    __slots__ = ()
+    _op = "."
+
+
+class Star(_Binary):
     """Binary iteration: repeat ``left`` any number of times, then do ``right``."""
 
-    left: Expression
-    right: Expression
+    __slots__ = ()
+    _op = "*"
 
 
 def size(e):

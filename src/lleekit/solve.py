@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import BisimMap, _disjoint_union, bisimilarity_partition
-from .chart import Chart, TERMINATION, Transition, interpret
+from .chart import Chart, TERMINATION, Transition, _explore, interpret
 from .errors import NotLLEE
 from .expr import Action, Expression, Plus, Seq, Star, Zero, unparse
 from .lee import Witness, find_lee_witness, is_llee_witness, lee_to_llee
@@ -170,7 +170,7 @@ def extract_solution(w):
         summands = []
         for t in body_out(x):
             summands.append(Seq(Action(t.action), s(t.dst)))
-        for a in chart.terminal_actions(x):
+        for a in sorted(chart.terminal_actions(x)):
             summands.append(Action(a))
         return _sum(summands)
 
@@ -209,24 +209,22 @@ def extract_solution(w):
 def solution_check(sol, cap=None):
     """Verify a solution: every assigned expression unfolds bisimilarly.
 
-    For each node the assigned expression is interpreted and compared, as a
-    rooted chart, with the solution's chart rooted at that node.  Returns
-    the list of failing nodes (empty means the solution is correct).
+    All assigned expressions are interpreted together, in one exploration
+    that shares their common states, and the resulting chart is refined once
+    jointly with the solution's chart.  A node fails when its expression's
+    state and the node itself fall into different bisimilarity classes.
+    Returns the sorted list of failing nodes (empty means the solution is
+    correct).  Raises :class:`StateExplosion` if the joint exploration
+    exceeds ``cap`` states.
     """
-    bad = []
-    for x in sorted(sol.chart.nodes):
-        e = sol.assign[x]
-        g = interpret(e, cap=cap)
-        h = sol.chart.rooted_at(x)
-        if not _rooted_bisimilar(g, h):
-            bad.append(x)
-    return bad
-
-
-def _rooted_bisimilar(g, h):
-    union = _disjoint_union(g, h)
-    part = bisimilarity_partition(union)
-    return part.block_of("g:" + g.initial) == part.block_of("h:" + h.initial)
+    nodes = sorted(sol.chart.nodes)
+    names, transitions = _explore(
+        [sol.assign[x] for x in nodes], cap, "checking a solution of %d nodes" % len(nodes)
+    )
+    g = Chart(transitions, nodes=names.values())
+    part = bisimilarity_partition(_disjoint_union(g, sol.chart))
+    block = {v: i for i, b in enumerate(part.blocks) for v in b}
+    return [x for x in nodes if block["g:" + names[sol.assign[x]]] != block["h:" + x]]
 
 
 _AXIOM_SCHEMATA = (
@@ -335,15 +333,14 @@ class EquivResult:
         return self.equal
 
 
-def _joint_collapse(g, h):
+def _joint_collapse(g, h, union, part):
     """Collapse the disjoint union of two rooted charts.
 
-    Returns ``(H, theta1, theta2)`` where ``H`` is the union quotient
-    restricted to what the initial class reaches, rooted there, and the two
-    maps send each side's nodes to their class representatives.
+    ``union`` is ``_disjoint_union(g, h)`` and ``part`` its bisimilarity
+    partition.  Returns ``(H, theta1, theta2)`` where ``H`` is the union
+    quotient restricted to what the initial class reaches, rooted there,
+    and the two maps send each side's nodes to their class representatives.
     """
-    union = _disjoint_union(g, h)
-    part = bisimilarity_partition(union)
     rep = {}
     for block in part.blocks:
         r = min(block)
@@ -382,18 +379,13 @@ def equiv(e1, e2, cap=None):
     """
     g = interpret(e1, cap=cap)
     h = interpret(e2, cap=cap)
-    if not _rooted_bisimilar(g, h):
-        union = _disjoint_union(g, h)
-        part = bisimilarity_partition(union)
-        return EquivResult(
-            False,
-            g,
-            h,
-            distinction=Distinction(
-                part.block_of("g:" + g.initial), part.block_of("h:" + h.initial)
-            ),
-        )
-    collapse, theta1, theta2 = _joint_collapse(g, h)
+    union = _disjoint_union(g, h)
+    part = bisimilarity_partition(union)
+    block1 = part.block_of("g:" + g.initial)
+    block2 = part.block_of("h:" + h.initial)
+    if block1 != block2:
+        return EquivResult(False, g, h, distinction=Distinction(block1, block2))
+    collapse, theta1, theta2 = _joint_collapse(g, h, union, part)
     w1 = find_lee_witness(g)
     if w1 is None:
         raise RuntimeError("no elimination witness for an interpreted expression")

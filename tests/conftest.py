@@ -1,9 +1,13 @@
 """Shared fixtures: the example charts, witnesses and maps under fixtures/."""
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import lleekit
 from lleekit.bisim import BisimMap
 from lleekit.chart import Chart
 from lleekit.lee import Witness
@@ -25,6 +29,18 @@ def load_witness(name, chart):
 
 def load_map(name, source, target):
     return BisimMap.from_text(fixture_path(name).read_text(), source, target)
+
+
+def run_python(args, hash_seed, **kwargs):
+    """Run ``python args`` in a fresh interpreter with ``PYTHONHASHSEED=hash_seed``
+    and this checkout's lleekit importable."""
+    env = dict(os.environ)
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    src = str(pathlib.Path(lleekit.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, timeout=60, **kwargs
+    )
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from generators import charts, random_chart, random_expression
 from oracles import brute_interpret, brute_simple_cycles, brute_step
 from lleekit.chart import (
     Chart,
+    _check_token,
     NodeSetChart,
     TERMINATION,
     Transition,
@@ -67,6 +68,26 @@ def test_chart_construction_and_validation():
         Chart([], nodes={""})
     with pytest.raises(TypeError):
         Chart([("x", "a", "y")])
+
+
+@pytest.mark.parametrize("token", ["a b", " ", "\x1c", "a\u2028", "!"])
+def test_node_tokens_rejected(token):
+    with pytest.raises(ValueError):
+        Chart([], nodes={token})
+    with pytest.raises(ValueError):
+        Chart([Transition("x", "a", token)])
+
+
+def test_node_tokens_are_whitespace_free_strings():
+    # exhaustive over code points: a token is accepted exactly when no
+    # character of it is whitespace by str.isspace
+    chars = [chr(i) for i in range(0x110000)]
+    spaces = [c for c in chars if c.isspace()]
+    assert "\x1c" in spaces
+    for c in spaces:
+        with pytest.raises(ValueError):
+            _check_token("node", "x" + c + "y")
+    _check_token("node", "".join(c for c in chars if not c.isspace()))
 
 
 def test_out_and_terminal_actions(chart_g):

@@ -2,7 +2,7 @@
 
 import json
 
-from conftest import fixture_path
+from conftest import fixture_path, run_python
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, interpret
 from lleekit.cli import run
@@ -311,3 +311,16 @@ def test_determinism(capsys):
     first = capsys.readouterr().out
     assert run(["lee", CI]) == 0
     assert capsys.readouterr().out == first
+
+
+def _equiv_in_subprocess(hash_seed, e1, e2):
+    proc = run_python(["-m", "lleekit.cli", "equiv", e1, e2], hash_seed, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_equiv_output_independent_of_hash_seed():
+    # string hashing is randomised per process; the printed solution must not
+    # depend on it (hash seeds 1 and 2 once printed a+b and b+a here)
+    assert _equiv_in_subprocess(1, "a+b", "b+a") == "EQUAL\na+b\n"
+    assert _equiv_in_subprocess(2, "a+b", "b+a") == "EQUAL\na+b\n"

@@ -1,0 +1,58 @@
+"""Pinned ``lleekit equiv`` output: exit codes and the exact text printed.
+
+The expected text is the program's own output, recorded once, so any change
+to interpretation, refinement, witnesses or solution extraction that alters
+a printed certificate or distinction shows up here.  W(3), N(3) and P(3) are
+the loop families of the benchmark, each against an axiom-rewritten copy.
+"""
+
+import pytest
+
+from lleekit.cli import run
+
+W3 = "(x0.(y0*z0)+x1.(y1*z1)+x2.(y2*z2))*0"
+N3 = "(a3.((a2.((a1.c0+b1)*c1)+b2)*c2)+b3)*c3"
+P3 = "(x.(y0+z0).(y1+z1).(y2+z2))*0"
+
+W3_SOLUTION = "(x0.y0*z0+x1.y1*z1)*(x2.(y2+z2.(x0.y0*z0+x1.y1*z1)*x2)*0)"
+N3_SOLUTION = "(a3.(a2.(a1.c0+b1)*c1+b2)*c2+b3)*c3"
+P3_SOLUTION = "(x.(y0.(y1.(y2+z2)+z1.(y2+z2))+z0.(y1.(y2+z2)+z1.(y2+z2))))*0"
+
+GOLDEN = [
+    # the README examples
+    ("((a+b).(a*b))*0", "(a+b)*0", 0, "EQUAL\n(a+b)*0\n"),
+    ("a.(b+c)", "a.b+a.c", 1, "NOT_EQUAL\nblock1: g:a.(b+c)\nblock2: h:a.b+a.c\n"),
+    ("a+b", "b+a", 0, "EQUAL\na+b\n"),
+    # A8 unfolding, then A6
+    (W3, "(x0.(y0*z0)+x1.(y1*z1)+x2.(y2*z2)).(%s)+0" % W3, 0, "EQUAL\n%s\n" % W3_SOLUTION),
+    # A2
+    (W3, "(x0.(y0*z0)+(x1.(y1*z1)+x2.(y2*z2)))*0", 0, "EQUAL\n%s\n" % W3_SOLUTION),
+    # A1
+    (N3, "(b3+a3.((a2.((a1.c0+b1)*c1)+b2)*c2))*c3", 0, "EQUAL\n%s\n" % N3_SOLUTION),
+    # A1 inside, A3 in the exit
+    (N3, "(a3.((b2+a2.((a1.c0+b1)*c1))*c2)+b3)*(c3+c3)", 0, "EQUAL\n%s\n" % N3_SOLUTION),
+    # A5 and A4
+    (P3, "(x.(y0.((y1+z1).(y2+z2))+z0.((y1+z1).(y2+z2))))*0", 0, "EQUAL\n%s\n" % P3_SOLUTION),
+    # A1 in the last factor
+    (P3, "(x.(y0+z0).(y1+z1).(z2+y2))*0", 0, "EQUAL\n%s\n" % P3_SOLUTION),
+    ("a*b", "a.(a*b)+b", 0, "EQUAL\na*b\n"),
+    ("(a*b).c", "a*(b.c)", 0, "EQUAL\na*(b.c)\n"),
+    ("0", "0.a", 0, "EQUAL\n0\n"),
+    ("a.b.c.x", "a.b.c.y", 1, "NOT_EQUAL\nblock1: g:a.b.c.x\nblock2: h:a.b.c.y\n"),
+    (
+        "c.a.b.a.b.x",
+        "c.a.b.a.b.y",
+        1,
+        "NOT_EQUAL\nblock1: g:c.a.b.a.b.x\nblock2: h:c.a.b.a.b.y\n",
+    ),
+    ("a*b", "a*c", 1, "NOT_EQUAL\nblock1: g:a*b\nblock2: h:a*c\n"),
+    ("(a.b)*0", "(a.b)*(a.0)", 1, "NOT_EQUAL\nblock1: g:(a.b)*0\nblock2: h:(a.b)*(a.0)\n"),
+]
+
+
+@pytest.mark.parametrize("e1,e2,code,out", GOLDEN)
+def test_equiv_golden(capsys, e1, e2, code, out):
+    assert run(["equiv", e1, e2]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err == ""

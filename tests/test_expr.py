@@ -1,11 +1,16 @@
 """Expression syntax: parsing, printing, JSON, and basic measures."""
 
+import copy
+import dataclasses
 import json
+import os
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 
+from conftest import run_python
 from generators import expressions, random_expression
 from lleekit.errors import AssocError, LleekitError, ParseError
 from lleekit.expr import (
@@ -160,3 +165,53 @@ def test_action_name_validation():
         Action("1a")
     with pytest.raises(ValueError):
         Action("a b")
+
+
+def test_equal_expressions_have_equal_hashes():
+    built = Star(Plus(Seq(A, B), C), Zero())
+    parsed = parse("(a.b+c)*0")
+    assert built is not parsed
+    assert built == parsed
+    assert hash(built) == hash(parsed)
+    assert len({built, parsed, Star(Plus(Seq(A, B), C), Zero())}) == 1
+    assert Plus(A, B) != Seq(A, B)
+    assert Plus(A, B) != Plus(B, A)
+
+
+@pytest.mark.parametrize("e", [A, Zero(), parse("(a.b+c)*0")])
+def test_expressions_are_immutable(e):
+    field = "name" if isinstance(e, Action) else "left"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(e, field, B)
+    with pytest.raises(AttributeError):
+        e.extra = 1
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_equal_with_equal_hash(roundtrip):
+    e = parse("(a.b+c)*(0+a*b)")
+    c = roundtrip(e)
+    assert c == e
+    assert hash(c) == hash(e)
+    assert repr(c) == repr(e)
+
+
+def test_unpickled_expression_hashes_like_a_fresh_one():
+    # a pickle from a process with another hash seed must not carry that
+    # process's cached hash
+    text = "(a.b+c)*(0+a*b)"
+    data = pickle.dumps(parse(text))
+    hash_seed = 2 if os.environ.get("PYTHONHASHSEED") == "1" else 1
+    script = (
+        "import pickle, sys\n"
+        "from lleekit.expr import parse\n"
+        "e = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = parse(%r)\n"
+        "assert e == fresh and hash(e) == hash(fresh) and e in {fresh}\n" % text
+    )
+    proc = run_python(["-c", script], hash_seed, input=data)
+    assert proc.returncode == 0, proc.stderr.decode()

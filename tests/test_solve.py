@@ -7,7 +7,7 @@ import pytest
 from generators import random_expression
 from lleekit.bisim import collapse
 from lleekit.chart import Chart, TERMINATION, Transition, interpret
-from lleekit.errors import NotLLEE
+from lleekit.errors import NotLLEE, StateExplosion
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, unparse
 from lleekit.lee import Witness, find_lee_witness, is_llee_witness, lee_to_llee
 from lleekit.reflect import collapse_lee_witness
@@ -108,6 +108,28 @@ def test_solution_check_identity_assignment():
     g = interpret(parse("((a+b).(a*b))*0"))
     sol = Solution(g, {n: parse(n) for n in g.nodes})
     assert solution_check(sol) == []
+
+
+def test_solution_check_reports_exactly_the_broken_nodes():
+    # the two wrong solutions share the states of c.d with each other and
+    # with the correct solution of node c.d, so one joint exploration holds
+    # all of them; each node must still be judged on its own
+    g = interpret(parse("a.b.c.d"))
+    assign = {n: parse(n) for n in g.nodes}
+    assign["d"] = parse("c.d")
+    assign["b.c.d"] = parse("c.d+b.c.d")
+    assert solution_check(Solution(g, assign)) == ["b.c.d", "d"]
+
+
+def test_solution_check_cap_bounds_the_joint_exploration():
+    # every node's solution has one state, but together they have two
+    g = Chart([T("X", "a", TERMINATION), T("Y", "b", TERMINATION)])
+    sol = Solution(g, {"X": A, "Y": B})
+    interpret(A, cap=1)
+    interpret(B, cap=1)
+    with pytest.raises(StateExplosion):
+        solution_check(sol, cap=1)
+    assert solution_check(sol, cap=2) == []
 
 
 def test_extract_solution_random():
