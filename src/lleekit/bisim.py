@@ -3,9 +3,12 @@
 Two nodes are bisimilar when they can mimic each other's transitions forever
 and agree on termination: whenever one side can do ``a`` and stop (a terminal
 transition), so can the other.  The greatest such relation is computed by
-partition refinement: nodes start grouped by their terminal-action sets, and
-blocks are split by the multiset of ``(action, target-block)`` signatures
-until stable.
+incremental partition refinement: nodes start grouped by their
+terminal-action sets, and blocks are split by the set of ``(action,
+target-block)`` signatures until stable.  After the first batch only the
+predecessors of nodes that changed block are signed again, and the largest
+piece of a split block keeps its id, so a path of n nodes costs O(n)
+rather than n rounds over every node.
 
 :func:`collapse` quotients a chart by its greatest self-bisimulation; the
 result has no two distinct bisimilar nodes, and the quotient map is returned
@@ -53,27 +56,62 @@ def _refine(nodes, outmap, term):
     ``outmap[n]`` is the list of ``(action, dst)`` pairs of non-terminal
     transitions; ``term[n]`` the frozenset of terminal actions.  Returns a
     dict node -> block id.
+
+    Blocks start as the classes of equal terminal-action sets, and every
+    node starts *dirty*.  A node's signature is the set of ``(action, block
+    of dst)`` pairs.  Each batch signs the dirty nodes, all against the
+    partition as it was before the batch split anything, and splits each
+    touched block by signature.  A node that changes block moves to a new
+    block id, so its predecessors, and only they, are dirty in the next
+    batch.  From the second batch on, a dirty node thus has a successor in
+    a block made by the previous batch and a clean node has none: their
+    signatures differ, so the clean nodes of a block stay together and the
+    dirty ones split off by signature.  The largest piece keeps the block's id (Hopcroft's rule),
+    so a node changes block O(log n) times.  When no node is dirty every
+    block is stable.
     """
-    # initial split: by terminal-action set
-    sig0 = {}
+    preds = {n: [] for n in nodes}
+    for n in nodes:
+        for _, d in outmap[n]:
+            preds[d].append(n)
+    first = {}
     block = {}
-    for n in sorted(nodes):
-        key = term[n]
-        if key not in sig0:
-            sig0[key] = len(sig0)
-        block[n] = sig0[key]
-    while True:
-        sigs = {}
-        nxt = {}
-        for n in sorted(nodes):
-            moves = frozenset((a, block[d]) for a, d in outmap[n])
-            key = (block[n], moves)
-            if key not in sigs:
-                sigs[key] = len(sigs)
-            nxt[n] = sigs[key]
-        if len(sigs) == len(set(block.values())):
-            return nxt
-        block = nxt
+    members = []
+    for n in nodes:
+        b = first.setdefault(term[n], len(first))
+        if b == len(members):
+            members.append(set())
+        members[b].add(n)
+        block[n] = b
+    dirty = nodes
+    while dirty:
+        touched = {}
+        for n in dirty:
+            touched.setdefault(block[n], []).append(n)
+        # sign the whole batch before any block splits
+        batch = []
+        for b, ns in touched.items():
+            groups = {}
+            for n in ns:
+                groups.setdefault(frozenset((a, block[d]) for a, d in outmap[n]), []).append(n)
+            batch.append((b, len(members[b]) - len(ns), list(groups.values())))
+        moved = []
+        for b, clean, pieces in batch:
+            mem = members[b]
+            keep = max(pieces, key=len)
+            if len(keep) > clean:
+                pieces.remove(keep)
+                if clean:
+                    pieces.append(list(mem.difference(keep, *pieces)))
+            for piece in pieces:
+                new = len(members)
+                members.append(set(piece))
+                mem.difference_update(piece)
+                for n in piece:
+                    block[n] = new
+                moved.extend(piece)
+        dirty = {p for n in moved for p in preds[n]}
+    return block
 
 
 def _partition_map(chart):

@@ -8,7 +8,11 @@ initial node; when they do, every node must be reachable from it.
 The module also provides the process semantics of 1-free regular expressions:
 :func:`step` yields the one-step behaviour of an expression and
 :func:`interpret` closes it into a chart whose node ids are the printed
-reachable expressions (printing is injective, so ids are canonical).
+reachable expressions (printing is injective, so ids are canonical).  While
+exploring, a reachable expression ``h.r1.….rn`` (left-nested, ``h`` not a
+sequence) is held as its head ``h`` and an interned continuation
+``r1 … rn``, so a step and a node id cost the size of the head, not the
+length of the sequence; each subterm is printed once per exploration.
 
 Sub-charts come in two flavours, both :class:`NodeSetChart`:
 
@@ -574,6 +578,94 @@ def cycle_nodes(cycle):
 # --- process semantics -----------------------------------------------------
 
 
+class _Cont:
+    """An interned continuation: right operands pending after a state's head.
+
+    ``expr`` runs first, then ``rest`` (``None`` when nothing follows).
+    ``suffix`` is the continuation's printed part of a node id,
+    ``".r1.r2…"``.
+    """
+
+    __slots__ = ("expr", "rest", "suffix")
+
+    def __init__(self, expr, rest, suffix):
+        self.expr = expr
+        self.rest = rest
+        self.suffix = suffix
+
+
+class _States:
+    """The states of one exploration, with their continuations and names.
+
+    A state is a pair ``(head, k)`` of a non-``Seq`` expression and an
+    interned continuation ``k``: it stands for ``head.r1.….rn``
+    left-nested, where ``r1 … rn`` are the continuation's operands.  Every
+    expression has exactly one such form, so states and expressions
+    correspond one to one; a step rewrites only the head and the front of
+    the continuation, and a node id is the printed head followed by the
+    continuation's cached suffix, so neither costs the length of the spine.
+    """
+
+    def __init__(self):
+        self._conts = {}
+        self._printed = {}
+
+    def _wrap(self, e, minimum):
+        """``e`` as printed by :func:`expr.unparse` in an operand position of
+        precedence ``minimum``; each subterm is printed once."""
+        text = self._printed.get(e)
+        if text is None:
+            text = self._printed[e] = _expr.unparse(e)
+        return "(" + text + ")" if _expr._level(e) < minimum else text
+
+    def push(self, e, rest):
+        """The continuation that runs ``e`` and then ``rest``."""
+        key = (e, rest)
+        k = self._conts.get(key)
+        if k is None:
+            suffix = "." + self._wrap(e, _expr._LEVEL_STAR)
+            if rest is not None:
+                suffix += rest.suffix
+            k = self._conts[key] = _Cont(e, rest, suffix)
+        return k
+
+    def enter(self, e, k):
+        """The state of ``e`` followed by continuation ``k``."""
+        while isinstance(e, Seq):
+            k = self.push(e.right, k)
+            e = e.left
+        return (e, k)
+
+    def resume(self, k):
+        """Where a terminating head leads: the next operand, or termination."""
+        return TERMINATION if k is None else self.enter(k.expr, k.rest)
+
+    def steps(self, e, k, out):
+        """Append to ``out`` the ``(action, target)`` steps of ``e`` followed
+        by ``k``, by the rules of :func:`step`."""
+        if isinstance(e, Action):
+            out.append((e.name, self.resume(k)))
+        elif isinstance(e, Zero):
+            pass
+        elif isinstance(e, Plus):
+            self.steps(e.left, k, out)
+            self.steps(e.right, k, out)
+        elif isinstance(e, Seq):
+            self.steps(e.left, self.push(e.right, k), out)
+        elif isinstance(e, Star):
+            self.steps(e.left, self.push(e, k), out)
+            self.steps(e.right, k, out)
+        else:
+            raise TypeError("not an expression: %r" % (e,))
+
+    def name(self, state):
+        """The node id of ``state``: the printed expression it stands for."""
+        head, k = state
+        if k is None:
+            return self._wrap(head, _expr._LEVEL_PLUS)
+        return self._wrap(head, _expr._LEVEL_SEQ) + k.suffix
+
+
 def step(e):
     """One-step behaviour of an expression.
 
@@ -589,60 +681,57 @@ def step(e):
       remainder in front if ``e1`` did not finish its pass), while ``e2``'s
       steps exit the loop as they are.
     """
-    if isinstance(e, Action):
-        return [(e.name, TERMINATION)]
-    if isinstance(e, Zero):
-        return []
-    if isinstance(e, Plus):
-        return step(e.left) + step(e.right)
-    if isinstance(e, Seq):
-        result = []
-        for a, t in step(e.left):
-            result.append((a, e.right if t is TERMINATION else Seq(t, e.right)))
-        return result
-    if isinstance(e, Star):
-        result = []
-        for a, t in step(e.left):
-            result.append((a, e if t is TERMINATION else Seq(t, e)))
-        for a, t in step(e.right):
-            result.append((a, t))
-        return result
-    raise TypeError("not an expression: %r" % (e,))
+    out = []
+    _States().steps(e, None, out)
+    result = []
+    for action, target in out:
+        if target is not TERMINATION:
+            target, k = target
+            while k is not None:
+                target = Seq(target, k.expr)
+                k = k.rest
+        result.append((action, target))
+    return result
 
 
 def _explore(roots, cap, what):
     """Breadth-first closure of ``roots`` under :func:`step`.
 
-    Returns ``(names, transitions)``: ``names`` maps every reachable
-    expression to its printed node id and doubles as the visited set, so
-    each state is printed exactly once.  Raises :class:`StateExplosion`,
-    naming ``what``, if more than ``cap`` states appear (``cap`` defaults to
-    the ``LLEEKIT_STATE_CAP`` environment variable, or 100000).
+    Returns ``(root_ids, node_ids, transitions)``: the node id of each root,
+    in order, and the ids and transitions of every reachable state.  Each
+    state is named once.  Raises :class:`StateExplosion` if more than
+    ``cap`` states appear (``cap`` defaults to the ``LLEEKIT_STATE_CAP``
+    environment variable, or 100000); its message is ``what`` applied to
+    the first root's node id, built only then.
     """
     if cap is None:
         cap = int(os.environ.get("LLEEKIT_STATE_CAP", DEFAULT_STATE_CAP))
+    space = _States()
+    starts = [space.enter(r, None) for r in roots]
     names = {}
     queue = deque()
     transitions = []
 
-    def visit(e):
-        name = names.get(e)
+    def visit(state):
+        name = names.get(state)
         if name is None:
             if len(names) >= cap:
-                raise StateExplosion("more than %d states while %s" % (cap, what))
-            name = names[e] = _expr.unparse(e)
-            queue.append(e)
+                root = space.name(starts[0])
+                raise StateExplosion("more than %d states while %s" % (cap, what(root)))
+            name = names[state] = space.name(state)
+            queue.append(state)
         return name
 
-    for r in roots:
-        visit(r)
+    root_ids = [visit(s) for s in starts]
     while queue:
         cur = queue.popleft()
         src = names[cur]
-        for action, tgt in step(cur):
+        out = []
+        space.steps(cur[0], cur[1], out)
+        for action, tgt in out:
             dst = TERMINATION if tgt is TERMINATION else visit(tgt)
             transitions.append(Transition(src, action, dst))
-    return names, transitions
+    return root_ids, names.values(), transitions
 
 
 def interpret(e, cap=None):
@@ -653,5 +742,5 @@ def interpret(e, cap=None):
     (``cap`` defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or
     100000).
     """
-    names, transitions = _explore([e], cap, "interpreting %r" % _expr.unparse(e))
-    return Chart(transitions, nodes=names.values(), initial=names[e])
+    root_ids, nodes, transitions = _explore([e], cap, lambda root: "interpreting %r" % root)
+    return Chart(transitions, nodes=nodes, initial=root_ids[0])

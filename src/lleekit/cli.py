@@ -5,13 +5,15 @@ witness search and checking, layering, reflection through a collapse, and
 solution extraction, plus the end-to-end ``equiv`` decision.
 
 Exit codes: 0 on success (``equiv``: EQUAL), 1 on a failed check or
-NOT_EQUAL, 2 on I/O, syntax, or usage errors.  Output is deterministic for
+NOT_EQUAL, 2 on I/O, syntax, or usage errors, 3 when an internal invariant
+fails (:class:`InternalError`, a bug).  Output is deterministic for
 identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from . import expr as expr_mod
 from .bisim import collapse
 from .chart import DEFAULT_STATE_CAP, Chart, interpret
-from .errors import LleekitError, ParseError
+from .errors import InternalError, LleekitError, ParseError
 from .expr import Action, Plus, Seq, Star, Zero, parse, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
 from .reflect import check_lemma_conditions, collapse_lee_witness, images
@@ -367,7 +369,9 @@ def _cmd_equiv(args, cfg):
 # --- driver ----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     top = argparse.ArgumentParser(
         prog="lleekit",
         description="Process semantics and loop elimination for star expressions without 1.",
@@ -465,6 +469,9 @@ def run(argv=None):
         # malformed tokens in input files surface as plain ValueError
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except InternalError as exc:
+        sys.stderr.write("internal error: %s\n" % exc)
+        return 3
     except LleekitError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

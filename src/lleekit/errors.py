@@ -63,6 +63,13 @@ class NotCollapse(LleekitError):
     """A target chart still contains two distinct bisimilar nodes."""
 
 
+class InternalError(LleekitError):
+    """An internal invariant failed: a bug, not a fault of the input.
+
+    The command line reports it with exit code 3.
+    """
+
+
 class LemmaViolated(LleekitError):
     """The image-wise elimination preconditions failed on actual input.
 

@@ -38,6 +38,7 @@ from .chart import (
 )
 from .errors import (
     EmptyEntrySet,
+    InternalError,
     InvalidWitness,
     NotALoopChart,
     NotLEE,
@@ -768,7 +769,7 @@ def _normalize(w):
         loopers = []
         for e in step.entries:
             if e not in cur.transitions:
-                raise RuntimeError("normalization lost a scheduled entry %r" % (e,))
+                raise InternalError("normalization lost a scheduled entry %r" % (e,))
             if _loop_forming(cur, step.start, e):
                 loopers.append(e)
         for e in loopers:
@@ -778,7 +779,7 @@ def _normalize(w):
     w1 = Witness(chart, labels)
     rep1 = w1.replay()
     if not rep1.ok:
-        raise RuntimeError("normalized witness fails to replay: %s" % rep1.reason)
+        raise InternalError("normalized witness fails to replay: %s" % rep1.reason)
     return w1
 
 
@@ -849,13 +850,13 @@ def lee_to_llee(w):
         )
         r = step_entries[0].src
         if any(t.src != r for t in step_entries):
-            raise RuntimeError("order %d spans several start nodes" % n)
+            raise InternalError("order %d spans several start nodes" % n)
         for t in step_entries:
             if t not in cur.transitions:
-                raise RuntimeError("entry %r vanished before its step" % (t,))
+                raise InternalError("entry %r vanished before its step" % (t,))
         gen = generated_chart(cur, r, step_entries)
         if not is_loop_chart(gen, r):
-            raise RuntimeError(
+            raise InternalError(
                 "⟨%s, %s⟩ stopped being a loop sub-chart during switching"
                 % (r, list(step_entries))
             )
@@ -874,7 +875,7 @@ def lee_to_llee(w):
                 cycle = [t] + back
                 pick = next((c for c in cycle if c.src == r), None)
                 if pick is None:
-                    raise RuntimeError(
+                    raise InternalError(
                         "an entry-less loop avoided the eliminating node %s" % r
                     )
                 labels[pick] = k
@@ -885,7 +886,7 @@ def lee_to_llee(w):
     w2 = Witness(chart, final)
     rep2 = w2.replay()
     if not rep2.ok:
-        raise RuntimeError("switching produced a non-replayable witness: %s" % rep2.reason)
+        raise InternalError("switching produced a non-replayable witness: %s" % rep2.reason)
     if not rep2.llee:
-        raise RuntimeError("switching failed to produce a layered witness: %s" % rep2.llee_reason)
+        raise InternalError("switching failed to produce a layered witness: %s" % rep2.llee_reason)
     return w2

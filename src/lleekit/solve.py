@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bisim import BisimMap, _disjoint_union, bisimilarity_partition
 from .chart import Chart, TERMINATION, Transition, _explore, interpret
-from .errors import NotLLEE
+from .errors import InternalError, NotLLEE
 from .expr import Action, Expression, Plus, Seq, Star, Zero, unparse
 from .lee import Witness, find_lee_witness, is_llee_witness, lee_to_llee
 from .reflect import collapse_lee_witness
@@ -157,7 +157,7 @@ def extract_solution(w):
         if x in memo:
             return memo[x]
         if x in in_progress:
-            raise RuntimeError("solution recursion revisits %s" % x)
+            raise InternalError("solution recursion revisits %s" % x)
         in_progress.add(x)
         ent = entries(x)
         ex = exits(x)
@@ -191,7 +191,7 @@ def extract_solution(w):
 
     def ret_sum(x, y):
         if chart.terminal_actions(y):
-            raise RuntimeError(
+            raise InternalError(
                 "body node %s of the loop at %s has a terminal transition" % (y, x)
             )
         summands = []
@@ -218,13 +218,15 @@ def solution_check(sol, cap=None):
     exceeds ``cap`` states.
     """
     nodes = sorted(sol.chart.nodes)
-    names, transitions = _explore(
-        [sol.assign[x] for x in nodes], cap, "checking a solution of %d nodes" % len(nodes)
+    root_ids, node_ids, transitions = _explore(
+        [sol.assign[x] for x in nodes],
+        cap,
+        lambda root: "checking a solution of %d nodes" % len(nodes),
     )
-    g = Chart(transitions, nodes=names.values())
+    g = Chart(transitions, nodes=node_ids)
     part = bisimilarity_partition(_disjoint_union(g, sol.chart))
     block = {v: i for i, b in enumerate(part.blocks) for v in b}
-    return [x for x in nodes if block["g:" + names[sol.assign[x]]] != block["h:" + x]]
+    return [x for x, r in zip(nodes, root_ids) if block["g:" + r] != block["h:" + x]]
 
 
 _AXIOM_SCHEMATA = (
@@ -388,14 +390,14 @@ def equiv(e1, e2, cap=None):
     collapse, theta1, theta2 = _joint_collapse(g, h, union, part)
     w1 = find_lee_witness(g)
     if w1 is None:
-        raise RuntimeError("no elimination witness for an interpreted expression")
+        raise InternalError("no elimination witness for an interpreted expression")
     w1_hat = lee_to_llee(w1)
     w_h = collapse_lee_witness(theta1, w1_hat)
     w_h_hat = lee_to_llee(w_h)
     sol = extract_solution(w_h_hat)
     bad = solution_check(sol, cap=cap)
     if bad:
-        raise RuntimeError("extracted solution fails at %s" % ", ".join(bad))
+        raise InternalError("extracted solution fails at %s" % ", ".join(bad))
     return EquivResult(
         True,
         g,

@@ -54,6 +54,48 @@ def test_partition_vs_naive():
         assert _partition_pairs(bisimilarity_partition(g)) == naive_bisimilarity(g)
 
 
+def _paths(rng, n):
+    """Two paths of ``n`` actions that agree except possibly in the last one,
+    with a few back edges, so splits travel back one node per batch."""
+    acts = [rng.choice("ab") for _ in range(n)]
+    ts = []
+    for side, last in (("p", acts[-1]), ("q", rng.choice("ab"))):
+        for i in range(n - 1):
+            ts.append(Transition("%s%d" % (side, i), acts[i], "%s%d" % (side, i + 1)))
+        ts.append(Transition("%s%d" % (side, n - 1), last, TERMINATION))
+    for _ in range(rng.randint(0, 2)):
+        i, j = sorted(rng.sample(range(n), 2))
+        side = rng.choice("pq")
+        ts.append(Transition("%s%d" % (side, j), "a", "%s%d" % (side, i)))
+    return Chart(ts)
+
+
+def _copies(rng, g, k):
+    """``k`` renamed copies of ``g``, plus a few transitions between copies."""
+    ts = [
+        Transition("%s_%d" % (t.src, c), t.action, t.dst if t.terminal else "%s_%d" % (t.dst, c))
+        for t in g.transitions
+        for c in range(k)
+    ]
+    names = sorted(g.nodes)
+    for _ in range(rng.randint(0, 3)):
+        src, dst = rng.choice(names), rng.choice(names)
+        ts.append(Transition("%s_%d" % (src, rng.randrange(k)), "a", "%s_%d" % (dst, rng.randrange(k))))
+    return Chart(ts, nodes=["%s_%d" % (n, c) for n in names for c in range(k)])
+
+
+def test_partition_vs_naive_larger_charts():
+    rng = random.Random(41)
+    for i in range(90):
+        if i % 3 == 0:
+            g = random_chart(rng, max_nodes=35, alphabet=rng.choice((("a",), ("a", "b"))))
+        elif i % 3 == 1:
+            g = _paths(rng, rng.randint(2, 17))
+        else:
+            g = _copies(rng, random_chart(rng, max_nodes=8), rng.randint(2, 4))
+        assert _partition_pairs(bisimilarity_partition(g)) == naive_bisimilarity(g)
+
+
 def test_bisimilarity_vs_naive_pairs():
     rng = random.Random(29)
     for _ in range(100):

@@ -26,7 +26,7 @@ from lleekit.errors import (
     StateExplosion,
     UnknownNode,
 )
-from lleekit.expr import Action, Seq, Star, Zero, parse, unparse
+from lleekit.expr import Action, Seq, Star, Zero, parse, size, unparse
 
 TOGGLE = Chart(
     [
@@ -272,11 +272,26 @@ def test_step_examples():
         step("a")
 
 
+# Heads that need parentheses only before a continuation, and right operands
+# that are sequences themselves.
+SPINES = {
+    "(a+b).c.d": {"(a+b).c.d", "c.d", "d"},
+    "a.(b+c)": {"a.(b+c)", "b+c"},
+    "a.(b+c).d": {"a.(b+c).d", "(b+c).d", "d"},
+    "(a.b).(c.d)": {"a.b.(c.d)", "b.(c.d)", "c.d", "d"},
+    "(a.b)*c.d": {"(a.b)*c.d", "b.(a.b)*c.d", "d"},
+    "((a+b)*c).d": {"(a+b)*c.d", "d"},
+    "(a.(b+c.d))*(e.f)": {"(a.(b+c.d))*(e.f)", "(b+c.d).(a.(b+c.d))*(e.f)", "d.(a.(b+c.d))*(e.f)", "f"},
+}
+
+
 def test_step_vs_brute():
     rng = random.Random(13)
     for _ in range(200):
         e = random_expression(rng, rng.randint(1, 15))
         assert set(step(e)) == brute_step(e)
+    for text in SPINES:
+        assert set(step(parse(text))) == brute_step(parse(text))
 
 
 def test_interpret_self_loop():
@@ -314,6 +329,25 @@ def test_interpret_vs_brute():
     for _ in range(120):
         e = random_expression(rng, rng.randint(1, 12))
         assert interpret(e) == brute_interpret(e)
+    for text in SPINES:
+        assert interpret(parse(text)) == brute_interpret(parse(text))
+
+
+def test_interpret_vs_brute_larger():
+    rng = random.Random(37)
+    checked = 0
+    while checked < 150:
+        e = random_expression(rng, 40)
+        if size(e) >= 25:
+            assert interpret(e) == brute_interpret(e)
+            checked += 1
+
+
+@pytest.mark.parametrize("text", sorted(SPINES))
+def test_interpret_spine_node_ids(text):
+    g = interpret(parse(text))
+    assert g.nodes == SPINES[text]
+    assert g.initial == unparse(parse(text))
 
 
 def test_interpret_initial_always_printed():
@@ -326,8 +360,10 @@ def test_interpret_initial_always_printed():
 
 
 def test_state_cap():
-    with pytest.raises(StateExplosion):
+    with pytest.raises(StateExplosion, match=r"^more than 2 states while interpreting 'a\.b\.c'$"):
         interpret(parse("a.b.c"), cap=2)
+    with pytest.raises(StateExplosion, match=r"interpreting '\(a\+b\)\.c'$"):
+        interpret(parse("(a+b).c"), cap=0)
     interpret(parse("a.b.c"), cap=3)
 
 

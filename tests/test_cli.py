@@ -1,11 +1,12 @@
 """End-to-end runs of every subcommand through ``run(argv)``."""
 
 import json
+import random
 
 from conftest import fixture_path, run_python
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, interpret
-from lleekit.cli import run
+from lleekit.cli import _build_parser, run
 from lleekit.expr import parse, unparse
 from lleekit.lee import Witness, find_lee_witness, is_llee_witness
 
@@ -227,6 +228,15 @@ def test_equiv_not_equal(capsys):
     assert lines[2] == "block2: h:a.b+a.c"
 
 
+def test_equiv_long_chains_not_equal(capsys):
+    # a chain of 4000 actions once ended in a RecursionError traceback
+    rng = random.Random(3)
+    c = ".".join(rng.choice("abc") for _ in range(4000))
+    assert run(["equiv", c + ".x", c + ".y"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["NOT_EQUAL", "block1: g:%s.x" % c, "block2: h:%s.y" % c]
+
+
 def test_equiv_json(capsys):
     assert run(["--format", "json", "equiv", "a", "a"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -311,6 +321,44 @@ def test_determinism(capsys):
     first = capsys.readouterr().out
     assert run(["lee", CI]) == 0
     assert capsys.readouterr().out == first
+
+
+RUN_MIX = (
+    ["--format", "json", "equiv", "a.(b+c)", "a.b+a.c"],
+    ["--cap", "2", "equiv", "a.b.c", "a.b.c"],
+    ["equiv", "((a+b).(a*b))*0", "(a+b)*0"],
+    ["--format", "json", "equiv", "a", "a"],
+    ["equiv", "a", "b"],
+    ["--cap", "50", "chart", "a.b"],
+    ["equiv", "a", ")"],
+)
+
+
+def _run_captured(argv, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_run_reuses_one_parser_without_leaking_state(capsys):
+    fresh = []
+    for argv in RUN_MIX:
+        _build_parser.cache_clear()
+        fresh.append(_run_captured(argv, capsys))
+    assert fresh[1] == (1, "", "error: more than 2 states while interpreting 'a.b.c'\n")
+    _build_parser.cache_clear()
+    reused = [_run_captured(argv, capsys) for argv in RUN_MIX * 2]
+    assert reused == fresh * 2
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    # a solution check that rejects a node trips equiv's own invariant check
+    monkeypatch.setattr("lleekit.solve.solution_check", lambda sol, cap=None: ["x"])
+    assert run(["equiv", "a", "a"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: extracted solution fails at x\n"
 
 
 def _equiv_in_subprocess(hash_seed, e1, e2):
