@@ -182,35 +182,11 @@ class Chart:
     def has_cycle(self, within=None):
         """True if some non-terminal cycle exists (restricted to ``within`` if given)."""
         nodes = self.nodes if within is None else frozenset(within) & self.nodes
-        color = {}
-
-        def visit(n):
-            stack = [(n, iter(self._edges_in(nodes, n)))]
-            color[n] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for m in it:
-                    c = color.get(m)
-                    if c == 1:
-                        return True
-                    if c is None:
-                        color[m] = 1
-                        stack.append((m, iter(self._edges_in(nodes, m))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-            return False
-
-        for n in sorted(nodes):
-            if n not in color and visit(n):
-                return True
-        return False
-
-    def _edges_in(self, nodes, n):
-        return [t.dst for t in self.out(n) if not t.terminal and t.dst in nodes]
+        out = self._out
+        return _has_cycle(
+            nodes,
+            lambda n: [t.dst for t in out[n] if not t.terminal and t.dst in nodes],
+        )
 
     def rooted_at(self, node):
         """The sub-chart reachable from ``node``, with ``node`` as initial."""
@@ -464,29 +440,7 @@ class NodeSetChart:
         for t in self.transitions:
             if not t.terminal:
                 adj.setdefault(t.src, []).append(t.dst)
-        color = {}
-
-        def visit(n):
-            stack = [(n, iter(adj.get(n, ())))]
-            color[n] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for m in it:
-                    c = color.get(m)
-                    if c == 1:
-                        return True
-                    if c is None:
-                        color[m] = 1
-                        stack.append((m, iter(adj.get(m, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-            return False
-
-        return any(n not in color and visit(n) for n in sorted(adj))
+        return _has_cycle(adj, lambda n: adj.get(n, ()))
 
     def __repr__(self):
         kind = "induced" if self.is_induced else "explicit"
@@ -517,6 +471,36 @@ def union_chart(a, b):
     return NodeSetChart(
         a.parent, a.nodes | b.nodes, explicit=tuple(sorted(merged, key=Transition.sort_key))
     )
+
+
+def _has_cycle(nodes, succ):
+    """Whether the graph over ``nodes`` has a cycle.
+
+    ``succ(n)`` lists the successors of node ``n``; a successor outside
+    ``nodes`` is still followed, so ``succ`` restricts itself when the graph
+    is a sub-graph.  Depth-first with an explicit stack, so deep graphs do
+    not hit the recursion limit.
+    """
+    color = {}  # 1 while on the stack, 2 when finished
+    for root in nodes:
+        if root in color:
+            continue
+        color[root] = 1
+        stack = [(root, iter(succ(root)))]
+        while stack:
+            node, it = stack[-1]
+            for m in it:
+                c = color.get(m)
+                if c == 1:
+                    return True
+                if c is None:
+                    color[m] = 1
+                    stack.append((m, iter(succ(m))))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
+    return False
 
 
 # --- cycle enumeration -----------------------------------------------------

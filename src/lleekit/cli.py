@@ -6,8 +6,11 @@ solution extraction, plus the end-to-end ``equiv`` decision.
 
 Exit codes: 0 on success (``equiv``: EQUAL), 1 on a failed check or
 NOT_EQUAL, 2 on I/O, syntax, or usage errors, 3 when an internal invariant
-fails (:class:`InternalError`, a bug).  Output is deterministic for
-identical inputs.
+fails (:class:`InternalError`, a bug).  An input nested deeper than the
+parser and printer can recurse (a sum of some thousands of terms, or some
+thousands of nested sequences or stars) is a usage error: one ``error:
+expression nested too deeply`` line on stderr and exit code 2.  Output is
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -472,6 +475,12 @@ def run(argv=None):
     except InternalError as exc:
         sys.stderr.write("internal error: %s\n" % exc)
         return 3
+    except RecursionError:
+        sys.stderr.write(
+            "error: expression nested too deeply (recursion limit %d reached)\n"
+            % sys.getrecursionlimit()
+        )
+        return 2
     except LleekitError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1

@@ -22,11 +22,20 @@ their targets without passing through ``X`` again (including terminal
 transitions of those continuation nodes, so a possible exit to ``√`` shows up
 as an L3 failure).  A self-loop entry contributes no continuation, and the
 start's own terminal transitions never disqualify the sub-chart.
+
+Every elimination loop here (witness replay, witness search, normalization,
+layering, and :func:`lleekit.reflect.collapse_lee_witness`) runs on one
+mutable working graph per run (``_Graph``), built once from the chart: a
+step checks L1 - L3 on the entries' generated sub-chart, removes the
+entries, and garbage-collects only inside the sub-chart's body, the one
+place where removing them can cut nodes off.  No chart is built between
+steps; a replay builds its final chart once, at the end.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 
 from .chart import (
@@ -34,6 +43,7 @@ from .chart import (
     NodeSetChart,
     TERMINATION,
     Transition,
+    _has_cycle,
     chart_of_nodes,
 )
 from .errors import (
@@ -68,15 +78,8 @@ __all__ = [
 # --- generated sub-charts and loop conditions ------------------------------
 
 
-def generated_chart(parent, start, entries):
-    """The ⟨start, entries⟩-generated sub-chart of ``parent``.
-
-    ``entries`` must be non-empty transitions of ``parent`` leaving ``start``.
-    The result carries an explicit transition set: the entries plus all
-    transitions on paths from the entry targets that avoid ``start``; the
-    continuation of a node includes its terminal transitions.  Targets equal
-    to ``start`` close the loop and are not expanded further.
-    """
+def _checked_entries(parent, start, entries):
+    """``entries`` as a sorted tuple, after checking they leave ``start``."""
     entries = tuple(sorted(set(entries), key=Transition.sort_key))
     if not entries:
         raise EmptyEntrySet("generated chart needs at least one entry transition")
@@ -87,6 +90,19 @@ def generated_chart(parent, start, entries):
             raise UnknownNode("entry %r is not a transition of the parent" % (t,))
         if t.src != start:
             raise ValueError("entry %r does not leave the start node %r" % (t, start))
+    return entries
+
+
+def generated_chart(parent, start, entries):
+    """The ⟨start, entries⟩-generated sub-chart of ``parent``.
+
+    ``entries`` must be non-empty transitions of ``parent`` leaving ``start``.
+    The result carries an explicit transition set: the entries plus all
+    transitions on paths from the entry targets that avoid ``start``; the
+    continuation of a node includes its terminal transitions.  Targets equal
+    to ``start`` close the loop and are not expanded further.
+    """
+    entries = _checked_entries(parent, start, entries)
     trans = set(entries)
     seen = set()
     queue = [t.dst for t in entries if not t.terminal and t.dst != start]
@@ -104,6 +120,32 @@ def generated_chart(parent, start, entries):
         frozenset({start}) | frozenset(seen),
         start=start,
         explicit=tuple(sorted(trans, key=Transition.sort_key)),
+    )
+
+
+def _loop_conditions(start, adj):
+    """(L1) and (L2) for a sub-chart given by its non-terminal successors.
+
+    ``adj`` maps each node with a non-terminal transition in the sub-chart
+    to the targets of those transitions.  True when some cycle passes
+    through ``start`` and no cycle avoids it.
+    """
+    # L1: a cycle through the start
+    stack = list(adj.get(start, ()))
+    seen = set()
+    while stack:
+        n = stack.pop()
+        if n == start:
+            break
+        if n not in seen:
+            seen.add(n)
+            stack.extend(adj.get(n, ()))
+    else:
+        return False
+    # L2: no cycle avoiding the start
+    return not _has_cycle(
+        [n for n in adj if n != start],
+        lambda n: [m for m in adj.get(n, ()) if m != start],
     )
 
 
@@ -129,86 +171,211 @@ def is_loop_chart(sub, start):
     for t in trans:
         if not t.terminal:
             adj.setdefault(t.src, []).append(t.dst)
-    # L1: a cycle through the start
-    stack = [d for d in adj.get(start, ())]
-    seen = set()
-    found = start in stack
-    while stack and not found:
-        n = stack.pop()
-        if n == start:
-            found = True
-            break
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(adj.get(n, ()))
-    if not found:
-        return False
-    # L2: no cycle avoiding the start
-    color = {}
-
-    def cyclic_from(n):
-        frames = [(n, iter(adj.get(n, ())))]
-        color[n] = 1
-        while frames:
-            node, it = frames[-1]
-            advanced = False
-            for m in it:
-                if m == start:
-                    continue
-                c = color.get(m)
-                if c == 1:
-                    return True
-                if c is None:
-                    color[m] = 1
-                    frames.append((m, iter(adj.get(m, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                frames.pop()
-        return False
-
-    return not any(
-        n != start and n not in color and cyclic_from(n) for n in sorted(adj)
-    )
+    return _loop_conditions(start, adj)
 
 
-def _remove_and_gc(chart, removed, roots):
-    """Drop ``removed`` transitions, then keep only what ``roots`` can reach."""
-    removed = set(removed)
-    keep_t = [t for t in chart.transitions if t not in removed]
-    adj = {}
-    for t in keep_t:
-        if not t.terminal:
-            adj.setdefault(t.src, []).append(t.dst)
-    seen = set(r for r in roots if r in chart.nodes)
-    stack = list(seen)
-    while stack:
-        n = stack.pop()
-        for d in adj.get(n, ()):
-            if d not in seen:
-                seen.add(d)
-                stack.append(d)
-    trans = [t for t in keep_t if t.src in seen]
-    initial = chart.initial if chart.initial in seen else None
-    if initial is not None:
-        # the chart invariant needs full reachability from the initial node
-        reach = {initial}
-        stack = [initial]
-        adj2 = {}
-        for t in trans:
-            if not t.terminal:
-                adj2.setdefault(t.src, []).append(t.dst)
+class _Graph:
+    """A chart under elimination: the one working graph of an elimination run.
+
+    Built once per run from a :class:`Chart` and the run's roots, it keeps
+    the chart's transitions, numbered in :meth:`Transition.sort_key` order,
+    with static out-lists and predecessor lists, plus which transitions and
+    nodes are still live.  Exactly the nodes the roots reach are live, and a
+    transition is live when its source is and it has not been removed as an
+    entry.  Removing the entries of a step at ``start`` can only cut off
+    nodes in the step's body (the entries' ``start``-avoiding closure): a
+    path to any other node can be rerouted around the entries.  So the
+    garbage collection after a step looks only at the body, where a node
+    survives when a root or a live node outside the body still reaches it.
+
+    The graph answers what the elimination loops used to ask of a rebuilt
+    chart (:meth:`out`, :meth:`terminal_actions`, :meth:`has_cycle`), so
+    :func:`max_entry_set` and :func:`_avoiding_closure` take it as well.
+    :meth:`remove` returns an undo record for backtracking searches.
+    """
+
+    def __init__(self, chart, roots):
+        # every node of ``chart`` must be reachable from ``roots``, as it is
+        # from the roots of a witness (:func:`_witness_roots`)
+        self.chart = chart
+        self.roots = frozenset(roots)
+        trans = []
+        succ = {}
+        pred = {n: [] for n in chart.nodes}
+        for n in sorted(chart.nodes):
+            ids = succ[n] = []
+            for t in chart.out(n):
+                if not t.terminal:
+                    pred[t.dst].append(len(trans))
+                ids.append(len(trans))
+                trans.append(t)
+        self._trans = trans
+        self._dst = [None if t.terminal else t.dst for t in trans]
+        self._index = {t: i for i, t in enumerate(trans)}
+        self._succ = succ
+        self._pred = pred
+        self._order = list(succ)  # node ids, sorted
+        self.nodes = set(chart.nodes)
+        self._alive = bytearray(b"\x01") * len(trans)
+
+    def is_live(self, t):
+        i = self._index.get(t)
+        return i is not None and self._alive[i] == 1
+
+    def key(self):
+        """The live transitions, as a hashable value."""
+        return bytes(self._alive)
+
+    def sorted_nodes(self):
+        return [n for n in self._order if n in self.nodes]
+
+    def out(self, node):
+        """The live transitions leaving ``node``, deterministically ordered."""
+        alive, trans = self._alive, self._trans
+        return [trans[i] for i in self._succ[node] if alive[i]]
+
+    def terminal_actions(self, node):
+        return frozenset(t.action for t in self.out(node) if t.terminal)
+
+    def has_cycle(self, within=None):
+        """True if some live cycle exists (restricted to ``within`` if given)."""
+        nodes = self.nodes if within is None else self.nodes.intersection(within)
+        alive, dst, succ = self._alive, self._dst, self._succ
+
+        def targets(n):
+            return [dst[i] for i in succ[n] if alive[i] and dst[i] in nodes]
+
+        return _has_cycle(nodes, targets)
+
+    def _body(self, start, entries, adj=None):
+        """The ``start``-avoiding closure of the entries' targets.
+
+        With ``adj``, also records there the non-terminal successors of each
+        body node, and returns ``None`` as soon as a body node has a
+        terminal transition.
+        """
+        alive, dst, succ = self._alive, self._dst, self._succ
+        body = set()
+        stack = [t.dst for t in entries if not t.terminal and t.dst != start]
+        while stack:
+            y = stack.pop()
+            if y in body:
+                continue
+            body.add(y)
+            nxt = []
+            for i in succ[y]:
+                if alive[i]:
+                    d = dst[i]
+                    if d is None:
+                        if adj is not None:
+                            return None
+                        continue
+                    nxt.append(d)
+                    if d != start and d not in body:
+                        stack.append(d)
+            if adj is not None:
+                adj[y] = nxt
+        return body
+
+    def span(self, start, entries):
+        """The body of the loop sub-chart the entries at ``start`` generate.
+
+        ``entries`` are live transitions leaving ``start``.  Returns ``None``
+        when they do not generate a loop sub-chart (conditions L1 - L3 of
+        :func:`is_loop_chart`).  Raises :class:`UnknownNode` when ``start``
+        is no longer live.
+        """
+        if start not in self.nodes:
+            raise UnknownNode("unknown node %r" % (start,))
+        if any(t.terminal for t in entries):
+            return None
+        adj = {start: [t.dst for t in entries]}
+        body = self._body(start, entries, adj)
+        if body is None or not _loop_conditions(start, adj):
+            return None
+        return body
+
+    def remove(self, start, entries, body=None):
+        """Remove the entries at ``start`` and collect what they cut off.
+
+        ``body`` is the entries' ``start``-avoiding closure, computed when
+        not given.  Returns an undo record for :meth:`restore`.
+        """
+        if body is None:
+            body = self._body(start, entries)
+        alive, dst, succ, trans = self._alive, self._dst, self._succ, self._trans
+        killed = []
+        for t in entries:
+            i = self._index[t]
+            if alive[i]:
+                alive[i] = 0
+                killed.append(i)
+        roots, pred = self.roots, self._pred
+        reached = [
+            y
+            for y in body
+            if y in roots
+            or any(alive[i] and trans[i].src not in body for i in pred[y])
+        ]
+        kept = set(reached)
+        while reached:
+            y = reached.pop()
+            for i in succ[y]:
+                d = dst[i]
+                if alive[i] and d in body and d not in kept:
+                    kept.add(d)
+                    reached.append(d)
+        dead = body - kept
+        for y in dead:
+            self.nodes.discard(y)
+            for i in succ[y]:
+                if alive[i]:
+                    alive[i] = 0
+                    killed.append(i)
+        return killed, dead
+
+    def restore(self, undo):
+        """Undo one :meth:`remove`; undo records are restored newest first."""
+        killed, dead = undo
+        for i in killed:
+            self._alive[i] = 1
+        self.nodes |= dead
+
+    def _reach(self, roots):
+        alive, dst, succ = self._alive, self._dst, self._succ
+        seen = set(r for r in roots if r in self.nodes)
+        stack = list(seen)
         while stack:
             n = stack.pop()
-            for d in adj2.get(n, ()):
-                if d not in reach:
-                    reach.add(d)
+            for i in succ[n]:
+                d = dst[i]
+                if alive[i] and d is not None and d not in seen:
+                    seen.add(d)
                     stack.append(d)
-        if reach != seen:
+        return seen
+
+    def to_chart(self, roots=None):
+        """The live part as a :class:`Chart`; with ``roots``, what they reach.
+
+        The chart keeps the initial node when it reaches every node kept,
+        which it always does when it is the only root.
+        """
+        if roots is None:
+            roots, nodes = self.roots, self.nodes
+        else:
+            roots = frozenset(roots)
+            nodes = self._reach(roots)
+        initial = self.chart.initial
+        if roots != {initial} and not (
+            initial in nodes and self._reach([initial]) == nodes
+        ):
             initial = None
-    return Chart(trans, nodes=seen, initial=initial)
+        alive = self._alive
+        return Chart(
+            [t for i, t in enumerate(self._trans) if alive[i] and t.src in nodes],
+            nodes=nodes,
+            initial=initial,
+        )
 
 
 def eliminate(chart, start, entries, roots):
@@ -218,13 +385,18 @@ def eliminate(chart, start, entries, roots):
     ``roots``.  Raises :class:`NotALoopChart` if ⟨start, entries⟩ does not
     generate a loop sub-chart of ``chart``.
     """
-    gen = generated_chart(chart, start, entries)
-    if not is_loop_chart(gen, start):
+    entries = _checked_entries(chart, start, entries)
+    # every node a root: the step sees the whole chart, and ``roots`` apply
+    # to the result
+    g = _Graph(chart, chart.nodes)
+    body = g.span(start, entries)
+    if body is None:
         raise NotALoopChart(
             "⟨%s, {%s}⟩ does not generate a loop sub-chart"
             % (start, ", ".join(map(repr, entries)))
         )
-    return _remove_and_gc(chart, entries, roots)
+    g.remove(start, entries, body)
+    return g.to_chart(roots)
 
 
 def _avoiding_closure(chart, source, avoid):
@@ -365,7 +537,18 @@ class Witness:
         )
 
     def replay(self):
-        """Run the recorded elimination; cached.  Never raises."""
+        """Run the recorded elimination; cached.
+
+        The run works on one graph built from :attr:`chart`: each step
+        removes its entries and then collects, within the step's body only,
+        the nodes no root reaches any more (a body node survives when a
+        root or a live node outside the body still reaches it).  That keeps
+        exactly what rebuilding and collecting the whole chart after every
+        step would keep.  :attr:`ReplayResult.final` is built once, at the
+        end.  Failures are reported in the result, except that a group whose
+        start a sibling group of the same order has collected raises
+        :class:`UnknownNode`.
+        """
         if self._replay is None:
             self._replay = _replay(self)
         return self._replay
@@ -458,16 +641,19 @@ def _witness_roots(chart):
 
 def _replay(w):
     chart = w.chart
-    roots = _witness_roots(chart)
-    cur = chart
+    g = _Graph(chart, _witness_roots(chart))
+    levels = {}
+    for t, o in w.order.items():
+        if o > 0:
+            levels.setdefault(o, []).append(t)
     steps = []
     eliminated_bodies = set()
     llee = True
     llee_reason = None
     for n in range(1, w.max_order + 1):
-        level = [t for t, o in w.order.items() if o == n]
+        level = levels[n]
         for t in level:
-            if t not in cur.transitions:
+            if not g.is_live(t):
                 return ReplayResult(
                     False,
                     "order-%d transition %r was already garbage-collected" % (n, t),
@@ -486,8 +672,8 @@ def _replay(w):
             progressed = False
             for x in sorted(pending):
                 entries = pending[x]
-                gen = generated_chart(cur, x, entries)
-                if not is_loop_chart(gen, x):
+                body = g.span(x, entries)
+                if body is None:
                     continue
                 if llee and x in eliminated_bodies:
                     llee = False
@@ -495,10 +681,10 @@ def _replay(w):
                         "step %d starts at %s, which lies in the body of an "
                         "earlier eliminated loop sub-chart" % (n, x)
                     )
-                body = gen.nodes - {x}
-                steps.append(ReplayStep(n, x, entries, frozenset(body)))
+                body = frozenset(body)
+                steps.append(ReplayStep(n, x, entries, body))
                 eliminated_bodies |= body
-                cur = _remove_and_gc(cur, entries, roots)
+                g.remove(x, entries, body)
                 del pending[x]
                 progressed = True
                 break
@@ -512,16 +698,16 @@ def _replay(w):
                     False,
                     None,
                 )
-    if cur.has_cycle():
+    if g.has_cycle():
         return ReplayResult(
             False,
             "a cycle survives the recorded elimination",
             tuple(steps),
-            cur,
+            g.to_chart(),
             False,
             None,
         )
-    return ReplayResult(True, None, tuple(steps), cur, llee, llee_reason)
+    return ReplayResult(True, None, tuple(steps), g.to_chart(), llee, llee_reason)
 
 
 def is_llee_witness(w):
@@ -549,31 +735,32 @@ def find_lee_witness(chart):
     everything else, including garbage-collected transitions, gets 0), or
     ``None`` when every elimination sequence gets stuck.
     """
-    roots = _witness_roots(chart)
+    g = _Graph(chart, _witness_roots(chart))
     assignment = {}
     failed = set()
 
-    def search(cur, step_no):
-        if not cur.has_cycle():
+    def search(step_no):
+        if not g.has_cycle():
             return True
-        key = cur.transitions
+        key = g.key()
         if key in failed:
             return False
-        for x in sorted(cur.nodes):
-            entries = max_entry_set(cur, x)
+        for x in g.sorted_nodes():
+            entries = max_entry_set(g, x)
             if not entries:
                 continue
             for t in entries:
                 assignment[t] = step_no
-            nxt = _remove_and_gc(cur, entries, roots)
-            if search(nxt, step_no + 1):
+            undo = g.remove(x, entries)
+            if search(step_no + 1):
                 return True
+            g.restore(undo)
             for t in entries:
                 del assignment[t]
         failed.add(key)
         return False
 
-    if not search(chart, 1):
+    if not search(1):
         return None
     order = {
         t: assignment.get(t, 0) for t in chart.transitions if not t.terminal
@@ -761,21 +948,20 @@ def _normalize(w):
     """
     rep = w.replay()
     chart = w.chart
-    roots = _witness_roots(chart)
+    g = _Graph(chart, _witness_roots(chart))
     labels = {t: 0 for t in w.order}
-    cur = chart
     counter = 0
     for step in rep.steps:
         loopers = []
         for e in step.entries:
-            if e not in cur.transitions:
+            if not g.is_live(e):
                 raise InternalError("normalization lost a scheduled entry %r" % (e,))
-            if _loop_forming(cur, step.start, e):
+            if _loop_forming(g, step.start, e):
                 loopers.append(e)
         for e in loopers:
             counter += 1
             labels[e] = counter
-        cur = _remove_and_gc(cur, loopers, roots)
+        g.remove(step.start, loopers)
     w1 = Witness(chart, labels)
     rep1 = w1.replay()
     if not rep1.ok:
@@ -792,9 +978,9 @@ def _zero_path(chart, labels, source, target):
     if source == target:
         return []
     prev = {source: None}
-    queue = [source]
+    queue = deque([source])
     while queue:
-        n = queue.pop(0)
+        n = queue.popleft()
         for t in chart.out(n):
             if t.terminal or labels.get(t, 1) != 0:
                 continue
@@ -832,44 +1018,51 @@ def lee_to_llee(w):
         raise NotLEE(w.replay().reason)
     w1 = _normalize(w)
     chart = w1.chart
-    roots = _witness_roots(chart)
+    g = _Graph(chart, _witness_roots(chart))
     labels = dict(w1.order)
-    cur = chart
-    processed = set()
-    while True:
-        remaining = sorted(k for k in set(labels.values()) if k > 0 and k not in processed)
-        if not remaining:
-            break
-        n = remaining[0]
-        processed.add(n)
+    by_order = {}
+    for t, k in labels.items():
+        if k > 0:
+            by_order.setdefault(k, set()).add(t)
+
+    def relabel(t, k):
+        old = labels[t]
+        if old > 0:
+            by_order[old].discard(t)
+        if k > 0:
+            by_order.setdefault(k, set()).add(t)
+        labels[t] = k
+
+    # Steps run in increasing order number.  A repair at step ``n`` only
+    # moves order numbers above ``n``, so walking 1..m meets every step.
+    for n in range(1, w1.max_order + 1):
         # Normalization makes order numbers unique, but a repair below may
         # promote several transitions of one start node to the same vacated
         # number; such a step is a single grouped elimination.
-        step_entries = tuple(
-            sorted((t for t, k in labels.items() if k == n), key=Transition.sort_key)
-        )
+        step_entries = tuple(sorted(by_order.get(n, ()), key=Transition.sort_key))
+        if not step_entries:
+            continue
         r = step_entries[0].src
         if any(t.src != r for t in step_entries):
             raise InternalError("order %d spans several start nodes" % n)
         for t in step_entries:
-            if t not in cur.transitions:
+            if not g.is_live(t):
                 raise InternalError("entry %r vanished before its step" % (t,))
-        gen = generated_chart(cur, r, step_entries)
-        if not is_loop_chart(gen, r):
+        body = g.span(r, step_entries)
+        if body is None:
             raise InternalError(
                 "⟨%s, %s⟩ stopped being a loop sub-chart during switching"
                 % (r, list(step_entries))
             )
-        body = gen.nodes - {r}
         demotions = sorted(
-            (t for t, k in labels.items() if k > n and t.src in body and t in cur.transitions),
+            (t for y in body for t in g.out(y) if labels.get(t, 0) > n),
             key=lambda t: (labels[t],) + t.sort_key(),
         )
         for t in demotions:
             k = labels[t]
-            labels[t] = 0
+            relabel(t, 0)
             while True:
-                back = _zero_path(cur, labels, t.dst, t.src)
+                back = _zero_path(g, labels, t.dst, t.src)
                 if back is None:
                     break
                 cycle = [t] + back
@@ -878,8 +1071,8 @@ def lee_to_llee(w):
                     raise InternalError(
                         "an entry-less loop avoided the eliminating node %s" % r
                     )
-                labels[pick] = k
-        cur = _remove_and_gc(cur, step_entries, roots)
+                relabel(pick, k)
+        g.remove(r, step_entries, body)
     used = sorted(set(k for k in labels.values() if k > 0))
     renumber = {k: i for i, k in enumerate(used, start=1)}
     final = {t: renumber.get(k, 0) for t, k in labels.items()}

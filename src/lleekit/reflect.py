@@ -29,12 +29,10 @@ from .chart import Transition, chart_of_nodes, simple_cycles
 from .errors import LemmaViolated, NotCollapse, NotLLEE, UnknownNode
 from .lee import (
     Witness,
-    _remove_and_gc,
+    _Graph,
     _witness_roots,
     all_looping_back_charts,
-    generated_chart,
     is_llee_witness,
-    is_loop_chart,
 )
 
 __all__ = [
@@ -245,7 +243,11 @@ def check_lemma_conditions(theta, w):
     nodes have no terminal transitions and no transitions leaving the image.
     Returns a :class:`LemmaReport`; preconditions are as for :func:`images`.
     """
-    hierarchy = images(theta, w)
+    return _lemma_report(theta, images(theta, w))
+
+
+def _lemma_report(theta, hierarchy):
+    """:func:`check_lemma_conditions` on an already computed hierarchy."""
     h = theta.target
     violations = []
     cycles = simple_cycles(h)
@@ -304,33 +306,30 @@ def collapse_lee_witness(theta, w):
     chart without infinite paths; layer it with
     :func:`lleekit.lee.lee_to_llee` when a layered witness is needed.
     """
-    report = check_lemma_conditions(theta, w)
+    hierarchy = images(theta, w)
+    report = _lemma_report(theta, hierarchy)
     if not report.ok:
         raise LemmaViolated("; ".join(msg for _, msg in report.violations))
-    hierarchy = images(theta, w)
     h = theta.target
-    roots = _witness_roots(h)
+    g = _Graph(h, _witness_roots(h))
     order = sorted(
         hierarchy.records,
         key=lambda r: (len(r.image.nodes), r.start, tuple(sorted(r.image.nodes))),
     )
     labels = {t: 0 for t in h.transitions if not t.terminal}
-    cur = h
     step = 0
     for rec in order:
-        live = rec.image.nodes & cur.nodes
-        remnant = chart_of_nodes(cur, live)
-        if not remnant.has_cycle():
+        if not g.has_cycle(within=rec.image.nodes):
             continue
         s = rec.start
-        if s not in cur.nodes:
+        if s not in g.nodes:
             raise LemmaViolated(
                 "image {%s} still has cycles but its start %s was collected"
                 % (", ".join(sorted(rec.image.nodes)), s)
             )
         entries = tuple(
             t
-            for t in cur.out(s)
+            for t in g.out(s)
             if not t.terminal and t.dst in rec.image.nodes
         )
         if not entries:
@@ -338,16 +337,16 @@ def collapse_lee_witness(theta, w):
                 "image {%s} still has cycles but no entries remain at %s"
                 % (", ".join(sorted(rec.image.nodes)), s)
             )
-        gen = generated_chart(cur, s, entries)
-        if not is_loop_chart(gen, s):
+        body = g.span(s, entries)
+        if body is None:
             raise LemmaViolated(
                 "entries at %s do not span a loop sub-chart of the remaining chart" % s
             )
         step += 1
         for t in entries:
             labels[t] = step
-        cur = _remove_and_gc(cur, entries, roots)
-    if cur.has_cycle():
+        g.remove(s, entries, body)
+    if g.has_cycle():
         raise LemmaViolated("cycles survive after eliminating every image")
     result = Witness(h, labels)
     rep = result.replay()

@@ -54,13 +54,14 @@ def random_chart(rng, max_nodes=8, alphabet=("a", "b"), rooted=False):
 
 # --- hypothesis strategies ---------------------------------------------------
 
-expressions = st.deferred(
-    lambda: st.one_of(
-        st.sampled_from([Action("a"), Action("b"), Action("c"), Zero()]),
-        st.builds(Plus, expressions, expressions),
-        st.builds(Seq, expressions, expressions),
-        st.builds(Star, expressions, expressions),
-    )
+expressions = st.recursive(
+    st.sampled_from([Action("a"), Action("b"), Action("c"), Zero()]),
+    lambda sub: st.one_of(
+        st.builds(Plus, sub, sub),
+        st.builds(Seq, sub, sub),
+        st.builds(Star, sub, sub),
+    ),
+    max_leaves=20,
 )
 
 

@@ -147,12 +147,19 @@ def _avoiding_reach(transitions, origin, avoid):
     return seen
 
 
-def brute_generated_transitions(transitions, start, entries):
-    """Entry transitions plus everything reachable from their targets while
-    avoiding the start — terminal transitions of continuation nodes included."""
+def _generated_region(transitions, start, entries):
+    """The continuation nodes of a generated chart: everything reachable from
+    the entry targets while avoiding the start."""
     region = set()
     for e in entries:
         region |= _avoiding_reach(transitions, e.dst, start)
+    return region
+
+
+def brute_generated_transitions(transitions, start, entries):
+    """Entry transitions plus everything reachable from their targets while
+    avoiding the start — terminal transitions of continuation nodes included."""
+    region = _generated_region(transitions, start, entries)
     picked = set(entries)
     for t in transitions:
         if t.src in region:
@@ -246,6 +253,68 @@ def exhaustive_lee_search(chart):
         return False
 
     return search(frozenset(chart.transitions), frozenset(chart.nodes))
+
+
+# --- witness replay, rebuilding the chart after every step -----------------
+
+
+def brute_replay(chart, order):
+    """Replay an order map the way :class:`lleekit.lee.Witness` documents it.
+
+    For ``n = 1, 2, …`` the order-``n`` entries are grouped by start node;
+    groups are tried in node order, the first one spanning a loop sub-chart
+    is eliminated, and the chart is garbage-collected from scratch with
+    ``_gc`` before the next try.  Returns ``(ok, reason, steps, final,
+    llee, llee_reason)`` with steps as ``(order, start, entries, body)`` and
+    ``final`` as ``(nodes, transitions)`` or ``None``.  Raises
+    :class:`UnknownNode` when a group's start was collected by a sibling
+    group of the same order.
+    """
+    from lleekit.errors import UnknownNode
+
+    roots = {chart.initial} if chart.initial is not None else set(chart.nodes)
+    transitions, nodes = frozenset(chart.transitions), frozenset(chart.nodes)
+    steps = []
+    bodies = set()
+    llee, llee_reason = True, None
+    for n in range(1, max(order.values(), default=0) + 1):
+        level = [t for t, k in order.items() if k == n]
+        gone = [t for t in level if t not in transitions]
+        if gone:
+            reason = "order-%d transition %r was already garbage-collected" % (n, gone[0])
+            return False, reason, tuple(steps), None, False, None
+        pending = {}
+        for t in level:
+            pending.setdefault(t.src, []).append(t)
+        while pending:
+            for x in sorted(pending):
+                if x not in nodes:
+                    raise UnknownNode("unknown node %r" % (x,))
+                entries = tuple(sorted(pending[x], key=Transition.sort_key))
+                gen = brute_generated_transitions(transitions, x, entries)
+                if brute_is_loop_chart(gen, x):
+                    break
+            else:
+                reason = "order-%d entries at %s do not span a loop sub-chart" % (
+                    n,
+                    sorted(pending)[0],
+                )
+                return False, reason, tuple(steps), None, False, None
+            body = frozenset(_generated_region(transitions, x, entries))
+            if llee and x in bodies:
+                llee = False
+                llee_reason = (
+                    "step %d starts at %s, which lies in the body of an "
+                    "earlier eliminated loop sub-chart" % (n, x)
+                )
+            steps.append((n, x, entries, body))
+            bodies |= body
+            transitions, nodes = _gc(transitions - set(entries), nodes, roots)
+            del pending[x]
+    final = (nodes, transitions)
+    if brute_simple_cycles(transitions):
+        return False, "a cycle survives the recorded elimination", tuple(steps), final, False, None
+    return True, None, tuple(steps), final, llee, llee_reason
 
 
 # --- step function, written from the derivation rules ----------------------

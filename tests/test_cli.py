@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from conftest import fixture_path, run_python
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, interpret
@@ -359,6 +361,33 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: extracted solution fails at x\n"
+
+
+def _nested(template, depth):
+    e = "a"
+    for _ in range(depth):
+        e = template % e
+    return e
+
+
+@pytest.mark.parametrize(
+    "expression",
+    [
+        "+".join(["a"] * 3000),  # fails while printing
+        _nested("a.(%s)", 2000),  # fails while parsing a sequence
+        _nested("(a*%s)", 1500),  # fails while parsing a star
+    ],
+    ids=["sum3000", "seq2000", "star1500"],
+)
+def test_equiv_too_deep_exits_2(expression):
+    # a fresh interpreter shows what a user sees: before, a RecursionError
+    # traceback and status 1, the NOT_EQUAL code
+    proc = run_python(["-m", "lleekit.cli", "equiv", expression, expression], 0, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: expression nested too deeply")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def _equiv_in_subprocess(hash_seed, e1, e2):

@@ -9,6 +9,7 @@ from oracles import (
     brute_generated_transitions,
     brute_is_loop_chart,
     brute_max_entry_set,
+    brute_replay,
     exhaustive_lee_search,
 )
 from lleekit.chart import Chart, TERMINATION, Transition, chart_of_nodes, interpret
@@ -390,6 +391,101 @@ def test_replay_defers_blocked_group():
     # order 2 runs the blocked group second despite its start sorting first
     order2 = [s.start for s in rep.steps if s.order == 2]
     assert order2 == ["ba", "aa"]
+
+
+def _replay_outcome(w):
+    """A replay in the oracle's shape, or the error it raised."""
+    try:
+        rep = w.replay()
+    except UnknownNode as exc:
+        return ("raises", str(exc))
+    final = None
+    if rep.final is not None:
+        assert rep.final.initial == w.chart.initial
+        final = (rep.final.nodes, rep.final.transitions)
+    steps = tuple((s.order, s.start, s.entries, s.body) for s in rep.steps)
+    return (rep.ok, rep.reason, steps, final, rep.llee, rep.llee_reason)
+
+
+def _brute_outcome(chart, order):
+    try:
+        return brute_replay(chart, order)
+    except UnknownNode as exc:
+        return ("raises", str(exc))
+
+
+def _compact(order):
+    """Renumber the positive orders of a map to 1..m, keeping their order."""
+    used = sorted(set(k for k in order.values() if k > 0))
+    rank = {k: i for i, k in enumerate(used, start=1)}
+    return {t: rank.get(k, 0) for t, k in order.items()}
+
+
+def _nonterminal(chart):
+    # sorted, so the draws below do not depend on the string hash seed
+    return sorted((t for t in chart.transitions if not t.terminal), key=Transition.sort_key)
+
+
+def _random_order(rng, chart):
+    top = rng.randint(1, 4)
+    return _compact({t: rng.randint(0, top) for t in _nonterminal(chart)})
+
+
+def _random_run(rng, chart):
+    """Orders of a random elimination run, and the same with steps merged.
+
+    Each step takes a random set of still unordered transitions of one node
+    and is kept when the oracle replays it as one more step; merging steps
+    ``2i-1`` and ``2i`` into order ``i`` makes same-order groups, which may
+    or may not still replay.
+    """
+    order = {t: 0 for t in _nonterminal(chart)}
+    steps = 0
+    for _ in range(10):
+        free = [t for t, k in order.items() if k == 0]
+        if not free:
+            break
+        x = rng.choice(free).src
+        outs = [t for t in free if t.src == x]
+        trial = dict(order)
+        for t in rng.sample(outs, rng.randint(1, len(outs))):
+            trial[t] = steps + 1
+        if len(brute_replay(chart, trial)[2]) == steps + 1:
+            order = trial
+            steps += 1
+    return order, {t: (k + 1) // 2 for t, k in order.items()}
+
+
+def _orders_for(rng, chart):
+    orders = [_random_order(rng, chart) for _ in range(3)]
+    orders.extend(_random_run(rng, chart))
+    found = find_lee_witness(chart)
+    if found is not None:
+        orders.append(found.order)
+        orders.append(lee_to_llee(found).order)
+    return orders
+
+
+def test_replay_vs_brute(chart_g, chart_h, chart_ci, chart_cii, witness_cii_hat):
+    # the working graph collects garbage only inside each eliminated body;
+    # the oracle rebuilds and collects the whole chart after every step
+    rng = random.Random(67)
+    cases = []
+    for i in range(240):
+        chart = random_chart(rng, max_nodes=7, rooted=(i % 2 == 0))
+        cases.extend((chart, order) for order in _orders_for(rng, chart))
+    # on the fixtures, random runs are often not layered, and same-order
+    # groups often collect each other's start
+    for chart in (chart_g, chart_h, chart_ci, chart_cii):
+        for _ in range(40):
+            cases.extend((chart, order) for order in _orders_for(rng, chart))
+    cases.append((chart_cii, witness_cii_hat.order))
+    outcomes = set()
+    for chart, order in cases:
+        expected = _brute_outcome(chart, order)
+        assert _replay_outcome(Witness(chart, order)) == expected, (chart.to_text(), order)
+        outcomes.add(expected[0] if expected[0] == "raises" else (expected[0], expected[4]))
+    assert outcomes == {"raises", (False, False), (True, False), (True, True)}
 
 
 # --- witness search ---------------------------------------------------------
