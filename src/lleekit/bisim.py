@@ -53,9 +53,11 @@ class Partition:
 def _refine(nodes, outmap, term):
     """Partition refinement core.
 
-    ``outmap[n]`` is the list of ``(action, dst)`` pairs of non-terminal
-    transitions; ``term[n]`` the frozenset of terminal actions.  Returns a
-    dict node -> block id.
+    ``nodes`` are any hashable ids (node names, or the integers
+    ``0..n-1`` with lists for the two tables); ``outmap[n]`` is the list of
+    ``(action, dst)`` pairs of non-terminal transitions, repeats allowed;
+    ``term[n]`` the frozenset of terminal actions.  Returns a dict node ->
+    block id.
 
     Blocks start as the classes of equal terminal-action sets, and every
     node starts *dirty*.  A node's signature is the set of ``(action, block

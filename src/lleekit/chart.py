@@ -12,7 +12,9 @@ reachable expressions (printing is injective, so ids are canonical).  While
 exploring, a reachable expression ``h.r1.….rn`` (left-nested, ``h`` not a
 sequence) is held as its head ``h`` and an interned continuation
 ``r1 … rn``, so a step and a node id cost the size of the head, not the
-length of the sequence; each subterm is printed once per exploration.
+length of the sequence.  Exploration numbers the states and prints
+nothing: a subterm is printed only when :func:`interpret` names a state,
+and then once per exploration.
 
 Sub-charts come in two flavours, both :class:`NodeSetChart`:
 
@@ -37,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -524,24 +525,26 @@ def simple_cycles(chart, distinct_nodes=False):
     cycles = []
     # Enumerate cycles whose minimal node is `s`, for each s: DFS over nodes
     # >= s only, so every cycle appears exactly once, already rotated to its
-    # least node.
+    # least node.  The DFS keeps one transition iterator per path node on an
+    # explicit stack, so a long cycle does not hit the recursion limit.
     for s in sorted(out):
         path = []
-        on_path = set()
-
-        def dfs(n):
-            on_path.add(n)
-            for t in out.get(n, ()):
+        on_path = {s}
+        stack = [iter(out[s])]
+        while stack:
+            for t in stack[-1]:
                 d = t.dst
                 if d == s:
                     cycles.append(tuple(path) + (t,))
                 elif d > s and d not in on_path:
                     path.append(t)
-                    dfs(d)
-                    path.pop()
-            on_path.discard(n)
-
-        dfs(s)
+                    on_path.add(d)
+                    stack.append(iter(out.get(d, ())))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    on_path.discard(path.pop().dst)
     if distinct_nodes:
         seen = set()
         unique = []
@@ -567,15 +570,16 @@ class _Cont:
 
     ``expr`` runs first, then ``rest`` (``None`` when nothing follows).
     ``suffix`` is the continuation's printed part of a node id,
-    ``".r1.r2…"``.
+    ``".r1.r2…"``, filled in by :meth:`_States.name` on first use (``None``
+    until then).
     """
 
     __slots__ = ("expr", "rest", "suffix")
 
-    def __init__(self, expr, rest, suffix):
+    def __init__(self, expr, rest):
         self.expr = expr
         self.rest = rest
-        self.suffix = suffix
+        self.suffix = None
 
 
 class _States:
@@ -607,11 +611,21 @@ class _States:
         key = (e, rest)
         k = self._conts.get(key)
         if k is None:
-            suffix = "." + self._wrap(e, _expr._LEVEL_STAR)
-            if rest is not None:
-                suffix += rest.suffix
-            k = self._conts[key] = _Cont(e, rest, suffix)
+            k = self._conts[key] = _Cont(e, rest)
         return k
+
+    def _suffix(self, k):
+        """The printed suffix of ``k``, filled in on first use for ``k`` and
+        every continuation after it that has none yet.  Iterative, because
+        a continuation can be thousands of operands long."""
+        pending = []
+        while k is not None and k.suffix is None:
+            pending.append(k)
+            k = k.rest
+        text = "" if k is None else k.suffix
+        for c in reversed(pending):
+            text = c.suffix = "." + self._wrap(c.expr, _expr._LEVEL_STAR) + text
+        return text
 
     def enter(self, e, k):
         """The state of ``e`` followed by continuation ``k``."""
@@ -647,7 +661,7 @@ class _States:
         head, k = state
         if k is None:
             return self._wrap(head, _expr._LEVEL_PLUS)
-        return self._wrap(head, _expr._LEVEL_SEQ) + k.suffix
+        return self._wrap(head, _expr._LEVEL_SEQ) + self._suffix(k)
 
 
 def step(e):
@@ -679,52 +693,66 @@ def step(e):
 
 
 def _explore(roots, cap, what):
-    """Breadth-first closure of ``roots`` under :func:`step`.
+    """Breadth-first closure of ``roots`` under :func:`step`, by state index.
 
-    Returns ``(root_ids, node_ids, transitions)``: the node id of each root,
-    in order, and the ids and transitions of every reachable state.  Each
-    state is named once.  Raises :class:`StateExplosion` if more than
-    ``cap`` states appear (``cap`` defaults to the ``LLEEKIT_STATE_CAP``
-    environment variable, or 100000); its message is ``what`` applied to
-    the first root's node id, built only then.
+    States are numbered in discovery order and none is printed.  Returns
+    ``(space, root_idx, states, transitions)``: the :class:`_States` that
+    holds the states (``space.name(states[i])`` is state ``i``'s node id),
+    the index of each root, in order, the list of states, and the
+    transitions as ``(src, action, dst)`` triples of state indices, ``dst``
+    being :data:`TERMINATION` for a terminal step.  A state with two equal
+    steps (as in ``a+a``) has two equal triples.  Raises
+    :class:`StateExplosion` if more than ``cap`` states appear (``cap``
+    defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or 100000);
+    its message is ``what`` applied to the first root's node id, which is
+    printed only then.
     """
     if cap is None:
         cap = int(os.environ.get("LLEEKIT_STATE_CAP", DEFAULT_STATE_CAP))
     space = _States()
     starts = [space.enter(r, None) for r in roots]
-    names = {}
-    queue = deque()
+    index = {}
+    states = []
     transitions = []
 
     def visit(state):
-        name = names.get(state)
-        if name is None:
-            if len(names) >= cap:
+        i = index.get(state)
+        if i is None:
+            if len(states) >= cap:
                 root = space.name(starts[0])
                 raise StateExplosion("more than %d states while %s" % (cap, what(root)))
-            name = names[state] = space.name(state)
-            queue.append(state)
-        return name
+            i = index[state] = len(states)
+            states.append(state)
+        return i
 
-    root_ids = [visit(s) for s in starts]
-    while queue:
-        cur = queue.popleft()
-        src = names[cur]
+    root_idx = [visit(s) for s in starts]
+    # the loop also reaches the states that visit appends while it runs
+    for src, (head, k) in enumerate(states):
         out = []
-        space.steps(cur[0], cur[1], out)
+        space.steps(head, k, out)
         for action, tgt in out:
-            dst = TERMINATION if tgt is TERMINATION else visit(tgt)
-            transitions.append(Transition(src, action, dst))
-    return root_ids, names.values(), transitions
+            transitions.append((src, action, TERMINATION if tgt is TERMINATION else visit(tgt)))
+    return space, root_idx, states, transitions
 
 
 def interpret(e, cap=None):
     """The chart of all expressions reachable from ``e`` under :func:`step`.
 
     Node ids are the printed expressions; the initial node is ``unparse(e)``.
+    The states are explored first and named afterwards, each once.
     Raises :class:`StateExplosion` if more than ``cap`` nodes appear
     (``cap`` defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or
     100000).
     """
-    root_ids, nodes, transitions = _explore([e], cap, lambda root: "interpreting %r" % root)
-    return Chart(transitions, nodes=nodes, initial=root_ids[0])
+    space, root_idx, states, transitions = _explore(
+        [e], cap, lambda root: "interpreting %r" % root
+    )
+    names = [space.name(s) for s in states]
+    return Chart(
+        (
+            Transition(names[src], action, TERMINATION if dst is TERMINATION else names[dst])
+            for src, action, dst in transitions
+        ),
+        nodes=names,
+        initial=names[root_idx[0]],
+    )

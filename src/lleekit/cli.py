@@ -28,7 +28,7 @@ from .chart import DEFAULT_STATE_CAP, Chart, interpret
 from .errors import InternalError, LleekitError, ParseError
 from .expr import Action, Plus, Seq, Star, Zero, parse, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
-from .reflect import check_lemma_conditions, collapse_lee_witness, images
+from .reflect import _lemma_report, collapse_lee_witness, images
 from .solve import equiv, extract_solution, solution_check
 
 __all__ = ["Config", "run", "main"]
@@ -261,7 +261,7 @@ def _cmd_reflect(args, cfg):
     res = collapse(g)
     theta = res.theta
     hierarchy = images(theta, w)
-    report = check_lemma_conditions(theta, w)
+    report = _lemma_report(theta, hierarchy)
     if not report.ok:
         for _, msg in report.violations:
             sys.stderr.write("lemma violation: %s\n" % msg)

@@ -545,9 +545,8 @@ class Witness:
         root or a live node outside the body still reaches it).  That keeps
         exactly what rebuilding and collecting the whole chart after every
         step would keep.  :attr:`ReplayResult.final` is built once, at the
-        end.  Failures are reported in the result, except that a group whose
-        start a sibling group of the same order has collected raises
-        :class:`UnknownNode`.
+        end.  Failures are reported in the result, including a group whose
+        start an earlier group of the same order has collected.
         """
         if self._replay is None:
             self._replay = _replay(self)
@@ -671,6 +670,16 @@ def _replay(w):
         while pending:
             progressed = False
             for x in sorted(pending):
+                if x not in g.nodes:
+                    return ReplayResult(
+                        False,
+                        "order-%d entries at %s were garbage-collected by an "
+                        "earlier step" % (n, x),
+                        tuple(steps),
+                        None,
+                        False,
+                        None,
+                    )
                 entries = pending[x]
                 body = g.span(x, entries)
                 if body is None:

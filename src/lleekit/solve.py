@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisim import BisimMap, _disjoint_union, bisimilarity_partition
+from .bisim import BisimMap, _disjoint_union, _refine, bisimilarity_partition
 from .chart import Chart, TERMINATION, Transition, _explore, interpret
 from .errors import InternalError, NotLLEE
 from .expr import Action, Expression, Plus, Seq, Star, Zero, unparse
@@ -209,24 +209,38 @@ def extract_solution(w):
 def solution_check(sol, cap=None):
     """Verify a solution: every assigned expression unfolds bisimilarly.
 
-    All assigned expressions are interpreted together, in one exploration
-    that shares their common states, and the resulting chart is refined once
-    jointly with the solution's chart.  A node fails when its expression's
-    state and the node itself fall into different bisimilarity classes.
-    Returns the sorted list of failing nodes (empty means the solution is
-    correct).  Raises :class:`StateExplosion` if the joint exploration
-    exceeds ``cap`` states.
+    All assigned expressions are explored together, in one exploration
+    that shares their common states, and refined once together with the
+    solution's chart, over integer ids: state ``i`` of the exploration is
+    id ``i``, and the chart's nodes, sorted, follow.  No state is printed
+    and no chart is built for the exploration.  A node fails when its
+    expression's state and the node itself fall into different
+    bisimilarity classes.  Returns the sorted list of failing nodes (empty
+    means the solution is correct).  Raises :class:`StateExplosion` if the
+    joint exploration exceeds ``cap`` states.
     """
     nodes = sorted(sol.chart.nodes)
-    root_ids, node_ids, transitions = _explore(
+    _, root_idx, states, transitions = _explore(
         [sol.assign[x] for x in nodes],
         cap,
         lambda root: "checking a solution of %d nodes" % len(nodes),
     )
-    g = Chart(transitions, nodes=node_ids)
-    part = bisimilarity_partition(_disjoint_union(g, sol.chart))
-    block = {v: i for i, b in enumerate(part.blocks) for v in b}
-    return [x for x, r in zip(nodes, root_ids) if block["g:" + r] != block["h:" + x]]
+    node_idx = {x: i for i, x in enumerate(nodes, start=len(states))}
+    outmap = [[] for _ in range(len(states) + len(nodes))]
+    term = [set() for _ in outmap]
+    for src, action, dst in transitions:
+        if dst is TERMINATION:
+            term[src].add(action)
+        else:
+            outmap[src].append((action, dst))
+    for t in sol.chart.transitions:
+        src = node_idx[t.src]
+        if t.terminal:
+            term[src].add(t.action)
+        else:
+            outmap[src].append((t.action, node_idx[t.dst]))
+    block = _refine(range(len(outmap)), outmap, [frozenset(a) for a in term])
+    return [x for x, r in zip(nodes, root_idx) if block[r] != block[node_idx[x]]]
 
 
 _AXIOM_SCHEMATA = (

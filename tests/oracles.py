@@ -266,12 +266,9 @@ def brute_replay(chart, order):
     is eliminated, and the chart is garbage-collected from scratch with
     ``_gc`` before the next try.  Returns ``(ok, reason, steps, final,
     llee, llee_reason)`` with steps as ``(order, start, entries, body)`` and
-    ``final`` as ``(nodes, transitions)`` or ``None``.  Raises
-    :class:`UnknownNode` when a group's start was collected by a sibling
-    group of the same order.
+    ``final`` as ``(nodes, transitions)`` or ``None``.  A group whose start
+    an earlier group of the same order has collected fails the replay.
     """
-    from lleekit.errors import UnknownNode
-
     roots = {chart.initial} if chart.initial is not None else set(chart.nodes)
     transitions, nodes = frozenset(chart.transitions), frozenset(chart.nodes)
     steps = []
@@ -289,7 +286,11 @@ def brute_replay(chart, order):
         while pending:
             for x in sorted(pending):
                 if x not in nodes:
-                    raise UnknownNode("unknown node %r" % (x,))
+                    reason = (
+                        "order-%d entries at %s were garbage-collected by an "
+                        "earlier step" % (n, x)
+                    )
+                    return False, reason, tuple(steps), None, False, None
                 entries = tuple(sorted(pending[x], key=Transition.sort_key))
                 gen = brute_generated_transitions(transitions, x, entries)
                 if brute_is_loop_chart(gen, x):

@@ -251,6 +251,44 @@ def test_simple_cycles_examples(chart_g):
     assert sorted(cycle_nodes(c) for c in by_nodes) == [("x", "x'"), ("x'",)]
 
 
+def _recursive_simple_cycles(chart):
+    # the enumeration as it was written before it became iterative
+    out = {}
+    for t in sorted((t for t in chart.transitions if not t.terminal), key=Transition.sort_key):
+        out.setdefault(t.src, []).append(t)
+    cycles = []
+    for s in sorted(out):
+        path = []
+        on_path = set()
+
+        def dfs(n):
+            on_path.add(n)
+            for t in out.get(n, ()):
+                d = t.dst
+                if d == s:
+                    cycles.append(tuple(path) + (t,))
+                elif d > s and d not in on_path:
+                    path.append(t)
+                    dfs(d)
+                    path.pop()
+            on_path.discard(n)
+
+        dfs(s)
+    return cycles
+
+
+def test_simple_cycles_keeps_the_recursive_order():
+    rng = random.Random(71)
+    for _ in range(300):
+        g = random_chart(rng, max_nodes=8, alphabet=("a", "b", "c"))
+        expected = _recursive_simple_cycles(g)
+        assert simple_cycles(g) == expected
+        unique = {}
+        for cyc in expected:
+            unique.setdefault(cycle_nodes(cyc), cyc)
+        assert simple_cycles(g, distinct_nodes=True) == list(unique.values())
+
+
 def test_simple_cycles_vs_brute():
     rng = random.Random(11)
     for _ in range(250):

@@ -159,6 +159,21 @@ def test_check_witness_replay_failure(tmp_path, capsys):
     assert "replay: failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["check-witness", "llee"])
+def test_replay_fails_on_a_start_collected_within_its_order(tmp_path, capsys, command):
+    # order 1 cuts x -b-> x' and the self-loop at x'; at order 2 the group at
+    # x goes first, and removing x -a-> x' cuts x' off from the root x, so
+    # the group at x' has no start left
+    w = tmp_path / "gc.witness"
+    w.write_text("witness v1\nx a x' 2\nx b x' 1\nx' a x' 1\nx' b x 2\n")
+    assert run([command, G, str(w)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == (
+        "replay: failed (order-2 entries at x' were garbage-collected by an earlier step)"
+    )
+    assert captured.err == ""
+
+
 # --- layering and reflection ------------------------------------------------
 
 
@@ -188,6 +203,24 @@ def test_reflect_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["v"] == 1
     assert [img["start"] for img in doc["images"]] == ["z", "z", "x"]
+
+
+def test_reflect_long_cycle(tmp_path, capsys):
+    # no two ring nodes are bisimilar, so the collapse is the ring itself,
+    # and its one simple cycle is longer than the recursion limit
+    n = 1200
+    ring = ["n%d a n%d" % (i, (i + 1) % n) for i in range(n)]
+    chart = tmp_path / "ring.chart"
+    chart.write_text("\n".join(["chart v1", "init n0", *ring, "n0 b !"]) + "\n")
+    witness = tmp_path / "ring.witness"
+    witness.write_text(
+        "\n".join(["witness v1"] + ["%s %d" % (t, i == 0) for i, t in enumerate(ring)]) + "\n"
+    )
+    assert run(["reflect", str(chart), str(witness)]) == 0
+    captured = capsys.readouterr()
+    images = [line for line in captured.out.splitlines() if line.startswith("image ")]
+    assert len(images) == 1 and images[0].endswith("} start n0 preimages 1 wsp n0")
+    assert captured.err == ""
 
 
 # --- solve ------------------------------------------------------------------

@@ -3,16 +3,24 @@
 The expected text is the program's own output, recorded once, so any change
 to interpretation, refinement, witnesses or solution extraction that alters
 a printed certificate or distinction shows up here.  W(3), N(3) and P(3) are
-the loop families of the benchmark, each against an axiom-rewritten copy.
+the loop families of the benchmark, each against an axiom-rewritten copy;
+W(8) and N(6) are pinned in JSON, from files under ``golden/``.
 """
+
+import pathlib
 
 import pytest
 
 from lleekit.cli import run
 
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
 W3 = "(x0.(y0*z0)+x1.(y1*z1)+x2.(y2*z2))*0"
 N3 = "(a3.((a2.((a1.c0+b1)*c1)+b2)*c2)+b3)*c3"
 P3 = "(x.(y0+z0).(y1+z1).(y2+z2))*0"
+W8 = "(%s)*0" % "+".join("x%d.(y%d*z%d)" % (i, i, i) for i in range(8))
+N5 = "(a5.((a4.((a3.((a2.((a1.c0+b1)*c1)+b2)*c2)+b3)*c3)+b4)*c4)+b5)*c5"
+N6 = "(a6.(%s)+b6)*c6" % N5
 
 W3_SOLUTION = "(x0.y0*z0+x1.y1*z1)*(x2.(y2+z2.(x0.y0*z0+x1.y1*z1)*x2)*0)"
 N3_SOLUTION = "(a3.(a2.(a1.c0+b1)*c1+b2)*c2+b3)*c3"
@@ -55,4 +63,22 @@ def test_equiv_golden(capsys, e1, e2, code, out):
     assert run(["equiv", e1, e2]) == code
     captured = capsys.readouterr()
     assert captured.out == out
+    assert captured.err == ""
+
+
+# The JSON form prints the whole collapse, so these pin its node ids: the
+# printed states of the first interpretation, named after exploration.
+GOLDEN_JSON = [
+    # A8 unfolding, then A6
+    ("equiv_W8.json", W8, "(%s).(%s)+0" % (W8[1:-3], W8)),
+    # A1
+    ("equiv_N6.json", N6, "(b6+a6.(%s))*c6" % N5),
+]
+
+
+@pytest.mark.parametrize("name,e1,e2", GOLDEN_JSON)
+def test_equiv_golden_json(capsys, name, e1, e2):
+    assert run(["--format", "json", "equiv", e1, e2]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN_DIR / name).read_text()
     assert captured.err == ""

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from generators import random_expression
+from generators import random_chart, random_expression
+from oracles import brute_interpret, naive_bisimilarity_pairs
 from lleekit.bisim import collapse
 from lleekit.chart import Chart, TERMINATION, Transition, interpret
 from lleekit.errors import NotLLEE, StateExplosion
@@ -130,6 +131,67 @@ def test_solution_check_cap_bounds_the_joint_exploration():
     with pytest.raises(StateExplosion):
         solution_check(sol, cap=1)
     assert solution_check(sol, cap=2) == []
+
+
+def _oracle_failures(sol):
+    """The nodes whose expression, unfolded alone, is not bisimilar to them."""
+    bad = []
+    for x in sorted(sol.chart.nodes):
+        e = brute_interpret(sol[x])
+        if (e.initial, x) not in naive_bisimilarity_pairs(e, sol.chart):
+            bad.append(x)
+    return bad
+
+
+def _corrupted(rng, sol):
+    """``sol`` with some nodes reassigned: doubled (``e+e``, still correct,
+    every step twice), given another node's expression, or given one more
+    terminal step."""
+    nodes = sorted(sol.chart.nodes)
+    assign = dict(sol.assign)
+    for x in rng.sample(nodes, rng.randint(1, len(nodes))):
+        kind = rng.randrange(3)
+        if kind == 0:
+            assign[x] = Plus(assign[x], assign[x])
+        elif kind == 1:
+            assign[x] = sol[rng.choice(nodes)]
+        else:
+            assign[x] = Plus(assign[x], Action(rng.choice("ab")))
+    return Solution(sol.chart, assign)
+
+
+def test_solution_check_vs_per_node_oracle():
+    rng = random.Random(83)
+    solutions = []
+    for _ in range(40):
+        g = interpret(random_expression(rng, rng.randint(1, 12)))
+        solutions.append(extract_solution(lee_to_llee(find_lee_witness(g))))
+    for i in range(60):
+        w = find_lee_witness(random_chart(rng, max_nodes=5, rooted=(i % 2 == 0)))
+        if w is not None:
+            solutions.append(extract_solution(lee_to_llee(w)))
+    solutions += [_corrupted(rng, sol) for sol in solutions for _ in range(2)]
+    failing = 0
+    for sol in solutions:
+        expected = _oracle_failures(sol)
+        assert solution_check(sol) == expected, sol.assign
+        failing += bool(expected)
+    # both verdicts occur
+    assert 0 < failing < len(solutions)
+
+
+def test_solution_check_prints_no_state(monkeypatch):
+    p6 = "(x.(y0+z0).(y1+z1).(y2+z2).(y3+z3).(y4+z4).(y5+z5))*0"
+    sol = equiv(parse(p6), parse(p6.replace("(y5+z5)", "(z5+y5)"))).certificate.solution
+    x = sol.chart.initial
+    wrong = Solution(sol.chart, dict(sol.assign, **{x: sol[x].left}))
+
+    def unparse_forbidden(e):
+        raise AssertionError("solution_check printed a state")
+
+    monkeypatch.setattr("lleekit.expr.unparse", unparse_forbidden)
+    assert solution_check(sol) == []
+    assert solution_check(wrong) == [x]
 
 
 def test_extract_solution_random():
