@@ -597,6 +597,7 @@ class _States:
     def __init__(self):
         self._conts = {}
         self._printed = {}
+        self._measures = {}
 
     def _wrap(self, e, minimum):
         """``e`` as printed by :func:`expr.unparse` in an operand position of
@@ -656,6 +657,46 @@ class _States:
         else:
             raise TypeError("not an expression: %r" % (e,))
 
+    def measure(self, e):
+        """``(normed, star height)`` of ``e``, memoised per expression.
+
+        ``e`` is normed when it can terminate.  Children are measured
+        before their parents, from an explicit stack, so a deep expression
+        does not hit the recursion limit.
+        """
+        memo = self._measures
+        m = memo.get(e)
+        if m is not None:
+            return m
+        todo = []
+        stack = [e]
+        while stack:
+            x = stack.pop()
+            if x not in memo:
+                todo.append(x)
+                if x.__class__ is not Action and x.__class__ is not Zero:
+                    stack.append(x.left)
+                    stack.append(x.right)
+        for x in reversed(todo):
+            cls = x.__class__
+            if cls is Action:
+                m = (True, 0)
+            elif cls is Zero:
+                m = (False, 0)
+            else:
+                ln, lh = memo[x.left]
+                rn, rh = memo[x.right]
+                if cls is Star:
+                    lh += 1
+                    ln = rn
+                elif cls is Seq:
+                    ln = ln and rn
+                else:
+                    ln = ln or rn
+                m = (ln, lh if lh > rh else rh)
+            memo[x] = m
+        return m
+
     def name(self, state):
         """The node id of ``state``: the printed expression it stands for."""
         head, k = state
@@ -692,16 +733,22 @@ def step(e):
     return result
 
 
-def _explore(roots, cap, what):
+def _explore(roots, cap, what, labelled=False):
     """Breadth-first closure of ``roots`` under :func:`step`, by state index.
 
     States are numbered in discovery order and none is printed.  Returns
     ``(space, root_idx, states, transitions)``: the :class:`_States` that
     holds the states (``space.name(states[i])`` is state ``i``'s node id),
     the index of each root, in order, the list of states, and the
-    transitions as ``(src, action, dst)`` triples of state indices, ``dst``
-    being :data:`TERMINATION` for a terminal step.  A state with two equal
-    steps (as in ``a+a``) has two equal triples.  Raises
+    transitions as ``(src, action, dst, height)`` tuples, ``src`` and
+    ``dst`` state indices, ``dst`` being :data:`TERMINATION` for a terminal
+    step.  A state with two equal steps (as in ``a+a``) has two equal
+    tuples.  With ``labelled``, ``height`` labels the loop a step enters: a
+    state whose head is a star ``e1*e2`` with ``e1`` normed labels every
+    step of ``e1`` with the star height of ``e1*e2``; every other step gets
+    0.  Without it every height is 0, and no star is measured: the
+    measuring walks each star's subterms once, which on a solution check's
+    large solution trees would cost as much as the check.  Raises
     :class:`StateExplosion` if more than ``cap`` states appear (``cap``
     defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or 100000);
     its message is ``what`` applied to the first root's node id, which is
@@ -726,12 +773,25 @@ def _explore(roots, cap, what):
         return i
 
     root_idx = [visit(s) for s in starts]
+
+    def add(src, out, height):
+        for action, tgt in out:
+            transitions.append(
+                (src, action, TERMINATION if tgt is TERMINATION else visit(tgt), height)
+            )
+
     # the loop also reaches the states that visit appends while it runs
     for src, (head, k) in enumerate(states):
         out = []
-        space.steps(head, k, out)
-        for action, tgt in out:
-            transitions.append((src, action, TERMINATION if tgt is TERMINATION else visit(tgt)))
+        if labelled and isinstance(head, Star) and space.measure(head.left)[0]:
+            # the steps of :meth:`_States.steps` on a star, loop steps first
+            space.steps(head.left, space.push(head, k), out)
+            add(src, out, space.measure(head)[1])
+            out = []
+            space.steps(head.right, k, out)
+        else:
+            space.steps(head, k, out)
+        add(src, out, 0)
     return space, root_idx, states, transitions
 
 
@@ -744,15 +804,34 @@ def interpret(e, cap=None):
     (``cap`` defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or
     100000).
     """
+    return _interpret(e, cap)[0]
+
+
+def _interpret(e, cap=None):
+    """:func:`interpret`, plus the loop labels of :func:`_explore`.
+
+    Returns ``(chart, heights)``, where ``heights`` maps each transition
+    that some step labels with a positive star height to the largest such
+    height; every other non-terminal transition is labelled 0.
+    :func:`lleekit.lee.expression_witness` ranks the heights into a
+    layered witness.
+    """
     space, root_idx, states, transitions = _explore(
-        [e], cap, lambda root: "interpreting %r" % root
+        [e], cap, lambda root: "interpreting %r" % root, labelled=True
     )
     names = [space.name(s) for s in states]
-    return Chart(
+    chart = Chart(
         (
             Transition(names[src], action, TERMINATION if dst is TERMINATION else names[dst])
-            for src, action, dst in transitions
+            for src, action, dst, _ in transitions
         ),
         nodes=names,
         initial=names[root_idx[0]],
     )
+    heights = {}
+    for src, action, dst, height in transitions:
+        if height:
+            t = Transition(names[src], action, names[dst])
+            if heights.get(t, 0) < height:
+                heights[t] = height
+    return chart, heights

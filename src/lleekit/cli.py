@@ -28,7 +28,7 @@ from .chart import DEFAULT_STATE_CAP, Chart, interpret
 from .errors import InternalError, LleekitError, ParseError
 from .expr import Action, Plus, Seq, Star, Zero, parse, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
-from .reflect import _lemma_report, collapse_lee_witness, images
+from .reflect import _lemma_report, _reflect_witness, images
 from .solve import equiv, extract_solution, solution_check
 
 __all__ = ["Config", "run", "main"]
@@ -266,7 +266,7 @@ def _cmd_reflect(args, cfg):
         for _, msg in report.violations:
             sys.stderr.write("lemma violation: %s\n" % msg)
         return 1
-    w_h = collapse_lee_witness(theta, w)
+    w_h = _reflect_witness(theta, hierarchy, report)
     if cfg.format == "json":
         doc = {
             "v": 1,

@@ -23,6 +23,15 @@ transitions of those continuation nodes, so a possible exit to ``√`` shows up
 as an L3 failure).  A self-loop entry contributes no continuation, and the
 start's own terminal transitions never disqualify the sub-chart.
 
+The chart of an expression needs no search: :func:`expression_witness`
+reads a layered witness off the expression while its chart is explored,
+entries being the steps into the body of a star whose body can terminate,
+ordered by star height.  That is the witness :func:`lleekit.solve.equiv`
+uses.  The search (:func:`find_lee_witness`) and the layering of a plain
+witness (:func:`lee_to_llee`) serve charts given as files: the ``lee``
+command searches, and ``lee2llee`` and ``reflect`` layer the witness they
+are given.
+
 Every elimination loop here (witness replay, witness search, normalization,
 layering, and :func:`lleekit.reflect.collapse_lee_witness`) runs on one
 mutable working graph per run (``_Graph``), built once from the chart: a
@@ -44,6 +53,7 @@ from .chart import (
     TERMINATION,
     Transition,
     _has_cycle,
+    _interpret,
     chart_of_nodes,
 )
 from .errors import (
@@ -64,6 +74,7 @@ __all__ = [
     "eliminate",
     "max_entry_set",
     "find_lee_witness",
+    "expression_witness",
     "is_llee_witness",
     "loops_back_to",
     "LoopingBackChart",
@@ -516,7 +527,8 @@ class Witness:
         self.chart = chart
         self.order = dict(order)
         self._replay = None
-        self._lpb = None
+        self._lpb = None  # loops_back_to's result
+        self._below = None  # node -> its ↘⁺-successors, from loops_back_to
 
     @property
     def max_order(self):
@@ -777,6 +789,37 @@ def find_lee_witness(chart):
     return Witness(chart, order)
 
 
+# --- the witness an expression carries -------------------------------------
+
+
+def expression_witness(e, cap=None):
+    """The layered witness that the chart of ``e`` carries by construction.
+
+    Every 1-free star expression's chart satisfies LLEE (Grabmayer &
+    Fokkink, *A complete proof system for 1-free regular expressions modulo
+    bisimilarity*, LICS 2020), and the witness can be read off the syntax
+    while the chart is explored: a step of the body ``e1`` of a star head
+    ``e1*e2`` with ``e1`` normed enters that star's loop and is labelled
+    with the star height of ``e1*e2``; every other step is labelled 0 (see
+    :func:`lleekit.chart._explore`).  The distinct positive heights are
+    ranked to orders ``1..m``, the smallest height as order 1, so inner
+    loops are eliminated before the loops around them.  No search and no
+    re-layering is involved.  Returns a :class:`Witness` on
+    ``interpret(e, cap)``; raises :class:`StateExplosion` as
+    :func:`lleekit.chart.interpret` does.
+    """
+    return _height_witness(*_interpret(e, cap))
+
+
+def _height_witness(chart, heights):
+    """The witness on ``chart`` ranking the loop labels ``heights``."""
+    rank = {h: i for i, h in enumerate(sorted(set(heights.values())), start=1)}
+    order = {t: 0 for t in chart.transitions if not t.terminal}
+    for t, h in heights.items():
+        order[t] = rank[h]
+    return Witness(chart, order)
+
+
 # --- looping-back structure ------------------------------------------------
 
 
@@ -822,6 +865,7 @@ def loops_back_to(w):
         succ[x] = reached
         direct.update((x, y) for y in reached)
     closure = set()
+    below = {}
     for x in chart.nodes:
         reach = set()
         stack = list(succ[x])
@@ -831,8 +875,10 @@ def loops_back_to(w):
                 continue
             reach.add(y)
             stack.extend(succ[y])
+        below[x] = frozenset(reach)
         closure.update((x, y) for y in reach)
     w._lpb = (frozenset(direct), frozenset(closure))
+    w._below = below
     return w._lpb
 
 
@@ -866,10 +912,9 @@ def looping_back_chart(w, node):
     """
     if node not in w.chart.nodes:
         raise UnknownNode("unknown node %r" % (node,))
-    _, closure = loops_back_to(w)
-    nodes = frozenset({node}) | frozenset(y for x, y in closure if x == node)
-    sub = chart_of_nodes(w.chart, nodes, start=node)
-    if not sub.has_cycle():
+    loops_back_to(w)
+    nodes = w._below[node] | {node}
+    if not w.chart.has_cycle(within=nodes):
         return None
     return LoopingBackChart(w.chart, w, node, nodes)
 

@@ -17,7 +17,8 @@ looping-back chart of ``G`` projects to an *image*: the induced sub-chart of
 :func:`collapse_lee_witness` turns those facts into an elimination run on
 ``H``: images are processed smallest first, each eliminated at the image of
 its chosen pre-image's start.  The result is a replay-valid witness on the
-collapse, which :func:`lleekit.lee.lee_to_llee` then layers.
+collapse, and the image construction keeps layering: a layered witness
+reflects to a layered one.
 """
 
 from __future__ import annotations
@@ -303,11 +304,16 @@ def collapse_lee_witness(theta, w):
     deterministically); each still-cyclic image remnant is eliminated at its
     record's start with the entries into the image, and the chart is garbage
     collected against the usual roots.  The resulting witness replays to a
-    chart without infinite paths; layer it with
-    :func:`lleekit.lee.lee_to_llee` when a layered witness is needed.
+    chart without infinite paths.  By the paper's theorem it is layered as
+    well; :func:`lleekit.solve.equiv` checks that on every certificate, and
+    :func:`lleekit.lee.lee_to_llee` layers a witness that is not.
     """
     hierarchy = images(theta, w)
-    report = _lemma_report(theta, hierarchy)
+    return _reflect_witness(theta, hierarchy, _lemma_report(theta, hierarchy))
+
+
+def _reflect_witness(theta, hierarchy, report):
+    """:func:`collapse_lee_witness` on a hierarchy and its lemma report."""
     if not report.ok:
         raise LemmaViolated("; ".join(msg for _, msg in report.violations))
     h = theta.target

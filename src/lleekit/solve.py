@@ -13,8 +13,15 @@ collects everything else.  Nodes without entries denote their exits alone.
 
 :func:`equiv` decides bisimilarity of two expressions and, when they are
 equivalent, packages the evidence: the common collapse, the two maps onto
-it, a layered witness for the collapse obtained by reflecting one side's
-witness through its map, and the collapse's extracted solution.
+it, a layered witness for the collapse, and the collapse's extracted
+solution.  The witness needs no search: the first expression's chart
+carries a layered witness by construction
+(:func:`lleekit.lee.expression_witness`, read off while the chart is
+explored), and reflecting it through the first map
+(:func:`lleekit.reflect.collapse_lee_witness`) gives a witness on the
+collapse that is layered as well, which is checked, not repaired.  The
+pipeline is: interpret with witness, joint collapse, reflection, layering
+check, extraction, solution check.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import BisimMap, _disjoint_union, _refine, bisimilarity_partition
-from .chart import Chart, TERMINATION, Transition, _explore, interpret
+from .chart import Chart, TERMINATION, Transition, _explore, _interpret, interpret
 from .errors import InternalError, NotLLEE
 from .expr import Action, Expression, Plus, Seq, Star, Zero, unparse
-from .lee import Witness, find_lee_witness, is_llee_witness, lee_to_llee
+from .lee import Witness, _height_witness, is_llee_witness
 from .reflect import collapse_lee_witness
 
 __all__ = [
@@ -228,7 +235,7 @@ def solution_check(sol, cap=None):
     node_idx = {x: i for i, x in enumerate(nodes, start=len(states))}
     outmap = [[] for _ in range(len(states) + len(nodes))]
     term = [set() for _ in outmap]
-    for src, action, dst in transitions:
+    for src, action, dst, _ in transitions:
         if dst is TERMINATION:
             term[src].add(action)
         else:
@@ -310,10 +317,11 @@ class Certificate:
     ``collapse`` is the joint collapse of both interpretations; ``map1`` and
     ``map2`` are the bisimulation functions from each interpretation onto
     it; ``witness`` is a layered witness for the collapse, obtained by
-    reflecting the first interpretation's layered witness through ``map1``;
-    ``solution`` solves the collapse, and ``expression`` is the solution's
-    value at the collapse's initial node — an expression provably equal to
-    both inputs.
+    reflecting the witness read off the first expression
+    (:func:`lleekit.lee.expression_witness`) through ``map1``, and checked
+    to replay layered; ``solution`` solves the collapse, and ``expression``
+    is the solution's value at the collapse's initial node — an expression
+    provably equal to both inputs.
     """
 
     collapse: Chart
@@ -383,17 +391,29 @@ def _joint_collapse(g, h, union, part):
     return restricted, theta1, theta2
 
 
+def _check_layered(w, what):
+    rep = w.replay()
+    if not (rep.ok and rep.llee):
+        raise InternalError(
+            "%s is not a layered witness: %s" % (what, rep.reason or rep.llee_reason)
+        )
+
+
 def equiv(e1, e2, cap=None):
     """Decide bisimilarity of two expressions, with evidence either way.
 
-    Both expressions are interpreted; if their initial nodes are bisimilar
-    the joint collapse is built, the first chart's layered witness is
-    reflected through its map into a witness on the collapse, that witness
-    is layered, a solution is extracted and checked, and everything is
-    returned in a :class:`Certificate`.  Otherwise the separating partition
-    blocks are returned in a :class:`Distinction`.
+    Both expressions are interpreted, the first together with the layered
+    witness its chart carries by construction
+    (:func:`lleekit.lee.expression_witness`).  If the initial nodes are
+    bisimilar, the joint collapse is built, that witness is reflected
+    through the first chart's map into a witness on the collapse, the
+    reflection is checked to be layered, and a solution is extracted,
+    checked and returned in a :class:`Certificate`.  No witness is searched
+    for and none is re-layered: a witness that fails to replay layered is an
+    :class:`InternalError`.  Otherwise the separating partition blocks are
+    returned in a :class:`Distinction`.
     """
-    g = interpret(e1, cap=cap)
+    g, heights = _interpret(e1, cap=cap)
     h = interpret(e2, cap=cap)
     union = _disjoint_union(g, h)
     part = bisimilarity_partition(union)
@@ -402,13 +422,11 @@ def equiv(e1, e2, cap=None):
     if block1 != block2:
         return EquivResult(False, g, h, distinction=Distinction(block1, block2))
     collapse, theta1, theta2 = _joint_collapse(g, h, union, part)
-    w1 = find_lee_witness(g)
-    if w1 is None:
-        raise InternalError("no elimination witness for an interpreted expression")
-    w1_hat = lee_to_llee(w1)
-    w_h = collapse_lee_witness(theta1, w1_hat)
-    w_h_hat = lee_to_llee(w_h)
-    sol = extract_solution(w_h_hat)
+    w1 = _height_witness(g, heights)
+    _check_layered(w1, "the expression's witness")
+    w_h = collapse_lee_witness(theta1, w1)
+    _check_layered(w_h, "the reflected witness")
+    sol = extract_solution(w_h)
     bad = solution_check(sol, cap=cap)
     if bad:
         raise InternalError("extracted solution fails at %s" % ", ".join(bad))
@@ -420,7 +438,7 @@ def equiv(e1, e2, cap=None):
             collapse=collapse,
             map1=theta1,
             map2=theta2,
-            witness=w_h_hat,
+            witness=w_h,
             solution=sol,
             expression=sol.initial_expression(),
         ),

@@ -377,3 +377,75 @@ def brute_interpret(e, cap=10000):
                 queue.append(tname)
             transitions.append(Transition(name, a, tname))
     return Chart(transitions, nodes=set(table), initial=init)
+
+
+# --- the witness an expression carries, from the labelling rule ------------
+
+
+def _normed(e):
+    from lleekit.expr import Action, Plus, Seq, Star
+
+    if isinstance(e, Action):
+        return True
+    if isinstance(e, Plus):
+        return _normed(e.left) or _normed(e.right)
+    if isinstance(e, Seq):
+        return _normed(e.left) and _normed(e.right)
+    if isinstance(e, Star):
+        return _normed(e.right)
+    return False
+
+
+def _star_height(e):
+    from lleekit.expr import Action, Star, Zero
+
+    if isinstance(e, (Action, Zero)):
+        return 0
+    if isinstance(e, Star):
+        return max(_star_height(e.left) + 1, _star_height(e.right))
+    return max(_star_height(e.left), _star_height(e.right))
+
+
+def brute_labelled_step(e):
+    """``brute_step`` with each step's loop label, as (action, target, height).
+
+    The label passes through the left operand of ``.``; a step of the body
+    of a star with a normed body is labelled with the star's height; every
+    other step (under ``+``, of an action, a star's exit, or of a body that
+    cannot terminate) is labelled 0.
+    """
+    from lleekit.expr import Seq, Star
+
+    if isinstance(e, Seq):
+        return {
+            (a, e.right if t is TERMINATION else Seq(t, e.right), h)
+            for a, t, h in brute_labelled_step(e.left)
+        }
+    if isinstance(e, Star) and _normed(e.left):
+        height = _star_height(e)
+        loops = {(a, e if t is TERMINATION else Seq(t, e), height) for a, t in brute_step(e.left)}
+        return loops | {(a, t, 0) for a, t in brute_step(e.right)}
+    return {(a, t, 0) for a, t in brute_step(e)}
+
+
+def brute_expression_witness(e):
+    """The order map of the witness read off ``e``: every non-terminal
+    transition of ``brute_interpret(e)`` with the largest label of a step
+    giving it, positive labels ranked to 1..m, the smallest height first."""
+    from lleekit.expr import unparse
+
+    seen = {unparse(e)}
+    queue = [e]
+    heights = {}
+    while queue:
+        x = queue.pop()
+        for a, t, h in brute_labelled_step(x):
+            if t is TERMINATION:
+                continue
+            key = Transition(unparse(x), a, unparse(t))
+            heights[key] = max(heights.get(key, 0), h)
+            if key.dst not in seen:
+                seen.add(key.dst)
+                queue.append(t)
+    rank = {h: i for i, h in enumerate(sorted({h for h in heights.values() if h}), start=1)}
+    return {t: rank.get(h, 0) for t, h in heights.items()}

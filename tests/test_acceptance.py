@@ -15,6 +15,7 @@ from lleekit.expr import parse, unparse
 from lleekit.lee import (
     all_looping_back_charts,
     check_lbc_properties,
+    expression_witness,
     find_lee_witness,
     is_llee_witness,
     lee_to_llee,
@@ -34,7 +35,12 @@ def _report(capsys, number, ok, detail):
 
 @lru_cache(maxsize=1)
 def _sweep():
-    """1000 random expressions through the full pipeline; shared by 4/7/8."""
+    """1000 random expressions through the full pipeline; shared by 4/7/8.
+
+    Each goes through the search and layering the ``lee``, ``lee2llee`` and
+    ``reflect`` commands use, and through the witness ``equiv`` reads off
+    the expression.
+    """
     rng = random.Random(101)
     instances = []
     failures = []
@@ -52,6 +58,11 @@ def _sweep():
             w2 = lee_to_llee(cw)
             assert is_llee_witness(w2)
             assert find_lee_witness(res.chart) is not None
+            # the witness read off the expression, and its reflection
+            # through the collapse, replay layered as they are
+            ew = expression_witness(e)
+            assert ew.chart == g and is_llee_witness(ew)
+            assert is_llee_witness(collapse_lee_witness(res.theta, ew))
         except Exception as exc:  # noqa: BLE001 - any failure counts
             failures.append((unparse(e), repr(exc)))
         else:

@@ -13,6 +13,7 @@ from lleekit.chart import (
     NodeSetChart,
     TERMINATION,
     Transition,
+    _States,
     chart_of_nodes,
     cycle_nodes,
     interpret,
@@ -379,6 +380,17 @@ def test_interpret_vs_brute_larger():
         if size(e) >= 25:
             assert interpret(e) == brute_interpret(e)
             checked += 1
+
+
+def test_measure_deep_expression():
+    # 5000 nested stars, built without the parser: normedness and star
+    # height come from an explicit stack, not from recursion
+    e = Action("a")
+    for _ in range(5000):
+        e = Star(e, Action("b"))
+    assert _States().measure(e) == (True, 5000)
+    assert _States().measure(Seq(e, Zero())) == (False, 5000)
+    assert _States().measure(Star(Zero(), e)) == (True, 5000)
 
 
 @pytest.mark.parametrize("text", sorted(SPINES))

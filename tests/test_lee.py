@@ -9,6 +9,8 @@ from oracles import (
     brute_generated_transitions,
     brute_is_loop_chart,
     brute_max_entry_set,
+    brute_expression_witness,
+    brute_interpret,
     brute_replay,
     exhaustive_lee_search,
 )
@@ -29,6 +31,7 @@ from lleekit.lee import (
     all_looping_back_charts,
     check_lbc_properties,
     eliminate,
+    expression_witness,
     find_lee_witness,
     generated_chart,
     is_llee_witness,
@@ -38,7 +41,7 @@ from lleekit.lee import (
     loops_back_to,
     max_entry_set,
 )
-from lleekit.expr import parse
+from lleekit.expr import parse, unparse
 
 T = Transition
 
@@ -530,6 +533,56 @@ def test_interpreted_expressions_always_have_witnesses():
         e = random_expression(rng, rng.randint(1, 14))
         w = find_lee_witness(interpret(e))
         assert w is not None and w.is_lee
+
+
+# --- the witness an expression carries ---------------------------------------
+
+
+def _orders(w):
+    return {(t.src, t.action, t.dst): n for t, n in w.order.items() if n > 0}
+
+
+@pytest.mark.parametrize(
+    "text,orders",
+    [
+        ("a*b", {("a*b", "a", "a*b"): 1}),
+        # the inner loop is order 1, the outer one order 2; the inner exit
+        # back to the outer loop is a body transition
+        (
+            "(a*b)*c",
+            {
+                ("a*b.(a*b)*c", "a", "a*b.(a*b)*c"): 1,
+                ("(a*b)*c", "a", "a*b.(a*b)*c"): 2,
+                ("(a*b)*c", "b", "(a*b)*c"): 2,
+            },
+        ),
+        ("(a.b)*c.d", {("(a.b)*c.d", "a", "b.(a.b)*c.d"): 1}),
+        # the step of the star under + is not an entry; the star state's is
+        ("a*b+c", {("a*b", "a", "a*b"): 1}),
+        # a body that cannot terminate never returns: no entries at all
+        ("(a.0)*b", {}),
+    ],
+)
+def test_expression_witness_orders(text, orders):
+    w = expression_witness(parse(text))
+    assert w.chart == interpret(parse(text))
+    assert _orders(w) == orders
+    assert is_llee_witness(w)
+
+
+def test_expression_witness_vs_brute():
+    # the labelling rule applied to whole expressions, step by step, gives
+    # the same chart and orders as the labels read off during exploration;
+    # every such witness replays layered, also by the rebuilding replay
+    rng = random.Random(71)
+    for _ in range(300):
+        e = random_expression(rng, rng.randint(1, 16))
+        w = expression_witness(e)
+        assert w.chart == brute_interpret(e)
+        assert w.order == brute_expression_witness(e), unparse(e)
+        ok, _, _, _, llee, _ = brute_replay(w.chart, w.order)
+        assert ok and llee, unparse(e)
+        assert is_llee_witness(w)
 
 
 # --- looping-back structure -------------------------------------------------

@@ -1,13 +1,18 @@
 """Equation systems, solution extraction, axiom matching, and equivalence."""
 
+import importlib.util
+import pathlib
 import random
+import sys
 
 import pytest
 
 from generators import random_chart, random_expression
 from oracles import brute_interpret, naive_bisimilarity_pairs
+from test_equiv_golden import GOLDEN, N3, P3, W3
 from lleekit.bisim import collapse
 from lleekit.chart import Chart, TERMINATION, Transition, interpret
+from lleekit.cli import run
 from lleekit.errors import NotLLEE, StateExplosion
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, unparse
 from lleekit.lee import Witness, find_lee_witness, is_llee_witness, lee_to_llee
@@ -325,3 +330,48 @@ def test_solution_transfer():
         assert solution_check(sol) == []
         composed = Solution(g, {v: sol[res.theta(v)] for v in g.nodes})
         assert solution_check(composed) == []
+
+
+# --- equiv reads its witness off the expression -----------------------------
+
+
+def _mixed_small_equal_pairs(count):
+    # the benchmark's query lists, loaded from their file: text pairs whose
+    # verdict is known by construction
+    path = pathlib.Path(__file__).resolve().parent.parent / "equivbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("equivbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    pairs = [(q.e1, q.e2) for q in workloads.queries("mixed_small", 1) if q.expected == "EQUAL"]
+    return pairs[:count]
+
+
+def test_equiv_skips_witness_search(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("equiv searched for or re-layered a witness")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "lleekit"]:
+        for name in ("find_lee_witness", "lee_to_llee"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    families = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 0 and e1 in (W3, N3, P3)]
+    assert {e1 for e1, _ in families} == {W3, N3, P3}
+    pairs = families + _mixed_small_equal_pairs(20)
+    assert len(pairs) == len(families) + 20
+    for e1, e2 in pairs:
+        assert run(["equiv", e1, e2]) == 0, (e1, e2)
+        assert capsys.readouterr().out.startswith("EQUAL\n")
+
+
+def test_equiv_unlayered_reflection_is_internal_error(monkeypatch, capsys):
+    # no fallback: a reflection that does not replay layered fails the run
+    import lleekit.solve
+
+    def unlayered(theta, w):
+        h = theta.target
+        return Witness(h, {t: 0 for t in h.transitions if not t.terminal})
+
+    monkeypatch.setattr(lleekit.solve, "collapse_lee_witness", unlayered)
+    assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: the reflected witness is not a layered witness")
