@@ -8,7 +8,8 @@ terminal-action sets, and blocks are split by the set of ``(action,
 target-block)`` signatures until stable.  After the first batch only the
 predecessors of nodes that changed block are signed again, and the largest
 piece of a split block keeps its id, so a path of n nodes costs O(n)
-rather than n rounds over every node.
+rather than n rounds over every node.  It runs on integer ids, and two
+charts numbered into the same tables are refined as their disjoint union.
 
 :func:`collapse` quotients a chart by its greatest self-bisimulation; the
 result has no two distinct bisimilar nodes, and the quotient map is returned
@@ -50,14 +51,34 @@ class Partition:
         raise UnknownNode("unknown node %r" % (node,))
 
 
-def _refine(nodes, outmap, term):
-    """Partition refinement core.
+def _tables(chart, outmap, term):
+    """Append ``chart``'s nodes to :func:`_refine`'s tables; return node -> id.
 
-    ``nodes`` are any hashable ids (node names, or the integers
-    ``0..n-1`` with lists for the two tables); ``outmap[n]`` is the list of
-    ``(action, dst)`` pairs of non-terminal transitions, repeats allowed;
-    ``term[n]`` the frozenset of terminal actions.  Returns a dict node ->
-    block id.
+    The nodes take the next free ids, so charts appended to the same
+    tables one after another are refined side by side, as their disjoint
+    union, with no union chart built and no node renamed.
+    """
+    ids = {x: i for i, x in enumerate(chart.nodes, start=len(outmap))}
+    for x in ids:
+        out = []
+        ends = set()
+        for t in chart.out(x):
+            if t.terminal:
+                ends.add(t.action)
+            else:
+                out.append((t.action, ids[t.dst]))
+        outmap.append(out)
+        term.append(frozenset(ends))
+    return ids
+
+
+def _refine(outmap, term):
+    """Partition refinement core, on the integer ids ``0..len(outmap)-1``.
+
+    ``outmap[i]`` is the list of ``(action, dst)`` pairs of node ``i``'s
+    non-terminal transitions, repeats allowed; ``term[i]`` the frozenset
+    of its terminal actions.  :func:`_tables` builds both from charts.
+    Returns a list: node id -> block id.
 
     Blocks start as the classes of equal terminal-action sets, and every
     node starts *dirty*.  A node's signature is the set of ``(action, block
@@ -72,20 +93,20 @@ def _refine(nodes, outmap, term):
     so a node changes block O(log n) times.  When no node is dirty every
     block is stable.
     """
-    preds = {n: [] for n in nodes}
-    for n in nodes:
-        for _, d in outmap[n]:
+    preds = [[] for _ in outmap]
+    for n, out in enumerate(outmap):
+        for _, d in out:
             preds[d].append(n)
     first = {}
-    block = {}
+    block = []
     members = []
-    for n in nodes:
-        b = first.setdefault(term[n], len(first))
+    for n, ends in enumerate(term):
+        b = first.setdefault(ends, len(first))
         if b == len(members):
             members.append(set())
         members[b].add(n)
-        block[n] = b
-    dirty = nodes
+        block.append(b)
+    dirty = range(len(outmap))
     while dirty:
         touched = {}
         for n in dirty:
@@ -116,51 +137,30 @@ def _refine(nodes, outmap, term):
     return block
 
 
-def _partition_map(chart):
-    outmap = {
-        n: [(t.action, t.dst) for t in chart.out(n) if not t.terminal] for n in chart.nodes
-    }
-    term = {n: chart.terminal_actions(n) for n in chart.nodes}
-    return _refine(chart.nodes, outmap, term)
-
-
 def bisimilarity_partition(chart):
     """The partition of ``chart``'s nodes into greatest-bisimulation classes."""
-    block = _partition_map(chart)
+    outmap, term = [], []
+    ids = _tables(chart, outmap, term)
+    block = _refine(outmap, term)
     groups = {}
-    for n, b in block.items():
-        groups.setdefault(b, set()).add(n)
+    for n, i in ids.items():
+        groups.setdefault(block[i], set()).add(n)
     blocks = tuple(sorted((frozenset(g) for g in groups.values()), key=lambda b: min(b)))
     return Partition(chart, blocks)
-
-
-def _disjoint_union(g, h):
-    """Namespaced union of two charts: nodes ``g:x`` and ``h:y``, no initial."""
-    ts = [
-        Transition("g:" + t.src, t.action, TERMINATION if t.terminal else "g:" + t.dst)
-        for t in g.transitions
-    ]
-    ts += [
-        Transition("h:" + t.src, t.action, TERMINATION if t.terminal else "h:" + t.dst)
-        for t in h.transitions
-    ]
-    nodes = {"g:" + n for n in g.nodes} | {"h:" + n for n in h.nodes}
-    return Chart(ts, nodes=nodes)
 
 
 def bisimilarity(g, h):
     """The greatest bisimulation between two charts, as a set of node pairs.
 
-    Computed by refining the namespaced disjoint union, so shared node names
-    in ``g`` and ``h`` do not collide.
+    The two charts are refined side by side, as their disjoint union, so
+    shared node names in ``g`` and ``h`` do not collide.
     """
-    union = _disjoint_union(g, h)
-    block = _partition_map(union)
+    outmap, term = [], []
+    g_ids = _tables(g, outmap, term)
+    h_ids = _tables(h, outmap, term)
+    block = _refine(outmap, term)
     return frozenset(
-        (x, y)
-        for x in g.nodes
-        for y in h.nodes
-        if block["g:" + x] == block["h:" + y]
+        (x, y) for x, i in g_ids.items() for y, j in h_ids.items() if block[i] == block[j]
     )
 
 
@@ -294,6 +294,20 @@ class CollapseResult(NamedTuple):
     theta: BisimMap
 
 
+def _quotient(chart, rep):
+    """The quotient of ``chart`` merging each node ``n`` into the class
+    ``rep[n]`` of a bisimulation, with its :class:`BisimMap`."""
+    quotient = Chart(
+        {
+            Transition(rep[t.src], t.action, TERMINATION if t.terminal else rep[t.dst])
+            for t in chart.transitions
+        },
+        nodes=set(rep.values()),
+        initial=None if chart.initial is None else rep[chart.initial],
+    )
+    return CollapseResult(quotient, BisimMap(chart, quotient, rep))
+
+
 def collapse(chart):
     """Quotient ``chart`` by its greatest self-bisimulation.
 
@@ -301,21 +315,9 @@ def collapse(chart):
     chart together with the quotient :class:`BisimMap`; the quotient has no
     two distinct bisimilar nodes and is bisimilar to the input.
     """
-    part = bisimilarity_partition(chart)
     rep = {}
-    for b in part.blocks:
+    for b in bisimilarity_partition(chart).blocks:
         r = min(b)
         for n in b:
             rep[n] = r
-    ts = set()
-    for t in chart.transitions:
-        ts.add(
-            Transition(rep[t.src], t.action, TERMINATION if t.terminal else rep[t.dst])
-        )
-    quotient = Chart(
-        ts,
-        nodes=set(rep.values()),
-        initial=None if chart.initial is None else rep[chart.initial],
-    )
-    theta = BisimMap(chart, quotient, rep)
-    return CollapseResult(quotient, theta)
+    return _quotient(chart, rep)

@@ -266,7 +266,7 @@ def _cmd_reflect(args, cfg):
         for _, msg in report.violations:
             sys.stderr.write("lemma violation: %s\n" % msg)
         return 1
-    w_h = _reflect_witness(theta, hierarchy, report)
+    w_h = _reflect_witness(theta, hierarchy)
     if cfg.format == "json":
         doc = {
             "v": 1,

@@ -91,14 +91,18 @@ def _check_preconditions(theta, w):
         raise NotLLEE("image structure requires a layered witness")
 
 
-def _is_well_structured(theta, lbc, img_nodes, lbcs):
+def _smaller_preimage(theta, lbc, img_nodes, lbcs):
+    """A proper looping-back sub-chart of ``lbc`` at a body node (least
+    first) with image ``img_nodes``; ``None`` if ``lbc`` is well-structured."""
     for y in sorted(lbc.body):
         sub = lbcs.get(y)
-        if sub is None:
-            continue
-        if sub.nodes < lbc.nodes and frozenset(theta(v) for v in sub.nodes) == img_nodes:
-            return False
-    return True
+        if (
+            sub is not None
+            and sub.nodes < lbc.nodes
+            and frozenset(theta(v) for v in sub.nodes) == img_nodes
+        ):
+            return sub
+    return None
 
 
 def images(theta, w):
@@ -111,6 +115,11 @@ def images(theta, w):
     nodes and :class:`NotLLEE` if the witness is not layered.
     """
     _check_preconditions(theta, w)
+    return _images(theta, w)
+
+
+def _images(theta, w):
+    """:func:`images` for a caller that vouches for its preconditions."""
     lbcs = all_looping_back_charts(w)
     grouped = {}
     for x in sorted(lbcs):
@@ -120,7 +129,7 @@ def images(theta, w):
     records = []
     for img_nodes in sorted(grouped, key=lambda s: (len(s), tuple(sorted(s)))):
         pres = tuple(grouped[img_nodes])
-        wsps = [p for p in pres if _is_well_structured(theta, p, img_nodes, lbcs)]
+        wsps = [p for p in pres if _smaller_preimage(theta, p, img_nodes, lbcs) is None]
         if not wsps:
             raise LemmaViolated(
                 "no well-structured pre-image for image {%s}" % ", ".join(sorted(img_nodes))
@@ -154,23 +163,10 @@ def well_structured_preimage(theta, record):
     pre-image of the same image inside it.
     """
     lbc = record.preimages[0]
-    w = lbc.witness
-    lbcs = all_looping_back_charts(w)
-    img_nodes = record.image.nodes
-    while True:
-        smaller = None
-        for y in sorted(lbc.body):
-            sub = lbcs.get(y)
-            if (
-                sub is not None
-                and sub.nodes < lbc.nodes
-                and frozenset(theta(v) for v in sub.nodes) == img_nodes
-            ):
-                smaller = sub
-                break
-        if smaller is None:
-            return lbc
+    lbcs = all_looping_back_charts(lbc.witness)
+    while (smaller := _smaller_preimage(theta, lbc, record.image.nodes, lbcs)) is not None:
         lbc = smaller
+    return lbc
 
 
 def loop_correspondence(theta, loop, start):
@@ -305,17 +301,19 @@ def collapse_lee_witness(theta, w):
     record's start with the entries into the image, and the chart is garbage
     collected against the usual roots.  The resulting witness replays to a
     chart without infinite paths.  By the paper's theorem it is layered as
-    well; :func:`lleekit.solve.equiv` checks that on every certificate, and
-    :func:`lleekit.lee.lee_to_llee` layers a witness that is not.
+    well, and :func:`lleekit.lee.lee_to_llee` layers a witness that is not.
+    The preconditions of :func:`images` and the lemma report are checked;
+    :func:`lleekit.solve.equiv`, which vouches for its own map, skips both.
     """
     hierarchy = images(theta, w)
-    return _reflect_witness(theta, hierarchy, _lemma_report(theta, hierarchy))
-
-
-def _reflect_witness(theta, hierarchy, report):
-    """:func:`collapse_lee_witness` on a hierarchy and its lemma report."""
+    report = _lemma_report(theta, hierarchy)
     if not report.ok:
         raise LemmaViolated("; ".join(msg for _, msg in report.violations))
+    return _reflect_witness(theta, hierarchy)
+
+
+def _reflect_witness(theta, hierarchy):
+    """:func:`collapse_lee_witness` on a hierarchy, with no lemma report."""
     h = theta.target
     g = _Graph(h, _witness_roots(h))
     order = sorted(

@@ -16,11 +16,10 @@ equivalent, packages the evidence: the common collapse, the two maps onto
 it, a layered witness for the collapse, and the collapse's extracted
 solution.  The witness needs no search: the first expression's chart
 carries a layered witness by construction
-(:func:`lleekit.lee.expression_witness`, read off while the chart is
-explored), and reflecting it through the first map
-(:func:`lleekit.reflect.collapse_lee_witness`) gives a witness on the
-collapse that is layered as well, which is checked, not repaired.  The
-pipeline is: interpret with witness, joint collapse, reflection, layering
+(:func:`lleekit.lee.expression_witness`), and reflecting it through the
+first map gives a witness on the collapse that is layered as well, which is
+checked, not repaired.  The pipeline runs each step once: interpret with
+witness, one joint refinement (verdict and collapse), reflection, layering
 check, extraction, solution check.
 """
 
@@ -28,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisim import BisimMap, _disjoint_union, _refine, bisimilarity_partition
-from .chart import Chart, TERMINATION, Transition, _explore, _interpret, interpret
-from .errors import InternalError, NotLLEE
+from .bisim import BisimMap, _quotient, _refine, _tables
+from .chart import Chart, TERMINATION, _explore, _interpret, interpret
+from .errors import InternalError, InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
 from .expr import Action, Expression, Plus, Seq, Star, Zero, unparse
 from .lee import Witness, _height_witness, is_llee_witness
-from .reflect import collapse_lee_witness
+from .reflect import _images, _reflect_witness
 
 __all__ = [
     "EquationSystem",
@@ -219,7 +218,7 @@ def solution_check(sol, cap=None):
     All assigned expressions are explored together, in one exploration
     that shares their common states, and refined once together with the
     solution's chart, over integer ids: state ``i`` of the exploration is
-    id ``i``, and the chart's nodes, sorted, follow.  No state is printed
+    id ``i``, and the chart's nodes follow.  No state is printed
     and no chart is built for the exploration.  A node fails when its
     expression's state and the node itself fall into different
     bisimilarity classes.  Returns the sorted list of failing nodes (empty
@@ -232,21 +231,16 @@ def solution_check(sol, cap=None):
         cap,
         lambda root: "checking a solution of %d nodes" % len(nodes),
     )
-    node_idx = {x: i for i, x in enumerate(nodes, start=len(states))}
-    outmap = [[] for _ in range(len(states) + len(nodes))]
-    term = [set() for _ in outmap]
+    outmap = [[] for _ in states]
+    ends = [set() for _ in states]
     for src, action, dst, _ in transitions:
         if dst is TERMINATION:
-            term[src].add(action)
+            ends[src].add(action)
         else:
             outmap[src].append((action, dst))
-    for t in sol.chart.transitions:
-        src = node_idx[t.src]
-        if t.terminal:
-            term[src].add(t.action)
-        else:
-            outmap[src].append((t.action, node_idx[t.dst]))
-    block = _refine(range(len(outmap)), outmap, [frozenset(a) for a in term])
+    term = [frozenset(a) for a in ends]
+    node_idx = _tables(sol.chart, outmap, term)
+    block = _refine(outmap, term)
     return [x for x, r in zip(nodes, root_idx) if block[r] != block[node_idx[x]]]
 
 
@@ -314,9 +308,10 @@ def is_axiom_instance(lhs, rhs):
 class Certificate:
     """Evidence that two expressions are bisimilar.
 
-    ``collapse`` is the joint collapse of both interpretations; ``map1`` and
-    ``map2`` are the bisimulation functions from each interpretation onto
-    it; ``witness`` is a layered witness for the collapse, obtained by
+    ``collapse`` is the joint collapse of both interpretations (node ids
+    ``g:`` + least merged node of the first); ``map1`` and ``map2`` are the
+    bisimulation functions from each interpretation onto it; ``witness`` is
+    a layered witness for the collapse, obtained by
     reflecting the witness read off the first expression
     (:func:`lleekit.lee.expression_witness`) through ``map1``, and checked
     to replay layered; ``solution`` solves the collapse, and ``expression``
@@ -337,7 +332,7 @@ class Distinction:
     """Evidence that two expressions are not bisimilar.
 
     The two interpretations' initial nodes fall into different blocks of the
-    bisimilarity partition of the disjoint union; the blocks are recorded
+    bisimilarity partition of their disjoint union; the blocks are recorded
     (node ids carry their ``g:`` / ``h:`` side prefix).
     """
 
@@ -357,38 +352,12 @@ class EquivResult:
         return self.equal
 
 
-def _joint_collapse(g, h, union, part):
-    """Collapse the disjoint union of two rooted charts.
-
-    ``union`` is ``_disjoint_union(g, h)`` and ``part`` its bisimilarity
-    partition.  Returns ``(H, theta1, theta2)`` where ``H`` is the union
-    quotient restricted to what the initial class reaches, rooted there,
-    and the two maps send each side's nodes to their class representatives.
-    """
-    rep = {}
-    for block in part.blocks:
-        r = min(block)
-        for v in block:
-            rep[v] = r
-    init = rep["g:" + g.initial]
-    q_transitions = sorted(
-        {
-            Transition(rep[t.src], t.action, TERMINATION if t.terminal else rep[t.dst])
-            for t in union.transitions
-        },
-        key=Transition.sort_key,
+def _block(b, block, g_ids, h_ids):
+    """The members of block ``b`` of both charts, named with their side."""
+    return frozenset(
+        ["g:" + x for x, i in g_ids.items() if block[i] == b]
+        + ["h:" + y for y, j in h_ids.items() if block[j] == b]
     )
-    full = Chart(q_transitions, nodes=set(rep.values()))
-    keep = full.reachable([init])
-    restricted = Chart(
-        [t for t in q_transitions if t.src in keep],
-        nodes=keep,
-        initial=init,
-    )
-    strip = {v: v.split(":", 1)[1] for v in union.nodes}
-    theta1 = BisimMap(g, restricted, {strip[v]: rep[v] for v in union.nodes if v.startswith("g:")})
-    theta2 = BisimMap(h, restricted, {strip[v]: rep[v] for v in union.nodes if v.startswith("h:")})
-    return restricted, theta1, theta2
 
 
 def _check_layered(w, what):
@@ -404,29 +373,43 @@ def equiv(e1, e2, cap=None):
 
     Both expressions are interpreted, the first together with the layered
     witness its chart carries by construction
-    (:func:`lleekit.lee.expression_witness`).  If the initial nodes are
-    bisimilar, the joint collapse is built, that witness is reflected
-    through the first chart's map into a witness on the collapse, the
-    reflection is checked to be layered, and a solution is extracted,
-    checked and returned in a :class:`Certificate`.  No witness is searched
-    for and none is re-layered: a witness that fails to replay layered is an
-    :class:`InternalError`.  Otherwise the separating partition blocks are
-    returned in a :class:`Distinction`.
+    (:func:`lleekit.lee.expression_witness`), and the two charts are refined
+    once, side by side.  Initial nodes in different blocks give a
+    :class:`Distinction` of the two blocks.  Otherwise the collapse is the
+    quotient of the first chart alone (every class the initial class
+    reaches holds one of its nodes), the witness is reflected onto it and
+    checked to be layered, and a solution is extracted, checked and
+    returned in a :class:`Certificate`.  The collapse is not refined again
+    and no lemma report is computed.  A failed invariant on the way is an
+    :class:`InternalError`.
     """
     g, heights = _interpret(e1, cap=cap)
     h = interpret(e2, cap=cap)
-    union = _disjoint_union(g, h)
-    part = bisimilarity_partition(union)
-    block1 = part.block_of("g:" + g.initial)
-    block2 = part.block_of("h:" + h.initial)
-    if block1 != block2:
-        return EquivResult(False, g, h, distinction=Distinction(block1, block2))
-    collapse, theta1, theta2 = _joint_collapse(g, h, union, part)
-    w1 = _height_witness(g, heights)
-    _check_layered(w1, "the expression's witness")
-    w_h = collapse_lee_witness(theta1, w1)
-    _check_layered(w_h, "the reflected witness")
-    sol = extract_solution(w_h)
+    outmap, term = [], []
+    g_ids = _tables(g, outmap, term)
+    h_ids = _tables(h, outmap, term)
+    block = _refine(outmap, term)
+    b1 = block[g_ids[g.initial]]
+    b2 = block[h_ids[h.initial]]
+    if b1 != b2:
+        distinction = Distinction(_block(b1, block, g_ids, h_ids), _block(b2, block, g_ids, h_ids))
+        return EquivResult(False, g, h, distinction=distinction)
+    least = {}
+    for x, i in g_ids.items():
+        b = block[i]
+        if b not in least or x < least[b]:
+            least[b] = x
+    name = {b: "g:" + x for b, x in least.items()}
+    try:
+        collapse, theta1 = _quotient(g, {x: name[block[i]] for x, i in g_ids.items()})
+        theta2 = BisimMap(h, collapse, {y: name[block[j]] for y, j in h_ids.items()})
+        w1 = _height_witness(g, heights)
+        _check_layered(w1, "the expression's witness")
+        w_h = _reflect_witness(theta1, _images(theta1, w1))
+        _check_layered(w_h, "the reflected witness")
+        sol = extract_solution(w_h)
+    except (InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE) as exc:
+        raise InternalError("building the certificate failed: %s" % exc) from exc
     bad = solution_check(sol, cap=cap)
     if bad:
         raise InternalError("extracted solution fails at %s" % ", ".join(bad))

@@ -9,6 +9,7 @@ from conftest import fixture_path, run_python
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, interpret
 from lleekit.cli import _build_parser, run
+from lleekit.errors import InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
 from lleekit.expr import parse, unparse
 from lleekit.lee import Witness, find_lee_witness, is_llee_witness
 
@@ -394,6 +395,20 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: extracted solution fails at x\n"
+
+
+@pytest.mark.parametrize("error", [InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE])
+def test_equiv_certificate_invariant_failures_exit_3(capsys, monkeypatch, error):
+    # an invariant failure while the certificate is built once left equiv
+    # with status 1, the NOT_EQUAL code
+    def broken(*args):
+        raise error("broken")
+
+    monkeypatch.setattr("lleekit.solve.extract_solution", broken)
+    assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: building the certificate failed: broken\n"
 
 
 def _nested(template, depth):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import lleekit.bisim
 from generators import random_chart, random_expression
 from oracles import brute_interpret, naive_bisimilarity_pairs
 from test_equiv_golden import GOLDEN, N3, P3, W3
@@ -335,43 +336,117 @@ def test_solution_transfer():
 # --- equiv reads its witness off the expression -----------------------------
 
 
-def _mixed_small_equal_pairs(count):
+def _mixed_small_pairs(expected, count):
     # the benchmark's query lists, loaded from their file: text pairs whose
     # verdict is known by construction
     path = pathlib.Path(__file__).resolve().parent.parent / "equivbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("equivbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    pairs = [(q.e1, q.e2) for q in workloads.queries("mixed_small", 1) if q.expected == "EQUAL"]
+    pairs = [(q.e1, q.e2) for q in workloads.queries("mixed_small", 1) if q.expected == expected]
     return pairs[:count]
 
 
 def test_equiv_skips_witness_search(monkeypatch, capsys):
+    # equiv refines its two charts once and builds the collapse from that
+    # partition: no witness search, no re-layering, no second refinement of
+    # the collapse and no enumeration of its cycles
     def forbidden(*args, **kwargs):
-        raise AssertionError("equiv searched for or re-layered a witness")
+        raise AssertionError("equiv searched, re-layered or re-checked")
 
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "lleekit"]:
-        for name in ("find_lee_witness", "lee_to_llee"):
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "lleekit"]
+    for module in modules:
+        for name in (
+            "find_lee_witness",
+            "lee_to_llee",
+            "bisimilarity_partition",
+            "simple_cycles",
+            "_lemma_report",
+        ):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
+    refine = lleekit.bisim._refine
+    refinements = []
+
+    def counted(*args):
+        refinements.append(args)
+        return refine(*args)
+
+    for module in modules:
+        if getattr(module, "_refine", None) is refine:
+            monkeypatch.setattr(module, "_refine", counted)
     families = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 0 and e1 in (W3, N3, P3)]
     assert {e1 for e1, _ in families} == {W3, N3, P3}
-    pairs = families + _mixed_small_equal_pairs(20)
-    assert len(pairs) == len(families) + 20
+    equal = families + _mixed_small_pairs("EQUAL", 20)
+    assert len(equal) == len(families) + 20
+    not_equal = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 1]
+    not_equal += _mixed_small_pairs("NOT_EQUAL", 20)
+    # an EQUAL refines the two charts and then checks the solution
+    for pairs, code, verdict, count in ((equal, 0, "EQUAL\n", 2), (not_equal, 1, "NOT_EQUAL\n", 1)):
+        for e1, e2 in pairs:
+            refinements.clear()
+            assert run(["equiv", e1, e2]) == code, (e1, e2)
+            assert capsys.readouterr().out.startswith(verdict)
+            assert len(refinements) == count, (e1, e2)
+
+
+def test_equiv_against_the_bisimilarity_oracle():
+    # the one joint partition gives the verdict, the printed blocks and the
+    # collapse; the brute-force oracle checks all three
+    rng = random.Random(97)
+    pairs = [(parse(e1), parse(e2)) for e1, e2, _, _ in GOLDEN if e1 in (W3, N3, P3)]
+    for _ in range(60):
+        e1 = random_expression(rng, rng.randint(1, 9))
+        e2 = random_expression(rng, rng.randint(1, 9))
+        pairs += [(e1, e2), (e1, Plus(e1, e1))]
+    verdicts = set()
     for e1, e2 in pairs:
-        assert run(["equiv", e1, e2]) == 0, (e1, e2)
-        assert capsys.readouterr().out.startswith("EQUAL\n")
+        res = equiv(e1, e2)
+        g, h = res.chart1, res.chart2
+        gh = naive_bisimilarity_pairs(g, h)
+        assert res.equal == ((g.initial, h.initial) in gh), (e1, e2)
+        verdicts.add(res.equal)
+        if not res.equal:
+            gg, hh = naive_bisimilarity_pairs(g, g), naive_bisimilarity_pairs(h, h)
+
+            def named_class(g_side, h_side):
+                return {"g:" + x for x in g.nodes if g_side(x)} | {
+                    "h:" + y for y in h.nodes if h_side(y)
+                }
+
+            d = res.distinction
+            assert d.block1 == named_class(
+                lambda x: (x, g.initial) in gg, lambda y: (g.initial, y) in gh
+            )
+            assert d.block2 == named_class(
+                lambda x: (x, h.initial) in gh, lambda y: (y, h.initial) in hh
+            )
+            continue
+        cert = res.certificate
+        plain = collapse(g)
+        assert cert.collapse == Chart(
+            (
+                T("g:" + t.src, t.action, t.dst if t.terminal else "g:" + t.dst)
+                for t in plain.chart.transitions
+            ),
+            nodes={"g:" + x for x in plain.chart.nodes},
+            initial="g:" + plain.chart.initial,
+        )
+        assert all(cert.map1(x) == "g:" + plain.theta(x) for x in g.nodes)
+        for y in h.nodes:
+            assert cert.map2(y) == "g:" + min(x for x in g.nodes if (x, y) in gh)
+    assert verdicts == {True, False}
 
 
 def test_equiv_unlayered_reflection_is_internal_error(monkeypatch, capsys):
     # no fallback: a reflection that does not replay layered fails the run
     import lleekit.solve
 
-    def unlayered(theta, w):
+    def unlayered(theta, hierarchy):
         h = theta.target
         return Witness(h, {t: 0 for t in h.transitions if not t.terminal})
 
-    monkeypatch.setattr(lleekit.solve, "collapse_lee_witness", unlayered)
+    monkeypatch.setattr(lleekit.solve, "_reflect_witness", unlayered)
     assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: the reflected witness is not a layered witness")
