@@ -31,7 +31,10 @@ Text format (``chart v1``)::
     x a x'
     x b !
 
-where ``!`` stands for ``√``.  The ``init`` line is optional.
+where ``!`` stands for ``√``.  The ``init`` line is optional, and ``node
+y`` declares a node without transitions.  A line is an ``init`` or
+``node`` directive only when it has two tokens, so ``init`` and ``node``
+can be node ids too; a node id never starts with ``#``.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,6 +65,17 @@ __all__ = [
 ]
 
 DEFAULT_STATE_CAP = 100000
+
+
+def _state_cap(cap=None):
+    """``cap``, by default the ``LLEEKIT_STATE_CAP`` environment variable or
+    :data:`DEFAULT_STATE_CAP`.  Raises :class:`ValueError` when the variable
+    is not an integer or the cap is not positive."""
+    if cap is None:
+        cap = int(os.environ.get("LLEEKIT_STATE_CAP", DEFAULT_STATE_CAP))
+    if cap <= 0:
+        raise ValueError("state cap must be positive")
+    return cap
 
 
 class _Termination:
@@ -107,7 +122,13 @@ _TOKEN_RE = re.compile(r"\S+")
 
 
 def _check_token(kind, value):
-    if not isinstance(value, str) or value == "!" or not _TOKEN_RE.fullmatch(value):
+    # in text files "!" reads as √, and a line starting with "#" as a comment
+    if (
+        not isinstance(value, str)
+        or value == "!"
+        or value.startswith("#")
+        or not _TOKEN_RE.fullmatch(value)
+    ):
         raise ValueError("invalid %s token: %r" % (kind, value))
 
 
@@ -123,12 +144,15 @@ class Chart:
         ts = frozenset(transitions)
         ns = set(nodes)
         actions = set()
+        # each node's non-terminal successors, the graph the walks follow
+        succ = defaultdict(list)
         for t in ts:
             if not isinstance(t, Transition):
                 raise TypeError("not a Transition: %r" % (t,))
             ns.add(t.src)
-            if not t.terminal:
+            if t.dst is not TERMINATION:
                 ns.add(t.dst)
+                succ[t.src].append(t.dst)
             actions.add(t.action)
         for n in ns:
             _check_token("node", n)
@@ -139,6 +163,7 @@ class Chart:
             if initial not in ns:
                 raise UnknownNode("initial node %r is not a node" % (initial,))
         self.transitions = ts
+        self._succ = succ
         self.nodes = frozenset(ns)
         self.alphabet = frozenset(actions.union(alphabet))
         self.initial = initial
@@ -169,25 +194,15 @@ class Chart:
 
     def reachable(self, roots):
         """Nodes reachable from ``roots`` (which are included if they are nodes)."""
-        seen = set(r for r in roots if r in self.nodes)
-        stack = list(seen)
-        out = self._out
-        while stack:
-            n = stack.pop()
-            for t in out[n]:
-                if not t.terminal and t.dst not in seen:
-                    seen.add(t.dst)
-                    stack.append(t.dst)
-        return frozenset(seen)
+        return frozenset(
+            _reach([r for r in roots if r in self.nodes], self._succ.__getitem__)
+        )
 
     def has_cycle(self, within=None):
         """True if some non-terminal cycle exists (restricted to ``within`` if given)."""
         nodes = self.nodes if within is None else frozenset(within) & self.nodes
-        out = self._out
-        return _has_cycle(
-            nodes,
-            lambda n: [t.dst for t in out[n] if not t.terminal and t.dst in nodes],
-        )
+        succ = self._succ
+        return _has_cycle(nodes, lambda n: [m for m in succ[n] if m in nodes])
 
     def rooted_at(self, node):
         """The sub-chart reachable from ``node``, with ``node`` as initial."""
@@ -234,17 +249,14 @@ class Chart:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "init":
-                if len(parts) != 2:
-                    raise ParseError("malformed init line %d" % i)
+            # two tokens make a directive; ``init a y`` is a transition
+            if len(parts) == 2 and parts[0] == "init":
                 if initial is not None:
                     raise ParseError("duplicate init line %d" % i)
                 initial = parts[1]
                 continue
-            if parts[0] == "node":
+            if len(parts) == 2 and parts[0] == "node":
                 # optional explicit node declaration (isolated nodes)
-                if len(parts) != 2:
-                    raise ParseError("malformed node line %d" % i)
                 nodes.add(parts[1])
                 continue
             if len(parts) != 3:
@@ -401,16 +413,7 @@ class NodeSetChart:
         """The sub-chart's transitions, deterministically ordered."""
         if self.explicit is not None:
             return self.explicit
-        return tuple(
-            sorted(
-                (
-                    t
-                    for t in self.parent.transitions
-                    if not t.terminal and t.src in self.nodes and t.dst in self.nodes
-                ),
-                key=Transition.sort_key,
-            )
-        )
+        return tuple(t for n in sorted(self.nodes) for t in self.out(n))
 
     def nonterminal_transitions(self):
         return tuple(t for t in self.transitions if not t.terminal)
@@ -418,7 +421,10 @@ class NodeSetChart:
     def out(self, node):
         if node not in self.nodes:
             raise UnknownNode("unknown node %r" % (node,))
-        return tuple(t for t in self.transitions if t.src == node)
+        if self.explicit is not None:
+            return tuple(t for t in self.explicit if t.src == node)
+        # √ is no node, so this drops the terminal transitions too
+        return tuple(t for t in self.parent.out(node) if t.dst in self.nodes)
 
     def same_chart(self, other):
         """Chart identity: same parent, same nodes, same transitions."""
@@ -472,6 +478,24 @@ def union_chart(a, b):
     return NodeSetChart(
         a.parent, a.nodes | b.nodes, explicit=tuple(sorted(merged, key=Transition.sort_key))
     )
+
+
+def _reach(roots, succ):
+    """The nodes reachable from ``roots``, the roots included.
+
+    ``succ(n)`` lists the successors of node ``n``; as for
+    :func:`_has_cycle`, it restricts itself when the walk must stay inside a
+    sub-graph.  Every graph walk of lleekit that collects what a set of
+    nodes reaches runs here.
+    """
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for m in succ(stack.pop()):
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
 
 
 def _has_cycle(nodes, succ):
@@ -752,10 +776,11 @@ def _explore(roots, cap, what, labelled=False):
     :class:`StateExplosion` if more than ``cap`` states appear (``cap``
     defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or 100000);
     its message is ``what`` applied to the first root's node id, which is
-    printed only then.
+    printed only then.  A cap given here is used as it is; only the
+    default is checked (:func:`_state_cap`).
     """
     if cap is None:
-        cap = int(os.environ.get("LLEEKIT_STATE_CAP", DEFAULT_STATE_CAP))
+        cap = _state_cap()
     space = _States()
     starts = [space.enter(r, None) for r in roots]
     index = {}

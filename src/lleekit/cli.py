@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 from . import expr as expr_mod
 from .bisim import collapse
-from .chart import DEFAULT_STATE_CAP, Chart, interpret
+from .chart import DEFAULT_STATE_CAP, Chart, _state_cap, interpret
 from .errors import InternalError, LleekitError, ParseError
 from .expr import Action, Plus, Seq, Star, Zero, parse, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
-from .reflect import _lemma_report, _reflect_witness, images
+from .reflect import _images, _lemma_report, _reflect_witness
 from .solve import equiv, extract_solution, solution_check
 
 __all__ = ["Config", "run", "main"]
@@ -42,8 +42,7 @@ class Config:
     format: str = "text"
 
     def __post_init__(self):
-        if self.cap <= 0:
-            raise ValueError("state cap must be positive")
+        _state_cap(self.cap)
 
 
 def _read(path):
@@ -260,7 +259,9 @@ def _cmd_reflect(args, cfg):
     w = _layered(_load_witness(args.witness, g))
     res = collapse(g)
     theta = res.theta
-    hierarchy = images(theta, w)
+    # ``collapse`` built the map and ``_layered`` layered the witness, so
+    # the checks of ``images`` would refine the collapse a second time
+    hierarchy = _images(theta, w)
     report = _lemma_report(theta, hierarchy)
     if not report.ok:
         for _, msg in report.violations:
@@ -449,11 +450,8 @@ def run(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cap = args.cap
-        if cap is None:
-            # explicit flag beats the environment beats the default
-            cap = int(os.environ.get("LLEEKIT_STATE_CAP", DEFAULT_STATE_CAP))
-        cfg = Config(cap=cap, format=args.format)
+        # explicit flag beats the environment beats the default
+        cfg = Config(cap=_state_cap(args.cap), format=args.format)
     except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

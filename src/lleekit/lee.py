@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .chart import (
     Chart,
@@ -54,6 +55,7 @@ from .chart import (
     Transition,
     _has_cycle,
     _interpret,
+    _reach,
     chart_of_nodes,
 )
 from .errors import (
@@ -114,50 +116,52 @@ def generated_chart(parent, start, entries):
     to ``start`` close the loop and are not expanded further.
     """
     entries = _checked_entries(parent, start, entries)
-    trans = set(entries)
-    seen = set()
-    queue = [t.dst for t in entries if not t.terminal and t.dst != start]
-    while queue:
-        y = queue.pop()
-        if y in seen:
-            continue
-        seen.add(y)
-        for t in parent.out(y):
-            trans.add(t)
-            if not t.terminal and t.dst != start and t.dst not in seen:
-                queue.append(t.dst)
+    body = _Graph(parent, parent.nodes)._body(start, _targets(entries))
+    trans = set(entries).union(*(parent.out(y) for y in body))
     return NodeSetChart(
         parent,
-        frozenset({start}) | frozenset(seen),
+        frozenset(body) | {start},
         start=start,
         explicit=tuple(sorted(trans, key=Transition.sort_key)),
     )
 
 
-def _loop_conditions(start, adj):
-    """(L1) and (L2) for a sub-chart given by its non-terminal successors.
+def _targets(entries):
+    """The nodes the non-terminal ``entries`` lead to."""
+    return [t.dst for t in entries if not t.terminal]
 
-    ``adj`` maps each node with a non-terminal transition in the sub-chart
-    to the targets of those transitions.  True when some cycle passes
-    through ``start`` and no cycle avoids it.
+
+# The loop conditions below read a *closure* ``adj``: it maps ``start`` to
+# the entries' targets and each node of their ``start``-avoiding closure to
+# its successors, ``None`` standing for ``√``, as :meth:`_Graph._body`
+# records them.  Every node in it is reached from ``start``.
+
+
+def _returns(start, adj):
+    """(L1): the entries' continuation leads back to ``start``.
+
+    On a closure that is the case exactly when some recorded successor is
+    ``start``.  This is the one test whether an entry closes a loop.
     """
-    # L1: a cycle through the start
-    stack = list(adj.get(start, ()))
-    seen = set()
-    while stack:
-        n = stack.pop()
-        if n == start:
-            break
-        if n not in seen:
-            seen.add(n)
-            stack.extend(adj.get(n, ()))
-    else:
-        return False
-    # L2: no cycle avoiding the start
+    return start in chain.from_iterable(adj.values())
+
+
+def _exits(adj):
+    """Whether a node of the closure can exit to ``√``, failing (L3)."""
+    return None in chain.from_iterable(adj.values())
+
+
+def _avoids(start, adj):
+    """(L2): no cycle of ``adj`` avoids ``start``."""
     return not _has_cycle(
         [n for n in adj if n != start],
         lambda n: [m for m in adj.get(n, ()) if m != start],
     )
+
+
+def _loop_conditions(start, adj):
+    """(L1) - (L3) on a closure: the entries generate a loop sub-chart."""
+    return not _exits(adj) and _returns(start, adj) and _avoids(start, adj)
 
 
 def is_loop_chart(sub, start):
@@ -182,7 +186,9 @@ def is_loop_chart(sub, start):
     for t in trans:
         if not t.terminal:
             adj.setdefault(t.src, []).append(t.dst)
-    return _loop_conditions(start, adj)
+    # L1 on what the start reaches, L2 on the whole sub-chart
+    reached = _reach(adj.get(start, ()), lambda n: () if n == start else adj.get(n, ()))
+    return start in reached and _avoids(start, adj)
 
 
 class _Graph:
@@ -201,7 +207,8 @@ class _Graph:
 
     The graph answers what the elimination loops used to ask of a rebuilt
     chart (:meth:`out`, :meth:`terminal_actions`, :meth:`has_cycle`), so
-    :func:`max_entry_set` and :func:`_avoiding_closure` take it as well.
+    :func:`max_entry_set` takes it as well.  :meth:`_body` is the
+    start-avoiding closure of every step, search and check on a chart.
     :meth:`remove` returns an undo record for backtracking searches.
     """
 
@@ -248,26 +255,28 @@ class _Graph:
     def terminal_actions(self, node):
         return frozenset(t.action for t in self.out(node) if t.terminal)
 
+    def _live(self, keep):
+        """Successors for :func:`_reach` and :func:`_has_cycle`: a node's
+        live non-terminal successors that lie in ``keep``."""
+        alive, dst, succ = self._alive, self._dst, self._succ
+        return lambda n: [dst[i] for i in succ[n] if alive[i] and dst[i] in keep]
+
     def has_cycle(self, within=None):
         """True if some live cycle exists (restricted to ``within`` if given)."""
         nodes = self.nodes if within is None else self.nodes.intersection(within)
-        alive, dst, succ = self._alive, self._dst, self._succ
+        return _has_cycle(nodes, self._live(nodes))
 
-        def targets(n):
-            return [dst[i] for i in succ[n] if alive[i] and dst[i] in nodes]
+    def _body(self, start, targets, adj=None):
+        """The ``start``-avoiding closure of ``targets``.
 
-        return _has_cycle(nodes, targets)
-
-    def _body(self, start, entries, adj=None):
-        """The ``start``-avoiding closure of the entries' targets.
-
-        With ``adj``, also records there the non-terminal successors of each
-        body node, and returns ``None`` as soon as a body node has a
-        terminal transition.
+        The live nodes that paths from ``targets`` reach without passing
+        through ``start``; ``start`` itself never belongs to it.  With
+        ``adj``, also records there each body node's live successors,
+        ``None`` standing for ``√``.
         """
         alive, dst, succ = self._alive, self._dst, self._succ
         body = set()
-        stack = [t.dst for t in entries if not t.terminal and t.dst != start]
+        stack = [y for y in targets if y != start]
         while stack:
             y = stack.pop()
             if y in body:
@@ -277,12 +286,8 @@ class _Graph:
             for i in succ[y]:
                 if alive[i]:
                     d = dst[i]
-                    if d is None:
-                        if adj is not None:
-                            return None
-                        continue
                     nxt.append(d)
-                    if d != start and d not in body:
+                    if d is not None and d != start and d not in body:
                         stack.append(d)
             if adj is not None:
                 adj[y] = nxt
@@ -301,8 +306,8 @@ class _Graph:
         if any(t.terminal for t in entries):
             return None
         adj = {start: [t.dst for t in entries]}
-        body = self._body(start, entries, adj)
-        if body is None or not _loop_conditions(start, adj):
+        body = self._body(start, adj[start], adj)
+        if not _loop_conditions(start, adj):
             return None
         return body
 
@@ -313,8 +318,8 @@ class _Graph:
         not given.  Returns an undo record for :meth:`restore`.
         """
         if body is None:
-            body = self._body(start, entries)
-        alive, dst, succ, trans = self._alive, self._dst, self._succ, self._trans
+            body = self._body(start, _targets(entries))
+        alive, succ, trans = self._alive, self._succ, self._trans
         killed = []
         for t in entries:
             i = self._index[t]
@@ -328,14 +333,7 @@ class _Graph:
             if y in roots
             or any(alive[i] and trans[i].src not in body for i in pred[y])
         ]
-        kept = set(reached)
-        while reached:
-            y = reached.pop()
-            for i in succ[y]:
-                d = dst[i]
-                if alive[i] and d in body and d not in kept:
-                    kept.add(d)
-                    reached.append(d)
+        kept = _reach(reached, self._live(body))
         dead = body - kept
         for y in dead:
             self.nodes.discard(y)
@@ -352,34 +350,24 @@ class _Graph:
             self._alive[i] = 1
         self.nodes |= dead
 
-    def _reach(self, roots):
-        alive, dst, succ = self._alive, self._dst, self._succ
-        seen = set(r for r in roots if r in self.nodes)
-        stack = list(seen)
-        while stack:
-            n = stack.pop()
-            for i in succ[n]:
-                d = dst[i]
-                if alive[i] and d is not None and d not in seen:
-                    seen.add(d)
-                    stack.append(d)
-        return seen
-
     def to_chart(self, roots=None):
         """The live part as a :class:`Chart`; with ``roots``, what they reach.
 
         The chart keeps the initial node when it reaches every node kept,
         which it always does when it is the only root.
         """
+
+        def reach(sources):
+            live = self.nodes
+            return _reach([n for n in sources if n in live], self._live(live))
+
         if roots is None:
             roots, nodes = self.roots, self.nodes
         else:
             roots = frozenset(roots)
-            nodes = self._reach(roots)
+            nodes = reach(roots)
         initial = self.chart.initial
-        if roots != {initial} and not (
-            initial in nodes and self._reach([initial]) == nodes
-        ):
+        if roots != {initial} and not (initial in nodes and reach([initial]) == nodes):
             initial = None
         alive = self._alive
         return Chart(
@@ -410,25 +398,6 @@ def eliminate(chart, start, entries, roots):
     return g.to_chart(roots)
 
 
-def _avoiding_closure(chart, source, avoid):
-    """Nodes reachable from ``source`` without passing through ``avoid``.
-
-    ``source`` itself is included (unless it equals ``avoid``); expansion
-    stops at ``avoid``, which is never included.
-    """
-    if source == avoid:
-        return frozenset()
-    seen = {source}
-    stack = [source]
-    while stack:
-        n = stack.pop()
-        for t in chart.out(n):
-            if not t.terminal and t.dst != avoid and t.dst not in seen:
-                seen.add(t.dst)
-                stack.append(t.dst)
-    return frozenset(seen)
-
-
 def max_entry_set(chart, node):
     """The largest valid entry set for eliminating a loop at ``node``.
 
@@ -438,26 +407,20 @@ def max_entry_set(chart, node):
     per-entry: it does not depend on which other entries are chosen.  Returns
     the empty set when no qualifying subset generates a loop sub-chart, i.e.
     when no qualifying entry closes a cycle back through ``node``.
+    ``chart`` is a :class:`Chart` or the working graph of a search.
     """
+    g = chart if isinstance(chart, _Graph) else _Graph(chart, chart.nodes)
     valid = []
     closes_loop = False
-    for t in chart.out(node):
+    for t in g.out(node):
         if t.terminal:
             continue
-        if t.dst == node:
-            valid.append(t)
-            closes_loop = True
-            continue
-        closure = _avoiding_closure(chart, t.dst, node)
-        if any(chart.terminal_actions(y) for y in closure):
-            continue
-        if chart.has_cycle(within=closure):
+        adj = {node: [t.dst]}
+        g._body(node, adj[node], adj)
+        if _exits(adj) or not _avoids(node, adj):
             continue
         valid.append(t)
-        if any(
-            not u.terminal and u.dst == node for y in closure for u in chart.out(y)
-        ):
-            closes_loop = True
+        closes_loop = closes_loop or _returns(node, adj)
     if not valid or not closes_loop:
         return frozenset()
     return frozenset(valid)
@@ -840,43 +803,25 @@ def loops_back_to(w):
     if w._lpb is not None:
         return w._lpb
     chart = w.chart
+    # x ↘ y: y lies in the x-avoiding closure of the targets of x's entries,
+    # taken over body transitions only
+    nexts = {x: [] for x in chart.nodes}
+    entries = {x: [] for x in chart.nodes}
+    for t, n in w.order.items():
+        (entries if n > 0 else nexts)[t.src].append(t.dst)
     direct = set()
     succ = {}
     for x in chart.nodes:
-        reached = set()
-        stack = [
-            t.dst
-            for t in chart.out(x)
-            if not t.terminal and w.order[t] > 0 and t.dst != x
-        ]
-        while stack:
-            y = stack.pop()
-            if y in reached:
-                continue
-            reached.add(y)
-            for t in chart.out(y):
-                if (
-                    not t.terminal
-                    and w.order[t] == 0
-                    and t.dst != x
-                    and t.dst not in reached
-                ):
-                    stack.append(t.dst)
-        succ[x] = reached
-        direct.update((x, y) for y in reached)
+        succ[x] = _reach(
+            [y for y in entries[x] if y != x],
+            lambda y: [d for d in nexts[y] if d != x],
+        )
+        direct.update((x, y) for y in succ[x])
     closure = set()
     below = {}
     for x in chart.nodes:
-        reach = set()
-        stack = list(succ[x])
-        while stack:
-            y = stack.pop()
-            if y in reach:
-                continue
-            reach.add(y)
-            stack.extend(succ[y])
-        below[x] = frozenset(reach)
-        closure.update((x, y) for y in reach)
+        below[x] = frozenset(_reach(succ[x], succ.__getitem__))
+        closure.update((x, y) for y in below[x])
     w._lpb = (frozenset(direct), frozenset(closure))
     w._below = below
     return w._lpb
@@ -949,6 +894,7 @@ def check_lbc_properties(lbc):
     """
     w = lbc.witness
     chart = lbc.parent
+    g = _Graph(chart, chart.nodes)
     violations = []
     for y in sorted(lbc.body):
         sub = looping_back_chart(w, y)
@@ -963,8 +909,7 @@ def check_lbc_properties(lbc):
             if not t.terminal and t.dst not in lbc.nodes:
                 violations.append(("ii", "body transition %r escapes the chart" % (t,)))
     for y in sorted(lbc.body):
-        closure = _avoiding_closure(chart, y, lbc.start)
-        for z in sorted(closure):
+        for z in sorted(g._body(lbc.start, [y])):
             if chart.terminal_actions(z):
                 violations.append(
                     (
@@ -978,16 +923,6 @@ def check_lbc_properties(lbc):
 
 
 # --- from plain witnesses to layered witnesses -----------------------------
-
-
-def _loop_forming(chart, start, entry):
-    """Whether the entry's continuation can return to the start in ``chart``."""
-    if entry.dst == start:
-        return True
-    closure = _avoiding_closure(chart, entry.dst, start)
-    return any(
-        not t.terminal and t.dst == start for y in closure for t in chart.out(y)
-    )
 
 
 def _normalize(w):
@@ -1010,7 +945,9 @@ def _normalize(w):
         for e in step.entries:
             if not g.is_live(e):
                 raise InternalError("normalization lost a scheduled entry %r" % (e,))
-            if _loop_forming(g, step.start, e):
+            adj = {step.start: [e.dst]}
+            g._body(step.start, adj[step.start], adj)
+            if _returns(step.start, adj):
                 loopers.append(e)
         for e in loopers:
             counter += 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisim import bisimilarity_partition, image
+from .bisim import bisimilarity_partition
 from .chart import Transition, chart_of_nodes, simple_cycles
 from .errors import LemmaViolated, NotCollapse, NotLLEE, UnknownNode
 from .lee import (

@@ -21,6 +21,7 @@ from lleekit.chart import (
     step,
     union_chart,
 )
+from lleekit.cli import run
 from lleekit.errors import (
     ParentMismatch,
     ParseError,
@@ -36,6 +37,18 @@ TOGGLE = Chart(
         Transition("X", "b", TERMINATION),
         Transition("Y", "c", TERMINATION),
     ]
+)
+
+# node ids that are also the keywords of the text format's directives
+DIRECTIVE_NAMES = Chart(
+    [
+        Transition("init", "a", "y"),
+        Transition("node", "a", "y"),
+        Transition("y", "b", "init"),
+        Transition("y", "c", "node"),
+        Transition("node", "c", TERMINATION),
+    ],
+    initial="init",
 )
 
 
@@ -71,7 +84,7 @@ def test_chart_construction_and_validation():
         Chart([("x", "a", "y")])
 
 
-@pytest.mark.parametrize("token", ["a b", " ", "\x1c", "a\u2028", "!"])
+@pytest.mark.parametrize("token", ["a b", " ", "\x1c", "a\u2028", "!", "#x"])
 def test_node_tokens_rejected(token):
     with pytest.raises(ValueError):
         Chart([], nodes={token})
@@ -132,7 +145,7 @@ def test_equality_and_hash(chart_g):
 
 
 def test_text_roundtrip_fixtures(chart_g, chart_h, chart_ci, chart_cii):
-    for g in (chart_g, chart_h, chart_ci, chart_cii, TOGGLE):
+    for g in (chart_g, chart_h, chart_ci, chart_cii, TOGGLE, DIRECTIVE_NAMES):
         assert Chart.from_text(g.to_text()) == g
 
 
@@ -423,3 +436,20 @@ def test_state_cap_environment(monkeypatch):
         interpret(parse("a.b.c"))
     # an explicit cap wins over the environment
     interpret(parse("a.b.c"), cap=50)
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ("0", "state cap must be positive"),
+        ("-5", "state cap must be positive"),
+        ("abc", "invalid literal for int"),
+    ],
+)
+def test_state_cap_environment_rejected(monkeypatch, capsys, value, message):
+    monkeypatch.setenv("LLEEKIT_STATE_CAP", value)
+    with pytest.raises(ValueError, match=message) as exc:
+        interpret(parse("a.b"))
+    # the command line rejects it with the same message
+    assert run(["chart", "a.b"]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % exc.value

@@ -2,10 +2,12 @@
 
 import json
 import random
+import sys
 
 import pytest
 
 from conftest import fixture_path, run_python
+import lleekit.bisim
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, interpret
 from lleekit.cli import _build_parser, run
@@ -204,6 +206,23 @@ def test_reflect_json(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["v"] == 1
     assert [img["start"] for img in doc["images"]] == ["z", "z", "x"]
+
+
+def test_reflect_refines_once(capsys, monkeypatch):
+    # collapse() refines the chart once; the image hierarchy trusts its map
+    refine = lleekit.bisim._refine
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lleekit" and getattr(module, "_refine", None) is refine:
+            monkeypatch.setattr(module, "_refine", counted)
+    assert run(["reflect", CII, CII_HAT]) == 0
+    assert "witness v1" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_reflect_long_cycle(tmp_path, capsys):
