@@ -8,8 +8,10 @@ terminal-action sets, and blocks are split by the set of ``(action,
 target-block)`` signatures until stable.  After the first batch only the
 predecessors of nodes that changed block are signed again, and the largest
 piece of a split block keeps its id, so a path of n nodes costs O(n)
-rather than n rounds over every node.  It runs on integer ids, and two
-charts numbered into the same tables are refined as their disjoint union.
+rather than n rounds over every node.  The nodes that can reach no cycle
+are settled before that, in one bottom-up pass.  It runs on integer ids,
+and two charts or explorations numbered into the same tables are refined
+as their disjoint union.
 
 :func:`collapse` quotients a chart by its greatest self-bisimulation; the
 result has no two distinct bisimilar nodes, and the quotient map is returned
@@ -72,41 +74,104 @@ def _tables(chart, outmap, term):
     return ids
 
 
+def _explored_tables(exploration, outmap, term):
+    """Append the states of an exploration to :func:`_refine`'s tables;
+    return the id of state 0, the offset of the others.
+
+    ``exploration`` is what :func:`lleekit.chart._explore` returns, its
+    transitions ``(src, action, dst, height)`` tuples.  State ``i`` becomes
+    id ``offset + i``, so an exploration and the nodes appended after it
+    (or a second exploration) are refined side by side, with no state named
+    and no chart built.
+    """
+    _, _, states, transitions = exploration
+    count = len(states)
+    offset = len(outmap)
+    outmap.extend([] for _ in range(count))
+    ends = [set() for _ in range(count)]
+    for src, action, dst, _ in transitions:
+        if dst is TERMINATION:
+            ends[src].add(action)
+        else:
+            outmap[offset + src].append((action, offset + dst))
+    term.extend(frozenset(a) for a in ends)
+    return offset
+
+
 def _refine(outmap, term):
     """Partition refinement core, on the integer ids ``0..len(outmap)-1``.
 
     ``outmap[i]`` is the list of ``(action, dst)`` pairs of node ``i``'s
     non-terminal transitions, repeats allowed; ``term[i]`` the frozenset
-    of its terminal actions.  :func:`_tables` builds both from charts.
-    Returns a list: node id -> block id.
+    of its terminal actions.  :func:`_tables` builds both from charts and
+    :func:`_explored_tables` from explorations.  Returns a list: node id ->
+    block id.
 
-    Blocks start as the classes of equal terminal-action sets, and every
-    node starts *dirty*.  A node's signature is the set of ``(action, block
-    of dst)`` pairs.  Each batch signs the dirty nodes, all against the
-    partition as it was before the batch split anything, and splits each
-    touched block by signature.  A node that changes block moves to a new
-    block id, so its predecessors, and only they, are dirty in the next
-    batch.  From the second batch on, a dirty node thus has a successor in
-    a block made by the previous batch and a clean node has none: their
-    signatures differ, so the clean nodes of a block stay together and the
-    dirty ones split off by signature.  The largest piece keeps the block's id (Hopcroft's rule),
-    so a node changes block O(log n) times.  When no node is dirty every
-    block is stable.
+    First, one depth-first walk finds the *well-founded* nodes, those from
+    which no cycle can be reached (Dovier, Piazza & Policriti, *An
+    efficient algorithm for computing bisimulation equivalence*, 2004).
+    Their bisimilarity is decided by induction on depth: two of them are
+    bisimilar exactly when they have the same terminal actions and the same
+    ``(action, class of dst)`` pairs, and every ``dst`` is well-founded and
+    finished earlier in post-order.  So each takes its final block when the
+    walk leaves it, by interning that pair of sets, and none is signed
+    again.  A well-founded node is never bisimilar to a node that can reach
+    a cycle, which has an infinite path the other cannot match.
+
+    The other nodes start grouped by their terminal-action sets, in blocks
+    apart from the settled ones, and all of them *dirty*.  A node's signature is the set of
+    ``(action, block of dst)`` pairs.  Each batch signs the dirty nodes,
+    all against the partition as it was before the batch split anything,
+    and splits each touched block by signature.  A node that changes block
+    moves to a new block id, so its predecessors, and only they, are dirty
+    in the next batch; none of them is well-founded, since it reaches a
+    cycle through the moved node, so the settled blocks are never touched.
+    From the second batch on, a dirty node thus has a successor in a block
+    made by the previous batch and a clean node has none: their signatures
+    differ, so the clean nodes of a block stay together and the dirty ones
+    split off by signature.  The largest piece keeps the block's id
+    (Hopcroft's rule), so a node changes block O(log n) times.  When no
+    node is dirty every block is stable.
     """
-    preds = [[] for _ in outmap]
-    for n, out in enumerate(outmap):
-        for _, d in out:
-            preds[d].append(n)
+    # 0 unvisited, 1 on the walk's stack, 2 well-founded, 3 reaches a cycle
+    state = bytearray(len(outmap))
+    block = [0] * len(outmap)
+    settled = {}
+    for root in range(len(outmap)):
+        if state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, iter(outmap[root]))]
+        while stack:
+            n, it = stack[-1]
+            for _, d in it:
+                if not state[d]:
+                    state[d] = 1
+                    stack.append((d, iter(outmap[d])))
+                    break
+            else:
+                stack.pop()
+                out = outmap[n]
+                # a successor still on the stack closes a cycle
+                if all(state[d] == 2 for _, d in out):
+                    state[n] = 2
+                    sig = (term[n], frozenset((a, block[d]) for a, d in out))
+                    block[n] = settled.setdefault(sig, len(settled))
+                else:
+                    state[n] = 3
+    members = [None] * len(settled)  # the settled blocks are never split
     first = {}
-    block = []
-    members = []
-    for n, ends in enumerate(term):
-        b = first.setdefault(ends, len(first))
-        if b == len(members):
+    dirty = [n for n in range(len(outmap)) if state[n] == 3]
+    preds = [[] for _ in outmap]
+    for n in dirty:
+        for _, d in outmap[n]:
+            preds[d].append(n)
+        b = first.get(term[n])
+        if b is None:
+            b = first[term[n]] = len(members)
             members.append(set())
         members[b].add(n)
-        block.append(b)
-    dirty = range(len(outmap))
+        block[n] = b
     while dirty:
         touched = {}
         for n in dirty:

@@ -13,8 +13,9 @@ exploring, a reachable expression ``h.r1.….rn`` (left-nested, ``h`` not a
 sequence) is held as its head ``h`` and an interned continuation
 ``r1 … rn``, so a step and a node id cost the size of the head, not the
 length of the sequence.  Exploration numbers the states and prints
-nothing: a subterm is printed only when :func:`interpret` names a state,
-and then once per exploration.
+nothing: a subterm is printed only when a state is named, by
+:func:`interpret` for every state or by :func:`lleekit.solve.equiv` for the
+few it prints, and then once per exploration.
 
 Sub-charts come in two flavours, both :class:`NodeSetChart`:
 
@@ -722,11 +723,28 @@ class _States:
         return m
 
     def name(self, state):
-        """The node id of ``state``: the printed expression it stands for."""
+        """The node id of ``state``: the printed expression it stands for.
+
+        The suffixes of the continuation are cached on the way, which pays
+        when every state is named, as :func:`interpret` does."""
         head, k = state
         if k is None:
             return self._wrap(head, _expr._LEVEL_PLUS)
         return self._wrap(head, _expr._LEVEL_SEQ) + self._suffix(k)
+
+    def name_one(self, state):
+        """:meth:`name`, printed with one walk down the continuation and
+        nothing cached: naming a few states of a long spine this way costs
+        their length, where the suffix cache would hold every suffix of the
+        spine."""
+        head, k = state
+        if k is None:
+            return self._wrap(head, _expr._LEVEL_PLUS)
+        parts = [self._wrap(head, _expr._LEVEL_SEQ)]
+        while k is not None:
+            parts.append(self._wrap(k.expr, _expr._LEVEL_STAR))
+            k = k.rest
+        return ".".join(parts)
 
 
 def step(e):
@@ -791,7 +809,7 @@ def _explore(roots, cap, what, labelled=False):
         i = index.get(state)
         if i is None:
             if len(states) >= cap:
-                root = space.name(starts[0])
+                root = space.name_one(starts[0])
                 raise StateExplosion("more than %d states while %s" % (cap, what(root)))
             i = index[state] = len(states)
             states.append(state)
@@ -832,6 +850,11 @@ def interpret(e, cap=None):
     return _interpret(e, cap)[0]
 
 
+def _interpreting(root):
+    """The :class:`StateExplosion` message of an interpretation."""
+    return "interpreting %r" % root
+
+
 def _interpret(e, cap=None):
     """:func:`interpret`, plus the loop labels of :func:`_explore`.
 
@@ -841,9 +864,18 @@ def _interpret(e, cap=None):
     :func:`lleekit.lee.expression_witness` ranks the heights into a
     layered witness.
     """
-    space, root_idx, states, transitions = _explore(
-        [e], cap, lambda root: "interpreting %r" % root, labelled=True
-    )
+    return _named_chart(_explore([e], cap, _interpreting, labelled=True))[1:]
+
+
+def _named_chart(exploration):
+    """Name the states of an exploration of one root and build its chart.
+
+    ``exploration`` is what :func:`_explore` returns.  Returns ``(names,
+    chart, heights)``: ``names[i]`` is state ``i``'s node id, the chart is
+    rooted at the root's, and ``heights`` is as for :func:`_interpret`
+    (empty for an exploration without labels).
+    """
+    space, root_idx, states, transitions = exploration
     names = [space.name(s) for s in states]
     chart = Chart(
         (
@@ -859,4 +891,4 @@ def _interpret(e, cap=None):
             t = Transition(names[src], action, names[dst])
             if heights.get(t, 0) < height:
                 heights[t] = height
-    return chart, heights
+    return names, chart, heights

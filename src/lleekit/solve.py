@@ -11,24 +11,27 @@ the entry round trips (recursing only through body transitions, which by
 layering never reach a terminal or re-enter positively) and ``exits``
 collects everything else.  Nodes without entries denote their exits alone.
 
-:func:`equiv` decides bisimilarity of two expressions and, when they are
-equivalent, packages the evidence: the common collapse, the two maps onto
-it, a layered witness for the collapse, and the collapse's extracted
-solution.  The witness needs no search: the first expression's chart
-carries a layered witness by construction
-(:func:`lleekit.lee.expression_witness`), and reflecting it through the
-first map gives a witness on the collapse that is layered as well, which is
-checked, not repaired.  The pipeline runs each step once: interpret with
-witness, one joint refinement (verdict and collapse), reflection, layering
-check, extraction, solution check.
+:func:`equiv` decides bisimilarity of two expressions on the state ids of
+their explorations: the verdict needs no chart and no printed state.  When
+they are not equivalent it names only the members of the two blocks it
+prints.  When they are, it builds both charts and packages the evidence:
+the common collapse, the two maps onto it, a layered witness for the
+collapse, and the collapse's extracted solution.  The witness needs no
+search: the first expression's chart carries a layered witness by
+construction (:func:`lleekit.lee.expression_witness`), and reflecting it
+through the first map gives a witness on the collapse that is layered as
+well, which is checked, not repaired.  The pipeline runs each step once:
+explore with witness labels, one joint refinement (verdict and collapse),
+charts, reflection, layering check, extraction, solution check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .bisim import BisimMap, _quotient, _refine, _tables
-from .chart import Chart, TERMINATION, _explore, _interpret, interpret
+from .bisim import BisimMap, _explored_tables, _quotient, _refine, _tables
+from .chart import Chart, _explore, _interpreting, _named_chart, interpret
 from .errors import InternalError, InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
 from .expr import Action, Expression, Plus, Seq, Star, Zero, unparse
 from .lee import Witness, _height_witness, is_llee_witness
@@ -226,19 +229,14 @@ def solution_check(sol, cap=None):
     joint exploration exceeds ``cap`` states.
     """
     nodes = sorted(sol.chart.nodes)
-    _, root_idx, states, transitions = _explore(
+    exploration = _explore(
         [sol.assign[x] for x in nodes],
         cap,
         lambda root: "checking a solution of %d nodes" % len(nodes),
     )
-    outmap = [[] for _ in states]
-    ends = [set() for _ in states]
-    for src, action, dst, _ in transitions:
-        if dst is TERMINATION:
-            ends[src].add(action)
-        else:
-            outmap[src].append((action, dst))
-    term = [frozenset(a) for a in ends]
+    root_idx = exploration[1]
+    outmap, term = [], []
+    _explored_tables(exploration, outmap, term)
     node_idx = _tables(sol.chart, outmap, term)
     block = _refine(outmap, term)
     return [x for x, r in zip(nodes, root_idx) if block[r] != block[node_idx[x]]]
@@ -331,9 +329,11 @@ class Certificate:
 class Distinction:
     """Evidence that two expressions are not bisimilar.
 
-    The two interpretations' initial nodes fall into different blocks of the
-    bisimilarity partition of their disjoint union; the blocks are recorded
-    (node ids carry their ``g:`` / ``h:`` side prefix).
+    The two expressions' initial states fall into different blocks of the
+    bisimilarity partition of their two explorations, refined side by side
+    on state ids (there is no union chart).  The blocks are recorded as
+    node ids with a ``g:`` / ``h:`` side prefix; only their members are
+    printed, after refinement, each on its own.
     """
 
     block1: frozenset
@@ -342,22 +342,48 @@ class Distinction:
 
 @dataclass(frozen=True)
 class EquivResult:
+    """The verdict of :func:`equiv`, with its evidence.
+
+    ``chart1`` and ``chart2`` are the interpretations of the two
+    expressions.  They are built on first access and cached: an EQUAL
+    verdict has built them for its certificate (they are the sources of
+    its two maps), and a NOT_EQUAL verdict needs neither, so it interprets
+    the expressions again only when asked.
+    """
+
     equal: bool
-    chart1: Chart
-    chart2: Chart
     certificate: object = None
     distinction: object = None
+    # (e1, e2, cap): what a NOT_EQUAL's charts are built from on demand
+    _inputs: tuple = field(default=(), repr=False, compare=False)
 
     def __bool__(self):
         return self.equal
 
+    @cached_property
+    def chart1(self):
+        if self.certificate is not None:
+            return self.certificate.map1.source
+        e1, _, cap = self._inputs
+        return interpret(e1, cap)
 
-def _block(b, block, g_ids, h_ids):
-    """The members of block ``b`` of both charts, named with their side."""
-    return frozenset(
-        ["g:" + x for x, i in g_ids.items() if block[i] == b]
-        + ["h:" + y for y, j in h_ids.items() if block[j] == b]
-    )
+    @cached_property
+    def chart2(self):
+        if self.certificate is not None:
+            return self.certificate.map2.source
+        _, e2, cap = self._inputs
+        return interpret(e2, cap)
+
+
+def _block(b, block, sides):
+    """The members of block ``b`` of both explorations, named with their
+    side; ``sides`` pairs each prefix with its exploration and id offset."""
+    members = []
+    for prefix, (space, _, states, _), offset in sides:
+        for i, state in enumerate(states, start=offset):
+            if block[i] == b:
+                members.append(prefix + space.name_one(state))
+    return frozenset(members)
 
 
 def _check_layered(w, what):
@@ -371,11 +397,13 @@ def _check_layered(w, what):
 def equiv(e1, e2, cap=None):
     """Decide bisimilarity of two expressions, with evidence either way.
 
-    Both expressions are interpreted, the first together with the layered
-    witness its chart carries by construction
-    (:func:`lleekit.lee.expression_witness`), and the two charts are refined
-    once, side by side.  Initial nodes in different blocks give a
-    :class:`Distinction` of the two blocks.  Otherwise the collapse is the
+    Both expressions are explored, the first together with the loop labels
+    of the layered witness its chart carries by construction
+    (:func:`lleekit.lee.expression_witness`), and the two explorations are
+    refined once, side by side, on their state ids.  Initial states in
+    different blocks give a :class:`Distinction` of the two blocks, which
+    names only their members; no chart is built.  Otherwise both
+    explorations are named and built into charts, the collapse is the
     quotient of the first chart alone (every class the initial class
     reaches holds one of its nodes), the witness is reflected onto it and
     checked to be layered, and a solution is extracted, checked and
@@ -383,26 +411,34 @@ def equiv(e1, e2, cap=None):
     and no lemma report is computed.  A failed invariant on the way is an
     :class:`InternalError`.
     """
-    g, heights = _interpret(e1, cap=cap)
-    h = interpret(e2, cap=cap)
+    x1 = _explore([e1], cap, _interpreting, labelled=True)
+    x2 = _explore([e2], cap, _interpreting)
     outmap, term = [], []
-    g_ids = _tables(g, outmap, term)
-    h_ids = _tables(h, outmap, term)
+    _explored_tables(x1, outmap, term)
+    offset = _explored_tables(x2, outmap, term)
     block = _refine(outmap, term)
-    b1 = block[g_ids[g.initial]]
-    b2 = block[h_ids[h.initial]]
+    # an exploration's second item lists its roots' state indices
+    b1 = block[x1[1][0]]
+    b2 = block[offset + x2[1][0]]
     if b1 != b2:
-        distinction = Distinction(_block(b1, block, g_ids, h_ids), _block(b2, block, g_ids, h_ids))
-        return EquivResult(False, g, h, distinction=distinction)
+        sides = (("g:", x1, 0), ("h:", x2, offset))
+        distinction = Distinction(_block(b1, block, sides), _block(b2, block, sides))
+        return EquivResult(False, distinction=distinction, _inputs=(e1, e2, cap))
+    g_names, g, heights = _named_chart(x1)
+    h_names, h, _ = _named_chart(x2)
+    # the charts hold all that is left to do; free the explorations
+    del x1, x2, outmap, term
     least = {}
-    for x, i in g_ids.items():
+    for i, x in enumerate(g_names):
         b = block[i]
         if b not in least or x < least[b]:
             least[b] = x
     name = {b: "g:" + x for b, x in least.items()}
     try:
-        collapse, theta1 = _quotient(g, {x: name[block[i]] for x, i in g_ids.items()})
-        theta2 = BisimMap(h, collapse, {y: name[block[j]] for y, j in h_ids.items()})
+        collapse, theta1 = _quotient(g, {x: name[block[i]] for i, x in enumerate(g_names)})
+        theta2 = BisimMap(
+            h, collapse, {y: name[block[j]] for j, y in enumerate(h_names, start=offset)}
+        )
         w1 = _height_witness(g, heights)
         _check_layered(w1, "the expression's witness")
         w_h = _reflect_witness(theta1, _images(theta1, w1))
@@ -415,8 +451,6 @@ def equiv(e1, e2, cap=None):
         raise InternalError("extracted solution fails at %s" % ", ".join(bad))
     return EquivResult(
         True,
-        g,
-        h,
         certificate=Certificate(
             collapse=collapse,
             map1=theta1,

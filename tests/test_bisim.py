@@ -14,6 +14,8 @@ from oracles import (
 )
 from lleekit.bisim import (
     BisimMap,
+    _refine,
+    _tables,
     bisimilarity,
     bisimilarity_partition,
     collapse,
@@ -258,3 +260,110 @@ def test_partition_blocks_cover_nodes(g):
         assert not (block & seen)
         seen |= block
     assert seen == g.nodes
+
+
+# --- charts whose nodes cannot all reach a cycle ----------------------------
+#
+# Refinement settles the nodes that reach no cycle in one bottom-up pass and
+# refines the rest by signature; these charts mix both kinds and join them
+# in every direction.
+
+
+def _dag(rng, prefix, count, alphabet=("a", "b")):
+    """Transitions of a random DAG over ``prefix0..``: edges only go up."""
+    names = ["%s%d" % (prefix, i) for i in range(count)]
+    ts = []
+    for i, src in enumerate(names):
+        for _ in range(rng.randint(0, 3)):
+            action = rng.choice(alphabet)
+            if i == count - 1 or rng.random() < 0.25:
+                ts.append(Transition(src, action, TERMINATION))
+            else:
+                ts.append(Transition(src, action, names[rng.randrange(i + 1, count)]))
+    return names, ts
+
+
+def _with_copy(rng, names, ts):
+    """``ts`` plus a renamed copy of what one node reaches, and new nodes
+    that lead into both the original and the copy."""
+    g = Chart(ts, nodes=names)
+    sub = g.reachable([rng.choice(names)])
+    ren = {n: n + "'" for n in sub}
+    ts = ts + [
+        Transition(ren[t.src], t.action, t.dst if t.terminal else ren[t.dst])
+        for t in g.transitions
+        if t.src in sub
+    ]
+    for i in range(rng.randint(1, 3)):
+        top = "top%d" % i
+        for n in rng.sample(sorted(sub), min(2, len(sub))):
+            ts.append(Transition(top, rng.choice("ab"), rng.choice((n, ren[n]))))
+    return ts, list(names) + list(ren.values())
+
+
+def _cycle(rng, prefix, count):
+    names = ["%s%d" % (prefix, i) for i in range(count)]
+    ts = [
+        Transition(names[i], rng.choice("ab"), names[(i + 1) % count]) for i in range(count)
+    ]
+    return names, ts
+
+
+def _well_founded_mix(rng):
+    kind = rng.randrange(4)
+    names, ts = _dag(rng, "d", rng.randint(1, 12))
+    if kind == 0:
+        # duplicated sub-DAGs: bisimilar copies that only the pass can merge
+        ts, names = _with_copy(rng, names, ts)
+    elif kind == 1:
+        # DAG tails that lead into cycles, and cycles that exit into DAGs
+        for c in range(rng.randint(1, 2)):
+            cyc, cts = _cycle(rng, "c%d_" % c, rng.randint(1, 4))
+            ts += cts
+            for _ in range(rng.randint(1, 3)):
+                ts.append(Transition(rng.choice(names), rng.choice("ab"), rng.choice(cyc)))
+                ts.append(Transition(rng.choice(cyc), rng.choice("ab"), rng.choice(names)))
+            names += cyc
+    elif kind == 2:
+        # repeated (action, target class) pairs: a node with two steps to
+        # bisimilar targets, and nodes with the same steps
+        ts, names = _with_copy(rng, names, ts)
+        for i in range(rng.randint(1, 3)):
+            n = rng.choice(names)
+            m = n + "'" if n + "'" in names else n
+            a = rng.choice("ab")
+            ts += [Transition("r%d" % i, a, n), Transition("r%d" % i, a, m)]
+            ts += [Transition("s%d" % i, a, m)]
+    # isolated nodes, terminal-only nodes and loose self-loops
+    extra = ["iso%d" % i for i in range(rng.randint(0, 2))]
+    for i in range(rng.randint(0, 2)):
+        ts.append(Transition("t%d" % i, rng.choice("ab"), TERMINATION))
+    if rng.random() < 0.3:
+        ts.append(Transition("loop", "a", "loop"))
+    return Chart(ts, nodes=names + extra)
+
+
+def test_partition_vs_naive_well_founded_mixes():
+    rng = random.Random(53)
+    for _ in range(150):
+        g = _well_founded_mix(rng)
+        assert _partition_pairs(bisimilarity_partition(g)) == naive_bisimilarity(g)
+
+
+def test_refine_repeated_steps_and_isolated_ids():
+    # _refine's tables may list the same (action, dst) pair twice, as a
+    # state of ``a+a`` does; the repeats change no class
+    rng = random.Random(59)
+    for _ in range(60):
+        g = _well_founded_mix(rng)
+        outmap, term = [], []
+        ids = _tables(g, outmap, term)
+        plain = _refine([list(out) for out in outmap], term)
+        doubled = _refine([out + out[::-1] for out in outmap], term)
+        for x, i in ids.items():
+            for y, j in ids.items():
+                assert (plain[i] == plain[j]) == (doubled[i] == doubled[j])
+    # ids with no step at all: one class per terminal-action set
+    none, ab = frozenset(), frozenset({"a"})
+    block = _refine([[], [], [], []], [none, ab, none, ab])
+    assert block[0] == block[2] != block[1] == block[3]

@@ -14,6 +14,7 @@ from lleekit.chart import (
     TERMINATION,
     Transition,
     _States,
+    _explore,
     chart_of_nodes,
     cycle_nodes,
     interpret,
@@ -411,6 +412,20 @@ def test_interpret_spine_node_ids(text):
     g = interpret(parse(text))
     assert g.nodes == SPINES[text]
     assert g.initial == unparse(parse(text))
+
+
+def test_state_named_alone_as_when_every_state_is_named():
+    # equiv names a distinction's members one at a time, with no suffix
+    # cached; interpret names every state and caches the suffixes
+    rng = random.Random(61)
+    exprs = [parse(text) for text in sorted(SPINES)]
+    exprs += [random_expression(rng, rng.randint(1, 14)) for _ in range(150)]
+    for e in exprs:
+        space, _, states, _ = _explore([e], None, str)
+        alone = [space.name_one(s) for s in states]
+        assert alone == [space.name(s) for s in states]
+        assert alone == [space.name_one(s) for s in states]
+        assert set(alone) == interpret(e).nodes
 
 
 def test_interpret_initial_always_printed():

@@ -4,7 +4,8 @@ The expected text is the program's own output, recorded once, so any change
 to interpretation, refinement, witnesses or solution extraction that alters
 a printed certificate or distinction shows up here.  W(3), N(3) and P(3) are
 the loop families of the benchmark, each against an axiom-rewritten copy;
-W(8) and N(6) are pinned in JSON, from files under ``golden/``.
+W(8) and N(6) are pinned in JSON, and two NOT_EQUAL pairs in text and JSON,
+from files under ``golden/``.
 """
 
 import pathlib
@@ -84,6 +85,27 @@ def test_equiv_golden_json(capsys, name, e1, e2):
     assert run(["--format", "json", "equiv", e1, e2]) == 0
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN_DIR / name).read_text()
+    assert captured.err == ""
+
+
+# NOT_EQUAL prints the members of its two blocks, each named on demand from
+# the explored state; these pin the names byte for byte, in both formats.
+# The chain is a pair of the benchmark's shape, and the mixed pair (seed 1
+# of the mixed_small workload) has two members in each printed block.
+CHAIN120 = ".".join("abc"[(i * i + i // 7) % 3] for i in range(120))
+MIXED_NE = "a*((c+(a+a))*(b+a.(c.a)+c.(b.b.(c.a+c.(a.b)))))"
+GOLDEN_NOT_EQUAL = [
+    ("equiv_chain120", CHAIN120 + ".x", CHAIN120 + ".y"),
+    ("equiv_mixed_not_equal", "%s.x" % MIXED_NE, "%s.y" % MIXED_NE),
+]
+
+
+@pytest.mark.parametrize("fmt,suffix", [("text", ".txt"), ("json", ".json")])
+@pytest.mark.parametrize("name,e1,e2", GOLDEN_NOT_EQUAL)
+def test_equiv_golden_not_equal(capsys, name, e1, e2, fmt, suffix):
+    assert run(["--format", fmt, "equiv", e1, e2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN_DIR / (name + suffix)).read_text()
     assert captured.err == ""
 
 

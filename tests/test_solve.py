@@ -4,6 +4,7 @@ import importlib.util
 import pathlib
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -336,15 +337,19 @@ def test_solution_transfer():
 # --- equiv reads its witness off the expression -----------------------------
 
 
-def _mixed_small_pairs(expected, count):
+def _workload_pairs(workload, expected, count):
     # the benchmark's query lists, loaded from their file: text pairs whose
     # verdict is known by construction
     path = pathlib.Path(__file__).resolve().parent.parent / "equivbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("equivbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    pairs = [(q.e1, q.e2) for q in workloads.queries("mixed_small", 1) if q.expected == expected]
+    pairs = [(q.e1, q.e2) for q in workloads.queries(workload, 1) if q.expected == expected]
     return pairs[:count]
+
+
+def _mixed_small_pairs(expected, count):
+    return _workload_pairs("mixed_small", expected, count)
 
 
 def test_equiv_skips_witness_search(monkeypatch, capsys):
@@ -450,3 +455,50 @@ def test_equiv_unlayered_reflection_is_internal_error(monkeypatch, capsys):
     assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: the reflected witness is not a layered witness")
+
+
+def test_not_equal_builds_no_chart(monkeypatch, capsys):
+    # a NOT_EQUAL verdict refines the two explorations on their state ids:
+    # no Chart is built and no chart is numbered into the refiner's tables
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a NOT_EQUAL built or numbered a chart")
+
+    monkeypatch.setattr(Chart, "__init__", forbidden)
+    tables = lleekit.bisim._tables
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lleekit" and getattr(module, "_tables", None) is tables:
+            monkeypatch.setattr(module, "_tables", forbidden)
+    pairs = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 1]
+    pairs += _mixed_small_pairs("NOT_EQUAL", 20) + _workload_pairs("chain_distinct", "NOT_EQUAL", 3)
+    results = []
+    for e1, e2 in pairs:
+        assert run(["equiv", e1, e2]) == 1, (e1, e2)
+        assert capsys.readouterr().out.startswith("NOT_EQUAL\n")
+        results.append((parse(e1), parse(e2), equiv(parse(e1), parse(e2))))
+    monkeypatch.undo()
+    # the charts are built when they are asked for, and are the
+    # interpretations
+    for e1, e2, res in results:
+        assert not res.equal
+        assert res.chart1 == interpret(e1)
+        assert res.chart2 == interpret(e2)
+        assert res.chart1 is res.chart1
+
+
+def test_not_equal_memory_grows_linearly():
+    # NOT_EQUAL names only the members of its two printed blocks, each with
+    # one walk down its continuation, and caches no suffix of a long spine:
+    # the peak grows with the chains' length, not with its square
+    def peak(n):
+        chain = ".".join("abc"[i % 3] for i in range(n))
+        e1, e2 = parse(chain + ".x"), parse(chain + ".y")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            res = equiv(e1, e2)
+            assert not res.equal
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) < 6 * peak(1000)
