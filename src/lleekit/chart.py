@@ -416,9 +416,6 @@ class NodeSetChart:
             return self.explicit
         return tuple(t for n in sorted(self.nodes) for t in self.out(n))
 
-    def nonterminal_transitions(self):
-        return tuple(t for t in self.transitions if not t.terminal)
-
     def out(self, node):
         if node not in self.nodes:
             raise UnknownNode("unknown node %r" % (node,))
@@ -627,9 +624,7 @@ class _States:
     def _wrap(self, e, minimum):
         """``e`` as printed by :func:`expr.unparse` in an operand position of
         precedence ``minimum``; each subterm is printed once."""
-        text = self._printed.get(e)
-        if text is None:
-            text = self._printed[e] = _expr.unparse(e)
+        text = _expr._printed(e, self._printed)
         return "(" + text + ")" if _expr._level(e) < minimum else text
 
     def push(self, e, rest):

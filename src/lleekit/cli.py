@@ -6,10 +6,13 @@ solution extraction, plus the end-to-end ``equiv`` decision.
 
 Exit codes: 0 on success (``equiv``: EQUAL), 1 on a failed check or
 NOT_EQUAL, 2 on I/O, syntax, or usage errors, 3 when an internal invariant
-fails (:class:`InternalError`, a bug).  An input nested deeper than the
-parser and printer can recurse (a sum of some thousands of terms, or some
-thousands of nested sequences or stars) is a usage error: one ``error:
-expression nested too deeply`` line on stderr and exit code 2.  Output is
+fails (:class:`InternalError`, a bug).  Parsing, printing and solution
+extraction use no recursion, so some thousands of nested sequences answer.
+An input deeper than the rest can recurse is a usage error: one ``error:
+expression nested too deeply`` line on stderr and exit code 2.  That is a
+sum of some thousands of terms or some thousands of nested stars, whose
+steps the interpretation (``_States.steps``) follows recursively, or a deep
+expression in JSON output or in ``parse``'s dot output.  Output is
 deterministic for identical inputs.
 """
 
@@ -201,14 +204,6 @@ def _witness_verdict(w, require_llee):
             if require_llee:
                 code = 1
     return "\n".join(lines) + "\n", code
-
-
-def _cmd_llee(args, cfg):
-    g = _load_chart(args.chart)
-    w = _load_witness(args.witness, g)
-    text, code = _witness_verdict(w, require_llee=True)
-    _print(text)
-    return code
 
 
 def _cmd_check_witness(args, cfg):
@@ -412,7 +407,7 @@ def _build_parser():
     p = sub.add_parser("llee", help="check that a witness is layered")
     p.add_argument("chart")
     p.add_argument("witness")
-    p.set_defaults(func=_cmd_llee)
+    p.set_defaults(func=_cmd_check_witness, llee=True)
 
     p = sub.add_parser("lee2llee", help="layer an elimination witness")
     p.add_argument("chart")

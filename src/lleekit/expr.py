@@ -173,102 +173,35 @@ def actions_of(e):
     return actions_of(e.left) | actions_of(e.right)
 
 
+# --- precedence ------------------------------------------------------------
+
+# Precedence levels, shared by the parser and the printer.
+_LEVEL_PLUS, _LEVEL_SEQ, _LEVEL_STAR, _LEVEL_ATOM = 1, 2, 3, 4
+
+# the level of each operator node; ``None`` stands for an open parenthesis
+# on the parser's operator stack, which binds below every operator
+_LEVEL = {None: 0, Plus: _LEVEL_PLUS, Seq: _LEVEL_SEQ, Star: _LEVEL_STAR}
+
+# the least level of a left and a right operand that prints without
+# parentheses: ``+`` and ``.`` associate to the left, and star operands
+# must be atoms
+_OPERANDS = {
+    Plus: (_LEVEL_PLUS, _LEVEL_SEQ),
+    Seq: (_LEVEL_SEQ, _LEVEL_STAR),
+    Star: (_LEVEL_ATOM, _LEVEL_ATOM),
+}
+
+
+def _level(e):
+    return _LEVEL.get(e.__class__, _LEVEL_ATOM)
+
+
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|[0+.*()]|\S")
+# an action, or any other non-space character; whitespace is skipped
+_TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*)|\S")
 
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        tok = m.group()
-        if tok not in "0+.*()" and not _ACTION_RE.fullmatch(tok):
-            raise ParseError("unexpected character %r" % tok, pos)
-        tokens.append((tok, pos))
-        pos = m.end()
-    tokens.append((None, n))  # end marker
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser for the grammar
-
-    sum  := term ('+' term)*
-    term := star ('.' star)*
-    star := atom ('*' atom)?          -- a second '*' is an AssocError
-    atom := ACTION | '0' | '(' sum ')'
-    """
-
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i][0]
-
-    def pos(self):
-        return self.tokens[self.i][1]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, tok):
-        got, pos = self.take()
-        if got != tok:
-            raise ParseError("expected %r, got %r" % (tok, got or "end of input"), pos)
-
-    def parse(self):
-        e = self.sum()
-        if self.peek() is not None:
-            raise ParseError("trailing input %r" % self.peek(), self.pos())
-        return e
-
-    def sum(self):
-        e = self.term()
-        while self.peek() == "+":
-            self.take()
-            e = Plus(e, self.term())
-        return e
-
-    def term(self):
-        e = self.star()
-        while self.peek() == ".":
-            self.take()
-            e = Seq(e, self.star())
-        return e
-
-    def star(self):
-        e = self.atom()
-        if self.peek() == "*":
-            self.take()
-            e = Star(e, self.atom())
-            if self.peek() == "*":
-                raise AssocError(
-                    "binary star is non-associative; parenthesize", self.pos()
-                )
-        return e
-
-    def atom(self):
-        tok, pos = self.take()
-        if tok == "0":
-            return Zero()
-        if tok == "(":
-            e = self.sum()
-            self.expect(")")
-            return e
-        if tok is not None and _ACTION_RE.fullmatch(tok):
-            return Action(tok)
-        raise ParseError("expected expression, got %r" % (tok or "end of input"), pos)
+_OPERATOR = {cls._op: cls for cls in _OPERANDS}
 
 
 def parse(text):
@@ -276,49 +209,122 @@ def parse(text):
 
     Raises :class:`ParseError` (with ``.position``) on malformed input and
     :class:`AssocError` on an unparenthesized star chain.
+
+    One scan splits the text into tokens and rejects stray characters, then
+    one operator-precedence loop builds the tree with an operand stack and
+    an operator stack, so nesting depth costs no recursion.  Every operator
+    reduces the operators of at least its own level first, which makes
+    ``+`` and ``.`` left-associative; a ``*`` that meets an unreduced ``*``
+    is a star chain.
     """
-    return _Parser(text).parse()
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex is None and m.group() not in "0+.*()":
+            raise ParseError("unexpected character %r" % m.group(), m.start())
+        tokens.append(m)
+    operands = []
+    operators = []
+    depth = 0  # the open parentheses on the operator stack
+    actions = {}  # one immutable leaf per action name
+
+    def reduce(level):
+        while operators and _LEVEL[operators[-1]] >= level:
+            right = operands.pop()
+            operands[-1] = operators.pop()(operands[-1], right)
+
+    want_operand = True
+    for m in tokens:
+        tok = m.group()
+        if want_operand:
+            if m.lastindex is not None:
+                leaf = actions.get(tok)
+                if leaf is None:
+                    leaf = actions[tok] = Action(tok)
+                operands.append(leaf)
+            elif tok == "0":
+                operands.append(Zero())
+            elif tok == "(":
+                operators.append(None)
+                depth += 1
+                continue
+            else:
+                raise ParseError("expected expression, got %r" % tok, m.start())
+            want_operand = False
+        elif tok in _OPERATOR:
+            cls = _OPERATOR[tok]
+            if cls is not Star:
+                reduce(_LEVEL[cls])
+            elif operators and operators[-1] is Star:
+                raise AssocError("binary star is non-associative; parenthesize", m.start())
+            operators.append(cls)
+            want_operand = True
+        elif tok == ")" and depth:
+            reduce(_LEVEL_PLUS)
+            operators.pop()
+            depth -= 1
+        elif depth:
+            raise ParseError("expected ')', got %r" % tok, m.start())
+        else:
+            raise ParseError("trailing input %r" % tok, m.start())
+    if want_operand:
+        raise ParseError("expected expression, got 'end of input'", len(text))
+    if depth:
+        raise ParseError("expected ')', got 'end of input'", len(text))
+    reduce(_LEVEL_PLUS)
+    return operands[0]
 
 
 # --- printing --------------------------------------------------------------
 
-# Precedence levels used for minimal-parenthesis printing.
-_LEVEL_PLUS, _LEVEL_SEQ, _LEVEL_STAR, _LEVEL_ATOM = 1, 2, 3, 4
+# on the printer's stack: build the operator node just below from the texts
+# of its operands
+_BUILD = object()
 
 
-def _level(e):
-    if isinstance(e, Plus):
-        return _LEVEL_PLUS
-    if isinstance(e, Seq):
-        return _LEVEL_SEQ
-    if isinstance(e, Star):
-        return _LEVEL_STAR
-    return _LEVEL_ATOM
+def _printed(e, printed):
+    """The text of ``e`` as :func:`unparse` prints it.
 
-
-def _wrap(e, minimum):
-    text = unparse(e)
-    if _level(e) < minimum:
-        return "(" + text + ")"
-    return text
+    ``printed`` maps expressions to their texts: it is read first, and the
+    text of every operator node printed here is added to it.  Children are
+    printed before their parents, from an explicit stack, so a deep
+    expression does not hit the recursion limit, and a subterm shared by
+    several parents is printed once.
+    """
+    texts = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if x is _BUILD:
+            x = stack.pop()
+            need_left, need_right = _OPERANDS[x.__class__]
+            right = texts.pop()
+            left = texts.pop()
+            if _level(x.left) < need_left:
+                left = "(" + left + ")"
+            if _level(x.right) < need_right:
+                right = "(" + right + ")"
+            text = printed[x] = left + x._op + right
+            texts.append(text)
+            continue
+        cls = x.__class__
+        if cls is Action:
+            texts.append(x.name)
+        elif cls is Zero:
+            texts.append("0")
+        elif cls not in _OPERANDS:
+            raise TypeError("not an expression: %r" % (x,))
+        else:
+            text = printed.get(x)
+            if text is None:
+                stack += (x, _BUILD, x.right, x.left)
+            else:
+                texts.append(text)
+    return texts[0]
 
 
 def unparse(e):
     """Print ``e`` with minimal parentheses; inverse of :func:`parse`."""
-    if isinstance(e, Action):
-        return e.name
-    if isinstance(e, Zero):
-        return "0"
-    if isinstance(e, Plus):
-        # left-associative: the right operand needs parens if it is a Plus
-        return "%s+%s" % (_wrap(e.left, _LEVEL_PLUS), _wrap(e.right, _LEVEL_SEQ))
-    if isinstance(e, Seq):
-        return "%s.%s" % (_wrap(e.left, _LEVEL_SEQ), _wrap(e.right, _LEVEL_STAR))
-    if isinstance(e, Star):
-        # star operands must be atoms (the grammar has no star-of-star without
-        # parens and no unparenthesized composite operands)
-        return "%s*%s" % (_wrap(e.left, _LEVEL_ATOM), _wrap(e.right, _LEVEL_ATOM))
-    raise TypeError("not an expression: %r" % (e,))
+    return _printed(e, {})
 
 
 # --- JSON ------------------------------------------------------------------

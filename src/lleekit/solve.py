@@ -7,7 +7,7 @@ is bisimilar to the chart rooted at that node.
 
 With a layered witness in hand the solution can be read off directly: a
 node with positive entries denotes ``loop ⊛ exits`` where ``loop`` collects
-the entry round trips (recursing only through body transitions, which by
+the entry round trips (following only body transitions, which by
 layering never reach a terminal or re-enter positively) and ``exits``
 collects everything else.  Nodes without entries denote their exits alone.
 
@@ -140,79 +140,69 @@ class Solution:
 def extract_solution(w):
     """Read a solution off a layered witness.
 
-    For each node ``X``: if ``X`` has positive entries the solution is
-    ``ℓ(X) ⊛ exits(X)``, else just ``exits(X)`` — where ``exits(X)`` sums
-    ``b . s(W)`` over body transitions and the terminal actions, and
-    ``ℓ(X)`` sums per entry ``X -a-> Y`` either ``a`` (if ``Y ≡ X``) or
-    ``a . r(X, Y)``, with ``r`` following body transitions of the loop until
-    they return to ``X``.  Layering bounds both recursions: ``s`` descends
-    along the elimination order and ``r`` stays inside one loop's body,
-    which loops back strictly below ``X``.  Raises :class:`NotLLEE` for
-    non-layered witnesses.
+    One rule builds every expression.  ``f(Y, X)`` solves ``Y`` inside the
+    loop at ``X`` (``X`` is ``None`` outside any loop): it sums ``b`` for a
+    body transition ``Y -b-> X``, ``b . f(W, X)`` for any other body
+    transition ``Y -b-> W``, and, when ``X`` is ``None``, ``Y``'s terminal
+    actions in sorted order.  When ``Y`` has positive entries that sum ``S``
+    becomes ``ℓ(Y) ⊛ S``, where ``ℓ(Y)`` sums ``a`` for an entry ``Y -a->
+    Y`` and ``a . f(Z, Y)`` for an entry ``Y -a-> Z``.  Node ``X``'s
+    solution is ``f(X, None)``.  Layering bounds the rule: outside loops it
+    descends along the elimination order, and inside the loop at ``X`` it
+    follows body transitions, which loop back to ``X`` and reach no
+    terminal.  Each pair is built once, children first, from an explicit
+    stack, so equal sub-solutions are one object and a long chart does not
+    hit the recursion limit.  Raises :class:`NotLLEE` for non-layered
+    witnesses.
     """
     if not is_llee_witness(w):
         raise NotLLEE("solution extraction needs a layered witness")
     chart = w.chart
-    memo = {}
+    body, entries, terminals = {}, {}, {}
+    for x in chart.nodes:
+        body[x] = [t for t in chart.out(x) if not t.terminal and w.order[t] == 0]
+        entries[x] = [t for t in chart.out(x) if not t.terminal and w.order[t] > 0]
+        terminals[x] = sorted(chart.terminal_actions(x))
+
+    def needs(y, x):
+        """The pairs ``f(y, x)`` is built from, in the order it uses them."""
+        return [(t.dst, x) for t in body[y] if t.dst != x] + [
+            (t.dst, y) for t in entries[y] if t.dst != y
+        ]
+
+    def summands(ts, x):
+        return [
+            Action(t.action) if t.dst == x else Seq(Action(t.action), f[t.dst, x]) for t in ts
+        ]
+
+    f = {}
     in_progress = set()
-
-    def entries(x):
-        return [t for t in chart.out(x) if not t.terminal and w.order[t] > 0]
-
-    def body_out(x):
-        return [t for t in chart.out(x) if not t.terminal and w.order[t] == 0]
-
-    def s(x):
-        if x in memo:
-            return memo[x]
-        if x in in_progress:
-            raise InternalError("solution recursion revisits %s" % x)
-        in_progress.add(x)
-        ent = entries(x)
-        ex = exits(x)
-        result = Star(loop_expr(x), ex) if ent else ex
-        in_progress.discard(x)
-        memo[x] = result
-        return result
-
-    def exits(x):
-        summands = []
-        for t in body_out(x):
-            summands.append(Seq(Action(t.action), s(t.dst)))
-        for a in sorted(chart.terminal_actions(x)):
-            summands.append(Action(a))
-        return _sum(summands)
-
-    def loop_expr(x):
-        summands = []
-        for t in entries(x):
-            if t.dst == x:
-                summands.append(Action(t.action))
-            else:
-                summands.append(Seq(Action(t.action), ret_expr(x, t.dst)))
-        return _sum(summands)
-
-    def ret_expr(x, y):
-        inner = ret_sum(x, y)
-        if entries(y):
-            return Star(loop_expr(y), inner)
-        return inner
-
-    def ret_sum(x, y):
-        if chart.terminal_actions(y):
-            raise InternalError(
-                "body node %s of the loop at %s has a terminal transition" % (y, x)
-            )
-        summands = []
-        for t in body_out(y):
-            if t.dst == x:
-                summands.append(Action(t.action))
-            else:
-                summands.append(Seq(Action(t.action), ret_expr(x, t.dst)))
-        return _sum(summands)
-
-    assign = {x: s(x) for x in sorted(chart.nodes)}
-    return Solution(chart, assign)
+    stack = [(x, None) for x in sorted(chart.nodes, reverse=True)]
+    while stack:
+        pair = stack[-1]
+        y, x = pair
+        if pair in f:
+            stack.pop()
+        elif pair not in in_progress:
+            if x is not None and terminals[y]:
+                raise InternalError(
+                    "body node %s of the loop at %s has a terminal transition" % (y, x)
+                )
+            in_progress.add(pair)
+            for dep in reversed(needs(y, x)):
+                if dep in in_progress:
+                    raise InternalError("solution recursion revisits %s" % dep[0])
+                if dep not in f:
+                    stack.append(dep)
+        else:
+            stack.pop()
+            in_progress.discard(pair)
+            rest = [Action(a) for a in terminals[y]] if x is None else []
+            result = _sum(summands(body[y], x) + rest)
+            if entries[y]:
+                result = Star(_sum(summands(entries[y], y)), result)
+            f[pair] = result
+    return Solution(chart, {x: f[x, None] for x in sorted(chart.nodes)})
 
 
 def solution_check(sol, cap=None):

@@ -437,14 +437,19 @@ def _nested(template, depth):
     return e
 
 
+SUM3000 = "+".join(["a"] * 3000)
+SEQ2000 = _nested("a.(%s)", 2000)
+STAR1500 = _nested("(a*%s)", 1500)
+CHAIN4000 = ".".join(["c"] * 4000)
+
+
 @pytest.mark.parametrize(
     "expression",
     [
-        "+".join(["a"] * 3000),  # fails while printing
-        _nested("a.(%s)", 2000),  # fails while parsing a sequence
-        _nested("(a*%s)", 1500),  # fails while parsing a star
+        SUM3000,  # _States.steps recurses once per summand
+        STAR1500,  # _States.steps recurses once per nested star
     ],
-    ids=["sum3000", "seq2000", "star1500"],
+    ids=["sum3000", "star1500"],
 )
 def test_equiv_too_deep_exits_2(expression):
     # a fresh interpreter shows what a user sees: before, a RecursionError
@@ -455,6 +460,31 @@ def test_equiv_too_deep_exits_2(expression):
     assert proc.stderr.startswith("error: expression nested too deeply")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "e1,e2",
+    [(SEQ2000, SEQ2000), (CHAIN4000 + ".x", CHAIN4000 + ".(x+x)")],
+    ids=["seq2000", "chain4000"],
+)
+def test_equiv_deep_or_long_answers(e1, e2):
+    # parsing, printing and solution extraction use no recursion, under
+    # the default recursion limit of a fresh interpreter
+    proc = run_python(["-m", "lleekit.cli", "equiv", e1, e2], 0, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("EQUAL\n")
+
+
+@pytest.mark.parametrize(
+    "expression", [SUM3000, SEQ2000, STAR1500], ids=["sum3000", "seq2000", "star1500"]
+)
+def test_parse_deep_prints_a_fixed_point(expression):
+    proc = run_python(["-m", "lleekit.cli", "parse", expression], 0, text=True)
+    assert proc.returncode == 0, proc.stderr
+    text = proc.stdout.rstrip("\n")
+    # texts, not expressions: comparing two deep expressions recurses
+    assert unparse(parse(text)) == text
 
 
 def _equiv_in_subprocess(hash_seed, e1, e2):

@@ -64,23 +64,45 @@ def test_star_does_not_associate():
     assert parse("a*(b*c)") == Star(A, Star(B, C))
 
 
+_END = "'end of input'"
+
+# each message and position is pinned: `lleekit` prints them after "parse error: "
+PARSE_ERRORS = [
+    ("", 0, "expected expression, got " + _END),
+    ("a+", 2, "expected expression, got " + _END),
+    ("(a", 2, "expected ')', got " + _END),
+    (")", 0, "expected expression, got ')'"),
+    ("a b", 2, "trailing input 'b'"),
+    ("A", 0, "unexpected character 'A'"),
+    ("a$b", 1, "unexpected character '$'"),
+    ("a..b", 2, "expected expression, got '.'"),
+    ("(a b", 3, "expected ')', got 'b'"),
+    ("a)", 1, "trailing input ')'"),
+    ("()", 1, "expected expression, got ')'"),
+    ("a*b*c", 3, "binary star is non-associative; parenthesize"),
+    ("(a*b*c)", 4, "binary star is non-associative; parenthesize"),
+    ("a*b*", 3, "binary star is non-associative; parenthesize"),
+    ("a*(b)*c", 5, "binary star is non-associative; parenthesize"),
+    ("a*", 2, "expected expression, got " + _END),
+    ("a+*b", 2, "expected expression, got '*'"),
+    ("((a)", 4, "expected ')', got " + _END),
+    ("(a(", 2, "expected ')', got '('"),
+    # the whole text is scanned first: a stray character is reported
+    # ahead of an earlier syntax error
+    ("a..b$", 4, "unexpected character '$'"),
+]
+
+
 @pytest.mark.parametrize(
-    "text,position",
-    [
-        ("", 0),
-        ("a+", 2),
-        ("(a", 2),
-        (")", 0),
-        ("a b", 2),
-        ("A", 0),
-        ("a$b", 1),
-        ("a..b", 2),
-    ],
+    "text,position,message",
+    [pytest.param(*case, id="%s-%d" % case[:2]) for case in PARSE_ERRORS],
 )
-def test_parse_errors_carry_positions(text, position):
+def test_parse_errors_carry_positions(text, position, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert info.value.position == position
+    assert str(info.value) == "%s (at position %d)" % (message, position)
+    assert isinstance(info.value, AssocError) == message.startswith("binary star")
     assert isinstance(info.value, LleekitError)
     assert isinstance(info.value, ValueError)
 

@@ -308,6 +308,26 @@ def test_equiv_certificate_expression_closes_the_loop():
     assert equiv(cert.expression, e2).equal
 
 
+def test_extraction_shares_sub_solutions():
+    # P(k) against a copy with its last factor's summands swapped (axiom
+    # A1).  The printed solution has 2^(k+2)-1 syntax nodes, but each
+    # sub-solution is built once, so the expression holds O(k) objects.
+    k = 12
+    factors = ["(y%d+z%d)" % (i, i) for i in range(k)]
+    e1 = parse("(x.%s)*0" % ".".join(factors))
+    factors[-1] = "(z%d+y%d)" % (k - 1, k - 1)
+    e2 = parse("(x.%s)*0" % ".".join(factors))
+    seen = {}
+    stack = [equiv(e1, e2).certificate.expression]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            if isinstance(e, (Plus, Seq, Star)):
+                stack += [e.left, e.right]
+    assert len(seen) <= 10 * k
+
+
 def test_equiv_random_self():
     rng = random.Random(83)
     for _ in range(20):
