@@ -1,0 +1,100 @@
+"""Pinned ``lleekit equiv --certificate`` files and ``--format dot`` output.
+
+An EQUAL builds its certificate's charts, maps, witness and solution only
+when they are read; these pins hold the bytes of all five certificate files
+and of one dot rendering, so the conversion at the edge cannot drift from
+what the program printed when they were recorded.  The pairs are W(3), N(3)
+and P(3) against rewritten copies, the README pair, and three EQUAL pairs of
+the benchmark's mixed_small workload (seed 1).  To record them again, run
+this file::
+
+    PYTHONPATH=src python tests/test_certificate_golden.py
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from lleekit.cli import run
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "certificates"
+
+W3 = "(x0.(y0*z0)+x1.(y1*z1)+x2.(y2*z2))*0"
+N3 = "(a3.((a2.((a1.c0+b1)*c1)+b2)*c2)+b3)*c3"
+P3 = "(x.(y0+z0).(y1+z1).(y2+z2))*0"
+
+PAIRS = {
+    "W3": (W3, "(x0.(y0*z0)+x1.(y1*z1)+x2.(y2*z2)).(%s)+0" % W3),
+    "N3": (N3, "(b3+a3.((a2.((a1.c0+b1)*c1)+b2)*c2))*c3"),
+    "P3": (P3, "(x.(y0.((y1+z1).(y2+z2))+z0.((y1+z1).(y2+z2))))*0"),
+    "readme": ("((a+b).(a*b))*0", "(a+b)*0"),
+    "mixed1": (
+        "(b+(a+b.c).(b.a)+a.b)*(c*a.(a+b))+b.(a.0.c)",
+        "(b+(a+b.c).(b.a)+a.b).(a.b+(b+(a+b.c).(b.a)))*(c*a.(a+b))+c*(a.(a+b))+b.(a.0.c)",
+    ),
+    "mixed2": (
+        "a.(a.a).((a.c+(c*((a+c).(c+0.b))+(a+b.c))).((a+a).(c+b)))",
+        "a.(a.a).(a.c.((a+a).(c+b))+((c.c*((a+c).(c+0.b))+(a+c).(c+0.b)).((a+a).(c+b))"
+        "+(a+b.c).((a+a).(c+b))))",
+    ),
+    "mixed3": (
+        "c.c.(c.(a+b+b))+((b+a)*c.(a.(0+c)))*(a*((b+a.c).c).(b.(0+a)))",
+        "c.c.(c.(a+b+b))+(((b+a).(b+a)*c+c).(a.(0+c)))*((a.a*((b+a.c).c)+(b+a.c).c)"
+        ".(b.(0+a)))",
+    ),
+}
+FILES = ("h.chart", "g1_to_h.map", "g2_to_h.map", "h.witness", "h.solution")
+DOT = ("W3.dot", ["--format", "dot", "equiv", *PAIRS["W3"]])
+
+
+def _certificate(name, directory):
+    """``(exit code, stdout, stderr, {file: text})`` of ``equiv --certificate``."""
+    e1, e2 = PAIRS[name]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["equiv", e1, e2, "--certificate", str(directory)])
+    files = {f: (directory / f).read_text(encoding="utf-8") for f in FILES}
+    return code, out.getvalue(), err.getvalue(), files
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_certificate_files_are_pinned(tmp_path, name):
+    code, out, err, files = _certificate(name, tmp_path)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name / "stdout").read_text(encoding="utf-8")
+    for f in FILES:
+        assert files[f] == (GOLDEN / name / f).read_text(encoding="utf-8"), f
+
+
+def test_equiv_dot_is_pinned(capsys):
+    name, argv = DOT
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _record():
+    for name in sorted(PAIRS):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, out, err, files = _certificate(name, pathlib.Path(tmp))
+        if (code, err) != (0, ""):
+            sys.exit("%s: exit %d, stderr %r" % (name, code, err))
+        (GOLDEN / name).mkdir(parents=True, exist_ok=True)
+        (GOLDEN / name / "stdout").write_text(out, encoding="utf-8")
+        for f, text in files.items():
+            (GOLDEN / name / f).write_text(text, encoding="utf-8")
+    name, argv = DOT
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if run(argv) != 0:
+            sys.exit("%s: nonzero exit" % name)
+    (GOLDEN / name).write_text(out.getvalue(), encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _record()
