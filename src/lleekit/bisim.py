@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chart import Chart, Transition, TERMINATION, chart_of_nodes
+from .chart import Chart, TERMINATION, _IndexChart, chart_of_nodes
 from .errors import NotABisimulation, ParseError, UnknownNode
 
 __all__ = [
@@ -60,18 +60,27 @@ def _tables(chart, outmap, term):
     tables one after another are refined side by side, as their disjoint
     union, with no union chart built and no node renamed.
     """
-    ids = {x: i for i, x in enumerate(chart.nodes, start=len(outmap))}
-    for x in ids:
+    ic = _IndexChart.of(chart)
+    offset = _index_tables(ic, outmap, term)
+    return {x: offset + i for i, x in enumerate(ic.names)}
+
+
+def _index_tables(ic, outmap, term):
+    """Append the nodes of the index chart ``ic`` to :func:`_refine`'s
+    tables, node ``i`` as id ``offset + i``; return the offset."""
+    offset = len(outmap)
+    act, dst = ic.act, ic.dst
+    for x in range(len(ic.names)):
         out = []
         ends = set()
-        for t in chart.out(x):
-            if t.terminal:
-                ends.add(t.action)
+        for k in ic.out(x):
+            if dst[k] is None:
+                ends.add(act[k])
             else:
-                out.append((t.action, ids[t.dst]))
+                out.append((act[k], offset + dst[k]))
         outmap.append(out)
         term.append(frozenset(ends))
-    return ids
+    return offset
 
 
 def _explored_tables(exploration, outmap, term):
@@ -103,8 +112,9 @@ def _refine(outmap, term):
 
     ``outmap[i]`` is the list of ``(action, dst)`` pairs of node ``i``'s
     non-terminal transitions, repeats allowed; ``term[i]`` the frozenset
-    of its terminal actions.  :func:`_tables` builds both from charts and
-    :func:`_explored_tables` from explorations.  Returns a list: node id ->
+    of its terminal actions.  :func:`_tables` builds both from charts,
+    :func:`_index_tables` from index charts and :func:`_explored_tables`
+    from explorations.  Returns a list: node id ->
     block id.
 
     First, one depth-first walk finds the *well-founded* nodes, those from
@@ -286,7 +296,12 @@ class BisimMap:
         if self.source.initial is not None and self.target.initial is not None:
             if m[self.source.initial] != self.target.initial:
                 raise NotABisimulation("initial node does not map to the initial node")
-        if not is_bisimulation(set(m.items()), self.source, self.target):
+        source, target = _IndexChart.of(self.source), _IndexChart.of(self.target)
+        outmap, term, target_out, target_term = [], [], [], []
+        _index_tables(source, outmap, term)
+        _index_tables(target, target_out, target_term)
+        theta = [target.ids[m[x]] for x in source.names]
+        if not _transfers(outmap, term, theta, [set(out) for out in target_out], target_term):
             raise NotABisimulation("mapping fails the transfer conditions")
 
     def __call__(self, node):
@@ -359,18 +374,58 @@ class CollapseResult(NamedTuple):
     theta: BisimMap
 
 
-def _quotient(chart, rep):
-    """The quotient of ``chart`` merging each node ``n`` into the class
-    ``rep[n]`` of a bisimulation, with its :class:`BisimMap`."""
-    quotient = Chart(
-        {
-            Transition(rep[t.src], t.action, TERMINATION if t.terminal else rep[t.dst])
-            for t in chart.transitions
-        },
-        nodes=set(rep.values()),
-        initial=None if chart.initial is None else rep[chart.initial],
+def _transfers(outmap, term, theta, target_out, target_term):
+    """Whether ``theta`` is a functional bisimulation from the nodes of
+    :func:`_refine`'s tables ``outmap``/``term`` to a target's.
+
+    ``theta[i]`` is the target node of id ``i``; ``target_out[y]`` is the
+    set of node ``y``'s ``(action, dst)`` pairs and ``target_term[y]`` its
+    terminal actions.  For a function the transfer conditions read: every
+    ``i`` has the terminal actions of ``theta[i]``, and its steps, mapped
+    through ``theta``, are exactly the steps of ``theta[i]``.  This is the
+    one transfer check of a map: :class:`BisimMap` runs it on the tables of
+    its charts, and :func:`_quotient` on the tables it was refined from.
+    """
+    for i, out in enumerate(outmap):
+        y = theta[i]
+        if term[i] != target_term[y] or {(a, theta[d]) for a, d in out} != target_out[y]:
+            return False
+    return True
+
+
+def _quotient(outmap, term, block, members, names, initial):
+    """The quotient of :func:`_refine`'s tables by their partition ``block``.
+
+    ``members`` are the ids whose classes become the quotient's nodes, in
+    the order of their names ``names``.  A class is numbered, named and
+    given its steps after its first member in that order, so the
+    quotient's ids are ranks of its names; ``initial`` is the id whose
+    class is the initial node.  Returns ``(quotient, theta)``: the
+    :class:`~lleekit.chart._IndexChart` and, for every id of the tables,
+    the node of its class.  ``theta`` is checked (:func:`_transfers`) to be
+    a functional bisimulation onto the quotient, every id against its
+    class's node, so every class must hold a member; both raise
+    :class:`NotABisimulation`.
+    """
+    number = {}
+    reps, rep_names = [], []
+    for i, name in zip(members, names):
+        if number.setdefault(block[i], len(reps)) == len(reps):
+            reps.append(i)
+            rep_names.append(name)
+    theta = [number.get(b) for b in block]
+    if None in theta:
+        raise NotABisimulation("mapping hits a class without a member")
+    outs = [{(a, theta[d]) for a, d in outmap[r]} for r in reps]
+    ends = [term[r] for r in reps]
+    if not _transfers(outmap, term, theta, outs, ends):
+        raise NotABisimulation("mapping fails the transfer conditions")
+    quotient = _IndexChart.build(
+        rep_names,
+        [out.union((a, None) for a in e) for out, e in zip(outs, ends)],
+        None if initial is None else theta[initial],
     )
-    return CollapseResult(quotient, BisimMap(chart, quotient, rep))
+    return quotient, theta
 
 
 def collapse(chart):
@@ -380,9 +435,12 @@ def collapse(chart):
     chart together with the quotient :class:`BisimMap`; the quotient has no
     two distinct bisimilar nodes and is bisimilar to the input.
     """
-    rep = {}
-    for b in bisimilarity_partition(chart).blocks:
-        r = min(b)
-        for n in b:
-            rep[n] = r
-    return _quotient(chart, rep)
+    ic = _IndexChart.of(chart)
+    outmap, term = [], []
+    _index_tables(ic, outmap, term)
+    quotient, theta = _quotient(
+        outmap, term, _refine(outmap, term), range(len(ic.names)), ic.names, ic.initial
+    )
+    q = quotient.to_chart()
+    rep = {x: quotient.names[theta[i]] for i, x in enumerate(ic.names)}
+    return CollapseResult(q, BisimMap(chart, q, rep))

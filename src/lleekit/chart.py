@@ -13,9 +13,17 @@ exploring, a reachable expression ``h.r1.….rn`` (left-nested, ``h`` not a
 sequence) is held as its head ``h`` and an interned continuation
 ``r1 … rn``, so a step and a node id cost the size of the head, not the
 length of the sequence.  Exploration numbers the states and prints
-nothing: a subterm is printed only when a state is named, by
-:func:`interpret` for every state or by :func:`lleekit.solve.equiv` for the
-few it prints, and then once per exploration.
+nothing: a subterm is printed only when a state is named, and then once
+per exploration.  :func:`interpret` names every state.
+:func:`lleekit.solve.equiv` names only the members of the two blocks a
+NOT_EQUAL prints; an EQUAL names the first expression's states, and the
+second expression's only when its certificate's second map is read.
+
+Below the string :class:`Chart` there is one numbered graph,
+``_IndexChart``: node ids are ranks of node names, and transitions are
+numbered in :meth:`Transition.sort_key` order.  Elimination, refinement,
+images, reflection and extraction run on it, and a :class:`Chart` is
+converted to or from it only where a caller passes or reads one.
 
 Sub-charts come in two flavours, both :class:`NodeSetChart`:
 
@@ -842,7 +850,7 @@ def interpret(e, cap=None):
     (``cap`` defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or
     100000).
     """
-    return _interpret(e, cap)[0]
+    return _explored_chart(_explore([e], cap, _interpreting))[0].to_chart()
 
 
 def _interpreting(root):
@@ -850,40 +858,137 @@ def _interpreting(root):
     return "interpreting %r" % root
 
 
-def _interpret(e, cap=None):
-    """:func:`interpret`, plus the loop labels of :func:`_explore`.
+def _explored_chart(exploration):
+    """Name the states of an exploration of one root and number them in
+    name order.
 
-    Returns ``(chart, heights)``, where ``heights`` maps each transition
-    that some step labels with a positive star height to the largest such
-    height; every other non-terminal transition is labelled 0.
-    :func:`lleekit.lee.expression_witness` ranks the heights into a
-    layered witness.
-    """
-    return _named_chart(_explore([e], cap, _interpreting, labelled=True))[1:]
-
-
-def _named_chart(exploration):
-    """Name the states of an exploration of one root and build its chart.
-
-    ``exploration`` is what :func:`_explore` returns.  Returns ``(names,
-    chart, heights)``: ``names[i]`` is state ``i``'s node id, the chart is
-    rooted at the root's, and ``heights`` is as for :func:`_interpret`
-    (empty for an exploration without labels).
+    ``exploration`` is what :func:`_explore` returns.  Returns ``(chart,
+    order, heights)``: the :class:`_IndexChart`, rooted at the root, whose
+    node ``r`` is state ``order[r]``, and ``heights[k]``, the largest loop
+    label :func:`_explore` gave a step of transition ``k`` (0 for an
+    exploration without labels).  :func:`lleekit.lee.expression_witness`
+    ranks the heights into a layered witness.
     """
     space, root_idx, states, transitions = exploration
     names = [space.name(s) for s in states]
-    chart = Chart(
-        (
-            Transition(names[src], action, TERMINATION if dst is TERMINATION else names[dst])
-            for src, action, dst, _ in transitions
-        ),
-        nodes=names,
-        initial=names[root_idx[0]],
-    )
-    heights = {}
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    # per node, each distinct step with its largest height
+    outs = [{} for _ in order]
     for src, action, dst, height in transitions:
-        if height:
-            t = Transition(names[src], action, names[dst])
-            if heights.get(t, 0) < height:
-                heights[t] = height
-    return names, chart, heights
+        out = outs[rank[src]]
+        key = (action, None if dst is TERMINATION else rank[dst])
+        if out.get(key, -1) < height:
+            out[key] = height
+    chart = _IndexChart.build([names[i] for i in order], outs, rank[root_idx[0]])
+    src = chart.src
+    heights = [outs[src[k]][a, d] for k, (a, d) in enumerate(zip(chart.act, chart.dst))]
+    return chart, order, heights
+
+
+def _step_key(step):
+    # a node's steps in :meth:`Transition.sort_key` order: node ids are
+    # ranks of names, and the terminal step (``None``) comes first
+    action, dst = step
+    return (action, -1 if dst is None else dst)
+
+
+class _IndexChart:
+    """A chart on the node ids ``0..n-1``, numbered in node-name order.
+
+    ``names[i]`` is node ``i``'s name, and ``initial`` the initial node's id
+    or ``None``.  The transitions are numbered ``0..m-1`` in
+    :meth:`Transition.sort_key` order: node ``i``'s are ``out(i)``, from
+    ``first[i]`` to ``first[i+1]-1``, by action and within an action the
+    terminal one first.  Transition ``k`` goes
+    from ``src[k]`` by ``act[k]`` to ``dst[k]``, ``None`` standing for √,
+    and each ``(src, action, dst)`` appears once, as in a :class:`Chart`.
+    Ids are name ranks, so ordering ids orders names: every tie-break on
+    node or transition order comes out as it does on a :class:`Chart`.
+
+    Elimination, refinement tables, images, reflection and extraction run
+    on this graph.  :meth:`of` numbers a :class:`Chart`, :meth:`to_chart`
+    builds one, and ``names`` serves both and error messages, so string
+    charts appear only where a caller passes or reads one.
+    """
+
+    def __init__(self, names, first, act, dst, initial):
+        self.names = names
+        self.first = first
+        self.act = act
+        self.dst = dst
+        self.initial = initial
+
+    @classmethod
+    def build(cls, names, outs, initial):
+        """The chart whose node ``i`` has the steps ``outs[i]``: distinct
+        ``(action, dst)`` pairs in any order, ``dst`` a node id or ``None``."""
+        first, act, dst = [0], [], []
+        for out in outs:
+            for a, d in sorted(out, key=_step_key):
+                act.append(a)
+                dst.append(d)
+            first.append(len(act))
+        return cls(names, first, act, dst, initial)
+
+    @classmethod
+    def of(cls, chart):
+        """``chart``'s nodes and transitions, numbered."""
+        names = sorted(chart.nodes)
+        ids = {x: i for i, x in enumerate(names)}
+        trans = [t for x in names for t in chart.out(x)]
+        first = [0]
+        for x in names:
+            first.append(first[-1] + len(chart.out(x)))
+        ic = cls(
+            names,
+            first,
+            [t.action for t in trans],
+            [None if t.dst is TERMINATION else ids[t.dst] for t in trans],
+            None if chart.initial is None else ids[chart.initial],
+        )
+        ic.ids = ids
+        ic.transitions = trans
+        return ic
+
+    def out(self, node):
+        """The numbers of the transitions leaving ``node``."""
+        return range(self.first[node], self.first[node + 1])
+
+    @cached_property
+    def src(self):
+        first = self.first
+        return [x for x in range(len(self.names)) for _ in range(first[x], first[x + 1])]
+
+    @cached_property
+    def ids(self):
+        """Node name -> id."""
+        return {x: i for i, x in enumerate(self.names)}
+
+    @cached_property
+    def transitions(self):
+        """Transition ``k`` as a :class:`Transition`, for every ``k``."""
+        names = self.names
+        return [
+            Transition(names[s], a, TERMINATION if d is None else names[d])
+            for s, a, d in zip(self.src, self.act, self.dst)
+        ]
+
+    def show(self, k):
+        """Transition ``k`` as :class:`Transition` prints it."""
+        d = self.dst[k]
+        return "%s -%s-> %s" % (
+            self.names[self.src[k]],
+            self.act[k],
+            "√" if d is None else self.names[d],
+        )
+
+    def to_chart(self):
+        """The :class:`Chart` of this graph, validated as every chart is."""
+        return Chart(
+            self.transitions,
+            nodes=self.names,
+            initial=None if self.initial is None else self.names[self.initial],
+        )

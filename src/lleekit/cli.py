@@ -31,7 +31,7 @@ from .chart import DEFAULT_STATE_CAP, Chart, _state_cap, interpret
 from .errors import InternalError, LleekitError, ParseError
 from .expr import Action, Plus, Seq, Star, Zero, parse, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
-from .reflect import _images, _lemma_report, _reflect_witness
+from .reflect import _hierarchy, _lemma_report, _reflected
 from .solve import equiv, extract_solution, solution_check
 
 __all__ = ["Config", "run", "main"]
@@ -256,13 +256,13 @@ def _cmd_reflect(args, cfg):
     theta = res.theta
     # ``collapse`` built the map and ``_layered`` layered the witness, so
     # the checks of ``images`` would refine the collapse a second time
-    hierarchy = _images(theta, w)
+    hierarchy = _hierarchy(theta, w)
     report = _lemma_report(theta, hierarchy)
     if not report.ok:
         for _, msg in report.violations:
             sys.stderr.write("lemma violation: %s\n" % msg)
         return 1
-    w_h = _reflect_witness(theta, hierarchy)
+    w_h = _reflected(theta, hierarchy)
     if cfg.format == "json":
         doc = {
             "v": 1,

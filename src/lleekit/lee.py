@@ -34,11 +34,15 @@ are given.
 
 Every elimination loop here (witness replay, witness search, normalization,
 layering, and :func:`lleekit.reflect.collapse_lee_witness`) runs on one
-mutable working graph per run (``_Graph``), built once from the chart: a
-step checks L1 - L3 on the entries' generated sub-chart, removes the
-entries, and garbage-collects only inside the sub-chart's body, the one
-place where removing them can cut nodes off.  No chart is built between
-steps; a replay builds its final chart once, at the end.
+mutable working graph per run (``_Graph``), built once from the chart's
+numbered form (``lleekit.chart._IndexChart``): a step checks L1 - L3 on
+the entries' generated sub-chart, removes the entries, and garbage-collects
+only inside the sub-chart's body, the one place where removing them can
+cut nodes off.  No chart is built between steps.  There is one replay, on
+node ids and transition numbers (``_replay``), and one loops-back
+computation (``_loops_back``); :meth:`Witness.replay` and the looping-back
+functions convert a :class:`Witness` to that form and their results back,
+and a replay builds its final chart once, at the end.
 """
 
 from __future__ import annotations
@@ -46,15 +50,20 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .chart import (
     Chart,
     NodeSetChart,
     TERMINATION,
     Transition,
+    _IndexChart,
+    _explore,
+    _explored_chart,
     _has_cycle,
-    _interpret,
+    _interpreting,
     _reach,
     chart_of_nodes,
 )
@@ -116,7 +125,9 @@ def generated_chart(parent, start, entries):
     to ``start`` close the loop and are not expanded further.
     """
     entries = _checked_entries(parent, start, entries)
-    body = _Graph(parent, parent.nodes)._body(start, _targets(entries))
+    g = _Graph(_IndexChart.of(parent))
+    ids, names = g.chart.ids, g.chart.names
+    body = {names[y] for y in g._body(ids[start], [ids[t.dst] for t in entries if not t.terminal])}
     trans = set(entries).union(*(parent.out(y) for y in body))
     return NodeSetChart(
         parent,
@@ -124,11 +135,6 @@ def generated_chart(parent, start, entries):
         start=start,
         explicit=tuple(sorted(trans, key=Transition.sort_key)),
     )
-
-
-def _targets(entries):
-    """The nodes the non-terminal ``entries`` lead to."""
-    return [t.dst for t in entries if not t.terminal]
 
 
 # The loop conditions below read a *closure* ``adj``: it maps ``start`` to
@@ -191,75 +197,70 @@ def is_loop_chart(sub, start):
     return start in reached and _avoids(start, adj)
 
 
+def _roots(chart):
+    """The roots of a witness's run on an index chart: its initial node, or
+    every node when it has none."""
+    if chart.initial is not None:
+        return (chart.initial,)
+    return range(len(chart.names))
+
+
 class _Graph:
     """A chart under elimination: the one working graph of an elimination run.
 
-    Built once per run from a :class:`Chart` and the run's roots, it keeps
-    the chart's transitions, numbered in :meth:`Transition.sort_key` order,
-    with static out-lists and predecessor lists, plus which transitions and
-    nodes are still live.  Exactly the nodes the roots reach are live, and a
-    transition is live when its source is and it has not been removed as an
-    entry.  Removing the entries of a step at ``start`` can only cut off
-    nodes in the step's body (the entries' ``start``-avoiding closure): a
-    path to any other node can be rerouted around the entries.  So the
-    garbage collection after a step looks only at the body, where a node
-    survives when a root or a live node outside the body still reaches it.
+    Built once per run from an :class:`~lleekit.chart._IndexChart` and the
+    run's roots (every node when none are given), it keeps which of the
+    chart's numbered transitions and which nodes are still live, with
+    predecessor lists.  Nodes and transitions are the chart's ids and
+    numbers.  Exactly the nodes the roots reach are live, and a transition
+    is live when its source is and it has not been removed as an entry.
+    Removing the entries of a step at ``start`` can only cut off nodes in
+    the step's body (the entries' ``start``-avoiding closure): a path to any
+    other node can be rerouted around the entries.  So the garbage
+    collection after a step looks only at the body, where a node survives
+    when a root or a live node outside the body still reaches it.
 
     The graph answers what the elimination loops used to ask of a rebuilt
-    chart (:meth:`out`, :meth:`terminal_actions`, :meth:`has_cycle`), so
-    :func:`max_entry_set` takes it as well.  :meth:`_body` is the
+    chart (:meth:`out`, :meth:`has_cycle`).  :meth:`_body` is the
     start-avoiding closure of every step, search and check on a chart.
     :meth:`remove` returns an undo record for backtracking searches.
     """
 
-    def __init__(self, chart, roots):
+    def __init__(self, chart, roots=None):
         # every node of ``chart`` must be reachable from ``roots``, as it is
-        # from the roots of a witness (:func:`_witness_roots`)
+        # from the roots of a witness (:func:`_roots`)
+        n = len(chart.names)
         self.chart = chart
-        self.roots = frozenset(roots)
-        trans = []
-        succ = {}
-        pred = {n: [] for n in chart.nodes}
-        for n in sorted(chart.nodes):
-            ids = succ[n] = []
-            for t in chart.out(n):
-                if not t.terminal:
-                    pred[t.dst].append(len(trans))
-                ids.append(len(trans))
-                trans.append(t)
-        self._trans = trans
-        self._dst = [None if t.terminal else t.dst for t in trans]
-        self._index = {t: i for i, t in enumerate(trans)}
-        self._succ = succ
+        self.roots = frozenset(range(n) if roots is None else roots)
+        self._dst = dst = chart.dst
+        self._src = chart.src
+        first = chart.first
+        self._succ = [range(first[x], first[x + 1]) for x in range(n)]
+        pred = [[] for _ in range(n)]
+        for k, d in enumerate(dst):
+            if d is not None:
+                pred[d].append(k)
         self._pred = pred
-        self._order = list(succ)  # node ids, sorted
-        self.nodes = set(chart.nodes)
-        self._alive = bytearray(b"\x01") * len(trans)
+        self.nodes = set(range(n))
+        self._alive = bytearray(b"\x01") * len(dst)
 
-    def is_live(self, t):
-        i = self._index.get(t)
-        return i is not None and self._alive[i] == 1
+    def is_live(self, k):
+        return self._alive[k] == 1
 
     def key(self):
         """The live transitions, as a hashable value."""
         return bytes(self._alive)
 
-    def sorted_nodes(self):
-        return [n for n in self._order if n in self.nodes]
-
     def out(self, node):
-        """The live transitions leaving ``node``, deterministically ordered."""
-        alive, trans = self._alive, self._trans
-        return [trans[i] for i in self._succ[node] if alive[i]]
-
-    def terminal_actions(self, node):
-        return frozenset(t.action for t in self.out(node) if t.terminal)
+        """The live transitions leaving ``node``, in number order."""
+        alive = self._alive
+        return [k for k in self._succ[node] if alive[k]]
 
     def _live(self, keep):
         """Successors for :func:`_reach` and :func:`_has_cycle`: a node's
         live non-terminal successors that lie in ``keep``."""
         alive, dst, succ = self._alive, self._dst, self._succ
-        return lambda n: [dst[i] for i in succ[n] if alive[i] and dst[i] in keep]
+        return lambda n: [dst[k] for k in succ[n] if alive[k] and dst[k] in keep]
 
     def has_cycle(self, within=None):
         """True if some live cycle exists (restricted to ``within`` if given)."""
@@ -283,9 +284,9 @@ class _Graph:
                 continue
             body.add(y)
             nxt = []
-            for i in succ[y]:
-                if alive[i]:
-                    d = dst[i]
+            for k in succ[y]:
+                if alive[k]:
+                    d = dst[k]
                     nxt.append(d)
                     if d is not None and d != start and d not in body:
                         stack.append(d)
@@ -302,10 +303,11 @@ class _Graph:
         is no longer live.
         """
         if start not in self.nodes:
-            raise UnknownNode("unknown node %r" % (start,))
-        if any(t.terminal for t in entries):
+            raise UnknownNode("unknown node %r" % (self.chart.names[start],))
+        dst = self._dst
+        if any(dst[k] is None for k in entries):
             return None
-        adj = {start: [t.dst for t in entries]}
+        adj = {start: [dst[k] for k in entries]}
         body = self._body(start, adj[start], adj)
         if not _loop_conditions(start, adj):
             return None
@@ -317,41 +319,40 @@ class _Graph:
         ``body`` is the entries' ``start``-avoiding closure, computed when
         not given.  Returns an undo record for :meth:`restore`.
         """
+        alive, dst, src = self._alive, self._dst, self._src
         if body is None:
-            body = self._body(start, _targets(entries))
-        alive, succ, trans = self._alive, self._succ, self._trans
+            body = self._body(start, [dst[k] for k in entries if dst[k] is not None])
         killed = []
-        for t in entries:
-            i = self._index[t]
-            if alive[i]:
-                alive[i] = 0
-                killed.append(i)
+        for k in entries:
+            if alive[k]:
+                alive[k] = 0
+                killed.append(k)
         roots, pred = self.roots, self._pred
         reached = [
             y
             for y in body
-            if y in roots
-            or any(alive[i] and trans[i].src not in body for i in pred[y])
+            if y in roots or any(alive[k] and src[k] not in body for k in pred[y])
         ]
         kept = _reach(reached, self._live(body))
         dead = body - kept
         for y in dead:
             self.nodes.discard(y)
-            for i in succ[y]:
-                if alive[i]:
-                    alive[i] = 0
-                    killed.append(i)
+            for k in self._succ[y]:
+                if alive[k]:
+                    alive[k] = 0
+                    killed.append(k)
         return killed, dead
 
     def restore(self, undo):
         """Undo one :meth:`remove`; undo records are restored newest first."""
         killed, dead = undo
-        for i in killed:
-            self._alive[i] = 1
+        for k in killed:
+            self._alive[k] = 1
         self.nodes |= dead
 
     def to_chart(self, roots=None):
-        """The live part as a :class:`Chart`; with ``roots``, what they reach.
+        """The live part as a :class:`Chart`; with ``roots`` (ids), what they
+        reach.
 
         The chart keeps the initial node when it reaches every node kept,
         which it always does when it is the only root.
@@ -366,14 +367,15 @@ class _Graph:
         else:
             roots = frozenset(roots)
             nodes = reach(roots)
-        initial = self.chart.initial
+        c = self.chart
+        initial = c.initial
         if roots != {initial} and not (initial in nodes and reach([initial]) == nodes):
             initial = None
-        alive = self._alive
+        alive, src, trans = self._alive, self._src, c.transitions
         return Chart(
-            [t for i, t in enumerate(self._trans) if alive[i] and t.src in nodes],
-            nodes=nodes,
-            initial=initial,
+            [trans[k] for k in range(len(trans)) if alive[k] and src[k] in nodes],
+            nodes=[c.names[n] for n in nodes],
+            initial=None if initial is None else c.names[initial],
         )
 
 
@@ -387,15 +389,41 @@ def eliminate(chart, start, entries, roots):
     entries = _checked_entries(chart, start, entries)
     # every node a root: the step sees the whole chart, and ``roots`` apply
     # to the result
-    g = _Graph(chart, chart.nodes)
-    body = g.span(start, entries)
+    g = _Graph(_IndexChart.of(chart))
+    ids = g.chart.ids
+    numbers = _numbers(g.chart)
+    body = g.span(ids[start], [numbers[t] for t in entries])
     if body is None:
         raise NotALoopChart(
             "⟨%s, {%s}⟩ does not generate a loop sub-chart"
             % (start, ", ".join(map(repr, entries)))
         )
-    g.remove(start, entries, body)
-    return g.to_chart(roots)
+    g.remove(ids[start], [numbers[t] for t in entries], body)
+    return g.to_chart([ids[r] for r in roots if r in ids])
+
+
+def _numbers(chart):
+    """Transition -> number, for an index chart made from a :class:`Chart`."""
+    return {t: k for k, t in enumerate(chart.transitions)}
+
+
+def _max_entries(g, node):
+    """:func:`max_entry_set` on the working graph ``g``, as numbers."""
+    dst = g._dst
+    valid = []
+    closes_loop = False
+    for k in g.out(node):
+        if dst[k] is None:
+            continue
+        adj = {node: [dst[k]]}
+        g._body(node, adj[node], adj)
+        if _exits(adj) or not _avoids(node, adj):
+            continue
+        valid.append(k)
+        closes_loop = closes_loop or _returns(node, adj)
+    if not valid or not closes_loop:
+        return frozenset()
+    return frozenset(valid)
 
 
 def max_entry_set(chart, node):
@@ -407,23 +435,12 @@ def max_entry_set(chart, node):
     per-entry: it does not depend on which other entries are chosen.  Returns
     the empty set when no qualifying subset generates a loop sub-chart, i.e.
     when no qualifying entry closes a cycle back through ``node``.
-    ``chart`` is a :class:`Chart` or the working graph of a search.
     """
-    g = chart if isinstance(chart, _Graph) else _Graph(chart, chart.nodes)
-    valid = []
-    closes_loop = False
-    for t in g.out(node):
-        if t.terminal:
-            continue
-        adj = {node: [t.dst]}
-        g._body(node, adj[node], adj)
-        if _exits(adj) or not _avoids(node, adj):
-            continue
-        valid.append(t)
-        closes_loop = closes_loop or _returns(node, adj)
-    if not valid or not closes_loop:
-        return frozenset()
-    return frozenset(valid)
+    g = _Graph(_IndexChart.of(chart))
+    if node not in g.chart.ids:
+        raise UnknownNode("unknown node %r" % (node,))
+    trans = g.chart.transitions
+    return frozenset(trans[k] for k in _max_entries(g, g.chart.ids[node]))
 
 
 # --- witnesses -------------------------------------------------------------
@@ -447,6 +464,30 @@ class ReplayResult:
     final: Chart | None
     llee: bool
     llee_reason: str | None
+
+
+class _IndexWitness(NamedTuple):
+    """A witness on an :class:`~lleekit.chart._IndexChart`: ``labels[k]``
+    is transition ``k``'s order number, 0 on terminal transitions.
+
+    Replay, the loops-back relation, images, reflection and extraction run
+    on it; a :class:`Witness` is converted to one (``Witness._indexed``)
+    and built from one (:func:`_witness`) at the edge.
+    """
+
+    chart: object
+    labels: list
+
+
+def _witness(chart, indexed):
+    """The :class:`Witness` on ``chart`` of an index witness on its
+    numbering, which it keeps as its ``_indexed`` form."""
+    c, labels = indexed
+    w = Witness(
+        chart, {t: labels[k] for k, t in enumerate(c.transitions) if c.dst[k] is not None}
+    )
+    w._indexed = _IndexWitness(c, labels)
+    return w
 
 
 class Witness:
@@ -489,9 +530,18 @@ class Witness:
             )
         self.chart = chart
         self.order = dict(order)
-        self._replay = None
-        self._lpb = None  # loops_back_to's result
-        self._below = None  # node -> its ↘⁺-successors, from loops_back_to
+        self._result = None
+
+    @cached_property
+    def _indexed(self):
+        """This witness on the numbered chart, as an :class:`_IndexWitness`."""
+        c = _IndexChart.of(self.chart)
+        return _IndexWitness(c, [self.order.get(t, 0) for t in c.transitions])
+
+    @cached_property
+    def _loops(self):
+        """:func:`_loops_back` of this witness."""
+        return _loops_back(self._indexed)
 
     @property
     def max_order(self):
@@ -523,9 +573,26 @@ class Witness:
         end.  Failures are reported in the result, including a group whose
         start an earlier group of the same order has collected.
         """
-        if self._replay is None:
-            self._replay = _replay(self)
-        return self._replay
+        if self._result is None:
+            c = self._indexed.chart
+            rep = _replay(self._indexed, record=True)
+            self._result = ReplayResult(
+                rep.ok,
+                rep.reason,
+                tuple(
+                    ReplayStep(
+                        n,
+                        c.names[x],
+                        tuple(c.transitions[k] for k in entries),
+                        frozenset(c.names[y] for y in body),
+                    )
+                    for n, x, entries, body in rep.steps
+                ),
+                None if rep.graph is None else rep.graph.to_chart(),
+                rep.llee,
+                rep.llee_reason,
+            )
+        return self._result
 
     @property
     def is_lee(self):
@@ -607,52 +674,62 @@ class Witness:
         return self.chart.to_dot(order=self.order)
 
 
-def _witness_roots(chart):
-    if chart.initial is not None:
-        return frozenset([chart.initial])
-    return frozenset(chart.nodes)
+class _Replay(NamedTuple):
+    """What :func:`_replay` reports: as :class:`ReplayResult`, with the
+    steps as ``(order, start, entries, body)`` on ids and numbers, and the
+    working graph where the run got to its end (``None`` otherwise)."""
+
+    ok: bool
+    reason: str | None
+    llee: bool
+    llee_reason: str | None
+    steps: list
+    graph: object
 
 
-def _replay(w):
-    chart = w.chart
-    g = _Graph(chart, _witness_roots(chart))
+def _replay(w, record=False):
+    """Replay the index witness ``w``: the one replay of lleekit.
+
+    :meth:`Witness.replay` converts its result.  With ``record`` the steps
+    are kept.  Messages name nodes and transitions as a :class:`Chart`
+    prints them.
+    """
+    c, labels = w
+    g = _Graph(c, _roots(c))
     levels = {}
-    for t, o in w.order.items():
+    for k, o in enumerate(labels):
         if o > 0:
-            levels.setdefault(o, []).append(t)
+            levels.setdefault(o, []).append(k)
     steps = []
     eliminated_bodies = set()
     llee = True
     llee_reason = None
-    for n in range(1, w.max_order + 1):
+    for n in range(1, max(levels, default=0) + 1):
         level = levels[n]
-        for t in level:
-            if not g.is_live(t):
-                return ReplayResult(
+        for k in level:
+            if not g.is_live(k):
+                return _Replay(
                     False,
-                    "order-%d transition %r was already garbage-collected" % (n, t),
-                    tuple(steps),
+                    "order-%d transition %s was already garbage-collected" % (n, c.show(k)),
+                    False,
                     None,
-                    False,
+                    steps,
                     None,
                 )
-        groups = {}
-        for t in level:
-            groups.setdefault(t.src, []).append(t)
-        pending = {
-            x: tuple(sorted(ts, key=Transition.sort_key)) for x, ts in groups.items()
-        }
+        pending = {}
+        for k in level:
+            pending.setdefault(c.src[k], []).append(k)
         while pending:
             progressed = False
             for x in sorted(pending):
                 if x not in g.nodes:
-                    return ReplayResult(
+                    return _Replay(
                         False,
                         "order-%d entries at %s were garbage-collected by an "
-                        "earlier step" % (n, x),
-                        tuple(steps),
-                        None,
+                        "earlier step" % (n, c.names[x]),
                         False,
+                        None,
+                        steps,
                         None,
                     )
                 entries = pending[x]
@@ -663,35 +740,28 @@ def _replay(w):
                     llee = False
                     llee_reason = (
                         "step %d starts at %s, which lies in the body of an "
-                        "earlier eliminated loop sub-chart" % (n, x)
+                        "earlier eliminated loop sub-chart" % (n, c.names[x])
                     )
-                body = frozenset(body)
-                steps.append(ReplayStep(n, x, entries, body))
+                if record:
+                    steps.append((n, x, entries, frozenset(body)))
                 eliminated_bodies |= body
                 g.remove(x, entries, body)
                 del pending[x]
                 progressed = True
                 break
             if not progressed:
-                x = sorted(pending)[0]
-                return ReplayResult(
+                return _Replay(
                     False,
-                    "order-%d entries at %s do not span a loop sub-chart" % (n, x),
-                    tuple(steps),
+                    "order-%d entries at %s do not span a loop sub-chart"
+                    % (n, c.names[min(pending)]),
+                    False,
                     None,
-                    False,
+                    steps,
                     None,
                 )
     if g.has_cycle():
-        return ReplayResult(
-            False,
-            "a cycle survives the recorded elimination",
-            tuple(steps),
-            g.to_chart(),
-            False,
-            None,
-        )
-    return ReplayResult(True, None, tuple(steps), g.to_chart(), llee, llee_reason)
+        return _Replay(False, "a cycle survives the recorded elimination", False, None, steps, g)
+    return _Replay(True, None, llee, llee_reason, steps, g)
 
 
 def is_llee_witness(w):
@@ -719,7 +789,8 @@ def find_lee_witness(chart):
     everything else, including garbage-collected transitions, gets 0), or
     ``None`` when every elimination sequence gets stuck.
     """
-    g = _Graph(chart, _witness_roots(chart))
+    c = _IndexChart.of(chart)
+    g = _Graph(c, _roots(c))
     assignment = {}
     failed = set()
 
@@ -729,27 +800,24 @@ def find_lee_witness(chart):
         key = g.key()
         if key in failed:
             return False
-        for x in g.sorted_nodes():
-            entries = max_entry_set(g, x)
+        for x in sorted(g.nodes):
+            entries = _max_entries(g, x)
             if not entries:
                 continue
-            for t in entries:
-                assignment[t] = step_no
+            for k in entries:
+                assignment[k] = step_no
             undo = g.remove(x, entries)
             if search(step_no + 1):
                 return True
             g.restore(undo)
-            for t in entries:
-                del assignment[t]
+            for k in entries:
+                del assignment[k]
         failed.add(key)
         return False
 
     if not search(1):
         return None
-    order = {
-        t: assignment.get(t, 0) for t in chart.transitions if not t.terminal
-    }
-    return Witness(chart, order)
+    return _witness(chart, (c, [assignment.get(k, 0) for k in range(len(c.dst))]))
 
 
 # --- the witness an expression carries -------------------------------------
@@ -771,19 +839,58 @@ def expression_witness(e, cap=None):
     ``interpret(e, cap)``; raises :class:`StateExplosion` as
     :func:`lleekit.chart.interpret` does.
     """
-    return _height_witness(*_interpret(e, cap))
+    c, _, heights = _explored_chart(_explore([e], cap, _interpreting, labelled=True))
+    return _witness(c.to_chart(), (c, _ranked(heights)))
 
 
-def _height_witness(chart, heights):
-    """The witness on ``chart`` ranking the loop labels ``heights``."""
-    rank = {h: i for i, h in enumerate(sorted(set(heights.values())), start=1)}
-    order = {t: 0 for t in chart.transitions if not t.terminal}
-    for t, h in heights.items():
-        order[t] = rank[h]
-    return Witness(chart, order)
+def _ranked(heights):
+    """The order numbers of the loop labels ``heights``: each positive
+    height its rank among them, the smallest 1."""
+    rank = {h: i for i, h in enumerate(sorted(set(heights) - {0}), start=1)}
+    rank[0] = 0
+    return [rank[h] for h in heights]
 
 
 # --- looping-back structure ------------------------------------------------
+
+
+def _loops_back(w):
+    """The loops-back structure of the index witness ``w``.
+
+    Returns ``(direct, below, lbcs)``: per node ``x``, the set of nodes
+    ``y`` with ``x ↘ y`` and the set with ``x ↘⁺ y``, and the looping-back
+    charts as a dict from start to node set (in start order, nodes without
+    one omitted).  The caller has checked that ``w`` is layered.
+    """
+    c, labels = w
+    n = len(c.names)
+    # x ↘ y: y lies in the x-avoiding closure of the targets of x's entries,
+    # taken over body transitions only
+    nexts = [[] for _ in range(n)]
+    entries = [[] for _ in range(n)]
+    succ = [[] for _ in range(n)]
+    for k, (x, d) in enumerate(zip(c.src, c.dst)):
+        if d is not None:
+            (entries if labels[k] > 0 else nexts)[x].append(d)
+            succ[x].append(d)
+    direct = []
+    for x in range(n):
+        direct.append(
+            _reach(
+                [y for y in entries[x] if y != x],
+                lambda y, x=x: [d for d in nexts[y] if d != x],
+            )
+        )
+    below = [frozenset(_reach(direct[x], direct.__getitem__)) for x in range(n)]
+    lbcs = {}
+    for x in range(n):
+        # without entries only a body self-loop could close a cycle, and
+        # such a loop survives every replay
+        if entries[x]:
+            nodes = below[x] | {x}
+            if _has_cycle(nodes, lambda v: [d for d in succ[v] if d in nodes]):
+                lbcs[x] = nodes
+    return direct, below, lbcs
 
 
 def loops_back_to(w):
@@ -800,31 +907,12 @@ def loops_back_to(w):
     """
     if not is_llee_witness(w):
         raise NotLLEE("loops-back structure requires a layered witness")
-    if w._lpb is not None:
-        return w._lpb
-    chart = w.chart
-    # x ↘ y: y lies in the x-avoiding closure of the targets of x's entries,
-    # taken over body transitions only
-    nexts = {x: [] for x in chart.nodes}
-    entries = {x: [] for x in chart.nodes}
-    for t, n in w.order.items():
-        (entries if n > 0 else nexts)[t.src].append(t.dst)
-    direct = set()
-    succ = {}
-    for x in chart.nodes:
-        succ[x] = _reach(
-            [y for y in entries[x] if y != x],
-            lambda y: [d for d in nexts[y] if d != x],
-        )
-        direct.update((x, y) for y in succ[x])
-    closure = set()
-    below = {}
-    for x in chart.nodes:
-        below[x] = frozenset(_reach(succ[x], succ.__getitem__))
-        closure.update((x, y) for y in below[x])
-    w._lpb = (frozenset(direct), frozenset(closure))
-    w._below = below
-    return w._lpb
+    names = w._indexed.chart.names
+    direct, below, _ = w._loops
+    return (
+        frozenset((names[x], names[y]) for x, ys in enumerate(direct) for y in ys),
+        frozenset((names[x], names[y]) for x, ys in enumerate(below) for y in ys),
+    )
 
 
 @dataclass(frozen=True)
@@ -857,21 +945,18 @@ def looping_back_chart(w, node):
     """
     if node not in w.chart.nodes:
         raise UnknownNode("unknown node %r" % (node,))
-    loops_back_to(w)
-    nodes = w._below[node] | {node}
-    if not w.chart.has_cycle(within=nodes):
-        return None
-    return LoopingBackChart(w.chart, w, node, nodes)
+    return all_looping_back_charts(w).get(node)
 
 
 def all_looping_back_charts(w):
     """Mapping from node to its looping-back chart (nodes without one omitted)."""
-    result = {}
-    for n in sorted(w.chart.nodes):
-        lbc = looping_back_chart(w, n)
-        if lbc is not None:
-            result[n] = lbc
-    return result
+    if not is_llee_witness(w):
+        raise NotLLEE("loops-back structure requires a layered witness")
+    names = w._indexed.chart.names
+    return {
+        names[x]: LoopingBackChart(w.chart, w, names[x], frozenset(names[y] for y in nodes))
+        for x, nodes in w._loops[2].items()
+    }
 
 
 @dataclass(frozen=True)
@@ -894,10 +979,12 @@ def check_lbc_properties(lbc):
     """
     w = lbc.witness
     chart = lbc.parent
-    g = _Graph(chart, chart.nodes)
+    g = _Graph(w._indexed.chart)
+    ids, names = g.chart.ids, g.chart.names
+    lbcs = all_looping_back_charts(w)
     violations = []
     for y in sorted(lbc.body):
-        sub = looping_back_chart(w, y)
+        sub = lbcs.get(y)
         if sub is not None and not (
             sub.nodes <= lbc.nodes and sub.nodes != lbc.nodes
         ):
@@ -909,7 +996,7 @@ def check_lbc_properties(lbc):
             if not t.terminal and t.dst not in lbc.nodes:
                 violations.append(("ii", "body transition %r escapes the chart" % (t,)))
     for y in sorted(lbc.body):
-        for z in sorted(g._body(lbc.start, [y])):
+        for z in sorted(names[z] for z in g._body(ids[lbc.start], [ids[y]])):
             if chart.terminal_actions(z):
                 violations.append(
                     (
@@ -926,7 +1013,8 @@ def check_lbc_properties(lbc):
 
 
 def _normalize(w):
-    """Rewrite ``w`` so every entry has a unique order number.
+    """Rewrite the index witness ``w`` so every entry has a unique order
+    number; returns the new labels.
 
     Groups are split into single-entry steps following the replayed order
     (deterministic within a step).  Entries whose continuation cannot come
@@ -935,57 +1023,58 @@ def _normalize(w):
     start-avoiding closure is terminal-free, acyclic and never reaches the
     start, so keeping them cannot create new loops or exits later.
     """
-    rep = w.replay()
-    chart = w.chart
-    g = _Graph(chart, _witness_roots(chart))
-    labels = {t: 0 for t in w.order}
+    c = w.chart
+    g = _Graph(c, _roots(c))
+    labels = [0] * len(c.dst)
     counter = 0
-    for step in rep.steps:
+    for _, start, entries, _ in _replay(w, record=True).steps:
         loopers = []
-        for e in step.entries:
+        for e in entries:
             if not g.is_live(e):
-                raise InternalError("normalization lost a scheduled entry %r" % (e,))
-            adj = {step.start: [e.dst]}
-            g._body(step.start, adj[step.start], adj)
-            if _returns(step.start, adj):
+                raise InternalError("normalization lost a scheduled entry %s" % c.show(e))
+            adj = {start: [c.dst[e]]}
+            g._body(start, adj[start], adj)
+            if _returns(start, adj):
                 loopers.append(e)
         for e in loopers:
             counter += 1
             labels[e] = counter
-        g.remove(step.start, loopers)
-    w1 = Witness(chart, labels)
-    rep1 = w1.replay()
-    if not rep1.ok:
-        raise InternalError("normalized witness fails to replay: %s" % rep1.reason)
-    return w1
+        g.remove(start, loopers)
+    rep = _replay(_IndexWitness(c, labels))
+    if not rep.ok:
+        raise InternalError("normalized witness fails to replay: %s" % rep.reason)
+    return labels
 
 
-def _zero_path(chart, labels, source, target):
-    """Shortest path from ``source`` to ``target`` over order-0 transitions.
+def _zero_path(g, labels, source, target):
+    """Shortest path from ``source`` to ``target`` over live order-0
+    transitions of the working graph ``g``.
 
     Returns the transition list, ``[]`` when ``source == target``, or ``None``
-    when no such path exists in ``chart``.
+    when no such path exists.
     """
     if source == target:
         return []
+    dst, src = g._dst, g._src
     prev = {source: None}
     queue = deque([source])
     while queue:
         n = queue.popleft()
-        for t in chart.out(n):
-            if t.terminal or labels.get(t, 1) != 0:
+        for k in g.out(n):
+            d = dst[k]
+            if d is None or labels[k] != 0:
                 continue
-            if t.dst not in prev:
-                prev[t.dst] = t
-                if t.dst == target:
+            if d not in prev:
+                prev[d] = k
+                if d == target:
                     path = []
                     cur = target
                     while prev[cur] is not None:
                         path.append(prev[cur])
-                        cur = prev[cur].src
+                        cur = src[prev[cur]]
                     path.reverse()
                     return path
-                queue.append(t.dst)
+                queue.append(d)
     return None
 
 
@@ -1007,70 +1096,69 @@ def lee_to_llee(w):
     """
     if not w.is_lee:
         raise NotLEE(w.replay().reason)
-    w1 = _normalize(w)
-    chart = w1.chart
-    g = _Graph(chart, _witness_roots(chart))
-    labels = dict(w1.order)
+    c = w._indexed.chart
+    labels = _normalize(w._indexed)
+    g = _Graph(c, _roots(c))
+    src = c.src
     by_order = {}
-    for t, k in labels.items():
-        if k > 0:
-            by_order.setdefault(k, set()).add(t)
+    for k, o in enumerate(labels):
+        if o > 0:
+            by_order.setdefault(o, set()).add(k)
 
-    def relabel(t, k):
-        old = labels[t]
+    def relabel(k, o):
+        old = labels[k]
         if old > 0:
-            by_order[old].discard(t)
-        if k > 0:
-            by_order.setdefault(k, set()).add(t)
-        labels[t] = k
+            by_order[old].discard(k)
+        if o > 0:
+            by_order.setdefault(o, set()).add(k)
+        labels[k] = o
 
     # Steps run in increasing order number.  A repair at step ``n`` only
     # moves order numbers above ``n``, so walking 1..m meets every step.
-    for n in range(1, w1.max_order + 1):
+    for n in range(1, max(by_order, default=0) + 1):
         # Normalization makes order numbers unique, but a repair below may
         # promote several transitions of one start node to the same vacated
         # number; such a step is a single grouped elimination.
-        step_entries = tuple(sorted(by_order.get(n, ()), key=Transition.sort_key))
+        step_entries = sorted(by_order.get(n, ()))
         if not step_entries:
             continue
-        r = step_entries[0].src
-        if any(t.src != r for t in step_entries):
+        r = src[step_entries[0]]
+        if any(src[k] != r for k in step_entries):
             raise InternalError("order %d spans several start nodes" % n)
-        for t in step_entries:
-            if not g.is_live(t):
-                raise InternalError("entry %r vanished before its step" % (t,))
+        for k in step_entries:
+            if not g.is_live(k):
+                raise InternalError("entry %s vanished before its step" % c.show(k))
         body = g.span(r, step_entries)
         if body is None:
             raise InternalError(
-                "⟨%s, %s⟩ stopped being a loop sub-chart during switching"
-                % (r, list(step_entries))
+                "⟨%s, [%s]⟩ stopped being a loop sub-chart during switching"
+                % (c.names[r], ", ".join(map(c.show, step_entries)))
             )
+        # transition numbers follow Transition.sort_key
         demotions = sorted(
-            (t for y in body for t in g.out(y) if labels.get(t, 0) > n),
-            key=lambda t: (labels[t],) + t.sort_key(),
+            (k for y in body for k in g.out(y) if labels[k] > n),
+            key=lambda k: (labels[k], k),
         )
-        for t in demotions:
-            k = labels[t]
-            relabel(t, 0)
+        for k in demotions:
+            o = labels[k]
+            relabel(k, 0)
             while True:
-                back = _zero_path(g, labels, t.dst, t.src)
+                back = _zero_path(g, labels, c.dst[k], src[k])
                 if back is None:
                     break
-                cycle = [t] + back
-                pick = next((c for c in cycle if c.src == r), None)
+                pick = next((j for j in [k] + back if src[j] == r), None)
                 if pick is None:
                     raise InternalError(
-                        "an entry-less loop avoided the eliminating node %s" % r
+                        "an entry-less loop avoided the eliminating node %s" % c.names[r]
                     )
-                relabel(pick, k)
+                relabel(pick, o)
         g.remove(r, step_entries, body)
-    used = sorted(set(k for k in labels.values() if k > 0))
-    renumber = {k: i for i, k in enumerate(used, start=1)}
-    final = {t: renumber.get(k, 0) for t, k in labels.items()}
-    w2 = Witness(chart, final)
-    rep2 = w2.replay()
-    if not rep2.ok:
-        raise InternalError("switching produced a non-replayable witness: %s" % rep2.reason)
-    if not rep2.llee:
-        raise InternalError("switching failed to produce a layered witness: %s" % rep2.llee_reason)
-    return w2
+    used = sorted(set(o for o in labels if o > 0))
+    renumber = {o: i for i, o in enumerate(used, start=1)}
+    final = _IndexWitness(c, [renumber.get(o, 0) for o in labels])
+    rep = _replay(final)
+    if not rep.ok:
+        raise InternalError("switching produced a non-replayable witness: %s" % rep.reason)
+    if not rep.llee:
+        raise InternalError("switching failed to produce a layered witness: %s" % rep.llee_reason)
+    return _witness(w.chart, final)

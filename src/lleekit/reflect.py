@@ -24,14 +24,16 @@ reflects to a layered one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bisim import bisimilarity_partition
-from .chart import Transition, chart_of_nodes, simple_cycles
+from .chart import Transition, _IndexChart, chart_of_nodes, simple_cycles
 from .errors import LemmaViolated, NotCollapse, NotLLEE, UnknownNode
 from .lee import (
-    Witness,
     _Graph,
-    _witness_roots,
+    _IndexWitness,
+    _roots,
+    _witness,
     all_looping_back_charts,
     is_llee_witness,
 )
@@ -91,17 +93,19 @@ def _check_preconditions(theta, w):
         raise NotLLEE("image structure requires a layered witness")
 
 
-def _smaller_preimage(theta, lbc, img_nodes, lbcs):
-    """A proper looping-back sub-chart of ``lbc`` at a body node (least
-    first) with image ``img_nodes``; ``None`` if ``lbc`` is well-structured."""
-    for y in sorted(lbc.body):
+def _smaller_preimage(theta, start, lbcs, img_nodes):
+    """The start of a proper looping-back sub-chart of the looping-back
+    chart at ``start``, at a body node (least first), with image
+    ``img_nodes``; ``None`` if that chart is well-structured.
+
+    ``lbcs`` maps each start to its looping-back chart's node set and
+    ``theta[v]`` is node ``v``'s image, on ids or on names alike.
+    """
+    nodes = lbcs[start]
+    for y in sorted(nodes - {start}):
         sub = lbcs.get(y)
-        if (
-            sub is not None
-            and sub.nodes < lbc.nodes
-            and frozenset(theta(v) for v in sub.nodes) == img_nodes
-        ):
-            return sub
+        if sub is not None and sub < nodes and frozenset(theta[v] for v in sub) == img_nodes:
+            return y
     return None
 
 
@@ -115,33 +119,64 @@ def images(theta, w):
     nodes and :class:`NotLLEE` if the witness is not layered.
     """
     _check_preconditions(theta, w)
-    return _images(theta, w)
+    return _hierarchy(theta, w)
 
 
-def _images(theta, w):
-    """:func:`images` for a caller that vouches for its preconditions."""
-    lbcs = all_looping_back_charts(w)
+class _Image(NamedTuple):
+    """One image, on ids: the target's ``nodes`` and ``start``, the starts
+    of its ``preimages`` in the source and the ``chosen`` well-structured
+    one among them."""
+
+    nodes: frozenset
+    start: int
+    preimages: tuple
+    chosen: int
+
+
+def _images(theta, lbcs, target):
+    """The images of a layered witness's looping-back charts under
+    ``theta``, on ids.
+
+    ``lbcs`` maps the start of each looping-back chart to its node set, as
+    :func:`lleekit.lee._loops_back` gives them, and ``theta[v]`` is the id
+    in the index chart ``target`` of source node ``v``.  Returns the
+    :class:`_Image` records in the order of :func:`images`.  The caller
+    vouches for the preconditions of :func:`images`: this is the one image
+    computation, which :func:`images` converts.
+    """
     grouped = {}
-    for x in sorted(lbcs):
-        lbc = lbcs[x]
-        img_nodes = frozenset(theta(v) for v in lbc.nodes)
-        grouped.setdefault(img_nodes, []).append(lbc)
+    for x, nodes in lbcs.items():
+        grouped.setdefault(frozenset(theta[v] for v in nodes), []).append(x)
     records = []
     for img_nodes in sorted(grouped, key=lambda s: (len(s), tuple(sorted(s)))):
         pres = tuple(grouped[img_nodes])
-        wsps = [p for p in pres if _smaller_preimage(theta, p, img_nodes, lbcs) is None]
+        wsps = [x for x in pres if _smaller_preimage(theta, x, lbcs, img_nodes) is None]
         if not wsps:
             raise LemmaViolated(
-                "no well-structured pre-image for image {%s}" % ", ".join(sorted(img_nodes))
+                "no well-structured pre-image for image {%s}"
+                % ", ".join(target.names[v] for v in sorted(img_nodes))
             )
-        chosen = min(wsps, key=lambda p: p.start)
-        start = theta(chosen.start)
+        chosen = min(wsps)
+        records.append(_Image(img_nodes, theta[chosen], pres, chosen))
+    return records
+
+
+def _hierarchy(theta, w):
+    """:func:`images` for a caller that vouches for its preconditions."""
+    target = _IndexChart.of(theta.target)
+    c, _ = w._indexed
+    ids = [target.ids[theta(x)] for x in c.names]
+    lbcs = all_looping_back_charts(w)
+    records = []
+    for rec in _images(ids, w._loops[2], target):
+        img_nodes = frozenset(target.names[v] for v in rec.nodes)
+        start = target.names[rec.start]
         records.append(
             ImageRecord(
                 image=chart_of_nodes(theta.target, img_nodes, start=start),
                 start=start,
-                preimages=pres,
-                well_structured=chosen,
+                preimages=tuple(lbcs[c.names[x]] for x in rec.preimages),
+                well_structured=lbcs[c.names[rec.chosen]],
             )
         )
     records = tuple(records)
@@ -163,10 +198,12 @@ def well_structured_preimage(theta, record):
     pre-image of the same image inside it.
     """
     lbc = record.preimages[0]
-    lbcs = all_looping_back_charts(lbc.witness)
-    while (smaller := _smaller_preimage(theta, lbc, record.image.nodes, lbcs)) is not None:
-        lbc = smaller
-    return lbc
+    charts = all_looping_back_charts(lbc.witness)
+    lbcs = {x: sub.nodes for x, sub in charts.items()}
+    x = lbc.start
+    while (y := _smaller_preimage(theta.mapping, x, lbcs, record.image.nodes)) is not None:
+        x = y
+    return charts[x]
 
 
 def loop_correspondence(theta, loop, start):
@@ -309,51 +346,71 @@ def collapse_lee_witness(theta, w):
     report = _lemma_report(theta, hierarchy)
     if not report.ok:
         raise LemmaViolated("; ".join(msg for _, msg in report.violations))
-    return _reflect_witness(theta, hierarchy)
+    return _reflected(theta, hierarchy)
 
 
-def _reflect_witness(theta, hierarchy):
-    """:func:`collapse_lee_witness` on a hierarchy, with no lemma report."""
+def _reflected(theta, hierarchy):
+    """:func:`collapse_lee_witness` on a hierarchy, with no lemma report:
+    :func:`_reflect_witness` on the numbered collapse, converted, and
+    checked to replay."""
     h = theta.target
-    g = _Graph(h, _witness_roots(h))
-    order = sorted(
-        hierarchy.records,
-        key=lambda r: (len(r.image.nodes), r.start, tuple(sorted(r.image.nodes))),
+    c = _IndexChart.of(h)
+    ids = c.ids
+    labels = _reflect_witness(
+        c,
+        [
+            (frozenset(ids[n] for n in rec.image.nodes), ids[rec.start])
+            for rec in hierarchy.records
+        ],
     )
-    labels = {t: 0 for t in h.transitions if not t.terminal}
-    step = 0
-    for rec in order:
-        if not g.has_cycle(within=rec.image.nodes):
-            continue
-        s = rec.start
-        if s not in g.nodes:
-            raise LemmaViolated(
-                "image {%s} still has cycles but its start %s was collected"
-                % (", ".join(sorted(rec.image.nodes)), s)
-            )
-        entries = tuple(
-            t
-            for t in g.out(s)
-            if not t.terminal and t.dst in rec.image.nodes
-        )
-        if not entries:
-            raise LemmaViolated(
-                "image {%s} still has cycles but no entries remain at %s"
-                % (", ".join(sorted(rec.image.nodes)), s)
-            )
-        body = g.span(s, entries)
-        if body is None:
-            raise LemmaViolated(
-                "entries at %s do not span a loop sub-chart of the remaining chart" % s
-            )
-        step += 1
-        for t in entries:
-            labels[t] = step
-        g.remove(s, entries, body)
-    if g.has_cycle():
-        raise LemmaViolated("cycles survive after eliminating every image")
-    result = Witness(h, labels)
+    result = _witness(h, _IndexWitness(c, labels))
     rep = result.replay()
     if not rep.ok:
         raise LemmaViolated("image-wise elimination does not replay: %s" % rep.reason)
     return result
+
+
+def _reflect_witness(c, records):
+    """The image-wise elimination on the index chart ``c`` of a collapse:
+    the one reflection of lleekit.
+
+    ``records`` are ``(nodes, start, ...)`` tuples of ids, as
+    :class:`_Image` is.  Returns the order number of every transition of
+    ``c`` (0 on terminal ones).  The caller replays the result.
+    """
+    g = _Graph(c, _roots(c))
+    dst = c.dst
+
+    def shown(img_nodes):
+        return ", ".join(c.names[v] for v in sorted(img_nodes))
+
+    order = sorted(records, key=lambda r: (len(r[0]), r[1], tuple(sorted(r[0]))))
+    labels = [0] * len(dst)
+    step = 0
+    for img_nodes, s, *_ in order:
+        if not g.has_cycle(within=img_nodes):
+            continue
+        if s not in g.nodes:
+            raise LemmaViolated(
+                "image {%s} still has cycles but its start %s was collected"
+                % (shown(img_nodes), c.names[s])
+            )
+        entries = [k for k in g.out(s) if dst[k] is not None and dst[k] in img_nodes]
+        if not entries:
+            raise LemmaViolated(
+                "image {%s} still has cycles but no entries remain at %s"
+                % (shown(img_nodes), c.names[s])
+            )
+        body = g.span(s, entries)
+        if body is None:
+            raise LemmaViolated(
+                "entries at %s do not span a loop sub-chart of the remaining chart"
+                % c.names[s]
+            )
+        step += 1
+        for k in entries:
+            labels[k] = step
+        g.remove(s, entries, body)
+    if g.has_cycle():
+        raise LemmaViolated("cycles survive after eliminating every image")
+    return labels

@@ -14,27 +14,32 @@ collects everything else.  Nodes without entries denote their exits alone.
 :func:`equiv` decides bisimilarity of two expressions on the state ids of
 their explorations: the verdict needs no chart and no printed state.  When
 they are not equivalent it names only the members of the two blocks it
-prints.  When they are, it builds both charts and packages the evidence:
-the common collapse, the two maps onto it, a layered witness for the
-collapse, and the collapse's extracted solution.  The witness needs no
-search: the first expression's chart carries a layered witness by
-construction (:func:`lleekit.lee.expression_witness`), and reflecting it
-through the first map gives a witness on the collapse that is layered as
-well, which is checked, not repaired.  The pipeline runs each step once:
-explore with witness labels, one joint refinement (verdict and collapse),
-charts, reflection, layering check, extraction, solution check.
+prints.  When they are, the whole EQUAL pipeline runs on ids as well: it
+names only the first expression's states, numbers them by name, and
+derives the evidence on those numbers: the common collapse, the two maps
+onto it, a layered witness for the collapse, and the collapse's extracted
+solution.  The witness needs no search: the first expression's chart
+carries a layered witness by construction
+(:func:`lleekit.lee.expression_witness`), and reflecting it through the
+first map gives a witness on the collapse that is layered as well, which
+is checked, not repaired.  The pipeline runs each step once: explore with
+witness labels, one joint refinement (verdict and collapse), the transfer
+check of both maps, replay, images, reflection, replay, extraction,
+solution check.  The :class:`Certificate` converts its charts, maps,
+witness and solution to the string types only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
-from .bisim import BisimMap, _explored_tables, _quotient, _refine, _tables
-from .chart import Chart, _explore, _interpreting, _named_chart, interpret
+from .bisim import BisimMap, _explored_tables, _index_tables, _quotient, _refine
+from .chart import Chart, _IndexChart, _explore, _explored_chart, _interpreting, interpret
 from .errors import InternalError, InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
-from .expr import Action, Expression, Plus, Seq, Star, Zero, unparse
-from .lee import Witness, _height_witness, is_llee_witness
+from .expr import Action, Plus, Seq, Star, Zero, unparse
+from .lee import Witness, _IndexWitness, _loops_back, _ranked, _replay, _witness, is_llee_witness
 from .reflect import _images, _reflect_witness
 
 __all__ = [
@@ -123,7 +128,12 @@ def equation_system(chart):
 
 @dataclass(frozen=True)
 class Solution:
-    """An expression per node, each bisimilar to the chart from that node."""
+    """An expression per node, each bisimilar to the chart from that node.
+
+    ``chart`` is a :class:`Chart` and ``assign`` is keyed by its node ids.
+    Inside :func:`equiv` a solution lives on the collapse's index chart,
+    keyed by node number, and is converted when the certificate is read.
+    """
 
     chart: Chart
     assign: dict
@@ -154,30 +164,45 @@ def extract_solution(w):
     stack, so equal sub-solutions are one object and a long chart does not
     hit the recursion limit.  Raises :class:`NotLLEE` for non-layered
     witnesses.
+
+    ``w`` is a :class:`Witness`, or, from :func:`equiv`, a witness on an
+    index chart whose layering the caller has checked; the solution is on
+    the same chart.
     """
+    if not isinstance(w, Witness):
+        return Solution(w.chart, dict(enumerate(_solve(w))))
     if not is_llee_witness(w):
         raise NotLLEE("solution extraction needs a layered witness")
-    chart = w.chart
-    body, entries, terminals = {}, {}, {}
-    for x in chart.nodes:
-        body[x] = [t for t in chart.out(x) if not t.terminal and w.order[t] == 0]
-        entries[x] = [t for t in chart.out(x) if not t.terminal and w.order[t] > 0]
-        terminals[x] = sorted(chart.terminal_actions(x))
+    return Solution(w.chart, dict(zip(w._indexed.chart.names, _solve(w._indexed))))
+
+
+def _solve(w):
+    """:func:`extract_solution` on the index witness ``w``: the solution
+    of every node, by id."""
+    c, labels = w
+    act, dst, names = c.act, c.dst, c.names
+    # one leaf per action name; expressions are immutable
+    leaf = {a: Action(a) for a in set(act)}
+    body, entries, terminals = [], [], []
+    for x in range(len(names)):
+        ks = c.out(x)
+        body.append([k for k in ks if dst[k] is not None and labels[k] == 0])
+        entries.append([k for k in ks if labels[k] > 0])
+        # a node's terminal transitions come sorted by action
+        terminals.append([act[k] for k in ks if dst[k] is None])
 
     def needs(y, x):
         """The pairs ``f(y, x)`` is built from, in the order it uses them."""
-        return [(t.dst, x) for t in body[y] if t.dst != x] + [
-            (t.dst, y) for t in entries[y] if t.dst != y
+        return [(dst[k], x) for k in body[y] if dst[k] != x] + [
+            (dst[k], y) for k in entries[y] if dst[k] != y
         ]
 
-    def summands(ts, x):
-        return [
-            Action(t.action) if t.dst == x else Seq(Action(t.action), f[t.dst, x]) for t in ts
-        ]
+    def summands(ks, x):
+        return [leaf[act[k]] if dst[k] == x else Seq(leaf[act[k]], f[dst[k], x]) for k in ks]
 
     f = {}
     in_progress = set()
-    stack = [(x, None) for x in sorted(chart.nodes, reverse=True)]
+    stack = [(x, None) for x in reversed(range(len(names)))]
     while stack:
         pair = stack[-1]
         y, x = pair
@@ -186,23 +211,24 @@ def extract_solution(w):
         elif pair not in in_progress:
             if x is not None and terminals[y]:
                 raise InternalError(
-                    "body node %s of the loop at %s has a terminal transition" % (y, x)
+                    "body node %s of the loop at %s has a terminal transition"
+                    % (names[y], names[x])
                 )
             in_progress.add(pair)
             for dep in reversed(needs(y, x)):
                 if dep in in_progress:
-                    raise InternalError("solution recursion revisits %s" % dep[0])
+                    raise InternalError("solution recursion revisits %s" % names[dep[0]])
                 if dep not in f:
                     stack.append(dep)
         else:
             stack.pop()
             in_progress.discard(pair)
-            rest = [Action(a) for a in terminals[y]] if x is None else []
+            rest = [leaf[a] for a in terminals[y]] if x is None else []
             result = _sum(summands(body[y], x) + rest)
             if entries[y]:
                 result = Star(_sum(summands(entries[y], y)), result)
             f[pair] = result
-    return Solution(chart, {x: f[x, None] for x in sorted(chart.nodes)})
+    return [f[x, None] for x in range(len(names))]
 
 
 def solution_check(sol, cap=None):
@@ -216,20 +242,27 @@ def solution_check(sol, cap=None):
     expression's state and the node itself fall into different
     bisimilarity classes.  Returns the sorted list of failing nodes (empty
     means the solution is correct).  Raises :class:`StateExplosion` if the
-    joint exploration exceeds ``cap`` states.
+    joint exploration exceeds ``cap`` states.  A solution on an index chart
+    (as :func:`equiv` checks) is refined on that chart's tables, and its
+    failing nodes are named.
     """
-    nodes = sorted(sol.chart.nodes)
+    c = sol.chart
+    if isinstance(c, Chart):
+        c = _IndexChart.of(c)
+        keys = c.names
+    else:
+        keys = range(len(c.names))
     exploration = _explore(
-        [sol.assign[x] for x in nodes],
+        [sol.assign[x] for x in keys],
         cap,
-        lambda root: "checking a solution of %d nodes" % len(nodes),
+        lambda root: "checking a solution of %d nodes" % len(keys),
     )
     root_idx = exploration[1]
     outmap, term = [], []
     _explored_tables(exploration, outmap, term)
-    node_idx = _tables(sol.chart, outmap, term)
+    offset = _index_tables(c, outmap, term)
     block = _refine(outmap, term)
-    return [x for x, r in zip(nodes, root_idx) if block[r] != block[node_idx[x]]]
+    return [c.names[i] for i, r in enumerate(root_idx) if block[r] != block[offset + i]]
 
 
 _AXIOM_SCHEMATA = (
@@ -292,7 +325,28 @@ def is_axiom_instance(lhs, rhs):
     return None
 
 
-@dataclass(frozen=True)
+class _Evidence(NamedTuple):
+    """What an EQUAL decided on ids, from which its certificate is built.
+
+    ``g`` is the first expression's index chart, whose node ``r`` is state
+    ``order[r]`` of its exploration; ``x2`` is the second exploration,
+    named only when the second map is read, its state ``j`` being id
+    ``offset + j`` of the refiner's tables; ``theta`` maps every id of
+    those tables to its ``collapse`` node; ``labels`` are the reflected
+    witness's order numbers on the collapse, and ``solution`` is keyed by
+    collapse node.
+    """
+
+    g: object
+    order: list
+    x2: tuple
+    offset: int
+    theta: list
+    collapse: object
+    labels: list
+    solution: Solution
+
+
 class Certificate:
     """Evidence that two expressions are bisimilar.
 
@@ -305,14 +359,52 @@ class Certificate:
     to replay layered; ``solution`` solves the collapse, and ``expression``
     is the solution's value at the collapse's initial node — an expression
     provably equal to both inputs.
+
+    :func:`equiv` derives and checks all of it on state ids.
+    ``expression`` is set then; the charts, maps, witness and solution are
+    converted from the ids on first read, validated as the
+    :class:`Chart`, :class:`BisimMap` and :class:`Witness` they are, and
+    cached.
     """
 
-    collapse: Chart
-    map1: BisimMap
-    map2: BisimMap
-    witness: Witness
-    solution: Solution
-    expression: Expression
+    def __init__(self, expression, evidence):
+        self.expression = expression
+        self._evidence = evidence
+
+    @cached_property
+    def collapse(self):
+        return self._evidence.collapse.to_chart()
+
+    def _map(self, source, states, offset):
+        """The map from ``source``, whose node ``r`` is exploration state
+        ``states[r]``, taking ids from ``offset``."""
+        ev = self._evidence
+        names = ev.collapse.names
+        return BisimMap(
+            source.to_chart(),
+            self.collapse,
+            {x: names[ev.theta[offset + i]] for x, i in zip(source.names, states)},
+        )
+
+    @cached_property
+    def map1(self):
+        return self._map(self._evidence.g, self._evidence.order, 0)
+
+    @cached_property
+    def map2(self):
+        h, order, _ = _explored_chart(self._evidence.x2)
+        return self._map(h, order, self._evidence.offset)
+
+    @cached_property
+    def witness(self):
+        ev = self._evidence
+        return _witness(self.collapse, _IndexWitness(ev.collapse, ev.labels))
+
+    @cached_property
+    def solution(self):
+        names = self._evidence.collapse.names
+        assign = self._evidence.solution.assign
+        return Solution(self.collapse, {names[c]: e for c, e in assign.items()})
 
 
 @dataclass(frozen=True)
@@ -335,10 +427,10 @@ class EquivResult:
     """The verdict of :func:`equiv`, with its evidence.
 
     ``chart1`` and ``chart2`` are the interpretations of the two
-    expressions.  They are built on first access and cached: an EQUAL
-    verdict has built them for its certificate (they are the sources of
-    its two maps), and a NOT_EQUAL verdict needs neither, so it interprets
-    the expressions again only when asked.
+    expressions.  Neither verdict builds them: they are built on first
+    access and cached.  An EQUAL's are the sources of its certificate's two
+    maps, built when those are; a NOT_EQUAL interprets the expressions
+    again when asked.
     """
 
     equal: bool
@@ -377,7 +469,7 @@ def _block(b, block, sides):
 
 
 def _check_layered(w, what):
-    rep = w.replay()
+    rep = _replay(w)
     if not (rep.ok and rep.llee):
         raise InternalError(
             "%s is not a layered witness: %s" % (what, rep.reason or rep.llee_reason)
@@ -392,14 +484,20 @@ def equiv(e1, e2, cap=None):
     (:func:`lleekit.lee.expression_witness`), and the two explorations are
     refined once, side by side, on their state ids.  Initial states in
     different blocks give a :class:`Distinction` of the two blocks, which
-    names only their members; no chart is built.  Otherwise both
-    explorations are named and built into charts, the collapse is the
-    quotient of the first chart alone (every class the initial class
-    reaches holds one of its nodes), the witness is reflected onto it and
-    checked to be layered, and a solution is extracted, checked and
-    returned in a :class:`Certificate`.  The collapse is not refined again
-    and no lemma report is computed.  A failed invariant on the way is an
-    :class:`InternalError`.
+    names only their members; no chart is built.
+
+    Otherwise the certificate is derived on ids as well.  Only the first
+    exploration's states are named: their ranks number the first chart,
+    and the collapse's nodes, one per class, are numbered by their least
+    members' names.  The collapse is read off the refiner's tables and
+    both maps onto it pass the transfer check there, so the second
+    expression is never named and the collapse is not refined again.  The
+    expression's witness is replayed, reflected through the first map and
+    replayed again, both checked to be layered; a solution is extracted and
+    checked, and no lemma report is computed.  A failed invariant on the
+    way is an :class:`InternalError`.  The :class:`Certificate` holds the
+    solution's expression, and builds its charts, maps, witness and
+    solution when they are read.
     """
     x1 = _explore([e1], cap, _interpreting, labelled=True)
     x2 = _explore([e2], cap, _interpreting)
@@ -414,24 +512,17 @@ def equiv(e1, e2, cap=None):
         sides = (("g:", x1, 0), ("h:", x2, offset))
         distinction = Distinction(_block(b1, block, sides), _block(b2, block, sides))
         return EquivResult(False, distinction=distinction, _inputs=(e1, e2, cap))
-    g_names, g, heights = _named_chart(x1)
-    h_names, h, _ = _named_chart(x2)
-    # the charts hold all that is left to do; free the explorations
-    del x1, x2, outmap, term
-    least = {}
-    for i, x in enumerate(g_names):
-        b = block[i]
-        if b not in least or x < least[b]:
-            least[b] = x
-    name = {b: "g:" + x for b, x in least.items()}
+    g, order, heights = _explored_chart(x1)
+    del x1
     try:
-        collapse, theta1 = _quotient(g, {x: name[block[i]] for i, x in enumerate(g_names)})
-        theta2 = BisimMap(
-            h, collapse, {y: name[block[j]] for j, y in enumerate(h_names, start=offset)}
+        collapse, theta = _quotient(
+            outmap, term, block, order, ["g:" + x for x in g.names], order[g.initial]
         )
-        w1 = _height_witness(g, heights)
+        del outmap, term, block
+        w1 = _IndexWitness(g, _ranked(heights))
         _check_layered(w1, "the expression's witness")
-        w_h = _reflect_witness(theta1, _images(theta1, w1))
+        records = _images([theta[i] for i in order], _loops_back(w1)[2], collapse)
+        w_h = _IndexWitness(collapse, _reflect_witness(collapse, records))
         _check_layered(w_h, "the reflected witness")
         sol = extract_solution(w_h)
     except (InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE) as exc:
@@ -439,14 +530,5 @@ def equiv(e1, e2, cap=None):
     bad = solution_check(sol, cap=cap)
     if bad:
         raise InternalError("extracted solution fails at %s" % ", ".join(bad))
-    return EquivResult(
-        True,
-        certificate=Certificate(
-            collapse=collapse,
-            map1=theta1,
-            map2=theta2,
-            witness=w_h,
-            solution=sol,
-            expression=sol.initial_expression(),
-        ),
-    )
+    evidence = _Evidence(g, order, x2, offset, theta, collapse, w_h.labels, sol)
+    return EquivResult(True, certificate=Certificate(sol.initial_expression(), evidence))

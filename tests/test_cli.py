@@ -12,8 +12,9 @@ from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, interpret
 from lleekit.cli import _build_parser, run
 from lleekit.errors import InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
-from lleekit.expr import parse, unparse
+from lleekit.expr import Action, parse, unparse
 from lleekit.lee import Witness, find_lee_witness, is_llee_witness
+from lleekit.solve import Solution
 
 G = str(fixture_path("g.chart"))
 CI = str(fixture_path("ci.chart"))
@@ -408,26 +409,81 @@ def test_run_reuses_one_parser_without_leaking_state(capsys):
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
-    # a solution check that rejects a node trips equiv's own invariant check
-    monkeypatch.setattr("lleekit.solve.solution_check", lambda sol, cap=None: ["x"])
+    # a wrong solution on the collapse's ids fails equiv's own solution
+    # check, which names the failing collapse node
+    import lleekit.solve
+
+    extract = lleekit.solve.extract_solution
+
+    def wrong(w):
+        sol = extract(w)
+        return Solution(sol.chart, {c: Action("z") for c in sol.assign})
+
+    monkeypatch.setattr(lleekit.solve, "extract_solution", wrong)
     assert run(["equiv", "a", "a"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "internal error: extracted solution fails at x\n"
+    assert captured.err == "internal error: extracted solution fails at g:a\n"
 
 
 @pytest.mark.parametrize("error", [InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE])
 def test_equiv_certificate_invariant_failures_exit_3(capsys, monkeypatch, error):
     # an invariant failure while the certificate is built once left equiv
-    # with status 1, the NOT_EQUAL code
+    # with status 1, the NOT_EQUAL code; here the image computation on the
+    # first chart's ids fails
     def broken(*args):
         raise error("broken")
 
-    monkeypatch.setattr("lleekit.solve.extract_solution", broken)
+    monkeypatch.setattr("lleekit.solve._images", broken)
     assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: building the certificate failed: broken\n"
+
+
+def test_equiv_rejects_a_map_that_fails_the_transfer_check(capsys, monkeypatch):
+    # the joint refinement is trusted for the verdict only: a state of the
+    # second exploration moved into the initial block still leaves the
+    # verdict EQUAL, and the transfer check of the maps rejects it
+    import lleekit.solve
+
+    refine = lleekit.solve._refine
+    calls = []
+
+    def corrupted(outmap, term):
+        block = refine(outmap, term)
+        if not calls:
+            # the second exploration's states come last
+            block[-1] = block[0]
+        calls.append(block)
+        return block
+
+    monkeypatch.setattr(lleekit.solve, "_refine", corrupted)
+    assert run(["equiv", "(a*b).c", "a*(b.c)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+    assert "mapping fails the transfer conditions" in captured.err
+
+
+def test_equiv_rejects_a_witness_without_loop_labels(capsys, monkeypatch):
+    # without the loop labels of the first exploration its witness has no
+    # entries, so a cycle survives its replay
+    import lleekit.solve
+
+    explore = lleekit.solve._explore
+
+    def unlabelled(*args, **kwargs):
+        space, roots, states, transitions = explore(*args, **kwargs)
+        return space, roots, states, [(s, a, d, 0) for s, a, d, _ in transitions]
+
+    monkeypatch.setattr(lleekit.solve, "_explore", unlabelled)
+    assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: the expression's witness is not a layered witness"
+    )
 
 
 def _nested(template, depth):

@@ -12,8 +12,8 @@ import lleekit.bisim
 from generators import random_chart, random_expression
 from oracles import brute_interpret, naive_bisimilarity_pairs
 from test_equiv_golden import GOLDEN, N3, P3, W3
-from lleekit.bisim import collapse
-from lleekit.chart import Chart, TERMINATION, Transition, interpret
+from lleekit.bisim import BisimMap, collapse
+from lleekit.chart import Chart, TERMINATION, Transition, _States, interpret
 from lleekit.cli import run
 from lleekit.errors import NotLLEE, StateExplosion
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, unparse
@@ -447,29 +447,35 @@ def test_equiv_against_the_bisimilarity_oracle():
                 lambda x: (x, h.initial) in gh, lambda y: (y, h.initial) in hh
             )
             continue
-        cert = res.certificate
-        plain = collapse(g)
-        assert cert.collapse == Chart(
-            (
-                T("g:" + t.src, t.action, t.dst if t.terminal else "g:" + t.dst)
-                for t in plain.chart.transitions
-            ),
-            nodes={"g:" + x for x in plain.chart.nodes},
-            initial="g:" + plain.chart.initial,
-        )
-        assert all(cert.map1(x) == "g:" + plain.theta(x) for x in g.nodes)
-        for y in h.nodes:
-            assert cert.map2(y) == "g:" + min(x for x in g.nodes if (x, y) in gh)
+        _assert_certified(res, gh)
     assert verdicts == {True, False}
+
+
+def _assert_certified(res, gh):
+    """An EQUAL's collapse and maps are the oracle's; ``gh`` holds the
+    bisimilar pairs of its two charts."""
+    g, h, cert = res.chart1, res.chart2, res.certificate
+    plain = collapse(g)
+    assert cert.collapse == Chart(
+        (
+            T("g:" + t.src, t.action, t.dst if t.terminal else "g:" + t.dst)
+            for t in plain.chart.transitions
+        ),
+        nodes={"g:" + x for x in plain.chart.nodes},
+        initial="g:" + plain.chart.initial,
+    )
+    assert all(cert.map1(x) == "g:" + plain.theta(x) for x in g.nodes)
+    for y in h.nodes:
+        assert cert.map2(y) == "g:" + min(x for x in g.nodes if (x, y) in gh)
 
 
 def test_equiv_unlayered_reflection_is_internal_error(monkeypatch, capsys):
     # no fallback: a reflection that does not replay layered fails the run
     import lleekit.solve
 
-    def unlayered(theta, hierarchy):
-        h = theta.target
-        return Witness(h, {t: 0 for t in h.transitions if not t.terminal})
+    def unlayered(collapse, images):
+        # every transition of the numbered collapse labelled 0
+        return [0] * len(collapse.dst)
 
     monkeypatch.setattr(lleekit.solve, "_reflect_witness", unlayered)
     assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
@@ -503,6 +509,44 @@ def test_not_equal_builds_no_chart(monkeypatch, capsys):
         assert res.chart1 == interpret(e1)
         assert res.chart2 == interpret(e2)
         assert res.chart1 is res.chart1
+
+
+def test_equal_builds_no_chart(monkeypatch, capsys):
+    # an EQUAL decides and certifies on state ids: it builds no Chart,
+    # BisimMap, Transition or Witness, names only the first expression's
+    # states, and builds its certificate when the certificate is read
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an EQUAL built a chart, a map, a transition or a witness")
+
+    pairs = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 0]
+    pairs += _mixed_small_pairs("EQUAL", 20) + _workload_pairs("loops_equal", "EQUAL", 3)
+    states = [len(interpret(parse(e1)).nodes) for e1, _ in pairs]
+    names = []
+    for method in ("name", "name_one"):
+
+        def counted(self, state, original=getattr(_States, method)):
+            names.append(state)
+            return original(self, state)
+
+        monkeypatch.setattr(_States, method, counted)
+    for cls, method in ((Chart, "__init__"), (Transition, "__init__"), (Witness, "__init__")):
+        monkeypatch.setattr(cls, method, forbidden)
+    monkeypatch.setattr(BisimMap, "__post_init__", forbidden)
+    results = []
+    for (e1, e2), count in zip(pairs, states):
+        names.clear()
+        assert run(["equiv", e1, e2]) == 0, (e1, e2)
+        assert capsys.readouterr().out.startswith("EQUAL\n")
+        assert len(names) <= count, (e1, e2)
+        results.append(equiv(parse(e1), parse(e2)))
+    monkeypatch.undo()
+    for res in results:
+        assert res.equal
+        _assert_certified(res, naive_bisimilarity_pairs(res.chart1, res.chart2))
+        rep = res.certificate.witness.replay()
+        assert rep.ok and rep.llee
+        assert solution_check(res.certificate.solution) == []
+        assert res.certificate.solution.initial_expression() == res.certificate.expression
 
 
 def test_not_equal_memory_grows_linearly():
