@@ -6,14 +6,15 @@ solution extraction, plus the end-to-end ``equiv`` decision.
 
 Exit codes: 0 on success (``equiv``: EQUAL), 1 on a failed check or
 NOT_EQUAL, 2 on I/O, syntax, or usage errors, 3 when an internal invariant
-fails (:class:`InternalError`, a bug).  Parsing, printing and solution
+fails (:class:`InternalError`, a bug).  The state cap (``--cap``) bounds
+exploration and also the syntax nodes of the expression an EQUAL prints;
+past either, exit code 1.  Parsing, printing in every format and solution
 extraction use no recursion, so some thousands of nested sequences answer.
-An input deeper than the rest can recurse is a usage error: one ``error:
-expression nested too deeply`` line on stderr and exit code 2.  That is a
-sum of some thousands of terms or some thousands of nested stars, whose
-steps the interpretation (``_States.steps``) follows recursively, or a deep
-expression in JSON output or in ``parse``'s dot output.  Output is
-deterministic for identical inputs.
+An input deeper than interpretation can recurse is a usage error: one
+``error: expression nested too deeply`` line on stderr and exit code 2.
+That is a sum of some thousands of terms or some thousands of nested
+stars, whose steps the interpretation (``_States.steps``) follows
+recursively.  Output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from . import expr as expr_mod
 from .bisim import collapse
 from .chart import DEFAULT_STATE_CAP, Chart, _state_cap, interpret
-from .errors import InternalError, LleekitError, ParseError
-from .expr import Action, Plus, Seq, Star, Zero, parse, unparse
+from .errors import InternalError, LleekitError, ParseError, StateExplosion
+from .expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
 from .reflect import _hierarchy, _lemma_report, _reflected
 from .solve import equiv, extract_solution, solution_check
@@ -81,32 +82,40 @@ def _print(text):
 
 
 def _expression_dot(e):
-    """Syntax-tree rendering of an expression."""
-    lines = ["digraph expression {", "  node [shape=plaintext];"]
-    counter = [0]
+    """Syntax-tree rendering of an expression.
 
-    def visit(node):
-        idx = counter[0]
-        counter[0] += 1
+    Nodes are numbered in pre-order, and an edge is written after the
+    subtree it leads to; an explicit stack walks the tree, so a deep
+    expression does not hit the recursion limit.
+    """
+    lines = ["digraph expression {", "  node [shape=plaintext];"]
+    count = 0
+    # (node, its parent's number or None), or an edge line to write
+    stack = [(e, None)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            lines.append(item)
+            continue
+        node, parent = item
+        idx = count
+        count += 1
         if isinstance(node, Action):
-            label = node.name
-            kids = []
+            label, kids = node.name, ()
         elif isinstance(node, Zero):
-            label, kids = "0", []
+            label, kids = "0", ()
         elif isinstance(node, Plus):
-            label, kids = "+", [node.left, node.right]
+            label, kids = "+", (node.left, node.right)
         elif isinstance(node, Seq):
-            label, kids = ".", [node.left, node.right]
+            label, kids = ".", (node.left, node.right)
         elif isinstance(node, Star):
-            label, kids = "*", [node.left, node.right]
+            label, kids = "*", (node.left, node.right)
         else:
             raise TypeError("not an expression: %r" % (node,))
         lines.append('  n%d [label="%s"];' % (idx, label))
-        for kid in kids:
-            lines.append("  n%d -> n%d;" % (idx, visit(kid)))
-        return idx
-
-    visit(e)
+        if parent is not None:
+            stack.append("  n%d -> n%d;" % (parent, idx))
+        stack += [(kid, idx) for kid in reversed(kids)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -303,7 +312,7 @@ def _cmd_solve(args, cfg):
         sys.stderr.write("solution check failed at: %s\n" % ", ".join(bad))
         return 1
     if cfg.format == "json":
-        _print(json.dumps(_solution_json_dict(sol), indent=2))
+        _print(expr_mod._dumps(_solution_json_dict(sol)))
     elif cfg.format == "dot":
         return _no_dot("solutions")
     else:
@@ -331,6 +340,10 @@ def _cmd_equiv(args, cfg):
     res = equiv(e1, e2, cap=cfg.cap)
     if res.equal:
         cert = res.certificate
+        # the state cap bounds the printed expression too, counted on the
+        # shared sub-solutions before anything is written
+        if cfg.format != "dot" and size(cert.expression) > cfg.cap:
+            raise StateExplosion("the solution has more than %d syntax nodes" % cfg.cap)
         if args.certificate:
             _write_certificate(cert, args.certificate)
         if cfg.format == "json":
@@ -340,7 +353,7 @@ def _cmd_equiv(args, cfg):
                 "expression": expr_mod.to_json_dict(cert.expression),
                 "chart": cert.collapse.to_json_dict(),
             }
-            _print(json.dumps(doc, indent=2))
+            _print(expr_mod._dumps(doc))
         elif cfg.format == "dot":
             _print(cert.collapse.to_dot(order=cert.witness.order))
         else:

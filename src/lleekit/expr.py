@@ -158,19 +158,49 @@ class Star(_Binary):
 
 
 def size(e):
-    """Number of syntax-tree nodes in ``e``."""
-    if isinstance(e, (Action, Zero)):
+    """Number of syntax-tree nodes in ``e``.
+
+    A subterm shared by several parents counts once per occurrence, as
+    printing it would, but is visited once: the count costs one step per
+    distinct object, from an explicit stack, however deep or large the
+    tree.
+    """
+    if e.__class__ not in _OPERANDS:
         return 1
-    return 1 + size(e.left) + size(e.right)
+    counts = {}  # id -> tree size, for the operator nodes counted so far
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if x is _BUILD:
+            x = stack.pop()
+            left, right = x.left, x.right
+            counts[id(x)] = (
+                1
+                + (counts[id(left)] if left.__class__ in _OPERANDS else 1)
+                + (counts[id(right)] if right.__class__ in _OPERANDS else 1)
+            )
+        elif id(x) not in counts:
+            stack += (x, _BUILD)
+            for y in (x.right, x.left):
+                if y.__class__ in _OPERANDS and id(y) not in counts:
+                    stack.append(y)
+    return counts[id(e)]
 
 
 def actions_of(e):
-    """The set of action names occurring in ``e``."""
-    if isinstance(e, Action):
-        return {e.name}
-    if isinstance(e, Zero):
-        return set()
-    return actions_of(e.left) | actions_of(e.right)
+    """The set of action names occurring in ``e``, each distinct subterm
+    visited once, from an explicit stack."""
+    names = set()
+    seen = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is Action:
+            names.add(x.name)
+        elif x.__class__ is not Zero and id(x) not in seen:
+            seen.add(id(x))
+            stack += (x.right, x.left)
+    return names
 
 
 # --- precedence ------------------------------------------------------------
@@ -330,14 +360,33 @@ def unparse(e):
 # --- JSON ------------------------------------------------------------------
 
 
+_TAG = {Plus: "plus", Seq: "seq", Star: "star"}
+
+
 def to_json_dict(e):
-    """Tagged-union dictionary form of ``e`` (stable across versions)."""
-    if isinstance(e, Action):
-        return {"op": "action", "name": e.name}
-    if isinstance(e, Zero):
-        return {"op": "zero"}
-    tag = {Plus: "plus", Seq: "seq", Star: "star"}[type(e)]
-    return {"op": tag, "left": to_json_dict(e.left), "right": to_json_dict(e.right)}
+    """Tagged-union dictionary form of ``e`` (stable across versions).
+
+    Built children first from an explicit stack, so a deep expression does
+    not hit the recursion limit; a shared subterm gets one dictionary per
+    occurrence.
+    """
+    built = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if x is _BUILD:
+            x = stack.pop()
+            right = built.pop()
+            built[-1] = {"op": _TAG[x.__class__], "left": built[-1], "right": right}
+        elif x.__class__ is Action:
+            built.append({"op": "action", "name": x.name})
+        elif x.__class__ is Zero:
+            built.append({"op": "zero"})
+        elif x.__class__ in _TAG:
+            stack += (x, _BUILD, x.right, x.left)
+        else:
+            raise TypeError("not an expression: %r" % (x,))
+    return built[0]
 
 
 def from_json_dict(d):
@@ -353,7 +402,39 @@ def from_json_dict(d):
 
 
 def to_json(e):
-    return json.dumps({"v": 1, "expression": to_json_dict(e)}, indent=2)
+    return _dumps({"v": 1, "expression": to_json_dict(e)})
+
+
+def _dumps(doc):
+    """``json.dumps(doc, indent=2)``, written from an explicit stack.
+
+    The same text for dictionaries with string keys, lists and JSON
+    scalars, however deeply they nest: the standard encoder recurses once
+    per level.
+    """
+    out = []
+    # a value to write at an indentation level, or a piece of text
+    stack = [(doc, 0)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        x, level = item
+        if isinstance(x, dict) and x:
+            brackets, items = "{}", [(json.dumps(k) + ": ", v) for k, v in x.items()]
+        elif isinstance(x, (list, tuple)) and x:
+            brackets, items = "[]", [("", v) for v in x]
+        else:
+            out.append(json.dumps(x))
+            continue
+        inner = "\n" + "  " * (level + 1)
+        stack.append("\n" + "  " * level + brackets[1])
+        for i in reversed(range(len(items))):
+            key, v = items[i]
+            stack.append((v, level + 1))
+            stack.append((brackets[0] if i == 0 else ",") + inner + key)
+    return "".join(out)
 
 
 def from_json(text):

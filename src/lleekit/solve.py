@@ -10,6 +10,9 @@ node with positive entries denotes ``loop ⊛ exits`` where ``loop`` collects
 the entry round trips (following only body transitions, which by
 layering never reach a terminal or re-enter positively) and ``exits``
 collects everything else.  Nodes without entries denote their exits alone.
+Where the paths from a node re-join, the expression is factored at the
+join, reading BBP's axioms A4, A5 and A9 right to left, so the part after
+the join is written once (:func:`extract_solution`).
 
 :func:`equiv` decides bisimilarity of two expressions on the state ids of
 their explorations: the verdict needs no chart and no printed state.  When
@@ -32,7 +35,7 @@ witness and solution to the string types only when they are read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .bisim import BisimMap, _explored_tables, _index_tables, _quotient, _refine
@@ -150,20 +153,38 @@ class Solution:
 def extract_solution(w):
     """Read a solution off a layered witness.
 
-    One rule builds every expression.  ``f(Y, X)`` solves ``Y`` inside the
-    loop at ``X`` (``X`` is ``None`` outside any loop): it sums ``b`` for a
-    body transition ``Y -b-> X``, ``b . f(W, X)`` for any other body
-    transition ``Y -b-> W``, and, when ``X`` is ``None``, ``Y``'s terminal
-    actions in sorted order.  When ``Y`` has positive entries that sum ``S``
-    becomes ``ℓ(Y) ⊛ S``, where ``ℓ(Y)`` sums ``a`` for an entry ``Y -a->
-    Y`` and ``a . f(Z, Y)`` for an entry ``Y -a-> Z``.  Node ``X``'s
-    solution is ``f(X, None)``.  Layering bounds the rule: outside loops it
-    descends along the elimination order, and inside the loop at ``X`` it
-    follows body transitions, which loop back to ``X`` and reach no
-    terminal.  Each pair is built once, children first, from an explicit
-    stack, so equal sub-solutions are one object and a long chart does not
-    hit the recursion limit.  Raises :class:`NotLLEE` for non-layered
-    witnesses.
+    One rule builds every expression.  ``f(Y, S)`` solves ``Y`` up to its
+    return target ``S``: a loop node ``X`` when ``Y`` lies in the loop at
+    ``X``, ✓ outside every loop, or a join node on the way to either.  It
+    sums ``b`` for a body transition ``Y -b-> S``, ``b . f(W, S)`` for any
+    other body transition ``Y -b-> W``, and, when ``S`` is ✓, ``Y``'s
+    terminal actions in sorted order.  When ``Y`` has positive entries that
+    sum ``T`` becomes ``ℓ(Y) ⊛ T``, where ``ℓ(Y)`` sums ``a`` for an entry
+    ``Y -a-> Y`` and ``a . f(Z, Y)`` for an entry ``Y -a-> Z``.  Node
+    ``X``'s solution is ``f(X, ✓)``.
+
+    Paths that re-join are factored at the join.  Let ``J`` be ``Y``'s
+    immediate post-dominator in the body transitions of its context (the
+    loop at ``X``, returning to ``X``, or the part outside every loop,
+    ending in ✓); a dead end, without body or terminal transitions, ends
+    there too.  When ``Y`` has two or more body transitions and ``J`` is a
+    node other than ``S``, then ``f(Y, S) = f(Y, J) . f(J, S)``; with
+    entries that is ``(ℓ(Y) ⊛ T') . f(J, S)``, where ``T'`` sums ``Y``'s
+    body transitions up to ``J``, so ``ℓ(Y)`` stays out of ``f(J, S)``.
+    This reads BBP's axioms A4 ``(e1+e2).e3 = e1.e3+e2.e3``, A5
+    ``(e1.e2).e3 = e1.(e2.e3)`` and A9 ``(e1*e2).e3 = e1*(e2.e3)`` right to
+    left, so ``f(J, S)`` appears once, not once per path from ``Y`` to
+    ``J``.  A node with one body transition is never factored.
+
+    Layering bounds the rule: outside loops it descends along the
+    elimination order, and inside the loop at ``X`` it follows body
+    transitions, which loop back to ``X`` and reach no terminal.  One pass
+    over each context orders its nodes, every node after its successors,
+    and finds their post-dominators (:func:`_post_dominators`); once the
+    loops at its nodes are solved, the context is solved in that order.
+    So each sub-solution is built once and shared wherever it recurs, and
+    a long chart does not hit the recursion limit.  Raises
+    :class:`NotLLEE` for non-layered witnesses.
 
     ``w`` is a :class:`Witness`, or, from :func:`equiv`, a witness on an
     index chart whose layering the caller has checked; the solution is on
@@ -176,59 +197,181 @@ def extract_solution(w):
     return Solution(w.chart, dict(zip(w._indexed.chart.names, _solve(w._indexed))))
 
 
-def _solve(w):
-    """:func:`extract_solution` on the index witness ``w``: the solution
-    of every node, by id."""
-    c, labels = w
-    act, dst, names = c.act, c.dst, c.names
-    # one leaf per action name; expressions are immutable
-    leaf = {a: Action(a) for a in set(act)}
-    body, entries, terminals = [], [], []
-    for x in range(len(names)):
-        ks = c.out(x)
-        body.append([k for k in ks if dst[k] is not None and labels[k] == 0])
-        entries.append([k for k in ks if labels[k] > 0])
-        # a node's terminal transitions come sorted by action
-        terminals.append([act[k] for k in ks if dst[k] is None])
+def _post_dominators(succ, terminals, roots, loop, rank, idom, names):
+    """The nodes of one context in post-order, with their immediate
+    post-dominators.
 
-    def needs(y, x):
-        """The pairs ``f(y, x)`` is built from, in the order it uses them."""
-        return [(dst[k], x) for k in body[y] if dst[k] != x] + [
-            (dst[k], y) for k in entries[y] if dst[k] != y
-        ]
-
-    def summands(ks, x):
-        return [leaf[act[k]] if dst[k] == x else Seq(leaf[act[k]], f[dst[k], x]) for k in ks]
-
-    f = {}
-    in_progress = set()
-    stack = [(x, None) for x in reversed(range(len(names)))]
+    ``succ[y]`` lists the targets of ``y``'s body transitions, and
+    ``terminals[y]`` is empty unless ``y`` can terminate.  The context is the loop at node
+    ``loop``, entered at ``roots``, or, when ``loop`` is ``len(succ)``, the
+    part outside every loop, with every node a root.  Its graph is the body
+    transitions reachable from the roots; a transition to ``loop``, a
+    terminal transition and a dead end lead to the sink, node
+    ``len(succ)``.  The graph is acyclic, so one depth-first pass finds
+    every node's successors first, and its post-dominator is the
+    intersection of theirs, walked up the tree by post-order rank (Cooper,
+    Harvey & Kennedy, *A Simple, Fast Dominance Algorithm*, 2001).
+    ``rank`` and ``idom`` are scratch arrays of ``len(succ) + 1`` entries,
+    ``rank`` all zero and left so; ``idom`` holds the result for the
+    returned nodes until the next call.  Returns the nodes in post-order,
+    every node after its successors, and the list of their immediate
+    post-dominators.
+    """
+    sink = len(succ)
+    post = []
+    # rank -1: expanded, so on the path to the top of the stack; a positive
+    # rank: done, numbered in post-order
+    stack = list(roots)
     while stack:
-        pair = stack[-1]
-        y, x = pair
-        if pair in f:
+        y = stack[-1]
+        if rank[y] > 0:
             stack.pop()
-        elif pair not in in_progress:
-            if x is not None and terminals[y]:
-                raise InternalError(
-                    "body node %s of the loop at %s has a terminal transition"
-                    % (names[y], names[x])
-                )
-            in_progress.add(pair)
-            for dep in reversed(needs(y, x)):
-                if dep in in_progress:
-                    raise InternalError("solution recursion revisits %s" % names[dep[0]])
-                if dep not in f:
-                    stack.append(dep)
+        elif not rank[y]:
+            rank[y] = -1
+            for w in succ[y]:
+                if w != loop:
+                    if rank[w] < 0:
+                        raise InternalError("solution recursion revisits %s" % names[w])
+                    if not rank[w]:
+                        stack.append(w)
         else:
             stack.pop()
-            in_progress.discard(pair)
-            rest = [leaf[a] for a in terminals[y]] if x is None else []
-            result = _sum(summands(body[y], x) + rest)
-            if entries[y]:
-                result = Star(_sum(summands(entries[y], y)), result)
-            f[pair] = result
-    return [f[x, None] for x in range(len(names))]
+            ws = succ[y]
+            if terminals[y] and loop != sink:
+                raise InternalError(
+                    "body node %s of the loop at %s has a terminal transition"
+                    % (names[y], names[loop])
+                )
+            if terminals[y] or not ws:
+                d = sink
+            else:
+                d = sink if ws[0] == loop else ws[0]
+                for v in ws[1:]:
+                    if v == loop:
+                        v = sink
+                    while d != v:
+                        while rank[d] > rank[v]:
+                            d = idom[d]
+                        while rank[v] > rank[d]:
+                            v = idom[v]
+            idom[y] = d
+            post.append(y)
+            rank[y] = len(post)
+    for y in post:
+        rank[y] = 0
+    return post, [idom[y] for y in post]
+
+
+def _solve(w):
+    """:func:`extract_solution` on the index witness ``w``: the solution
+    of every node, by id.
+
+    Each context is solved in one pass over its post-order, after the loops
+    at its nodes: ``solved[y]`` is then ``f(y, x)`` for the context at
+    ``x``, and ``loops[y]`` is ``ℓ(y)``.  Node ``n`` stands for ✓, as a
+    return target and as the context outside every loop, which is solved
+    last.
+    """
+    c, labels = w
+    act, dst, first, names = c.act, c.dst, c.first, c.names
+    n = len(names)
+    # one leaf per action name, and one 0; expressions are immutable
+    leaf = {a: Action(a) for a in set(act)}
+    zero = Zero()
+    body, succ, entries, terminals = [], [], [], []
+    for x in range(n):
+        b, e, t = [], [], []
+        for k in range(first[x], first[x + 1]):
+            if dst[k] is None:
+                # a node's terminal transitions come sorted by action
+                t.append(leaf[act[k]])
+            elif labels[k]:
+                e.append(k)
+            else:
+                b.append(k)
+        body.append(b)
+        succ.append([dst[k] for k in b])
+        entries.append(e)
+        terminals.append(t)
+    rank, idom = [0] * (n + 1), [n] * (n + 1)
+    m = n + 1
+    loops = [None] * n
+    scanned = {}
+
+    def total(ks, s, sub, rest=()):
+        """The sum of ``b`` for a transition ``-b-> s`` and ``b . sub(W)``
+        for any other ``-b-> W`` of ``ks``, then of ``rest``,
+        left-associated; 0 if empty."""
+        acc = None
+        for k in ks:
+            d = dst[k]
+            p = leaf[act[k]] if d == s else Seq(leaf[act[k]], sub(d))
+            acc = p if acc is None else Plus(acc, p)
+        for p in rest:
+            acc = p if acc is None else Plus(acc, p)
+        return zero if acc is None else acc
+
+    def wrap(y, t):
+        return Star(loops[y], t) if entries[y] else t
+
+    def solve(x, post):
+        """``f(y, x)`` for every node ``y`` of the context at ``x``."""
+        solved = {}
+        segments = {}  # f(y, J) for a branching node y and its join J
+        upto = {}  # f(v, J) for a join J above v, at key v * m + J
+
+        def until(j, v):
+            """f(v, j), by the join tree from ``v`` up to ``j``."""
+            path = []
+            while v != j and v * m + j not in upto:
+                path.append(v)
+                v = idom[v]
+            acc = None if v == j else upto[v * m + j]
+            for u in reversed(path):
+                if u in segments:
+                    acc = segments[u] if acc is None else Seq(segments[u], acc)
+                else:
+                    a = leaf[act[body[u][0]]]
+                    acc = wrap(u, a if acc is None else Seq(a, acc))
+                upto[u * m + j] = acc
+            return acc
+
+        for y in post:
+            j = idom[y]
+            if j != n and len(succ[y]) > 1:
+                segment = segments[y] = wrap(y, total(body[y], j, partial(until, j)))
+                solved[y] = Seq(segment, solved[j])
+            else:
+                rest = terminals[y] if x == n else ()
+                solved[y] = wrap(y, total(body[y], x, solved.__getitem__, rest))
+        return solved
+
+    todo = [n]
+    while todo:
+        x = todo[-1]
+        if x != n and loops[x] is not None:
+            todo.pop()
+            continue
+        if x in scanned:
+            post, idoms = scanned[x]
+        else:
+            roots = range(n) if x == n else [dst[k] for k in entries[x] if dst[k] != x]
+            post, idoms = scanned[x] = _post_dominators(succ, terminals, roots, x, rank, idom, names)
+        pending = [y for y in post if entries[y] and loops[y] is None]
+        if pending:
+            for y in pending:
+                if y in scanned:
+                    raise InternalError("solution recursion revisits %s" % names[y])
+            todo += pending
+            continue
+        todo.pop()
+        for y, d in zip(post, idoms):
+            idom[y] = d
+        solved = solve(x, post)
+        if x == n:
+            return [solved[y] for y in range(n)]
+        del scanned[x]
+        loops[x] = total(entries[x], x, solved.__getitem__)
 
 
 def solution_check(sol, cap=None):

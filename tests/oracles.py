@@ -449,3 +449,50 @@ def brute_expression_witness(e):
                 queue.append(t)
     rank = {h: i for i, h in enumerate(sorted({h for h in heights.values() if h}), start=1)}
     return {t: rank.get(h, 0) for t, h in heights.items()}
+
+
+# --- solution extraction without factoring ---------------------------------
+
+
+def reference_solution(w):
+    """The expression of every node of a layered witness's chart, by the
+    unfactored extraction rule: ``f(Y, X)`` sums ``b`` for a body
+    transition ``Y -b-> X`` and ``b . f(W, X)`` for any other body
+    transition ``Y -b-> W``, plus ``Y``'s terminal actions when ``X`` is
+    ``None`` (outside every loop); entries ``Y -a-> Z`` wrap the sum in
+    ``ℓ(Y) * …``, where ``ℓ(Y)`` sums ``a`` (``Z = Y``) or ``a . f(Z, Y)``.
+    Summands follow the chart's transition order.  Every path to a join
+    gets its own copy of the join's expression, so the result can be
+    exponentially larger than :func:`lleekit.solve.extract_solution`'s.
+    Returns ``{node: f(node, None)}``.
+    """
+    from lleekit.expr import Action, Plus, Seq, Star, Zero
+
+    chart, order = w.chart, w.order
+    memo = {}
+
+    def total(parts):
+        if not parts:
+            return Zero()
+        acc = parts[0]
+        for p in parts[1:]:
+            acc = Plus(acc, p)
+        return acc
+
+    def step(t, stop):
+        return Action(t.action) if t.dst == stop else Seq(Action(t.action), f(t.dst, stop))
+
+    def f(y, x):
+        if (y, x) not in memo:
+            out = chart.out(y)
+            parts = [step(t, x) for t in out if not t.terminal and order[t] == 0]
+            if x is None:
+                parts += [Action(t.action) for t in out if t.terminal]
+            result = total(parts)
+            entries = [t for t in out if not t.terminal and order[t] > 0]
+            if entries:
+                result = Star(total([step(t, y) for t in entries]), result)
+            memo[y, x] = result
+        return memo[y, x]
+
+    return {x: f(x, None) for x in sorted(chart.nodes)}

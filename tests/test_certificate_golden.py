@@ -19,9 +19,13 @@ import tempfile
 
 import pytest
 
+from lleekit.bisim import bisimilarity
+from lleekit.chart import interpret
 from lleekit.cli import run
+from lleekit.expr import parse, size
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "certificates"
+UNFACTORED = GOLDEN.parent / "unfactored"
 
 W3 = "(x0.(y0*z0)+x1.(y1*z1)+x2.(y2*z2))*0"
 N3 = "(a3.((a2.((a1.c0+b1)*c1)+b2)*c2)+b3)*c3"
@@ -76,6 +80,32 @@ def test_equiv_dot_is_pinned(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def solution_lines(text):
+    """``{node: expression}`` of a ``solution v1`` text."""
+    header, *lines = text.splitlines()
+    assert header == "solution v1"
+    return {node: parse(e) for node, e in (line.split(" ", 1) for line in lines)}
+
+
+def assert_same_processes(old, new):
+    """Every node's expression in ``new`` is bisimilar to, and no larger
+    than, its expression in ``old``."""
+    assert old.keys() == new.keys()
+    for node in old:
+        g, h = interpret(old[node]), interpret(new[node])
+        assert (g.initial, h.initial) in bisimilarity(g, h), node
+        assert size(new[node]) <= size(old[node]), node
+
+
+# The solutions pinned before extraction factored them at join nodes; the
+# printed expression of each pair is its collapse's initial node's.
+@pytest.mark.parametrize("name", ["P3", "mixed1", "mixed2", "mixed3"])
+def test_unfactored_solutions_bisimilar_to_new(name):
+    old = solution_lines((UNFACTORED / (name + ".solution")).read_text(encoding="utf-8"))
+    new = solution_lines((GOLDEN / name / "h.solution").read_text(encoding="utf-8"))
+    assert_same_processes(old, new)
 
 
 def _record():

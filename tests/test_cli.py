@@ -1,5 +1,7 @@
 """End-to-end runs of every subcommand through ``run(argv)``."""
 
+import contextlib
+import io
 import json
 import random
 import sys
@@ -10,11 +12,12 @@ from conftest import fixture_path, run_python
 import lleekit.bisim
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, interpret
-from lleekit.cli import _build_parser, run
+from generators import random_expression
+from lleekit.cli import _build_parser, _expression_dot, run
 from lleekit.errors import InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
-from lleekit.expr import Action, parse, unparse
+from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, to_json_dict, unparse
 from lleekit.lee import Witness, find_lee_witness, is_llee_witness
-from lleekit.solve import Solution
+from lleekit.solve import Solution, equiv
 
 G = str(fixture_path("g.chart"))
 CI = str(fixture_path("ci.chart"))
@@ -46,6 +49,32 @@ def test_parse_dot(capsys):
     assert run(["--format", "dot", "parse", "a.b"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("digraph expression") and 'label="."' in out
+
+
+def _recursive_dot(e):
+    """The syntax-tree rendering, written recursively."""
+    lines = ["digraph expression {", "  node [shape=plaintext];"]
+    count = [0]
+
+    def visit(node):
+        idx = count[0]
+        count[0] += 1
+        kids = [] if isinstance(node, (Action, Zero)) else [node.left, node.right]
+        label = {Plus: "+", Seq: ".", Star: "*", Zero: "0"}.get(type(node)) or node.name
+        lines.append('  n%d [label="%s"];' % (idx, label))
+        for kid in kids:
+            lines.append("  n%d -> n%d;" % (idx, visit(kid)))
+        return idx
+
+    visit(e)
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_parse_dot_matches_the_recursive_rendering():
+    rng = random.Random(67)
+    for _ in range(300):
+        e = random_expression(rng, rng.randint(1, 60))
+        assert _expression_dot(e) == _recursive_dot(e)
 
 
 def test_parse_rejects_star_chains(capsys):
@@ -91,6 +120,22 @@ def test_chart_cap_env(capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("LLEEKIT_STATE_CAP", "nonsense")
     assert run(["chart", "a"]) == 2
+
+
+def test_equiv_cap_bounds_the_printed_solution(capsys, tmp_path):
+    # 9 states, but the solution a.(b.(….(g.h))) has 15 syntax nodes
+    pair = ["a.b.c.d.e.f.g.h", "a.b.c.d.e.f.g.(h+h)"]
+    for fmt in ("text", "json"):
+        assert run(["--cap", "14", "--format", fmt, "equiv", *pair, "--certificate", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the solution has more than 14 syntax nodes\n"
+        assert list(tmp_path.iterdir()) == []
+    assert run(["--cap", "15", "equiv", *pair]) == 0
+    assert capsys.readouterr().out == "EQUAL\na.(b.(c.(d.(e.(f.(g.h))))))\n"
+    # dot prints the collapse, not the expression
+    assert run(["--cap", "14", "--format", "dot", "equiv", *pair]) == 0
+    capsys.readouterr()
 
 
 # --- collapse ---------------------------------------------------------------
@@ -530,6 +575,44 @@ def test_equiv_deep_or_long_answers(e1, e2):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.startswith("EQUAL\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--format", "json", "equiv"], ["--format", "json", "parse"], ["--format", "dot", "parse"]],
+    ids=["json-equiv", "json-parse", "dot-parse"],
+)
+def test_deep_json_and_dot_answer(args):
+    # JSON and dot output are written from explicit stacks: these exited 2
+    # with "nested too deeply" while they recursed
+    expressions = [SEQ2000, SEQ2000] if args[-1] == "equiv" else [SEQ2000]
+    proc = run_python(["-m", "lleekit.cli", *args, *expressions], 0, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    if args[1] == "dot":
+        assert proc.stdout.startswith("digraph expression {\n")
+        # one line per syntax node and per edge
+        assert proc.stdout.count("\n") == 3 + 4001 + 4000
+    else:
+        head = '{\n  "v": 1,\n  "equal": true,\n' if args[-1] == "equiv" else '{\n  "v": 1,\n'
+        assert proc.stdout.startswith(head + '  "expression": {\n    "op": "seq",\n')
+        assert proc.stdout.endswith("\n}\n")
+
+
+def test_json_output_is_the_standard_encoders():
+    # byte for byte json.dumps(indent=2) of the same document
+    e = _nested("(b+a.(%s))", 150)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["--format", "json", "equiv", e, e]) == 0
+    cert = equiv(parse(e), parse(e)).certificate
+    doc = {
+        "v": 1,
+        "equal": True,
+        "expression": to_json_dict(cert.expression),
+        "chart": cert.collapse.to_json_dict(),
+    }
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(

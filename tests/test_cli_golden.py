@@ -23,6 +23,7 @@ import sys
 import pytest
 
 from lleekit.cli import run
+from test_certificate_golden import assert_same_processes, solution_lines
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "cli_fixtures.json"
@@ -84,6 +85,14 @@ def test_every_case_is_pinned(golden):
 @pytest.mark.parametrize("case", CASES)
 def test_cli_golden(golden, case):
     assert _run(case) == golden[case]
+
+
+def test_unfactored_cii_solution_bisimilar_to_new(golden):
+    # ``solve cii.chart cii_hat.witness`` before extraction factored it at
+    # join nodes; the JSON case prints the same expressions as trees
+    old = (GOLDEN.parent / "unfactored" / "cii.solution").read_text(encoding="utf-8")
+    new = golden["--format text solve cii.chart cii_hat.witness"][1]
+    assert_same_processes(solution_lines(old), solution_lines(new))
 
 
 if __name__ == "__main__":

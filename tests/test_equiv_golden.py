@@ -28,7 +28,7 @@ N6 = "(a6.(%s)+b6)*c6" % N5
 
 W3_SOLUTION = "(x0.y0*z0+x1.y1*z1+x2.y2*z2)*0"
 N3_SOLUTION = "(a3.(a2.(a1.c0+b1)*c1+b2)*c2+b3)*c3"
-P3_SOLUTION = "(x.(y0.(y1.(y2+z2)+z1.(y2+z2))+z0.(y1.(y2+z2)+z1.(y2+z2))))*0"
+P3_SOLUTION = "(x.((y0+z0).((y1+z1).(y2+z2))))*0"
 
 GOLDEN = [
     # the README examples
@@ -125,4 +125,14 @@ OLD_W_SOLUTIONS = [
 @pytest.mark.parametrize("old,new", OLD_W_SOLUTIONS)
 def test_old_w_solutions_bisimilar_to_new(old, new):
     g, h = interpret(parse(old)), interpret(parse(new))
+    assert (g.initial, h.initial) in bisimilarity(g, h)
+
+
+# The EQUAL expression of P(3) before extraction factored it at join nodes:
+# each summand of a factor repeated the rest of the product.
+UNFACTORED_P3_SOLUTION = "(x.(y0.(y1.(y2+z2)+z1.(y2+z2))+z0.(y1.(y2+z2)+z1.(y2+z2))))*0"
+
+
+def test_unfactored_p3_solution_bisimilar_to_new():
+    g, h = interpret(parse(UNFACTORED_P3_SOLUTION)), interpret(parse(P3_SOLUTION))
     assert (g.initial, h.initial) in bisimilarity(g, h)

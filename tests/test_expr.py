@@ -25,6 +25,7 @@ from lleekit.expr import (
     parse,
     size,
     to_json,
+    to_json_dict,
     unparse,
 )
 
@@ -176,6 +177,46 @@ def test_size_and_actions():
     assert size(parse("(a*b)*c")) == 5
     assert actions_of(parse("a.(b+a)*c")) == {"a", "b", "c"}
     assert actions_of(Zero()) == set()
+
+
+def test_size_and_actions_on_shared_subterms():
+    # 2**201 leaves in the tree and 201 distinct operator nodes; only
+    # numbers and sets are asserted, since printing e would never end
+    e = Seq(A, B)
+    for i in range(200):
+        e = Plus(e, e) if i % 2 else Star(e, e)
+    nodes, names = size(e), actions_of(e)
+    assert nodes == 2**202 - 1
+    assert names == {"a", "b"}
+    deep = A
+    for _ in range(5000):
+        deep = Seq(B, deep)
+    nodes, names = size(deep), actions_of(deep)
+    assert nodes == 10001
+    assert names == {"a", "b"}
+
+
+def _tree_size(e):
+    return 1 if isinstance(e, (Action, Zero)) else 1 + _tree_size(e.left) + _tree_size(e.right)
+
+
+def _json_tree(e):
+    if isinstance(e, Action):
+        return {"op": "action", "name": e.name}
+    if isinstance(e, Zero):
+        return {"op": "zero"}
+    op = {Plus: "plus", Seq: "seq", Star: "star"}[type(e)]
+    return {"op": op, "left": _json_tree(e.left), "right": _json_tree(e.right)}
+
+
+def test_iterative_measures_and_json_match_the_recursive_definitions():
+    # the JSON text is json.dumps(indent=2) of the recursively built tree
+    rng = random.Random(61)
+    for _ in range(300):
+        e = random_expression(rng, rng.randint(1, 60))
+        assert size(e) == _tree_size(e)
+        assert to_json_dict(e) == _json_tree(e)
+        assert to_json(e) == json.dumps({"v": 1, "expression": _json_tree(e)}, indent=2)
 
 
 def test_action_name_validation():

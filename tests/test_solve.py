@@ -10,14 +10,20 @@ import pytest
 
 import lleekit.bisim
 from generators import random_chart, random_expression
-from oracles import brute_interpret, naive_bisimilarity_pairs
+from oracles import brute_interpret, naive_bisimilarity_pairs, reference_solution
 from test_equiv_golden import GOLDEN, N3, P3, W3
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, TERMINATION, Transition, _States, interpret
 from lleekit.cli import run
 from lleekit.errors import NotLLEE, StateExplosion
-from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, unparse
-from lleekit.lee import Witness, find_lee_witness, is_llee_witness, lee_to_llee
+from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
+from lleekit.lee import (
+    Witness,
+    expression_witness,
+    find_lee_witness,
+    is_llee_witness,
+    lee_to_llee,
+)
 from lleekit.reflect import collapse_lee_witness
 from lleekit.solve import (
     Solution,
@@ -104,6 +110,120 @@ def test_extract_solution_ci(witness_ci_hat_prime):
 def test_extract_solution_needs_layering(witness_ci_hat):
     with pytest.raises(NotLLEE):
         extract_solution(witness_ci_hat)
+
+
+# --- factoring at join nodes -------------------------------------------------
+
+
+def _against_reference(w):
+    """The solution of ``w`` passes the check, and every node's expression
+    is bisimilar to, and no larger than, the unfactored extraction's.
+    Returns how many nodes got smaller."""
+    sol = extract_solution(w)
+    ref = reference_solution(w)
+    assert solution_check(sol) == []
+    assert sol.assign.keys() == ref.keys()
+    smaller = 0
+    for x, old in ref.items():
+        new = sol[x]
+        assert size(new) <= size(old), (unparse(new), unparse(old))
+        g, h = brute_interpret(new), brute_interpret(old)
+        assert (g.initial, h.initial) in naive_bisimilarity_pairs(g, h)
+        smaller += size(new) < size(old)
+    return smaller
+
+
+def test_extraction_against_the_unfactored_reference():
+    # the witness read off each expression, and its reflection onto the
+    # collapse; both are layered
+    rng = random.Random(89)
+    smaller = 0
+    for _ in range(150):
+        w = expression_witness(random_expression(rng, rng.randint(1, 20)))
+        smaller += _against_reference(w)
+        smaller += _against_reference(collapse_lee_witness(collapse(w.chart).theta, w))
+    assert smaller > 0
+
+
+def _pinned_witness(steps, orders, initial):
+    """The witness of the chart with ``steps`` (``"X a Y"``, ``!`` for √)
+    whose transitions have the given ``orders`` and 0 otherwise."""
+    ts = [T(s, a, TERMINATION if d == "!" else d) for s, a, d in (t.split() for t in steps)]
+    g = Chart(ts, initial=initial)
+    return Witness(g, {t: orders.get("%s %s %s" % (t.src, t.action, t.dst), 0) for t in ts if not t.terminal})
+
+
+def _pinned_solution(w):
+    assert is_llee_witness(w)
+    _against_reference(w)
+    return {x: unparse(e) for x, e in extract_solution(w).assign.items()}
+
+
+def test_factoring_dead_ends_in_a_loop_body():
+    # 0.X is a dead end: a path into it ends at the sink, so b.0+c.d is not
+    # factored, but the two paths of g.0+h.0 both end there, at a node
+    w = expression_witness(parse("(a.(b.0+c.d)+f.(g.0+h.0))*e"))
+    sol = _pinned_solution(w)
+    assert sol[w.chart.initial] == "(a.(b.0+c.d)+f.((g+h).0))*e"
+
+
+@pytest.mark.parametrize(
+    "exit,expected",
+    [
+        # Y -a-> X -t-> √ avoids D, so D does not post-dominate Y outside
+        # the loop either
+        (["X t !"], "a.(x.(a+b.(d.0)))*(c.(d.0)+t)+b.(d.0)"),
+        # outside the loop every path from Y reaches D, also the one through X
+        ([], "(a.(x.(a+b.(d.0)))*c+b).(d.0)"),
+    ],
+    ids=["exit", "no-exit"],
+)
+def test_factoring_ignores_a_join_after_the_return(exit, expected):
+    # inside the loop at X, Y -a-> X returns and Y -b-> D leaves the loop's
+    # paths at D, which X reaches only after the return: no join in the loop
+    steps = ["X x Y", "Y a X", "Y b D", "X c D", "D d E"] + exit
+    sol = _pinned_solution(_pinned_witness(steps, {"X x Y": 1}, "X"))
+    assert sol["X"] == "(x.(a+b.(d.0)))*(c.(d.0)%s)" % ("+t" if exit else "")
+    assert sol["Y"] == expected
+
+
+def test_factoring_inside_nested_loops():
+    # W lies in the loop at I, which lies in the loop at X, and X enters W
+    # directly too; V's two steps join at W inside the loop at I
+    steps = ["X x I", "X w W", "I y V", "V a W", "V c W", "W b I", "I z X", "X t !"]
+    w = _pinned_witness(steps, {"X x I": 2, "X w W": 2, "I y V": 1}, "X")
+    sol = _pinned_solution(w)
+    inner = "(y.((a+c).b))*z"
+    assert sol["X"] == "(w.(b.%s)+x.%s)*t" % (inner, inner)
+    assert sol["V"] == "(a+c).(b.(y.((a+c).b))*(z.%s))" % sol["X"]
+
+
+def _family(k, factor):
+    """``(x.F0.….F{k-1})*0`` with ``Fi = factor(i)``, and the same with the
+    summands of the last factor swapped."""
+    factors = [factor(i) for i in range(k)]
+    left, right = factors[-1][1:-1].split("+")
+    swapped = factors[:-1] + ["(%s+%s)" % (right, left)]
+    return ["(x.%s)*0" % ".".join(fs) for fs in (factors, swapped)]
+
+
+@pytest.mark.parametrize(
+    "factor,per_factor",
+    [
+        # P(k)
+        (lambda i: "(y%d+z%d)" % (i, i), 4),
+        # Q(k)
+        (lambda i: "(y%d.u%d+z%d.v%d)" % (i, i, i, i), 8),
+    ],
+    ids=["P", "Q"],
+)
+def test_factored_families_are_linear(factor, per_factor):
+    # unfactored, these solutions double with every factor
+    for k in (1, 2, 3, 8, 16, 32):
+        e1, e2 = _family(k, factor)
+        res = equiv(parse(e1), parse(e2))
+        assert res.equal
+        assert size(res.certificate.expression) == per_factor * k + 3 == size(parse(e1))
 
 
 def test_solution_check_failure(chart_h):
