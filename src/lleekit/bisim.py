@@ -9,9 +9,10 @@ target-block)`` signatures until stable.  After the first batch only the
 predecessors of nodes that changed block are signed again, and the largest
 piece of a split block keeps its id, so a path of n nodes costs O(n)
 rather than n rounds over every node.  The nodes that can reach no cycle
-are settled before that, in one bottom-up pass.  It runs on integer ids,
+are settled before that, bottom-up, in one sweep and one walk.  It runs on integer ids,
 and two charts or explorations numbered into the same tables are refined
-as their disjoint union.
+as their disjoint union; an exploration writes its tables while it
+explores.
 
 :func:`collapse` quotients a chart by its greatest self-bisimulation; the
 result has no two distinct bisimilar nodes, and the quotient map is returned
@@ -24,7 +25,7 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .chart import Chart, TERMINATION, _IndexChart, chart_of_nodes
+from .chart import Chart, _IndexChart, chart_of_nodes
 from .errors import NotABisimulation, ParseError, UnknownNode
 
 __all__ = [
@@ -83,59 +84,41 @@ def _index_tables(ic, outmap, term):
     return offset
 
 
-def _explored_tables(exploration, outmap, term):
-    """Append the states of an exploration to :func:`_refine`'s tables;
-    return the id of state 0, the offset of the others.
-
-    ``exploration`` is what :func:`lleekit.chart._explore` returns, its
-    transitions ``(src, action, dst, height)`` tuples.  State ``i`` becomes
-    id ``offset + i``, so an exploration and the nodes appended after it
-    (or a second exploration) are refined side by side, with no state named
-    and no chart built.
-    """
-    _, _, states, transitions = exploration
-    count = len(states)
-    offset = len(outmap)
-    outmap.extend([] for _ in range(count))
-    ends = [set() for _ in range(count)]
-    for src, action, dst, _ in transitions:
-        if dst is TERMINATION:
-            ends[src].add(action)
-        else:
-            outmap[offset + src].append((action, offset + dst))
-    term.extend(frozenset(a) for a in ends)
-    return offset
-
-
 def _refine(outmap, term):
     """Partition refinement core, on the integer ids ``0..len(outmap)-1``.
 
     ``outmap[i]`` is the list of ``(action, dst)`` pairs of node ``i``'s
     non-terminal transitions, repeats allowed; ``term[i]`` the frozenset
-    of its terminal actions.  :func:`_tables` builds both from charts,
-    :func:`_index_tables` from index charts and :func:`_explored_tables`
-    from explorations.  Returns a list: node id ->
-    block id.
+    of its terminal actions.  :func:`_tables` builds both from charts and
+    :func:`_index_tables` from index charts, and
+    :func:`lleekit.chart._explore` writes them while it explores.  Returns
+    a list: node id -> block id.
 
-    First, one depth-first walk finds the *well-founded* nodes, those from
-    which no cycle can be reached (Dovier, Piazza & Policriti, *An
-    efficient algorithm for computing bisimulation equivalence*, 2004).
-    Their bisimilarity is decided by induction on depth: two of them are
-    bisimilar exactly when they have the same terminal actions and the same
-    ``(action, class of dst)`` pairs, and every ``dst`` is well-founded and
-    finished earlier in post-order.  So each takes its final block when the
-    walk leaves it, by interning that pair of sets, and none is signed
-    again.  A well-founded node is never bisimilar to a node that can reach
-    a cycle, which has an infinite path the other cannot match.
+    First, the *well-founded* nodes are found, those from which no cycle
+    can be reached (Dovier, Piazza & Policriti, *An efficient algorithm for
+    computing bisimulation equivalence*, 2004).  Their bisimilarity is
+    decided by induction on depth: two of them are bisimilar exactly when
+    they have the same terminal actions and the same ``(action, class of
+    dst)`` pairs, and every ``dst`` is well-founded and settled before
+    them.  So each takes its final block as soon as all its successors
+    are settled, by interning that pair of sets, and none is signed again;
+    one loop over its steps both tests them and collects the pairs.  One
+    sweep from the last id down settles the nodes whose successors come
+    later, as an exploration's successors mostly do, and one depth-first
+    walk settles the others when it leaves them, in post-order.  A
+    well-founded node is never bisimilar to a node that can reach a cycle,
+    which has an infinite path the other cannot match.  When every node is
+    well-founded the partition is final after the walk.
 
     The other nodes start grouped by their terminal-action sets, in blocks
-    apart from the settled ones, and all of them *dirty*.  A node's signature is the set of
-    ``(action, block of dst)`` pairs.  Each batch signs the dirty nodes,
-    all against the partition as it was before the batch split anything,
-    and splits each touched block by signature.  A node that changes block
-    moves to a new block id, so its predecessors, and only they, are dirty
-    in the next batch; none of them is well-founded, since it reaches a
-    cycle through the moved node, so the settled blocks are never touched.
+    apart from the settled ones, and all of them *dirty*.  A node's
+    signature is the set of ``(action, block of dst)`` pairs.  Each batch
+    signs the dirty nodes, all against the partition as it was before the
+    batch split anything, and splits each touched block by signature.  A
+    node that changes block moves to a new block id, so its predecessors,
+    and only they, are dirty in the next batch; none of them is
+    well-founded, since it reaches a cycle through the moved node, so the
+    settled blocks are never touched.
     From the second batch on, a dirty node thus has a successor in a block
     made by the previous batch and a clean node has none: their signatures
     differ, so the clean nodes of a block stay together and the dirty ones
@@ -147,6 +130,15 @@ def _refine(outmap, term):
     state = bytearray(len(outmap))
     block = [0] * len(outmap)
     settled = {}
+    for n in range(len(outmap) - 1, -1, -1):
+        pairs = []
+        for a, d in outmap[n]:
+            if state[d] != 2:
+                break
+            pairs.append((a, block[d]))
+        else:
+            state[n] = 2
+            block[n] = settled.setdefault((term[n], frozenset(pairs)), len(settled))
     for root in range(len(outmap)):
         if state[root]:
             continue
@@ -161,14 +153,18 @@ def _refine(outmap, term):
                     break
             else:
                 stack.pop()
-                out = outmap[n]
-                # a successor still on the stack closes a cycle
-                if all(state[d] == 2 for _, d in out):
-                    state[n] = 2
-                    sig = (term[n], frozenset((a, block[d]) for a, d in out))
-                    block[n] = settled.setdefault(sig, len(settled))
+                pairs = []
+                for a, d in outmap[n]:
+                    # a successor still on the stack closes a cycle
+                    if state[d] != 2:
+                        state[n] = 3
+                        break
+                    pairs.append((a, block[d]))
                 else:
-                    state[n] = 3
+                    state[n] = 2
+                    block[n] = settled.setdefault((term[n], frozenset(pairs)), len(settled))
+    if 3 not in state:
+        return block
     members = [None] * len(settled)  # the settled blocks are never split
     first = {}
     dirty = [n for n in range(len(outmap)) if state[n] == 3]

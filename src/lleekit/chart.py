@@ -54,6 +54,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParentMismatch, ParseError, StateExplosion, UnknownNode
 from . import expr as _expr
@@ -596,32 +597,39 @@ def cycle_nodes(cycle):
 
 
 class _Cont:
-    """An interned continuation: right operands pending after a state's head.
+    """An interned sequence: ``expr`` runs first, then the continuation
+    ``rest`` (``None`` when nothing follows).
 
-    ``expr`` runs first, then ``rest`` (``None`` when nothing follows).
-    ``suffix`` is the continuation's printed part of a node id,
-    ``".r1.r2…"``, filled in by :meth:`_States.name` on first use (``None``
-    until then).
+    As a continuation it holds the right operands pending after a state's
+    head, and ``suffix`` is its printed part of a node id, ``".r1.r2…"``,
+    filled in by :meth:`_States.name` on first use (``None`` until then).
+    A state is the ``_Cont`` of its head and the head's continuation, and
+    ``index`` is its id in the exploration's tables (``None`` until
+    :func:`_explore` numbers it).
     """
 
-    __slots__ = ("expr", "rest", "suffix")
+    __slots__ = ("expr", "rest", "suffix", "index")
 
     def __init__(self, expr, rest):
         self.expr = expr
         self.rest = rest
         self.suffix = None
+        self.index = None
 
 
 class _States:
     """The states of one exploration, with their continuations and names.
 
-    A state is a pair ``(head, k)`` of a non-``Seq`` expression and an
-    interned continuation ``k``: it stands for ``head.r1.….rn``
-    left-nested, where ``r1 … rn`` are the continuation's operands.  Every
-    expression has exactly one such form, so states and expressions
-    correspond one to one; a step rewrites only the head and the front of
-    the continuation, and a node id is the printed head followed by the
-    continuation's cached suffix, so neither costs the length of the spine.
+    A state is the interned :class:`_Cont` of a non-``Seq`` head and a
+    continuation ``k``: it stands for ``head.r1.….rn`` left-nested, where
+    ``r1 … rn`` are the continuation's operands.  Every expression has
+    exactly one such form, so states and expressions correspond one to
+    one, and equal states are the same object.  A step rewrites only the
+    head and the front of the continuation, and a node id is the printed
+    head followed by the continuation's cached suffix, so neither costs the
+    length of the spine.  A continuation whose first operand is not a
+    sequence is itself the state that runs it, so a step that finishes its
+    head looks nothing up.
     """
 
     def __init__(self):
@@ -632,6 +640,8 @@ class _States:
     def _wrap(self, e, minimum):
         """``e`` as printed by :func:`expr.unparse` in an operand position of
         precedence ``minimum``; each subterm is printed once."""
+        if e.__class__ is Action:
+            return e.name
         text = _expr._printed(e, self._printed)
         return "(" + text + ")" if _expr._level(e) < minimum else text
 
@@ -658,31 +668,32 @@ class _States:
 
     def enter(self, e, k):
         """The state of ``e`` followed by continuation ``k``."""
-        while isinstance(e, Seq):
+        while e.__class__ is Seq:
             k = self.push(e.right, k)
             e = e.left
-        return (e, k)
-
-    def resume(self, k):
-        """Where a terminating head leads: the next operand, or termination."""
-        return TERMINATION if k is None else self.enter(k.expr, k.rest)
+        return self.push(e, k)
 
     def steps(self, e, k, out):
         """Append to ``out`` the ``(action, target)`` steps of ``e`` followed
         by ``k``, by the rules of :func:`step`."""
-        if isinstance(e, Action):
-            out.append((e.name, self.resume(k)))
-        elif isinstance(e, Zero):
-            pass
-        elif isinstance(e, Plus):
+        cls = e.__class__
+        if cls is Action:
+            # a finished head leads to the next operand, or to termination
+            if k is None:
+                out.append((e.name, TERMINATION))
+            elif k.expr.__class__ is Seq:
+                out.append((e.name, self.enter(k.expr, k.rest)))
+            else:
+                out.append((e.name, k))
+        elif cls is Plus:
             self.steps(e.left, k, out)
             self.steps(e.right, k, out)
-        elif isinstance(e, Seq):
+        elif cls is Seq:
             self.steps(e.left, self.push(e.right, k), out)
-        elif isinstance(e, Star):
+        elif cls is Star:
             self.steps(e.left, self.push(e, k), out)
             self.steps(e.right, k, out)
-        else:
+        elif cls is not Zero:
             raise TypeError("not an expression: %r" % (e,))
 
     def measure(self, e):
@@ -730,7 +741,7 @@ class _States:
 
         The suffixes of the continuation are cached on the way, which pays
         when every state is named, as :func:`interpret` does."""
-        head, k = state
+        head, k = state.expr, state.rest
         if k is None:
             return self._wrap(head, _expr._LEVEL_PLUS)
         return self._wrap(head, _expr._LEVEL_SEQ) + self._suffix(k)
@@ -740,7 +751,7 @@ class _States:
         nothing cached: naming a few states of a long spine this way costs
         their length, where the suffix cache would hold every suffix of the
         spine."""
-        head, k = state
+        head, k = state.expr, state.rest
         if k is None:
             return self._wrap(head, _expr._LEVEL_PLUS)
         parts = [self._wrap(head, _expr._LEVEL_SEQ)]
@@ -770,7 +781,7 @@ def step(e):
     result = []
     for action, target in out:
         if target is not TERMINATION:
-            target, k = target
+            target, k = target.expr, target.rest
             while k is not None:
                 target = Seq(target, k.expr)
                 k = k.rest
@@ -778,67 +789,105 @@ def step(e):
     return result
 
 
-def _explore(roots, cap, what, labelled=False):
+class _Exploration(NamedTuple):
+    """What :func:`_explore` returns: the states of an exploration, and
+    their steps as :func:`lleekit.bisim._refine`'s tables.
+
+    State ``i`` is id ``base + i``: ``space.name(states[i])`` is its node
+    id, ``out[i]`` the list of its ``(action, dst)`` non-terminal steps,
+    ``dst`` an id, and ``term[i]`` the frozenset of its terminal actions.
+    ``roots`` are the roots' ids, in order.  ``heights[i]`` lists the loop
+    label of each step of ``out[i]`` when the exploration is labelled, and
+    ``heights`` is ``None`` when it is not.
+    """
+
+    space: _States
+    roots: list
+    states: list
+    out: list
+    term: list
+    heights: list
+    base: int
+
+
+_NO_ENDS = frozenset()
+
+
+def _explore(roots, cap, what, labelled=False, base=0):
     """Breadth-first closure of ``roots`` under :func:`step`, by state index.
 
-    States are numbered in discovery order and none is printed.  Returns
-    ``(space, root_idx, states, transitions)``: the :class:`_States` that
-    holds the states (``space.name(states[i])`` is state ``i``'s node id),
-    the index of each root, in order, the list of states, and the
-    transitions as ``(src, action, dst, height)`` tuples, ``src`` and
-    ``dst`` state indices, ``dst`` being :data:`TERMINATION` for a terminal
-    step.  A state with two equal steps (as in ``a+a``) has two equal
-    tuples.  With ``labelled``, ``height`` labels the loop a step enters: a
+    States are numbered in discovery order, from id ``base`` on, and none
+    is printed.  Returns an :class:`_Exploration`, whose ``out`` and
+    ``term`` are :func:`lleekit.bisim._refine`'s tables for the states: a
+    second exploration given ``base`` the number of states of the first is
+    refined with it as their disjoint union, on the concatenated tables.
+    A state with two equal steps (as in ``a+a``) lists the pair twice.
+    With ``labelled``, each step gets the label of the loop it enters: a
     state whose head is a star ``e1*e2`` with ``e1`` normed labels every
     step of ``e1`` with the star height of ``e1*e2``; every other step gets
-    0.  Without it every height is 0, and no star is measured: the
-    measuring walks each star's subterms once, which on a solution check's
-    large solution trees would cost as much as the check.  Raises
-    :class:`StateExplosion` if more than ``cap`` states appear (``cap``
-    defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or 100000);
-    its message is ``what`` applied to the first root's node id, which is
-    printed only then.  A cap given here is used as it is; only the
-    default is checked (:func:`_state_cap`).
+    0.  Such a step returns to the star, so it is never terminal, and a
+    terminal step's label is always 0.  Without ``labelled`` no star is
+    measured: the measuring walks each star's subterms once, which on a
+    solution check's large solution trees would cost as much as the check.
+    Raises :class:`StateExplosion` if more than ``cap`` states appear
+    (``cap`` defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or
+    100000); its message is ``what`` applied to the first root's node id,
+    which is printed only then.  A cap given here is used as it is; only
+    the default is checked (:func:`_state_cap`).
     """
     if cap is None:
         cap = _state_cap()
     space = _States()
-    starts = [space.enter(r, None) for r in roots]
-    index = {}
+    steps, push, measure = space.steps, space.push, space.measure
     states = []
-    transitions = []
-
-    def visit(state):
-        i = index.get(state)
-        if i is None:
-            if len(states) >= cap:
-                root = space.name_one(starts[0])
-                raise StateExplosion("more than %d states while %s" % (cap, what(root)))
-            i = index[state] = len(states)
+    out_table, term_table = [], []
+    heights = [] if labelled else None
+    root_ids = []
+    for r in roots:
+        state = space.enter(r, None)
+        if state.index is None:
+            state.index = base + len(states)
             states.append(state)
-        return i
-
-    root_idx = [visit(s) for s in starts]
-
-    def add(src, out, height):
-        for action, tgt in out:
-            transitions.append(
-                (src, action, TERMINATION if tgt is TERMINATION else visit(tgt), height)
-            )
-
-    # the loop also reaches the states that visit appends while it runs
-    for src, (head, k) in enumerate(states):
-        out = []
-        if labelled and isinstance(head, Star) and space.measure(head.left)[0]:
+        root_ids.append(state.index)
+    if len(states) > cap:
+        raise _explosion(cap, what, space, states)
+    # the loop also reaches the states appended while it runs
+    for state in states:
+        head, k = state.expr, state.rest
+        found = []
+        loop = height = 0
+        if labelled and head.__class__ is Star and measure(head.left)[0]:
             # the steps of :meth:`_States.steps` on a star, loop steps first
-            space.steps(head.left, space.push(head, k), out)
-            add(src, out, space.measure(head)[1])
-            out = []
-            space.steps(head.right, k, out)
+            steps(head.left, push(head, k), found)
+            loop = len(found)
+            height = measure(head)[1]
+            steps(head.right, k, found)
         else:
-            space.steps(head, k, out)
-        add(src, out, 0)
-    return space, root_idx, states, transitions
+            steps(head, k, found)
+        out = []
+        ends = []
+        for action, tgt in found:
+            if tgt is TERMINATION:
+                ends.append(action)
+                continue
+            i = tgt.index
+            if i is None:
+                if len(states) >= cap:
+                    raise _explosion(cap, what, space, states)
+                i = tgt.index = base + len(states)
+                states.append(tgt)
+            out.append((action, i))
+        out_table.append(out)
+        term_table.append(frozenset(ends) if ends else _NO_ENDS)
+        if labelled:
+            heights.append([height] * loop + [0] * (len(out) - loop))
+    return _Exploration(space, root_ids, states, out_table, term_table, heights, base)
+
+
+def _explosion(cap, what, space, states):
+    # the first state is the first root's
+    root = space.name_one(states[0])
+    return StateExplosion("more than %d states while %s" % (cap, what(root)))
 
 
 def interpret(e, cap=None):
@@ -862,27 +911,37 @@ def _explored_chart(exploration):
     """Name the states of an exploration of one root and number them in
     name order.
 
-    ``exploration`` is what :func:`_explore` returns.  Returns ``(chart,
-    order, heights)``: the :class:`_IndexChart`, rooted at the root, whose
-    node ``r`` is state ``order[r]``, and ``heights[k]``, the largest loop
-    label :func:`_explore` gave a step of transition ``k`` (0 for an
-    exploration without labels).  :func:`lleekit.lee.expression_witness`
-    ranks the heights into a layered witness.
+    ``exploration`` is what :func:`_explore` returns; its tables are read
+    as they are, repeated steps merged.  Returns ``(chart, order,
+    heights)``: the :class:`_IndexChart`, rooted at the root, whose node
+    ``r`` is state ``order[r]``, and ``heights[k]``, the largest loop label
+    :func:`_explore` gave a step of transition ``k`` (0 for an exploration
+    without labels).  :func:`lleekit.lee.expression_witness` ranks the
+    heights into a layered witness.
     """
-    space, root_idx, states, transitions = exploration
+    space, roots, states, out, term, labels, base = exploration
     names = [space.name(s) for s in states]
     order = sorted(range(len(names)), key=names.__getitem__)
-    rank = [0] * len(order)
+    rank = [0] * (base + len(order))  # by id
     for r, i in enumerate(order):
-        rank[i] = r
-    # per node, each distinct step with its largest height
-    outs = [{} for _ in order]
-    for src, action, dst, height in transitions:
-        out = outs[rank[src]]
-        key = (action, None if dst is TERMINATION else rank[dst])
-        if out.get(key, -1) < height:
-            out[key] = height
-    chart = _IndexChart.build([names[i] for i in order], outs, rank[root_idx[0]])
+        rank[base + i] = r
+    # per node, each distinct step with its largest label; a terminal
+    # step's label is 0
+    outs = []
+    for i in order:
+        steps = {}
+        for a in term[i]:
+            steps[a, None] = 0
+        if labels is None:
+            for a, d in out[i]:
+                steps[a, rank[d]] = 0
+        else:
+            for (a, d), h in zip(out[i], labels[i]):
+                key = (a, rank[d])
+                if steps.get(key, -1) < h:
+                    steps[key] = h
+        outs.append(steps)
+    chart = _IndexChart.build([names[i] for i in order], outs, rank[roots[0]])
     src = chart.src
     heights = [outs[src[k]][a, d] for k, (a, d) in enumerate(zip(chart.act, chart.dst))]
     return chart, order, heights

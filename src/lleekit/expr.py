@@ -77,8 +77,8 @@ class Action(Expression):
     def __init__(self, name):
         if not _ACTION_RE.fullmatch(name):
             raise ValueError("invalid action name: %r" % (name,))
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("action", name)))
+        _set_name(self, name)
+        _set_hash(self, hash(("action", name)))
 
     def __eq__(self, other):
         if other.__class__ is not Action:
@@ -98,7 +98,7 @@ class Zero(Expression):
     __slots__ = ()
 
     def __init__(self):
-        object.__setattr__(self, "_hash", hash("0"))
+        _set_hash(self, hash("0"))
 
     def __eq__(self, other):
         if other.__class__ is not Zero:
@@ -115,14 +115,16 @@ class Zero(Expression):
 
 
 class _Binary(Expression):
-    """A node with two operands, ``left`` and ``right``."""
+    """A node with two operands, ``left`` and ``right``, both expressions."""
 
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_hash", hash((self._op, hash(left), hash(right))))
+        # the slots are set through their descriptors, past the frozen
+        # ``__setattr__``, and the hash is read off the operands' caches
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((self._op, left._hash, right._hash)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -138,6 +140,24 @@ class _Binary(Expression):
     def __reduce__(self):
         # rebuilt through the constructor, so no stale cached hash is carried
         return (self.__class__, (self.left, self.right))
+
+
+# the slot descriptors' setters, which the frozen nodes' constructors call
+_set_hash = Expression._hash.__set__
+_set_name = Action.name.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+
+
+def _action(name):
+    """The :class:`Action` leaf of ``name``, which the caller has already
+    checked to be an action name, with no second check: :func:`parse` has
+    read it as one, and the actions of a :class:`~lleekit.chart.Chart` and
+    of an exploration are action names."""
+    leaf = object.__new__(Action)
+    _set_name(leaf, name)
+    _set_hash(leaf, hash(("action", name)))
+    return leaf
 
 
 class Plus(_Binary):
@@ -205,12 +225,11 @@ def actions_of(e):
 
 # --- precedence ------------------------------------------------------------
 
-# Precedence levels, shared by the parser and the printer.
+# Precedence levels, from the weakest binding operator to atoms.
 _LEVEL_PLUS, _LEVEL_SEQ, _LEVEL_STAR, _LEVEL_ATOM = 1, 2, 3, 4
 
-# the level of each operator node; ``None`` stands for an open parenthesis
-# on the parser's operator stack, which binds below every operator
-_LEVEL = {None: 0, Plus: _LEVEL_PLUS, Seq: _LEVEL_SEQ, Star: _LEVEL_STAR}
+# the level of each operator node
+_LEVEL = {Plus: _LEVEL_PLUS, Seq: _LEVEL_SEQ, Star: _LEVEL_STAR}
 
 # the least level of a left and a right operand that prints without
 # parentheses: ``+`` and ``.`` associate to the left, and star operands
@@ -228,10 +247,12 @@ def _level(e):
 
 # --- parsing ---------------------------------------------------------------
 
-# an action, or any other non-space character; whitespace is skipped
-_TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*)|\S")
+# an action, or any other non-space character; whitespace is skipped.  A
+# token from "a" up to (not including) "{" starts with a letter, so it is an
+# action.
+_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|\S")
 
-_OPERATOR = {cls._op: cls for cls in _OPERANDS}
+_ZERO = Zero()
 
 
 def parse(text):
@@ -240,68 +261,97 @@ def parse(text):
     Raises :class:`ParseError` (with ``.position``) on malformed input and
     :class:`AssocError` on an unparenthesized star chain.
 
-    One scan splits the text into tokens and rejects stray characters, then
-    one operator-precedence loop builds the tree with an operand stack and
-    an operator stack, so nesting depth costs no recursion.  Every operator
+    One ``findall`` splits the text into tokens, then one flat
+    operator-precedence loop builds the tree with an operand stack and an
+    operator stack, so nesting depth costs no recursion.  Every operator
     reduces the operators of at least its own level first, which makes
     ``+`` and ``.`` left-associative; a ``*`` that meets an unreduced ``*``
-    is a star chain.
+    is a star chain.  The operator stack starts with an open parenthesis
+    that is never closed, so no reduction checks for an empty stack.  A
+    stray character anywhere in the text is reported before any other
+    error, and positions are recovered only for an error
+    (:func:`_parse_error`).
     """
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.lastindex is None and m.group() not in "0+.*()":
-            raise ParseError("unexpected character %r" % m.group(), m.start())
-        tokens.append(m)
+    tokens = _TOKEN_RE.findall(text)
     operands = []
-    operators = []
-    depth = 0  # the open parentheses on the operator stack
-    actions = {}  # one immutable leaf per action name
-
-    def reduce(level):
-        while operators and _LEVEL[operators[-1]] >= level:
-            right = operands.pop()
-            operands[-1] = operators.pop()(operands[-1], right)
-
+    # Plus, Seq and Star, and None for an open parenthesis: between two
+    # parentheses their levels increase up the stack
+    operators = [None]
+    depth = 0  # the parentheses read and not yet closed
+    leaves = {}  # one immutable leaf per action name
     want_operand = True
-    for m in tokens:
-        tok = m.group()
+    for i, tok in enumerate(tokens):
         if want_operand:
-            if m.lastindex is not None:
-                leaf = actions.get(tok)
+            if "a" <= tok < "{":
+                leaf = leaves.get(tok)
                 if leaf is None:
-                    leaf = actions[tok] = Action(tok)
+                    leaf = leaves[tok] = _action(tok)
                 operands.append(leaf)
-            elif tok == "0":
-                operands.append(Zero())
             elif tok == "(":
                 operators.append(None)
                 depth += 1
                 continue
+            elif tok == "0":
+                operands.append(_ZERO)
             else:
-                raise ParseError("expected expression, got %r" % tok, m.start())
+                raise _parse_error(text, i, ParseError, "expected expression, got %r" % tok)
             want_operand = False
-        elif tok in _OPERATOR:
-            cls = _OPERATOR[tok]
-            if cls is not Star:
-                reduce(_LEVEL[cls])
-            elif operators and operators[-1] is Star:
-                raise AssocError("binary star is non-associative; parenthesize", m.start())
-            operators.append(cls)
+        elif tok == ".":
+            while operators[-1] is Seq or operators[-1] is Star:
+                right = operands.pop()
+                operands[-1] = operators.pop()(operands[-1], right)
+            operators.append(Seq)
+            want_operand = True
+        elif tok == "+":
+            while operators[-1] is not None:
+                right = operands.pop()
+                operands[-1] = operators.pop()(operands[-1], right)
+            operators.append(Plus)
+            want_operand = True
+        elif tok == "*":
+            if operators[-1] is Star:
+                raise _parse_error(
+                    text, i, AssocError, "binary star is non-associative; parenthesize"
+                )
+            operators.append(Star)
             want_operand = True
         elif tok == ")" and depth:
-            reduce(_LEVEL_PLUS)
+            while operators[-1] is not None:
+                right = operands.pop()
+                operands[-1] = operators.pop()(operands[-1], right)
             operators.pop()
             depth -= 1
         elif depth:
-            raise ParseError("expected ')', got %r" % tok, m.start())
+            raise _parse_error(text, i, ParseError, "expected ')', got %r" % tok)
         else:
-            raise ParseError("trailing input %r" % tok, m.start())
-    if want_operand:
-        raise ParseError("expected expression, got 'end of input'", len(text))
-    if depth:
-        raise ParseError("expected ')', got 'end of input'", len(text))
-    reduce(_LEVEL_PLUS)
+            raise _parse_error(text, i, ParseError, "trailing input %r" % tok)
+    if want_operand or depth:
+        expected = "expression" if want_operand else "')'"
+        raise _parse_error(
+            text, len(tokens), ParseError, "expected %s, got 'end of input'" % expected
+        )
+    while operators[-1] is not None:
+        right = operands.pop()
+        operands[-1] = operators.pop()(operands[-1], right)
     return operands[0]
+
+
+def _parse_error(text, i, exc, message):
+    """The error :func:`parse` raises at token ``i`` of ``text``, or at its
+    end when ``i`` is the number of tokens.
+
+    The text is scanned again to find the token's position.  A stray
+    character anywhere in the text is the error instead, the first one
+    found: the grammar is read only from valid tokens.
+    """
+    position = len(text)
+    for j, m in enumerate(_TOKEN_RE.finditer(text)):
+        tok = m.group()
+        if not "a" <= tok < "{" and tok not in "0+.*()":
+            return ParseError("unexpected character %r" % tok, m.start())
+        if j == i:
+            position = m.start()
+    return exc(message, position)
 
 
 # --- printing --------------------------------------------------------------

@@ -38,10 +38,18 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .bisim import BisimMap, _explored_tables, _index_tables, _quotient, _refine
-from .chart import Chart, _IndexChart, _explore, _explored_chart, _interpreting, interpret
+from .bisim import BisimMap, _index_tables, _quotient, _refine
+from .chart import (
+    TERMINATION,
+    Chart,
+    _IndexChart,
+    _explore,
+    _explored_chart,
+    _interpreting,
+    interpret,
+)
 from .errors import InternalError, InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
-from .expr import Action, Plus, Seq, Star, Zero, unparse
+from .expr import Plus, Seq, Star, Zero, _action
 from .lee import Witness, _IndexWitness, _loops_back, _ranked, _replay, _witness, is_llee_witness
 from .reflect import _images, _reflect_witness
 
@@ -59,46 +67,22 @@ __all__ = [
 ]
 
 
-def _sum(parts):
-    """Combine expressions with ``+``, left-associated; empty sums are 0."""
-    parts = [p for p in parts if p is not None]
-    if not parts:
-        return Zero()
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = Plus(acc, p)
-    return acc
-
-
-@dataclass(frozen=True)
-class _NodeVar:
-    """Stand-in for a node on an equation's right-hand side.
-
-    Node ids are free-form strings, so they cannot in general be read as
-    actions; equations use this marker purely for display.
-    """
-
-    name: str
-
-    def __str__(self):
-        return "<%s>" % self.name
-
-
-def _format_rhs(e):
-    # Right-hand sides only ever nest as sums of (prefixed) node markers and
-    # actions, so no parentheses are needed.
-    if isinstance(e, _NodeVar):
-        return str(e)
-    if isinstance(e, Plus):
-        return "%s + %s" % (_format_rhs(e.left), _format_rhs(e.right))
-    if isinstance(e, Seq):
-        return "%s.%s" % (_format_rhs(e.left), _format_rhs(e.right))
-    return unparse(e)
+def _format_rhs(summands):
+    # an empty sum is 0, and no summand needs parentheses
+    parts = [a if d is TERMINATION else "%s.<%s>" % (a, d) for a, d in summands]
+    return " + ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
 class EquationSystem:
-    """Per-node equations ``X = Σ a_i . Y_i + Σ b_j`` read off a chart."""
+    """Per-node equations ``X = Σ a_i . Y_i + Σ b_j`` read off a chart.
+
+    ``right`` maps every node to its right-hand side, a tuple of
+    ``(action, dst)`` summands in printing order, ``dst`` a node id or
+    :data:`~lleekit.chart.TERMINATION`.  Node ids are free-form strings,
+    so they cannot in general be read as actions: a summand ``a . Y`` is
+    printed ``a.<Y>``, and the equations are for display only.
+    """
 
     chart: Chart
     right: dict
@@ -118,14 +102,11 @@ def equation_system(chart):
     """
     right = {}
     for x in sorted(chart.nodes):
-        summands = []
-        for t in chart.out(x):
-            if not t.terminal:
-                summands.append(Seq(Action(t.action), _NodeVar(t.dst)))
-        for t in chart.out(x):
-            if t.terminal:
-                summands.append(Action(t.action))
-        right[x] = _sum(summands)
+        out = chart.out(x)
+        right[x] = tuple(
+            [(t.action, t.dst) for t in out if not t.terminal]
+            + [(t.action, t.dst) for t in out if t.terminal]
+        )
     return EquationSystem(chart, right)
 
 
@@ -276,7 +257,7 @@ def _solve(w):
     act, dst, first, names = c.act, c.dst, c.first, c.names
     n = len(names)
     # one leaf per action name, and one 0; expressions are immutable
-    leaf = {a: Action(a) for a in set(act)}
+    leaf = {a: _action(a) for a in set(act)}
     zero = Zero()
     body, succ, entries, terminals = [], [], [], []
     for x in range(n):
@@ -395,17 +376,15 @@ def solution_check(sol, cap=None):
         keys = c.names
     else:
         keys = range(len(c.names))
-    exploration = _explore(
-        [sol.assign[x] for x in keys],
+    x = _explore(
+        [sol.assign[k] for k in keys],
         cap,
         lambda root: "checking a solution of %d nodes" % len(keys),
     )
-    root_idx = exploration[1]
-    outmap, term = [], []
-    _explored_tables(exploration, outmap, term)
-    offset = _index_tables(c, outmap, term)
-    block = _refine(outmap, term)
-    return [c.names[i] for i, r in enumerate(root_idx) if block[r] != block[offset + i]]
+    # the chart's nodes follow the exploration's states in its tables
+    offset = _index_tables(c, x.out, x.term)
+    block = _refine(x.out, x.term)
+    return [c.names[i] for i, r in enumerate(x.roots) if block[r] != block[offset + i]]
 
 
 _AXIOM_SCHEMATA = (
@@ -474,7 +453,7 @@ class _Evidence(NamedTuple):
     ``g`` is the first expression's index chart, whose node ``r`` is state
     ``order[r]`` of its exploration; ``x2`` is the second exploration,
     named only when the second map is read, its state ``j`` being id
-    ``offset + j`` of the refiner's tables; ``theta`` maps every id of
+    ``x2.base + j`` of the refiner's tables; ``theta`` maps every id of
     those tables to its ``collapse`` node; ``labels`` are the reflected
     witness's order numbers on the collapse, and ``solution`` is keyed by
     collapse node.
@@ -483,7 +462,6 @@ class _Evidence(NamedTuple):
     g: object
     order: list
     x2: tuple
-    offset: int
     theta: list
     collapse: object
     labels: list
@@ -535,8 +513,9 @@ class Certificate:
 
     @cached_property
     def map2(self):
-        h, order, _ = _explored_chart(self._evidence.x2)
-        return self._map(h, order, self._evidence.offset)
+        x2 = self._evidence.x2
+        h, order, _ = _explored_chart(x2)
+        return self._map(h, order, x2.base)
 
     @cached_property
     def witness(self):
@@ -602,12 +581,12 @@ class EquivResult:
 
 def _block(b, block, sides):
     """The members of block ``b`` of both explorations, named with their
-    side; ``sides`` pairs each prefix with its exploration and id offset."""
+    side; ``sides`` pairs each prefix with its exploration."""
     members = []
-    for prefix, (space, _, states, _), offset in sides:
-        for i, state in enumerate(states, start=offset):
+    for prefix, x in sides:
+        for i, state in enumerate(x.states, start=x.base):
             if block[i] == b:
-                members.append(prefix + space.name_one(state))
+                members.append(prefix + x.space.name_one(state))
     return frozenset(members)
 
 
@@ -643,16 +622,13 @@ def equiv(e1, e2, cap=None):
     solution when they are read.
     """
     x1 = _explore([e1], cap, _interpreting, labelled=True)
-    x2 = _explore([e2], cap, _interpreting)
-    outmap, term = [], []
-    _explored_tables(x1, outmap, term)
-    offset = _explored_tables(x2, outmap, term)
+    x2 = _explore([e2], cap, _interpreting, base=len(x1.states))
+    outmap, term = x1.out + x2.out, x1.term + x2.term
     block = _refine(outmap, term)
-    # an exploration's second item lists its roots' state indices
-    b1 = block[x1[1][0]]
-    b2 = block[offset + x2[1][0]]
+    b1 = block[x1.roots[0]]
+    b2 = block[x2.roots[0]]
     if b1 != b2:
-        sides = (("g:", x1, 0), ("h:", x2, offset))
+        sides = (("g:", x1), ("h:", x2))
         distinction = Distinction(_block(b1, block, sides), _block(b2, block, sides))
         return EquivResult(False, distinction=distinction, _inputs=(e1, e2, cap))
     g, order, heights = _explored_chart(x1)
@@ -673,5 +649,5 @@ def equiv(e1, e2, cap=None):
     bad = solution_check(sol, cap=cap)
     if bad:
         raise InternalError("extracted solution fails at %s" % ", ".join(bad))
-    evidence = _Evidence(g, order, x2, offset, theta, collapse, w_h.labels, sol)
+    evidence = _Evidence(g, order, x2, theta, collapse, w_h.labels, sol)
     return EquivResult(True, certificate=Certificate(sol.initial_expression(), evidence))

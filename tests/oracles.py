@@ -6,6 +6,7 @@ algorithms under test beyond the basic data containers.
 """
 
 import itertools
+import re
 
 from lleekit.chart import TERMINATION, Chart, Transition
 
@@ -496,3 +497,80 @@ def reference_solution(w):
         return memo[y, x]
 
     return {x: f(x, None) for x in sorted(chart.nodes)}
+
+
+# --- parsing by a token scan and a reduce helper ---------------------------
+
+# the parser's tables, as the parser below was written against them
+_TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*)|\S")
+_LEVEL_PLUS = 1
+
+
+def reference_parse(text):
+    """:func:`lleekit.expr.parse` as it was before its loop was flattened:
+    one scan collects match objects and rejects stray characters, then an
+    operator-precedence loop reduces through a helper.  The new parser must
+    return ``==`` trees with equal hashes, and raise the same exception
+    class, message and ``.position``.
+    """
+    from lleekit.errors import AssocError, ParseError
+    from lleekit.expr import Action, Plus, Seq, Star, Zero
+
+    _LEVEL = {None: 0, Plus: 1, Seq: 2, Star: 3}
+    _OPERATOR = {"+": Plus, ".": Seq, "*": Star}
+
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex is None and m.group() not in "0+.*()":
+            raise ParseError("unexpected character %r" % m.group(), m.start())
+        tokens.append(m)
+    operands = []
+    operators = []
+    depth = 0  # the open parentheses on the operator stack
+    actions = {}  # one immutable leaf per action name
+
+    def reduce(level):
+        while operators and _LEVEL[operators[-1]] >= level:
+            right = operands.pop()
+            operands[-1] = operators.pop()(operands[-1], right)
+
+    want_operand = True
+    for m in tokens:
+        tok = m.group()
+        if want_operand:
+            if m.lastindex is not None:
+                leaf = actions.get(tok)
+                if leaf is None:
+                    leaf = actions[tok] = Action(tok)
+                operands.append(leaf)
+            elif tok == "0":
+                operands.append(Zero())
+            elif tok == "(":
+                operators.append(None)
+                depth += 1
+                continue
+            else:
+                raise ParseError("expected expression, got %r" % tok, m.start())
+            want_operand = False
+        elif tok in _OPERATOR:
+            cls = _OPERATOR[tok]
+            if cls is not Star:
+                reduce(_LEVEL[cls])
+            elif operators and operators[-1] is Star:
+                raise AssocError("binary star is non-associative; parenthesize", m.start())
+            operators.append(cls)
+            want_operand = True
+        elif tok == ")" and depth:
+            reduce(_LEVEL_PLUS)
+            operators.pop()
+            depth -= 1
+        elif depth:
+            raise ParseError("expected ')', got %r" % tok, m.start())
+        else:
+            raise ParseError("trailing input %r" % tok, m.start())
+    if want_operand:
+        raise ParseError("expected expression, got 'end of input'", len(text))
+    if depth:
+        raise ParseError("expected ')', got 'end of input'", len(text))
+    reduce(_LEVEL_PLUS)
+    return operands[0]

@@ -4,9 +4,17 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from generators import charts, random_chart, random_expression
-from oracles import brute_interpret, brute_simple_cycles, brute_step
+from generators import charts, expressions, random_chart, random_expression
+from oracles import (
+    brute_expression_witness,
+    brute_interpret,
+    brute_simple_cycles,
+    brute_step,
+    naive_bisimilarity_pairs,
+)
+from lleekit.bisim import _refine
 from lleekit.chart import (
     Chart,
     _check_token,
@@ -15,6 +23,7 @@ from lleekit.chart import (
     Transition,
     _States,
     _explore,
+    _explored_chart,
     chart_of_nodes,
     cycle_nodes,
     interpret,
@@ -30,6 +39,7 @@ from lleekit.errors import (
     UnknownNode,
 )
 from lleekit.expr import Action, Seq, Star, Zero, parse, size, unparse
+from lleekit.lee import _ranked, expression_witness, is_llee_witness
 
 TOGGLE = Chart(
     [
@@ -386,6 +396,55 @@ def test_interpret_vs_brute():
         assert interpret(parse(text)) == brute_interpret(parse(text))
 
 
+@settings(max_examples=120, deadline=None)
+@given(expressions, expressions, st.booleans())
+def test_exploration_tables_refine_to_bisimilarity(e1, e2, labelled):
+    # the tables an exploration writes are the refiner's input as they are:
+    # a second exploration numbered after the first is refined with it as
+    # their disjoint union, and the blocks are the greatest bisimulation of
+    # the two interpretations
+    x1 = _explore([e1], None, str, labelled=labelled)
+    x2 = _explore([e2], None, str, labelled=labelled, base=len(x1.states))
+    for x in (x1, x2):
+        assert len(x.out) == len(x.term) == len(x.states)
+        assert x.roots == [x.base]
+        assert (x.heights is not None) == labelled
+        if labelled:
+            assert [len(h) for h in x.heights] == [len(out) for out in x.out]
+    block = _refine(x1.out + x2.out, x1.term + x2.term)
+    names1 = [x1.space.name(s) for s in x1.states]
+    names2 = [x2.space.name(s) for s in x2.states]
+    pairs = {
+        (u, v)
+        for i, u in enumerate(names1)
+        for j, v in enumerate(names2, start=x2.base)
+        if block[i] == block[j]
+    }
+    assert pairs == naive_bisimilarity_pairs(brute_interpret(e1), brute_interpret(e2))
+
+
+def test_explored_chart_reads_the_tables():
+    # the chart and loop labels read off the tables are the interpretation
+    # and the labelling rule's witness, numbered from any base, and the
+    # witness replays layered
+    rng = random.Random(1307)
+    for _ in range(150):
+        e = random_expression(rng, rng.randint(1, 16))
+        g = brute_interpret(e)
+        for labelled, base in ((False, 0), (True, 0), (True, 5)):
+            x = _explore([e], None, str, labelled=labelled, base=base)
+            chart, order, heights = _explored_chart(x)
+            assert chart.to_chart() == g
+            assert chart.names == sorted(x.space.name(x.states[i]) for i in order)
+            if labelled:
+                ranks = _ranked(heights)
+                orders = {t: r for t, r in zip(chart.transitions, ranks) if not t.terminal}
+                assert orders == brute_expression_witness(e), unparse(e)
+            else:
+                assert heights == [0] * len(heights)
+        assert is_llee_witness(expression_witness(e))
+
+
 def test_interpret_vs_brute_larger():
     rng = random.Random(37)
     checked = 0
@@ -421,7 +480,8 @@ def test_state_named_alone_as_when_every_state_is_named():
     exprs = [parse(text) for text in sorted(SPINES)]
     exprs += [random_expression(rng, rng.randint(1, 14)) for _ in range(150)]
     for e in exprs:
-        space, _, states, _ = _explore([e], None, str)
+        x = _explore([e], None, str)
+        space, states = x.space, x.states
         alone = [space.name_one(s) for s in states]
         assert alone == [space.name(s) for s in states]
         assert alone == [space.name_one(s) for s in states]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 
 from conftest import run_python
 from generators import expressions, random_expression
+from oracles import reference_parse
 from lleekit.errors import AssocError, LleekitError, ParseError
 from lleekit.expr import (
     Action,
@@ -106,6 +107,49 @@ def test_parse_errors_carry_positions(text, position, message):
     assert isinstance(info.value, AssocError) == message.startswith("binary star")
     assert isinstance(info.value, LleekitError)
     assert isinstance(info.value, ValueError)
+
+
+# what a mutation may insert: the grammar's characters, multi-letter and
+# digit-bearing action names, blanks, and stray characters
+_INSERTS = list("abz0+.*() \t_9A#{é") + ["x1_y", "a*b*c", "((", "))", " q"]
+
+
+def _mutate(rng, text):
+    """``text`` with one character inserted, deleted or swapped with the
+    next, or a fragment spliced in."""
+    i = rng.randint(0, len(text))
+    kind = rng.randrange(3)
+    if kind == 1 and i < len(text):
+        return text[:i] + text[i + 1 :]
+    if kind == 2 and i + 1 < len(text):
+        return text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+    return text[:i] + rng.choice(_INSERTS) + text[i:]
+
+
+def _parsed(parse_text, text):
+    try:
+        e = parse_text(text)
+    except ParseError as exc:
+        return (exc.__class__, str(exc), exc.position)
+    return (e, hash(e))
+
+
+def test_parse_agrees_with_the_reference_parser():
+    # valid texts, and texts broken by stray characters, star chains,
+    # unbalanced parentheses and trailing input: the same tree and hash, or
+    # the same error class, message and position
+    rng = random.Random(1313)
+    texts = [text for text, _, _ in PARSE_ERRORS]
+    for _ in range(600):
+        text = unparse(random_expression(rng, rng.randint(1, 25)))
+        texts.append(text)
+        for _ in range(3):
+            text = _mutate(rng, text)
+            texts.append(text)
+    failures = sum(1 for text in texts if isinstance(_parsed(reference_parse, text)[0], type))
+    assert 0.3 * len(texts) < failures < 0.8 * len(texts)
+    for text in texts:
+        assert _parsed(parse, text) == _parsed(reference_parse, text), text
 
 
 @pytest.mark.parametrize(
