@@ -9,7 +9,7 @@ target-block)`` signatures until stable.  After the first batch only the
 predecessors of nodes that changed block are signed again, and the largest
 piece of a split block keeps its id, so a path of n nodes costs O(n)
 rather than n rounds over every node.  The nodes that can reach no cycle
-are settled before that, bottom-up, in one sweep and one walk.  It runs on integer ids,
+are settled before that, in one bottom-up walk.  It runs on integer ids,
 and two charts or explorations numbered into the same tables are refined
 as their disjoint union; an exploration writes its tables while it
 explores.
@@ -103,12 +103,13 @@ def _refine(outmap, term):
     them.  So each takes its final block as soon as all its successors
     are settled, by interning that pair of sets, and none is signed again;
     one loop over its steps both tests them and collects the pairs.  One
-    sweep from the last id down settles the nodes whose successors come
-    later, as an exploration's successors mostly do, and one depth-first
-    walk settles the others when it leaves them, in post-order.  A
-    well-founded node is never bisimilar to a node that can reach a cycle,
-    which has an infinite path the other cannot match.  When every node is
-    well-founded the partition is final after the walk.
+    depth-first walk settles each node when it leaves it, in post-order.
+    It takes its roots from the last id down, so a root whose successors
+    come later, as an exploration's successors mostly do, finds them
+    settled and is left at once.  A well-founded node is never bisimilar
+    to a node that can reach a cycle, which has an infinite path the
+    other cannot match.  When every node is well-founded the partition is
+    final after the walk.
 
     The other nodes start grouped by their terminal-action sets, in blocks
     apart from the settled ones, and all of them *dirty*.  A node's
@@ -130,16 +131,7 @@ def _refine(outmap, term):
     state = bytearray(len(outmap))
     block = [0] * len(outmap)
     settled = {}
-    for n in range(len(outmap) - 1, -1, -1):
-        pairs = []
-        for a, d in outmap[n]:
-            if state[d] != 2:
-                break
-            pairs.append((a, block[d]))
-        else:
-            state[n] = 2
-            block[n] = settled.setdefault((term[n], frozenset(pairs)), len(settled))
-    for root in range(len(outmap)):
+    for root in range(len(outmap) - 1, -1, -1):
         if state[root]:
             continue
         state[root] = 1

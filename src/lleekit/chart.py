@@ -796,9 +796,10 @@ class _Exploration(NamedTuple):
     State ``i`` is id ``base + i``: ``space.name(states[i])`` is its node
     id, ``out[i]`` the list of its ``(action, dst)`` non-terminal steps,
     ``dst`` an id, and ``term[i]`` the frozenset of its terminal actions.
-    ``roots`` are the roots' ids, in order.  ``heights[i]`` lists the loop
-    label of each step of ``out[i]`` when the exploration is labelled, and
-    ``heights`` is ``None`` when it is not.
+    ``roots`` are the roots' ids, in order.  When the exploration is
+    labelled, ``loops[i]`` is ``(loop, height)``: the first ``loop`` steps
+    of ``out[i]`` have the loop label ``height`` and the others 0.
+    ``loops`` is ``None`` when it is not labelled.
     """
 
     space: _States
@@ -806,11 +807,12 @@ class _Exploration(NamedTuple):
     states: list
     out: list
     term: list
-    heights: list
+    loops: list
     base: int
 
 
 _NO_ENDS = frozenset()
+_NO_LOOP = (0, 0)
 
 
 def _explore(roots, cap, what, labelled=False, base=0):
@@ -841,7 +843,7 @@ def _explore(roots, cap, what, labelled=False, base=0):
     steps, push, measure = space.steps, space.push, space.measure
     states = []
     out_table, term_table = [], []
-    heights = [] if labelled else None
+    loops = [] if labelled else None
     root_ids = []
     for r in roots:
         state = space.enter(r, None)
@@ -855,14 +857,14 @@ def _explore(roots, cap, what, labelled=False, base=0):
     for state in states:
         head, k = state.expr, state.rest
         found = []
-        loop = height = 0
         if labelled and head.__class__ is Star and measure(head.left)[0]:
             # the steps of :meth:`_States.steps` on a star, loop steps first
             steps(head.left, push(head, k), found)
-            loop = len(found)
-            height = measure(head)[1]
+            loops.append((len(found), measure(head)[1]))
             steps(head.right, k, found)
         else:
+            if labelled:
+                loops.append(_NO_LOOP)
             steps(head, k, found)
         out = []
         ends = []
@@ -879,9 +881,7 @@ def _explore(roots, cap, what, labelled=False, base=0):
             out.append((action, i))
         out_table.append(out)
         term_table.append(frozenset(ends) if ends else _NO_ENDS)
-        if labelled:
-            heights.append([height] * loop + [0] * (len(out) - loop))
-    return _Exploration(space, root_ids, states, out_table, term_table, heights, base)
+    return _Exploration(space, root_ids, states, out_table, term_table, loops, base)
 
 
 def _explosion(cap, what, space, states):
@@ -919,7 +919,7 @@ def _explored_chart(exploration):
     without labels).  :func:`lleekit.lee.expression_witness` ranks the
     heights into a layered witness.
     """
-    space, roots, states, out, term, labels, base = exploration
+    space, roots, states, out, term, loops, base = exploration
     names = [space.name(s) for s in states]
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = [0] * (base + len(order))  # by id
@@ -932,11 +932,13 @@ def _explored_chart(exploration):
         steps = {}
         for a in term[i]:
             steps[a, None] = 0
-        if labels is None:
+        if loops is None:
             for a, d in out[i]:
                 steps[a, rank[d]] = 0
         else:
-            for (a, d), h in zip(out[i], labels[i]):
+            loop, height = loops[i]
+            for j, (a, d) in enumerate(out[i]):
+                h = height if j < loop else 0
                 key = (a, rank[d])
                 if steps.get(key, -1) < h:
                     steps[key] = h

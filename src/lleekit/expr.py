@@ -124,7 +124,13 @@ class _Binary(Expression):
         # ``__setattr__``, and the hash is read off the operands' caches
         _set_left(self, left)
         _set_right(self, right)
-        _set_hash(self, hash((self._op, left._hash, right._hash)))
+        try:
+            _set_hash(self, hash((self._op, left._hash, right._hash)))
+        except AttributeError:
+            raise TypeError(
+                "operands of %s must be expressions, got %r and %r"
+                % (self.__class__.__name__, left, right)
+            ) from None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

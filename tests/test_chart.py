@@ -408,9 +408,10 @@ def test_exploration_tables_refine_to_bisimilarity(e1, e2, labelled):
     for x in (x1, x2):
         assert len(x.out) == len(x.term) == len(x.states)
         assert x.roots == [x.base]
-        assert (x.heights is not None) == labelled
+        assert (x.loops is not None) == labelled
         if labelled:
-            assert [len(h) for h in x.heights] == [len(out) for out in x.out]
+            assert len(x.loops) == len(x.out)
+            assert all(loop <= len(out) for (loop, _), out in zip(x.loops, x.out))
     block = _refine(x1.out + x2.out, x1.term + x2.term)
     names1 = [x1.space.name(s) for s in x1.states]
     names2 = [x2.space.name(s) for s in x2.states]

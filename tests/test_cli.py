@@ -520,9 +520,9 @@ def test_equiv_rejects_a_witness_without_loop_labels(capsys, monkeypatch):
 
     def unlabelled(*args, **kwargs):
         x = explore(*args, **kwargs)
-        if x.heights is None:
+        if x.loops is None:
             return x
-        return x._replace(heights=[[0] * len(h) for h in x.heights])
+        return x._replace(loops=[(0, 0)] * len(x.loops))
 
     monkeypatch.setattr(lleekit.solve, "_explore", unlabelled)
     assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3

@@ -274,6 +274,13 @@ def test_action_name_validation():
         Action("a b")
 
 
+@pytest.mark.parametrize("cls", [Plus, Seq, Star])
+@pytest.mark.parametrize("left, right", [("a", B), (A, "b"), (A, None), (1, 2)])
+def test_binary_constructors_reject_non_expression_operands(cls, left, right):
+    with pytest.raises(TypeError, match="operands of %s must be expressions" % cls.__name__):
+        cls(left, right)
+
+
 def test_equal_expressions_have_equal_hashes():
     built = Star(Plus(Seq(A, B), C), Zero())
     parsed = parse("(a.b+c)*0")
