@@ -22,9 +22,9 @@ as a :class:`BisimMap` (a functional bisimulation).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
+from ._record import record
 from .chart import Chart, _IndexChart, chart_of_nodes
 from .errors import NotABisimulation, ParseError, UnknownNode
 
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Partition:
     """A partition of a chart's nodes into bisimilarity classes."""
 
@@ -261,7 +261,7 @@ def is_bisimulation(relation, g, h):
     return True
 
 
-@dataclass(frozen=True)
+@record
 class BisimMap:
     """A functional bisimulation ``source -> target``.
 
@@ -357,9 +357,7 @@ def image(theta, a):
     return chart_of_nodes(theta.target, nodes, start=start)
 
 
-class CollapseResult(NamedTuple):
-    chart: Chart
-    theta: BisimMap
+CollapseResult = namedtuple("CollapseResult", "chart theta")
 
 
 def _transfers(outmap, term, theta, target_out, target_term):

@@ -51,11 +51,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import defaultdict
-from dataclasses import dataclass, field
+from collections import defaultdict, namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
+from ._record import record
 from .errors import ParentMismatch, ParseError, StateExplosion, UnknownNode
 from . import expr as _expr
 from .expr import Action, Plus, Seq, Star, Zero
@@ -105,7 +104,7 @@ class _Termination:
 TERMINATION = _Termination()
 
 
-@dataclass(frozen=True)
+@record
 class Transition:
     """A labelled transition.  ``dst`` is a node id or :data:`TERMINATION`."""
 
@@ -391,7 +390,7 @@ def _dot_id(name):
 # --- sub-charts ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class NodeSetChart:
     """A sub-chart of ``parent`` over ``nodes``.
 
@@ -405,7 +404,7 @@ class NodeSetChart:
     parent: Chart
     nodes: frozenset
     start: str | None = None
-    explicit: tuple | None = field(default=None)
+    explicit: tuple | None = None
 
     def __post_init__(self):
         missing = self.nodes - self.parent.nodes
@@ -789,26 +788,18 @@ def step(e):
     return result
 
 
-class _Exploration(NamedTuple):
-    """What :func:`_explore` returns: the states of an exploration, and
-    their steps as :func:`lleekit.bisim._refine`'s tables.
+_Exploration = namedtuple("_Exploration", "space roots states out term loops base")
+_Exploration.__doc__ = """What :func:`_explore` returns: the states of an exploration, and
+their steps as :func:`lleekit.bisim._refine`'s tables.
 
-    State ``i`` is id ``base + i``: ``space.name(states[i])`` is its node
-    id, ``out[i]`` the list of its ``(action, dst)`` non-terminal steps,
-    ``dst`` an id, and ``term[i]`` the frozenset of its terminal actions.
-    ``roots`` are the roots' ids, in order.  When the exploration is
-    labelled, ``loops[i]`` is ``(loop, height)``: the first ``loop`` steps
-    of ``out[i]`` have the loop label ``height`` and the others 0.
-    ``loops`` is ``None`` when it is not labelled.
-    """
-
-    space: _States
-    roots: list
-    states: list
-    out: list
-    term: list
-    loops: list
-    base: int
+State ``i`` is id ``base + i``: ``space.name(states[i])`` is its node
+id, ``out[i]`` the list of its ``(action, dst)`` non-terminal steps,
+``dst`` an id, and ``term[i]`` the frozenset of its terminal actions.
+``roots`` are the roots' ids, in order.  When the exploration is
+labelled, ``loops[i]`` is ``(loop, height)``: the first ``loop`` steps
+of ``out[i]`` have the loop label ``height`` and the others 0.
+``loops`` is ``None`` when it is not labelled.
+"""
 
 
 _NO_ENDS = frozenset()

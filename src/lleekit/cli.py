@@ -24,9 +24,9 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import expr as expr_mod
+from ._record import record
 from .bisim import collapse
 from .chart import DEFAULT_STATE_CAP, Chart, _state_cap, interpret
 from .errors import InternalError, LleekitError, ParseError, StateExplosion
@@ -38,7 +38,7 @@ from .solve import equiv, extract_solution, solution_check
 __all__ = ["Config", "run", "main"]
 
 
-@dataclass
+@record(frozen=False)
 class Config:
     """Resolved global options."""
 

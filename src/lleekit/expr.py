@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import FrozenInstanceError
 
+from ._record import _assign_frozen, _delete_frozen
 from .errors import AssocError, ParseError
 
 __all__ = [
@@ -64,11 +64,8 @@ class Expression:
     def __hash__(self):
         return self._hash
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError("cannot assign to field %r" % (name,))
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError("cannot delete field %r" % (name,))
+    __setattr__ = _assign_frozen
+    __delattr__ = _delete_frozen
 
 
 class Action(Expression):
@@ -135,8 +132,22 @@ class _Binary(Expression):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # the tuple comparison skips identical operands without recursing
-        return self._hash == other._hash and (self.left, self.right) == (other.left, other.right)
+        # pairs of subterms still to compare, from an explicit stack: identical
+        # ones are skipped and differing hashes decide at once
+        pairs = [(self, other)]
+        while pairs:
+            x, y = pairs.pop()
+            if x is y:
+                continue
+            cls = x.__class__
+            if cls is not y.__class__ or x._hash != y._hash:
+                return False
+            if cls in _OPERANDS:
+                pairs.append((x.right, y.right))
+                pairs.append((x.left, y.left))
+            elif cls is Action and x.name != y.name:
+                return False
+        return True
 
     __hash__ = Expression.__hash__
 

@@ -48,12 +48,11 @@ and a replay builds its final chart once, at the end.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
+from ._record import record
 from .chart import (
     Chart,
     NodeSetChart,
@@ -446,7 +445,7 @@ def max_entry_set(chart, node):
 # --- witnesses -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ReplayStep:
     """One elimination in a witness replay."""
 
@@ -456,8 +455,12 @@ class ReplayStep:
     body: frozenset
 
 
-@dataclass(frozen=True)
+@record
 class ReplayResult:
+    """What :meth:`Witness.replay` reports: whether the witness replays and
+    why not, its steps, the chart left at the end, and whether the witness
+    is layered and why not."""
+
     ok: bool
     reason: str | None
     steps: tuple
@@ -466,17 +469,14 @@ class ReplayResult:
     llee_reason: str | None
 
 
-class _IndexWitness(NamedTuple):
-    """A witness on an :class:`~lleekit.chart._IndexChart`: ``labels[k]``
-    is transition ``k``'s order number, 0 on terminal transitions.
+_IndexWitness = namedtuple("_IndexWitness", "chart labels")
+_IndexWitness.__doc__ = """A witness on an :class:`~lleekit.chart._IndexChart`: ``labels[k]``
+is transition ``k``'s order number, 0 on terminal transitions.
 
-    Replay, the loops-back relation, images, reflection and extraction run
-    on it; a :class:`Witness` is converted to one (``Witness._indexed``)
-    and built from one (:func:`_witness`) at the edge.
-    """
-
-    chart: object
-    labels: list
+Replay, the loops-back relation, images, reflection and extraction run
+on it; a :class:`Witness` is converted to one (``Witness._indexed``)
+and built from one (:func:`_witness`) at the edge.
+"""
 
 
 def _witness(chart, indexed):
@@ -674,17 +674,10 @@ class Witness:
         return self.chart.to_dot(order=self.order)
 
 
-class _Replay(NamedTuple):
-    """What :func:`_replay` reports: as :class:`ReplayResult`, with the
-    steps as ``(order, start, entries, body)`` on ids and numbers, and the
-    working graph where the run got to its end (``None`` otherwise)."""
-
-    ok: bool
-    reason: str | None
-    llee: bool
-    llee_reason: str | None
-    steps: list
-    graph: object
+_Replay = namedtuple("_Replay", "ok reason llee llee_reason steps graph")
+_Replay.__doc__ = """What :func:`_replay` reports: as :class:`ReplayResult`, with the
+steps as ``(order, start, entries, body)`` on ids and numbers, and the
+working graph where the run got to its end (``None`` otherwise)."""
 
 
 def _replay(w, record=False):
@@ -915,7 +908,7 @@ def loops_back_to(w):
     )
 
 
-@dataclass(frozen=True)
+@record
 class LoopingBackChart:
     """The induced sub-chart over a node and everything it loops back through."""
 
@@ -959,8 +952,10 @@ def all_looping_back_charts(w):
     }
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
+    """What :func:`check_lbc_properties` reports; true when there are no violations."""
+
     ok: bool
     violations: tuple
 

@@ -23,9 +23,9 @@ reflects to a layered one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
+from ._record import record
 from .bisim import bisimilarity_partition
 from .chart import Transition, _IndexChart, chart_of_nodes, simple_cycles
 from .errors import LemmaViolated, NotCollapse, NotLLEE, UnknownNode
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ImageRecord:
     """One image of the looping-back structure.
 
@@ -67,7 +67,7 @@ class ImageRecord:
     well_structured: object
 
 
-@dataclass(frozen=True)
+@record
 class ImageHierarchy:
     """All image records plus the strict sub-image order between them.
 
@@ -122,15 +122,10 @@ def images(theta, w):
     return _hierarchy(theta, w)
 
 
-class _Image(NamedTuple):
-    """One image, on ids: the target's ``nodes`` and ``start``, the starts
-    of its ``preimages`` in the source and the ``chosen`` well-structured
-    one among them."""
-
-    nodes: frozenset
-    start: int
-    preimages: tuple
-    chosen: int
+_Image = namedtuple("_Image", "nodes start preimages chosen")
+_Image.__doc__ = """One image, on ids: the target's ``nodes`` and ``start``, the starts
+of its ``preimages`` in the source and the ``chosen`` well-structured
+one among them."""
 
 
 def _images(theta, lbcs, target):
@@ -259,8 +254,10 @@ def loop_correspondence(theta, loop, start):
     return tuple(path[:cut]), tuple(path[cut:])
 
 
-@dataclass(frozen=True)
+@record
 class LemmaReport:
+    """What :func:`check_lemma_conditions` reports; true when there are no violations."""
+
     ok: bool
     violations: tuple
 

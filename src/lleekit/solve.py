@@ -34,10 +34,10 @@ witness and solution to the string types only when they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, partial
-from typing import NamedTuple
 
+from ._record import record
 from .bisim import BisimMap, _index_tables, _quotient, _refine
 from .chart import (
     TERMINATION,
@@ -73,7 +73,7 @@ def _format_rhs(summands):
     return " + ".join(parts) or "0"
 
 
-@dataclass(frozen=True)
+@record
 class EquationSystem:
     """Per-node equations ``X = Σ a_i . Y_i + Σ b_j`` read off a chart.
 
@@ -110,7 +110,7 @@ def equation_system(chart):
     return EquationSystem(chart, right)
 
 
-@dataclass(frozen=True)
+@record
 class Solution:
     """An expression per node, each bisimilar to the chart from that node.
 
@@ -447,25 +447,17 @@ def is_axiom_instance(lhs, rhs):
     return None
 
 
-class _Evidence(NamedTuple):
-    """What an EQUAL decided on ids, from which its certificate is built.
+_Evidence = namedtuple("_Evidence", "g order x2 theta collapse labels solution")
+_Evidence.__doc__ = """What an EQUAL decided on ids, from which its certificate is built.
 
-    ``g`` is the first expression's index chart, whose node ``r`` is state
-    ``order[r]`` of its exploration; ``x2`` is the second exploration,
-    named only when the second map is read, its state ``j`` being id
-    ``x2.base + j`` of the refiner's tables; ``theta`` maps every id of
-    those tables to its ``collapse`` node; ``labels`` are the reflected
-    witness's order numbers on the collapse, and ``solution`` is keyed by
-    collapse node.
-    """
-
-    g: object
-    order: list
-    x2: tuple
-    theta: list
-    collapse: object
-    labels: list
-    solution: Solution
+``g`` is the first expression's index chart, whose node ``r`` is state
+``order[r]`` of its exploration; ``x2`` is the second exploration,
+named only when the second map is read, its state ``j`` being id
+``x2.base + j`` of the refiner's tables; ``theta`` maps every id of
+those tables to its ``collapse`` node; ``labels`` are the reflected
+witness's order numbers on the collapse, and ``solution`` is keyed by
+collapse node.
+"""
 
 
 class Certificate:
@@ -529,7 +521,7 @@ class Certificate:
         return Solution(self.collapse, {names[c]: e for c, e in assign.items()})
 
 
-@dataclass(frozen=True)
+@record
 class Distinction:
     """Evidence that two expressions are not bisimilar.
 
@@ -544,7 +536,7 @@ class Distinction:
     block2: frozenset
 
 
-@dataclass(frozen=True)
+@record
 class EquivResult:
     """The verdict of :func:`equiv`, with its evidence.
 
@@ -559,7 +551,7 @@ class EquivResult:
     certificate: object = None
     distinction: object = None
     # (e1, e2, cap): what a NOT_EQUAL's charts are built from on demand
-    _inputs: tuple = field(default=(), repr=False, compare=False)
+    _inputs: tuple = ()
 
     def __bool__(self):
         return self.equal

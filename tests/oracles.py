@@ -2,11 +2,16 @@
 
 Everything here favours obviousness over speed: explicit enumeration of
 relations, subsets, paths, and elimination sequences.  Nothing imports the
-algorithms under test beyond the basic data containers.
+algorithms under test beyond the basic data containers, but for the map
+check that the record twins at the end validate with.
 """
+
+from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from lleekit.chart import TERMINATION, Chart, Transition
 
@@ -574,3 +579,269 @@ def reference_parse(text):
         raise ParseError("expected ')', got 'end of input'", len(text))
     reduce(_LEVEL_PLUS)
     return operands[0]
+
+
+# --- the record classes as dataclasses --------------------------------------
+
+# what the twins' validation calls
+from lleekit.bisim import _index_tables, _transfers  # noqa: E402
+from lleekit.chart import DEFAULT_STATE_CAP, _IndexChart, _state_cap  # noqa: E402
+from lleekit.errors import NotABisimulation, UnknownNode  # noqa: E402
+
+
+class ParentRecords:
+    """The record classes as they were declared with ``@dataclass``, and
+    ``CollapseResult`` as a ``typing.NamedTuple``.
+
+    The decorators, docstrings, fields and validation are copied verbatim,
+    with the methods that define ``repr``, ``==``, ``hash`` and truth;
+    other methods are left out.  :mod:`lleekit` now declares them with its
+    own decorator, which must give the same constructor signature,
+    ``repr``, equality, hashing, frozenness, copies and pickles.  A twin's
+    ``__qualname__`` is prefixed with ``ParentRecords.``, and so is the
+    class that ``BisimMap.__eq__`` tests for.
+    """
+
+    @dataclass(frozen=True)
+    class Partition:
+        """A partition of a chart's nodes into bisimilarity classes."""
+
+        chart: Chart
+        blocks: tuple
+
+    @dataclass(frozen=True)
+    class BisimMap:
+        """A functional bisimulation ``source -> target``.
+
+        The graph of ``mapping`` must satisfy the transfer conditions, and when
+        both charts carry initial nodes the initial must map to the initial.
+        Construction validates both and raises :class:`NotABisimulation`.
+        """
+
+        source: Chart
+        target: Chart
+        mapping: dict
+
+        def __post_init__(self):
+            m = self.mapping
+            if set(m) != set(self.source.nodes):
+                raise NotABisimulation("mapping is not total on source nodes")
+            bad = set(m.values()) - set(self.target.nodes)
+            if bad:
+                raise NotABisimulation("mapping hits non-nodes: %s" % ", ".join(sorted(bad)))
+            if self.source.initial is not None and self.target.initial is not None:
+                if m[self.source.initial] != self.target.initial:
+                    raise NotABisimulation("initial node does not map to the initial node")
+            source, target = _IndexChart.of(self.source), _IndexChart.of(self.target)
+            outmap, term, target_out, target_term = [], [], [], []
+            _index_tables(source, outmap, term)
+            _index_tables(target, target_out, target_term)
+            theta = [target.ids[m[x]] for x in source.names]
+            if not _transfers(outmap, term, theta, [set(out) for out in target_out], target_term):
+                raise NotABisimulation("mapping fails the transfer conditions")
+
+        def __hash__(self):
+            return hash((self.source, self.target, frozenset(self.mapping.items())))
+
+        def __eq__(self, other):
+            if not isinstance(other, ParentRecords.BisimMap):
+                return NotImplemented
+            return (
+                self.source == other.source
+                and self.target == other.target
+                and self.mapping == other.mapping
+            )
+
+    class CollapseResult(NamedTuple):
+        chart: Chart
+        theta: BisimMap
+
+    @dataclass(frozen=True)
+    class Transition:
+        """A labelled transition.  ``dst`` is a node id or :data:`TERMINATION`."""
+
+        src: str
+        action: str
+        dst: object
+
+        @property
+        def terminal(self):
+            return self.dst is TERMINATION
+
+        def __repr__(self):
+            return "%s -%s-> %s" % (self.src, self.action, "√" if self.terminal else self.dst)
+
+    @dataclass(frozen=True)
+    class NodeSetChart:
+        """A sub-chart of ``parent`` over ``nodes``.
+
+        Without ``explicit`` transitions the sub-chart is *induced*: it has every
+        parent transition with both endpoints in ``nodes`` and no terminal
+        transitions.  With ``explicit`` it carries exactly the given transitions
+        (which may include terminal ones).  ``start`` marks a distinguished node
+        where that is meaningful (generated and looping-back charts).
+        """
+
+        parent: Chart
+        nodes: frozenset
+        start: str | None = None
+        explicit: tuple | None = field(default=None)
+
+        def __post_init__(self):
+            missing = self.nodes - self.parent.nodes
+            if missing:
+                raise UnknownNode("not nodes of the parent: %s" % ", ".join(sorted(missing)))
+            if self.start is not None and self.start not in self.nodes:
+                raise UnknownNode("start %r is not in the node set" % (self.start,))
+
+        @property
+        def is_induced(self):
+            return self.explicit is None
+
+        def __repr__(self):
+            kind = "induced" if self.is_induced else "explicit"
+            start = ", start=%s" % self.start if self.start else ""
+            return "NodeSetChart(%s, {%s}%s)" % (kind, ", ".join(sorted(self.nodes)), start)
+
+    @dataclass(frozen=True)
+    class ReplayStep:
+        """One elimination in a witness replay."""
+
+        order: int
+        start: str
+        entries: tuple
+        body: frozenset
+
+    @dataclass(frozen=True)
+    class ReplayResult:
+        ok: bool
+        reason: str | None
+        steps: tuple
+        final: Chart | None
+        llee: bool
+        llee_reason: str | None
+
+    @dataclass(frozen=True)
+    class LoopingBackChart:
+        """The induced sub-chart over a node and everything it loops back through."""
+
+        parent: Chart
+        witness: Witness
+        start: str
+        nodes: frozenset
+
+        def __repr__(self):
+            return "LoopingBackChart(%s: {%s})" % (self.start, ", ".join(sorted(self.nodes)))
+
+    @dataclass(frozen=True)
+    class PropertyReport:
+        ok: bool
+        violations: tuple
+
+        def __bool__(self):
+            return self.ok
+
+    @dataclass(frozen=True)
+    class ImageRecord:
+        """One image of the looping-back structure.
+
+        ``image`` is the induced sub-chart of the target chart; ``start`` is the
+        mapped start of the chosen well-structured pre-image (pre-images of the
+        same image may have different starts); ``preimages`` lists every
+        looping-back chart mapping onto this image; ``well_structured`` is the
+        chosen one among them.
+        """
+
+        image: object
+        start: str
+        preimages: tuple
+        well_structured: object
+
+    @dataclass(frozen=True)
+    class ImageHierarchy:
+        """All image records plus the strict sub-image order between them.
+
+        ``order`` holds index pairs ``(i, j)`` meaning record ``i``'s node set is
+        a proper subset of record ``j``'s.
+        """
+
+        records: tuple
+        order: frozenset
+
+    @dataclass(frozen=True)
+    class LemmaReport:
+        ok: bool
+        violations: tuple
+
+        def __bool__(self):
+            return self.ok
+
+    @dataclass(frozen=True)
+    class EquationSystem:
+        """Per-node equations ``X = Σ a_i . Y_i + Σ b_j`` read off a chart.
+
+        ``right`` maps every node to its right-hand side, a tuple of
+        ``(action, dst)`` summands in printing order, ``dst`` a node id or
+        :data:`~lleekit.chart.TERMINATION`.  Node ids are free-form strings,
+        so they cannot in general be read as actions: a summand ``a . Y`` is
+        printed ``a.<Y>``, and the equations are for display only.
+        """
+
+        chart: Chart
+        right: dict
+
+    @dataclass(frozen=True)
+    class Solution:
+        """An expression per node, each bisimilar to the chart from that node.
+
+        ``chart`` is a :class:`Chart` and ``assign`` is keyed by its node ids.
+        Inside :func:`equiv` a solution lives on the collapse's index chart,
+        keyed by node number, and is converted when the certificate is read.
+        """
+
+        chart: Chart
+        assign: dict
+
+    @dataclass(frozen=True)
+    class Distinction:
+        """Evidence that two expressions are not bisimilar.
+
+        The two expressions' initial states fall into different blocks of the
+        bisimilarity partition of their two explorations, refined side by side
+        on state ids (there is no union chart).  The blocks are recorded as
+        node ids with a ``g:`` / ``h:`` side prefix; only their members are
+        printed, after refinement, each on its own.
+        """
+
+        block1: frozenset
+        block2: frozenset
+
+    @dataclass(frozen=True)
+    class EquivResult:
+        """The verdict of :func:`equiv`, with its evidence.
+
+        ``chart1`` and ``chart2`` are the interpretations of the two
+        expressions.  Neither verdict builds them: they are built on first
+        access and cached.  An EQUAL's are the sources of its certificate's two
+        maps, built when those are; a NOT_EQUAL interprets the expressions
+        again when asked.
+        """
+
+        equal: bool
+        certificate: object = None
+        distinction: object = None
+        # (e1, e2, cap): what a NOT_EQUAL's charts are built from on demand
+        _inputs: tuple = field(default=(), repr=False, compare=False)
+
+        def __bool__(self):
+            return self.equal
+
+    @dataclass
+    class Config:
+        """Resolved global options."""
+
+        cap: int = DEFAULT_STATE_CAP
+        format: str = "text"
+
+        def __post_init__(self):
+            _state_cap(self.cap)

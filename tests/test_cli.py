@@ -624,8 +624,8 @@ def test_parse_deep_prints_a_fixed_point(expression):
     proc = run_python(["-m", "lleekit.cli", "parse", expression], 0, text=True)
     assert proc.returncode == 0, proc.stderr
     text = proc.stdout.rstrip("\n")
-    # texts, not expressions: comparing two deep expressions recurses
     assert unparse(parse(text)) == text
+    assert parse(text) == parse(expression)
 
 
 def _equiv_in_subprocess(hash_seed, e1, e2):
@@ -639,3 +639,16 @@ def test_equiv_output_independent_of_hash_seed():
     # depend on it (hash seeds 1 and 2 once printed a+b and b+a here)
     assert _equiv_in_subprocess(1, "a+b", "b+a") == "EQUAL\na+b\n"
     assert _equiv_in_subprocess(2, "a+b", "b+a") == "EQUAL\na+b\n"
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # every CLI call imports lleekit first, and these modules cost most of
+    # that; -S keeps site from loading any of them beforehand
+    script = (
+        "import sys\n"
+        "import lleekit, lleekit.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    proc = run_python(["-S", "-c", script], 0, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

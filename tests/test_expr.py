@@ -292,6 +292,19 @@ def test_equal_expressions_have_equal_hashes():
     assert Plus(A, B) != Plus(B, A)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [".".join(["a"] * 3000), "(" * 1500 + "a" + ".b)" * 1500],
+    ids=["chain-3000", "nested-seq-1500"],
+)
+def test_deep_equality_does_not_recurse(text):
+    e, f = parse(text), parse(text)
+    assert e is not f
+    assert e == f
+    assert not e != f
+    assert e != parse(text.replace("a", "c", 1))
+
+
 @pytest.mark.parametrize("e", [A, Zero(), parse("(a.b+c)*0")])
 def test_expressions_are_immutable(e):
     field = "name" if isinstance(e, Action) else "left"

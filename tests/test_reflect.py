@@ -1,6 +1,5 @@
 """Images of looping-back structure under a collapse, and witness reflection."""
 
-import dataclasses
 import random
 
 import pytest
@@ -21,6 +20,7 @@ from lleekit.lee import (
     lee_to_llee,
 )
 from lleekit.reflect import (
+    ImageRecord,
     check_lemma_conditions,
     collapse_lee_witness,
     images,
@@ -114,7 +114,7 @@ def test_well_structured_preimage_descends(hierarchy, map_cii_to_ci, witness_cii
     lbcs = all_looping_back_charts(witness_cii_hat)
     rec = hierarchy.records[2]
     # descending from the big pre-image reaches the small one
-    reordered = dataclasses.replace(rec, preimages=(lbcs["z"], lbcs["x"]))
+    reordered = ImageRecord(rec.image, rec.start, (lbcs["z"], lbcs["x"]), rec.well_structured)
     assert well_structured_preimage(map_cii_to_ci, reordered) == lbcs["x"]
     # a well-structured first pre-image is returned unchanged
     assert well_structured_preimage(map_cii_to_ci, hierarchy.records[0]) == lbcs["z'"]
