@@ -25,7 +25,7 @@ import json
 from collections import namedtuple
 
 from ._record import record
-from .chart import Chart, _IndexChart, chart_of_nodes
+from .chart import Chart, chart_of_nodes
 from .errors import NotABisimulation, ParseError, UnknownNode
 
 __all__ = [
@@ -54,27 +54,20 @@ class Partition:
         raise UnknownNode("unknown node %r" % (node,))
 
 
-def _tables(chart, outmap, term):
-    """Append ``chart``'s nodes to :func:`_refine`'s tables; return node -> id.
+def _index_tables(chart, outmap, term):
+    """Append ``chart``'s nodes to :func:`_refine`'s tables, node ``i`` as
+    id ``offset + i``; return the offset.
 
     The nodes take the next free ids, so charts appended to the same
     tables one after another are refined side by side, as their disjoint
     union, with no union chart built and no node renamed.
     """
-    ic = _IndexChart.of(chart)
-    offset = _index_tables(ic, outmap, term)
-    return {x: offset + i for i, x in enumerate(ic.names)}
-
-
-def _index_tables(ic, outmap, term):
-    """Append the nodes of the index chart ``ic`` to :func:`_refine`'s
-    tables, node ``i`` as id ``offset + i``; return the offset."""
     offset = len(outmap)
-    act, dst = ic.act, ic.dst
-    for x in range(len(ic.names)):
+    act, dst, first = chart.act, chart.dst, chart.first
+    for x in range(len(chart.names)):
         out = []
         ends = set()
-        for k in ic.out(x):
+        for k in range(first[x], first[x + 1]):
             if dst[k] is None:
                 ends.add(act[k])
             else:
@@ -89,9 +82,8 @@ def _refine(outmap, term):
 
     ``outmap[i]`` is the list of ``(action, dst)`` pairs of node ``i``'s
     non-terminal transitions, repeats allowed; ``term[i]`` the frozenset
-    of its terminal actions.  :func:`_tables` builds both from charts and
-    :func:`_index_tables` from index charts, and
-    :func:`lleekit.chart._explore` writes them while it explores.  Returns
+    of its terminal actions.  :func:`_index_tables` writes both for charts,
+    and :func:`lleekit.chart._explore` while it explores.  Returns
     a list: node id -> block id.
 
     First, the *well-founded* nodes are found, those from which no cycle
@@ -203,11 +195,11 @@ def _refine(outmap, term):
 def bisimilarity_partition(chart):
     """The partition of ``chart``'s nodes into greatest-bisimulation classes."""
     outmap, term = [], []
-    ids = _tables(chart, outmap, term)
+    _index_tables(chart, outmap, term)
     block = _refine(outmap, term)
     groups = {}
-    for n, i in ids.items():
-        groups.setdefault(block[i], set()).add(n)
+    for n, b in zip(chart.names, block):
+        groups.setdefault(b, set()).add(n)
     blocks = tuple(sorted((frozenset(g) for g in groups.values()), key=lambda b: min(b)))
     return Partition(chart, blocks)
 
@@ -219,11 +211,14 @@ def bisimilarity(g, h):
     shared node names in ``g`` and ``h`` do not collide.
     """
     outmap, term = [], []
-    g_ids = _tables(g, outmap, term)
-    h_ids = _tables(h, outmap, term)
+    _index_tables(g, outmap, term)
+    offset = _index_tables(h, outmap, term)
     block = _refine(outmap, term)
     return frozenset(
-        (x, y) for x, i in g_ids.items() for y, j in h_ids.items() if block[i] == block[j]
+        (x, y)
+        for x, b in zip(g.names, block)
+        for y, c in zip(h.names, block[offset:])
+        if b == c
     )
 
 
@@ -284,7 +279,7 @@ class BisimMap:
         if self.source.initial is not None and self.target.initial is not None:
             if m[self.source.initial] != self.target.initial:
                 raise NotABisimulation("initial node does not map to the initial node")
-        source, target = _IndexChart.of(self.source), _IndexChart.of(self.target)
+        source, target = self.source, self.target
         outmap, term, target_out, target_term = [], [], [], []
         _index_tables(source, outmap, term)
         _index_tables(target, target_out, target_term)
@@ -387,7 +382,7 @@ def _quotient(outmap, term, block, members, names, initial):
     given its steps after its first member in that order, so the
     quotient's ids are ranks of its names; ``initial`` is the id whose
     class is the initial node.  Returns ``(quotient, theta)``: the
-    :class:`~lleekit.chart._IndexChart` and, for every id of the tables,
+    :class:`~lleekit.chart.Chart` and, for every id of the tables,
     the node of its class.  ``theta`` is checked (:func:`_transfers`) to be
     a functional bisimulation onto the quotient, every id against its
     class's node, so every class must hold a member; both raise
@@ -406,7 +401,7 @@ def _quotient(outmap, term, block, members, names, initial):
     ends = [term[r] for r in reps]
     if not _transfers(outmap, term, theta, outs, ends):
         raise NotABisimulation("mapping fails the transfer conditions")
-    quotient = _IndexChart.build(
+    quotient = Chart._build(
         rep_names,
         [out.union((a, None) for a in e) for out, e in zip(outs, ends)],
         None if initial is None else theta[initial],
@@ -421,12 +416,10 @@ def collapse(chart):
     chart together with the quotient :class:`BisimMap`; the quotient has no
     two distinct bisimilar nodes and is bisimilar to the input.
     """
-    ic = _IndexChart.of(chart)
     outmap, term = [], []
-    _index_tables(ic, outmap, term)
+    _index_tables(chart, outmap, term)
     quotient, theta = _quotient(
-        outmap, term, _refine(outmap, term), range(len(ic.names)), ic.names, ic.initial
+        outmap, term, _refine(outmap, term), range(len(chart.names)), chart.names, chart.root
     )
-    q = quotient.to_chart()
-    rep = {x: quotient.names[theta[i]] for i, x in enumerate(ic.names)}
-    return CollapseResult(q, BisimMap(chart, q, rep))
+    rep = {x: quotient.names[theta[i]] for i, x in enumerate(chart.names)}
+    return CollapseResult(quotient, BisimMap(chart, quotient, rep))

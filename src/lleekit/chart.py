@@ -19,11 +19,12 @@ per exploration.  :func:`interpret` names every state.
 NOT_EQUAL prints; an EQUAL names the first expression's states, and the
 second expression's only when its certificate's second map is read.
 
-Below the string :class:`Chart` there is one numbered graph,
-``_IndexChart``: node ids are ranks of node names, and transitions are
-numbered in :meth:`Transition.sort_key` order.  Elimination, refinement,
-images, reflection and extraction run on it, and a :class:`Chart` is
-converted to or from it only where a caller passes or reads one.
+A :class:`Chart` is stored numbered: node ids are ranks of node names, and
+transitions are numbered in :meth:`Transition.sort_key` order.
+Elimination, refinement, images, reflection and extraction run on those
+numbers; the named nodes and transitions are views, built when read.  A
+chart derived from a validated one (an interpretation, a collapse, what an
+elimination leaves) is built numbered and is not validated again.
 
 Sub-charts come in two flavours, both :class:`NodeSetChart`:
 
@@ -51,7 +52,8 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections import defaultdict, namedtuple
+from bisect import bisect_left
+from collections import namedtuple
 from functools import cached_property
 
 from ._record import record
@@ -147,35 +149,48 @@ class Chart:
     ``transitions`` is any iterable of :class:`Transition`; ``nodes`` may add
     isolated nodes beyond transition endpoints; ``alphabet`` may add unused
     actions.  If ``initial`` is given, every node must be reachable from it.
+
+    A chart is stored numbered.  ``names[i]`` is node ``i``'s name, the
+    names in sorted order, so node ids are name ranks and ordering ids
+    orders names; ``root`` is the initial node's id or ``None``.  The
+    transitions are numbered ``0..m-1`` in :meth:`Transition.sort_key`
+    order: node ``x``'s are ``first[x]`` to ``first[x+1]-1``, and
+    transition ``k`` goes from ``src[k]`` by ``act[k]`` to ``dst[k]``,
+    ``None`` standing for √.  Each ``(src, action, dst)`` appears once.
+    ``nodes``, ``transitions``, ``alphabet``, ``initial``, ``numbered``
+    (transition ``k`` as a :class:`Transition`) and :meth:`out` are views
+    of those arrays, built when first read.
     """
 
     def __init__(self, transitions, nodes=(), initial=None, alphabet=()):
         ts = frozenset(transitions)
         ns = set(nodes)
         actions = set()
-        # each node's non-terminal successors, the graph the walks follow
-        succ = defaultdict(list)
         for t in ts:
             if not isinstance(t, Transition):
                 raise TypeError("not a Transition: %r" % (t,))
             ns.add(t.src)
             if t.dst is not TERMINATION:
                 ns.add(t.dst)
-                succ[t.src].append(t.dst)
             actions.add(t.action)
         for n in ns:
             _check_token("node", n)
         for a in actions:
-            if not _expr._ACTION_RE.fullmatch(a):
+            if not isinstance(a, str) or not _expr._ACTION_RE.fullmatch(a):
                 raise ValueError("invalid action token: %r" % (a,))
-        if initial is not None:
-            if initial not in ns:
-                raise UnknownNode("initial node %r is not a node" % (initial,))
-        self.transitions = ts
-        self._succ = succ
+        if initial is not None and initial not in ns:
+            raise UnknownNode("initial node %r is not a node" % (initial,))
+        names = sorted(ns)
+        ids = {x: i for i, x in enumerate(names)}
+        outs = [[] for _ in names]
+        for t in ts:
+            outs[ids[t.src]].append((t.action, None if t.dst is TERMINATION else ids[t.dst]))
+        self._number(names, outs, None if initial is None else ids[initial])
+        # the views this construction has at hand
+        self.ids = ids
         self.nodes = frozenset(ns)
+        self.transitions = ts
         self.alphabet = frozenset(actions.union(alphabet))
-        self.initial = initial
         if initial is not None:
             missing = self.nodes - self.reachable([initial])
             if missing:
@@ -183,12 +198,84 @@ class Chart:
                     "nodes unreachable from the initial node: %s" % ", ".join(sorted(missing))
                 )
 
+    @classmethod
+    def _build(cls, names, outs, root):
+        """The chart :meth:`_number` stores, built unchecked: it is derived
+        from a chart that was checked."""
+        chart = cls.__new__(cls)
+        chart._number(names, outs, root)
+        return chart
+
+    def _number(self, names, outs, root):
+        """Store the chart whose node ``i`` is named ``names[i]`` and has the
+        steps ``outs[i]``, with initial node ``root`` (an id or ``None``).
+
+        ``names`` are sorted, and ``outs[i]`` holds distinct ``(action,
+        dst)`` pairs in any order, ``dst`` a node id or ``None``.  They are
+        numbered in :meth:`Transition.sort_key` order, where √ sorts as
+        ``"!"`` among the names.
+        """
+        end = bisect_left(names, "!") - 0.5
+
+        def key(step):
+            return (step[0], end if step[1] is None else step[1])
+
+        first, act, dst = [0], [], []
+        for out in outs:
+            for a, d in sorted(out, key=key):
+                act.append(a)
+                dst.append(d)
+            first.append(len(act))
+        self.names = names
+        self.first = first
+        self.act = act
+        self.dst = dst
+        self.root = root
+
+    @cached_property
+    def src(self):
+        first = self.first
+        return [x for x in range(len(self.names)) for _ in range(first[x], first[x + 1])]
+
+    @cached_property
+    def ids(self):
+        """Node name -> id."""
+        return {x: i for i, x in enumerate(self.names)}
+
+    @cached_property
+    def numbered(self):
+        """Transition ``k`` as a :class:`Transition`, for every ``k``."""
+        names = self.names
+        return [
+            Transition(names[s], a, TERMINATION if d is None else names[d])
+            for s, a, d in zip(self.src, self.act, self.dst)
+        ]
+
+    @cached_property
+    def nodes(self):
+        return frozenset(self.names)
+
+    @cached_property
+    def transitions(self):
+        return frozenset(self.numbered)
+
+    @cached_property
+    def alphabet(self):
+        return frozenset(self.act)
+
+    @property
+    def initial(self):
+        """The initial node's name, or ``None``."""
+        return None if self.root is None else self.names[self.root]
+
     @cached_property
     def _out(self):
-        out = {n: [] for n in self.nodes}
-        for t in self.transitions:
-            out[t.src].append(t)
-        return {n: tuple(sorted(ts, key=Transition.sort_key)) for n, ts in out.items()}
+        first, numbered = self.first, self.numbered
+        return {x: tuple(numbered[first[i] : first[i + 1]]) for i, x in enumerate(self.names)}
+
+    def show(self, k):
+        """Transition ``k`` as :class:`Transition` prints it."""
+        return repr(self.numbered[k])
 
     def out(self, node):
         """All transitions with source ``node``, deterministically ordered."""
@@ -201,21 +288,27 @@ class Chart:
         """Actions ``a`` with a terminal transition ``node −a→ √``."""
         return frozenset(t.action for t in self.out(node) if t.terminal)
 
+    def _successors(self, x):
+        # node ``x``'s non-terminal successors, the graph the walks follow
+        return [d for d in self.dst[self.first[x] : self.first[x + 1]] if d is not None]
+
     def reachable(self, roots):
         """Nodes reachable from ``roots`` (which are included if they are nodes)."""
-        return frozenset(
-            _reach([r for r in roots if r in self.nodes], self._succ.__getitem__)
-        )
+        ids, names = self.ids, self.names
+        reached = _reach([ids[r] for r in roots if r in ids], self._successors)
+        return frozenset(names[i] for i in reached)
 
     def has_cycle(self, within=None):
         """True if some non-terminal cycle exists (restricted to ``within`` if given)."""
-        nodes = self.nodes if within is None else frozenset(within) & self.nodes
-        succ = self._succ
-        return _has_cycle(nodes, lambda n: [m for m in succ[n] if m in nodes])
+        if within is None:
+            return _has_cycle(range(len(self.names)), self._successors)
+        ids = self.ids
+        keep = {ids[x] for x in within if x in ids}
+        return _has_cycle(keep, lambda x: [d for d in self._successors(x) if d in keep])
 
     def rooted_at(self, node):
         """The sub-chart reachable from ``node``, with ``node`` as initial."""
-        if node not in self.nodes:
+        if node not in self.ids:
             raise UnknownNode("unknown node %r" % (node,))
         keep = self.reachable([node])
         return Chart(
@@ -225,21 +318,31 @@ class Chart:
         )
 
     def __eq__(self, other):
+        # the numbering is canonical, so this is equality of the nodes, the
+        # initial node and the transitions
         if not isinstance(other, Chart):
             return NotImplemented
         return (
-            self.nodes == other.nodes
-            and self.initial == other.initial
-            and self.transitions == other.transitions
+            self.root == other.root
+            and self.names == other.names
+            and self.first == other.first
+            and self.act == other.act
+            and self.dst == other.dst
+        )
+
+    @cached_property
+    def _hash(self):
+        return hash(
+            (tuple(self.names), self.root, tuple(self.first), tuple(self.act), tuple(self.dst))
         )
 
     def __hash__(self):
-        return hash((self.nodes, self.initial, self.transitions))
+        return self._hash
 
     def __repr__(self):
         return "Chart(%d nodes, %d transitions%s)" % (
-            len(self.nodes),
-            len(self.transitions),
+            len(self.names),
+            len(self.dst),
             ", init=%s" % self.initial if self.initial else "",
         )
 
@@ -277,44 +380,64 @@ class Chart:
         return cls(transitions, nodes=nodes, initial=initial)
 
     def to_text(self):
+        names = self.names
         lines = ["chart v1"]
-        if self.initial is not None:
-            lines.append("init %s" % self.initial)
+        if self.root is not None:
+            lines.append("init %s" % names[self.root])
         touched = set()
-        for t in sorted(self.transitions, key=Transition.sort_key):
-            touched.add(t.src)
-            if not t.terminal:
-                touched.add(t.dst)
-            lines.append("%s %s %s" % (t.src, t.action, "!" if t.terminal else t.dst))
-        for n in sorted(self.nodes - touched):
-            lines.append("node %s" % n)
+        for s, a, d in zip(self.src, self.act, self.dst):
+            touched.add(s)
+            touched.add(d)
+            lines.append("%s %s %s" % (names[s], a, "!" if d is None else names[d]))
+        lines += ["node %s" % x for i, x in enumerate(names) if i not in touched]
         return "\n".join(lines) + "\n"
 
     # --- JSON --------------------------------------------------------------
 
     def to_json_dict(self):
+        names = self.names
         return {
             "v": 1,
-            "nodes": sorted(self.nodes),
+            "nodes": list(names),
             "alphabet": sorted(self.alphabet),
             "init": self.initial,
             "transitions": [
-                {"src": t.src, "act": t.action, "dst": None if t.terminal else t.dst}
-                for t in sorted(self.transitions, key=Transition.sort_key)
+                {"src": names[s], "act": a, "dst": None if d is None else names[d]}
+                for s, a, d in zip(self.src, self.act, self.dst)
             ],
         }
 
     @classmethod
     def from_json_dict(cls, doc):
-        ts = [
-            Transition(d["src"], d["act"], TERMINATION if d["dst"] is None else d["dst"])
-            for d in doc.get("transitions", ())
-        ]
+        """The chart of a ``chart v1`` JSON object.
+
+        Raises :class:`ParseError` when ``doc`` is not of that shape: an
+        object whose ``transitions`` are objects with string ``src`` and
+        ``act`` and a string or null ``dst``, whose ``nodes`` and
+        ``alphabet`` are lists of strings and whose ``init`` is a string or
+        null.  A malformed token raises :class:`ValueError`, as in the text
+        format.
+        """
+        if not isinstance(doc, dict):
+            raise ParseError("a chart must be a JSON object")
+        ts = []
+        for d in _json_list(doc, "transitions", dict):
+            src, act, dst = d.get("src"), d.get("act"), d.get("dst", 0)
+            # a missing dst reads as 0, which fails the check as it should
+            if not all(isinstance(v, str) for v in (src, act, "" if dst is None else dst)):
+                raise ParseError(
+                    "transition %s needs string src and act, and dst a string or null"
+                    % json.dumps(d)
+                )
+            ts.append(Transition(src, act, TERMINATION if dst is None else dst))
+        initial = doc.get("init")
+        if initial is not None and not isinstance(initial, str):
+            raise ParseError("init must be a string or null")
         return cls(
             ts,
-            nodes=doc.get("nodes", ()),
-            initial=doc.get("init"),
-            alphabet=doc.get("alphabet", ()),
+            nodes=_json_list(doc, "nodes", str),
+            initial=initial,
+            alphabet=_json_list(doc, "alphabet", str),
         )
 
     def to_json(self):
@@ -337,8 +460,7 @@ class Chart:
         noted in a comment).
         """
         out = ["digraph chart {", "  rankdir=LR;", '  node [shape=circle];']
-        has_terminal = any(t.terminal for t in self.transitions)
-        if has_terminal:
+        if None in self.dst:
             out.append('  "√" [shape=doublecircle label="√"];')
         if self.initial is not None:
             out.append('  __init__ [shape=point style=invis];')
@@ -366,10 +488,11 @@ class Chart:
                 for n in mine:
                     out.append("    %s;" % _dot_id(n))
                 out.append("  }")
-        for n in sorted(self.nodes - set(placed)):
-            out.append("  %s;" % _dot_id(n))
+        for n in self.names:
+            if n not in placed:
+                out.append("  %s;" % _dot_id(n))
 
-        for t in sorted(self.transitions, key=Transition.sort_key):
+        for t in self.numbered:
             label = t.action
             attrs = ""
             if order is not None and not t.terminal:
@@ -381,6 +504,16 @@ class Chart:
             out.append('  %s -> %s [label="%s"%s];' % (_dot_id(t.src), dst, label, attrs))
         out.append("}")
         return "\n".join(out) + "\n"
+
+
+def _json_list(doc, key, kind):
+    """``doc[key]``, by default empty, checked to be a list of ``kind``."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, kind) for v in value):
+        raise ParseError(
+            "%s must be a list of %s" % (key, "objects" if kind is dict else "strings")
+        )
+    return value
 
 
 def _dot_id(name):
@@ -890,7 +1023,7 @@ def interpret(e, cap=None):
     (``cap`` defaults to the ``LLEEKIT_STATE_CAP`` environment variable, or
     100000).
     """
-    return _explored_chart(_explore([e], cap, _interpreting))[0].to_chart()
+    return _explored_chart(_explore([e], cap, _interpreting))[0]
 
 
 def _interpreting(root):
@@ -904,7 +1037,7 @@ def _explored_chart(exploration):
 
     ``exploration`` is what :func:`_explore` returns; its tables are read
     as they are, repeated steps merged.  Returns ``(chart, order,
-    heights)``: the :class:`_IndexChart`, rooted at the root, whose node
+    heights)``: the :class:`Chart`, rooted at the root, whose node
     ``r`` is state ``order[r]``, and ``heights[k]``, the largest loop label
     :func:`_explore` gave a step of transition ``k`` (0 for an exploration
     without labels).  :func:`lleekit.lee.expression_witness` ranks the
@@ -934,113 +1067,7 @@ def _explored_chart(exploration):
                 if steps.get(key, -1) < h:
                     steps[key] = h
         outs.append(steps)
-    chart = _IndexChart.build([names[i] for i in order], outs, rank[roots[0]])
+    chart = Chart._build([names[i] for i in order], outs, rank[roots[0]])
     src = chart.src
     heights = [outs[src[k]][a, d] for k, (a, d) in enumerate(zip(chart.act, chart.dst))]
     return chart, order, heights
-
-
-def _step_key(step):
-    # a node's steps in :meth:`Transition.sort_key` order: node ids are
-    # ranks of names, and the terminal step (``None``) comes first
-    action, dst = step
-    return (action, -1 if dst is None else dst)
-
-
-class _IndexChart:
-    """A chart on the node ids ``0..n-1``, numbered in node-name order.
-
-    ``names[i]`` is node ``i``'s name, and ``initial`` the initial node's id
-    or ``None``.  The transitions are numbered ``0..m-1`` in
-    :meth:`Transition.sort_key` order: node ``i``'s are ``out(i)``, from
-    ``first[i]`` to ``first[i+1]-1``, by action and within an action the
-    terminal one first.  Transition ``k`` goes
-    from ``src[k]`` by ``act[k]`` to ``dst[k]``, ``None`` standing for √,
-    and each ``(src, action, dst)`` appears once, as in a :class:`Chart`.
-    Ids are name ranks, so ordering ids orders names: every tie-break on
-    node or transition order comes out as it does on a :class:`Chart`.
-
-    Elimination, refinement tables, images, reflection and extraction run
-    on this graph.  :meth:`of` numbers a :class:`Chart`, :meth:`to_chart`
-    builds one, and ``names`` serves both and error messages, so string
-    charts appear only where a caller passes or reads one.
-    """
-
-    def __init__(self, names, first, act, dst, initial):
-        self.names = names
-        self.first = first
-        self.act = act
-        self.dst = dst
-        self.initial = initial
-
-    @classmethod
-    def build(cls, names, outs, initial):
-        """The chart whose node ``i`` has the steps ``outs[i]``: distinct
-        ``(action, dst)`` pairs in any order, ``dst`` a node id or ``None``."""
-        first, act, dst = [0], [], []
-        for out in outs:
-            for a, d in sorted(out, key=_step_key):
-                act.append(a)
-                dst.append(d)
-            first.append(len(act))
-        return cls(names, first, act, dst, initial)
-
-    @classmethod
-    def of(cls, chart):
-        """``chart``'s nodes and transitions, numbered."""
-        names = sorted(chart.nodes)
-        ids = {x: i for i, x in enumerate(names)}
-        trans = [t for x in names for t in chart.out(x)]
-        first = [0]
-        for x in names:
-            first.append(first[-1] + len(chart.out(x)))
-        ic = cls(
-            names,
-            first,
-            [t.action for t in trans],
-            [None if t.dst is TERMINATION else ids[t.dst] for t in trans],
-            None if chart.initial is None else ids[chart.initial],
-        )
-        ic.ids = ids
-        ic.transitions = trans
-        return ic
-
-    def out(self, node):
-        """The numbers of the transitions leaving ``node``."""
-        return range(self.first[node], self.first[node + 1])
-
-    @cached_property
-    def src(self):
-        first = self.first
-        return [x for x in range(len(self.names)) for _ in range(first[x], first[x + 1])]
-
-    @cached_property
-    def ids(self):
-        """Node name -> id."""
-        return {x: i for i, x in enumerate(self.names)}
-
-    @cached_property
-    def transitions(self):
-        """Transition ``k`` as a :class:`Transition`, for every ``k``."""
-        names = self.names
-        return [
-            Transition(names[s], a, TERMINATION if d is None else names[d])
-            for s, a, d in zip(self.src, self.act, self.dst)
-        ]
-
-    def show(self, k):
-        """Transition ``k`` as :class:`Transition` prints it."""
-        d = self.dst[k]
-        return "%s -%s-> %s" % (
-            self.names[self.src[k]],
-            self.act[k],
-            "√" if d is None else self.names[d],
-        )
-
-    def to_chart(self):
-        """The :class:`Chart` of this graph, validated as every chart is."""
-        return Chart(
-            self.transitions,
-            nodes=self.names,
-            initial=None if self.initial is None else self.names[self.initial],
-        )

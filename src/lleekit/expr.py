@@ -428,6 +428,7 @@ def unparse(e):
 
 
 _TAG = {Plus: "plus", Seq: "seq", Star: "star"}
+_CLASS = {tag: cls for cls, tag in _TAG.items()}
 
 
 def to_json_dict(e):
@@ -457,15 +458,37 @@ def to_json_dict(e):
 
 
 def from_json_dict(d):
-    op = d.get("op")
-    if op == "action":
-        return Action(d["name"])
-    if op == "zero":
-        return Zero()
-    if op in ("plus", "seq", "star"):
-        cls = {"plus": Plus, "seq": Seq, "star": Star}[op]
-        return cls(from_json_dict(d["left"]), from_json_dict(d["right"]))
-    raise ParseError("unknown expression op %r" % (op,))
+    """The expression of a dictionary :func:`to_json_dict` writes.
+
+    Built children first from an explicit stack, as :func:`to_json_dict`
+    writes it, so a deep dictionary does not hit the recursion limit.
+    Raises :class:`ParseError` on an unknown ``op``, a missing key or a
+    name that is no string.
+    """
+    built = []
+    stack = [d]
+    while stack:
+        x = stack.pop()
+        if x is _BUILD:
+            cls = stack.pop()
+            right = built.pop()
+            built[-1] = cls(built[-1], right)
+            continue
+        op = x.get("op") if isinstance(x, dict) else None
+        if op == "action":
+            name = x.get("name")
+            if not isinstance(name, str):
+                raise ParseError("action without a string name")
+            built.append(Action(name))
+        elif op == "zero":
+            built.append(Zero())
+        elif op in _CLASS:
+            if "left" not in x or "right" not in x:
+                raise ParseError("%s without both operands" % op)
+            stack += (_CLASS[op], _BUILD, x["right"], x["left"])
+        else:
+            raise ParseError("unknown expression op %r" % (op,))
+    return built[0]
 
 
 def to_json(e):

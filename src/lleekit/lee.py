@@ -35,13 +35,13 @@ are given.
 Every elimination loop here (witness replay, witness search, normalization,
 layering, and :func:`lleekit.reflect.collapse_lee_witness`) runs on one
 mutable working graph per run (``_Graph``), built once from the chart's
-numbered form (``lleekit.chart._IndexChart``): a step checks L1 - L3 on
-the entries' generated sub-chart, removes the entries, and garbage-collects
-only inside the sub-chart's body, the one place where removing them can
-cut nodes off.  No chart is built between steps.  There is one replay, on
-node ids and transition numbers (``_replay``), and one loops-back
-computation (``_loops_back``); :meth:`Witness.replay` and the looping-back
-functions convert a :class:`Witness` to that form and their results back,
+node ids and transition numbers: a step checks L1 - L3 on the entries'
+generated sub-chart, removes the entries, and garbage-collects only inside
+the sub-chart's body, the one place where removing them can cut nodes off.
+No chart is built between steps.  A :class:`Witness` stores an order
+number per transition number.  There is one replay (``_replay``), run once
+per witness and cached, and one loops-back computation (``_loops_back``);
+:meth:`Witness.replay` and the looping-back functions name their results,
 and a replay builds its final chart once, at the end.
 """
 
@@ -58,7 +58,6 @@ from .chart import (
     NodeSetChart,
     TERMINATION,
     Transition,
-    _IndexChart,
     _explore,
     _explored_chart,
     _has_cycle,
@@ -124,8 +123,8 @@ def generated_chart(parent, start, entries):
     to ``start`` close the loop and are not expanded further.
     """
     entries = _checked_entries(parent, start, entries)
-    g = _Graph(_IndexChart.of(parent))
-    ids, names = g.chart.ids, g.chart.names
+    g = _Graph(parent)
+    ids, names = parent.ids, parent.names
     body = {names[y] for y in g._body(ids[start], [ids[t.dst] for t in entries if not t.terminal])}
     trans = set(entries).union(*(parent.out(y) for y in body))
     return NodeSetChart(
@@ -197,17 +196,17 @@ def is_loop_chart(sub, start):
 
 
 def _roots(chart):
-    """The roots of a witness's run on an index chart: its initial node, or
+    """The roots of a witness's run on ``chart``: its initial node, or
     every node when it has none."""
-    if chart.initial is not None:
-        return (chart.initial,)
+    if chart.root is not None:
+        return (chart.root,)
     return range(len(chart.names))
 
 
 class _Graph:
     """A chart under elimination: the one working graph of an elimination run.
 
-    Built once per run from an :class:`~lleekit.chart._IndexChart` and the
+    Built once per run from a :class:`~lleekit.chart.Chart` and the
     run's roots (every node when none are given), it keeps which of the
     chart's numbered transitions and which nodes are still live, with
     predecessor lists.  Nodes and transitions are the chart's ids and
@@ -367,14 +366,20 @@ class _Graph:
             roots = frozenset(roots)
             nodes = reach(roots)
         c = self.chart
-        initial = c.initial
+        initial = c.root
         if roots != {initial} and not (initial in nodes and reach([initial]) == nodes):
             initial = None
-        alive, src, trans = self._alive, self._src, c.transitions
-        return Chart(
-            [trans[k] for k in range(len(trans)) if alive[k] and src[k] in nodes],
-            nodes=[c.names[n] for n in nodes],
-            initial=None if initial is None else c.names[initial],
+        kept = sorted(nodes)
+        new = {x: i for i, x in enumerate(kept)}
+        new[None] = None
+        alive, act, dst, first = self._alive, c.act, c.dst, c.first
+        return Chart._build(
+            [c.names[x] for x in kept],
+            [
+                [(act[k], new[dst[k]]) for k in range(first[x], first[x + 1]) if alive[k]]
+                for x in kept
+            ],
+            None if initial is None else new[initial],
         )
 
 
@@ -388,9 +393,9 @@ def eliminate(chart, start, entries, roots):
     entries = _checked_entries(chart, start, entries)
     # every node a root: the step sees the whole chart, and ``roots`` apply
     # to the result
-    g = _Graph(_IndexChart.of(chart))
-    ids = g.chart.ids
-    numbers = _numbers(g.chart)
+    g = _Graph(chart)
+    ids = chart.ids
+    numbers = {t: k for k, t in enumerate(chart.numbered)}
     body = g.span(ids[start], [numbers[t] for t in entries])
     if body is None:
         raise NotALoopChart(
@@ -399,11 +404,6 @@ def eliminate(chart, start, entries, roots):
         )
     g.remove(ids[start], [numbers[t] for t in entries], body)
     return g.to_chart([ids[r] for r in roots if r in ids])
-
-
-def _numbers(chart):
-    """Transition -> number, for an index chart made from a :class:`Chart`."""
-    return {t: k for k, t in enumerate(chart.transitions)}
 
 
 def _max_entries(g, node):
@@ -435,11 +435,10 @@ def max_entry_set(chart, node):
     the empty set when no qualifying subset generates a loop sub-chart, i.e.
     when no qualifying entry closes a cycle back through ``node``.
     """
-    g = _Graph(_IndexChart.of(chart))
-    if node not in g.chart.ids:
+    if node not in chart.ids:
         raise UnknownNode("unknown node %r" % (node,))
-    trans = g.chart.transitions
-    return frozenset(trans[k] for k in _max_entries(g, g.chart.ids[node]))
+    trans = chart.numbered
+    return frozenset(trans[k] for k in _max_entries(_Graph(chart), chart.ids[node]))
 
 
 # --- witnesses -------------------------------------------------------------
@@ -469,27 +468,6 @@ class ReplayResult:
     llee_reason: str | None
 
 
-_IndexWitness = namedtuple("_IndexWitness", "chart labels")
-_IndexWitness.__doc__ = """A witness on an :class:`~lleekit.chart._IndexChart`: ``labels[k]``
-is transition ``k``'s order number, 0 on terminal transitions.
-
-Replay, the loops-back relation, images, reflection and extraction run
-on it; a :class:`Witness` is converted to one (``Witness._indexed``)
-and built from one (:func:`_witness`) at the edge.
-"""
-
-
-def _witness(chart, indexed):
-    """The :class:`Witness` on ``chart`` of an index witness on its
-    numbering, which it keeps as its ``_indexed`` form."""
-    c, labels = indexed
-    w = Witness(
-        chart, {t: labels[k] for k, t in enumerate(c.transitions) if c.dst[k] is not None}
-    )
-    w._indexed = _IndexWitness(c, labels)
-    return w
-
-
 class Witness:
     """An order assignment on a chart's non-terminal transitions.
 
@@ -503,6 +481,10 @@ class Witness:
     sub-chart only becomes a loop chart after a sibling group is gone).
     Garbage collection keeps what the initial node reaches, or everything
     when the chart has no initial node.
+
+    A witness stores ``labels``: ``labels[k]`` is the order number of the
+    chart's transition ``k``, 0 on terminal transitions.  ``order`` is a
+    view of them, built when first read.
     """
 
     def __init__(self, chart, order):
@@ -521,7 +503,7 @@ class Witness:
                 % "; ".join(details)
             )
         for t, n in order.items():
-            if not isinstance(n, int) or n < 0:
+            if n.__class__ is not int or n < 0:
                 raise InvalidWitness("order of %r must be a non-negative integer" % (t,))
         used = sorted(set(n for n in order.values() if n > 0))
         if used != list(range(1, len(used) + 1)):
@@ -529,37 +511,45 @@ class Witness:
                 "positive orders must be 1..m without gaps, got %s" % used
             )
         self.chart = chart
-        self.order = dict(order)
-        self._result = None
+        self.labels = [order.get(t, 0) for t in chart.numbered]
+
+    @classmethod
+    def _of(cls, chart, labels):
+        """The witness on ``chart`` whose transition ``k`` has order
+        ``labels[k]``; nothing is checked."""
+        w = cls.__new__(cls)
+        w.chart = chart
+        w.labels = labels
+        return w
 
     @cached_property
-    def _indexed(self):
-        """This witness on the numbered chart, as an :class:`_IndexWitness`."""
-        c = _IndexChart.of(self.chart)
-        return _IndexWitness(c, [self.order.get(t, 0) for t in c.transitions])
+    def order(self):
+        dst, labels = self.chart.dst, self.labels
+        return {t: labels[k] for k, t in enumerate(self.chart.numbered) if dst[k] is not None}
+
+    @cached_property
+    def _replayed(self):
+        """:func:`_replay` of this witness."""
+        return _replay(self)
 
     @cached_property
     def _loops(self):
         """:func:`_loops_back` of this witness."""
-        return _loops_back(self._indexed)
+        return _loops_back(self)
+
+    # ``order`` lists the transitions in number order, which is
+    # Transition.sort_key order
 
     @property
     def max_order(self):
-        return max([n for n in self.order.values()], default=0)
+        return max(self.labels, default=0)
 
     def entries(self, node=None):
         """Positive-order transitions, optionally restricted to one source."""
-        ts = [t for t, n in self.order.items() if n > 0]
-        if node is not None:
-            ts = [t for t in ts if t.src == node]
-        return tuple(sorted(ts, key=Transition.sort_key))
+        return tuple(t for t, n in self.order.items() if n > 0 and (node is None or t.src == node))
 
     def body_transitions(self):
-        return tuple(
-            sorted(
-                (t for t, n in self.order.items() if n == 0), key=Transition.sort_key
-            )
-        )
+        return tuple(t for t, n in self.order.items() if n == 0)
 
     def replay(self):
         """Run the recorded elimination; cached.
@@ -573,38 +563,39 @@ class Witness:
         end.  Failures are reported in the result, including a group whose
         start an earlier group of the same order has collected.
         """
-        if self._result is None:
-            c = self._indexed.chart
-            rep = _replay(self._indexed, record=True)
-            self._result = ReplayResult(
-                rep.ok,
-                rep.reason,
-                tuple(
-                    ReplayStep(
-                        n,
-                        c.names[x],
-                        tuple(c.transitions[k] for k in entries),
-                        frozenset(c.names[y] for y in body),
-                    )
-                    for n, x, entries, body in rep.steps
-                ),
-                None if rep.graph is None else rep.graph.to_chart(),
-                rep.llee,
-                rep.llee_reason,
-            )
-        return self._result
+        return self._report
+
+    @cached_property
+    def _report(self):
+        c, rep = self.chart, self._replayed
+        return ReplayResult(
+            rep.ok,
+            rep.reason,
+            tuple(
+                ReplayStep(
+                    n,
+                    c.names[x],
+                    tuple(c.numbered[k] for k in entries),
+                    frozenset(c.names[y] for y in body),
+                )
+                for n, x, entries, body in rep.steps
+            ),
+            None if rep.graph is None else rep.graph.to_chart(),
+            rep.llee,
+            rep.llee_reason,
+        )
 
     @property
     def is_lee(self):
-        return self.replay().ok
+        return self._replayed.ok
 
     def __eq__(self, other):
         if not isinstance(other, Witness):
             return NotImplemented
-        return self.chart == other.chart and self.order == other.order
+        return self.chart == other.chart and self.labels == other.labels
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.order.items())))
+        return hash((self.chart, tuple(self.labels)))
 
     def __repr__(self):
         return "Witness(%r, %d entries, max order %d)" % (
@@ -644,8 +635,8 @@ class Witness:
 
     def to_text(self):
         lines = ["witness v1"]
-        for t in sorted(self.order, key=Transition.sort_key):
-            lines.append("%s %s %s %d" % (t.src, t.action, t.dst, self.order[t]))
+        for t, n in self.order.items():
+            lines.append("%s %s %s %d" % (t.src, t.action, t.dst, n))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self):
@@ -653,8 +644,8 @@ class Witness:
             "v": 1,
             "chart": self.chart.to_json_dict(),
             "orders": [
-                {"src": t.src, "act": t.action, "dst": t.dst, "order": self.order[t]}
-                for t in sorted(self.order, key=Transition.sort_key)
+                {"src": t.src, "act": t.action, "dst": t.dst, "order": n}
+                for t, n in self.order.items()
             ],
         }
 
@@ -663,11 +654,25 @@ class Witness:
 
     @classmethod
     def from_json(cls, text):
+        """The witness of a ``witness v1`` JSON document.
+
+        Raises :class:`ParseError` unless it is an object with a ``chart``
+        (see :meth:`Chart.from_json_dict`) and a list of ``orders``,
+        objects with string ``src``, ``act`` and ``dst`` and an integer
+        ``order``.
+        """
         doc = json.loads(text)
+        if not (isinstance(doc, dict) and "chart" in doc and isinstance(doc.get("orders"), list)):
+            raise ParseError("a witness must be a JSON object with a chart and a list of orders")
         chart = Chart.from_json_dict(doc["chart"])
-        order = {
-            Transition(d["src"], d["act"], d["dst"]): d["order"] for d in doc["orders"]
-        }
+        order = {}
+        for d in doc["orders"]:
+            row = [d.get(k) for k in ("src", "act", "dst", "order")] if isinstance(d, dict) else []
+            if not (row and all(isinstance(v, str) for v in row[:3]) and row[3].__class__ is int):
+                raise ParseError(
+                    "order %s needs string src, act and dst and an integer order" % json.dumps(d)
+                )
+            order[Transition(*row[:3])] = row[3]
         return cls(chart, order)
 
     def to_dot(self):
@@ -680,14 +685,14 @@ steps as ``(order, start, entries, body)`` on ids and numbers, and the
 working graph where the run got to its end (``None`` otherwise)."""
 
 
-def _replay(w, record=False):
-    """Replay the index witness ``w``: the one replay of lleekit.
+def _replay(w):
+    """Replay the witness ``w``: the one replay of lleekit, which
+    :attr:`Witness._replayed` runs once per witness.
 
-    :meth:`Witness.replay` converts its result.  With ``record`` the steps
-    are kept.  Messages name nodes and transitions as a :class:`Chart`
-    prints them.
+    :meth:`Witness.replay` names its result.  Messages name nodes and
+    transitions as a :class:`Chart` prints them.
     """
-    c, labels = w
+    c, labels = w.chart, w.labels
     g = _Graph(c, _roots(c))
     levels = {}
     for k, o in enumerate(labels):
@@ -735,8 +740,7 @@ def _replay(w, record=False):
                         "step %d starts at %s, which lies in the body of an "
                         "earlier eliminated loop sub-chart" % (n, c.names[x])
                     )
-                if record:
-                    steps.append((n, x, entries, frozenset(body)))
+                steps.append((n, x, entries, body))
                 eliminated_bodies |= body
                 g.remove(x, entries, body)
                 del pending[x]
@@ -763,7 +767,7 @@ def is_llee_witness(w):
     Raises :class:`InvalidWitness` if the replay itself fails (the witness is
     not even an elimination run).
     """
-    rep = w.replay()
+    rep = w._replayed
     if not rep.ok:
         raise InvalidWitness(rep.reason)
     return rep.llee
@@ -782,8 +786,7 @@ def find_lee_witness(chart):
     everything else, including garbage-collected transitions, gets 0), or
     ``None`` when every elimination sequence gets stuck.
     """
-    c = _IndexChart.of(chart)
-    g = _Graph(c, _roots(c))
+    g = _Graph(chart, _roots(chart))
     assignment = {}
     failed = set()
 
@@ -810,7 +813,7 @@ def find_lee_witness(chart):
 
     if not search(1):
         return None
-    return _witness(chart, (c, [assignment.get(k, 0) for k in range(len(c.dst))]))
+    return Witness._of(chart, [assignment.get(k, 0) for k in range(len(chart.dst))])
 
 
 # --- the witness an expression carries -------------------------------------
@@ -833,7 +836,7 @@ def expression_witness(e, cap=None):
     :func:`lleekit.chart.interpret` does.
     """
     c, _, heights = _explored_chart(_explore([e], cap, _interpreting, labelled=True))
-    return _witness(c.to_chart(), (c, _ranked(heights)))
+    return Witness._of(c, _ranked(heights))
 
 
 def _ranked(heights):
@@ -848,14 +851,14 @@ def _ranked(heights):
 
 
 def _loops_back(w):
-    """The loops-back structure of the index witness ``w``.
+    """The loops-back structure of the witness ``w``, on ids.
 
     Returns ``(direct, below, lbcs)``: per node ``x``, the set of nodes
     ``y`` with ``x ↘ y`` and the set with ``x ↘⁺ y``, and the looping-back
     charts as a dict from start to node set (in start order, nodes without
     one omitted).  The caller has checked that ``w`` is layered.
     """
-    c, labels = w
+    c, labels = w.chart, w.labels
     n = len(c.names)
     # x ↘ y: y lies in the x-avoiding closure of the targets of x's entries,
     # taken over body transitions only
@@ -900,7 +903,7 @@ def loops_back_to(w):
     """
     if not is_llee_witness(w):
         raise NotLLEE("loops-back structure requires a layered witness")
-    names = w._indexed.chart.names
+    names = w.chart.names
     direct, below, _ = w._loops
     return (
         frozenset((names[x], names[y]) for x, ys in enumerate(direct) for y in ys),
@@ -945,7 +948,7 @@ def all_looping_back_charts(w):
     """Mapping from node to its looping-back chart (nodes without one omitted)."""
     if not is_llee_witness(w):
         raise NotLLEE("loops-back structure requires a layered witness")
-    names = w._indexed.chart.names
+    names = w.chart.names
     return {
         names[x]: LoopingBackChart(w.chart, w, names[x], frozenset(names[y] for y in nodes))
         for x, nodes in w._loops[2].items()
@@ -974,8 +977,8 @@ def check_lbc_properties(lbc):
     """
     w = lbc.witness
     chart = lbc.parent
-    g = _Graph(w._indexed.chart)
-    ids, names = g.chart.ids, g.chart.names
+    g = _Graph(w.chart)
+    ids, names = w.chart.ids, w.chart.names
     lbcs = all_looping_back_charts(w)
     violations = []
     for y in sorted(lbc.body):
@@ -1008,8 +1011,8 @@ def check_lbc_properties(lbc):
 
 
 def _normalize(w):
-    """Rewrite the index witness ``w`` so every entry has a unique order
-    number; returns the new labels.
+    """Rewrite the replay-valid witness ``w`` so every entry has a unique
+    order number; returns the new labels.
 
     Groups are split into single-entry steps following the replayed order
     (deterministic within a step).  Entries whose continuation cannot come
@@ -1022,7 +1025,7 @@ def _normalize(w):
     g = _Graph(c, _roots(c))
     labels = [0] * len(c.dst)
     counter = 0
-    for _, start, entries, _ in _replay(w, record=True).steps:
+    for _, start, entries, _ in w._replayed.steps:
         loopers = []
         for e in entries:
             if not g.is_live(e):
@@ -1035,7 +1038,7 @@ def _normalize(w):
             counter += 1
             labels[e] = counter
         g.remove(start, loopers)
-    rep = _replay(_IndexWitness(c, labels))
+    rep = Witness._of(c, labels)._replayed
     if not rep.ok:
         raise InternalError("normalized witness fails to replay: %s" % rep.reason)
     return labels
@@ -1091,8 +1094,8 @@ def lee_to_llee(w):
     """
     if not w.is_lee:
         raise NotLEE(w.replay().reason)
-    c = w._indexed.chart
-    labels = _normalize(w._indexed)
+    c = w.chart
+    labels = _normalize(w)
     g = _Graph(c, _roots(c))
     src = c.src
     by_order = {}
@@ -1150,10 +1153,10 @@ def lee_to_llee(w):
         g.remove(r, step_entries, body)
     used = sorted(set(o for o in labels if o > 0))
     renumber = {o: i for i, o in enumerate(used, start=1)}
-    final = _IndexWitness(c, [renumber.get(o, 0) for o in labels])
-    rep = _replay(final)
+    final = Witness._of(c, [renumber.get(o, 0) for o in labels])
+    rep = final._replayed
     if not rep.ok:
         raise InternalError("switching produced a non-replayable witness: %s" % rep.reason)
     if not rep.llee:
         raise InternalError("switching failed to produce a layered witness: %s" % rep.llee_reason)
-    return _witness(w.chart, final)
+    return final

@@ -27,16 +27,9 @@ from collections import namedtuple
 
 from ._record import record
 from .bisim import bisimilarity_partition
-from .chart import Transition, _IndexChart, chart_of_nodes, simple_cycles
+from .chart import Transition, chart_of_nodes, simple_cycles
 from .errors import LemmaViolated, NotCollapse, NotLLEE, UnknownNode
-from .lee import (
-    _Graph,
-    _IndexWitness,
-    _roots,
-    _witness,
-    all_looping_back_charts,
-    is_llee_witness,
-)
+from .lee import Witness, _Graph, _roots, all_looping_back_charts, is_llee_witness
 
 __all__ = [
     "ImageRecord",
@@ -134,7 +127,7 @@ def _images(theta, lbcs, target):
 
     ``lbcs`` maps the start of each looping-back chart to its node set, as
     :func:`lleekit.lee._loops_back` gives them, and ``theta[v]`` is the id
-    in the index chart ``target`` of source node ``v``.  Returns the
+    in the chart ``target`` of source node ``v``.  Returns the
     :class:`_Image` records in the order of :func:`images`.  The caller
     vouches for the preconditions of :func:`images`: this is the one image
     computation, which :func:`images` converts.
@@ -158,9 +151,8 @@ def _images(theta, lbcs, target):
 
 def _hierarchy(theta, w):
     """:func:`images` for a caller that vouches for its preconditions."""
-    target = _IndexChart.of(theta.target)
-    c, _ = w._indexed
-    ids = [target.ids[theta(x)] for x in c.names]
+    target = theta.target
+    ids = [target.ids[theta(x)] for x in w.chart.names]
     lbcs = all_looping_back_charts(w)
     records = []
     for rec in _images(ids, w._loops[2], target):
@@ -170,8 +162,8 @@ def _hierarchy(theta, w):
             ImageRecord(
                 image=chart_of_nodes(theta.target, img_nodes, start=start),
                 start=start,
-                preimages=tuple(lbcs[c.names[x]] for x in rec.preimages),
-                well_structured=lbcs[c.names[rec.chosen]],
+                preimages=tuple(lbcs[w.chart.names[x]] for x in rec.preimages),
+                well_structured=lbcs[w.chart.names[rec.chosen]],
             )
         )
     records = tuple(records)
@@ -348,28 +340,26 @@ def collapse_lee_witness(theta, w):
 
 def _reflected(theta, hierarchy):
     """:func:`collapse_lee_witness` on a hierarchy, with no lemma report:
-    :func:`_reflect_witness` on the numbered collapse, converted, and
-    checked to replay."""
+    :func:`_reflect_witness` on the collapse, checked to replay."""
     h = theta.target
-    c = _IndexChart.of(h)
-    ids = c.ids
+    ids = h.ids
     labels = _reflect_witness(
-        c,
+        h,
         [
             (frozenset(ids[n] for n in rec.image.nodes), ids[rec.start])
             for rec in hierarchy.records
         ],
     )
-    result = _witness(h, _IndexWitness(c, labels))
-    rep = result.replay()
+    result = Witness._of(h, labels)
+    rep = result._replayed
     if not rep.ok:
         raise LemmaViolated("image-wise elimination does not replay: %s" % rep.reason)
     return result
 
 
 def _reflect_witness(c, records):
-    """The image-wise elimination on the index chart ``c`` of a collapse:
-    the one reflection of lleekit.
+    """The image-wise elimination on the collapse ``c``: the one reflection
+    of lleekit.
 
     ``records`` are ``(nodes, start, ...)`` tuples of ids, as
     :class:`_Image` is.  Returns the order number of every transition of

@@ -28,8 +28,8 @@ first map gives a witness on the collapse that is layered as well, which
 is checked, not repaired.  The pipeline runs each step once: explore with
 witness labels, one joint refinement (verdict and collapse), the transfer
 check of both maps, replay, images, reflection, replay, extraction,
-solution check.  The :class:`Certificate` converts its charts, maps,
-witness and solution to the string types only when they are read.
+solution check.  The :class:`Certificate` holds the collapse, witness and
+solution it computed; only its two maps are built when they are read.
 """
 
 from __future__ import annotations
@@ -39,18 +39,10 @@ from functools import cached_property, partial
 
 from ._record import record
 from .bisim import BisimMap, _index_tables, _quotient, _refine
-from .chart import (
-    TERMINATION,
-    Chart,
-    _IndexChart,
-    _explore,
-    _explored_chart,
-    _interpreting,
-    interpret,
-)
+from .chart import TERMINATION, Chart, _explore, _explored_chart, _interpreting, interpret
 from .errors import InternalError, InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
 from .expr import Plus, Seq, Star, Zero, _action
-from .lee import Witness, _IndexWitness, _loops_back, _ranked, _replay, _witness, is_llee_witness
+from .lee import Witness, _ranked, is_llee_witness
 from .reflect import _images, _reflect_witness
 
 __all__ = [
@@ -115,8 +107,6 @@ class Solution:
     """An expression per node, each bisimilar to the chart from that node.
 
     ``chart`` is a :class:`Chart` and ``assign`` is keyed by its node ids.
-    Inside :func:`equiv` a solution lives on the collapse's index chart,
-    keyed by node number, and is converted when the certificate is read.
     """
 
     chart: Chart
@@ -166,16 +156,10 @@ def extract_solution(w):
     So each sub-solution is built once and shared wherever it recurs, and
     a long chart does not hit the recursion limit.  Raises
     :class:`NotLLEE` for non-layered witnesses.
-
-    ``w`` is a :class:`Witness`, or, from :func:`equiv`, a witness on an
-    index chart whose layering the caller has checked; the solution is on
-    the same chart.
     """
-    if not isinstance(w, Witness):
-        return Solution(w.chart, dict(enumerate(_solve(w))))
     if not is_llee_witness(w):
         raise NotLLEE("solution extraction needs a layered witness")
-    return Solution(w.chart, dict(zip(w._indexed.chart.names, _solve(w._indexed))))
+    return Solution(w.chart, dict(zip(w.chart.names, _solve(w))))
 
 
 def _post_dominators(succ, terminals, roots, loop, rank, idom, names):
@@ -244,7 +228,7 @@ def _post_dominators(succ, terminals, roots, loop, rank, idom, names):
 
 
 def _solve(w):
-    """:func:`extract_solution` on the index witness ``w``: the solution
+    """:func:`extract_solution` on the layered witness ``w``: the solution
     of every node, by id.
 
     Each context is solved in one pass over its post-order, after the loops
@@ -253,7 +237,7 @@ def _solve(w):
     return target and as the context outside every loop, which is solved
     last.
     """
-    c, labels = w
+    c, labels = w.chart, w.labels
     act, dst, first, names = c.act, c.dst, c.first, c.names
     n = len(names)
     # one leaf per action name, and one 0; expressions are immutable
@@ -366,20 +350,13 @@ def solution_check(sol, cap=None):
     expression's state and the node itself fall into different
     bisimilarity classes.  Returns the sorted list of failing nodes (empty
     means the solution is correct).  Raises :class:`StateExplosion` if the
-    joint exploration exceeds ``cap`` states.  A solution on an index chart
-    (as :func:`equiv` checks) is refined on that chart's tables, and its
-    failing nodes are named.
+    joint exploration exceeds ``cap`` states.
     """
     c = sol.chart
-    if isinstance(c, Chart):
-        c = _IndexChart.of(c)
-        keys = c.names
-    else:
-        keys = range(len(c.names))
     x = _explore(
-        [sol.assign[k] for k in keys],
+        [sol.assign[k] for k in c.names],
         cap,
-        lambda root: "checking a solution of %d nodes" % len(keys),
+        lambda root: "checking a solution of %d nodes" % len(c.names),
     )
     # the chart's nodes follow the exploration's states in its tables
     offset = _index_tables(c, x.out, x.term)
@@ -447,15 +424,13 @@ def is_axiom_instance(lhs, rhs):
     return None
 
 
-_Evidence = namedtuple("_Evidence", "g order x2 theta collapse labels solution")
-_Evidence.__doc__ = """What an EQUAL decided on ids, from which its certificate is built.
+_Evidence = namedtuple("_Evidence", "g order x2 theta")
+_Evidence.__doc__ = """What an EQUAL keeps to build its certificate's two maps.
 
-``g`` is the first expression's index chart, whose node ``r`` is state
-``order[r]`` of its exploration; ``x2`` is the second exploration,
-named only when the second map is read, its state ``j`` being id
-``x2.base + j`` of the refiner's tables; ``theta`` maps every id of
-those tables to its ``collapse`` node; ``labels`` are the reflected
-witness's order numbers on the collapse, and ``solution`` is keyed by
+``g`` is the first expression's chart, whose node ``r`` is state
+``order[r]`` of its exploration; ``x2`` is the second exploration, named
+only when the second map is read, its state ``j`` being id ``x2.base + j``
+of the refiner's tables; ``theta`` maps every id of those tables to its
 collapse node.
 """
 
@@ -473,30 +448,26 @@ class Certificate:
     is the solution's value at the collapse's initial node — an expression
     provably equal to both inputs.
 
-    :func:`equiv` derives and checks all of it on state ids.
-    ``expression`` is set then; the charts, maps, witness and solution are
-    converted from the ids on first read, validated as the
-    :class:`Chart`, :class:`BisimMap` and :class:`Witness` they are, and
-    cached.
+    :func:`equiv` derives and checks all of it on node ids.  The collapse,
+    witness and solution are the ones it computed; the two maps are built
+    on first read, validated as the :class:`BisimMap` they are, and cached.
     """
 
-    def __init__(self, expression, evidence):
-        self.expression = expression
+    def __init__(self, collapse, witness, solution, evidence):
+        self.collapse = collapse
+        self.witness = witness
+        self.solution = solution
+        self.expression = solution.initial_expression()
         self._evidence = evidence
-
-    @cached_property
-    def collapse(self):
-        return self._evidence.collapse.to_chart()
 
     def _map(self, source, states, offset):
         """The map from ``source``, whose node ``r`` is exploration state
         ``states[r]``, taking ids from ``offset``."""
-        ev = self._evidence
-        names = ev.collapse.names
+        names, theta = self.collapse.names, self._evidence.theta
         return BisimMap(
-            source.to_chart(),
+            source,
             self.collapse,
-            {x: names[ev.theta[offset + i]] for x, i in zip(source.names, states)},
+            {x: names[theta[offset + i]] for x, i in zip(source.names, states)},
         )
 
     @cached_property
@@ -508,17 +479,6 @@ class Certificate:
         x2 = self._evidence.x2
         h, order, _ = _explored_chart(x2)
         return self._map(h, order, x2.base)
-
-    @cached_property
-    def witness(self):
-        ev = self._evidence
-        return _witness(self.collapse, _IndexWitness(ev.collapse, ev.labels))
-
-    @cached_property
-    def solution(self):
-        names = self._evidence.collapse.names
-        assign = self._evidence.solution.assign
-        return Solution(self.collapse, {names[c]: e for c, e in assign.items()})
 
 
 @record
@@ -583,7 +543,7 @@ def _block(b, block, sides):
 
 
 def _check_layered(w, what):
-    rep = _replay(w)
+    rep = w._replayed
     if not (rep.ok and rep.llee):
         raise InternalError(
             "%s is not a layered witness: %s" % (what, rep.reason or rep.llee_reason)
@@ -610,8 +570,8 @@ def equiv(e1, e2, cap=None):
     replayed again, both checked to be layered; a solution is extracted and
     checked, and no lemma report is computed.  A failed invariant on the
     way is an :class:`InternalError`.  The :class:`Certificate` holds the
-    solution's expression, and builds its charts, maps, witness and
-    solution when they are read.
+    collapse, the witness and the solution, and builds its two maps when
+    they are read.
     """
     x1 = _explore([e1], cap, _interpreting, labelled=True)
     x2 = _explore([e2], cap, _interpreting, base=len(x1.states))
@@ -627,13 +587,13 @@ def equiv(e1, e2, cap=None):
     del x1
     try:
         collapse, theta = _quotient(
-            outmap, term, block, order, ["g:" + x for x in g.names], order[g.initial]
+            outmap, term, block, order, ["g:" + x for x in g.names], order[g.root]
         )
         del outmap, term, block
-        w1 = _IndexWitness(g, _ranked(heights))
+        w1 = Witness._of(g, _ranked(heights))
         _check_layered(w1, "the expression's witness")
-        records = _images([theta[i] for i in order], _loops_back(w1)[2], collapse)
-        w_h = _IndexWitness(collapse, _reflect_witness(collapse, records))
+        records = _images([theta[i] for i in order], w1._loops[2], collapse)
+        w_h = Witness._of(collapse, _reflect_witness(collapse, records))
         _check_layered(w_h, "the reflected witness")
         sol = extract_solution(w_h)
     except (InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE) as exc:
@@ -641,5 +601,5 @@ def equiv(e1, e2, cap=None):
     bad = solution_check(sol, cap=cap)
     if bad:
         raise InternalError("extracted solution fails at %s" % ", ".join(bad))
-    evidence = _Evidence(g, order, x2, theta, collapse, w_h.labels, sol)
-    return EquivResult(True, certificate=Certificate(sol.initial_expression(), evidence))
+    certificate = Certificate(collapse, w_h, sol, _Evidence(g, order, x2, theta))
+    return EquivResult(True, certificate=certificate)

@@ -585,7 +585,7 @@ def reference_parse(text):
 
 # what the twins' validation calls
 from lleekit.bisim import _index_tables, _transfers  # noqa: E402
-from lleekit.chart import DEFAULT_STATE_CAP, _IndexChart, _state_cap  # noqa: E402
+from lleekit.chart import DEFAULT_STATE_CAP, _state_cap  # noqa: E402
 from lleekit.errors import NotABisimulation, UnknownNode  # noqa: E402
 
 
@@ -632,7 +632,7 @@ class ParentRecords:
             if self.source.initial is not None and self.target.initial is not None:
                 if m[self.source.initial] != self.target.initial:
                     raise NotABisimulation("initial node does not map to the initial node")
-            source, target = _IndexChart.of(self.source), _IndexChart.of(self.target)
+            source, target = self.source, self.target
             outmap, term, target_out, target_term = [], [], [], []
             _index_tables(source, outmap, term)
             _index_tables(target, target_out, target_term)

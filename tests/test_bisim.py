@@ -14,8 +14,8 @@ from oracles import (
 )
 from lleekit.bisim import (
     BisimMap,
+    _index_tables,
     _refine,
-    _tables,
     bisimilarity,
     bisimilarity_partition,
     collapse,
@@ -357,7 +357,8 @@ def test_refine_repeated_steps_and_isolated_ids():
     for _ in range(60):
         g = _well_founded_mix(rng)
         outmap, term = [], []
-        ids = _tables(g, outmap, term)
+        _index_tables(g, outmap, term)
+        ids = g.ids
         plain = _refine([list(out) for out in outmap], term)
         doubled = _refine([out + out[::-1] for out in outmap], term)
         for x, i in ids.items():

@@ -14,7 +14,7 @@ from oracles import (
     brute_step,
     naive_bisimilarity_pairs,
 )
-from lleekit.bisim import _refine
+from lleekit.bisim import _refine, collapse
 from lleekit.chart import (
     Chart,
     _check_token,
@@ -39,7 +39,7 @@ from lleekit.errors import (
     UnknownNode,
 )
 from lleekit.expr import Action, Seq, Star, Zero, parse, size, unparse
-from lleekit.lee import _ranked, expression_witness, is_llee_witness
+from lleekit.lee import Witness, _ranked, expression_witness, is_llee_witness
 
 TOGGLE = Chart(
     [
@@ -89,6 +89,8 @@ def test_chart_construction_and_validation():
         Chart([Transition("x", "a", "y y")])
     with pytest.raises(ValueError):
         Chart([Transition("x", "A", "y")])
+    with pytest.raises(ValueError, match="invalid action token"):
+        Chart([Transition("x", 5, "y")])
     with pytest.raises(ValueError):
         Chart([], nodes={""})
     with pytest.raises(TypeError):
@@ -396,6 +398,43 @@ def test_interpret_vs_brute():
         assert interpret(parse(text)) == brute_interpret(parse(text))
 
 
+def _assert_twins(a, b):
+    assert a == b and hash(a) == hash(b)
+
+
+def test_derived_objects_equal_their_validated_twins():
+    # interpret, collapse and expression_witness build their charts and
+    # witnesses unchecked; each equals, hash included, the one its text form
+    # reads back through the checking constructors; transitions are numbered
+    # in Transition.sort_key order, whatever order they come in
+    rng = random.Random(1409)
+    # "\x01" sorts before "!", as which √ sorts in Transition.sort_key
+    low = Chart(
+        [
+            Transition("x", "a", "\x01"),
+            Transition("x", "a", TERMINATION),
+            Transition("x", "a", "y"),
+            Transition("\x01", "b", TERMINATION),
+            Transition("y", "b", TERMINATION),
+        ],
+        initial="x",
+    )
+    charts = [low, collapse(low).chart]
+    for _ in range(150):
+        e = random_expression(rng, rng.randint(1, 16))
+        g = interpret(e)
+        charts += [g, collapse(g).chart]
+        w = expression_witness(e)
+        _assert_twins(w, Witness.from_text(w.to_text(), Chart.from_text(w.chart.to_text())))
+    for g in charts:
+        assert g.numbered == sorted(g.transitions, key=Transition.sort_key)
+        _assert_twins(g, Chart.from_text(g.to_text()))
+        transitions, nodes = list(g.transitions), list(g.nodes)
+        rng.shuffle(transitions)
+        rng.shuffle(nodes)
+        _assert_twins(g, Chart(transitions, nodes=nodes, initial=g.initial))
+
+
 @settings(max_examples=120, deadline=None)
 @given(expressions, expressions, st.booleans())
 def test_exploration_tables_refine_to_bisimilarity(e1, e2, labelled):
@@ -435,11 +474,11 @@ def test_explored_chart_reads_the_tables():
         for labelled, base in ((False, 0), (True, 0), (True, 5)):
             x = _explore([e], None, str, labelled=labelled, base=base)
             chart, order, heights = _explored_chart(x)
-            assert chart.to_chart() == g
+            assert chart == g
             assert chart.names == sorted(x.space.name(x.states[i]) for i in order)
             if labelled:
                 ranks = _ranked(heights)
-                orders = {t: r for t, r in zip(chart.transitions, ranks) if not t.terminal}
+                orders = {t: r for t, r in zip(chart.numbered, ranks) if not t.terminal}
                 assert orders == brute_expression_witness(e), unparse(e)
             else:
                 assert heights == [0] * len(heights)

@@ -201,6 +201,65 @@ def test_check_witness_without_llee_flag(capsys):
     capsys.readouterr()
 
 
+LOOP_CHART = {"transitions": [{"src": "X", "act": "a", "dst": "X"}], "init": "X"}
+
+
+def _loop_witness(**row):
+    """The witness of LOOP_CHART with its one order row changed; a value of
+    ``None`` drops the key."""
+    row = dict({"src": "X", "act": "a", "dst": "X", "order": 1}, **row)
+    row = {k: v for k, v in row.items() if v is not None}
+    return {"v": 1, "chart": LOOP_CHART, "orders": [row]}
+
+
+@pytest.mark.parametrize(
+    "chart, witness",
+    [
+        ({"transitions": [{"src": "x"}]}, None),
+        ({"transitions": [{"src": "x", "act": 5, "dst": None}]}, None),
+        ({"transitions": "xy"}, None),
+        ({"transitions": [], "nodes": [["x"]]}, None),
+        ({"transitions": [], "nodes": ["x"], "init": 1}, None),
+        (LOOP_CHART, {"v": 1}),
+        (LOOP_CHART, {"v": 1, "chart": [], "orders": []}),
+        (LOOP_CHART, _loop_witness(act=None)),
+        (LOOP_CHART, _loop_witness(order=True)),
+        (LOOP_CHART, _loop_witness(order="1")),
+        (LOOP_CHART, {"v": 1, "chart": LOOP_CHART, "orders": ["X a X 1"]}),
+    ],
+    ids=[
+        "no-act-dst",
+        "int-act",
+        "string-transitions",
+        "list-node",
+        "int-init",
+        "no-chart",
+        "list-chart",
+        "no-act",
+        "bool-order",
+        "string-order",
+        "string-row",
+    ],
+)
+def test_malformed_json_files_are_parse_errors(tmp_path, capsys, chart, witness):
+    # one "parse error:" line and exit code 2, as for a malformed text file
+    chart_path = tmp_path / "chart.json"
+    chart_path.write_text(json.dumps(chart))
+    argv = ["collapse", str(chart_path)]
+    if witness is not None:
+        witness_path = tmp_path / "witness.json"
+        witness_path.write_text(json.dumps(_loop_witness()))
+        assert run(["llee", str(chart_path), str(witness_path)]) == 0
+        capsys.readouterr()
+        witness_path.write_text(json.dumps(witness))
+        argv = ["llee", str(chart_path), str(witness_path)]
+    proc = run_python(["-m", "lleekit.cli", *argv], 0, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
+
+
 def test_check_witness_replay_failure(tmp_path, capsys):
     w = tmp_path / "zero.witness"
     w.write_text("witness v1\nx a x' 0\nx b x' 0\nx' a x' 0\nx' b x 0\n")

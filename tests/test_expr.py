@@ -215,6 +215,44 @@ def test_json_unknown_op():
         from_json_dict({"op": "loop"})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"op": "seq", "left": {"op": "zero"}},
+        {"op": "plus", "right": {"op": "zero"}},
+        {"op": "star"},
+        {"op": "action"},
+        {"op": "action", "name": 5},
+        {"op": "seq", "left": {"op": "zero"}, "right": ["zero"]},
+    ],
+)
+def test_json_malformed_dictionary(doc):
+    with pytest.raises(ParseError):
+        from_json_dict(doc)
+
+
+def _nested_left(n):
+    # ((a.b).b)….b with n right operands
+    e = Action("a")
+    for _ in range(n):
+        e = Seq(e, Action("b"))
+    return e
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        parse(".".join(["a"] * 3000)),
+        _nested_left(1500),
+        parse("+".join(["a"] * 3000)),
+    ],
+    ids=["chain3000", "nested1500", "sum3000"],
+)
+def test_json_dictionary_roundtrip_deep(e):
+    # to_json_dict and from_json_dict both use an explicit stack
+    assert from_json_dict(to_json_dict(e)) == e
+
+
 def test_size_and_actions():
     assert size(parse("a")) == 1
     assert size(parse("a.b+0")) == 5

@@ -237,6 +237,10 @@ def test_witness_validation(chart_g):
     order[T("x", "a", "x'")] = 1.5
     with pytest.raises(InvalidWitness):
         Witness(chart_g, order)
+    order = {t: 0 for t in chart_g.transitions}
+    order[T("x", "a", "x'")] = True
+    with pytest.raises(InvalidWitness):
+        Witness(chart_g, order)  # a bool is no order number
 
 
 def test_witness_accessors(witness_ci_hat):

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import lleekit.bisim
+import lleekit.lee
 from generators import random_chart, random_expression
 from oracles import brute_interpret, naive_bisimilarity_pairs, reference_solution
 from test_equiv_golden import GOLDEN, N3, P3, W3
@@ -610,10 +611,10 @@ def test_not_equal_builds_no_chart(monkeypatch, capsys):
         raise AssertionError("a NOT_EQUAL built or numbered a chart")
 
     monkeypatch.setattr(Chart, "__init__", forbidden)
-    tables = lleekit.bisim._tables
+    tables = lleekit.bisim._index_tables
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lleekit" and getattr(module, "_tables", None) is tables:
-            monkeypatch.setattr(module, "_tables", forbidden)
+        if name.split(".")[0] == "lleekit" and getattr(module, "_index_tables", None) is tables:
+            monkeypatch.setattr(module, "_index_tables", forbidden)
     pairs = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 1]
     pairs += _mixed_small_pairs("NOT_EQUAL", 20) + _workload_pairs("chain_distinct", "NOT_EQUAL", 3)
     results = []
@@ -667,6 +668,33 @@ def test_equal_builds_no_chart(monkeypatch, capsys):
         assert rep.ok and rep.llee
         assert solution_check(res.certificate.solution) == []
         assert res.certificate.solution.initial_expression() == res.certificate.expression
+
+
+def test_equal_replays_each_witness_once(monkeypatch, capsys):
+    # an EQUAL replays the expression's witness and the reflected one, once
+    # each: extraction and a later read of the certificate's witness use the
+    # reflected witness's cached replay
+    replay = lleekit.lee._replay
+    replayed = []
+
+    def counted(w):
+        replayed.append(w)
+        return replay(w)
+
+    monkeypatch.setattr(lleekit.lee, "_replay", counted)
+    pairs = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 0]
+    pairs += _mixed_small_pairs("EQUAL", 20)
+    for e1, e2 in pairs:
+        replayed.clear()
+        assert run(["equiv", e1, e2]) == 0, (e1, e2)
+        assert capsys.readouterr().out.startswith("EQUAL\n")
+        assert len(replayed) == 2 and replayed[0] is not replayed[1], (e1, e2)
+        res = equiv(parse(e1), parse(e2))
+        assert replayed[-1] is res.certificate.witness
+        replayed.clear()
+        assert is_llee_witness(res.certificate.witness)
+        assert res.certificate.witness.replay().llee
+        assert replayed == []
 
 
 def test_not_equal_memory_grows_linearly():
