@@ -175,6 +175,7 @@ class Chart:
             actions.add(t.action)
         for n in ns:
             _check_token("node", n)
+        actions.update(alphabet)
         for a in actions:
             if not isinstance(a, str) or not _expr._ACTION_RE.fullmatch(a):
                 raise ValueError("invalid action token: %r" % (a,))
@@ -190,7 +191,7 @@ class Chart:
         self.ids = ids
         self.nodes = frozenset(ns)
         self.transitions = ts
-        self.alphabet = frozenset(actions.union(alphabet))
+        self.alphabet = frozenset(actions)
         if initial is not None:
             missing = self.nodes - self.reachable([initial])
             if missing:

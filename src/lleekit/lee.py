@@ -221,7 +221,6 @@ class _Graph:
     The graph answers what the elimination loops used to ask of a rebuilt
     chart (:meth:`out`, :meth:`has_cycle`).  :meth:`_body` is the
     start-avoiding closure of every step, search and check on a chart.
-    :meth:`remove` returns an undo record for backtracking searches.
     """
 
     def __init__(self, chart, roots=None):
@@ -244,10 +243,6 @@ class _Graph:
 
     def is_live(self, k):
         return self._alive[k] == 1
-
-    def key(self):
-        """The live transitions, as a hashable value."""
-        return bytes(self._alive)
 
     def out(self, node):
         """The live transitions leaving ``node``, in number order."""
@@ -315,16 +310,13 @@ class _Graph:
         """Remove the entries at ``start`` and collect what they cut off.
 
         ``body`` is the entries' ``start``-avoiding closure, computed when
-        not given.  Returns an undo record for :meth:`restore`.
+        not given.
         """
         alive, dst, src = self._alive, self._dst, self._src
         if body is None:
             body = self._body(start, [dst[k] for k in entries if dst[k] is not None])
-        killed = []
         for k in entries:
-            if alive[k]:
-                alive[k] = 0
-                killed.append(k)
+            alive[k] = 0
         roots, pred = self.roots, self._pred
         reached = [
             y
@@ -332,21 +324,10 @@ class _Graph:
             if y in roots or any(alive[k] and src[k] not in body for k in pred[y])
         ]
         kept = _reach(reached, self._live(body))
-        dead = body - kept
-        for y in dead:
+        for y in body - kept:
             self.nodes.discard(y)
             for k in self._succ[y]:
-                if alive[k]:
-                    alive[k] = 0
-                    killed.append(k)
-        return killed, dead
-
-    def restore(self, undo):
-        """Undo one :meth:`remove`; undo records are restored newest first."""
-        killed, dead = undo
-        for k in killed:
-            self._alive[k] = 1
-        self.nodes |= dead
+                alive[k] = 0
 
     def to_chart(self, roots=None):
         """The live part as a :class:`Chart`; with ``roots`` (ids), what they
@@ -672,7 +653,10 @@ class Witness:
                 raise ParseError(
                     "order %s needs string src, act and dst and an integer order" % json.dumps(d)
                 )
-            order[Transition(*row[:3])] = row[3]
+            t = Transition(*row[:3])
+            if t in order:
+                raise ParseError("duplicate transition %r in orders" % (t,))
+            order[t] = row[3]
         return cls(chart, order)
 
     def to_dot(self):
@@ -779,41 +763,39 @@ def is_llee_witness(w):
 def find_lee_witness(chart):
     """Search for an elimination run ending without infinite paths.
 
-    Greedy with backtracking: repeatedly eliminate the maximal entry set of
-    the least node id that admits one; on a dead end (cycles remain but no
-    node has a non-empty maximal entry set) backtrack over the node choice.
-    Returns the :class:`Witness` (eliminated entries get their step number;
-    everything else, including garbage-collected transitions, gets 0), or
-    ``None`` when every elimination sequence gets stuck.
+    One greedy pass: while a live cycle remains, eliminate the maximal
+    entry set of the least live node id that admits one.  Returns the
+    :class:`Witness` (eliminated entries get their step number; everything
+    else, including garbage-collected transitions, gets 0), or ``None`` at
+    the first dead end, where cycles remain but no node admits an entry set.
+
+    One pass is enough, because eliminating any loop sub-chart keeps LEE.
+    Take a successful run of the chart and replay it after the step, each
+    group cut down to its entries that are still live.  A group whose
+    entries no longer return to their start is left out: their
+    continuation is exit-free, acyclic away from the start and never comes
+    back, so no cycle can use them.  Every other group still generates a
+    loop sub-chart, as removing transitions adds no exit and no cycle, and
+    the parts left out add neither.  The adapted run ends without a cycle.
+    So a chart with LEE never reaches a dead end, and the pass, which
+    removes at least one transition per step, finds a witness exactly when
+    one exists.
     """
     g = _Graph(chart, _roots(chart))
-    assignment = {}
-    failed = set()
-
-    def search(step_no):
-        if not g.has_cycle():
-            return True
-        key = g.key()
-        if key in failed:
-            return False
+    labels = [0] * len(chart.dst)
+    step_no = 0
+    while g.has_cycle():
         for x in sorted(g.nodes):
             entries = _max_entries(g, x)
-            if not entries:
-                continue
-            for k in entries:
-                assignment[k] = step_no
-            undo = g.remove(x, entries)
-            if search(step_no + 1):
-                return True
-            g.restore(undo)
-            for k in entries:
-                del assignment[k]
-        failed.add(key)
-        return False
-
-    if not search(1):
-        return None
-    return Witness._of(chart, [assignment.get(k, 0) for k in range(len(chart.dst))])
+            if entries:
+                break
+        else:
+            return None
+        step_no += 1
+        for k in entries:
+            labels[k] = step_no
+        g.remove(x, entries)
+    return Witness._of(chart, labels)
 
 
 # --- the witness an expression carries -------------------------------------

@@ -91,6 +91,10 @@ def test_chart_construction_and_validation():
         Chart([Transition("x", "A", "y")])
     with pytest.raises(ValueError, match="invalid action token"):
         Chart([Transition("x", 5, "y")])
+    # the alphabet's extra actions are checked as the transitions' are
+    for action in ("Not An Action", "5", 5):
+        with pytest.raises(ValueError, match="invalid action token"):
+            Chart([Transition("x", "a", "y")], alphabet={"c", action})
     with pytest.raises(ValueError):
         Chart([], nodes={""})
     with pytest.raises(TypeError):

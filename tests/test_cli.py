@@ -267,6 +267,48 @@ def test_check_witness_replay_failure(tmp_path, capsys):
     assert "replay: failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "suffix, witness, message",
+    [
+        (
+            ".witness",
+            "witness v1\nX a X 0\nX a X 1\n",
+            "parse error: duplicate transition X -a-> X on line 3\n",
+        ),
+        (
+            ".json",
+            json.dumps(
+                {
+                    "v": 1,
+                    "chart": LOOP_CHART,
+                    "orders": [{"src": "X", "act": "a", "dst": "X", "order": n} for n in (0, 1)],
+                }
+            ),
+            "parse error: duplicate transition X -a-> X in orders\n",
+        ),
+    ],
+    ids=["text", "json"],
+)
+def test_check_witness_rejects_a_transition_listed_twice(tmp_path, capsys, suffix, witness, message):
+    chart_path = tmp_path / "loop.json"
+    chart_path.write_text(json.dumps(LOOP_CHART))
+    witness_path = tmp_path / ("loop" + suffix)
+    witness_path.write_text(witness)
+    assert run(["check-witness", str(chart_path), str(witness_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_chart_alphabet_tokens_are_checked(tmp_path, capsys):
+    path = tmp_path / "alphabet.json"
+    path.write_text(json.dumps(dict(LOOP_CHART, alphabet=["Not An Action", "5"])))
+    assert run(["--format", "json", "lee", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid action token: ")
+
+
 @pytest.mark.parametrize("command", ["check-witness", "llee"])
 def test_replay_fails_on_a_start_collected_within_its_order(tmp_path, capsys, command):
     # order 1 cuts x -b-> x' and the self-loop at x'; at order 2 the group at

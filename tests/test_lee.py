@@ -1,6 +1,7 @@
 """Loop sub-charts, witnesses, replay, witness search, and layering."""
 
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from oracles import (
     brute_replay,
     exhaustive_lee_search,
 )
+import lleekit.lee
 from lleekit.chart import Chart, TERMINATION, Transition, chart_of_nodes, interpret
 from lleekit.errors import (
     EmptyEntrySet,
@@ -522,13 +524,56 @@ def test_find_lee_witness_none():
 
 
 def test_find_lee_witness_vs_exhaustive():
+    # one greedy pass answers as the search over every elimination sequence
     rng = random.Random(59)
-    for i in range(120):
-        g = random_chart(rng, max_nodes=4, rooted=(i % 3 == 0))
+    found = 0
+    for i in range(3000):
+        g = random_chart(rng, max_nodes=9, alphabet=("a", "b", "c"), rooted=(i % 3 == 0))
         w = find_lee_witness(g)
-        assert (w is not None) == exhaustive_lee_search(g)
+        assert (w is not None) == exhaustive_lee_search(g), g.to_text()
         if w is not None:
             assert w.is_lee
+            found += 1
+    # both answers occur often
+    assert 300 < found < 2700
+
+
+def _dead_end_chart(k):
+    """A chain ``x0 … x{k-1}`` of self-looping nodes, each stepping by ``b``
+    to the next and the last into the two-node loop with exits, which has
+    no witness."""
+    lines = ["chart v1", "init x0"]
+    for i in range(k):
+        lines.append("x%d a x%d" % (i, i))
+        lines.append("x%d b %s" % (i, "x%d" % (i + 1) if i + 1 < k else "X"))
+    lines.extend(["X a Y", "Y a X", "X b !", "Y c !"])
+    return Chart.from_text("\n".join(lines) + "\n")
+
+
+def test_find_lee_witness_stops_at_the_first_dead_end(monkeypatch):
+    # one pass stops at its first dead end, after at most k+3 steps that
+    # each scan at most k+3 nodes
+    k = 14
+    calls = []
+    max_entries = lleekit.lee._max_entries
+    monkeypatch.setattr(
+        lleekit.lee, "_max_entries", lambda g, x: calls.append(x) or max_entries(g, x)
+    )
+    assert find_lee_witness(_dead_end_chart(k)) is None
+    assert 0 < len(calls) <= (k + 3) ** 2
+
+
+def test_find_lee_witness_without_recursion():
+    # 150 elimination steps, one per factor, within a recursion limit of 120
+    chart = interpret(parse(".".join(["(a*b)"] * 150)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        w = find_lee_witness(chart)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert w is not None and w.max_order == 150
+    assert w.is_lee
 
 
 def test_interpreted_expressions_always_have_witnesses():
