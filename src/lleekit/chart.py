@@ -484,8 +484,8 @@ class Chart:
                         "  // image %s also contains: %s" % (name, ", ".join(extra))
                     )
             for name, mine in covered.items():
-                out.append('  subgraph "cluster_%s" {' % name)
-                out.append('    label="%s"; style=dotted;' % name)
+                out.append("  subgraph %s {" % _dot_id("cluster_" + name))
+                out.append("    label=%s; style=dotted;" % _dot_id(name))
                 for n in mine:
                     out.append("    %s;" % _dot_id(n))
                 out.append("  }")

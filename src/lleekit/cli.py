@@ -32,7 +32,7 @@ from .chart import DEFAULT_STATE_CAP, Chart, _state_cap, interpret
 from .errors import InternalError, LleekitError, ParseError, StateExplosion
 from .expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
-from .reflect import _hierarchy, _lemma_report, _reflected
+from .reflect import _reflect
 from .solve import equiv, extract_solution, solution_check
 
 __all__ = ["Config", "run", "main"]
@@ -243,63 +243,46 @@ def _layered(w):
     return w if rep.llee else lee_to_llee(w)
 
 
-def _image_report_lines(hierarchy):
-    lines = []
-    for rec in hierarchy.records:
-        lines.append(
-            "image {%s} start %s preimages %d wsp %s"
-            % (
-                ", ".join(sorted(rec.image.nodes)),
-                rec.start,
-                len(rec.preimages),
-                rec.well_structured.start,
-            )
-        )
-    return lines
-
-
 def _cmd_reflect(args, cfg):
     g = _load_chart(args.chart)
     w = _layered(_load_witness(args.witness, g))
     res = collapse(g)
-    theta = res.theta
+    h, theta = res.chart, res.theta
     # ``collapse`` built the map and ``_layered`` layered the witness, so
-    # the checks of ``images`` would refine the collapse a second time
-    hierarchy = _hierarchy(theta, w)
-    report = _lemma_report(theta, hierarchy)
-    if not report.ok:
-        for _, msg in report.violations:
-            sys.stderr.write("lemma violation: %s\n" % msg)
-        return 1
-    w_h = _reflected(theta, hierarchy)
+    # the checks of ``collapse_lee_witness`` would refine the collapse a
+    # second time; ids are name ranks, so sorted ids list sorted names
+    records, w_h = _reflect(theta, w)
+    shown = [
+        ([h.names[v] for v in sorted(rec.nodes)], h.names[rec.start], rec)
+        for rec in records
+    ]
     if cfg.format == "json":
         doc = {
             "v": 1,
-            "chart": res.chart.to_json_dict(),
+            "chart": h.to_json_dict(),
             "map": theta.to_json_dict(),
             "images": [
                 {
-                    "nodes": sorted(rec.image.nodes),
-                    "start": rec.start,
+                    "nodes": nodes,
+                    "start": start,
                     "preimages": len(rec.preimages),
-                    "wsp_start": rec.well_structured.start,
+                    "wsp_start": g.names[rec.chosen],
                 }
-                for rec in hierarchy.records
+                for nodes, start, rec in shown
             ],
             "witness": w_h.to_json_dict(),
         }
         _print(json.dumps(doc, indent=2))
     elif cfg.format == "dot":
-        clusters = [
-            (", ".join(sorted(rec.image.nodes)), rec.image.nodes)
-            for rec in hierarchy.records
-        ]
-        _print(res.chart.to_dot(order=w_h.order, clusters=clusters))
+        clusters = [(", ".join(nodes), nodes) for nodes, _, _ in shown]
+        _print(h.to_dot(order=w_h.order, clusters=clusters))
     else:
-        parts = [res.chart.to_text(), theta.to_text()]
-        parts.append("\n".join(_image_report_lines(hierarchy)) + "\n")
-        parts.append(w_h.to_text())
-        _print("\n".join(parts))
+        lines = [
+            "image {%s} start %s preimages %d wsp %s"
+            % (", ".join(nodes), start, len(rec.preimages), g.names[rec.chosen])
+            for nodes, start, rec in shown
+        ]
+        _print("\n".join([h.to_text(), theta.to_text(), "\n".join(lines) + "\n", w_h.to_text()]))
     return 0
 
 

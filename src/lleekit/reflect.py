@@ -19,6 +19,11 @@ looping-back chart of ``G`` projects to an *image*: the induced sub-chart of
 its chosen pre-image's start.  The result is a replay-valid witness on the
 collapse, and the image construction keeps layering: a layered witness
 reflects to a layered one.
+
+One reflection on ids (:func:`_images`, then :func:`_reflect_witness`, then
+a replay) serves :func:`lleekit.solve.equiv`, :func:`collapse_lee_witness`
+and the ``reflect`` command.  None of them enumerates cycles: only
+:func:`check_lemma_conditions`, the explicit check of the lemma, does.
 """
 
 from __future__ import annotations
@@ -112,7 +117,29 @@ def images(theta, w):
     nodes and :class:`NotLLEE` if the witness is not layered.
     """
     _check_preconditions(theta, w)
-    return _hierarchy(theta, w)
+    target = theta.target
+    ids = [target.ids[theta(x)] for x in w.chart.names]
+    lbcs = all_looping_back_charts(w)
+    records = []
+    for rec in _images(ids, w._loops[2], target):
+        img_nodes = frozenset(target.names[v] for v in rec.nodes)
+        start = target.names[rec.start]
+        records.append(
+            ImageRecord(
+                image=chart_of_nodes(target, img_nodes, start=start),
+                start=start,
+                preimages=tuple(lbcs[w.chart.names[x]] for x in rec.preimages),
+                well_structured=lbcs[w.chart.names[rec.chosen]],
+            )
+        )
+    records = tuple(records)
+    order = frozenset(
+        (i, j)
+        for i, a in enumerate(records)
+        for j, b in enumerate(records)
+        if a.image.nodes < b.image.nodes
+    )
+    return ImageHierarchy(records, order)
 
 
 _Image = namedtuple("_Image", "nodes start preimages chosen")
@@ -147,33 +174,6 @@ def _images(theta, lbcs, target):
         chosen = min(wsps)
         records.append(_Image(img_nodes, theta[chosen], pres, chosen))
     return records
-
-
-def _hierarchy(theta, w):
-    """:func:`images` for a caller that vouches for its preconditions."""
-    target = theta.target
-    ids = [target.ids[theta(x)] for x in w.chart.names]
-    lbcs = all_looping_back_charts(w)
-    records = []
-    for rec in _images(ids, w._loops[2], target):
-        img_nodes = frozenset(target.names[v] for v in rec.nodes)
-        start = target.names[rec.start]
-        records.append(
-            ImageRecord(
-                image=chart_of_nodes(theta.target, img_nodes, start=start),
-                start=start,
-                preimages=tuple(lbcs[w.chart.names[x]] for x in rec.preimages),
-                well_structured=lbcs[w.chart.names[rec.chosen]],
-            )
-        )
-    records = tuple(records)
-    order = frozenset(
-        (i, j)
-        for i, a in enumerate(records)
-        for j, b in enumerate(records)
-        if a.image.nodes < b.image.nodes
-    )
-    return ImageHierarchy(records, order)
 
 
 def well_structured_preimage(theta, record):
@@ -319,42 +319,33 @@ def _lemma_report(theta, hierarchy):
 
 
 def collapse_lee_witness(theta, w):
-    """Build an elimination witness on the collapse from the image hierarchy.
+    """Build an elimination witness on the collapse from the images.
 
-    Requires the lemma conditions (:class:`LemmaViolated` otherwise).  Images
-    are processed in sub-image order (smallest node sets first, ties broken
+    The preconditions of :func:`images` are checked.  Images are processed
+    in sub-image order (smallest node sets first, ties broken
     deterministically); each still-cyclic image remnant is eliminated at its
     record's start with the entries into the image, and the chart is garbage
-    collected against the usual roots.  The resulting witness replays to a
-    chart without infinite paths.  By the paper's theorem it is layered as
-    well, and :func:`lleekit.lee.lee_to_llee` layers a witness that is not.
-    The preconditions of :func:`images` and the lemma report are checked;
-    :func:`lleekit.solve.equiv`, which vouches for its own map, skips both.
+    collected against the usual roots.  The result is checked to replay to a
+    chart without infinite paths (:class:`LemmaViolated` otherwise).  By the
+    paper's theorem it is layered as well, and
+    :func:`lleekit.lee.lee_to_llee` layers a witness that is not.
     """
-    hierarchy = images(theta, w)
-    report = _lemma_report(theta, hierarchy)
-    if not report.ok:
-        raise LemmaViolated("; ".join(msg for _, msg in report.violations))
-    return _reflected(theta, hierarchy)
+    _check_preconditions(theta, w)
+    return _reflect(theta, w)[1]
 
 
-def _reflected(theta, hierarchy):
-    """:func:`collapse_lee_witness` on a hierarchy, with no lemma report:
-    :func:`_reflect_witness` on the collapse, checked to replay."""
+def _reflect(theta, w):
+    """The images of ``w`` under ``theta``, as :func:`_images` gives them,
+    and the witness :func:`_reflect_witness` builds from them on the
+    collapse, checked to replay.  The caller vouches for the preconditions
+    of :func:`images`."""
     h = theta.target
-    ids = h.ids
-    labels = _reflect_witness(
-        h,
-        [
-            (frozenset(ids[n] for n in rec.image.nodes), ids[rec.start])
-            for rec in hierarchy.records
-        ],
-    )
-    result = Witness._of(h, labels)
+    records = _images([h.ids[theta(x)] for x in w.chart.names], w._loops[2], h)
+    result = Witness._of(h, _reflect_witness(h, records))
     rep = result._replayed
     if not rep.ok:
         raise LemmaViolated("image-wise elimination does not replay: %s" % rep.reason)
-    return result
+    return records, result
 
 
 def _reflect_witness(c, records):

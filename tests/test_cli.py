@@ -390,6 +390,31 @@ def test_reflect_long_cycle(tmp_path, capsys):
     assert captured.err == ""
 
 
+def test_reflect_rejects_a_witness_that_does_not_replay(tmp_path, capsys):
+    chart = tmp_path / "two.chart"
+    chart.write_text("chart v1\nX a Y\nY a X\nY b !\nP a Q\nQ a P\nQ b !\n")
+    witness = tmp_path / "two.witness"
+    witness.write_text("witness v1\nP a Q 1\nQ a P 0\nX a Y 0\nY a X 0\n")
+    assert run(["reflect", str(chart), str(witness)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: witness does not replay: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_reflect_dot_quotes_cluster_names(tmp_path, capsys):
+    # node names with a quote and a backslash, inside a cluster's name too
+    chart = tmp_path / "quoted.chart"
+    chart.write_text('chart v1\ninit x"1\nx"1 a y\\2\ny\\2 a x"1\ny\\2 b !\n')
+    witness = tmp_path / "quoted.witness"
+    witness.write_text('witness v1\nx"1 a y\\2 0\ny\\2 a x"1 1\n')
+    assert run(["--format", "dot", "reflect", str(chart), str(witness)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert '  subgraph "cluster_x\\"1, y\\\\2" {' in lines
+    assert '    label="x\\"1, y\\\\2"; style=dotted;' in lines
+    assert '    "x\\"1";' in lines and '    "y\\\\2";' in lines
+
+
 # --- solve ------------------------------------------------------------------
 
 

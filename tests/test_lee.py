@@ -679,6 +679,14 @@ def test_looping_back_charts_cii_hat(witness_cii_hat):
     assert lbcs["z''"].nodes == {"z''", "y"}
 
 
+def test_looping_back_chart_of_one_node(witness_cii_hat):
+    lbc = looping_back_chart(witness_cii_hat, "x")
+    assert lbc == all_looping_back_charts(witness_cii_hat)["x"]
+    assert lbc.start == "x" and lbc.nodes == {"x", "z''", "k", "y"}
+    # k has no entries, so it has no looping-back chart
+    assert looping_back_chart(witness_cii_hat, "k") is None
+
+
 def test_looping_back_charts_ci_hat_prime(witness_ci_hat_prime):
     lbcs = all_looping_back_charts(witness_ci_hat_prime)
     assert sorted(lbcs) == ["Z"]

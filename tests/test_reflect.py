@@ -1,10 +1,13 @@
 """Images of looping-back structure under a collapse, and witness reflection."""
 
+import json
 import random
+import sys
 
 import pytest
 
 from generators import random_expression
+from test_cli_golden import CASES, GOLDEN, _run
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import TERMINATION, Transition, interpret
 from lleekit.errors import (
@@ -20,7 +23,11 @@ from lleekit.lee import (
     lee_to_llee,
 )
 from lleekit.reflect import (
+    ImageHierarchy,
     ImageRecord,
+    _Image,
+    _lemma_report,
+    _reflect_witness,
     check_lemma_conditions,
     collapse_lee_witness,
     images,
@@ -202,6 +209,36 @@ def test_lemma_conditions_identity(chart_ci, witness_ci_hat_prime):
     assert check_lemma_conditions(ident, witness_ci_hat_prime).ok
 
 
+def test_lemma_report_cycle_in_no_image(hierarchy, map_cii_to_ci):
+    # without the full image, the cycle through K lies in none
+    report = _lemma_report(map_cii_to_ci, ImageHierarchy(hierarchy.records[:2], frozenset()))
+    assert report.violations == (
+        ("1", "cycle [K -d2-> X, X -b1-> Z, Z -a4-> K] lies in no image"),
+    )
+
+
+def test_lemma_report_cycle_misses_the_start(hierarchy, map_cii_to_ci):
+    xz, yz, full = hierarchy.records
+    moved = ImageRecord(xz.image, "X", xz.preimages, xz.well_structured)
+    report = _lemma_report(map_cii_to_ci, ImageHierarchy((moved, yz, full), hierarchy.order))
+    assert report.violations == (
+        ("2", "cycle [Z -a1-> Z] in image {X, Z} misses the start X"),
+    )
+
+
+def test_lemma_report_transition_escapes(hierarchy, map_cii_to_ci, witness_cii_hat):
+    # a pre-image starting at x makes Z a body node of {X, Z}, and Z leaves it
+    xz, yz, full = hierarchy.records
+    pre = all_looping_back_charts(witness_cii_hat)["x"]
+    moved = ImageRecord(xz.image, xz.start, (pre,), xz.well_structured)
+    report = _lemma_report(map_cii_to_ci, ImageHierarchy((moved, yz, full), hierarchy.order))
+    assert not report
+    assert report.violations == (
+        ("3", "transition Z -a3-> Y escapes image {X, Z}"),
+        ("3", "transition Z -a4-> K escapes image {X, Z}"),
+    )
+
+
 # --- reflecting a witness through the collapse ------------------------------
 
 
@@ -245,6 +282,54 @@ def test_collapse_lee_witness_identity(chart_ci, witness_ci_hat_prime):
     w = collapse_lee_witness(ident, witness_ci_hat_prime)
     assert w == find_lee_witness(chart_ci)
     assert is_llee_witness(w)
+
+
+def test_reflect_witness_without_images(chart_ci):
+    with pytest.raises(LemmaViolated, match="cycles survive after eliminating every image"):
+        _reflect_witness(chart_ci, [])
+
+
+def test_reflect_witness_entries_span_no_loop(chart_ci):
+    ids = chart_ci.ids
+    record = _Image(frozenset({ids["Y"], ids["Z"]}), ids["Y"], (), None)
+    with pytest.raises(
+        LemmaViolated,
+        match="entries at Y do not span a loop sub-chart of the remaining chart",
+    ):
+        _reflect_witness(chart_ci, [record])
+
+
+def test_reflection_enumerates_no_cycles(
+    monkeypatch,
+    map_g_to_h,
+    witness_g_hat,
+    witness_h_hat,
+    map_cii_to_ci,
+    witness_cii_hat,
+    chart_ci,
+    witness_ci_hat_prime,
+):
+    # reflect and collapse_lee_witness take the reflection equiv takes: the
+    # images, the elimination and a replay, with no lemma report
+    golden = json.loads(GOLDEN.read_text())
+    cases = [case for case in CASES if " reflect " in case]
+    assert len(cases) == 15
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reflection enumerated cycles")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lleekit":
+            for attr in ("simple_cycles", "_lemma_report"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, forbidden)
+    for case in cases:
+        assert golden[case][0] == 0
+        assert _run(case) == golden[case]
+    assert collapse_lee_witness(map_g_to_h, witness_g_hat) == witness_h_hat
+    assert collapse_lee_witness(map_cii_to_ci, witness_cii_hat).replay().ok
+    ident = BisimMap(chart_ci, chart_ci, {n: n for n in chart_ci.nodes})
+    assert collapse_lee_witness(ident, witness_ci_hat_prime) == find_lee_witness(chart_ci)
 
 
 def test_collapse_lee_witness_random_pipeline():
