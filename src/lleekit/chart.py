@@ -80,10 +80,18 @@ DEFAULT_STATE_CAP = 100000
 
 def _state_cap(cap=None):
     """``cap``, by default the ``LLEEKIT_STATE_CAP`` environment variable or
-    :data:`DEFAULT_STATE_CAP`.  Raises :class:`ValueError` when the variable
-    is not an integer or the cap is not positive."""
+    :data:`DEFAULT_STATE_CAP`.  Raises :class:`ValueError`, naming the
+    variable, when it is not an integer, and when the cap is not positive."""
     if cap is None:
-        cap = int(os.environ.get("LLEEKIT_STATE_CAP", DEFAULT_STATE_CAP))
+        value = os.environ.get("LLEEKIT_STATE_CAP")
+        if value is None:
+            return DEFAULT_STATE_CAP
+        try:
+            cap = int(value)
+        except ValueError:
+            raise ValueError(
+                "LLEEKIT_STATE_CAP must be a positive integer, got %r" % value
+            ) from None
     if cap <= 0:
         raise ValueError("state cap must be positive")
     return cap
@@ -460,12 +468,14 @@ class Chart:
         containing it (overlaps beyond nesting cannot be drawn as boxes and are
         noted in a comment).
         """
+        # the helper nodes' IDs, "!" for √ and "#init" for the start marker,
+        # are tokens no node may have (:func:`_check_token`)
         out = ["digraph chart {", "  rankdir=LR;", '  node [shape=circle];']
         if None in self.dst:
-            out.append('  "√" [shape=doublecircle label="√"];')
+            out.append('  "!" [shape=doublecircle label="√"];')
         if self.initial is not None:
-            out.append('  __init__ [shape=point style=invis];')
-            out.append('  __init__ -> %s;' % _dot_id(self.initial))
+            out.append('  "#init" [shape=point style=invis];')
+            out.append('  "#init" -> %s;' % _dot_id(self.initial))
 
         placed = {}
         if clusters:
@@ -501,7 +511,7 @@ class Chart:
                 if n > 0:
                     label = "%s [%d]" % (t.action, n)
                     attrs = ' color="#b40000" fontcolor="#b40000"'
-            dst = '"√"' if t.terminal else _dot_id(t.dst)
+            dst = '"!"' if t.terminal else _dot_id(t.dst)
             out.append('  %s -> %s [label="%s"%s];' % (_dot_id(t.src), dst, label, attrs))
         out.append("}")
         return "\n".join(out) + "\n"

@@ -7,9 +7,10 @@ solution extraction, plus the end-to-end ``equiv`` decision.
 Exit codes: 0 on success (``equiv``: EQUAL), 1 on a failed check or
 NOT_EQUAL, 2 on I/O, syntax, or usage errors, 3 when an internal invariant
 fails (:class:`InternalError`, a bug).  The state cap (``--cap``) bounds
-exploration and also the syntax nodes of the expression an EQUAL prints;
-past either, exit code 1.  Parsing, printing in every format and solution
-extraction use no recursion, so some thousands of nested sequences answer.
+exploration, the canonical forms of the solution check and the syntax
+nodes of the expression an EQUAL prints; past any of them, exit code 1.
+Parsing, printing in every format and solution extraction use no
+recursion, so some thousands of nested sequences answer.
 An input deeper than interpretation can recurse is a usage error: one
 ``error: expression nested too deeply`` line on stderr and exit code 2.
 That is a sum of some thousands of terms or some thousands of nested
@@ -33,7 +34,7 @@ from .errors import InternalError, LleekitError, ParseError, StateExplosion
 from .expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
 from .reflect import _reflect
-from .solve import equiv, extract_solution, solution_check
+from .solve import _provable_check, equiv, extract_solution
 
 __all__ = ["Config", "run", "main"]
 
@@ -290,7 +291,7 @@ def _cmd_solve(args, cfg):
     g = _load_chart(args.chart)
     w = _load_witness(args.witness, g)
     sol = extract_solution(w)
-    bad = solution_check(sol, cap=cfg.cap)
+    bad = _provable_check(sol, cfg.cap)
     if bad:
         sys.stderr.write("solution check failed at: %s\n" % ", ".join(bad))
         return 1

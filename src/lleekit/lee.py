@@ -36,7 +36,8 @@ Every elimination loop here (witness replay, witness search, normalization,
 layering, and :func:`lleekit.reflect.collapse_lee_witness`) runs on one
 mutable working graph per run (``_Graph``), built once from the chart's
 node ids and transition numbers: a step checks L1 - L3 on the entries'
-generated sub-chart, removes the entries, and garbage-collects only inside
+generated sub-chart in the one depth-first walk that collects its body
+(:meth:`_Graph.closure`), removes the entries, and garbage-collects only inside
 the sub-chart's body, the one place where removing them can cut nodes off.
 No chart is built between steps.  A :class:`Witness` stores an order
 number per transition number.  There is one replay (``_replay``), run once
@@ -50,7 +51,6 @@ from __future__ import annotations
 import json
 from collections import deque, namedtuple
 from functools import cached_property
-from itertools import chain
 
 from ._record import record
 from .chart import (
@@ -125,7 +125,8 @@ def generated_chart(parent, start, entries):
     entries = _checked_entries(parent, start, entries)
     g = _Graph(parent)
     ids, names = parent.ids, parent.names
-    body = {names[y] for y in g._body(ids[start], [ids[t.dst] for t in entries if not t.terminal])}
+    body, _, _ = g.closure(ids[start], [ids[t.dst] for t in entries if not t.terminal])
+    body = {names[y] for y in body}
     trans = set(entries).union(*(parent.out(y) for y in body))
     return NodeSetChart(
         parent,
@@ -135,37 +136,13 @@ def generated_chart(parent, start, entries):
     )
 
 
-# The loop conditions below read a *closure* ``adj``: it maps ``start`` to
-# the entries' targets and each node of their ``start``-avoiding closure to
-# its successors, ``None`` standing for ``√``, as :meth:`_Graph._body`
-# records them.  Every node in it is reached from ``start``.
-
-
-def _returns(start, adj):
-    """(L1): the entries' continuation leads back to ``start``.
-
-    On a closure that is the case exactly when some recorded successor is
-    ``start``.  This is the one test whether an entry closes a loop.
-    """
-    return start in chain.from_iterable(adj.values())
-
-
-def _exits(adj):
-    """Whether a node of the closure can exit to ``√``, failing (L3)."""
-    return None in chain.from_iterable(adj.values())
-
-
 def _avoids(start, adj):
-    """(L2): no cycle of ``adj`` avoids ``start``."""
+    """(L2): no cycle of ``adj``, a map from node to successors, avoids
+    ``start``."""
     return not _has_cycle(
         [n for n in adj if n != start],
         lambda n: [m for m in adj.get(n, ()) if m != start],
     )
-
-
-def _loop_conditions(start, adj):
-    """(L1) - (L3) on a closure: the entries generate a loop sub-chart."""
-    return not _exits(adj) and _returns(start, adj) and _avoids(start, adj)
 
 
 def is_loop_chart(sub, start):
@@ -219,8 +196,9 @@ class _Graph:
     when a root or a live node outside the body still reaches it.
 
     The graph answers what the elimination loops used to ask of a rebuilt
-    chart (:meth:`out`, :meth:`has_cycle`).  :meth:`_body` is the
-    start-avoiding closure of every step, search and check on a chart.
+    chart (:meth:`out`, :meth:`has_cycle`).  :meth:`closure` is the
+    start-avoiding closure of every step, search and check on a chart, and
+    decides the loop conditions in the same walk.
     """
 
     def __init__(self, chart, roots=None):
@@ -260,32 +238,50 @@ class _Graph:
         nodes = self.nodes if within is None else self.nodes.intersection(within)
         return _has_cycle(nodes, self._live(nodes))
 
-    def _body(self, start, targets, adj=None):
-        """The ``start``-avoiding closure of ``targets``.
+    def closure(self, start, targets):
+        """The ``start``-avoiding closure of ``targets``, and the loop
+        conditions on it, in one depth-first walk.
 
-        The live nodes that paths from ``targets`` reach without passing
-        through ``start``; ``start`` itself never belongs to it.  With
-        ``adj``, also records there each body node's live successors,
-        ``None`` standing for ``√``.
+        Returns ``(body, returns, closed)``.  ``body`` is the set of live
+        nodes that paths from ``targets`` reach without passing through
+        ``start``; ``start`` itself never belongs to it.  ``returns`` is
+        (L1): some target is ``start``, or a live transition leads from the
+        body to ``start``.  ``closed`` is (L3) and (L2): no live transition
+        leaves the body for ``√``, and no cycle lies inside the body, which
+        is to say none avoids ``start``.  A cycle inside the body shows as
+        a transition to a node still on the walk's path.
         """
         alive, dst, succ = self._alive, self._dst, self._succ
-        body = set()
-        stack = [y for y in targets if y != start]
-        while stack:
-            y = stack.pop()
-            if y in body:
+        returns = False
+        closed = True
+        done = {}  # False while on the walk's path, True when finished
+        for t in targets:
+            if t == start:
+                returns = True
                 continue
-            body.add(y)
-            nxt = []
-            for k in succ[y]:
-                if alive[k]:
-                    d = dst[k]
-                    nxt.append(d)
-                    if d is not None and d != start and d not in body:
-                        stack.append(d)
-            if adj is not None:
-                adj[y] = nxt
-        return body
+            if t in done:
+                continue
+            done[t] = False
+            path = [(t, iter(succ[t]))]
+            while path:
+                y, it = path[-1]
+                for k in it:
+                    if alive[k]:
+                        d = dst[k]
+                        if d is None:
+                            closed = False
+                        elif d == start:
+                            returns = True
+                        elif d not in done:
+                            done[d] = False
+                            path.append((d, iter(succ[d])))
+                            break
+                        elif not done[d]:
+                            closed = False
+                else:
+                    done[y] = True
+                    path.pop()
+        return set(done), returns, closed
 
     def span(self, start, entries):
         """The body of the loop sub-chart the entries at ``start`` generate.
@@ -300,11 +296,8 @@ class _Graph:
         dst = self._dst
         if any(dst[k] is None for k in entries):
             return None
-        adj = {start: [dst[k] for k in entries]}
-        body = self._body(start, adj[start], adj)
-        if not _loop_conditions(start, adj):
-            return None
-        return body
+        body, returns, closed = self.closure(start, [dst[k] for k in entries])
+        return body if returns and closed else None
 
     def remove(self, start, entries, body=None):
         """Remove the entries at ``start`` and collect what they cut off.
@@ -314,7 +307,7 @@ class _Graph:
         """
         alive, dst, src = self._alive, self._dst, self._src
         if body is None:
-            body = self._body(start, [dst[k] for k in entries if dst[k] is not None])
+            body, _, _ = self.closure(start, [dst[k] for k in entries if dst[k] is not None])
         for k in entries:
             alive[k] = 0
         roots, pred = self.roots, self._pred
@@ -395,12 +388,10 @@ def _max_entries(g, node):
     for k in g.out(node):
         if dst[k] is None:
             continue
-        adj = {node: [dst[k]]}
-        g._body(node, adj[node], adj)
-        if _exits(adj) or not _avoids(node, adj):
-            continue
-        valid.append(k)
-        closes_loop = closes_loop or _returns(node, adj)
+        _, returns, closed = g.closure(node, [dst[k]])
+        if closed:
+            valid.append(k)
+            closes_loop = closes_loop or returns
     if not valid or not closes_loop:
         return frozenset()
     return frozenset(valid)
@@ -976,7 +967,7 @@ def check_lbc_properties(lbc):
             if not t.terminal and t.dst not in lbc.nodes:
                 violations.append(("ii", "body transition %r escapes the chart" % (t,)))
     for y in sorted(lbc.body):
-        for z in sorted(names[z] for z in g._body(ids[lbc.start], [ids[y]])):
+        for z in sorted(names[z] for z in g.closure(ids[lbc.start], [ids[y]])[0]):
             if chart.terminal_actions(z):
                 violations.append(
                     (
@@ -1012,9 +1003,7 @@ def _normalize(w):
         for e in entries:
             if not g.is_live(e):
                 raise InternalError("normalization lost a scheduled entry %s" % c.show(e))
-            adj = {start: [c.dst[e]]}
-            g._body(start, adj[start], adj)
-            if _returns(start, adj):
+            if g.closure(start, [c.dst[e]])[1]:
                 loopers.append(e)
         for e in loopers:
             counter += 1

@@ -28,8 +28,13 @@ first map gives a witness on the collapse that is layered as well, which
 is checked, not repaired.  The pipeline runs each step once: explore with
 witness labels, one joint refinement (verdict and collapse), the transfer
 check of both maps, replay, images, reflection, replay, extraction,
-solution check.  The :class:`Certificate` holds the collapse, witness and
-solution it computed; only its two maps are built when they are read.
+solution check.  The solution check (:func:`_provable_check`) proves each
+node's equation in BBP on canonical forms, with no exploration and no
+refinement, so an EQUAL refines once and its check does not lean on the
+refiner that gave the verdict.  The :class:`Certificate` holds the
+collapse, witness and solution it computed; only its two maps are built
+when they are read.  :func:`solution_check` stays the general check of
+any assignment.
 """
 
 from __future__ import annotations
@@ -39,9 +44,24 @@ from functools import cached_property, partial
 
 from ._record import record
 from .bisim import BisimMap, _index_tables, _quotient, _refine
-from .chart import TERMINATION, Chart, _explore, _explored_chart, _interpreting, interpret
-from .errors import InternalError, InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
-from .expr import Plus, Seq, Star, Zero, _action
+from .chart import (
+    TERMINATION,
+    Chart,
+    _explore,
+    _explored_chart,
+    _interpreting,
+    _state_cap,
+    interpret,
+)
+from .errors import (
+    InternalError,
+    InvalidWitness,
+    LemmaViolated,
+    NotABisimulation,
+    NotLLEE,
+    StateExplosion,
+)
+from .expr import Action, Plus, Seq, Star, Zero, _action
 from .lee import Witness, _ranked, is_llee_witness
 from .reflect import _images, _reflect_witness
 
@@ -364,6 +384,208 @@ def solution_check(sol, cap=None):
     return [c.names[i] for i, r in enumerate(x.roots) if block[r] != block[offset + i]]
 
 
+def _provable_check(sol, cap=None):
+    """Check an extracted solution equation by equation, in BBP.
+
+    ``N(e, k)`` is the canonical form of ``e . k``, where ``k`` is a
+    canonical form or ✓ (``None``).  A canonical form is a frozenset of
+    summands, interned, so equal forms are one object:
+
+    * an action ``a`` gives the summand ``a`` when ``k`` is ✓, and
+      ``(a, k)`` otherwise;
+    * ``0`` gives no summand;
+    * ``e1 + e2`` gives ``N(e1, k) ∪ N(e2, k)``;
+    * ``e1 . e2`` gives ``N(e1, N(e2, k))``;
+    * ``e1 * e2`` gives the one summand ``("*", N(e1, ✓), N(e2, k))``.
+
+    Each rule is an instance of BBP's axioms: sums are sets by A1 - A3 and
+    A6, ``0`` absorbs what follows it by A7, and ``.`` is pushed through
+    ``+``, ``.`` and ``*`` by A4, A5 and A9.  So two expressions with one
+    form are provably equal.  ``U(e, k)`` is the same walk, except that it
+    unfolds every star at the head once by A8: ``e1 * e2`` gives
+    ``U(e1, N(e1 * e2, k)) ∪ U(e2, k)``.  Its summands are all ``a`` or
+    ``(a, f)``: a sum of one-step moves.
+
+    Node ``X`` passes when ``U(s(X), ✓)`` is the set of ``a`` for its
+    terminal transitions ``X -a-> √`` and ``(a, N(s(Y), ✓))`` for its
+    transitions ``X -a-> Y``.
+
+    *Soundness.*  A node that passes has its equation ``s(X) = Σ a . s(Y) +
+    Σ b`` proved in BBP.  When every node passes, the relation ``{(s(X),
+    X)}`` is a bisimulation up to bisimilarity, and every ``s(X)`` is
+    bisimilar to ``X``.
+
+    *Completeness on extracted solutions.*  :func:`extract_solution` builds
+    ``s(X)`` as the unfolded equation of ``X`` and then factors it, reading
+    A4, A5 and A9 right to left, and ``N`` undoes exactly those steps.  A
+    factored ``f(Y, J) . f(J, S)`` has the form of the unfactored ``f(Y,
+    S)``, as ``N`` pushes ``f(J, S)`` into every path of ``f(Y, J)`` that
+    ends at ``J``.  And the part of a loop's body that returns to ``X``,
+    followed by ``s(X)``, has the form of the same part ending in ✓, which
+    is how a body node's own solution reads.  So ``U`` of ``ℓ(X) ⊛ T``
+    gives, for an entry ``X -a-> Z``, the summand ``(a, N(s(Z), ✓))``, and
+    for every other transition its own summand: the check accepts every
+    solution that extraction gives.
+
+    Neither exploration nor refinement is involved.  ``N`` and ``U`` are
+    memoised on the identities of their arguments, and each is one walk
+    from an explicit stack whose frames resume where they stopped, so a
+    deep or long solution neither recurses nor is scanned twice.  Returns
+    the failing nodes, in id order (empty means the solution passes).
+    Raises :class:`StateExplosion` when more than ``cap`` canonical forms
+    appear (``cap`` defaults as in :func:`lleekit.chart.interpret`).
+    """
+    c = sol.chart
+    names, act, dst, first = c.names, c.act, c.dst, c.first
+    if cap is None:
+        cap = _state_cap()
+    forms = {}
+    memo_n, memo_u = {}, {}  # keyed (id(e), id(k))
+    # the frames [e, k, unfold, stage, saved, memo, key] of the walk under way
+    stack = []
+
+    def intern(summands):
+        f = frozenset(summands)
+        g = forms.setdefault(f, f)
+        if g is f and len(forms) > cap:
+            raise StateExplosion(
+                "more than %d states while checking a solution of %d nodes" % (cap, len(names))
+            )
+        return g
+
+    def get(e, k, u):
+        """``N(e, k)``, or ``U(e, k)`` with ``u``, when it is known or
+        needs no walk; otherwise ``None``, with a frame for it pushed.
+
+        ``U`` is ``N`` on an expression without a star at its head; it is
+        asked of ``N`` when a look at the top shows that."""
+        cls = e.__class__
+        if u and cls is not Plus and cls is not Star and (cls is not Seq or e.left.__class__ is Action):
+            u = False
+        memo = memo_u if u else memo_n
+        key = (id(e), id(k))
+        r = memo.get(key)
+        if r is None:
+            if cls is Action:
+                r = memo[key] = intern((e.name,) if k is None else ((e.name, k),))
+            elif cls is Zero:
+                r = memo[key] = intern(())
+            else:
+                stack.append([e, k, u, 0, None, memo, key])
+        return r
+
+    def walk(e, k, u):
+        """``N(e, k)``, or ``U(e, k)`` with ``u``.
+
+        A frame's stage counts the parts it has asked for, and ``saved``
+        holds what it needs of them later.  A frame whose part needs a
+        walk of its own stops there, and resumes with the part's result in
+        ``ret`` once the part's frame is done.
+        """
+        ret = get(e, k, u)
+        while stack:
+            frame = stack[-1]
+            e, k, u, stage, saved, memo, key = frame
+            cls = e.__class__
+            if cls is Seq:
+                # N(e1, N(e2, k)), or U(e1, N(e2, k))
+                if stage == 0:
+                    ret = get(e.right, k, False)
+                    if ret is None:
+                        frame[3] = 1
+                        continue
+                    stage = 1
+                if stage == 1:
+                    left = e.left
+                    if left.__class__ is Action:
+                        ret = intern(((left.name, ret),))
+                    else:
+                        ret = get(left, ret, u)
+                        if ret is None:
+                            frame[3] = 2
+                            continue
+            elif cls is Star and not u:
+                # the summand ("*", N(e1, ✓), N(e2, k))
+                if stage == 0:
+                    ret = get(e.left, None, False)
+                    if ret is None:
+                        frame[3] = 1
+                        continue
+                    stage = 1
+                if stage == 1:
+                    frame[4] = saved = ret
+                    ret = get(e.right, k, False)
+                    if ret is None:
+                        frame[3] = 2
+                        continue
+                ret = intern((("*", saved, ret),))
+            elif cls is Star:
+                # U(e1, N(e1 * e2, k)) ∪ U(e2, k)
+                if stage == 0:
+                    ret = get(e, k, False)
+                    if ret is None:
+                        frame[3] = 1
+                        continue
+                    stage = 1
+                if stage == 1:
+                    ret = get(e.left, ret, True)
+                    if ret is None:
+                        frame[3] = 2
+                        continue
+                    stage = 2
+                if stage == 2:
+                    frame[4] = saved = ret
+                    ret = get(e.right, k, True)
+                    if ret is None:
+                        frame[3] = 3
+                        continue
+                ret = saved | ret
+            else:
+                # the operands of the whole sum, one at a time
+                if stage == 0:
+                    operands, todo = [], [e]
+                    while todo:
+                        x = todo.pop()
+                        if x.__class__ is Plus:
+                            todo += (x.left, x.right)
+                        else:
+                            operands.append(x)
+                    frame[3] = 1
+                    frame[4] = saved = (operands, set())
+                    ret = None
+                operands, acc = saved
+                if ret is not None:
+                    acc |= ret
+                while operands:
+                    x = operands.pop()
+                    if x.__class__ is Action:
+                        acc.add(x.name if k is None else (x.name, k))
+                        continue
+                    ret = get(x, k, u)
+                    if ret is None:
+                        break
+                    acc |= ret
+                else:
+                    ret = acc if u else intern(acc)
+                if ret is None:
+                    continue
+            memo[key] = ret
+            stack.pop()
+        return ret
+
+    assign = [sol.assign[x] for x in names]
+    normal = [walk(e, None, False) for e in assign]
+    bad = []
+    for x, e in enumerate(assign):
+        want = set()
+        for j in range(first[x], first[x + 1]):
+            d = dst[j]
+            want.add(act[j] if d is None else (act[j], normal[d]))
+        if walk(e, None, True) != want:
+            bad.append(names[x])
+    return bad
+
+
 _AXIOM_SCHEMATA = (
     # e1 + e2 = e2 + e1
     ("A1", lambda a, b: isinstance(a, Plus) and b == Plus(a.right, a.left)),
@@ -568,7 +790,8 @@ def equiv(e1, e2, cap=None):
     expression is never named and the collapse is not refined again.  The
     expression's witness is replayed, reflected through the first map and
     replayed again, both checked to be layered; a solution is extracted and
-    checked, and no lemma report is computed.  A failed invariant on the
+    checked equation by equation (:func:`_provable_check`), with no second
+    refinement, and no lemma report is computed.  A failed invariant on the
     way is an :class:`InternalError`.  The :class:`Certificate` holds the
     collapse, the witness and the solution, and builds its two maps when
     they are read.
@@ -598,7 +821,7 @@ def equiv(e1, e2, cap=None):
         sol = extract_solution(w_h)
     except (InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE) as exc:
         raise InternalError("building the certificate failed: %s" % exc) from exc
-    bad = solution_check(sol, cap=cap)
+    bad = _provable_check(sol, cap)
     if bad:
         raise InternalError("extracted solution fails at %s" % ", ".join(bad))
     certificate = Certificate(collapse, w_h, sol, _Evidence(g, order, x2, theta))

@@ -136,6 +136,46 @@ def brute_is_loop_chart(transitions, start):
     return len(through) == len(cycles)
 
 
+def reference_closure(g, start, targets):
+    """``(body, returns, closed)`` of ``g.closure(start, targets)`` on the
+    working graph ``g`` of :mod:`lleekit.lee`, in four separate passes: one
+    collects the body and records every body node's live successors
+    (``None`` for √), and three read the record: an exit to √ (L3), a
+    successor that is ``start`` (L1), and a cycle among the body nodes
+    (L2), found by asking of each body node whether it reaches itself
+    inside the body.
+    """
+    alive, dst, succ = g._alive, g._dst, g._succ
+    adj = {start: list(targets)}
+    body = set()
+    stack = [y for y in targets if y != start]
+    while stack:
+        y = stack.pop()
+        if y in body:
+            continue
+        body.add(y)
+        adj[y] = [dst[k] for k in succ[y] if alive[k]]
+        stack += [d for d in adj[y] if d is not None and d != start and d not in body]
+    successors = [d for ds in adj.values() for d in ds]
+    exits = None in successors
+    returns = start in successors
+
+    def inside(y):
+        return [d for d in adj[y] if d in body]
+
+    cyclic = False
+    for y in body:
+        seen = set()
+        frontier = inside(y)
+        while frontier:
+            v = frontier.pop()
+            if v not in seen:
+                seen.add(v)
+                frontier += inside(v)
+        cyclic = cyclic or y in seen
+    return body, returns, not exits and not cyclic
+
+
 def _avoiding_reach(transitions, origin, avoid):
     """Nodes reachable from ``origin`` along non-terminal transitions whose
     intermediate nodes never equal ``avoid`` (``origin`` itself excluded when

@@ -210,7 +210,7 @@ def test_text_and_json_roundtrip_random(g):
 def test_dot_rendering(chart_g):
     dot = chart_g.to_dot()
     assert dot.startswith("digraph chart {")
-    assert '__init__ -> "x"' in dot
+    assert '"#init" -> "x"' in dot
     assert "doublecircle" not in dot  # no terminal transitions in g
     assert "doublecircle" in TOGGLE.to_dot()
     order = {t: (2 if t.src == "x" else 0) for t in chart_g.transitions}
@@ -562,7 +562,7 @@ def test_state_cap_environment(monkeypatch):
     [
         ("0", "state cap must be positive"),
         ("-5", "state cap must be positive"),
-        ("abc", "invalid literal for int"),
+        ("abc", "LLEEKIT_STATE_CAP must be a positive integer, got 'abc'"),
     ],
 )
 def test_state_cap_environment_rejected(monkeypatch, capsys, value, message):

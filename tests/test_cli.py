@@ -100,7 +100,30 @@ def test_chart_json(capsys):
 def test_chart_dot(capsys):
     assert run(["--format", "dot", "chart", "a*b"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("digraph") and "__init__" in out
+    assert out.startswith("digraph") and '"#init" -> "a*b"' in out
+
+
+def test_dot_keeps_real_nodes_apart_from_its_helper_nodes(tmp_path, capsys):
+    # a node named like the start marker or like √ is drawn as itself; in DOT
+    # a quoted and an unquoted ID with the same text name one node
+    path = tmp_path / "helpers.chart"
+    path.write_text("chart v1\ninit x\nx a __init__\n__init__ b √\n√ c !\n")
+    assert run(["--format", "dot", "collapse", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '  "#init" [shape=point style=invis];' in out
+    assert '  "!" [shape=doublecircle label="√"];' in out
+    assert '  "__init__" -> "√" [label="b"];' in out
+    assert '  "√" -> "!" [label="c"];' in out
+    assert "\n  __init__ " not in out
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3"])
+def test_bad_state_cap_environment_names_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("LLEEKIT_STATE_CAP", value)
+    assert run(["equiv", "a", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: LLEEKIT_STATE_CAP must be a positive integer, got %r\n" % value
 
 
 def test_chart_cap_flag(capsys):

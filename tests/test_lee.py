@@ -1,5 +1,6 @@
 """Loop sub-charts, witnesses, replay, witness search, and layering."""
 
+import itertools
 import random
 import sys
 
@@ -14,6 +15,7 @@ from oracles import (
     brute_interpret,
     brute_replay,
     exhaustive_lee_search,
+    reference_closure,
 )
 import lleekit.lee
 from lleekit.chart import Chart, TERMINATION, Transition, chart_of_nodes, interpret
@@ -118,6 +120,33 @@ def test_generated_chart_vs_brute():
 
 
 # --- loop conditions --------------------------------------------------------
+
+
+def _assert_closures_agree(g):
+    # every start and every set of its live targets, duplicates and the
+    # start itself included
+    for x in sorted(g.nodes):
+        targets = [g._dst[k] for k in g.out(x) if g._dst[k] is not None]
+        for size in range(1, len(targets) + 1):
+            for chosen in itertools.combinations(targets, size):
+                assert g.closure(x, list(chosen)) == reference_closure(g, x, chosen), (x, chosen)
+
+
+def test_closure_vs_reference():
+    # the one walk gives the body, (L1) and (L2)/(L3) that the four passes
+    # gave, on whole charts and between the steps of elimination runs
+    rng = random.Random(23)
+    for _ in range(300):
+        c = random_chart(rng, max_nodes=7, rooted=rng.random() < 0.5)
+        g = lleekit.lee._Graph(c, lleekit.lee._roots(c))
+        _assert_closures_agree(g)
+        for _ in range(3):
+            live = [k for x in sorted(g.nodes) for k in g.out(x) if g._dst[k] is not None]
+            if not live:
+                break
+            k = rng.choice(live)
+            g.remove(c.src[k], [k])
+            _assert_closures_agree(g)
 
 
 def test_is_loop_chart_fixture_cases(chart_g, chart_ci):

@@ -9,7 +9,11 @@ import tracemalloc
 import pytest
 
 import lleekit.bisim
+import lleekit.chart
+import lleekit.cli
 import lleekit.lee
+import lleekit.solve
+from conftest import fixture_path
 from generators import random_chart, random_expression
 from oracles import brute_interpret, naive_bisimilarity_pairs, reference_solution
 from test_equiv_golden import GOLDEN, N3, P3, W3
@@ -28,6 +32,7 @@ from lleekit.lee import (
 from lleekit.reflect import collapse_lee_witness
 from lleekit.solve import (
     Solution,
+    _provable_check,
     equation_system,
     equiv,
     extract_solution,
@@ -322,6 +327,151 @@ def test_solution_check_prints_no_state(monkeypatch):
     assert solution_check(wrong) == [x]
 
 
+# --- the one-step provable-solution check ----------------------------------
+
+
+def _sweep_solutions(rng):
+    """Certificates of a seeded ``equiv`` sweep, and the solutions extracted
+    from random LLEE charts."""
+    solutions = []
+    for _ in range(150):
+        e = random_expression(rng, rng.randint(1, 14))
+        star = Star(e, e)
+        # e against itself and A3, A6 and A8 instances
+        for e1, e2 in ((e, e), (e, Plus(e, e)), (e, Plus(e, Zero())), (star, Plus(Seq(e, star), e))):
+            solutions.append(equiv(e1, e2).certificate.solution)
+    for workload in ("mixed_small", "loops_equal"):
+        for e1, e2 in _workload_pairs(workload, "EQUAL", 40):
+            solutions.append(equiv(parse(e1), parse(e2)).certificate.solution)
+    for i in range(300):
+        w = find_lee_witness(random_chart(rng, max_nodes=8, rooted=(i % 2 == 0)))
+        if w is not None:
+            solutions.append(extract_solution(lee_to_llee(w)))
+    return solutions
+
+
+def test_provable_check_accepts_every_extracted_solution():
+    # complete on what extraction gives: every equiv certificate of random
+    # expressions and axiom rewrites, and every random LLEE chart's solution
+    solutions = _sweep_solutions(random.Random(101))
+    assert len(solutions) > 500
+    for sol in solutions:
+        assert _provable_check(sol) == [], {x: unparse(e) for x, e in sol.assign.items()}
+
+
+def _occurrences(e):
+    """Every subterm occurrence of ``e`` as ``(path, subterm)``; a path is
+    the tuple of ``left`` / ``right`` steps down to it."""
+    found, stack = [], [((), e)]
+    while stack:
+        path, x = stack.pop()
+        found.append((path, x))
+        if isinstance(x, (Plus, Seq, Star)):
+            stack += [(path + ("left",), x.left), (path + ("right",), x.right)]
+    return found
+
+
+def _replaced(e, path, new):
+    """``e`` with the subterm at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    if path[0] == "left":
+        return e.__class__(_replaced(e.left, path[1:], new), e.right)
+    return e.__class__(e.left, _replaced(e.right, path[1:], new))
+
+
+def _mutants(rng, sol):
+    """``(kind, solution)`` pairs, each ``sol`` with one node's expression
+    changed: a summand ``a . r`` given another node's solution as target, a
+    terminal summand dropped from a sum, a summand added, or the whole
+    expression swapped for another node's."""
+    nodes = sorted(sol.chart.nodes)
+    out = []
+    for x in nodes:
+        e = sol[x]
+        spots = _occurrences(e)
+        targets = [(p, t) for p, t in spots if isinstance(t, Seq) and isinstance(t.left, Action)]
+        if targets:
+            path, t = rng.choice(targets)
+            new = Seq(t.left, sol[rng.choice(nodes)])
+            out.append(("target", x, _replaced(e, path, new)))
+        sums = [
+            (p, t, side)
+            for p, t in spots
+            if isinstance(t, Plus)
+            for side in ("left", "right")
+            if isinstance(getattr(t, side), Action)
+        ]
+        if sums:
+            path, t, side = rng.choice(sums)
+            out.append(("terminal", x, _replaced(e, path, t.right if side == "left" else t.left)))
+        extra = Action(rng.choice("abc")) if rng.random() < 0.5 else Seq(A, sol[rng.choice(nodes)])
+        out.append(("added", x, Plus(e, extra)))
+        if len(nodes) > 1:
+            out.append(("swapped", x, sol[rng.choice([y for y in nodes if y != x])]))
+    return [(kind, Solution(sol.chart, dict(sol.assign, **{x: e}))) for kind, x, e in out]
+
+
+def test_provable_check_flags_what_solution_check_flags():
+    # sound: a node that is not bisimilar to its expression fails, so a
+    # wrong solution never passes; it may flag more nodes, those whose own
+    # equation breaks because a successor's expression changed
+    rng = random.Random(103)
+    solutions = _sweep_solutions(rng)
+    wrong = dict.fromkeys(("target", "terminal", "added", "swapped"), 0)
+    for sol in rng.sample(solutions, 120):
+        for kind, mutant in _mutants(rng, sol):
+            expected = solution_check(mutant)
+            got = _provable_check(mutant)
+            assert set(expected) <= set(got), (kind, {x: unparse(e) for x, e in mutant.assign.items()})
+            wrong[kind] += bool(expected)
+    # every kind of mutation produced wrong solutions
+    assert min(wrong.values()) > 20, wrong
+
+
+def test_provable_check_explores_and_refines_nothing(monkeypatch, capsys):
+    solutions = [
+        equiv(parse(e1), parse(e2)).certificate.solution
+        for e1, e2, code, _ in GOLDEN
+        if code == 0
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solution check explored, refined or ran solution_check")
+
+    for module in (lleekit.solve, lleekit.bisim, lleekit.chart, lleekit.cli):
+        for name in ("_explore", "_refine", "solution_check"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    for sol in solutions:
+        assert _provable_check(sol) == []
+    # lleekit solve checks its extracted solution the same way
+    for chart, witness in (("g.chart", "g_hat.witness"), ("cii.chart", "cii_hat.witness")):
+        assert run(["solve", str(fixture_path(chart)), str(fixture_path(witness))]) == 0
+        assert capsys.readouterr().out.startswith("solution v1\n")
+
+
+def test_provable_check_cap_bounds_the_canonical_forms():
+    # the forms of a and of b: two of them
+    g = Chart([T("X", "a", TERMINATION), T("Y", "b", TERMINATION)])
+    sol = Solution(g, {"X": A, "Y": B})
+    with pytest.raises(
+        StateExplosion, match=r"^more than 1 states while checking a solution of 2 nodes$"
+    ):
+        _provable_check(sol, cap=1)
+    assert _provable_check(sol, cap=2) == []
+
+
+def test_provable_check_reports_the_broken_nodes_in_id_order():
+    g = interpret(parse("a.b.c.d"))
+    assign = {n: parse(n) for n in g.nodes}
+    assert _provable_check(Solution(g, assign)) == []
+    assign["d"] = parse("c.d")
+    # d's expression is wrong, and node c.d's equation now asks for
+    # c.(c.d), which its own expression c.d is not
+    assert _provable_check(Solution(g, assign)) == ["c.d", "d"]
+
+
 def test_extract_solution_random():
     rng = random.Random(79)
     for _ in range(25):
@@ -527,8 +677,9 @@ def test_equiv_skips_witness_search(monkeypatch, capsys):
     assert len(equal) == len(families) + 20
     not_equal = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 1]
     not_equal += _mixed_small_pairs("NOT_EQUAL", 20)
-    # an EQUAL refines the two charts and then checks the solution
-    for pairs, code, verdict, count in ((equal, 0, "EQUAL\n", 2), (not_equal, 1, "NOT_EQUAL\n", 1)):
+    # either verdict refines the two charts once; an EQUAL checks its
+    # solution equation by equation, with no refinement
+    for pairs, code, verdict, count in ((equal, 0, "EQUAL\n", 1), (not_equal, 1, "NOT_EQUAL\n", 1)):
         for e1, e2 in pairs:
             refinements.clear()
             assert run(["equiv", e1, e2]) == code, (e1, e2)
