@@ -21,7 +21,6 @@ as a :class:`BisimMap` (a functional bisimulation).
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
 from ._record import record
@@ -335,6 +334,9 @@ class BisimMap:
         return {"v": 1, "map": {x: self.mapping[x] for x in sorted(self.mapping)}}
 
     def to_json(self):
+        # json is imported where JSON is read or written: no text call needs it
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2)
 
 

@@ -49,7 +49,6 @@ can be node ids too; a node id never starts with ``#``.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from bisect import bisect_left
@@ -81,7 +80,8 @@ DEFAULT_STATE_CAP = 100000
 def _state_cap(cap=None):
     """``cap``, by default the ``LLEEKIT_STATE_CAP`` environment variable or
     :data:`DEFAULT_STATE_CAP`.  Raises :class:`ValueError`, naming the
-    variable, when it is not an integer, and when the cap is not positive."""
+    variable when it is not a positive integer.  A ``cap`` given that is not
+    positive raises :class:`ValueError` too."""
     if cap is None:
         value = os.environ.get("LLEEKIT_STATE_CAP")
         if value is None:
@@ -89,10 +89,10 @@ def _state_cap(cap=None):
         try:
             cap = int(value)
         except ValueError:
-            raise ValueError(
-                "LLEEKIT_STATE_CAP must be a positive integer, got %r" % value
-            ) from None
-    if cap <= 0:
+            cap = 0
+        if cap <= 0:
+            raise ValueError("LLEEKIT_STATE_CAP must be a positive integer, got %r" % value)
+    elif cap <= 0:
         raise ValueError("state cap must be positive")
     return cap
 
@@ -434,6 +434,9 @@ class Chart:
             src, act, dst = d.get("src"), d.get("act"), d.get("dst", 0)
             # a missing dst reads as 0, which fails the check as it should
             if not all(isinstance(v, str) for v in (src, act, "" if dst is None else dst)):
+                # json is imported where JSON is read or written: no text call needs it
+                import json
+
                 raise ParseError(
                     "transition %s needs string src and act, and dst a string or null"
                     % json.dumps(d)
@@ -450,10 +453,14 @@ class Chart:
         )
 
     def to_json(self):
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text):
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
     # --- DOT ---------------------------------------------------------------

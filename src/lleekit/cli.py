@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -80,6 +79,13 @@ def _chart_or_expression(arg, cfg):
 
 def _print(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _print_json(doc):
+    # json is imported where JSON is read or written: no text call needs it
+    import json
+
+    _print(json.dumps(doc, indent=2))
 
 
 def _expression_dot(e):
@@ -173,7 +179,7 @@ def _cmd_collapse(args, cfg):
             f.write(res.theta.to_text())
     if cfg.format == "json":
         doc = {"v": 1, "chart": res.chart.to_json_dict(), "map": res.theta.to_json_dict()}
-        _print(json.dumps(doc, indent=2))
+        _print_json(doc)
     elif cfg.format == "dot":
         _print(res.chart.to_dot())
     else:
@@ -273,7 +279,7 @@ def _cmd_reflect(args, cfg):
             ],
             "witness": w_h.to_json_dict(),
         }
-        _print(json.dumps(doc, indent=2))
+        _print_json(doc)
     elif cfg.format == "dot":
         clusters = [(", ".join(nodes), nodes) for nodes, _, _ in shown]
         _print(h.to_dot(order=w_h.order, clusters=clusters))
@@ -351,7 +357,7 @@ def _cmd_equiv(args, cfg):
             "block1": sorted(dist.block1),
             "block2": sorted(dist.block2),
         }
-        _print(json.dumps(doc, indent=2))
+        _print_json(doc)
     elif cfg.format == "dot":
         return _no_dot("distinctions")
     else:
@@ -455,12 +461,14 @@ def run(argv=None):
     except OSError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except json.JSONDecodeError as exc:
-        sys.stderr.write("error: invalid JSON input (%s)\n" % exc)
-        return 2
     except ValueError as exc:
-        # malformed tokens in input files surface as plain ValueError
-        sys.stderr.write("error: %s\n" % exc)
+        # a JSONDecodeError is a ValueError, raised only once json is loaded
+        json = sys.modules.get("json")
+        if json is not None and isinstance(exc, json.JSONDecodeError):
+            sys.stderr.write("error: invalid JSON input (%s)\n" % exc)
+        else:
+            # malformed tokens in input files surface as plain ValueError
+            sys.stderr.write("error: %s\n" % exc)
         return 2
     except InternalError as exc:
         sys.stderr.write("internal error: %s\n" % exc)

@@ -20,7 +20,6 @@ Concrete syntax accepted by :func:`parse`:
 
 from __future__ import annotations
 
-import json
 import re
 
 from ._record import _assign_frozen, _delete_frozen
@@ -502,6 +501,9 @@ def _dumps(doc):
     scalars, however deeply they nest: the standard encoder recurses once
     per level.
     """
+    # json is imported where JSON is read or written: no text call needs it
+    import json
+
     out = []
     # a value to write at an indentation level, or a piece of text
     stack = [(doc, 0)]
@@ -528,5 +530,7 @@ def _dumps(doc):
 
 
 def from_json(text):
+    import json
+
     doc = json.loads(text)
     return from_json_dict(doc["expression"] if "expression" in doc else doc)

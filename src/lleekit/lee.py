@@ -48,7 +48,6 @@ and a replay builds its final chart once, at the end.
 
 from __future__ import annotations
 
-import json
 from collections import deque, namedtuple
 from functools import cached_property
 
@@ -622,6 +621,9 @@ class Witness:
         }
 
     def to_json(self):
+        # json is imported where JSON is read or written: no text call needs it
+        import json
+
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
@@ -633,6 +635,8 @@ class Witness:
         objects with string ``src``, ``act`` and ``dst`` and an integer
         ``order``.
         """
+        import json
+
         doc = json.loads(text)
         if not (isinstance(doc, dict) and "chart" in doc and isinstance(doc.get("orders"), list)):
             raise ParseError("a witness must be a JSON object with a chart and a list of orders")

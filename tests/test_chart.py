@@ -557,16 +557,10 @@ def test_state_cap_environment(monkeypatch):
     interpret(parse("a.b.c"), cap=50)
 
 
-@pytest.mark.parametrize(
-    "value,message",
-    [
-        ("0", "state cap must be positive"),
-        ("-5", "state cap must be positive"),
-        ("abc", "LLEEKIT_STATE_CAP must be a positive integer, got 'abc'"),
-    ],
-)
-def test_state_cap_environment_rejected(monkeypatch, capsys, value, message):
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_state_cap_environment_rejected(monkeypatch, capsys, value):
     monkeypatch.setenv("LLEEKIT_STATE_CAP", value)
+    message = "^LLEEKIT_STATE_CAP must be a positive integer, got '%s'$" % value
     with pytest.raises(ValueError, match=message) as exc:
         interpret(parse("a.b"))
     # the command line rejects it with the same message

@@ -132,6 +132,7 @@ def test_chart_cap_flag(capsys):
     assert run(["--cap", "3", "chart", "a.b.c"]) == 0
     capsys.readouterr()
     assert run(["--cap", "0", "chart", "a"]) == 2
+    assert capsys.readouterr().err == "error: state cap must be positive\n"
 
 
 def test_chart_cap_env(capsys, monkeypatch):
@@ -801,3 +802,58 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     proc = run_python(["-S", "-c", script], 0, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_text_equiv_loads_no_json(capsys):
+    # json loads only where JSON is read or written: a text equiv, EQUAL or
+    # NOT_EQUAL, needs none of these modules, and a JSON one still prints
+    # its document
+    script = (
+        "import sys\n"
+        "from lleekit.cli import run\n"
+        "guarded = {'dataclasses', 'inspect', 'json', 'typing'}\n"
+        "run(['equiv', 'a*b', 'a.(a*b)+b'])\n"
+        "run(['equiv', 'a.(b+c)', 'a.b+a.c'])\n"
+        "print(sorted(guarded & set(sys.modules)))\n"
+        "run(['--format', 'json', 'equiv', 'a.(b+c)', 'a.b+a.c'])\n"
+    )
+    proc = run_python(["-S", "-c", script], 0, text=True)
+    assert proc.returncode == 0, proc.stderr
+    text = "EQUAL\na*b\nNOT_EQUAL\nblock1: g:a.(b+c)\nblock2: h:a.b+a.c\n[]\n"
+    assert run(["--format", "json", "equiv", "a.(b+c)", "a.b+a.c"]) == 1
+    assert proc.stdout == text + capsys.readouterr().out
+
+
+def test_import_compiles_no_record_methods():
+    # a record compiles its methods when one is first looked up; the import
+    # compiles none, and the first construction compiles its class's only
+    script = (
+        "import sys\n"
+        "compiled = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile' and sys._getframe(1).f_code.co_filename.endswith('_record.py'):\n"
+        "        compiled.append(sys._getframe(1).f_code.co_name)\n"
+        "sys.addaudithook(hook)\n"
+        "import lleekit, lleekit.cli\n"
+        "print(len(compiled))\n"
+        "from lleekit.solve import Distinction\n"
+        "Distinction(frozenset(), frozenset()) == Distinction(frozenset(), frozenset())\n"
+        "print(compiled)\n"
+    )
+    proc = run_python(["-S", "-c", script], 0, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n['_compile']\n"
+
+
+@pytest.mark.parametrize("command", [["collapse", "{}"], ["llee", CI, "{}"]], ids=["chart", "witness"])
+def test_invalid_json_input_is_one_error_line(tmp_path, command):
+    # a file that starts with "{" is read as JSON; where it is not JSON the
+    # call fails with one line, not a traceback
+    path = tmp_path / "broken"
+    path.write_text('{"v": 1,\n')
+    argv = [str(path) if arg == "{}" else arg for arg in command]
+    proc = run_python(["-m", "lleekit.cli", *argv], 0, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: invalid JSON input (")
+    assert proc.stderr.endswith(")\n") and proc.stderr.count("\n") == 1

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from conftest import run_python
 from oracles import ParentRecords
 from lleekit.bisim import BisimMap, CollapseResult, Partition, bisimilarity_partition, collapse
 from lleekit.chart import NodeSetChart, Transition, chart_of_nodes
@@ -57,6 +58,8 @@ RECORDS = (
     Config,
     CollapseResult,
 )
+# the classes whose methods ``record`` compiles on first use
+COMPILED = [cls for cls in RECORDS if cls is not CollapseResult]
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +201,84 @@ def test_record_copies_like_its_twin(cls, roundtrip, instances):
     assert _plain(repr(y)) == _plain(repr(ty))
     assert (y == x) == (ty == tx)
     assert (_outcome(hash, y) == _outcome(hash, x)) == (_outcome(hash, ty) == _outcome(hash, tx))
+
+
+def _lookups(cls):
+    return (
+        str(inspect.signature(cls)),
+        cls.__init__.__defaults__,
+        cls.__init__.__qualname__,
+        cls.__match_args__,
+    )
+
+
+# Runs in a fresh interpreter: the generated methods each class named in its
+# arguments has before it is compiled, then what looking them up gives.
+_LOOKUPS = """\
+import importlib, inspect, sys
+from lleekit._record import _Lazy
+for arg in sys.argv[1:]:
+    module, name = arg.split(":")
+    cls = getattr(importlib.import_module(module), name)
+    lazy = [m for m in ("__init__", "__eq__", "__hash__") if vars(cls).get(m).__class__ is _Lazy]
+    print(repr((lazy, str(inspect.signature(cls)), cls.__init__.__defaults__,
+                cls.__init__.__qualname__, cls.__match_args__)))
+"""
+
+
+def test_compiled_methods_look_the_same_before_first_use(instances):
+    # every class is compiled here, by the instances made of it
+    names = ["%s:%s" % (cls.__module__, cls.__name__) for cls in COMPILED]
+    proc = run_python(["-c", _LOOKUPS, *names], 0, text=True)
+    assert proc.returncode == 0, proc.stderr
+    expected = []
+    for cls in COMPILED:
+        # here the generated methods are plain functions, compiled from source
+        generated = [
+            m
+            for m in ("__init__", "__eq__", "__hash__")
+            if inspect.isfunction(vars(cls).get(m))
+            and vars(cls)[m].__code__.co_filename == "<string>"
+        ]
+        assert "__init__" in generated
+        expected.append(repr((generated, *_lookups(cls))))
+    assert proc.stdout.splitlines() == expected
+
+
+# Runs in a fresh interpreter: unpickles instances of one record class and
+# compares and hashes them before any of its methods is compiled.
+_UNPICKLED = """\
+import pickle, sys
+from lleekit._record import _Lazy
+xs = pickle.load(sys.stdin.buffer)
+print(vars(type(xs[0]))["__init__"].__class__ is _Lazy)
+print([[x == y for y in xs] for x in xs])
+print([[x != y for y in xs] for x in xs])
+def hashed(x):
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return str(exc)
+print([[hashed(x) == hashed(y) for y in xs] for x in xs])
+"""
+
+
+@pytest.mark.parametrize("cls", COMPILED, ids=lambda c: c.__name__)
+def test_unpickled_record_compares_before_first_use(cls, instances):
+    xs = instances[cls]
+    proc = run_python(["-c", _UNPICKLED], 0, input=pickle.dumps(xs))
+    assert proc.returncode == 0, proc.stderr
+
+    def hashed(x):
+        try:
+            return hash(x)
+        except TypeError as exc:
+            return str(exc)
+
+    expected = [
+        True,
+        [[x == y for y in xs] for x in xs],
+        [[x != y for y in xs] for x in xs],
+        [[hashed(x) == hashed(y) for y in xs] for x in xs],
+    ]
+    assert proc.stdout.decode().splitlines() == [str(line) for line in expected]
