@@ -9,7 +9,10 @@ target-block)`` signatures until stable.  After the first batch only the
 predecessors of nodes that changed block are signed again, and the largest
 piece of a split block keeps its id, so a path of n nodes costs O(n)
 rather than n rounds over every node.  The nodes that can reach no cycle
-are settled before that, in one bottom-up walk.  It runs on integer ids,
+are settled before that, bottom-up: one whose successors are all settled
+takes its block at once, and any other starts a depth-first walk.  On a
+chain explored from its start every node is settled the first way.  It
+runs on integer ids,
 and two charts or explorations numbered into the same tables are refined
 as their disjoint union; an exploration writes its tables while it
 explores.
@@ -93,14 +96,17 @@ def _refine(outmap, term):
     dst)`` pairs, and every ``dst`` is well-founded and settled before
     them.  So each takes its final block as soon as all its successors
     are settled, by interning that pair of sets, and none is signed again;
-    one loop over its steps both tests them and collects the pairs.  One
-    depth-first walk settles each node when it leaves it, in post-order.
-    It takes its roots from the last id down, so a root whose successors
-    come later, as an exploration's successors mostly do, finds them
-    settled and is left at once.  A well-founded node is never bisimilar
-    to a node that can reach a cycle, which has an infinite path the
-    other cannot match.  When every node is well-founded the partition is
-    final after the walk.
+    one loop over its steps both tests them and collects the pairs.  The
+    roots are taken from the last id down.  A root whose successors are
+    all settled takes its block from that loop alone, with no walk; as an
+    exploration numbers successors after their sources, on a chain every
+    root does.  Any other root starts a depth-first walk that settles each
+    node when it leaves it, in post-order.  A settled root is one the walk
+    would leave at once, so both ways intern the same pairs in the same
+    order and give the same block ids.  A well-founded node is never
+    bisimilar to a node that can reach a cycle, which has an infinite path
+    the other cannot match.  When every node is well-founded the partition
+    is final after this first phase.
 
     The other nodes start grouped by their terminal-action sets, in blocks
     apart from the settled ones, and all of them *dirty*.  A node's
@@ -124,6 +130,16 @@ def _refine(outmap, term):
     settled = {}
     for root in range(len(outmap) - 1, -1, -1):
         if state[root]:
+            continue
+        pairs = []
+        for a, d in outmap[root]:
+            if state[d] != 2:
+                break
+            pairs.append((a, block[d]))
+        else:
+            # every successor is settled: the walk would leave the root at once
+            state[root] = 2
+            block[root] = settled.setdefault((term[root], frozenset(pairs)), len(settled))
             continue
         state[root] = 1
         stack = [(root, iter(outmap[root]))]

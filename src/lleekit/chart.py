@@ -784,6 +784,7 @@ class _States:
 
     def __init__(self):
         self._conts = {}
+        self._spare = _Cont(None, None)
         self._printed = {}
         self._measures = {}
 
@@ -796,11 +797,20 @@ class _States:
         return "(" + text + ")" if _expr._level(e) < minimum else text
 
     def push(self, e, rest):
-        """The continuation that runs ``e`` and then ``rest``."""
-        key = (e, rest)
-        k = self._conts.get(key)
-        if k is None:
-            k = self._conts[key] = _Cont(e, rest)
+        """The continuation that runs ``e`` and then ``rest``, interned.
+
+        One ``setdefault`` looks the pair up and, on a miss, stores the
+        spare continuation under it, so the key is hashed once a call:
+        hashing ``e`` runs the Python-level ``Expression.__hash__``.  Only
+        on a miss is the spare filled in and a fresh one made, so no
+        interned continuation is ever left empty.
+        """
+        spare = self._spare
+        k = self._conts.setdefault((e, rest), spare)
+        if k is spare:
+            k.expr = e
+            k.rest = rest
+            self._spare = _Cont(None, None)
         return k
 
     def _suffix(self, k):
@@ -825,7 +835,16 @@ class _States:
 
     def steps(self, e, k, out):
         """Append to ``out`` the ``(action, target)`` steps of ``e`` followed
-        by ``k``, by the rules of :func:`step`."""
+        by ``k``, by the rules of :func:`step`.
+
+        The left spine of a sequence is walked down in a loop, its right
+        operands pushed in front of ``k`` as :meth:`enter` pushes them, so
+        a long sequence inside a sum or a star costs no recursion.  The
+        left operands of ``+`` and ``*`` are still followed recursively.
+        """
+        while e.__class__ is Seq:
+            k = self.push(e.right, k)
+            e = e.left
         cls = e.__class__
         if cls is Action:
             # a finished head leads to the next operand, or to termination
@@ -838,8 +857,6 @@ class _States:
         elif cls is Plus:
             self.steps(e.left, k, out)
             self.steps(e.right, k, out)
-        elif cls is Seq:
-            self.steps(e.left, self.push(e.right, k), out)
         elif cls is Star:
             self.steps(e.left, self.push(e, k), out)
             self.steps(e.right, k, out)

@@ -176,6 +176,19 @@ def _action(name):
     return leaf
 
 
+def _node(cls, left, right):
+    """The ``cls`` node of ``left`` and ``right``, which the caller has
+    already checked to be expressions, with no constructor call: the slots
+    and the hash are set as :class:`_Binary` sets them.  :func:`parse`
+    builds its operator nodes this way, and so does
+    :func:`lleekit.solve.extract_solution`."""
+    node = object.__new__(cls)
+    _set_left(node, left)
+    _set_right(node, right)
+    _set_hash(node, hash((cls._op, left._hash, right._hash)))
+    return node
+
+
 class Plus(_Binary):
     __slots__ = ()
     _op = "+"
@@ -315,13 +328,13 @@ def parse(text):
         elif tok == ".":
             while operators[-1] is Seq or operators[-1] is Star:
                 right = operands.pop()
-                operands[-1] = operators.pop()(operands[-1], right)
+                operands[-1] = _node(operators.pop(), operands[-1], right)
             operators.append(Seq)
             want_operand = True
         elif tok == "+":
             while operators[-1] is not None:
                 right = operands.pop()
-                operands[-1] = operators.pop()(operands[-1], right)
+                operands[-1] = _node(operators.pop(), operands[-1], right)
             operators.append(Plus)
             want_operand = True
         elif tok == "*":
@@ -334,7 +347,7 @@ def parse(text):
         elif tok == ")" and depth:
             while operators[-1] is not None:
                 right = operands.pop()
-                operands[-1] = operators.pop()(operands[-1], right)
+                operands[-1] = _node(operators.pop(), operands[-1], right)
             operators.pop()
             depth -= 1
         elif depth:
@@ -348,7 +361,7 @@ def parse(text):
         )
     while operators[-1] is not None:
         right = operands.pop()
-        operands[-1] = operators.pop()(operands[-1], right)
+        operands[-1] = _node(operators.pop(), operands[-1], right)
     return operands[0]
 
 

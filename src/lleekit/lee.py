@@ -485,12 +485,16 @@ class Witness:
         self.labels = [order.get(t, 0) for t in chart.numbered]
 
     @classmethod
-    def _of(cls, chart, labels):
+    def _of(cls, chart, labels, replayed=None):
         """The witness on ``chart`` whose transition ``k`` has order
-        ``labels[k]``; nothing is checked."""
+        ``labels[k]``; nothing is checked.  ``replayed``, when given, is
+        what :func:`_replay` reports on the witness, recorded by a caller
+        that ran the same elimination, and becomes :attr:`_replayed`."""
         w = cls.__new__(cls)
         w.chart = chart
         w.labels = labels
+        if replayed is not None:
+            w._replayed = replayed
         return w
 
     @cached_property
@@ -715,10 +719,7 @@ def _replay(w):
                     continue
                 if llee and x in eliminated_bodies:
                     llee = False
-                    llee_reason = (
-                        "step %d starts at %s, which lies in the body of an "
-                        "earlier eliminated loop sub-chart" % (n, c.names[x])
-                    )
+                    llee_reason = _unlayered(c, n, x)
                 steps.append((n, x, entries, body))
                 eliminated_bodies |= body
                 g.remove(x, entries, body)
@@ -738,6 +739,15 @@ def _replay(w):
     if g.has_cycle():
         return _Replay(False, "a cycle survives the recorded elimination", False, None, steps, g)
     return _Replay(True, None, llee, llee_reason, steps, g)
+
+
+def _unlayered(c, n, x):
+    """The ``llee_reason`` of an elimination on ``c`` whose step ``n``
+    starts at node ``x``, which lies in the body of an earlier step."""
+    return (
+        "step %d starts at %s, which lies in the body of an earlier "
+        "eliminated loop sub-chart" % (n, c.names[x])
+    )
 
 
 def is_llee_witness(w):

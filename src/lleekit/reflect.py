@@ -20,9 +20,10 @@ its chosen pre-image's start.  The result is a replay-valid witness on the
 collapse, and the image construction keeps layering: a layered witness
 reflects to a layered one.
 
-One reflection on ids (:func:`_images`, then :func:`_reflect_witness`, then
-a replay) serves :func:`lleekit.solve.equiv`, :func:`collapse_lee_witness`
-and the ``reflect`` command.  None of them enumerates cycles: only
+One reflection on ids (:func:`_images`, then :func:`_reflect_witness`,
+whose run is the reflected witness's replay) serves
+:func:`lleekit.solve.equiv`, :func:`collapse_lee_witness` and the
+``reflect`` command.  None of them enumerates cycles: only
 :func:`check_lemma_conditions`, the explicit check of the lemma, does.
 """
 
@@ -34,7 +35,15 @@ from ._record import record
 from .bisim import bisimilarity_partition
 from .chart import Transition, chart_of_nodes, simple_cycles
 from .errors import LemmaViolated, NotCollapse, NotLLEE, UnknownNode
-from .lee import Witness, _Graph, _roots, all_looping_back_charts, is_llee_witness
+from .lee import (
+    Witness,
+    _Graph,
+    _Replay,
+    _roots,
+    _unlayered,
+    all_looping_back_charts,
+    is_llee_witness,
+)
 
 __all__ = [
     "ImageRecord",
@@ -337,15 +346,11 @@ def collapse_lee_witness(theta, w):
 def _reflect(theta, w):
     """The images of ``w`` under ``theta``, as :func:`_images` gives them,
     and the witness :func:`_reflect_witness` builds from them on the
-    collapse, checked to replay.  The caller vouches for the preconditions
-    of :func:`images`."""
+    collapse.  The caller vouches for the preconditions of
+    :func:`images`."""
     h = theta.target
     records = _images([h.ids[theta(x)] for x in w.chart.names], w._loops[2], h)
-    result = Witness._of(h, _reflect_witness(h, records))
-    rep = result._replayed
-    if not rep.ok:
-        raise LemmaViolated("image-wise elimination does not replay: %s" % rep.reason)
-    return records, result
+    return records, _reflect_witness(h, records)
 
 
 def _reflect_witness(c, records):
@@ -353,8 +358,15 @@ def _reflect_witness(c, records):
     of lleekit.
 
     ``records`` are ``(nodes, start, ...)`` tuples of ids, as
-    :class:`_Image` is.  Returns the order number of every transition of
-    ``c`` (0 on terminal ones).  The caller replays the result.
+    :class:`_Image` is.  Returns the :class:`~lleekit.lee.Witness` on ``c``
+    that numbers each step's entries with the step's number (0 on every
+    other transition).  The run is that witness's replay: each step is
+    one order number with one start, taken on the same graph in the same
+    order as :func:`lleekit.lee._replay` takes it, and a cycle left at the
+    end raises :class:`LemmaViolated`.  So the steps, the final graph and
+    the layering check (no step starts in an earlier step's body) are
+    recorded here as the witness's :attr:`~lleekit.lee.Witness._replayed`,
+    and the witness is not replayed again.
     """
     g = _Graph(c, _roots(c))
     dst = c.dst
@@ -365,6 +377,9 @@ def _reflect_witness(c, records):
     order = sorted(records, key=lambda r: (len(r[0]), r[1], tuple(sorted(r[0]))))
     labels = [0] * len(dst)
     step = 0
+    steps = []
+    bodies = set()  # the nodes of every body eliminated so far
+    llee_reason = None
     for img_nodes, s, *_ in order:
         if not g.has_cycle(within=img_nodes):
             continue
@@ -388,7 +403,11 @@ def _reflect_witness(c, records):
         step += 1
         for k in entries:
             labels[k] = step
+        if llee_reason is None and s in bodies:
+            llee_reason = _unlayered(c, step, s)
+        steps.append((step, s, entries, body))
+        bodies |= body
         g.remove(s, entries, body)
     if g.has_cycle():
         raise LemmaViolated("cycles survive after eliminating every image")
-    return labels
+    return Witness._of(c, labels, _Replay(True, None, llee_reason is None, llee_reason, steps, g))

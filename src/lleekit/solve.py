@@ -61,7 +61,7 @@ from .errors import (
     NotLLEE,
     StateExplosion,
 )
-from .expr import Action, Plus, Seq, Star, Zero, _action
+from .expr import Action, Plus, Seq, Star, Zero, _action, _node
 from .lee import Witness, _ranked, is_llee_witness
 from .reflect import _images, _reflect_witness
 
@@ -290,14 +290,14 @@ def _solve(w):
         acc = None
         for k in ks:
             d = dst[k]
-            p = leaf[act[k]] if d == s else Seq(leaf[act[k]], sub(d))
-            acc = p if acc is None else Plus(acc, p)
+            p = leaf[act[k]] if d == s else _node(Seq, leaf[act[k]], sub(d))
+            acc = p if acc is None else _node(Plus, acc, p)
         for p in rest:
-            acc = p if acc is None else Plus(acc, p)
+            acc = p if acc is None else _node(Plus, acc, p)
         return zero if acc is None else acc
 
     def wrap(y, t):
-        return Star(loops[y], t) if entries[y] else t
+        return _node(Star, loops[y], t) if entries[y] else t
 
     def solve(x, post):
         """``f(y, x)`` for every node ``y`` of the context at ``x``."""
@@ -314,10 +314,10 @@ def _solve(w):
             acc = None if v == j else upto[v * m + j]
             for u in reversed(path):
                 if u in segments:
-                    acc = segments[u] if acc is None else Seq(segments[u], acc)
+                    acc = segments[u] if acc is None else _node(Seq, segments[u], acc)
                 else:
                     a = leaf[act[body[u][0]]]
-                    acc = wrap(u, a if acc is None else Seq(a, acc))
+                    acc = wrap(u, a if acc is None else _node(Seq, a, acc))
                 upto[u * m + j] = acc
             return acc
 
@@ -325,7 +325,7 @@ def _solve(w):
             j = idom[y]
             if j != n and len(succ[y]) > 1:
                 segment = segments[y] = wrap(y, total(body[y], j, partial(until, j)))
-                solved[y] = Seq(segment, solved[j])
+                solved[y] = _node(Seq, segment, solved[j])
             else:
                 rest = terminals[y] if x == n else ()
                 solved[y] = wrap(y, total(body[y], x, solved.__getitem__, rest))
@@ -788,8 +788,9 @@ def equiv(e1, e2, cap=None):
     members' names.  The collapse is read off the refiner's tables and
     both maps onto it pass the transfer check there, so the second
     expression is never named and the collapse is not refined again.  The
-    expression's witness is replayed, reflected through the first map and
-    replayed again, both checked to be layered; a solution is extracted and
+    expression's witness is replayed and reflected through the first map,
+    the reflection's run being the reflected witness's replay, and both
+    are checked to be layered; a solution is extracted and
     checked equation by equation (:func:`_provable_check`), with no second
     refinement, and no lemma report is computed.  A failed invariant on the
     way is an :class:`InternalError`.  The :class:`Certificate` holds the
@@ -816,7 +817,7 @@ def equiv(e1, e2, cap=None):
         w1 = Witness._of(g, _ranked(heights))
         _check_layered(w1, "the expression's witness")
         records = _images([theta[i] for i in order], w1._loops[2], collapse)
-        w_h = Witness._of(collapse, _reflect_witness(collapse, records))
+        w_h = _reflect_witness(collapse, records)
         _check_layered(w_h, "the reflected witness")
         sol = extract_solution(w_h)
     except (InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE) as exc:

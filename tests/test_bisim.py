@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from generators import charts, random_chart
+from generators import charts, random_chart, random_expression
 from oracles import (
     exists_bisimulation_containing,
     naive_bisimilarity,
@@ -22,9 +22,16 @@ from lleekit.bisim import (
     image,
     is_bisimulation,
 )
-from lleekit.chart import Chart, TERMINATION, Transition, chart_of_nodes, interpret
+from lleekit.chart import (
+    Chart,
+    TERMINATION,
+    Transition,
+    _explore,
+    chart_of_nodes,
+    interpret,
+)
 from lleekit.errors import NotABisimulation, ParseError, UnknownNode
-from lleekit.expr import parse
+from lleekit.expr import Seq, parse, unparse
 
 
 def _partition_pairs(part):
@@ -368,3 +375,100 @@ def test_refine_repeated_steps_and_isolated_ids():
     none, ab = frozenset(), frozenset({"a"})
     block = _refine([[], [], [], []], [none, ab, none, ab])
     assert block[0] == block[2] != block[1] == block[3]
+
+
+def _permuted(outmap, term, rng):
+    """``_refine``'s tables with the ids renumbered at random, and the new
+    id of every old one."""
+    perm = list(range(len(outmap)))
+    rng.shuffle(perm)
+    new_out, new_term = [None] * len(outmap), [None] * len(outmap)
+    for i, p in enumerate(perm):
+        new_out[p] = [(a, perm[d]) for a, d in outmap[i]]
+        new_term[p] = term[i]
+    return new_out, new_term, perm
+
+
+def _walked_blocks(outmap, term):
+    """The block ids of well-founded tables as one post-order walk per
+    root, roots from the last id down, interns them: the first phase of
+    ``_refine`` without its settled-root shortcut."""
+    block = [None] * len(outmap)
+    settled = {}
+    for root in range(len(outmap) - 1, -1, -1):
+        stack = [root]
+        while stack:
+            n = stack[-1]
+            todo = [d for _, d in outmap[n] if block[d] is None]
+            if block[n] is not None:
+                stack.pop()
+            elif todo:
+                stack.append(todo[0])
+            else:
+                stack.pop()
+                pairs = frozenset((a, block[d]) for a, d in outmap[n])
+                block[n] = settled.setdefault((term[n], pairs), len(settled))
+    return block
+
+
+def test_refine_on_permuted_explorations():
+    # an exploration numbers a state's successors after it, so a root of
+    # _refine's first phase whose successors are all settled takes its
+    # block without a walk; renumbered at random, many roots fall back to
+    # the walk instead.  Either way the partition is bisimilarity, and on
+    # well-founded tables the block ids are the ones the walk alone gives
+    rng = random.Random(67)
+    acyclic = 0
+    for i in range(200):
+        e = random_expression(rng, rng.randint(1, 30))
+        if i % 4 == 0:
+            e = Seq(e, parse(".".join("abc"[rng.randrange(3)] for _ in range(rng.randint(1, 40)))))
+        x = _explore([e], None, str)
+        names = [x.space.name(s) for s in x.states]
+        g = interpret(e)
+        expected = naive_bisimilarity_pairs(g, g)
+        for out, term, perm in [(x.out, x.term, range(len(names)))] + [
+            _permuted(x.out, x.term, rng) for _ in range(3)
+        ]:
+            block = _refine(out, term)
+            got = {
+                (u, v)
+                for u, p in zip(names, perm)
+                for v, q in zip(names, perm)
+                if block[p] == block[q]
+            }
+            assert got == expected, unparse(e)
+            if not g.has_cycle():
+                assert block == _walked_blocks(out, term), unparse(e)
+                acyclic += 1
+    assert acyclic > 100
+
+
+@pytest.mark.parametrize(
+    "transitions",
+    [
+        # n2, n1, n0 in turn find their successors settled
+        ["n0 a n1", "n1 a n2", "n2 b !"],
+        # n2's successor n0 is not visited yet: the walk settles both
+        ["n2 a n0", "n0 b !", "n1 a n2"],
+        # n0's successor n1 reaches the cycle n1 n2: n0 reaches it too
+        ["n0 a n1", "n1 a n2", "n2 a n1", "n3 a n4", "n4 b !"],
+        # a self-loop at n1, below a settled n2
+        ["n0 a n1", "n1 a n1", "n1 a n2", "n2 b !", "n3 a n2"],
+    ],
+    ids=["settled", "unvisited", "cycle", "self-loop"],
+)
+def test_refine_settled_roots_and_walks(transitions):
+    def t(line):
+        src, a, dst = line.split()
+        return Transition(src, a, TERMINATION if dst == "!" else dst)
+
+    g = Chart([t(line) for line in transitions])
+    outmap, term = [], []
+    _index_tables(g, outmap, term)
+    block = _refine(outmap, term)
+    ids = g.ids
+    got = {(x, y) for x in ids for y in ids if block[ids[x]] == block[ids[y]]}
+    assert got == naive_bisimilarity_pairs(g, g)
+    if not g.has_cycle():
+        assert block == _walked_blocks(outmap, term)

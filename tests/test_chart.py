@@ -566,3 +566,34 @@ def test_state_cap_environment_rejected(monkeypatch, capsys, value):
     # the command line rejects it with the same message
     assert run(["chart", "a.b"]) == 2
     assert capsys.readouterr().err == "error: %s\n" % exc.value
+
+
+def test_push_interns_each_pair_once():
+    # _States.push stores a spare continuation under a new pair and fills
+    # it in: after an exploration every state and every continuation is
+    # the one interned for its pair, equal pairs give the same object, and
+    # no empty spare is left among them
+    rng = random.Random(71)
+    for i in range(150):
+        e = random_expression(rng, rng.randint(1, 30))
+        if i % 3 == 0:
+            e = Star(e, parse("(a.b.c.a.b)*b+c.c.c.a"))
+        x = _explore([e], None, str)
+        space = x.space
+        conts = space._conts
+        assert all(k.expr is not None for k in conts.values())
+        assert all(s.expr is not None for s in x.states)
+        assert all(k.expr is e and k.rest is rest for (e, rest), k in conts.items())
+        assert len({id(k) for k in conts.values()}) == len(conts)
+        assert space._spare.expr is None and space._spare not in conts.values()
+        pending = list(x.states)
+        seen = set()
+        while pending:
+            k = pending.pop()
+            if k is None or id(k) in seen:
+                continue
+            seen.add(id(k))
+            assert conts[k.expr, k.rest] is k
+            # an equal expression that is another object finds the same pair
+            assert space.push(parse(unparse(k.expr)), k.rest) is k
+            pending.append(k.rest)

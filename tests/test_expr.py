@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from lleekit.expr import (
     to_json_dict,
     unparse,
 )
+from lleekit.solve import equiv
 
 A, B, C = Action("a"), Action("b"), Action("c")
 
@@ -380,3 +382,41 @@ def test_unpickled_expression_hashes_like_a_fresh_one():
     )
     proc = run_python(["-c", script], hash_seed, input=data)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def _assert_same_tree(built, public, deep=False):
+    """``built`` and ``public`` are equal trees with equal hashes, and so is
+    a pickle round trip of ``built``; ``deep`` lets pickle recurse once per
+    level of a long chain."""
+    assert built == public and public == built
+    assert hash(built) == hash(public)
+    limit = sys.getrecursionlimit()
+    if deep:
+        sys.setrecursionlimit(20000)
+    try:
+        copied = pickle.loads(pickle.dumps(built))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert copied == public and hash(copied) == hash(public)
+
+
+def test_parse_and_extraction_build_nodes_as_the_constructors():
+    # parse and solution extraction build operator nodes with expr._node,
+    # past the constructors: the trees are the ones the public constructors
+    # build (from_json_dict calls them), with the same hashes, and pickle
+    rng = random.Random(61)
+    for _ in range(300):
+        t = random_expression(rng, rng.randint(1, 40))
+        e = parse(unparse(t))
+        _assert_same_tree(e, t)
+        _assert_same_tree(e, from_json_dict(to_json_dict(e)))
+        sol = equiv(e, Plus(t, t)).certificate.solution
+        for x in sol.assign.values():
+            _assert_same_tree(x, from_json_dict(to_json_dict(x)))
+    chain = ".".join(["c"] * 3999)
+    for text in (chain + ".x", "(%s.x)*0" % chain, "%s.x+b" % chain):
+        e = parse(text)
+        _assert_same_tree(e, from_json_dict(to_json_dict(e)), deep=True)
+        sol = equiv(e, parse(text + "+0")).certificate.solution
+        x = sol.initial_expression()
+        _assert_same_tree(x, from_json_dict(to_json_dict(x)), deep=True)

@@ -6,10 +6,13 @@ import sys
 
 import pytest
 
+import lleekit.lee
+import lleekit.reflect
+import lleekit.solve
 from generators import random_expression
 from test_cli_golden import CASES, GOLDEN, _run
 from lleekit.bisim import BisimMap, collapse
-from lleekit.chart import TERMINATION, Transition, interpret
+from lleekit.chart import TERMINATION, Chart, Transition, interpret
 from lleekit.errors import (
     LemmaViolated,
     NotCollapse,
@@ -34,6 +37,8 @@ from lleekit.reflect import (
     loop_correspondence,
     well_structured_preimage,
 )
+from lleekit.expr import Plus
+from lleekit.solve import equiv
 
 T = Transition
 
@@ -352,3 +357,62 @@ def test_collapse_lee_witness_random_pipeline():
         assert cw.is_lee
         assert is_llee_witness(lee_to_llee(cw))
         done += 1
+
+
+def _assert_recorded_replay(w):
+    # the reflection's run is recorded as the witness's replay, and equals
+    # a replay of the witness's labels from scratch
+    assert "_replayed" in vars(w)
+    seeded, fresh = w._replayed, lleekit.lee._replay(w)
+    assert seeded.ok and fresh.ok
+    assert (seeded.llee, seeded.llee_reason, seeded.steps) == (
+        fresh.llee,
+        fresh.llee_reason,
+        fresh.steps,
+    )
+    assert seeded.graph.to_chart() == fresh.graph.to_chart()
+
+
+def test_reflection_records_the_replay(monkeypatch):
+    reflected = []
+
+    def recording(c, records, reflect=lleekit.reflect._reflect_witness):
+        w = reflect(c, records)
+        reflected.append(w)
+        return w
+
+    monkeypatch.setattr(lleekit.solve, "_reflect_witness", recording)
+    monkeypatch.setattr(lleekit.reflect, "_reflect_witness", recording)
+    # every reflect case of the CLI goldens, on the fixtures
+    golden = json.loads(GOLDEN.read_text())
+    for case in CASES:
+        if " reflect " in case:
+            assert _run(case) == golden[case]
+    assert len(reflected) == 15
+    # a seeded EQUAL sweep
+    rng = random.Random(79)
+    for _ in range(150):
+        e = random_expression(rng, rng.randint(1, 25))
+        assert equiv(e, Plus(e, e)).equal
+    assert len(reflected) == 165
+    for w in reflected:
+        _assert_recorded_replay(w)
+
+
+def test_reflection_records_an_unlayered_step():
+    # the second image starts at A, in the body of the first image's step:
+    # the recorded replay says why the reflection is not layered, as a
+    # replay from scratch does
+    c = Chart(
+        [T("S", "a", "A"), T("A", "b", "S"), T("S", "x", "B"), T("B", "c", "A")],
+        initial="S",
+    )
+    ids = c.ids
+    first = _Image(frozenset({ids["S"], ids["A"]}), ids["S"], (), None)
+    second = _Image(frozenset(ids.values()), ids["A"], (), None)
+    w = _reflect_witness(c, [second, first])
+    assert not w._replayed.llee
+    assert w._replayed.llee_reason == (
+        "step 2 starts at A, which lies in the body of an earlier eliminated loop sub-chart"
+    )
+    _assert_recorded_replay(w)

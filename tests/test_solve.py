@@ -746,8 +746,9 @@ def test_equiv_unlayered_reflection_is_internal_error(monkeypatch, capsys):
     import lleekit.solve
 
     def unlayered(collapse, images):
-        # every transition of the numbered collapse labelled 0
-        return [0] * len(collapse.dst)
+        # every transition of the numbered collapse labelled 0, with no
+        # replay recorded, so the check replays it
+        return Witness._of(collapse, [0] * len(collapse.dst))
 
     monkeypatch.setattr(lleekit.solve, "_reflect_witness", unlayered)
     assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
@@ -822,9 +823,10 @@ def test_equal_builds_no_chart(monkeypatch, capsys):
 
 
 def test_equal_replays_each_witness_once(monkeypatch, capsys):
-    # an EQUAL replays the expression's witness and the reflected one, once
-    # each: extraction and a later read of the certificate's witness use the
-    # reflected witness's cached replay
+    # an EQUAL replays the expression's witness once, and the reflected one
+    # not at all: the reflection records its own run as the reflected
+    # witness's replay, which extraction and a later read of the
+    # certificate's witness use
     replay = lleekit.lee._replay
     replayed = []
 
@@ -839,9 +841,10 @@ def test_equal_replays_each_witness_once(monkeypatch, capsys):
         replayed.clear()
         assert run(["equiv", e1, e2]) == 0, (e1, e2)
         assert capsys.readouterr().out.startswith("EQUAL\n")
-        assert len(replayed) == 2 and replayed[0] is not replayed[1], (e1, e2)
+        assert len(replayed) == 1, (e1, e2)
+        replayed.clear()
         res = equiv(parse(e1), parse(e2))
-        assert replayed[-1] is res.certificate.witness
+        assert len(replayed) == 1 and replayed[0] is not res.certificate.witness
         replayed.clear()
         assert is_llee_witness(res.certificate.witness)
         assert res.certificate.witness.replay().llee
