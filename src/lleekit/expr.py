@@ -154,8 +154,9 @@ class _Binary(Expression):
         return "%s(left=%r, right=%r)" % (self.__class__.__name__, self.left, self.right)
 
     def __reduce__(self):
-        # rebuilt through the constructor, so no stale cached hash is carried
-        return (self.__class__, (self.left, self.right))
+        # a flat postfix list, so neither pickle nor copy recurses per level;
+        # it is rebuilt through _node, so no stale cached hash is carried
+        return (_unflatten, (_flatten(self),))
 
 
 # the slot descriptors' setters, which the frozen nodes' constructors call
@@ -187,6 +188,41 @@ def _node(cls, left, right):
     _set_right(node, right)
     _set_hash(node, hash((cls._op, left._hash, right._hash)))
     return node
+
+
+def _flatten(e):
+    """The distinct subterms of ``e`` in postfix order, each operands
+    first: a leaf as it is, an operator node as ``(class, i, j)``, the
+    places of its operands in the list.  ``e`` is last."""
+    out = []
+    place = {}  # id -> place in out
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if x is _BUILD:
+            x = stack.pop()
+            place[id(x)] = len(out)
+            out.append((x.__class__, place[id(x.left)], place[id(x.right)]))
+        elif id(x) in place:
+            continue
+        elif x.__class__ in _OPERANDS:
+            stack += (x, _BUILD, x.right, x.left)
+        else:
+            place[id(x)] = len(out)
+            out.append(x)
+    return out
+
+
+def _unflatten(entries):
+    """The expression that :func:`_flatten` gave ``entries``, its operator
+    nodes built with :func:`_node`."""
+    built = []
+    for x in entries:
+        if x.__class__ is tuple:
+            cls, i, j = x
+            x = _node(cls, built[i], built[j])
+        built.append(x)
+    return built[-1]
 
 
 class Plus(_Binary):

@@ -12,7 +12,8 @@ layering never reach a terminal or re-enter positively) and ``exits``
 collects everything else.  Nodes without entries denote their exits alone.
 Where the paths from a node re-join, the expression is factored at the
 join, reading BBP's axioms A4, A5 and A9 right to left, so the part after
-the join is written once (:func:`extract_solution`).
+the join is written once, and a sum that unfolds a star is folded back
+into the star by A8 (:func:`extract_solution`).
 
 :func:`equiv` decides bisimilarity of two expressions on the state ids of
 their explorations: the verdict needs no chart and no printed state.  When
@@ -167,6 +168,12 @@ def extract_solution(w):
     left, so ``f(J, S)`` appears once, not once per path from ``Y`` to
     ``J``.  A node with one body transition is never factored.
 
+    Stars are folded back wherever a sum unfolds one (:func:`_solve`).
+    Without the fold, a star whose body is a star is read with that body
+    unfolded once, and nested stars double at every level: the chart of
+    ``((a*b0)*b1)*b2`` would print with 31 syntax nodes, and with the fold
+    it prints as itself.
+
     Layering bounds the rule: outside loops it descends along the
     elimination order, and inside the loop at ``X`` it follows body
     transitions, which loop back to ``X`` and reach no terminal.  One pass
@@ -256,6 +263,22 @@ def _solve(w):
     ``x``, and ``loops[y]`` is ``ℓ(y)``.  Node ``n`` stands for ✓, as a
     return target and as the context outside every loop, which is solved
     last.
+
+    Every sum is built by ``total``, and folded there (:func:`_fold`) by
+    BBP's axioms read right to left:
+
+    * A8, ``u * t = u . (u * t) + t``: the summand ``u . (u * t)`` and
+      one copy of each summand of ``t`` become ``u * t``;
+    * A9, ``(p * q) . K = p * (q . K)``, only where ``K = (p * q) * t``:
+      the summand ``p * (q . K)`` is read as ``u . (u * t)`` with ``u = p *
+      q``, and then folds by A8.  A9 is applied nowhere else, so ``a * (b
+      . c)`` stays as it is.
+
+    A sum is folded once, as it is built, and every sub-solution is built
+    once, before the sums that use it, so this is one bottom-up pass over
+    the shared solution: every solution that holds a sub-solution holds it
+    folded the same way.  A fold keeps the star it exposes, so it adds no
+    node.
     """
     c, labels = w.chart, w.labels
     act, dst, first, names = c.act, c.dst, c.first, c.names
@@ -286,15 +309,26 @@ def _solve(w):
     def total(ks, s, sub, rest=()):
         """The sum of ``b`` for a transition ``-b-> s`` and ``b . sub(W)``
         for any other ``-b-> W`` of ``ks``, then of ``rest``,
-        left-associated; 0 if empty."""
+        left-associated, and folded (:func:`_fold`) when a summand reads
+        ``b . (b * t)``; 0 if empty."""
         acc = None
+        fold = False
         for k in ks:
             d = dst[k]
-            p = leaf[act[k]] if d == s else _node(Seq, leaf[act[k]], sub(d))
+            a = leaf[act[k]]
+            if d == s:
+                p = a
+            else:
+                t = sub(d)
+                if t.__class__ is Star and t.left is a:
+                    fold = True
+                p = _node(Seq, a, t)
             acc = p if acc is None else _node(Plus, acc, p)
         for p in rest:
             acc = p if acc is None else _node(Plus, acc, p)
-        return zero if acc is None else acc
+        if acc is None:
+            return zero
+        return _fold(acc) if fold else acc
 
     def wrap(y, t):
         return _node(Star, loops[y], t) if entries[y] else t
@@ -357,6 +391,90 @@ def _solve(w):
             return [solved[y] for y in range(n)]
         del scanned[x]
         loops[x] = total(entries[x], x, solved.__getitem__)
+
+
+def _star_of(p):
+    """``u * t`` when the summand ``p`` reads ``u . (u * t)``: as it is, or
+    as ``p1 * (q . K)`` with ``K = (p1 * q) * t``, which A9 reads as
+    ``(p1 * q) . K``; otherwise ``None``."""
+    cls = p.__class__
+    if cls is Seq:
+        k = p.right
+        if k.__class__ is Star and (k.left is p.left or k.left == p.left):
+            return k
+    elif cls is Star:
+        r = p.right
+        if r.__class__ is Seq:
+            k = r.right
+            if k.__class__ is Star:
+                u = k.left
+                if (
+                    u.__class__ is Star
+                    and (u.left is p.left or u.left == p.left)
+                    and (u.right is r.left or u.right == r.left)
+                ):
+                    return k
+    return None
+
+
+def _summands(e):
+    """The operands of ``e`` under ``+``, left to right."""
+    out, todo = [], [e]
+    while todo:
+        x = todo.pop()
+        if x.__class__ is Plus:
+            todo += (x.right, x.left)
+        else:
+            out.append(x)
+    return out
+
+
+def _fold(e):
+    """The sum ``e`` with each star folded back, by A8 right to left: a
+    summand ``u . (u * t)`` and one copy of each summand of ``t`` become
+    ``u * t``, in the first one's place.
+
+    ``t = 0`` has the summand ``0``, which no extracted sum holds.
+    Summands are looked up in a dictionary keyed by the expressions, so by
+    their cached hashes, which lists the places where each one is left.
+    The folded ``u * t`` is the summand's own star, so the sum shares it;
+    it may read ``u . (u * t)`` again by A9 (:func:`_star_of`), and is
+    tried again at once.  A place that cannot fold waits until another one
+    folds.  The sum is rebuilt, left-associated, only if something folded.
+    """
+    out = _summands(e)
+    places = {}
+    for j, p in enumerate(out):
+        places.setdefault(p, []).append(j)
+    tries = [j for j in reversed(range(len(out))) if _star_of(out[j]) is not None]
+    waiting = []
+    folded = False
+    while tries:
+        i = tries.pop()
+        k = None if out[i] is None else _star_of(out[i])
+        if k is None:
+            continue
+        need = dict.fromkeys(_summands(k.right))
+        # no summand of t is the summand at i, which holds t
+        if all(places.get(x) for x in need):
+            for x in need:
+                out[places[x].pop(0)] = None
+            places[out[i]].remove(i)
+            out[i] = k
+            places.setdefault(k, []).append(i)
+            tries += waiting
+            tries.append(i)
+            waiting = []
+            folded = True
+        else:
+            waiting.append(i)
+    if not folded:
+        return e
+    acc = None
+    for p in out:
+        if p is not None:
+            acc = p if acc is None else _node(Plus, acc, p)
+    return acc
 
 
 def solution_check(sol, cap=None):
@@ -424,7 +542,23 @@ def _provable_check(sol, cap=None):
     followed by ``s(X)``, has the form of the same part ending in ✓, which
     is how a body node's own solution reads.  So ``U`` of ``ℓ(X) ⊛ T``
     gives, for an entry ``X -a-> Z``, the summand ``(a, N(s(Z), ✓))``, and
-    for every other transition its own summand: the check accepts every
+    for every other transition its own summand.
+
+    Extraction also folds stars back, by A8 and A9 right to left
+    (:func:`_solve`).  A9 is invisible to ``N``, which pushes ``.`` through
+    ``*``.  An A8 fold turns the summands ``u . (u * t)`` and those of
+    ``t`` into ``u * t``, and ``U`` unfolds ``u * t`` into exactly those
+    summands, so ``U(s(X), ✓)`` keeps its transitions.  ``N`` does see an
+    A8 fold, but it sees it the same way in ``s(X)`` and in every ``s(Y)``
+    it continues into, because the fold is made on the shared objects as
+    they are built.  Where a body path stops, at ``X`` or at a join ``J``,
+    its last summand is a bare ``a``, where ``s(Y)`` reads ``a . s(J)``.
+    That summand would fold only in ``s(Y)`` if ``s(J)`` were ``a * t``
+    and the sum held ``t``'s summands.  But ``t = 0`` is never folded, as
+    no extracted sum has a summand ``0``.  Any other ``t`` has summands
+    that leave ``J``, and a node whose paths all meet at ``J`` has none of
+    them.  At ``X``, ``s(X) = a * t`` needs ``X``'s loop to be the
+    self-loop ``a``, which has no body node.  So the check accepts every
     solution that extraction gives.
 
     Neither exploration nor refinement is involved.  ``N`` and ``U`` are
@@ -753,15 +887,18 @@ class EquivResult:
         return interpret(e2, cap)
 
 
-def _block(b, block, sides):
-    """The members of block ``b`` of both explorations, named with their
-    side; ``sides`` pairs each prefix with its exploration."""
-    members = []
+def _blocks(b1, b2, block, sides):
+    """The members of blocks ``b1`` and ``b2`` of both explorations, named
+    with their side, in one scan; ``sides`` pairs each prefix with its
+    exploration."""
+    members = {b1: [], b2: []}
     for prefix, x in sides:
+        name = x.space.name_one
         for i, state in enumerate(x.states, start=x.base):
-            if block[i] == b:
-                members.append(prefix + x.space.name_one(state))
-    return frozenset(members)
+            found = members.get(block[i])
+            if found is not None:
+                found.append(prefix + name(state))
+    return frozenset(members[b1]), frozenset(members[b2])
 
 
 def _check_layered(w, what):
@@ -804,8 +941,7 @@ def equiv(e1, e2, cap=None):
     b1 = block[x1.roots[0]]
     b2 = block[x2.roots[0]]
     if b1 != b2:
-        sides = (("g:", x1), ("h:", x2))
-        distinction = Distinction(_block(b1, block, sides), _block(b2, block, sides))
+        distinction = Distinction(*_blocks(b1, b2, block, (("g:", x1), ("h:", x2))))
         return EquivResult(False, distinction=distinction, _inputs=(e1, e2, cap))
     g, order, heights = _explored_chart(x1)
     del x1

@@ -367,6 +367,35 @@ def test_copies_are_equal_with_equal_hash(roundtrip):
     assert repr(c) == repr(e)
 
 
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))],
+    ids=["deepcopy", "pickle"],
+)
+@pytest.mark.parametrize(
+    "text",
+    [".".join(["c"] * 4000), "(" * 1500 + "a" + ")*b" * 1500],
+    ids=["chain4000", "stars1500"],
+)
+def test_deep_copies_do_not_recurse(roundtrip, text):
+    # a node reduces to a flat postfix list, so copying a 4000-action chain
+    # or 1500 nested stars stays within the default recursion limit
+    e = parse(text)
+    assert sys.getrecursionlimit() <= 1000
+    c = roundtrip(e)
+    assert c == e and hash(c) == hash(e)
+    assert size(c) == size(e)
+
+
+def test_copies_keep_shared_subterms_shared():
+    # the postfix list holds each distinct subterm once
+    ab = parse("a.b")
+    e = Plus(ab, Star(ab, ab))
+    for c in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert c == e
+        assert c.left is c.right.left is c.right.right
+
+
 def test_unpickled_expression_hashes_like_a_fresh_one():
     # a pickle from a process with another hash seed must not carry that
     # process's cached hash
@@ -384,19 +413,12 @@ def test_unpickled_expression_hashes_like_a_fresh_one():
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def _assert_same_tree(built, public, deep=False):
+def _assert_same_tree(built, public):
     """``built`` and ``public`` are equal trees with equal hashes, and so is
-    a pickle round trip of ``built``; ``deep`` lets pickle recurse once per
-    level of a long chain."""
+    a pickle round trip of ``built``."""
     assert built == public and public == built
     assert hash(built) == hash(public)
-    limit = sys.getrecursionlimit()
-    if deep:
-        sys.setrecursionlimit(20000)
-    try:
-        copied = pickle.loads(pickle.dumps(built))
-    finally:
-        sys.setrecursionlimit(limit)
+    copied = pickle.loads(pickle.dumps(built))
     assert copied == public and hash(copied) == hash(public)
 
 
@@ -416,7 +438,7 @@ def test_parse_and_extraction_build_nodes_as_the_constructors():
     chain = ".".join(["c"] * 3999)
     for text in (chain + ".x", "(%s.x)*0" % chain, "%s.x+b" % chain):
         e = parse(text)
-        _assert_same_tree(e, from_json_dict(to_json_dict(e)), deep=True)
+        _assert_same_tree(e, from_json_dict(to_json_dict(e)))
         sol = equiv(e, parse(text + "+0")).certificate.solution
         x = sol.initial_expression()
-        _assert_same_tree(x, from_json_dict(to_json_dict(x)), deep=True)
+        _assert_same_tree(x, from_json_dict(to_json_dict(x)))

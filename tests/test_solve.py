@@ -32,6 +32,7 @@ from lleekit.lee import (
 from lleekit.reflect import collapse_lee_witness
 from lleekit.solve import (
     Solution,
+    _fold,
     _provable_check,
     equation_system,
     equiv,
@@ -230,6 +231,83 @@ def test_factored_families_are_linear(factor, per_factor):
         res = equiv(parse(e1), parse(e2))
         assert res.equal
         assert size(res.certificate.expression) == per_factor * k + 3 == size(parse(e1))
+
+
+def _nested_stars(n):
+    """S(n) = ``((…((a*b0)*b1)…)*b{n-1})``, stars nested in the body, with
+    2n+1 syntax nodes; S(0) is ``a``."""
+    e = "a"
+    for i in range(n):
+        e = "(%s)*b%d" % (e, i)
+    return unparse(parse(e))
+
+
+def _printed_equal(capsys, e1, e2):
+    """The expression ``lleekit equiv e1 e2`` prints, which must be EQUAL."""
+    assert run(["equiv", e1, e2]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "EQUAL"
+    return out[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32, 64])
+def test_nested_stars_print_at_the_input_size(capsys, n):
+    # unfolded, each level of S(n) printed two copies of the one below:
+    # 9, 31 and 129 nodes at n = 2, 3 and 4, and past the printing cap at 8.
+    # The copy unfolds the outer star by A8 and the unfolded body's head by
+    # A9: S(n) = S(n-1).S(n) + b{n-1} = S(n-2)*(b{n-2}.S(n)) + b{n-1}
+    e = _nested_stars(n)
+    rewritten = "(%s)*(b%d.(%s))+b%d" % (_nested_stars(n - 2), n - 2, e, n - 1)
+    for other in (e, e + "+0", rewritten):
+        printed = _printed_equal(capsys, e, other)
+        assert printed == e
+        assert size(parse(printed)) == 2 * n + 1
+
+
+def test_fold_applies_a9_only_to_fold_a_star(capsys):
+    # A9 reads a*(b.c) as (a*b).c only where that exposes an A8 fold
+    assert _printed_equal(capsys, "(a*b).c", "a*(b.c)") == "a*(b.c)"
+
+
+def _sum(*summands):
+    acc = summands[0]
+    for p in summands[1:]:
+        acc = Plus(acc, p)
+    return acc
+
+
+def test_fold_reads_a8_and_a9_right_to_left():
+    a, b, c, d = (Action(x) for x in "abcd")
+    ab = Star(a, b)
+    # A8: a.(a*b) + b = a*b, in the first summand's place
+    assert _fold(_sum(c, Seq(a, ab), d, b)) == _sum(c, ab, d)
+    assert _fold(Seq(a, ab)) == Seq(a, ab)
+    # every summand of t is needed, one copy each
+    abc = Star(a, Plus(b, c))
+    assert _fold(_sum(Seq(a, abc), b)) == _sum(Seq(a, abc), b)
+    assert _fold(_sum(c, Seq(a, abc), b, c)) == _sum(abc, c)
+    # t = 0 has the summand 0, which the sum lacks
+    a0 = Star(a, Zero())
+    assert _fold(Seq(a, a0)) == Seq(a, a0)
+    # a*(b.K) with K = (a*b)*c reads (a*b).K by A9, and folds with c
+    k = Star(ab, c)
+    assert _fold(_sum(Seq(a, Star(a, Seq(b, k))), Seq(b, k), c)) == k
+    # and stays without c
+    assert _fold(_sum(Seq(a, Star(a, Seq(b, k))), Seq(b, k), d)) == _sum(Star(a, Seq(b, k)), d)
+    # a place that cannot fold yet waits until another place folds
+    bc = Star(b, c)
+    assert _fold(_sum(Seq(a, Star(a, bc)), Seq(b, bc), c)) == Star(a, bc)
+
+
+def test_folded_solutions_pass_both_checks():
+    # each fold is an A8 or A9 instance, so a folded solution is still a
+    # solution, and the check in BBP still accepts it
+    rng = random.Random(7)
+    for _ in range(600):
+        e = random_expression(rng, rng.randint(5, 25))
+        sol = equiv(e, Plus(e, Zero())).certificate.solution
+        assert _provable_check(sol) == [], unparse(e)
+        assert solution_check(sol) == [], unparse(e)
 
 
 def test_solution_check_failure(chart_h):
