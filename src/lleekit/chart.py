@@ -767,6 +767,10 @@ class _Cont:
         self.index = None
 
 
+# the measure of a leaf: an action terminates, 0 does not
+_LEAF_MEASURE = {Action: (True, 0), Zero: (False, 0)}
+
+
 class _States:
     """The states of one exploration, with their continuations and names.
 
@@ -837,71 +841,62 @@ class _States:
         """Append to ``out`` the ``(action, target)`` steps of ``e`` followed
         by ``k``, by the rules of :func:`step`.
 
-        The left spine of a sequence is walked down in a loop, its right
-        operands pushed in front of ``k`` as :meth:`enter` pushes them, so
-        a long sequence inside a sum or a star costs no recursion.  The
-        left operands of ``+`` and ``*`` are still followed recursively.
+        Nothing recurses.  A sequence's left spine is walked down, its right
+        operands pushed in front of ``k`` as :meth:`enter` pushes them, and
+        ``+`` and ``*`` go on with their left operand and leave the right
+        one on a stack: steps are appended, and continuations interned,
+        left operand first.
         """
-        while e.__class__ is Seq:
-            k = self.push(e.right, k)
-            e = e.left
-        cls = e.__class__
-        if cls is Action:
-            # a finished head leads to the next operand, or to termination
-            if k is None:
-                out.append((e.name, TERMINATION))
-            elif k.expr.__class__ is Seq:
-                out.append((e.name, self.enter(k.expr, k.rest)))
-            else:
-                out.append((e.name, k))
-        elif cls is Plus:
-            self.steps(e.left, k, out)
-            self.steps(e.right, k, out)
-        elif cls is Star:
-            self.steps(e.left, self.push(e, k), out)
-            self.steps(e.right, k, out)
-        elif cls is not Zero:
-            raise TypeError("not an expression: %r" % (e,))
+        todo = []  # the right operands still to step, with their continuations
+        while True:
+            while e.__class__ is Seq:
+                k = self.push(e.right, k)
+                e = e.left
+            cls = e.__class__
+            if cls is Action:
+                # a finished head leads to the next operand, or to termination
+                if k is None:
+                    out.append((e.name, TERMINATION))
+                elif k.expr.__class__ is Seq:
+                    out.append((e.name, self.enter(k.expr, k.rest)))
+                else:
+                    out.append((e.name, k))
+            elif cls is Plus or cls is Star:
+                todo.append((e.right, k))
+                if cls is Star:
+                    k = self.push(e, k)
+                e = e.left
+                continue
+            elif cls is not Zero:
+                raise TypeError("not an expression: %r" % (e,))
+            if not todo:
+                return
+            e, k = todo.pop()
 
     def measure(self, e):
-        """``(normed, star height)`` of ``e``, memoised per expression.
-
-        ``e`` is normed when it can terminate.  Children are measured
-        before their parents, from an explicit stack, so a deep expression
-        does not hit the recursion limit.
+        """``(normed, star height)`` of ``e``; ``e`` is normed when it can
+        terminate.  Memoised by id: an exploration measures only subterms
+        of its states' heads, which its interned continuations keep alive.
+        Operands are measured before their parents (:func:`expr._postorder`),
+        so a deep expression does not hit the recursion limit.
         """
         memo = self._measures
-        m = memo.get(e)
+        m = _LEAF_MEASURE.get(e.__class__) or memo.get(id(e))
         if m is not None:
             return m
-        todo = []
-        stack = [e]
-        while stack:
-            x = stack.pop()
-            if x not in memo:
-                todo.append(x)
-                if x.__class__ is not Action and x.__class__ is not Zero:
-                    stack.append(x.left)
-                    stack.append(x.right)
-        for x in reversed(todo):
+        for x in _expr._postorder((e,), memo):
             cls = x.__class__
-            if cls is Action:
-                m = (True, 0)
-            elif cls is Zero:
-                m = (False, 0)
+            ln, lh = _LEAF_MEASURE.get(x.left.__class__) or memo[id(x.left)]
+            rn, rh = _LEAF_MEASURE.get(x.right.__class__) or memo[id(x.right)]
+            if cls is Star:
+                lh += 1
+                ln = rn
+            elif cls is Seq:
+                ln = ln and rn
             else:
-                ln, lh = memo[x.left]
-                rn, rh = memo[x.right]
-                if cls is Star:
-                    lh += 1
-                    ln = rn
-                elif cls is Seq:
-                    ln = ln and rn
-                else:
-                    ln = ln or rn
-                m = (ln, lh if lh > rh else rh)
-            memo[x] = m
-        return m
+                ln = ln or rn
+            memo[id(x)] = (ln, lh if lh > rh else rh)
+        return memo[id(e)]
 
     def name(self, state):
         """The node id of ``state``: the printed expression it stands for.
@@ -1016,10 +1011,12 @@ def _explore(roots, cap, what, labelled=False, base=0):
     for state in states:
         head, k = state.expr, state.rest
         found = []
-        if labelled and head.__class__ is Star and measure(head.left)[0]:
+        # a star's height is at least 1, and measuring it measures its body
+        height = labelled and head.__class__ is Star and measure(head)[1]
+        if height and measure(head.left)[0]:
             # the steps of :meth:`_States.steps` on a star, loop steps first
             steps(head.left, push(head, k), found)
-            loops.append((len(found), measure(head)[1]))
+            loops.append((len(found), height))
             steps(head.right, k, found)
         else:
             if labelled:

@@ -9,13 +9,11 @@ NOT_EQUAL, 2 on I/O, syntax, or usage errors, 3 when an internal invariant
 fails (:class:`InternalError`, a bug).  The state cap (``--cap``) bounds
 exploration, the canonical forms of the solution check and the syntax
 nodes of the expression an EQUAL prints; past any of them, exit code 1.
-Parsing, printing in every format and solution extraction use no
-recursion, so some thousands of nested sequences answer.
-An input deeper than interpretation can recurse is a usage error: one
-``error: expression nested too deeply`` line on stderr and exit code 2.
-That is a sum of some thousands of terms or some thousands of nested
-stars, whose steps the interpretation (``_States.steps``) follows
-recursively.  Output is deterministic for identical inputs.
+Parsing, interpretation, printing in every format, solution extraction
+and its check use no recursion, so some thousands of nested sequences,
+summands or stars answer.  A ``RecursionError`` is still caught, as a
+safety net: one ``error: expression nested too deeply`` line on stderr
+and exit code 2.  Output is deterministic for identical inputs.
 """
 
 from __future__ import annotations

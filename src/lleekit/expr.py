@@ -156,7 +156,7 @@ class _Binary(Expression):
     def __reduce__(self):
         # a flat postfix list, so neither pickle nor copy recurses per level;
         # it is rebuilt through _node, so no stale cached hash is carried
-        return (_unflatten, (_flatten(self),))
+        return (_unflatten, (_flatten((self,))[0],))
 
 
 # the slot descriptors' setters, which the frozen nodes' constructors call
@@ -190,39 +190,63 @@ def _node(cls, left, right):
     return node
 
 
-def _flatten(e):
-    """The distinct subterms of ``e`` in postfix order, each operands
-    first: a leaf as it is, an operator node as ``(class, i, j)``, the
-    places of its operands in the list.  ``e`` is last."""
-    out = []
-    place = {}  # id -> place in out
-    stack = [e]
+# on a walk's stack: the node just below has had its operands walked
+_BUILD = object()
+
+
+def _postorder(roots, known=()):
+    """Each distinct operator node under ``roots``, after its operands.
+
+    One explicit stack walks the roots in order, each node's left operand
+    before its right, so a deep expression does not hit the recursion
+    limit.  A node is entered once however many parents share it, and a
+    node whose id is in ``known`` is not entered at all: neither it nor
+    anything below it through it is yielded.  Leaves are never yielded.
+    """
+    seen = set()
+    stack = list(roots)[::-1]
     while stack:
         x = stack.pop()
         if x is _BUILD:
-            x = stack.pop()
-            place[id(x)] = len(out)
-            out.append((x.__class__, place[id(x.left)], place[id(x.right)]))
-        elif id(x) in place:
-            continue
-        elif x.__class__ in _OPERANDS:
+            yield stack.pop()
+        elif x.__class__ in _OPERANDS and id(x) not in seen and id(x) not in known:
+            seen.add(id(x))
             stack += (x, _BUILD, x.right, x.left)
-        else:
-            place[id(x)] = len(out)
+
+
+def _flatten(roots):
+    """The distinct subterms of ``roots`` in postfix order, each after its
+    operands: a leaf as it is, an operator node as ``(class, i, j)``, the
+    places of its operands in the list.  Returns the list and the place of
+    each root, so expressions flattened together share their subterms."""
+    out = []
+    place = {}  # id -> place in out
+
+    def at(x):
+        i = place.get(id(x))
+        if i is None:
+            i = place[id(x)] = len(out)
             out.append(x)
-    return out
+        return i
+
+    for x in _postorder(roots):
+        i, j = at(x.left), at(x.right)
+        place[id(x)] = len(out)
+        out.append((x.__class__, i, j))
+    return out, [at(r) for r in roots]
 
 
-def _unflatten(entries):
-    """The expression that :func:`_flatten` gave ``entries``, its operator
-    nodes built with :func:`_node`."""
+def _unflatten(entries, at=-1):
+    """What :func:`_flatten` gave ``entries``, its operator nodes built
+    with :func:`_node`: the expression at place ``at``, the last one by
+    default, or with ``at=None`` the list of them all."""
     built = []
     for x in entries:
         if x.__class__ is tuple:
             cls, i, j = x
             x = _node(cls, built[i], built[j])
         built.append(x)
-    return built[-1]
+    return built if at is None else built[at]
 
 
 class Plus(_Binary):
@@ -247,44 +271,22 @@ def size(e):
 
     A subterm shared by several parents counts once per occurrence, as
     printing it would, but is visited once: the count costs one step per
-    distinct object, from an explicit stack, however deep or large the
-    tree.
+    distinct object (:func:`_postorder`), however deep or large the tree.
     """
-    if e.__class__ not in _OPERANDS:
-        return 1
     counts = {}  # id -> tree size, for the operator nodes counted so far
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if x is _BUILD:
-            x = stack.pop()
-            left, right = x.left, x.right
-            counts[id(x)] = (
-                1
-                + (counts[id(left)] if left.__class__ in _OPERANDS else 1)
-                + (counts[id(right)] if right.__class__ in _OPERANDS else 1)
-            )
-        elif id(x) not in counts:
-            stack += (x, _BUILD)
-            for y in (x.right, x.left):
-                if y.__class__ in _OPERANDS and id(y) not in counts:
-                    stack.append(y)
-    return counts[id(e)]
+    for x in _postorder((e,)):
+        counts[id(x)] = 1 + counts.get(id(x.left), 1) + counts.get(id(x.right), 1)
+    return counts.get(id(e), 1)
 
 
 def actions_of(e):
     """The set of action names occurring in ``e``, each distinct subterm
-    visited once, from an explicit stack."""
-    names = set()
-    seen = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if x.__class__ is Action:
-            names.add(x.name)
-        elif x.__class__ is not Zero and id(x) not in seen:
-            seen.add(id(x))
-            stack += (x.right, x.left)
+    visited once (:func:`_postorder`)."""
+    names = {e.name} if e.__class__ is Action else set()
+    for x in _postorder((e,)):
+        for y in (x.left, x.right):
+            if y.__class__ is Action:
+                names.add(y.name)
     return names
 
 
@@ -421,11 +423,6 @@ def _parse_error(text, i, exc, message):
 
 # --- printing --------------------------------------------------------------
 
-# on the printer's stack: build the operator node just below from the texts
-# of its operands
-_BUILD = object()
-
-
 def _printed(e, printed):
     """The text of ``e`` as :func:`unparse` prints it.
 
@@ -482,27 +479,24 @@ _CLASS = {tag: cls for cls, tag in _TAG.items()}
 def to_json_dict(e):
     """Tagged-union dictionary form of ``e`` (stable across versions).
 
-    Built children first from an explicit stack, so a deep expression does
-    not hit the recursion limit; a shared subterm gets one dictionary per
-    occurrence.
+    Built operands first (:func:`_postorder`), so a deep expression does
+    not hit the recursion limit; a shared operator node gets one
+    dictionary, which each of its occurrences holds.
     """
-    built = []
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if x is _BUILD:
-            x = stack.pop()
-            right = built.pop()
-            built[-1] = {"op": _TAG[x.__class__], "left": built[-1], "right": right}
-        elif x.__class__ is Action:
-            built.append({"op": "action", "name": x.name})
-        elif x.__class__ is Zero:
-            built.append({"op": "zero"})
-        elif x.__class__ in _TAG:
-            stack += (x, _BUILD, x.right, x.left)
-        else:
-            raise TypeError("not an expression: %r" % (x,))
-    return built[0]
+    built = {}  # id -> dictionary, for the operator nodes built so far
+
+    def form(x):
+        if x.__class__ in _TAG:
+            return built[id(x)]
+        if x.__class__ is Action:
+            return {"op": "action", "name": x.name}
+        if x.__class__ is Zero:
+            return {"op": "zero"}
+        raise TypeError("not an expression: %r" % (x,))
+
+    for x in _postorder((e,)):
+        built[id(x)] = {"op": _TAG[x.__class__], "left": form(x.left), "right": form(x.right)}
+    return form(e)
 
 
 def from_json_dict(d):

@@ -194,10 +194,8 @@ class _Graph:
     collection after a step looks only at the body, where a node survives
     when a root or a live node outside the body still reaches it.
 
-    The graph answers what the elimination loops used to ask of a rebuilt
-    chart (:meth:`out`, :meth:`has_cycle`).  :meth:`closure` is the
-    start-avoiding closure of every step, search and check on a chart, and
-    decides the loop conditions in the same walk.
+    :meth:`closure` is the start-avoiding closure of every step, search
+    and check on a chart, and decides the loop conditions in the same walk.
     """
 
     def __init__(self, chart, roots=None):

@@ -62,7 +62,7 @@ from .errors import (
     NotLLEE,
     StateExplosion,
 )
-from .expr import Action, Plus, Seq, Star, Zero, _action, _node
+from .expr import Action, Plus, Seq, Star, Zero, _action, _flatten, _node, _unflatten
 from .lee import Witness, _ranked, is_llee_witness
 from .reflect import _images, _reflect_witness
 
@@ -140,6 +140,17 @@ class Solution:
         if self.chart.initial is None:
             raise ValueError("chart has no initial node")
         return self.assign[self.chart.initial]
+
+    def __reduce__(self):
+        # the expressions flattened together, so a sub-solution that several
+        # nodes share is copied once and rebuilt shared; no __init__ is called
+        entries, places = _flatten(self.assign.values())
+        return (object.__new__, (self.__class__,), (self.chart, list(self.assign), entries, places))
+
+    def __setstate__(self, state):
+        chart, nodes, entries, places = state
+        built = _unflatten(entries, None)
+        vars(self).update(chart=chart, assign={x: built[i] for x, i in zip(nodes, places)})
 
 
 def extract_solution(w):
@@ -562,9 +573,10 @@ def _provable_check(sol, cap=None):
     solution that extraction gives.
 
     Neither exploration nor refinement is involved.  ``N`` and ``U`` are
-    memoised on the identities of their arguments, and each is one walk
-    from an explicit stack whose frames resume where they stopped, so a
-    deep or long solution neither recurses nor is scanned twice.  Returns
+    memoised on the identities of their arguments.  Each rule above is
+    one generator per operator node, which asks for the forms it needs,
+    and one loop runs them from an explicit stack, so a deep or long
+    solution neither recurses nor is scanned twice.  Returns
     the failing nodes, in id order (empty means the solution passes).
     Raises :class:`StateExplosion` when more than ``cap`` canonical forms
     appear (``cap`` defaults as in :func:`lleekit.chart.interpret`).
@@ -575,8 +587,6 @@ def _provable_check(sol, cap=None):
         cap = _state_cap()
     forms = {}
     memo_n, memo_u = {}, {}  # keyed (id(e), id(k))
-    # the frames [e, k, unfold, stage, saved, memo, key] of the walk under way
-    stack = []
 
     def intern(summands):
         f = frozenset(summands)
@@ -587,125 +597,67 @@ def _provable_check(sol, cap=None):
             )
         return g
 
-    def get(e, k, u):
-        """``N(e, k)``, or ``U(e, k)`` with ``u``, when it is known or
-        needs no walk; otherwise ``None``, with a frame for it pushed.
-
-        ``U`` is ``N`` on an expression without a star at its head; it is
-        asked of ``N`` when a look at the top shows that."""
+    def rule(e, k, u):
+        """The rule of ``N(e, k)``, or of ``U(e, k)`` with ``u``, for an
+        operator node ``e``: a generator that yields each ``(e', k', u')``
+        whose form it needs, is sent that form, and returns its own.  An
+        action operand is read on the spot."""
         cls = e.__class__
-        if u and cls is not Plus and cls is not Star and (cls is not Seq or e.left.__class__ is Action):
-            u = False
-        memo = memo_u if u else memo_n
-        key = (id(e), id(k))
-        r = memo.get(key)
-        if r is None:
-            if cls is Action:
-                r = memo[key] = intern((e.name,) if k is None else ((e.name, k),))
-            elif cls is Zero:
-                r = memo[key] = intern(())
+        if cls is Seq:
+            # N(e1, N(e2, k)), or U(e1, N(e2, k))
+            k = yield e.right, k, False
+            if e.left.__class__ is Action:
+                return intern(((e.left.name, k),))
+            return (yield e.left, k, u)
+        if cls is Star and not u:
+            # the summand ("*", N(e1, ✓), N(e2, k))
+            body = yield e.left, None, False
+            return intern((("*", body, (yield e.right, k, False)),))
+        if cls is Star:
+            # U(e1, N(e1 * e2, k)) ∪ U(e2, k)
+            loop = yield e, k, False
+            return (yield e.left, loop, True) | (yield e.right, k, True)
+        # the union over the operands of the whole sum
+        acc = set()
+        for x in _summands(e):
+            if x.__class__ is Action:
+                acc.add(x.name if k is None else (x.name, k))
+            elif x.__class__ is Seq and x.left.__class__ is Action:
+                acc.add((x.left.name, (yield x.right, k, False)))
             else:
-                stack.append([e, k, u, 0, None, memo, key])
-        return r
+                acc |= yield x, k, u
+        return acc if u else intern(acc)
 
     def walk(e, k, u):
-        """``N(e, k)``, or ``U(e, k)`` with ``u``.
-
-        A frame's stage counts the parts it has asked for, and ``saved``
-        holds what it needs of them later.  A frame whose part needs a
-        walk of its own stops there, and resumes with the part's result in
-        ``ret`` once the part's frame is done.
-        """
-        ret = get(e, k, u)
-        while stack:
-            frame = stack[-1]
-            e, k, u, stage, saved, memo, key = frame
+        """``N(e, k)``, or ``U(e, k)`` with ``u``: a form that is memoised,
+        or of a leaf, is answered at once, and any other starts its rule on
+        the stack.  ``U`` is ``N`` on an expression without a star at its
+        head, and is asked of ``N`` when a look at the top shows that."""
+        rules = []  # (send, memo, key) of the rules' generators under way
+        while True:
             cls = e.__class__
-            if cls is Seq:
-                # N(e1, N(e2, k)), or U(e1, N(e2, k))
-                if stage == 0:
-                    ret = get(e.right, k, False)
-                    if ret is None:
-                        frame[3] = 1
-                        continue
-                    stage = 1
-                if stage == 1:
-                    left = e.left
-                    if left.__class__ is Action:
-                        ret = intern(((left.name, ret),))
-                    else:
-                        ret = get(left, ret, u)
-                        if ret is None:
-                            frame[3] = 2
-                            continue
-            elif cls is Star and not u:
-                # the summand ("*", N(e1, ✓), N(e2, k))
-                if stage == 0:
-                    ret = get(e.left, None, False)
-                    if ret is None:
-                        frame[3] = 1
-                        continue
-                    stage = 1
-                if stage == 1:
-                    frame[4] = saved = ret
-                    ret = get(e.right, k, False)
-                    if ret is None:
-                        frame[3] = 2
-                        continue
-                ret = intern((("*", saved, ret),))
-            elif cls is Star:
-                # U(e1, N(e1 * e2, k)) ∪ U(e2, k)
-                if stage == 0:
-                    ret = get(e, k, False)
-                    if ret is None:
-                        frame[3] = 1
-                        continue
-                    stage = 1
-                if stage == 1:
-                    ret = get(e.left, ret, True)
-                    if ret is None:
-                        frame[3] = 2
-                        continue
-                    stage = 2
-                if stage == 2:
-                    frame[4] = saved = ret
-                    ret = get(e.right, k, True)
-                    if ret is None:
-                        frame[3] = 3
-                        continue
-                ret = saved | ret
-            else:
-                # the operands of the whole sum, one at a time
-                if stage == 0:
-                    operands, todo = [], [e]
-                    while todo:
-                        x = todo.pop()
-                        if x.__class__ is Plus:
-                            todo += (x.left, x.right)
-                        else:
-                            operands.append(x)
-                    frame[3] = 1
-                    frame[4] = saved = (operands, set())
-                    ret = None
-                operands, acc = saved
-                if ret is not None:
-                    acc |= ret
-                while operands:
-                    x = operands.pop()
-                    if x.__class__ is Action:
-                        acc.add(x.name if k is None else (x.name, k))
-                        continue
-                    ret = get(x, k, u)
-                    if ret is None:
-                        break
-                    acc |= ret
+            if u and cls is not Plus and cls is not Star and (cls is not Seq or e.left.__class__ is Action):
+                u = False
+            memo = memo_u if u else memo_n
+            key = (id(e), id(k))
+            ret = memo.get(key)
+            if ret is None:
+                if cls is Action:
+                    ret = memo[key] = intern((e.name,) if k is None else ((e.name, k),))
+                elif cls is Zero:
+                    ret = memo[key] = intern(())
                 else:
-                    ret = acc if u else intern(acc)
-                if ret is None:
-                    continue
-            memo[key] = ret
-            stack.pop()
-        return ret
+                    rules.append((rule(e, k, u).send, memo, key))
+            while rules:
+                send, memo, key = rules[-1]
+                try:
+                    e, k, u = send(ret)
+                    break
+                except StopIteration as done:
+                    ret = memo[key] = done.value
+                    rules.pop()
+            else:
+                return ret
 
     assign = [sol.assign[x] for x in names]
     normal = [walk(e, None, False) for e in assign]

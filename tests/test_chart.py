@@ -1,6 +1,7 @@
 """Charts: construction, formats, sub-charts, cycles, and the process semantics."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from lleekit.errors import (
     StateExplosion,
     UnknownNode,
 )
-from lleekit.expr import Action, Seq, Star, Zero, parse, size, unparse
+from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from lleekit.lee import Witness, _ranked, expression_witness, is_llee_witness
 
 TOGGLE = Chart(
@@ -361,6 +362,45 @@ def test_step_vs_brute():
         assert set(step(e)) == brute_step(e)
     for text in SPINES:
         assert set(step(parse(text))) == brute_step(parse(text))
+
+
+def _steps_in_order(e):
+    """:func:`step` by recursion: the left operand's steps first, and a
+    target is the step's rest followed by what comes after."""
+    if isinstance(e, Action):
+        return [(e.name, TERMINATION)]
+    if isinstance(e, Zero):
+        return []
+    if isinstance(e, Plus):
+        return _steps_in_order(e.left) + _steps_in_order(e.right)
+    after = e.right if isinstance(e, Seq) else e
+    steps = [(a, after if t is TERMINATION else Seq(t, after)) for a, t in _steps_in_order(e.left)]
+    return steps + _steps_in_order(e.right) if isinstance(e, Star) else steps
+
+
+def test_step_order_is_left_operand_first():
+    # the explicit stack of _States.steps keeps the order of the recursion
+    # it replaced
+    rng = random.Random(19)
+    for _ in range(200):
+        e = random_expression(rng, rng.randint(1, 15))
+        assert step(e) == _steps_in_order(e)
+    for text in SPINES:
+        assert step(parse(text)) == _steps_in_order(parse(text))
+
+
+def test_step_of_nested_stars_does_not_recurse():
+    # 1500 stars nested in their exits: one step per star body and one to
+    # exit the last, under the default recursion limit
+    e = a = Action("a")
+    for _ in range(1500):
+        e = Star(a, e)
+    assert sys.getrecursionlimit() <= 1000
+    steps = step(e)
+    assert len(steps) == 1501
+    assert steps[0] == ("a", e)
+    assert steps[1] == ("a", e.right)
+    assert steps[-1] == ("a", TERMINATION)
 
 
 def test_interpret_self_loop():

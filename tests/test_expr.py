@@ -21,6 +21,7 @@ from lleekit.expr import (
     Seq,
     Star,
     Zero,
+    _postorder,
     actions_of,
     from_json,
     from_json_dict,
@@ -278,6 +279,49 @@ def test_size_and_actions_on_shared_subterms():
     nodes, names = size(deep), actions_of(deep)
     assert nodes == 10001
     assert names == {"a", "b"}
+
+
+def _operator_nodes(e, known=()):
+    """The distinct operator nodes under ``e``, by id, by recursion, with
+    no node whose id is in ``known`` entered."""
+    if isinstance(e, (Action, Zero)) or id(e) in known:
+        return {}
+    return {id(e): e, **_operator_nodes(e.left, known), **_operator_nodes(e.right, known)}
+
+
+def test_postorder_yields_each_operator_node_once_after_its_operands():
+    rng = random.Random(23)
+    for _ in range(200):
+        parts = [random_expression(rng, rng.randint(1, 10)) for _ in range(3)]
+        # shared subterms, and roots that share them
+        roots = [Plus(parts[0], Seq(parts[1], parts[0])), Star(parts[1], parts[2]), parts[2]]
+        for known in ((), {id(roots[0].right)}, {id(parts[1])}):
+            order = [id(x) for x in _postorder(roots, known)]
+            nodes = {}
+            for r in roots:
+                nodes.update(_operator_nodes(r, known))
+            assert sorted(order) == sorted(nodes)
+            place = {i: n for n, i in enumerate(order)}
+            for i, x in nodes.items():
+                for y in (x.left, x.right):
+                    assert id(y) not in nodes or place[id(y)] < place[i]
+
+
+@pytest.mark.parametrize(
+    "text,nodes",
+    [
+        (".".join(["a"] * 2000), 1999),
+        ("+".join(["a"] * 3000), 2999),
+        ("(" * 1500 + "a" + ")*b" * 1500, 1500),
+    ],
+    ids=["seq2000", "sum3000", "star1500"],
+)
+def test_postorder_does_not_recurse(text, nodes):
+    e = parse(text)
+    assert sys.getrecursionlimit() <= 1000
+    order = list(_postorder([e]))
+    assert len(order) == nodes
+    assert order[-1] is e
 
 
 def _tree_size(e):

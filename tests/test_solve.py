@@ -1,7 +1,9 @@
 """Equation systems, solution extraction, axiom matching, and equivalence."""
 
+import copy
 import importlib.util
 import pathlib
+import pickle
 import random
 import sys
 import tracemalloc
@@ -548,6 +550,32 @@ def test_provable_check_reports_the_broken_nodes_in_id_order():
     # d's expression is wrong, and node c.d's equation now asks for
     # c.(c.d), which its own expression c.d is not
     assert _provable_check(Solution(g, assign)) == ["c.d", "d"]
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.deepcopy, lambda sol: pickle.loads(pickle.dumps(sol))],
+    ids=["deepcopy", "pickle"],
+)
+def test_copied_solution_keeps_its_sharing(roundtrip):
+    # the solution's expressions are flattened together: each node's
+    # solution c.s(Y) is copied with s(Y) the very object of its successor
+    # Y, not as a tree of its own, which made the pickle of 2000 actions
+    # grow with the square of the chain
+    chain = ".".join(["c"] * 2000)
+    sol = equiv(parse(chain + ".x"), parse(chain + ".(x+x)")).certificate.solution
+    assert len(pickle.dumps(sol)) < 8_000_000
+    c = roundtrip(sol)
+    assert c.chart == sol.chart and list(c.assign) == list(sol.assign)
+    # comparing every node's tree would cost the square of the chain
+    assert c.initial_expression() == sol.initial_expression()
+    assert all(hash(c[x]) == hash(e) for x, e in sol.assign.items())
+    shared = 0
+    for t in sol.chart.transitions:
+        if not t.terminal:
+            assert c[t.src].right is c[t.dst]
+            shared += 1
+    assert shared == 2000
 
 
 def test_extract_solution_random():
