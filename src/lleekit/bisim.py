@@ -98,7 +98,8 @@ def _refine(outmap, term):
     are settled, by interning that pair of sets, and none is signed again;
     one loop over its steps both tests them and collects the pairs.  The
     roots are taken from the last id down.  A root whose successors are
-    all settled takes its block from that loop alone, with no walk; as an
+    all settled takes its block from that loop alone, with no walk, and a
+    root with one step, as on a chain, from its one pair; as an
     exploration numbers successors after their sources, on a chain every
     root does.  Any other root starts a depth-first walk that settles each
     node when it leaves it, in post-order.  A settled root is one the walk
@@ -131,8 +132,17 @@ def _refine(outmap, term):
     for root in range(len(outmap) - 1, -1, -1):
         if state[root]:
             continue
+        out = outmap[root]
+        if len(out) == 1:
+            # one step, to a settled node: the key the loop below would make
+            a, d = out[0]
+            if state[d] == 2:
+                state[root] = 2
+                key = (term[root], frozenset(((a, block[d]),)))
+                block[root] = settled.setdefault(key, len(settled))
+                continue
         pairs = []
-        for a, d in outmap[root]:
+        for a, d in out:
             if state[d] != 2:
                 break
             pairs.append((a, block[d]))

@@ -831,11 +831,25 @@ class _States:
         return text
 
     def enter(self, e, k):
-        """The state of ``e`` followed by continuation ``k``."""
-        while e.__class__ is Seq:
-            k = self.push(e.right, k)
+        """The state of ``e`` followed by continuation ``k``: the right
+        operands down ``e``'s left spine are pushed in front of ``k``, last
+        first, and then its head.  Each pair is interned as :meth:`push`
+        interns it, inline, since a spine can be thousands of operands
+        long."""
+        conts, spare = self._conts, self._spare
+        while True:
+            head = e.__class__ is not Seq
+            x = e if head else e.right
+            c = conts.setdefault((x, k), spare)
+            if c is spare:
+                c.expr = x
+                c.rest = k
+                spare = _Cont(None, None)
+            if head:
+                self._spare = spare
+                return c
+            k = c
             e = e.left
-        return self.push(e, k)
 
     def steps(self, e, k, out):
         """Append to ``out`` the ``(action, target)`` steps of ``e`` followed
@@ -845,7 +859,11 @@ class _States:
         operands pushed in front of ``k`` as :meth:`enter` pushes them, and
         ``+`` and ``*`` go on with their left operand and leave the right
         one on a stack: steps are appended, and continuations interned,
-        left operand first.
+        left operand first.  An action finishes its head: its step leads to
+        termination when ``k`` is empty, into the next operand when that is
+        a sequence, and to ``k`` itself otherwise.  :func:`_explore` applies
+        the same rule to a state whose head is an action without calling
+        this method.
         """
         todo = []  # the right operands still to step, with their continuations
         while True:
@@ -973,7 +991,10 @@ def _explore(roots, cap, what, labelled=False, base=0):
     """Breadth-first closure of ``roots`` under :func:`step`, by state index.
 
     States are numbered in discovery order, from id ``base`` on, and none
-    is printed.  Returns an :class:`_Exploration`, whose ``out`` and
+    is printed.  A state whose head is an action has exactly one step, by
+    :meth:`_States.steps`' rule for a finished head; the loop takes it
+    itself, with no call and no list of steps, which on a chain is every
+    state.  Returns an :class:`_Exploration`, whose ``out`` and
     ``term`` are :func:`lleekit.bisim._refine`'s tables for the states: a
     second exploration given ``base`` the number of states of the first is
     refined with it as their disjoint union, on the concatenated tables.
@@ -994,13 +1015,13 @@ def _explore(roots, cap, what, labelled=False, base=0):
     if cap is None:
         cap = _state_cap()
     space = _States()
-    steps, push, measure = space.steps, space.push, space.measure
+    steps, push, enter, measure = space.steps, space.push, space.enter, space.measure
     states = []
     out_table, term_table = [], []
     loops = [] if labelled else None
     root_ids = []
     for r in roots:
-        state = space.enter(r, None)
+        state = enter(r, None)
         if state.index is None:
             state.index = base + len(states)
             states.append(state)
@@ -1010,6 +1031,25 @@ def _explore(roots, cap, what, labelled=False, base=0):
     # the loop also reaches the states appended while it runs
     for state in states:
         head, k = state.expr, state.rest
+        if head.__class__ is Action:
+            # an action head has one step, by the rule of
+            # :meth:`_States.steps` for a finished head, taken here
+            if labelled:
+                loops.append(_NO_LOOP)
+            if k is None:
+                out_table.append([])
+                term_table.append(frozenset((head.name,)))
+                continue
+            tgt = enter(k.expr, k.rest) if k.expr.__class__ is Seq else k
+            i = tgt.index
+            if i is None:
+                if len(states) >= cap:
+                    raise _explosion(cap, what, space, states)
+                i = tgt.index = base + len(states)
+                states.append(tgt)
+            out_table.append([(head.name, i)])
+            term_table.append(_NO_ENDS)
+            continue
         found = []
         # a star's height is at least 1, and measuring it measures its body
         height = labelled and head.__class__ is Star and measure(head)[1]

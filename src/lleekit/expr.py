@@ -132,8 +132,13 @@ class _Binary(Expression):
         if other.__class__ is not self.__class__:
             return NotImplemented
         # pairs of subterms still to compare, from an explicit stack: identical
-        # ones are skipped and differing hashes decide at once
+        # ones are skipped and differing hashes decide at once.  A pair of
+        # shared subterms is expanded once, so the cost is linear in distinct
+        # nodes.  The root pair is never met again, as ``self`` is below
+        # nothing it holds, so it is not recorded, and most calls, which end
+        # at the root pair or its operands, make no set of expanded pairs
         pairs = [(self, other)]
+        expanded = None
         while pairs:
             x, y = pairs.pop()
             if x is y:
@@ -142,6 +147,14 @@ class _Binary(Expression):
             if cls is not y.__class__ or x._hash != y._hash:
                 return False
             if cls in _OPERANDS:
+                if x is not self:
+                    key = (id(x), id(y))
+                    if expanded is None:
+                        expanded = {key}
+                    elif key in expanded:
+                        continue
+                    else:
+                        expanded.add(key)
                 pairs.append((x.right, y.right))
                 pairs.append((x.left, y.left))
             elif cls is Action and x.name != y.name:
@@ -314,10 +327,10 @@ def _level(e):
 
 # --- parsing ---------------------------------------------------------------
 
-# an action, or any other non-space character; whitespace is skipped.  A
-# token from "a" up to (not including) "{" starts with a letter, so it is an
-# action.
-_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|\S")
+# a run of actions joined by "." with no blanks inside, or any other
+# non-space character; whitespace is skipped.  A token from "a" up to (not
+# including) "{" starts with a letter, so it is a run of one action or more.
+_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*|\S")
 
 _ZERO = Zero()
 
@@ -330,7 +343,12 @@ def parse(text):
 
     One ``findall`` splits the text into tokens, then one flat
     operator-precedence loop builds the tree with an operand stack and an
-    operator stack, so nesting depth costs no recursion.  Every operator
+    operator stack, so nesting depth costs no recursion.  A run of actions
+    joined by ``.`` with no blanks inside, as in ``a.b.c``, is one token:
+    its first action is an operand and the ``.`` after it reduces as a
+    ``.`` token would, its middle actions fold left in one loop, and its
+    last action is left as the right operand of a pending ``.``, so a
+    ``*`` after the run takes that action alone.  Every operator
     reduces the operators of at least its own level first, which makes
     ``+`` and ``.`` left-associative; a ``*`` that meets an unreduced ``*``
     is a star chain.  The operator stack starts with an open parenthesis
@@ -350,10 +368,28 @@ def parse(text):
     for i, tok in enumerate(tokens):
         if want_operand:
             if "a" <= tok < "{":
-                leaf = leaves.get(tok)
-                if leaf is None:
-                    leaf = leaves[tok] = _action(tok)
-                operands.append(leaf)
+                if "." in tok:
+                    # a run a1.a2.….an: a1 is the operand, and the "." after
+                    # it reduces as a "." token does; the middle actions fold
+                    # left, and an is the right operand of a pending Seq, so
+                    # a "*" after the run takes an alone
+                    names = tok.split(".")
+                    for name in names:
+                        if name not in leaves:
+                            leaves[name] = _action(name)
+                    x = leaves[names[0]]
+                    while operators[-1] is Seq or operators[-1] is Star:
+                        x = _node(operators.pop(), operands.pop(), x)
+                    for name in names[1:-1]:
+                        x = _node(Seq, x, leaves[name])
+                    operands.append(x)
+                    operators.append(Seq)
+                    operands.append(leaves[names[-1]])
+                else:
+                    leaf = leaves.get(tok)
+                    if leaf is None:
+                        leaf = leaves[tok] = _action(tok)
+                    operands.append(leaf)
             elif tok == "(":
                 operators.append(None)
                 depth += 1
@@ -388,9 +424,11 @@ def parse(text):
                 operands[-1] = _node(operators.pop(), operands[-1], right)
             operators.pop()
             depth -= 1
-        elif depth:
-            raise _parse_error(text, i, ParseError, "expected ')', got %r" % tok)
         else:
+            # a run in operator position is reported by its first action
+            tok = tok.partition(".")[0]
+            if depth:
+                raise _parse_error(text, i, ParseError, "expected ')', got %r" % tok)
             raise _parse_error(text, i, ParseError, "trailing input %r" % tok)
     if want_operand or depth:
         expected = "expression" if want_operand else "')'"

@@ -100,19 +100,23 @@ def _check_preconditions(theta, w):
         raise NotLLEE("image structure requires a layered witness")
 
 
-def _smaller_preimage(theta, start, lbcs, img_nodes):
+def _smaller_preimage(theta, start, lbcs, img_nodes, image=None):
     """The start of a proper looping-back sub-chart of the looping-back
     chart at ``start``, at a body node (least first), with image
     ``img_nodes``; ``None`` if that chart is well-structured.
 
     ``lbcs`` maps each start to its looping-back chart's node set and
     ``theta[v]`` is node ``v``'s image, on ids or on names alike.
+    ``image``, when given, maps each start to its chart's image already
+    computed, so no image is computed here.
     """
     nodes = lbcs[start]
     for y in sorted(nodes - {start}):
         sub = lbcs.get(y)
-        if sub is not None and sub < nodes and frozenset(theta[v] for v in sub) == img_nodes:
-            return y
+        if sub is not None and sub < nodes:
+            sub_image = frozenset(theta[v] for v in sub) if image is None else image[y]
+            if sub_image == img_nodes:
+                return y
     return None
 
 
@@ -168,13 +172,14 @@ def _images(theta, lbcs, target):
     vouches for the preconditions of :func:`images`: this is the one image
     computation, which :func:`images` converts.
     """
+    image = {x: frozenset(theta[v] for v in nodes) for x, nodes in lbcs.items()}
     grouped = {}
-    for x, nodes in lbcs.items():
-        grouped.setdefault(frozenset(theta[v] for v in nodes), []).append(x)
+    for x, img_nodes in image.items():
+        grouped.setdefault(img_nodes, []).append(x)
     records = []
     for img_nodes in sorted(grouped, key=lambda s: (len(s), tuple(sorted(s)))):
         pres = tuple(grouped[img_nodes])
-        wsps = [x for x in pres if _smaller_preimage(theta, x, lbcs, img_nodes) is None]
+        wsps = [x for x in pres if _smaller_preimage(theta, x, lbcs, img_nodes, image) is None]
         if not wsps:
             raise LemmaViolated(
                 "no well-structured pre-image for image {%s}"

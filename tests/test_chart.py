@@ -403,6 +403,56 @@ def test_step_of_nested_stars_does_not_recurse():
     assert steps[-1] == ("a", TERMINATION)
 
 
+def _breadth_first_names(e):
+    """The expressions reachable from ``e`` under :func:`step`, printed, in
+    the order a breadth-first walk finds them, each step's targets in
+    :func:`step`'s order."""
+    names = [unparse(e)]
+    seen = set(names)
+    todo = [e]
+    for x in todo:
+        for _, target in step(x):
+            if target is not TERMINATION:
+                name = unparse(target)
+                if name not in seen:
+                    seen.add(name)
+                    names.append(name)
+                    todo.append(target)
+    return names
+
+
+def _nested_stars(n):
+    """S(n) = ((…((a*b0)*b1)…)*b{n-1}): a star in the body of every star."""
+    e = Action("a")
+    for i in range(n):
+        e = Star(e, Action("b%d" % i))
+    return e
+
+
+def _exploration_order_cases():
+    rng = random.Random(23)
+    sweep = [random_expression(rng, rng.randint(1, 15)) for _ in range(200)]
+    yield pytest.param(sweep + [parse(text) for text in SPINES], id="sweep")
+    # step takes time linear and unparse time quadratic in a chain state's
+    # length, so the walk is cubic in the chain: 500 actions take about 0.6 s
+    yield pytest.param([parse(".".join("abc"[i % 3] for i in range(500)))], id="chain500")
+    yield pytest.param([parse("+".join("a%d" % i for i in range(3000)))], id="sum3000")
+    yield pytest.param([_nested_stars(24)], id="s24")
+
+
+@pytest.mark.parametrize("roots", _exploration_order_cases())
+def test_exploration_order_is_breadth_first_over_step(roots):
+    # _explore steps a state whose head is an action in its own loop, and
+    # every other state through _States.steps: either way its states are
+    # numbered as a breadth-first walk over the public step finds them
+    for e in roots:
+        names = _breadth_first_names(e)
+        for labelled in (False, True):
+            x = _explore([e], None, str, labelled=labelled, base=3)
+            assert x.roots == [3]
+            assert [x.space.name(s) for s in x.states] == names, unparse(e)
+
+
 def test_interpret_self_loop():
     g = interpret(parse("a*0"))
     assert g.nodes == {"a*0"}

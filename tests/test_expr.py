@@ -7,6 +7,7 @@ import os
 import pickle
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,9 @@ PARSE_ERRORS = [
     # the whole text is scanned first: a stray character is reported
     # ahead of an earlier syntax error
     ("a..b$", 4, "unexpected character '$'"),
+    # a run of actions in operator position is reported by its first action
+    ("a b.c", 2, "trailing input 'b'"),
+    ("(a b.c", 3, "expected ')', got 'b'"),
 ]
 
 
@@ -178,6 +182,26 @@ def test_parse_agrees_with_the_reference_parser():
 def test_unparse_minimal_parentheses(e, text):
     assert unparse(e) == text
     assert parse(text) == e
+
+
+@pytest.mark.parametrize(
+    "text,e",
+    [
+        ("x*a.b", Seq(Star(Action("x"), A), B)),
+        ("a.b*c.d", Seq(Seq(A, Star(B, C)), Action("d"))),
+        ("a.b.c*d", Seq(Seq(A, B), Star(C, Action("d")))),
+        ("(a.b).c.d", Seq(Seq(Seq(A, B), C), Action("d"))),
+        # blanks split a run: its pieces are read as single tokens
+        ("a . b.c", Seq(Seq(A, B), C)),
+    ],
+)
+def test_action_runs_parse_as_their_actions(text, e):
+    # a run a1.….an is one token: a "*" before it takes a1, one after it
+    # takes an, and the actions between sequence to the left
+    assert parse(text) == e
+    assert hash(parse(text)) == hash(e)
+    assert parse(text) == reference_parse(text)
+    assert parse(unparse(e)) == e
 
 
 def test_str_is_unparse():
@@ -387,6 +411,25 @@ def test_deep_equality_does_not_recurse(text):
     assert e == f
     assert not e != f
     assert e != parse(text.replace("a", "c", 1))
+
+
+def test_equality_of_shared_subterms_is_linear():
+    # 24 levels, each the sum or star of the level below with itself: its
+    # copy shares subterms as it does, and each pair of them is compared
+    # once, not once per path to it (2^24 paths)
+    def doubled(text):
+        e = parse(text)
+        for level in range(24):
+            e = (Plus if level % 2 else Star)(e, e)
+        return e
+
+    e, other = doubled("a.b"), doubled("a.c")
+    f = copy.deepcopy(e)
+    assert f is not e and f.left is f.right
+    start = time.perf_counter()
+    assert e == f and f == e
+    assert e != other
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("e", [A, Zero(), parse("(a.b+c)*0")])
