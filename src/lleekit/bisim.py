@@ -29,6 +29,7 @@ from collections import namedtuple
 from ._record import record
 from .chart import Chart, chart_of_nodes
 from .errors import NotABisimulation, ParseError, UnknownNode
+from .expr import _dumps
 
 __all__ = [
     "Partition",
@@ -360,10 +361,7 @@ class BisimMap:
         return {"v": 1, "map": {x: self.mapping[x] for x in sorted(self.mapping)}}
 
     def to_json(self):
-        # json is imported where JSON is read or written: no text call needs it
-        import json
-
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _dumps(self.to_json_dict())
 
 
 def image(theta, a):

@@ -49,6 +49,7 @@ can be node ids too; a node id never starts with ``#``.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from bisect import bisect_left
@@ -95,6 +96,41 @@ def _state_cap(cap=None):
     elif cap <= 0:
         raise ValueError("state cap must be positive")
     return cap
+
+
+class _collection_paused:
+    """A context that pauses the cyclic garbage collector.
+
+    Everything lleekit builds while deciding and printing is an acyclic
+    object graph: expressions are built operands first, so no node refers
+    to one built after it; an exploration's continuations point only to
+    the rest of their sequence; charts, partitions, witnesses and images
+    are tables of ints, strings and tuples, and every record refers only
+    to the charts and tables below it.  No nested function refers to
+    itself, so a call's closures die with it, and JSON is written from an
+    explicit stack (:func:`lleekit.expr._dumps`), not by the standard
+    encoder, whose closures refer to each other.  Reference counting frees
+    all of it, so a collection would walk the working set and find
+    nothing, however often the allocation count sets one off.  A test
+    runs every command twice and checks that a collection after the
+    second run finds nothing.
+
+    On entry the collector is disabled; on exit, by any path, it is
+    enabled again only if it was enabled on entry, so a nested use leaves
+    it off.  Nothing is collected on exit, as there is nothing to collect.
+    The pause is process-wide for the call's duration: cycles that other
+    threads make meanwhile wait until the call ends.
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self):
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self._was_enabled:
+            gc.enable()
 
 
 class _Termination:
@@ -453,9 +489,7 @@ class Chart:
         )
 
     def to_json(self):
-        import json
-
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _expr._dumps(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text):

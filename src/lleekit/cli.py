@@ -26,7 +26,7 @@ import sys
 from . import expr as expr_mod
 from ._record import record
 from .bisim import collapse
-from .chart import DEFAULT_STATE_CAP, Chart, _state_cap, interpret
+from .chart import DEFAULT_STATE_CAP, Chart, _collection_paused, _state_cap, interpret
 from .errors import InternalError, LleekitError, ParseError, StateExplosion
 from .expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
@@ -77,13 +77,6 @@ def _chart_or_expression(arg, cfg):
 
 def _print(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _print_json(doc):
-    # json is imported where JSON is read or written: no text call needs it
-    import json
-
-    _print(json.dumps(doc, indent=2))
 
 
 def _expression_dot(e):
@@ -177,7 +170,7 @@ def _cmd_collapse(args, cfg):
             f.write(res.theta.to_text())
     if cfg.format == "json":
         doc = {"v": 1, "chart": res.chart.to_json_dict(), "map": res.theta.to_json_dict()}
-        _print_json(doc)
+        _print(expr_mod._dumps(doc))
     elif cfg.format == "dot":
         _print(res.chart.to_dot())
     else:
@@ -277,7 +270,7 @@ def _cmd_reflect(args, cfg):
             ],
             "witness": w_h.to_json_dict(),
         }
-        _print_json(doc)
+        _print(expr_mod._dumps(doc))
     elif cfg.format == "dot":
         clusters = [(", ".join(nodes), nodes) for nodes, _, _ in shown]
         _print(h.to_dot(order=w_h.order, clusters=clusters))
@@ -355,7 +348,7 @@ def _cmd_equiv(args, cfg):
             "block1": sorted(dist.block1),
             "block2": sorted(dist.block2),
         }
-        _print_json(doc)
+        _print(expr_mod._dumps(doc))
     elif cfg.format == "dot":
         return _no_dot("distinctions")
     else:
@@ -452,7 +445,9 @@ def run(argv=None):
         sys.stderr.write("error: %s\n" % exc)
         return 2
     try:
-        return args.func(args, cfg)
+        # the command's objects are acyclic: see _collection_paused
+        with _collection_paused():
+            return args.func(args, cfg)
     except ParseError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2

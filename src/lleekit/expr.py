@@ -580,7 +580,9 @@ def _dumps(doc):
 
     The same text for dictionaries with string keys, lists and JSON
     scalars, however deeply they nest: the standard encoder recurses once
-    per level.
+    per level, and its closures refer to each other, so every call leaves
+    a reference cycle behind.  Every JSON document lleekit writes goes
+    through here.
     """
     # json is imported where JSON is read or written: no text call needs it
     import json

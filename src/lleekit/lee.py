@@ -74,6 +74,7 @@ from .errors import (
     ParseError,
     UnknownNode,
 )
+from .expr import _dumps
 
 __all__ = [
     "Witness",
@@ -623,10 +624,7 @@ class Witness:
         }
 
     def to_json(self):
-        # json is imported where JSON is read or written: no text call needs it
-        import json
-
-        return json.dumps(self.to_json_dict(), indent=2)
+        return _dumps(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text):

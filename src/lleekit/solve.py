@@ -48,6 +48,7 @@ from .bisim import BisimMap, _index_tables, _quotient, _refine
 from .chart import (
     TERMINATION,
     Chart,
+    _collection_paused,
     _explore,
     _explored_chart,
     _interpreting,
@@ -884,34 +885,36 @@ def equiv(e1, e2, cap=None):
     refinement, and no lemma report is computed.  A failed invariant on the
     way is an :class:`InternalError`.  The :class:`Certificate` holds the
     collapse, the witness and the solution, and builds its two maps when
-    they are read.
+    they are read.  The cyclic garbage collector is paused throughout
+    (:class:`lleekit.chart._collection_paused`).
     """
-    x1 = _explore([e1], cap, _interpreting, labelled=True)
-    x2 = _explore([e2], cap, _interpreting, base=len(x1.states))
-    outmap, term = x1.out + x2.out, x1.term + x2.term
-    block = _refine(outmap, term)
-    b1 = block[x1.roots[0]]
-    b2 = block[x2.roots[0]]
-    if b1 != b2:
-        distinction = Distinction(*_blocks(b1, b2, block, (("g:", x1), ("h:", x2))))
-        return EquivResult(False, distinction=distinction, _inputs=(e1, e2, cap))
-    g, order, heights = _explored_chart(x1)
-    del x1
-    try:
-        collapse, theta = _quotient(
-            outmap, term, block, order, ["g:" + x for x in g.names], order[g.root]
-        )
-        del outmap, term, block
-        w1 = Witness._of(g, _ranked(heights))
-        _check_layered(w1, "the expression's witness")
-        records = _images([theta[i] for i in order], w1._loops[2], collapse)
-        w_h = _reflect_witness(collapse, records)
-        _check_layered(w_h, "the reflected witness")
-        sol = extract_solution(w_h)
-    except (InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE) as exc:
-        raise InternalError("building the certificate failed: %s" % exc) from exc
-    bad = _provable_check(sol, cap)
-    if bad:
-        raise InternalError("extracted solution fails at %s" % ", ".join(bad))
-    certificate = Certificate(collapse, w_h, sol, _Evidence(g, order, x2, theta))
-    return EquivResult(True, certificate=certificate)
+    with _collection_paused():
+        x1 = _explore([e1], cap, _interpreting, labelled=True)
+        x2 = _explore([e2], cap, _interpreting, base=len(x1.states))
+        outmap, term = x1.out + x2.out, x1.term + x2.term
+        block = _refine(outmap, term)
+        b1 = block[x1.roots[0]]
+        b2 = block[x2.roots[0]]
+        if b1 != b2:
+            distinction = Distinction(*_blocks(b1, b2, block, (("g:", x1), ("h:", x2))))
+            return EquivResult(False, distinction=distinction, _inputs=(e1, e2, cap))
+        g, order, heights = _explored_chart(x1)
+        del x1
+        try:
+            collapse, theta = _quotient(
+                outmap, term, block, order, ["g:" + x for x in g.names], order[g.root]
+            )
+            del outmap, term, block
+            w1 = Witness._of(g, _ranked(heights))
+            _check_layered(w1, "the expression's witness")
+            records = _images([theta[i] for i in order], w1._loops[2], collapse)
+            w_h = _reflect_witness(collapse, records)
+            _check_layered(w_h, "the reflected witness")
+            sol = extract_solution(w_h)
+        except (InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE) as exc:
+            raise InternalError("building the certificate failed: %s" % exc) from exc
+        bad = _provable_check(sol, cap)
+        if bad:
+            raise InternalError("extracted solution fails at %s" % ", ".join(bad))
+        certificate = Certificate(collapse, w_h, sol, _Evidence(g, order, x2, theta))
+        return EquivResult(True, certificate=certificate)

@@ -1,5 +1,6 @@
 """Shared fixtures: the example charts, witnesses and maps under fixtures/."""
 
+import gc
 import os
 import pathlib
 import subprocess
@@ -41,6 +42,22 @@ def run_python(args, hash_seed, **kwargs):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, timeout=60, **kwargs
     )
+
+
+def in_both_collector_states(call):
+    """``[call(), call()]``, the first made with the cyclic garbage
+    collector enabled and the second with it disabled; each must leave the
+    collector as it found it.  The collector's own state is restored."""
+    was_enabled = gc.isenabled()
+    results = []
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            results.append(call())
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    return results
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Charts: construction, formats, sub-charts, cycles, and the process semantics."""
 
+import gc
 import random
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import in_both_collector_states
 from generators import charts, expressions, random_chart, random_expression
 from oracles import (
     brute_expression_witness,
@@ -23,6 +25,7 @@ from lleekit.chart import (
     TERMINATION,
     Transition,
     _States,
+    _collection_paused,
     _explore,
     _explored_chart,
     chart_of_nodes,
@@ -656,6 +659,21 @@ def test_state_cap_environment_rejected(monkeypatch, capsys, value):
     # the command line rejects it with the same message
     assert run(["chart", "a.b"]) == 2
     assert capsys.readouterr().err == "error: %s\n" % exc.value
+
+
+def test_collection_paused_restores_the_collector_and_nests():
+    # the collector is off inside, a nested use leaves it off, and leaving
+    # by an exception restores it as the outermost use found it
+    def paused():
+        with pytest.raises(KeyError):
+            with _collection_paused():
+                assert not gc.isenabled()
+                with _collection_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+                raise KeyError
+
+    in_both_collector_states(paused)
 
 
 def test_push_interns_each_pair_once():

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through ``run(argv)``."""
 
 import contextlib
+import gc
 import io
 import json
 import random
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import fixture_path, run_python
+from conftest import FIXTURES, fixture_path, in_both_collector_states, run_python
 import lleekit.bisim
 import lleekit.cli
 from lleekit.bisim import BisimMap, collapse
@@ -602,6 +603,9 @@ def test_run_reuses_one_parser_without_leaking_state(capsys):
     reused = [_run_captured(argv, capsys) for argv in RUN_MIX * 2]
     assert reused == fresh * 2
     assert _build_parser.cache_info().misses == 1
+    # exits 0, 1 and 2 leave the cyclic collector as they found it
+    both = in_both_collector_states(lambda: [_run_captured(argv, capsys) for argv in RUN_MIX])
+    assert both == [fresh, fresh]
 
 
 def test_internal_error_exits_3(capsys, monkeypatch):
@@ -616,10 +620,8 @@ def test_internal_error_exits_3(capsys, monkeypatch):
         return Solution(sol.chart, {c: Action("z") for c in sol.assign})
 
     monkeypatch.setattr(lleekit.solve, "extract_solution", wrong)
-    assert run(["equiv", "a", "a"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "internal error: extracted solution fails at g:a\n"
+    both = in_both_collector_states(lambda: _run_captured(["equiv", "a", "a"], capsys))
+    assert both == [(3, "", "internal error: extracted solution fails at g:a\n")] * 2
 
 
 @pytest.mark.parametrize("error", [InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE])
@@ -715,11 +717,12 @@ def test_equiv_too_deep_exits_2(monkeypatch, capsys):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(lleekit.cli, "equiv", too_deep)
-    assert run(["equiv", "a", "a"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: expression nested too deeply")
-    assert err.count("\n") == 1
+    for code, out, err in in_both_collector_states(
+        lambda: _run_captured(["equiv", "a", "a"], capsys)
+    ):
+        assert (code, out) == (2, "")
+        assert err.startswith("error: expression nested too deeply")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -734,6 +737,96 @@ def test_equiv_deep_or_long_answers(e1, e2):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.startswith("EQUAL\n")
+
+
+@pytest.mark.parametrize(
+    "e2,code", [(CHAIN4000 + ".y", 1), (CHAIN4000 + ".(x+x)", 0)], ids=["not_equal", "equal"]
+)
+def test_no_collection_runs_while_deciding(e2, code, capsys):
+    # a decision builds acyclic objects only, and the cyclic collector is
+    # paused for the whole of a command and of library equiv; unpaused,
+    # these calls set off dozens of collections.  Only collections with run
+    # or equiv on the stack count.  The parser is built once per process,
+    # and collecting before each call leaves the few objects run makes
+    # before its pause short of a collection's threshold.  It also settles
+    # the collection that the first allocations after a long call set off,
+    # which CPython 3.12 and later run at the next call's entry
+    e1 = CHAIN4000 + ".x"
+    parsed = parse(e1), parse(e2)
+    _build_parser()
+    calls = {run.__code__, equiv.__code__}
+    collections = []
+
+    def count(phase, info):
+        frame = sys._getframe()
+        while frame is not None and frame.f_code not in calls:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        gc.collect()
+        assert run(["equiv", e1, e2]) == code
+        gc.collect()
+        assert equiv(*parsed).equal is (code == 0)
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was_enabled else gc.disable)()
+    assert capsys.readouterr().err == ""
+    assert collections == []
+
+
+_SWEEP = """\
+import contextlib, gc, io, json, sys
+from lleekit.cli import run
+
+cases = json.load(sys.stdin)
+
+
+def sweep():
+    codes = []
+    for argv in cases:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(run(argv))
+    return codes
+
+
+warm = sweep()
+gc.collect()
+gc.disable()
+again = sweep()
+print(json.dumps({"codes": sorted(set(warm)), "same": again == warm, "collected": gc.collect()}))
+"""
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path):
+    # the invariant the collector's pause rests on: after a warm-up pass,
+    # a second pass over every command leaves nothing for the collector
+    from test_cli_golden import CASES
+
+    chart = Chart.from_text(fixture_path("ci.chart").read_text())
+    witness = Witness.from_text(fixture_path("ci_hat.witness").read_text(), chart)
+    chart_json, witness_json = tmp_path / "ci.json", tmp_path / "ci_hat.json"
+    chart_json.write_text(chart.to_json())
+    witness_json.write_text(witness.to_json())
+    cases = [case.split() for case in CASES]
+    for fmt in ("text", "json", "dot"):
+        f = ["--format", fmt]
+        cases += [f + ["parse", "a*b"], f + ["chart", "a*b"], f + ["collapse", "a.(a*b)+b"]]
+        cases.append(f + ["collapse", "cii.chart", "--map", str(tmp_path / "cii.map")])
+        for command in (["lee"], ["collapse"]):
+            cases.append(f + command + [str(chart_json)])
+        for command in (["llee"], ["lee2llee"], ["reflect"], ["solve"]):
+            cases.append(f + command + [str(chart_json), str(witness_json)])
+        for e1, e2 in [("((a+b).(a*b))*0", "(a+b)*0"), ("a.(b+c)", "a.b+a.c"), ("a", ")")]:
+            cases.append(f + ["equiv", e1, e2])
+            cases.append(f + ["equiv", e1, e2, "--certificate", str(tmp_path / "cert")])
+    proc = run_python(["-c", _SWEEP], 0, text=True, cwd=FIXTURES, input=json.dumps(cases))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 1, 2], "same": True, "collected": 0}
 
 
 def _long_chain_pairs(n):

@@ -289,19 +289,44 @@ def test_collapse_lee_witness_identity(chart_ci, witness_ci_hat_prime):
     assert is_llee_witness(w)
 
 
-def test_reflect_witness_without_images(chart_ci):
-    with pytest.raises(LemmaViolated, match="cycles survive after eliminating every image"):
-        _reflect_witness(chart_ci, [])
+# S loops back through A, C loops on itself, and E only terminates
+LEMMA_CHART = Chart(
+    [
+        T("S", "a", "A"),
+        T("A", "b", "S"),
+        T("S", "c", "C"),
+        T("C", "d", "C"),
+        T("S", "e", "E"),
+        T("E", "f", TERMINATION),
+    ],
+    initial="S",
+)
 
 
-def test_reflect_witness_entries_span_no_loop(chart_ci):
-    ids = chart_ci.ids
-    record = _Image(frozenset({ids["Y"], ids["Z"]}), ids["Y"], (), None)
-    with pytest.raises(
-        LemmaViolated,
-        match="entries at Y do not span a loop sub-chart of the remaining chart",
-    ):
-        _reflect_witness(chart_ci, [record])
+@pytest.mark.parametrize(
+    "images,message",
+    [
+        # the step at S cuts A off, and C's loop is left in the next image
+        (
+            [("SA", "S"), ("ACE", "A")],
+            "image {A, C, E} still has cycles but its start A was collected",
+        ),
+        ([("CE", "E")], "image {C, E} still has cycles but no entries remain at E"),
+        ([("CS", "S")], "entries at S do not span a loop sub-chart of the remaining chart"),
+        ([], "cycles survive after eliminating every image"),
+    ],
+    ids=["start_collected", "no_entries", "no_loop", "cycles_survive"],
+)
+def test_reflect_witness_lemma_violations(images, message):
+    # each way the image-wise elimination can fail, forced by hand-made
+    # image records (node names, start)
+    ids = LEMMA_CHART.ids
+    records = [
+        _Image(frozenset(ids[v] for v in nodes), ids[start], (), None) for nodes, start in images
+    ]
+    with pytest.raises(LemmaViolated) as exc:
+        _reflect_witness(LEMMA_CHART, records)
+    assert str(exc.value) == message
 
 
 def test_reflection_enumerates_no_cycles(

@@ -15,14 +15,14 @@ import lleekit.chart
 import lleekit.cli
 import lleekit.lee
 import lleekit.solve
-from conftest import fixture_path
+from conftest import fixture_path, in_both_collector_states
 from generators import random_chart, random_expression
 from oracles import brute_interpret, naive_bisimilarity_pairs, reference_solution
 from test_equiv_golden import GOLDEN, N3, P3, W3
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, TERMINATION, Transition, _States, interpret
 from lleekit.cli import run
-from lleekit.errors import NotLLEE, StateExplosion
+from lleekit.errors import InternalError, NotLLEE, StateExplosion
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from lleekit.lee import (
     Witness,
@@ -860,6 +860,27 @@ def test_equiv_unlayered_reflection_is_internal_error(monkeypatch, capsys):
     assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: the reflected witness is not a layered witness")
+
+
+def test_equiv_restores_the_collector_on_every_exit(monkeypatch):
+    # library equiv pauses the cyclic collector for its whole body and
+    # leaves it as it found it: EQUAL, NOT_EQUAL, the state cap reached and
+    # an internal error
+    def unlayered(collapse, images):
+        return Witness._of(collapse, [0] * len(collapse.dst))
+
+    def exits():
+        equal = equiv(parse("a*b"), parse("a.(a*b)+b")).equal
+        not_equal = equiv(parse("a"), parse("b")).equal
+        with pytest.raises(StateExplosion):
+            equiv(parse("a.b.c"), parse("a.b.c"), cap=2)
+        with monkeypatch.context() as patched:
+            patched.setattr(lleekit.solve, "_reflect_witness", unlayered)
+            with pytest.raises(InternalError):
+                equiv(parse("a*b"), parse("a.(a*b)+b"))
+        return equal, not_equal
+
+    assert in_both_collector_states(exits) == [(True, False)] * 2
 
 
 def test_not_equal_builds_no_chart(monkeypatch, capsys):
