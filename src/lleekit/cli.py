@@ -196,28 +196,28 @@ def _cmd_lee(args, cfg):
     return 0
 
 
-def _witness_verdict(w, require_llee):
-    rep = w.replay()
-    lines = ["replay: %s" % ("ok" if rep.ok else "failed (%s)" % rep.reason)]
-    code = 0
-    if not rep.ok:
-        code = 1
-    else:
-        lines.append("lee: yes")
-        if rep.llee:
-            lines.append("llee: yes")
-        else:
-            lines.append("llee: no (%s)" % rep.llee_reason)
-            if require_llee:
-                code = 1
-    return "\n".join(lines) + "\n", code
-
-
 def _cmd_check_witness(args, cfg):
     g = _load_chart(args.chart)
-    w = _load_witness(args.witness, g)
-    text, code = _witness_verdict(w, require_llee=args.llee)
-    _print(text)
+    rep = _load_witness(args.witness, g).replay()
+    code = 0 if rep.ok and (rep.llee or not args.llee) else 1
+    if cfg.format == "json":
+        doc = {
+            "v": 1,
+            "replay": rep.ok,
+            "reason": rep.reason,
+            "lee": rep.ok,
+            "llee": rep.llee,
+            "llee_reason": rep.llee_reason,
+        }
+        _print(expr_mod._dumps(doc))
+    elif cfg.format == "dot":
+        return _no_dot("witness checks")
+    elif not rep.ok:
+        _print("replay: failed (%s)" % rep.reason)
+    elif rep.llee:
+        _print("replay: ok\nlee: yes\nllee: yes")
+    else:
+        _print("replay: ok\nlee: yes\nllee: no (%s)" % rep.llee_reason)
     return code
 
 

@@ -41,9 +41,9 @@ generated sub-chart in the one depth-first walk that collects its body
 the sub-chart's body, the one place where removing them can cut nodes off.
 No chart is built between steps.  A :class:`Witness` stores an order
 number per transition number.  There is one replay (``_replay``), run once
-per witness and cached, and one loops-back computation (``_loops_back``);
-:meth:`Witness.replay` and the looping-back functions name their results,
-and a replay builds its final chart once, at the end.
+per witness and cached, and the loops-back structure (``_loops_back``) is
+read off its steps; :meth:`Witness.replay` and the looping-back functions
+name their results, and a replay builds its final chart once, at the end.
 """
 
 from __future__ import annotations
@@ -136,15 +136,6 @@ def generated_chart(parent, start, entries):
     )
 
 
-def _avoids(start, adj):
-    """(L2): no cycle of ``adj``, a map from node to successors, avoids
-    ``start``."""
-    return not _has_cycle(
-        [n for n in adj if n != start],
-        lambda n: [m for m in adj.get(n, ()) if m != start],
-    )
-
-
 def is_loop_chart(sub, start):
     """Check conditions L1 - L3 for a sub-chart with the given start node.
 
@@ -167,9 +158,11 @@ def is_loop_chart(sub, start):
     for t in trans:
         if not t.terminal:
             adj.setdefault(t.src, []).append(t.dst)
-    # L1 on what the start reaches, L2 on the whole sub-chart
+    # L1 on what the start reaches, L2 on the sub-chart without the start
     reached = _reach(adj.get(start, ()), lambda n: () if n == start else adj.get(n, ()))
-    return start in reached and _avoids(start, adj)
+    return start in reached and not _has_cycle(
+        [n for n in adj if n != start], lambda n: [m for m in adj.get(n, ()) if m != start]
+    )
 
 
 def _roots(chart):
@@ -197,6 +190,8 @@ class _Graph:
 
     :meth:`closure` is the start-avoiding closure of every step, search
     and check on a chart, and decides the loop conditions in the same walk.
+    It and :meth:`has_cycle` and :meth:`remove` walk ``_succ``, ``_dst``
+    and ``_alive`` directly, with no successor list per visited node.
     """
 
     def __init__(self, chart, roots=None):
@@ -208,7 +203,7 @@ class _Graph:
         self._dst = dst = chart.dst
         self._src = chart.src
         first = chart.first
-        self._succ = [range(first[x], first[x + 1]) for x in range(n)]
+        self._succ = list(map(range, first, first[1:]))
         pred = [[] for _ in range(n)]
         for k, d in enumerate(dst):
             if d is not None:
@@ -225,16 +220,32 @@ class _Graph:
         alive = self._alive
         return [k for k in self._succ[node] if alive[k]]
 
-    def _live(self, keep):
-        """Successors for :func:`_reach` and :func:`_has_cycle`: a node's
-        live non-terminal successors that lie in ``keep``."""
-        alive, dst, succ = self._alive, self._dst, self._succ
-        return lambda n: [dst[k] for k in succ[n] if alive[k] and dst[k] in keep]
-
     def has_cycle(self, within=None):
         """True if some live cycle exists (restricted to ``within`` if given)."""
+        alive, dst, succ = self._alive, self._dst, self._succ
         nodes = self.nodes if within is None else self.nodes.intersection(within)
-        return _has_cycle(nodes, self._live(nodes))
+        colour = {}  # 1 while on the walk's path, 2 when finished
+        for root in nodes:
+            if root in colour:
+                continue
+            colour[root] = 1
+            path = [(root, iter(succ[root]))]
+            while path:
+                y, it = path[-1]
+                for k in it:
+                    if alive[k]:
+                        d = dst[k]
+                        c = colour.get(d)
+                        if c == 1:
+                            return True
+                        if c is None and d in nodes:
+                            colour[d] = 1
+                            path.append((d, iter(succ[d])))
+                            break
+                else:
+                    colour[y] = 2
+                    path.pop()
+        return False
 
     def closure(self, start, targets):
         """The ``start``-avoiding closure of ``targets``, and the loop
@@ -291,10 +302,10 @@ class _Graph:
         """
         if start not in self.nodes:
             raise UnknownNode("unknown node %r" % (self.chart.names[start],))
-        dst = self._dst
-        if any(dst[k] is None for k in entries):
+        targets = [self._dst[k] for k in entries]
+        if None in targets:
             return None
-        body, returns, closed = self.closure(start, [dst[k] for k in entries])
+        body, returns, closed = self.closure(start, targets)
         return body if returns and closed else None
 
     def remove(self, start, entries, body=None):
@@ -303,21 +314,34 @@ class _Graph:
         ``body`` is the entries' ``start``-avoiding closure, computed when
         not given.
         """
-        alive, dst, src = self._alive, self._dst, self._src
+        alive, dst, src, succ = self._alive, self._dst, self._src, self._succ
         if body is None:
             body, _, _ = self.closure(start, [dst[k] for k in entries if dst[k] is not None])
         for k in entries:
             alive[k] = 0
+        # the body nodes that are roots or have a live predecessor outside
+        # the body, then what they reach inside the body
         roots, pred = self.roots, self._pred
-        reached = [
-            y
-            for y in body
-            if y in roots or any(alive[k] and src[k] not in body for k in pred[y])
-        ]
-        kept = _reach(reached, self._live(body))
+        stack = []
+        for y in body:
+            if y in roots:
+                stack.append(y)
+                continue
+            for k in pred[y]:
+                if alive[k] and src[k] not in body:
+                    stack.append(y)
+                    break
+        kept = set(stack)
+        while stack:
+            for k in succ[stack.pop()]:
+                if alive[k]:
+                    d = dst[k]
+                    if d in body and d not in kept:
+                        kept.add(d)
+                        stack.append(d)
         for y in body - kept:
             self.nodes.discard(y)
-            for k in self._succ[y]:
+            for k in succ[y]:
                 alive[k] = 0
 
     def to_chart(self, roots=None):
@@ -327,10 +351,14 @@ class _Graph:
         The chart keeps the initial node when it reaches every node kept,
         which it always does when it is the only root.
         """
+        alive, dst, succ, live = self._alive, self._dst, self._succ, self.nodes
 
         def reach(sources):
-            live = self.nodes
-            return _reach([n for n in sources if n in live], self._live(live))
+            # a live transition leaves a live node for a live node or √
+            return _reach(
+                [n for n in sources if n in live],
+                lambda n: [dst[k] for k in succ[n] if alive[k] and dst[k] is not None],
+            )
 
         if roots is None:
             roots, nodes = self.roots, self.nodes
@@ -344,7 +372,7 @@ class _Graph:
         kept = sorted(nodes)
         new = {x: i for i, x in enumerate(kept)}
         new[None] = None
-        alive, act, dst, first = self._alive, c.act, c.dst, c.first
+        act, first = c.act, c.first
         return Chart._build(
             [c.names[x] for x in kept],
             [
@@ -390,9 +418,7 @@ def _max_entries(g, node):
         if closed:
             valid.append(k)
             closes_loop = closes_loop or returns
-    if not valid or not closes_loop:
-        return frozenset()
-    return frozenset(valid)
+    return frozenset(valid) if closes_loop else frozenset()
 
 
 def max_entry_set(chart, node):
@@ -508,7 +534,8 @@ class Witness:
 
     @cached_property
     def _loops(self):
-        """:func:`_loops_back` of this witness."""
+        """:func:`_loops_back` of this witness; :class:`NotLLEE` unless it
+        replays layered."""
         return _loops_back(self)
 
     # ``order`` lists the transitions in number order, which is
@@ -671,43 +698,36 @@ def _replay(w):
     :meth:`Witness.replay` names its result.  Messages name nodes and
     transitions as a :class:`Chart` prints them.
     """
-    c, labels = w.chart, w.labels
+    c, labels, src = w.chart, w.labels, w.chart.src
     g = _Graph(c, _roots(c))
+    alive = g._alive
     levels = {}
     for k, o in enumerate(labels):
         if o > 0:
             levels.setdefault(o, []).append(k)
     steps = []
     eliminated_bodies = set()
-    llee = True
-    llee_reason = None
+    llee, llee_reason = True, None
+
+    def failed(reason, graph=None):
+        return _Replay(False, reason, False, None, steps, graph)
+
     for n in range(1, max(levels, default=0) + 1):
-        level = levels[n]
-        for k in level:
-            if not g.is_live(k):
-                return _Replay(
-                    False,
-                    "order-%d transition %s was already garbage-collected" % (n, c.show(k)),
-                    False,
-                    None,
-                    steps,
-                    None,
-                )
         pending = {}
-        for k in level:
-            pending.setdefault(c.src[k], []).append(k)
-        while pending:
-            progressed = False
-            for x in sorted(pending):
+        for k in levels[n]:
+            if not alive[k]:
+                return failed(
+                    "order-%d transition %s was already garbage-collected" % (n, c.show(k))
+                )
+            pending.setdefault(src[k], []).append(k)
+        # try the starts in node order, from the least again after each step
+        starts = sorted(pending)
+        while starts:
+            for i, x in enumerate(starts):
                 if x not in g.nodes:
-                    return _Replay(
-                        False,
+                    return failed(
                         "order-%d entries at %s were garbage-collected by an "
-                        "earlier step" % (n, c.names[x]),
-                        False,
-                        None,
-                        steps,
-                        None,
+                        "earlier step" % (n, c.names[x])
                     )
                 entries = pending[x]
                 body = g.span(x, entries)
@@ -719,21 +739,14 @@ def _replay(w):
                 steps.append((n, x, entries, body))
                 eliminated_bodies |= body
                 g.remove(x, entries, body)
-                del pending[x]
-                progressed = True
+                del starts[i]
                 break
-            if not progressed:
-                return _Replay(
-                    False,
-                    "order-%d entries at %s do not span a loop sub-chart"
-                    % (n, c.names[min(pending)]),
-                    False,
-                    None,
-                    steps,
-                    None,
+            else:
+                return failed(
+                    "order-%d entries at %s do not span a loop sub-chart" % (n, c.names[starts[0]])
                 )
     if g.has_cycle():
-        return _Replay(False, "a cycle survives the recorded elimination", False, None, steps, g)
+        return failed("a cycle survives the recorded elimination", g)
     return _Replay(True, None, llee, llee_reason, steps, g)
 
 
@@ -834,42 +847,38 @@ def _ranked(heights):
 
 
 def _loops_back(w):
-    """The loops-back structure of the witness ``w``, on ids.
-
-    Returns ``(direct, below, lbcs)``: per node ``x``, the set of nodes
+    """The loops-back structure of the witness ``w``, on ids, read off its
+    replay: ``(direct, below, lbcs)``, per node ``x`` the set of nodes
     ``y`` with ``x ↘ y`` and the set with ``x ↘⁺ y``, and the looping-back
-    charts as a dict from start to node set (in start order, nodes without
-    one omitted).  The caller has checked that ``w`` is layered.
+    charts as a dict from start to node set, in start order.  Raises
+    :class:`NotLLEE` unless ``w`` replays layered.
+
+    In a layered run the live transitions out of a step's body are body
+    transitions (a body node's entries went in its earlier steps), so the
+    body is the ``x``-avoiding closure of the entries' targets over body
+    transitions, and ↘(x) the union of the bodies at ``x``.  The starts in
+    a body took all their steps before, so ↘⁺(x), which is ↘(x) and the
+    ↘⁺ of the starts in it, is built in step order.  Each start ``x`` has
+    the looping-back chart ``{x} ∪ ↘⁺(x)``: it holds the step's cycle
+    through ``x`` (L1).
     """
-    c, labels = w.chart, w.labels
-    n = len(c.names)
-    # x ↘ y: y lies in the x-avoiding closure of the targets of x's entries,
-    # taken over body transitions only
-    nexts = [[] for _ in range(n)]
-    entries = [[] for _ in range(n)]
-    succ = [[] for _ in range(n)]
-    for k, (x, d) in enumerate(zip(c.src, c.dst)):
-        if d is not None:
-            (entries if labels[k] > 0 else nexts)[x].append(d)
-            succ[x].append(d)
-    direct = []
-    for x in range(n):
-        direct.append(
-            _reach(
-                [y for y in entries[x] if y != x],
-                lambda y, x=x: [d for d in nexts[y] if d != x],
-            )
-        )
-    below = [frozenset(_reach(direct[x], direct.__getitem__)) for x in range(n)]
-    lbcs = {}
-    for x in range(n):
-        # without entries only a body self-loop could close a cycle, and
-        # such a loop survives every replay
-        if entries[x]:
-            nodes = below[x] | {x}
-            if _has_cycle(nodes, lambda v: [d for d in succ[v] if d in nodes]):
-                lbcs[x] = nodes
-    return direct, below, lbcs
+    rep = w._replayed
+    if not (rep.ok and rep.llee):
+        raise NotLLEE("loops-back structure requires a layered witness")
+    direct = [frozenset()] * len(w.chart.names)
+    below = list(direct)
+    last = {}  # each start's latest step so far
+    for i, (_, x, _, body) in enumerate(rep.steps):
+        # latest-stepping starts first: a start inside the ↘⁺ of one
+        # already added has its ↘⁺ inside it too
+        covered = set()
+        for y in sorted([y for y in body if y in last], key=last.__getitem__, reverse=True):
+            if y not in covered:
+                covered |= below[y]
+        direct[x] = direct[x].union(body)
+        below[x] = below[x].union(body, covered)
+        last[x] = i
+    return direct, below, {x: below[x] | {x} for x in sorted(last)}
 
 
 def loops_back_to(w):
@@ -966,9 +975,7 @@ def check_lbc_properties(lbc):
     violations = []
     for y in sorted(lbc.body):
         sub = lbcs.get(y)
-        if sub is not None and not (
-            sub.nodes <= lbc.nodes and sub.nodes != lbc.nodes
-        ):
+        if sub is not None and not sub.nodes < lbc.nodes:
             violations.append(
                 ("i", "looping-back chart of body node %s is not a proper sub-chart" % y)
             )

@@ -100,23 +100,19 @@ def _check_preconditions(theta, w):
         raise NotLLEE("image structure requires a layered witness")
 
 
-def _smaller_preimage(theta, start, lbcs, img_nodes, image=None):
+def _smaller_preimage(start, nodes, starts):
     """The start of a proper looping-back sub-chart of the looping-back
-    chart at ``start``, at a body node (least first), with image
-    ``img_nodes``; ``None`` if that chart is well-structured.
+    chart ``nodes`` at ``start``, at a body node (least first), with the
+    same image; ``None`` if that chart is well-structured.
 
-    ``lbcs`` maps each start to its looping-back chart's node set and
-    ``theta[v]`` is node ``v``'s image, on ids or on names alike.
-    ``image``, when given, maps each start to its chart's image already
-    computed, so no image is computed here.
+    ``starts`` are the starts of the looping-back charts with that image,
+    least first, on ids or on names alike.  ↘⁺ is a strict order, so the
+    looping-back chart ``{y} ∪ ↘⁺(y)`` of a start ``y`` in the body lies in
+    ``↘⁺(start)`` and is a proper sub-chart: no subset is tested.
     """
-    nodes = lbcs[start]
-    for y in sorted(nodes - {start}):
-        sub = lbcs.get(y)
-        if sub is not None and sub < nodes:
-            sub_image = frozenset(theta[v] for v in sub) if image is None else image[y]
-            if sub_image == img_nodes:
-                return y
+    for y in starts:
+        if y in nodes and y != start:
+            return y
     return None
 
 
@@ -134,7 +130,7 @@ def images(theta, w):
     ids = [target.ids[theta(x)] for x in w.chart.names]
     lbcs = all_looping_back_charts(w)
     records = []
-    for rec in _images(ids, w._loops[2], target):
+    for rec in _images(ids, w._loops[2]):
         img_nodes = frozenset(target.names[v] for v in rec.nodes)
         start = target.names[rec.start]
         records.append(
@@ -161,31 +157,28 @@ of its ``preimages`` in the source and the ``chosen`` well-structured
 one among them."""
 
 
-def _images(theta, lbcs, target):
+def _images(theta, lbcs):
     """The images of a layered witness's looping-back charts under
     ``theta``, on ids.
 
     ``lbcs`` maps the start of each looping-back chart to its node set, as
     :func:`lleekit.lee._loops_back` gives them, and ``theta[v]`` is the id
-    in the chart ``target`` of source node ``v``.  Returns the
+    in the target chart of source node ``v``.  Returns the
     :class:`_Image` records in the order of :func:`images`.  The caller
     vouches for the preconditions of :func:`images`: this is the one image
-    computation, which :func:`images` converts.
+    computation, which :func:`images` converts.  Each chart is mapped once;
+    a smaller pre-image of an image is one of its own pre-images, and as
+    ↘⁺ is a strict order, some pre-image holds no other: the least such is
+    chosen.
     """
-    image = {x: frozenset(theta[v] for v in nodes) for x, nodes in lbcs.items()}
+    get = theta.__getitem__
     grouped = {}
-    for x, img_nodes in image.items():
-        grouped.setdefault(img_nodes, []).append(x)
+    for x, nodes in lbcs.items():
+        grouped.setdefault(frozenset(map(get, nodes)), []).append(x)
     records = []
     for img_nodes in sorted(grouped, key=lambda s: (len(s), tuple(sorted(s)))):
         pres = tuple(grouped[img_nodes])
-        wsps = [x for x in pres if _smaller_preimage(theta, x, lbcs, img_nodes, image) is None]
-        if not wsps:
-            raise LemmaViolated(
-                "no well-structured pre-image for image {%s}"
-                % ", ".join(target.names[v] for v in sorted(img_nodes))
-            )
-        chosen = min(wsps)
+        chosen = next(x for x in pres if _smaller_preimage(x, lbcs[x], pres) is None)
         records.append(_Image(img_nodes, theta[chosen], pres, chosen))
     return records
 
@@ -200,9 +193,10 @@ def well_structured_preimage(theta, record):
     """
     lbc = record.preimages[0]
     charts = all_looping_back_charts(lbc.witness)
-    lbcs = {x: sub.nodes for x, sub in charts.items()}
+    get, img_nodes = theta.mapping.__getitem__, record.image.nodes
+    starts = [x for x, sub in charts.items() if frozenset(map(get, sub.nodes)) == img_nodes]
     x = lbc.start
-    while (y := _smaller_preimage(theta.mapping, x, lbcs, record.image.nodes)) is not None:
+    while (y := _smaller_preimage(x, charts[x].nodes, starts)) is not None:
         x = y
     return charts[x]
 
@@ -354,7 +348,7 @@ def _reflect(theta, w):
     collapse.  The caller vouches for the preconditions of
     :func:`images`."""
     h = theta.target
-    records = _images([h.ids[theta(x)] for x in w.chart.names], w._loops[2], h)
+    records = _images([h.ids[theta(x)] for x in w.chart.names], w._loops[2])
     return records, _reflect_witness(h, records)
 
 
@@ -381,7 +375,6 @@ def _reflect_witness(c, records):
 
     order = sorted(records, key=lambda r: (len(r[0]), r[1], tuple(sorted(r[0]))))
     labels = [0] * len(dst)
-    step = 0
     steps = []
     bodies = set()  # the nodes of every body eliminated so far
     llee_reason = None
@@ -393,7 +386,7 @@ def _reflect_witness(c, records):
                 "image {%s} still has cycles but its start %s was collected"
                 % (shown(img_nodes), c.names[s])
             )
-        entries = [k for k in g.out(s) if dst[k] is not None and dst[k] in img_nodes]
+        entries = [k for k in g.out(s) if dst[k] in img_nodes]
         if not entries:
             raise LemmaViolated(
                 "image {%s} still has cycles but no entries remain at %s"
@@ -405,7 +398,7 @@ def _reflect_witness(c, records):
                 "entries at %s do not span a loop sub-chart of the remaining chart"
                 % c.names[s]
             )
-        step += 1
+        step = len(steps) + 1
         for k in entries:
             labels[k] = step
         if llee_reason is None and s in bodies:

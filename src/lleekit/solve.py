@@ -907,7 +907,7 @@ def equiv(e1, e2, cap=None):
             del outmap, term, block
             w1 = Witness._of(g, _ranked(heights))
             _check_layered(w1, "the expression's witness")
-            records = _images([theta[i] for i in order], w1._loops[2], collapse)
+            records = _images([theta[i] for i in order], w1._loops[2])
             w_h = _reflect_witness(collapse, records)
             _check_layered(w_h, "the reflected witness")
             sol = extract_solution(w_h)

@@ -364,6 +364,70 @@ def brute_replay(chart, order):
     return True, None, tuple(steps), final, llee, llee_reason
 
 
+# --- loops-back structure from the definitions -----------------------------
+
+
+def _walk(roots, succ):
+    """Every node reachable from ``roots`` along ``succ``, roots included."""
+    seen = set(roots)
+    stack = list(seen)
+    while stack:
+        for m in succ(stack.pop()):
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
+
+
+def reference_loops_back(w):
+    """``(direct, below, lbcs)`` of ``w._loops`` from the definitions, on
+    the chart's ids, walking the order labels instead of the replay.
+
+    ``x ↘ y`` when ``y`` lies in the ``x``-avoiding closure of the targets
+    of ``x``'s entries over body (order 0) transitions, ``x ↘⁺ y`` is its
+    transitive closure, and a node with entries has a looping-back chart
+    when the sub-chart induced by ``{x} ∪ ↘⁺(x)`` has a cycle, found by
+    asking of each of its nodes whether it reaches itself inside it.
+    """
+    c, labels = w.chart, w.labels
+    n = len(c.names)
+    nexts = [[] for _ in range(n)]
+    entries = [[] for _ in range(n)]
+    succ = [[] for _ in range(n)]
+    for k, (x, d) in enumerate(zip(c.src, c.dst)):
+        if d is not None:
+            (entries if labels[k] > 0 else nexts)[x].append(d)
+            succ[x].append(d)
+    direct = [
+        _walk([y for y in entries[x] if y != x], lambda y, x=x: [d for d in nexts[y] if d != x])
+        for x in range(n)
+    ]
+    below = [frozenset(_walk(direct[x], direct.__getitem__)) for x in range(n)]
+    lbcs = {}
+    for x in range(n):
+        nodes = below[x] | {x}
+
+        def inside(v, nodes=nodes):
+            return [d for d in succ[v] if d in nodes]
+
+        if entries[x] and any(v in _walk(inside(v), inside) for v in nodes):
+            lbcs[x] = nodes
+    return direct, below, lbcs
+
+
+def reference_smaller_preimage(theta, start, lbcs, img_nodes):
+    """The least body node of the looping-back chart at ``start`` whose own
+    looping-back chart is a proper subset of it with image ``img_nodes``
+    under ``theta``, scanning the chart's nodes in sorted order; ``None``
+    when there is none."""
+    nodes = lbcs[start]
+    for y in sorted(nodes - {start}):
+        sub = lbcs.get(y)
+        if sub is not None and sub < nodes and frozenset(theta[v] for v in sub) == img_nodes:
+            return y
+    return None
+
+
 # --- step function, written from the derivation rules ----------------------
 
 

@@ -227,6 +227,28 @@ def test_check_witness_without_llee_flag(capsys):
     capsys.readouterr()
 
 
+def test_check_witness_json_and_dot(tmp_path, capsys):
+    # JSON prints one document with the fields of the text lines, and the
+    # exit codes of the text format; DOT has no rendering of a verdict
+    failing = tmp_path / "zero.witness"
+    failing.write_text("witness v1\nx a x' 0\nx b x' 0\nx' a x' 1\nx' b x 0\n")
+    cases = [
+        (["llee", CI, CI_HAT], 1, True, False),
+        (["check-witness", CI, CI_HAT], 0, True, False),
+        (["llee", CI, CI_HAT_PRIME], 0, True, True),
+        (["check-witness", str(FIXTURES / "g.chart"), str(failing)], 1, False, False),
+    ]
+    for argv, code, replays, layered in cases:
+        assert run(["--format", "json"] + argv) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["v", "replay", "reason", "lee", "llee", "llee_reason"]
+        assert (doc["replay"], doc["lee"], doc["llee"]) == (replays, replays, layered)
+        assert (doc["reason"] is None) == replays
+        assert (doc["llee_reason"] is None) == (layered or not replays)
+        assert run(["--format", "dot"] + argv) == 2
+        assert capsys.readouterr() == ("", "error: no dot rendering for witness checks\n")
+
+
 LOOP_CHART = {"transitions": [{"src": "X", "act": "a", "dst": "X"}], "init": "X"}
 
 

@@ -8,14 +8,17 @@ import pytest
 
 from generators import random_chart, random_expression
 from oracles import (
+    _gc,
     brute_generated_transitions,
     brute_is_loop_chart,
     brute_max_entry_set,
     brute_expression_witness,
     brute_interpret,
     brute_replay,
+    brute_simple_cycles,
     exhaustive_lee_search,
     reference_closure,
+    reference_loops_back,
 )
 import lleekit.lee
 from lleekit.chart import Chart, TERMINATION, Transition, chart_of_nodes, interpret
@@ -720,6 +723,126 @@ def test_looping_back_charts_ci_hat_prime(witness_ci_hat_prime):
     lbcs = all_looping_back_charts(witness_ci_hat_prime)
     assert sorted(lbcs) == ["Z"]
     assert lbcs["Z"].nodes == {"Z", "X", "Y", "K"}
+
+
+def _assert_loops_match_reference(w):
+    direct, below, lbcs = w._loops
+    ref_direct, ref_below, ref_lbcs = reference_loops_back(w)
+    assert list(direct) == ref_direct, w.to_text()
+    assert list(below) == ref_below, w.to_text()
+    assert list(lbcs.items()) == list(ref_lbcs.items()), w.to_text()
+
+
+def test_loops_read_off_the_replay_fixtures(
+    witness_g_hat, witness_h_hat, witness_ci_hat_prime, witness_cii_hat
+):
+    for w in (witness_g_hat, witness_h_hat, witness_ci_hat_prime, witness_cii_hat):
+        _assert_loops_match_reference(w)
+
+
+def test_loops_read_off_the_replay_random():
+    # layered runs on random charts, the layering of found witnesses, and
+    # the witnesses of random expressions; the runs must include starts
+    # with entries of several orders and orders with several starts
+    rng = random.Random(89)
+    witnesses = []
+    for i in range(300):
+        chart = random_chart(rng, max_nodes=7, rooted=(i % 2 == 0))
+        for order in _orders_for(rng, chart):
+            w = Witness(chart, order)
+            if w.is_lee and is_llee_witness(w):
+                witnesses.append(w)
+    for _ in range(200):
+        witnesses.append(expression_witness(random_expression(rng, rng.randint(1, 18))))
+    several_orders = same_order = 0
+    for w in witnesses:
+        _assert_loops_match_reference(w)
+        starts = {}
+        for s in w._replayed.steps:
+            starts.setdefault(s[1], set()).add(s[0])
+        several_orders += any(len(orders) > 1 for orders in starts.values())
+        step_orders = [s[0] for s in w._replayed.steps]
+        same_order += len(set(step_orders)) < len(step_orders)
+    assert several_orders >= 20 and same_order >= 20, (several_orders, same_order)
+
+
+def _nested_stars(n):
+    e = "a"
+    for i in range(n):
+        e = "(%s)*b%d" % (e, i)
+    return e
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(%s)*0" % "+".join("x%d.y%d*z%d" % (i, i, i) for i in range(6)),  # W(6)
+        "(a5.(a4.(a3.(a2.(a1.c0+b1)*c1+b2)*c2+b3)*c3+b4)*c4+b5)*c5",  # N(5)
+        "(x.%s)*0" % ".".join("(y%d+z%d)" % (i, i) for i in range(5)),  # P(5)
+        "(x.%s)*0" % ".".join("(y%d.u%d+z%d.v%d)" % (i, i, i, i) for i in range(4)),  # Q(4)
+        _nested_stars(10),  # S(10)
+    ],
+    ids=["W6", "N5", "P5", "Q4", "S10"],
+)
+def test_loops_read_off_the_replay_families(text):
+    _assert_loops_match_reference(expression_witness(parse(text)))
+
+
+def test_loops_need_a_whole_layered_run(chart_g, chart_ci, witness_ci_hat):
+    # a replay that fails, after some steps or at its end, or that is not
+    # layered has no loops-back structure, partial or not
+    stopped = Witness(
+        chart_ci,
+        {
+            T("Z", "a1", "Z"): 1,
+            T("Z", "a3", "Y"): 1,
+            T("Y", "d1", "Z"): 2,
+            T("Z", "a2", "X"): 3,
+            T("X", "b1", "Z"): 4,
+            T("Z", "a4", "K"): 0,
+            T("K", "d2", "X"): 0,
+        },
+    )
+    assert not stopped._replayed.ok and stopped._replayed.steps
+    cyclic = Witness(
+        chart_g,
+        {T("x", "a", "x'"): 0, T("x", "b", "x'"): 0, T("x'", "a", "x'"): 1, T("x'", "b", "x"): 0},
+    )
+    assert not cyclic._replayed.ok and cyclic._replayed.steps
+    assert witness_ci_hat._replayed.ok and not witness_ci_hat._replayed.llee
+    for w in (stopped, cyclic, witness_ci_hat):
+        with pytest.raises(NotLLEE):
+            w._loops
+
+
+def test_graph_kernel_vs_brute():
+    # has_cycle, also within a node set, and remove with its body-only
+    # collection against rebuilding and collecting the whole chart
+    rng = random.Random(97)
+    for i in range(300):
+        c = random_chart(rng, max_nodes=7, rooted=(i % 2 == 0))
+        g = lleekit.lee._Graph(c, lleekit.lee._roots(c))
+        roots = {c.initial} if c.initial is not None else set(c.nodes)
+        transitions, nodes = frozenset(c.transitions), frozenset(c.nodes)
+        for _ in range(4):
+            live = {c.numbered[k] for k in range(len(c.dst)) if g.is_live(k)}
+            assert ({c.names[x] for x in g.nodes}, live) == (nodes, transitions)
+            inner = [t for t in transitions if not t.terminal]
+            assert g.has_cycle() == bool(brute_simple_cycles(inner))
+            within = {x for x in g.nodes if rng.random() < 0.6}
+            names = {c.names[x] for x in within}
+            assert g.has_cycle(within) == bool(
+                brute_simple_cycles([t for t in inner if t.src in names and t.dst in names])
+            )
+            if not inner:
+                break
+            x = rng.choice(sorted(inner, key=Transition.sort_key)).src
+            removed = rng.sample(
+                sorted((t for t in inner if t.src == x), key=Transition.sort_key),
+                rng.randint(1, len([t for t in inner if t.src == x])),
+            )
+            g.remove(c.ids[x], [c.numbered.index(t) for t in removed])
+            transitions, nodes = _gc(transitions - set(removed), nodes, roots)
 
 
 def test_check_lbc_properties_fixtures(

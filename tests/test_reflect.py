@@ -9,7 +9,8 @@ import pytest
 import lleekit.lee
 import lleekit.reflect
 import lleekit.solve
-from generators import random_expression
+from generators import random_chart, random_expression
+from oracles import reference_smaller_preimage
 from test_cli_golden import CASES, GOLDEN, _run
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import TERMINATION, Chart, Transition, interpret
@@ -143,6 +144,41 @@ def test_well_structured_preimage_is_minimal(hierarchy, map_cii_to_ci, witness_c
                 continue
             mapped = frozenset(map_cii_to_ci(v) for v in sub.nodes)
             assert not (sub.nodes < ws.nodes and mapped == rec.image.nodes)
+
+
+def test_smaller_preimage_vs_sorted_node_scan():
+    # on the layered witnesses of random expressions and of random charts,
+    # under maps that merge nodes at random: scanning the same-image starts
+    # finds what scanning the chart's sorted nodes with a subset test finds,
+    # and the image computation chooses the least well-structured pre-image
+    rng = random.Random(101)
+    witnesses = [
+        lleekit.lee.expression_witness(random_expression(rng, rng.randint(1, 18)))
+        for _ in range(150)
+    ]
+    while len(witnesses) < 250:
+        found = find_lee_witness(random_chart(rng, max_nodes=6, rooted=True))
+        if found is not None:
+            witnesses.append(lee_to_llee(found))
+    smaller = 0
+    for w in witnesses:
+        lbcs = w._loops[2]
+        n = len(w.chart.names)
+        for buckets in (1, 2, 3, n):
+            theta = [rng.randrange(buckets) for _ in range(n)]
+            image = {x: frozenset(theta[v] for v in nodes) for x, nodes in lbcs.items()}
+            for x, nodes in lbcs.items():
+                starts = [y for y in lbcs if image[y] == image[x]]
+                found = lleekit.reflect._smaller_preimage(x, nodes, starts)
+                assert found == reference_smaller_preimage(theta, x, lbcs, image[x])
+                smaller += found is not None
+            for rec in lleekit.reflect._images(theta, lbcs):
+                assert rec.chosen == min(
+                    x
+                    for x in rec.preimages
+                    if reference_smaller_preimage(theta, x, lbcs, rec.nodes) is None
+                )
+    assert smaller >= 30, smaller
 
 
 # --- loop correspondence ----------------------------------------------------
