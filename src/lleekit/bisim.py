@@ -11,7 +11,10 @@ piece of a split block keeps its id, so a path of n nodes costs O(n)
 rather than n rounds over every node.  The nodes that can reach no cycle
 are settled before that, bottom-up: one whose successors are all settled
 takes its block at once, and any other starts a depth-first walk.  On a
-chain explored from its start every node is settled the first way.  It
+chain explored from its start every node is settled the first way.  A
+signature with one ``(action, block)`` pair, as every chain state has, is
+keyed by that pair itself rather than by a one-element set: a pair is
+never equal to a set, so equal keys still mean equal signatures.  It
 runs on integer ids,
 and two charts or explorations numbered into the same tables are refined
 as their disjoint union; an exploration writes its tables while it
@@ -96,8 +99,15 @@ def _refine(outmap, term):
     they have the same terminal actions and the same ``(action, class of
     dst)`` pairs, and every ``dst`` is well-founded and settled before
     them.  So each takes its final block as soon as all its successors
-    are settled, by interning that pair of sets, and none is signed again;
-    one loop over its steps both tests them and collects the pairs.  The
+    are settled, by interning a key of those two sets, and none is signed
+    again; one loop over its steps both tests them and collects the pairs.
+    The key of terminal actions ``t`` and pairs ``P`` is the flat triple
+    ``(t, a, b)`` when ``P`` is the one pair ``(a, b)``, however many steps
+    repeat it, and ``(t, frozenset(P))`` otherwise.  A triple never equals
+    a pair of length two, and a set of one element is keyed only as a
+    triple, so each signature has exactly one key: equal keys mean equal
+    signatures, and the blocks are numbered in the same order as by sets
+    alone.  On a chain every node is keyed without building a set.  The
     roots are taken from the last id down.  A root whose successors are
     all settled takes its block from that loop alone, with no walk, and a
     root with one step, as on a chain, from its one pair; as an
@@ -112,7 +122,9 @@ def _refine(outmap, term):
 
     The other nodes start grouped by their terminal-action sets, in blocks
     apart from the settled ones, and all of them *dirty*.  A node's
-    signature is the set of ``(action, block of dst)`` pairs.  Each batch
+    signature is the set of ``(action, block of dst)`` pairs, or that pair
+    itself when the set has one element: a pair never equals a set, so
+    again each signature has one key.  Each batch
     signs the dirty nodes, all against the partition as it was before the
     batch split anything, and splits each touched block by signature.  A
     node that changes block moves to a new block id, so its predecessors,
@@ -135,12 +147,11 @@ def _refine(outmap, term):
             continue
         out = outmap[root]
         if len(out) == 1:
-            # one step, to a settled node: the key the loop below would make
+            # one step, to a settled node: the flat key the loop below makes
             a, d = out[0]
             if state[d] == 2:
                 state[root] = 2
-                key = (term[root], frozenset(((a, block[d]),)))
-                block[root] = settled.setdefault(key, len(settled))
+                block[root] = settled.setdefault((term[root], a, block[d]), len(settled))
                 continue
         pairs = []
         for a, d in out:
@@ -150,7 +161,9 @@ def _refine(outmap, term):
         else:
             # every successor is settled: the walk would leave the root at once
             state[root] = 2
-            block[root] = settled.setdefault((term[root], frozenset(pairs)), len(settled))
+            sig = frozenset(pairs)
+            key = (term[root], sig) if len(sig) != 1 else (term[root],) + pairs[0]
+            block[root] = settled.setdefault(key, len(settled))
             continue
         state[root] = 1
         stack = [(root, iter(outmap[root]))]
@@ -172,7 +185,9 @@ def _refine(outmap, term):
                     pairs.append((a, block[d]))
                 else:
                     state[n] = 2
-                    block[n] = settled.setdefault((term[n], frozenset(pairs)), len(settled))
+                    sig = frozenset(pairs)
+                    key = (term[n], sig) if len(sig) != 1 else (term[n],) + pairs[0]
+                    block[n] = settled.setdefault(key, len(settled))
     if 3 not in state:
         return block
     members = [None] * len(settled)  # the settled blocks are never split
@@ -197,7 +212,15 @@ def _refine(outmap, term):
         for b, ns in touched.items():
             groups = {}
             for n in ns:
-                groups.setdefault(frozenset((a, block[d]) for a, d in outmap[n]), []).append(n)
+                out = outmap[n]
+                if len(out) == 1:
+                    a, d = out[0]
+                    sig = (a, block[d])
+                else:
+                    sig = frozenset([(a, block[d]) for a, d in out])
+                    if len(sig) == 1:
+                        (sig,) = sig
+                groups.setdefault(sig, []).append(n)
             batch.append((b, len(members[b]) - len(ns), list(groups.values())))
         moved = []
         for b, clean, pieces in batch:

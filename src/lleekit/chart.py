@@ -780,6 +780,9 @@ def cycle_nodes(cycle):
 # --- process semantics -----------------------------------------------------
 
 
+_new = object.__new__
+
+
 class _Cont:
     """An interned sequence: ``expr`` runs first, then the continuation
     ``rest`` (``None`` when nothing follows).
@@ -790,15 +793,13 @@ class _Cont:
     A state is the ``_Cont`` of its head and the head's continuation, and
     ``index`` is its id in the exploration's tables (``None`` until
     :func:`_explore` numbers it).
+
+    It has no constructor: :class:`_States` makes each one empty with
+    ``object.__new__``, as a spare, and sets all four slots when it is
+    interned, so making one runs no Python-level call.
     """
 
     __slots__ = ("expr", "rest", "suffix", "index")
-
-    def __init__(self, expr, rest):
-        self.expr = expr
-        self.rest = rest
-        self.suffix = None
-        self.index = None
 
 
 # the measure of a leaf: an action terminates, 0 does not
@@ -822,7 +823,7 @@ class _States:
 
     def __init__(self):
         self._conts = {}
-        self._spare = _Cont(None, None)
+        self._spare = _new(_Cont)
         self._printed = {}
         self._measures = {}
 
@@ -848,7 +849,8 @@ class _States:
         if k is spare:
             k.expr = e
             k.rest = rest
-            self._spare = _Cont(None, None)
+            k.suffix = k.index = None
+            self._spare = _new(_Cont)
         return k
 
     def _suffix(self, k):
@@ -878,7 +880,8 @@ class _States:
             if c is spare:
                 c.expr = x
                 c.rest = k
-                spare = _Cont(None, None)
+                c.suffix = c.index = None
+                spare = _new(_Cont)
             if head:
                 self._spare = spare
                 return c

@@ -177,6 +177,7 @@ _set_hash = Expression._hash.__set__
 _set_name = Action.name.__set__
 _set_left = _Binary.left.__set__
 _set_right = _Binary.right.__set__
+_new = object.__new__
 
 
 def _action(name):
@@ -346,7 +347,8 @@ def parse(text):
     operator stack, so nesting depth costs no recursion.  A run of actions
     joined by ``.`` with no blanks inside, as in ``a.b.c``, is one token:
     its first action is an operand and the ``.`` after it reduces as a
-    ``.`` token would, its middle actions fold left in one loop, and its
+    ``.`` token would, its middle actions fold left in one loop that makes
+    each leaf and ``Seq`` node inline, with no call per action, and its
     last action is left as the right operand of a pending ``.``, so a
     ``*`` after the run takes that action alone.  Every operator
     reduces the operators of at least its own level first, which makes
@@ -371,25 +373,37 @@ def parse(text):
                 if "." in tok:
                     # a run a1.a2.….an: a1 is the operand, and the "." after
                     # it reduces as a "." token does; the middle actions fold
-                    # left, and an is the right operand of a pending Seq, so
-                    # a "*" after the run takes an alone
+                    # left in one loop, and an, read below as a lone action
+                    # is, is the right operand of a pending Seq, so a "*"
+                    # after the run takes an alone
                     names = tok.split(".")
-                    for name in names:
-                        if name not in leaves:
-                            leaves[name] = _action(name)
-                    x = leaves[names[0]]
+                    tok = names.pop()
+                    names = iter(names)
+                    name = next(names)
+                    x = leaves.get(name)
+                    if x is None:
+                        x = leaves[name] = _action(name)
                     while operators[-1] is Seq or operators[-1] is Star:
                         x = _node(operators.pop(), operands.pop(), x)
-                    for name in names[1:-1]:
-                        x = _node(Seq, x, leaves[name])
+                    h = x._hash
+                    for name in names:
+                        # the Seq node as _node makes it, its hash chained
+                        # from the one before
+                        leaf = leaves.get(name)
+                        if leaf is None:
+                            leaf = leaves[name] = _action(name)
+                        node = _new(Seq)
+                        _set_left(node, x)
+                        _set_right(node, leaf)
+                        h = hash((".", h, leaf._hash))
+                        _set_hash(node, h)
+                        x = node
                     operands.append(x)
                     operators.append(Seq)
-                    operands.append(leaves[names[-1]])
-                else:
-                    leaf = leaves.get(tok)
-                    if leaf is None:
-                        leaf = leaves[tok] = _action(tok)
-                    operands.append(leaf)
+                leaf = leaves.get(tok)
+                if leaf is None:
+                    leaf = leaves[tok] = _action(tok)
+                operands.append(leaf)
             elif tok == "(":
                 operators.append(None)
                 depth += 1

@@ -886,8 +886,12 @@ def equiv(e1, e2, cap=None):
     way is an :class:`InternalError`.  The :class:`Certificate` holds the
     collapse, the witness and the solution, and builds its two maps when
     they are read.  The cyclic garbage collector is paused throughout
-    (:class:`lleekit.chart._collection_paused`).
+    (:class:`lleekit.chart._collection_paused`).  A ``cap`` of ``None``
+    reads the ``LLEEKIT_STATE_CAP`` default once, here; a given one is
+    passed on as it is.
     """
+    if cap is None:
+        cap = _state_cap()
     with _collection_paused():
         x1 = _explore([e1], cap, _interpreting, labelled=True)
         x2 = _explore([e2], cap, _interpreting, base=len(x1.states))

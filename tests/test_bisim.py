@@ -1,5 +1,6 @@
 """Bisimulation: partitions, the two-chart relation, maps, and collapse."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     naive_bisimilarity_pairs,
     relation_is_bisimulation,
 )
+import lleekit.bisim
 from lleekit.bisim import (
     BisimMap,
     _index_tables,
@@ -472,3 +474,86 @@ def test_refine_settled_roots_and_walks(transitions):
     assert got == naive_bisimilarity_pairs(g, g)
     if not g.has_cycle():
         assert block == _walked_blocks(outmap, term)
+
+
+# --- one key per signature ---------------------------------------------------
+#
+# _refine keys a signature of one (action, block) pair by the pair itself,
+# not by a one-element set.  Below, x reaches the class of y1 ~ y2 by two
+# steps, or by one step twice, and z by the single step a: x ~ z must come
+# out of every route, however the ids are numbered.
+
+_ENDS = {"y1": {"b"}, "y2": {"b"}}
+_ONE_CLASS = {
+    "two steps": {"x": [("a", "y1"), ("a", "y2")], "z": [("a", "y1")], "y1": [], "y2": []},
+    "repeated step": {"x": [("a", "y1"), ("a", "y1")], "z": [("a", "y1")], "y1": [], "y2": []},
+}
+
+
+def _hand_tables(steps, order):
+    """``_refine``'s tables for ``steps``, node ``order[i]`` as id ``i``."""
+    ids = {n: i for i, n in enumerate(order)}
+    outmap = [[(a, ids[d]) for a, d in steps[n]] for n in order]
+    term = [frozenset(_ENDS.get(n, ())) for n in order]
+    return outmap, term, ids
+
+
+def _check_hand_tables(steps, orders, acyclic):
+    # repeated steps are one transition of the chart
+    ts = [Transition(n, a, d) for n, out in steps.items() for a, d in out]
+    ts += [Transition(n, a, TERMINATION) for n, ends in _ENDS.items() for a in ends]
+    g = Chart(list(dict.fromkeys(ts)), nodes=list(steps))
+    expected = naive_bisimilarity_pairs(g, g)
+    assert ("x", "z") in expected
+    for order in orders:
+        outmap, term, ids = _hand_tables(steps, order)
+        block = _refine(outmap, term)
+        got = {(u, v) for u in ids for v in ids if block[ids[u]] == block[ids[v]]}
+        assert got == expected, order
+        if acyclic:
+            assert block == _walked_blocks(outmap, term), order
+
+
+@pytest.mark.parametrize("steps", list(_ONE_CLASS.values()), ids=list(_ONE_CLASS))
+def test_one_pair_keys_on_settled_roots(steps):
+    # successors numbered after their sources, as an exploration numbers
+    # them: z takes the one-step shortcut and x the loop over its steps
+    _check_hand_tables(steps, [("x", "z", "y1", "y2"), ("z", "x", "y1", "y2")], acyclic=True)
+
+
+@pytest.mark.parametrize("steps", list(_ONE_CLASS.values()), ids=list(_ONE_CLASS))
+def test_one_pair_keys_on_walks(steps):
+    # every numbering: roots met before their successors start the walk
+    _check_hand_tables(steps, itertools.permutations(steps), acyclic=True)
+
+
+@pytest.mark.parametrize("steps", list(_ONE_CLASS.values()), ids=list(_ONE_CLASS))
+@pytest.mark.parametrize("looped", ["every node", "targets"])
+def test_one_pair_keys_in_batches(steps, looped):
+    # a self-loop makes the nodes it is added to reach a cycle, so the
+    # batch phase signs them.  On the targets alone, x and z have one
+    # distinct pair each, x from two steps and z from one
+    steps = {
+        n: out + [("c", n)] if looped == "every node" or n.startswith("y") else out
+        for n, out in steps.items()
+    }
+    _check_hand_tables(steps, itertools.permutations(steps), acyclic=False)
+
+
+def test_chain_states_are_keyed_without_sets(monkeypatch):
+    # refining two 2000-action chains that differ in their last action
+    # keys every chain state by its one pair; only the two last states,
+    # which have no step, build a set.  Keyed by sets, it took one a state
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return frozenset(*args)
+
+    run = ".".join(["c"] * 1999)
+    x1 = _explore([parse(run + ".x")], None, str)
+    x2 = _explore([parse(run + ".y")], None, str, base=len(x1.states))
+    monkeypatch.setattr(lleekit.bisim, "frozenset", counting, raising=False)
+    block = _refine(x1.out + x2.out, x1.term + x2.term)
+    assert block[x1.roots[0]] != block[x2.roots[0]]
+    assert len(calls) <= 4

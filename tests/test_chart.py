@@ -693,7 +693,8 @@ def test_push_interns_each_pair_once():
         assert all(s.expr is not None for s in x.states)
         assert all(k.expr is e and k.rest is rest for (e, rest), k in conts.items())
         assert len({id(k) for k in conts.values()}) == len(conts)
-        assert space._spare.expr is None and space._spare not in conts.values()
+        # the spare is made empty, with no slot set, until it is interned
+        assert not hasattr(space._spare, "expr") and space._spare not in conts.values()
         pending = list(x.states)
         seen = set()
         while pending:

@@ -542,6 +542,39 @@ def test_provable_check_cap_bounds_the_canonical_forms():
     assert _provable_check(sol, cap=2) == []
 
 
+def test_equiv_reads_the_state_cap_once(monkeypatch):
+    # library equiv resolves the LLEEKIT_STATE_CAP default once, for both
+    # explorations and the solution check, and passes a given cap on as it is
+    calls = []
+    real = lleekit.chart._state_cap
+
+    def counting(cap=None):
+        calls.append(cap)
+        return real(cap)
+
+    monkeypatch.setattr(lleekit.chart, "_state_cap", counting)
+    monkeypatch.setattr(lleekit.solve, "_state_cap", counting)
+    monkeypatch.setenv("LLEEKIT_STATE_CAP", "50")
+    assert equiv(parse("(a.b)*c"), parse("(a.b)*c+0"))
+    assert not equiv(parse("a.b.x"), parse("a.b.y"))
+    assert calls == [None, None]
+    calls.clear()
+    assert equiv(parse("(a.b)*c"), parse("(a.b)*c+0"), cap=50)
+    assert calls == []
+    monkeypatch.setenv("LLEEKIT_STATE_CAP", "3")
+    with pytest.raises(StateExplosion):
+        equiv(parse("(a.b)*c"), parse("(a.b)*c+0"))
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_equiv_rejects_a_bad_state_cap_variable(monkeypatch, value):
+    # the same error as interpret raises (test_state_cap_environment_rejected)
+    monkeypatch.setenv("LLEEKIT_STATE_CAP", value)
+    message = "^LLEEKIT_STATE_CAP must be a positive integer, got '%s'$" % value
+    with pytest.raises(ValueError, match=message):
+        equiv(parse("a.b"), parse("a.c"))
+
+
 def test_provable_check_reports_the_broken_nodes_in_id_order():
     g = interpret(parse("a.b.c.d"))
     assign = {n: parse(n) for n in g.nodes}
