@@ -9,171 +9,25 @@ charts (:mod:`lleekit.chart`), bisimilarity checking and collapse
 end-to-end equivalence decision (:mod:`lleekit.solve`).
 """
 
-from .errors import (
-    AssocError,
-    EmptyEntrySet,
-    InternalError,
-    InvalidWitness,
-    LemmaViolated,
-    LleekitError,
-    NotABisimulation,
-    NotALoopChart,
-    NotCollapse,
-    NotLEE,
-    NotLLEE,
-    ParentMismatch,
-    ParseError,
-    StateExplosion,
-    UnknownNode,
-)
-from .expr import (
-    Action,
-    Expression,
-    Plus,
-    Seq,
-    Star,
-    Zero,
-    actions_of,
-    parse,
-    size,
-    unparse,
-)
-from .chart import (
-    Chart,
-    NodeSetChart,
-    TERMINATION,
-    Transition,
-    chart_of_nodes,
-    interpret,
-    simple_cycles,
-    step,
-    union_chart,
-)
-from .bisim import (
-    BisimMap,
-    CollapseResult,
-    bisimilarity,
-    bisimilarity_partition,
-    collapse,
-    image,
-    is_bisimulation,
-)
-from .lee import (
-    LoopingBackChart,
-    ReplayResult,
-    ReplayStep,
-    Witness,
-    all_looping_back_charts,
-    check_lbc_properties,
-    eliminate,
-    expression_witness,
-    find_lee_witness,
-    generated_chart,
-    is_llee_witness,
-    is_loop_chart,
-    lee_to_llee,
-    looping_back_chart,
-    loops_back_to,
-    max_entry_set,
-)
-from .reflect import (
-    ImageHierarchy,
-    ImageRecord,
-    check_lemma_conditions,
-    collapse_lee_witness,
-    images,
-    loop_correspondence,
-    well_structured_preimage,
-)
-from .solve import (
-    Certificate,
-    Distinction,
-    EquationSystem,
-    EquivResult,
-    Solution,
-    equation_system,
-    equiv,
-    extract_solution,
-    is_axiom_instance,
-    solution_check,
-)
+from .errors import *
+from .expr import *
+from .chart import *
+from .bisim import *
+from .lee import *
+from .reflect import *
+from .solve import *
+from . import bisim, chart, errors, expr, lee, reflect, solve
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of its public names
 __all__ = [
-    "AssocError",
-    "EmptyEntrySet",
-    "InternalError",
-    "InvalidWitness",
-    "LemmaViolated",
-    "LleekitError",
-    "NotABisimulation",
-    "NotALoopChart",
-    "NotCollapse",
-    "NotLEE",
-    "NotLLEE",
-    "ParentMismatch",
-    "ParseError",
-    "StateExplosion",
-    "UnknownNode",
-    "Action",
-    "Expression",
-    "Plus",
-    "Seq",
-    "Star",
-    "Zero",
-    "actions_of",
-    "parse",
-    "size",
-    "unparse",
-    "Chart",
-    "NodeSetChart",
-    "TERMINATION",
-    "Transition",
-    "chart_of_nodes",
-    "interpret",
-    "simple_cycles",
-    "step",
-    "union_chart",
-    "BisimMap",
-    "CollapseResult",
-    "bisimilarity",
-    "bisimilarity_partition",
-    "collapse",
-    "image",
-    "is_bisimulation",
-    "LoopingBackChart",
-    "ReplayResult",
-    "ReplayStep",
-    "Witness",
-    "all_looping_back_charts",
-    "check_lbc_properties",
-    "eliminate",
-    "expression_witness",
-    "find_lee_witness",
-    "generated_chart",
-    "is_llee_witness",
-    "is_loop_chart",
-    "lee_to_llee",
-    "looping_back_chart",
-    "loops_back_to",
-    "max_entry_set",
-    "ImageHierarchy",
-    "ImageRecord",
-    "check_lemma_conditions",
-    "collapse_lee_witness",
-    "images",
-    "loop_correspondence",
-    "well_structured_preimage",
-    "Certificate",
-    "Distinction",
-    "EquationSystem",
-    "EquivResult",
-    "Solution",
-    "equation_system",
-    "equiv",
-    "extract_solution",
-    "is_axiom_instance",
-    "solution_check",
+    *errors.__all__,
+    *expr.__all__,
+    *chart.__all__,
+    *bisim.__all__,
+    *lee.__all__,
+    *reflect.__all__,
+    *solve.__all__,
     "__version__",
 ]

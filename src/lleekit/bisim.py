@@ -336,6 +336,15 @@ class BisimMap:
         if not _transfers(outmap, term, theta, [set(out) for out in target_out], target_term):
             raise NotABisimulation("mapping fails the transfer conditions")
 
+    @classmethod
+    def _of(cls, source, target, mapping):
+        """The map ``mapping`` from ``source`` onto ``target``, built
+        unchecked: the caller checked it (:func:`_quotient`)."""
+        theta = cls.__new__(cls)
+        for field, value in zip(("source", "target", "mapping"), (source, target, mapping)):
+            object.__setattr__(theta, field, value)
+        return theta
+
     def __call__(self, node):
         try:
             return self.mapping[node]
@@ -471,4 +480,4 @@ def collapse(chart):
         outmap, term, _refine(outmap, term), range(len(chart.names)), chart.names, chart.root
     )
     rep = {x: quotient.names[theta[i]] for i, x in enumerate(chart.names)}
-    return CollapseResult(quotient, BisimMap(chart, quotient, rep))
+    return CollapseResult(quotient, BisimMap._of(chart, quotient, rep))

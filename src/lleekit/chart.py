@@ -25,13 +25,17 @@ Elimination, refinement, images, reflection and extraction run on those
 numbers; the named nodes and transitions are views, built when read.  A
 chart derived from a validated one (an interpretation, a collapse, what an
 elimination leaves) is built numbered and is not validated again.
+Every reachability walk, cycle test and start-avoiding closure on a chart
+or sub-chart runs on those numbers in one graph kernel, ``_Graph``, the
+working graph of every elimination run too (see :mod:`lleekit.lee`).
 
 Sub-charts come in two flavours, both :class:`NodeSetChart`:
 
 * *induced*: all parent transitions between the chosen nodes, with terminal
   transitions excluded (:func:`chart_of_nodes`);
-* *explicit*: a fixed transition list, used by elimination machinery that
-  needs sub-charts that are not induced (see :mod:`lleekit.lee`).
+* *explicit*: a fixed list of parent transitions leaving the chosen nodes,
+  used by elimination machinery that needs sub-charts that are not induced
+  (see :mod:`lleekit.lee`).
 
 Text format (``chart v1``)::
 
@@ -297,6 +301,11 @@ class Chart:
         ]
 
     @cached_property
+    def _numbers(self):
+        """:class:`Transition` -> its number."""
+        return {t: k for k, t in enumerate(self.numbered)}
+
+    @cached_property
     def nodes(self):
         return frozenset(self.names)
 
@@ -333,23 +342,18 @@ class Chart:
         """Actions ``a`` with a terminal transition ``node −a→ √``."""
         return frozenset(t.action for t in self.out(node) if t.terminal)
 
-    def _successors(self, x):
-        # node ``x``'s non-terminal successors, the graph the walks follow
-        return [d for d in self.dst[self.first[x] : self.first[x + 1]] if d is not None]
-
     def reachable(self, roots):
         """Nodes reachable from ``roots`` (which are included if they are nodes)."""
         ids, names = self.ids, self.names
-        reached = _reach([ids[r] for r in roots if r in ids], self._successors)
+        reached = _Graph(self).reach([ids[r] for r in roots if r in ids])
         return frozenset(names[i] for i in reached)
 
     def has_cycle(self, within=None):
         """True if some non-terminal cycle exists (restricted to ``within`` if given)."""
-        if within is None:
-            return _has_cycle(range(len(self.names)), self._successors)
-        ids = self.ids
-        keep = {ids[x] for x in within if x in ids}
-        return _has_cycle(keep, lambda x: [d for d in self._successors(x) if d in keep])
+        if within is not None:
+            ids = self.ids
+            within = [ids[x] for x in within if x in ids]
+        return _Graph(self).has_cycle(within)
 
     def rooted_at(self, node):
         """The sub-chart reachable from ``node``, with ``node`` as initial."""
@@ -582,8 +586,10 @@ class NodeSetChart:
     Without ``explicit`` transitions the sub-chart is *induced*: it has every
     parent transition with both endpoints in ``nodes`` and no terminal
     transitions.  With ``explicit`` it carries exactly the given transitions
-    (which may include terminal ones).  ``start`` marks a distinguished node
-    where that is meaningful (generated and looping-back charts).
+    (which may include terminal ones): parent transitions whose sources are
+    in ``nodes``.  ``start`` marks a distinguished node where that is
+    meaningful (generated and looping-back charts).  Its walks run on the
+    parent's graph with only its own transitions live (:meth:`_graph`).
     """
 
     parent: Chart
@@ -597,6 +603,9 @@ class NodeSetChart:
             raise UnknownNode("not nodes of the parent: %s" % ", ".join(sorted(missing)))
         if self.start is not None and self.start not in self.nodes:
             raise UnknownNode("start %r is not in the node set" % (self.start,))
+        for t in self.explicit or ():
+            if t not in self.parent.transitions or t.src not in self.nodes:
+                raise UnknownNode("%r is not a parent transition leaving the node set" % (t,))
 
     @property
     def is_induced(self):
@@ -634,11 +643,18 @@ class NodeSetChart:
             raise ParentMismatch("sub-charts of different parents")
 
     def has_cycle(self):
-        adj = {}
+        return self._graph().has_cycle()
+
+    def _graph(self):
+        """The parent's :class:`_Graph` over ``nodes``, with only this
+        sub-chart's transitions live."""
+        p = self.parent
+        g = _Graph(p)
+        g.nodes = {p.ids[x] for x in self.nodes}
+        alive = g._alive = bytearray(len(p.dst))
         for t in self.transitions:
-            if not t.terminal:
-                adj.setdefault(t.src, []).append(t.dst)
-        return _has_cycle(adj, lambda n: adj.get(n, ()))
+            alive[p._numbers[t]] = 1
+        return g
 
     def __repr__(self):
         kind = "induced" if self.is_induced else "explicit"
@@ -671,52 +687,246 @@ def union_chart(a, b):
     )
 
 
-def _reach(roots, succ):
-    """The nodes reachable from ``roots``, the roots included.
+# --- the graph kernel ------------------------------------------------------
 
-    ``succ(n)`` lists the successors of node ``n``; as for
-    :func:`_has_cycle`, it restricts itself when the walk must stay inside a
-    sub-graph.  Every graph walk of lleekit that collects what a set of
-    nodes reaches runs here.
+
+class _Graph:
+    """A chart's graph on its ids and transition numbers: the one graph
+    kernel of lleekit.
+
+    Built from a :class:`Chart` and roots (every node when none are given),
+    it keeps which of the chart's numbered transitions and which nodes are
+    live.  Every reachability walk (:meth:`reach`), cycle test
+    (:meth:`has_cycle`) and ``start``-avoiding closure (:meth:`closure`) on
+    a chart runs here, on ``_succ``, ``_dst`` and ``_alive`` directly.  A
+    :class:`NodeSetChart` walks its parent's graph with only its own
+    transitions live.
+
+    It is also the one working graph of an elimination run.  There, exactly
+    the nodes the roots reach are live, and a transition is live when its
+    source is and it has not been removed as an entry.  Removing the
+    entries of a step at ``start`` (:meth:`step`) can only cut off nodes in
+    the step's body (the entries' ``start``-avoiding closure): a path to
+    any other node can be rerouted around the entries.  So the garbage
+    collection after a step looks only at the body, where a node survives
+    when a root or a live node outside the body still reaches it.
     """
-    seen = set(roots)
-    stack = list(seen)
-    while stack:
-        for m in succ(stack.pop()):
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return seen
 
+    def __init__(self, chart, roots=None):
+        # every node of ``chart`` must be reachable from ``roots``, as it is
+        # from the roots of a witness (:func:`lleekit.lee._roots`)
+        n = len(chart.names)
+        self.chart = chart
+        self.roots = frozenset(range(n) if roots is None else roots)
+        self._dst = dst = chart.dst
+        first = chart.first
+        self._succ = list(map(range, first, first[1:]))
+        pred = [[] for _ in range(n)]
+        for k, d in enumerate(dst):
+            if d is not None:
+                pred[d].append(k)
+        self._pred = pred
+        self.nodes = set(range(n))
+        self._alive = bytearray(b"\x01") * len(dst)
+        # the run's record: its steps, the nodes of their bodies, and why it
+        # is not layered (``None`` while it is)
+        self.steps = []
+        self.bodies = set()
+        self.llee_reason = None
 
-def _has_cycle(nodes, succ):
-    """Whether the graph over ``nodes`` has a cycle.
+    def is_live(self, k):
+        return self._alive[k] == 1
 
-    ``succ(n)`` lists the successors of node ``n``; a successor outside
-    ``nodes`` is still followed, so ``succ`` restricts itself when the graph
-    is a sub-graph.  Depth-first with an explicit stack, so deep graphs do
-    not hit the recursion limit.
-    """
-    color = {}  # 1 while on the stack, 2 when finished
-    for root in nodes:
-        if root in color:
-            continue
-        color[root] = 1
-        stack = [(root, iter(succ(root)))]
+    def out(self, node):
+        """The live transitions leaving ``node``, in number order."""
+        alive = self._alive
+        return [k for k in self._succ[node] if alive[k]]
+
+    def reach(self, roots):
+        """The live ``roots`` and the nodes live transitions lead to from
+        them."""
+        alive, dst, succ = self._alive, self._dst, self._succ
+        seen = self.nodes.intersection(roots)
+        stack = list(seen)
         while stack:
-            node, it = stack[-1]
-            for m in it:
-                c = color.get(m)
-                if c == 1:
-                    return True
-                if c is None:
-                    color[m] = 1
-                    stack.append((m, iter(succ(m))))
+            for k in succ[stack.pop()]:
+                if alive[k]:
+                    d = dst[k]
+                    if d is not None and d not in seen:
+                        seen.add(d)
+                        stack.append(d)
+        return seen
+
+    def has_cycle(self, within=None):
+        """True if some live cycle exists (restricted to ``within`` if given)."""
+        alive, dst, succ = self._alive, self._dst, self._succ
+        nodes = self.nodes if within is None else self.nodes.intersection(within)
+        colour = {}  # 1 while on the walk's path, 2 when finished
+        for root in nodes:
+            if root in colour:
+                continue
+            colour[root] = 1
+            path = [(root, iter(succ[root]))]
+            while path:
+                y, it = path[-1]
+                for k in it:
+                    if alive[k]:
+                        d = dst[k]
+                        c = colour.get(d)
+                        if c == 1:
+                            return True
+                        if c is None and d in nodes:
+                            colour[d] = 1
+                            path.append((d, iter(succ[d])))
+                            break
+                else:
+                    colour[y] = 2
+                    path.pop()
+        return False
+
+    def closure(self, start, targets):
+        """The ``start``-avoiding closure of ``targets``, and the loop
+        conditions on it, in one depth-first walk.
+
+        Returns ``(body, returns, closed)``.  ``body`` is the set of live
+        nodes that paths from ``targets`` reach without passing through
+        ``start``; ``start`` itself never belongs to it.  ``returns`` is
+        (L1): some target is ``start``, or a live transition leads from the
+        body to ``start``.  ``closed`` is (L3) and (L2): no live transition
+        leaves the body for ``√``, and no cycle lies inside the body, which
+        is to say none avoids ``start``.  A cycle inside the body shows as
+        a transition to a node still on the walk's path.
+        """
+        alive, dst, succ = self._alive, self._dst, self._succ
+        returns = False
+        closed = True
+        done = {}  # False while on the walk's path, True when finished
+        for t in targets:
+            if t == start:
+                returns = True
+                continue
+            if t in done:
+                continue
+            done[t] = False
+            path = [(t, iter(succ[t]))]
+            while path:
+                y, it = path[-1]
+                for k in it:
+                    if alive[k]:
+                        d = dst[k]
+                        if d is None:
+                            closed = False
+                        elif d == start:
+                            returns = True
+                        elif d not in done:
+                            done[d] = False
+                            path.append((d, iter(succ[d])))
+                            break
+                        elif not done[d]:
+                            closed = False
+                else:
+                    done[y] = True
+                    path.pop()
+        return set(done), returns, closed
+
+    def span(self, start, entries):
+        """The body of the loop sub-chart the entries at ``start`` generate.
+
+        ``entries`` are live transitions leaving ``start``, so ``start`` is
+        live.  Returns ``None`` when they do not generate a loop sub-chart
+        (conditions L1 - L3 of :func:`lleekit.lee.is_loop_chart`).
+        """
+        targets = [self._dst[k] for k in entries]
+        if None in targets:
+            return None
+        body, returns, closed = self.closure(start, targets)
+        return body if returns and closed else None
+
+    def step(self, n, start, entries):
+        """Take step ``n`` of a run: eliminate the loop sub-chart that the
+        live ``entries`` at ``start`` generate, and return its body.
+
+        Returns ``None`` and changes nothing when they generate none
+        (:meth:`span`).  A step is recorded as ``(n, start, entries, body)``
+        in ``steps``, and the first that starts in an earlier step's body in
+        ``llee_reason``.
+        """
+        body = self.span(start, entries)
+        if body is not None:
+            if self.llee_reason is None and start in self.bodies:
+                self.llee_reason = (
+                    "step %d starts at %s, which lies in the body of an earlier "
+                    "eliminated loop sub-chart" % (n, self.chart.names[start])
+                )
+            self.steps.append((n, start, entries, body))
+            self.bodies |= body
+            self.remove(start, entries, body)
+        return body
+
+    def remove(self, start, entries, body=None):
+        """Remove the entries at ``start`` and collect what they cut off.
+
+        ``body`` is the entries' ``start``-avoiding closure, computed when
+        not given.
+        """
+        alive, dst, src, succ = self._alive, self._dst, self.chart.src, self._succ
+        if body is None:
+            body, _, _ = self.closure(start, [dst[k] for k in entries if dst[k] is not None])
+        for k in entries:
+            alive[k] = 0
+        # the body nodes that are roots or have a live predecessor outside
+        # the body, then what they reach inside the body
+        roots, pred = self.roots, self._pred
+        stack = []
+        for y in body:
+            if y in roots:
+                stack.append(y)
+                continue
+            for k in pred[y]:
+                if alive[k] and src[k] not in body:
+                    stack.append(y)
                     break
-            else:
-                color[node] = 2
-                stack.pop()
-    return False
+        kept = set(stack)
+        while stack:
+            for k in succ[stack.pop()]:
+                if alive[k]:
+                    d = dst[k]
+                    if d in body and d not in kept:
+                        kept.add(d)
+                        stack.append(d)
+        for y in body - kept:
+            self.nodes.discard(y)
+            for k in succ[y]:
+                alive[k] = 0
+
+    def to_chart(self, roots=None):
+        """The live part as a :class:`Chart`; with ``roots`` (ids), what they
+        reach.
+
+        The chart keeps the initial node when it reaches every node kept,
+        which it always does when it is the only root.
+        """
+        if roots is None:
+            roots, nodes = self.roots, self.nodes
+        else:
+            roots = frozenset(roots)
+            nodes = self.reach(roots)
+        c = self.chart
+        initial = c.root
+        if roots != {initial} and not (initial in nodes and self.reach([initial]) == nodes):
+            initial = None
+        kept = sorted(nodes)
+        new = {x: i for i, x in enumerate(kept)}
+        new[None] = None
+        act, first, dst, alive = c.act, c.first, self._dst, self._alive
+        return Chart._build(
+            [c.names[x] for x in kept],
+            [
+                [(act[k], new[dst[k]]) for k in range(first[x], first[x + 1]) if alive[k]]
+                for x in kept
+            ],
+            None if initial is None else new[initial],
+        )
 
 
 # --- cycle enumeration -----------------------------------------------------

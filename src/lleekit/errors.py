@@ -1,5 +1,23 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LleekitError",
+    "ParseError",
+    "AssocError",
+    "StateExplosion",
+    "UnknownNode",
+    "ParentMismatch",
+    "EmptyEntrySet",
+    "NotALoopChart",
+    "InvalidWitness",
+    "NotLEE",
+    "NotLLEE",
+    "NotABisimulation",
+    "NotCollapse",
+    "InternalError",
+    "LemmaViolated",
+]
+
 
 class LleekitError(Exception):
     """Base class for all errors raised by this package."""

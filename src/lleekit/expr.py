@@ -36,10 +36,6 @@ __all__ = [
     "unparse",
     "size",
     "actions_of",
-    "to_json_dict",
-    "from_json_dict",
-    "to_json",
-    "from_json",
 ]
 
 _ACTION_RE = re.compile(r"[a-z][a-z0-9_]*")

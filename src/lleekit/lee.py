@@ -34,15 +34,18 @@ are given.
 
 Every elimination loop here (witness replay, witness search, normalization,
 layering, and :func:`lleekit.reflect.collapse_lee_witness`) runs on one
-mutable working graph per run (``_Graph``), built once from the chart's
-node ids and transition numbers: a step checks L1 - L3 on the entries'
-generated sub-chart in the one depth-first walk that collects its body
-(:meth:`_Graph.closure`), removes the entries, and garbage-collects only inside
-the sub-chart's body, the one place where removing them can cut nodes off.
-No chart is built between steps.  A :class:`Witness` stores an order
-number per transition number.  There is one replay (``_replay``), run once
-per witness and cached, and the loops-back structure (``_loops_back``) is
-read off its steps; :meth:`Witness.replay` and the looping-back functions
+mutable working graph per run, the graph kernel ``lleekit.chart._Graph``,
+built once from the chart's node ids and transition numbers.  The replay,
+the search, :func:`eliminate` and the reflection take each step through
+its one ``step``: it checks L1 - L3 on the entries' generated sub-chart
+in the one depth-first walk that collects its body, records the step,
+removes the entries, and garbage-collects only inside the sub-chart's
+body, the one place where removing them can cut nodes off.  No chart is
+built between steps.  A :class:`Witness` stores an order number per
+transition number.  There is one replay (``_replay``), run once per
+witness and cached; a searched or reflected witness carries its own run
+as that replay.  The loops-back structure (``_loops_back``) is read off
+the replay's steps; :meth:`Witness.replay` and the looping-back functions
 name their results, and a replay builds its final chart once, at the end.
 """
 
@@ -57,11 +60,10 @@ from .chart import (
     NodeSetChart,
     TERMINATION,
     Transition,
+    _Graph,
     _explore,
     _explored_chart,
-    _has_cycle,
     _interpreting,
-    _reach,
     chart_of_nodes,
 )
 from .errors import (
@@ -78,6 +80,8 @@ from .expr import _dumps
 
 __all__ = [
     "Witness",
+    "ReplayStep",
+    "ReplayResult",
     "generated_chart",
     "is_loop_chart",
     "eliminate",
@@ -147,22 +151,18 @@ def is_loop_chart(sub, start):
     """
     if start not in sub.nodes:
         raise UnknownNode("start %r is not in the sub-chart" % (start,))
-    trans = sub.transitions
     if sub.is_induced:
         # the start's own terminal transitions never disqualify a loop chart
         if any(sub.parent.terminal_actions(n) for n in sub.nodes if n != start):
             return False
-    elif any(t.terminal for t in trans):
+    elif any(t.terminal for t in sub.transitions):
         return False
-    adj = {}
-    for t in trans:
-        if not t.terminal:
-            adj.setdefault(t.src, []).append(t.dst)
-    # L1 on what the start reaches, L2 on the sub-chart without the start
-    reached = _reach(adj.get(start, ()), lambda n: () if n == start else adj.get(n, ()))
-    return start in reached and not _has_cycle(
-        [n for n in adj if n != start], lambda n: [m for m in adj.get(n, ()) if m != start]
-    )
+    # no live transition leads to √ now: L1 on what the start reaches, L2
+    # on the sub-chart without the start
+    g = sub._graph()
+    x = sub.parent.ids[start]
+    _, returns, _ = g.closure(x, [g._dst[k] for k in g.out(x)])
+    return returns and not g.has_cycle(g.nodes - {x})
 
 
 def _roots(chart):
@@ -171,216 +171,6 @@ def _roots(chart):
     if chart.root is not None:
         return (chart.root,)
     return range(len(chart.names))
-
-
-class _Graph:
-    """A chart under elimination: the one working graph of an elimination run.
-
-    Built once per run from a :class:`~lleekit.chart.Chart` and the
-    run's roots (every node when none are given), it keeps which of the
-    chart's numbered transitions and which nodes are still live, with
-    predecessor lists.  Nodes and transitions are the chart's ids and
-    numbers.  Exactly the nodes the roots reach are live, and a transition
-    is live when its source is and it has not been removed as an entry.
-    Removing the entries of a step at ``start`` can only cut off nodes in
-    the step's body (the entries' ``start``-avoiding closure): a path to any
-    other node can be rerouted around the entries.  So the garbage
-    collection after a step looks only at the body, where a node survives
-    when a root or a live node outside the body still reaches it.
-
-    :meth:`closure` is the start-avoiding closure of every step, search
-    and check on a chart, and decides the loop conditions in the same walk.
-    It and :meth:`has_cycle` and :meth:`remove` walk ``_succ``, ``_dst``
-    and ``_alive`` directly, with no successor list per visited node.
-    """
-
-    def __init__(self, chart, roots=None):
-        # every node of ``chart`` must be reachable from ``roots``, as it is
-        # from the roots of a witness (:func:`_roots`)
-        n = len(chart.names)
-        self.chart = chart
-        self.roots = frozenset(range(n) if roots is None else roots)
-        self._dst = dst = chart.dst
-        self._src = chart.src
-        first = chart.first
-        self._succ = list(map(range, first, first[1:]))
-        pred = [[] for _ in range(n)]
-        for k, d in enumerate(dst):
-            if d is not None:
-                pred[d].append(k)
-        self._pred = pred
-        self.nodes = set(range(n))
-        self._alive = bytearray(b"\x01") * len(dst)
-
-    def is_live(self, k):
-        return self._alive[k] == 1
-
-    def out(self, node):
-        """The live transitions leaving ``node``, in number order."""
-        alive = self._alive
-        return [k for k in self._succ[node] if alive[k]]
-
-    def has_cycle(self, within=None):
-        """True if some live cycle exists (restricted to ``within`` if given)."""
-        alive, dst, succ = self._alive, self._dst, self._succ
-        nodes = self.nodes if within is None else self.nodes.intersection(within)
-        colour = {}  # 1 while on the walk's path, 2 when finished
-        for root in nodes:
-            if root in colour:
-                continue
-            colour[root] = 1
-            path = [(root, iter(succ[root]))]
-            while path:
-                y, it = path[-1]
-                for k in it:
-                    if alive[k]:
-                        d = dst[k]
-                        c = colour.get(d)
-                        if c == 1:
-                            return True
-                        if c is None and d in nodes:
-                            colour[d] = 1
-                            path.append((d, iter(succ[d])))
-                            break
-                else:
-                    colour[y] = 2
-                    path.pop()
-        return False
-
-    def closure(self, start, targets):
-        """The ``start``-avoiding closure of ``targets``, and the loop
-        conditions on it, in one depth-first walk.
-
-        Returns ``(body, returns, closed)``.  ``body`` is the set of live
-        nodes that paths from ``targets`` reach without passing through
-        ``start``; ``start`` itself never belongs to it.  ``returns`` is
-        (L1): some target is ``start``, or a live transition leads from the
-        body to ``start``.  ``closed`` is (L3) and (L2): no live transition
-        leaves the body for ``√``, and no cycle lies inside the body, which
-        is to say none avoids ``start``.  A cycle inside the body shows as
-        a transition to a node still on the walk's path.
-        """
-        alive, dst, succ = self._alive, self._dst, self._succ
-        returns = False
-        closed = True
-        done = {}  # False while on the walk's path, True when finished
-        for t in targets:
-            if t == start:
-                returns = True
-                continue
-            if t in done:
-                continue
-            done[t] = False
-            path = [(t, iter(succ[t]))]
-            while path:
-                y, it = path[-1]
-                for k in it:
-                    if alive[k]:
-                        d = dst[k]
-                        if d is None:
-                            closed = False
-                        elif d == start:
-                            returns = True
-                        elif d not in done:
-                            done[d] = False
-                            path.append((d, iter(succ[d])))
-                            break
-                        elif not done[d]:
-                            closed = False
-                else:
-                    done[y] = True
-                    path.pop()
-        return set(done), returns, closed
-
-    def span(self, start, entries):
-        """The body of the loop sub-chart the entries at ``start`` generate.
-
-        ``entries`` are live transitions leaving ``start``.  Returns ``None``
-        when they do not generate a loop sub-chart (conditions L1 - L3 of
-        :func:`is_loop_chart`).  Raises :class:`UnknownNode` when ``start``
-        is no longer live.
-        """
-        if start not in self.nodes:
-            raise UnknownNode("unknown node %r" % (self.chart.names[start],))
-        targets = [self._dst[k] for k in entries]
-        if None in targets:
-            return None
-        body, returns, closed = self.closure(start, targets)
-        return body if returns and closed else None
-
-    def remove(self, start, entries, body=None):
-        """Remove the entries at ``start`` and collect what they cut off.
-
-        ``body`` is the entries' ``start``-avoiding closure, computed when
-        not given.
-        """
-        alive, dst, src, succ = self._alive, self._dst, self._src, self._succ
-        if body is None:
-            body, _, _ = self.closure(start, [dst[k] for k in entries if dst[k] is not None])
-        for k in entries:
-            alive[k] = 0
-        # the body nodes that are roots or have a live predecessor outside
-        # the body, then what they reach inside the body
-        roots, pred = self.roots, self._pred
-        stack = []
-        for y in body:
-            if y in roots:
-                stack.append(y)
-                continue
-            for k in pred[y]:
-                if alive[k] and src[k] not in body:
-                    stack.append(y)
-                    break
-        kept = set(stack)
-        while stack:
-            for k in succ[stack.pop()]:
-                if alive[k]:
-                    d = dst[k]
-                    if d in body and d not in kept:
-                        kept.add(d)
-                        stack.append(d)
-        for y in body - kept:
-            self.nodes.discard(y)
-            for k in succ[y]:
-                alive[k] = 0
-
-    def to_chart(self, roots=None):
-        """The live part as a :class:`Chart`; with ``roots`` (ids), what they
-        reach.
-
-        The chart keeps the initial node when it reaches every node kept,
-        which it always does when it is the only root.
-        """
-        alive, dst, succ, live = self._alive, self._dst, self._succ, self.nodes
-
-        def reach(sources):
-            # a live transition leaves a live node for a live node or √
-            return _reach(
-                [n for n in sources if n in live],
-                lambda n: [dst[k] for k in succ[n] if alive[k] and dst[k] is not None],
-            )
-
-        if roots is None:
-            roots, nodes = self.roots, self.nodes
-        else:
-            roots = frozenset(roots)
-            nodes = reach(roots)
-        c = self.chart
-        initial = c.root
-        if roots != {initial} and not (initial in nodes and reach([initial]) == nodes):
-            initial = None
-        kept = sorted(nodes)
-        new = {x: i for i, x in enumerate(kept)}
-        new[None] = None
-        act, first = c.act, c.first
-        return Chart._build(
-            [c.names[x] for x in kept],
-            [
-                [(act[k], new[dst[k]]) for k in range(first[x], first[x + 1]) if alive[k]]
-                for x in kept
-            ],
-            None if initial is None else new[initial],
-        )
 
 
 def eliminate(chart, start, entries, roots):
@@ -394,20 +184,18 @@ def eliminate(chart, start, entries, roots):
     # every node a root: the step sees the whole chart, and ``roots`` apply
     # to the result
     g = _Graph(chart)
-    ids = chart.ids
-    numbers = {t: k for k, t in enumerate(chart.numbered)}
-    body = g.span(ids[start], [numbers[t] for t in entries])
-    if body is None:
+    ids, numbers = chart.ids, chart._numbers
+    if g.step(1, ids[start], [numbers[t] for t in entries]) is None:
         raise NotALoopChart(
             "⟨%s, {%s}⟩ does not generate a loop sub-chart"
             % (start, ", ".join(map(repr, entries)))
         )
-    g.remove(ids[start], [numbers[t] for t in entries], body)
     return g.to_chart([ids[r] for r in roots if r in ids])
 
 
 def _max_entries(g, node):
-    """:func:`max_entry_set` on the working graph ``g``, as numbers."""
+    """:func:`max_entry_set` on the working graph ``g``, as a list of
+    numbers in number order."""
     dst = g._dst
     valid = []
     closes_loop = False
@@ -418,7 +206,7 @@ def _max_entries(g, node):
         if closed:
             valid.append(k)
             closes_loop = closes_loop or returns
-    return frozenset(valid) if closes_loop else frozenset()
+    return valid if closes_loop else []
 
 
 def max_entry_set(chart, node):
@@ -510,16 +298,12 @@ class Witness:
         self.labels = [order.get(t, 0) for t in chart.numbered]
 
     @classmethod
-    def _of(cls, chart, labels, replayed=None):
+    def _of(cls, chart, labels):
         """The witness on ``chart`` whose transition ``k`` has order
-        ``labels[k]``; nothing is checked.  ``replayed``, when given, is
-        what :func:`_replay` reports on the witness, recorded by a caller
-        that ran the same elimination, and becomes :attr:`_replayed`."""
+        ``labels[k]``; nothing is checked."""
         w = cls.__new__(cls)
         w.chart = chart
         w.labels = labels
-        if replayed is not None:
-            w._replayed = replayed
         return w
 
     @cached_property
@@ -705,12 +489,9 @@ def _replay(w):
     for k, o in enumerate(labels):
         if o > 0:
             levels.setdefault(o, []).append(k)
-    steps = []
-    eliminated_bodies = set()
-    llee, llee_reason = True, None
 
     def failed(reason, graph=None):
-        return _Replay(False, reason, False, None, steps, graph)
+        return _Replay(False, reason, False, None, g.steps, graph)
 
     for n in range(1, max(levels, default=0) + 1):
         pending = {}
@@ -729,34 +510,30 @@ def _replay(w):
                         "order-%d entries at %s were garbage-collected by an "
                         "earlier step" % (n, c.names[x])
                     )
-                entries = pending[x]
-                body = g.span(x, entries)
-                if body is None:
-                    continue
-                if llee and x in eliminated_bodies:
-                    llee = False
-                    llee_reason = _unlayered(c, n, x)
-                steps.append((n, x, entries, body))
-                eliminated_bodies |= body
-                g.remove(x, entries, body)
-                del starts[i]
-                break
+                if g.step(n, x, pending[x]) is not None:
+                    del starts[i]
+                    break
             else:
                 return failed(
                     "order-%d entries at %s do not span a loop sub-chart" % (n, c.names[starts[0]])
                 )
     if g.has_cycle():
         return failed("a cycle survives the recorded elimination", g)
-    return _Replay(True, None, llee, llee_reason, steps, g)
+    return _Replay(True, None, g.llee_reason is None, g.llee_reason, g.steps, g)
 
 
-def _unlayered(c, n, x):
-    """The ``llee_reason`` of an elimination on ``c`` whose step ``n``
-    starts at node ``x``, which lies in the body of an earlier step."""
-    return (
-        "step %d starts at %s, which lies in the body of an earlier "
-        "eliminated loop sub-chart" % (n, c.names[x])
-    )
+def _witness_of(g):
+    """The witness whose replay is the run ``g`` took, which left no
+    cycle: each step's entries have the step's number, every other
+    transition 0.  The run is recorded as the witness's
+    :attr:`Witness._replayed`, so the witness is not replayed again."""
+    labels = [0] * len(g.chart.dst)
+    for n, _, entries, _ in g.steps:
+        for k in entries:
+            labels[k] = n
+    w = Witness._of(g.chart, labels)
+    w._replayed = _Replay(True, None, g.llee_reason is None, g.llee_reason, g.steps, g)
+    return w
 
 
 def is_llee_witness(w):
@@ -782,6 +559,8 @@ def find_lee_witness(chart):
     :class:`Witness` (eliminated entries get their step number; everything
     else, including garbage-collected transitions, gets 0), or ``None`` at
     the first dead end, where cycles remain but no node admits an entry set.
+    Each step has its own number and one start, so the search's run is the
+    witness's replay, and it is recorded as such.
 
     One pass is enough, because eliminating any loop sub-chart keeps LEE.
     Take a successful run of the chart and replay it after the step, each
@@ -796,8 +575,6 @@ def find_lee_witness(chart):
     one exists.
     """
     g = _Graph(chart, _roots(chart))
-    labels = [0] * len(chart.dst)
-    step_no = 0
     while g.has_cycle():
         for x in sorted(g.nodes):
             entries = _max_entries(g, x)
@@ -805,11 +582,11 @@ def find_lee_witness(chart):
                 break
         else:
             return None
-        step_no += 1
-        for k in entries:
-            labels[k] = step_no
-        g.remove(x, entries)
-    return Witness._of(chart, labels)
+        if g.step(len(g.steps) + 1, x, entries) is None:
+            raise InternalError(
+                "the maximal entry set at %s spans no loop sub-chart" % chart.names[x]
+            )
+    return _witness_of(g)
 
 
 # --- the witness an expression carries -------------------------------------
@@ -1041,7 +818,7 @@ def _zero_path(g, labels, source, target):
     """
     if source == target:
         return []
-    dst, src = g._dst, g._src
+    dst, src = g._dst, g.chart.src
     prev = {source: None}
     queue = deque([source])
     while queue:

@@ -33,17 +33,9 @@ from collections import namedtuple
 
 from ._record import record
 from .bisim import bisimilarity_partition
-from .chart import Transition, chart_of_nodes, simple_cycles
+from .chart import Transition, _Graph, chart_of_nodes, simple_cycles
 from .errors import LemmaViolated, NotCollapse, NotLLEE, UnknownNode
-from .lee import (
-    Witness,
-    _Graph,
-    _Replay,
-    _roots,
-    _unlayered,
-    all_looping_back_charts,
-    is_llee_witness,
-)
+from .lee import _roots, _witness_of, all_looping_back_charts, is_llee_witness
 
 __all__ = [
     "ImageRecord",
@@ -211,7 +203,9 @@ def loop_correspondence(theta, loop, start):
     node (least id when ambiguous) must eventually revisit a (node, cycle
     position) pair; the walk up to that point splits into a simple path ``S``
     and a loop ``D`` in the source chart whose image is the cycle's chart:
-    ``θ(S ⊔ D) ≐ θ(D)``.  Returns ``(S, D)`` as transition tuples.
+    ``θ(S ⊔ D) ≐ θ(D)``.  Returns ``(S, D)`` as transition tuples.  Raises
+    :class:`ValueError` when ``loop`` is no cycle of the target or misses
+    ``theta(start)``.
     """
     g = theta.source
     if start not in g.nodes:
@@ -222,6 +216,8 @@ def loop_correspondence(theta, loop, start):
     for i, t in enumerate(loop):
         if t.terminal:
             raise ValueError("cycles contain no terminal transitions")
+        if t not in theta.target.transitions:
+            raise ValueError("%r is not a transition of the target chart" % (t,))
         if t.dst != loop[(i + 1) % n].src:
             raise ValueError("transitions do not form a cycle")
     offsets = [i for i, t in enumerate(loop) if t.src == theta(start)]
@@ -361,11 +357,10 @@ def _reflect_witness(c, records):
     that numbers each step's entries with the step's number (0 on every
     other transition).  The run is that witness's replay: each step is
     one order number with one start, taken on the same graph in the same
-    order as :func:`lleekit.lee._replay` takes it, and a cycle left at the
-    end raises :class:`LemmaViolated`.  So the steps, the final graph and
-    the layering check (no step starts in an earlier step's body) are
-    recorded here as the witness's :attr:`~lleekit.lee.Witness._replayed`,
-    and the witness is not replayed again.
+    order as :func:`lleekit.lee._replay` takes it
+    (:meth:`lleekit.chart._Graph.step`), and a cycle left at the end raises
+    :class:`LemmaViolated`.  So the run is recorded as the witness's
+    replay, and the witness is not replayed again.
     """
     g = _Graph(c, _roots(c))
     dst = c.dst
@@ -374,10 +369,6 @@ def _reflect_witness(c, records):
         return ", ".join(c.names[v] for v in sorted(img_nodes))
 
     order = sorted(records, key=lambda r: (len(r[0]), r[1], tuple(sorted(r[0]))))
-    labels = [0] * len(dst)
-    steps = []
-    bodies = set()  # the nodes of every body eliminated so far
-    llee_reason = None
     for img_nodes, s, *_ in order:
         if not g.has_cycle(within=img_nodes):
             continue
@@ -392,20 +383,11 @@ def _reflect_witness(c, records):
                 "image {%s} still has cycles but no entries remain at %s"
                 % (shown(img_nodes), c.names[s])
             )
-        body = g.span(s, entries)
-        if body is None:
+        if g.step(len(g.steps) + 1, s, entries) is None:
             raise LemmaViolated(
                 "entries at %s do not span a loop sub-chart of the remaining chart"
                 % c.names[s]
             )
-        step = len(steps) + 1
-        for k in entries:
-            labels[k] = step
-        if llee_reason is None and s in bodies:
-            llee_reason = _unlayered(c, step, s)
-        steps.append((step, s, entries, body))
-        bodies |= body
-        g.remove(s, entries, body)
     if g.has_cycle():
         raise LemmaViolated("cycles survive after eliminating every image")
-    return Witness._of(c, labels, _Replay(True, None, llee_reason is None, llee_reason, steps, g))
+    return _witness_of(g)

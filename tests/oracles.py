@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -119,6 +120,23 @@ def brute_simple_cycles(transitions):
             elif t.dst not in (src,):
                 extend([t], {src, t.dst})
     return found
+
+
+def bfs_reachable(transitions, roots):
+    """The nodes that non-terminal ``transitions`` lead to from ``roots``,
+    the roots included, by a plain breadth-first search."""
+    succ = {}
+    for t in transitions:
+        if not t.terminal:
+            succ.setdefault(t.src, []).append(t.dst)
+    seen = set(roots)
+    queue = deque(seen)
+    while queue:
+        for d in succ.get(queue.popleft(), ()):
+            if d not in seen:
+                seen.add(d)
+                queue.append(d)
+    return seen
 
 
 # --- loop charts and entry sets, from the definitions ----------------------

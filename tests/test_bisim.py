@@ -225,6 +225,28 @@ def test_collapse_g(chart_g):
     assert res.theta.target == res.chart
 
 
+def test_collapse_checks_its_map_once(monkeypatch, chart_g):
+    calls = []
+
+    def counted(*tables, transfers=lleekit.bisim._transfers):
+        calls.append(1)
+        return transfers(*tables)
+
+    monkeypatch.setattr(lleekit.bisim, "_transfers", counted)
+    rng = random.Random(17)
+    for i in range(1, 41):
+        res = collapse(random_chart(rng, max_nodes=6, rooted=rng.random() < 0.5))
+        assert len(calls) == i
+        # the unchecked map is the map a checked construction gives
+        assert res.theta == BisimMap(res.theta.source, res.chart, dict(res.theta.mapping))
+        assert len(calls) == i + 1
+        del calls[-1]
+    # a map given by the user is still checked
+    with pytest.raises(NotABisimulation):
+        BisimMap(chart_g, interpret(parse("a*0")), {"x": "a*0", "x'": "a*0"})
+    assert len(calls) == 41
+
+
 def test_collapse_cii(chart_cii, chart_ci):
     res = collapse(chart_cii)
     assert res.chart.nodes == {"z", "x", "y", "k"}

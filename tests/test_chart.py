@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from conftest import in_both_collector_states
 from generators import charts, expressions, random_chart, random_expression
 from oracles import (
+    bfs_reachable,
     brute_expression_witness,
     brute_interpret,
+    brute_is_loop_chart,
     brute_simple_cycles,
     brute_step,
     naive_bisimilarity_pairs,
@@ -43,7 +45,14 @@ from lleekit.errors import (
     UnknownNode,
 )
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
-from lleekit.lee import Witness, _ranked, expression_witness, is_llee_witness
+from lleekit.lee import (
+    Witness,
+    _ranked,
+    expression_witness,
+    generated_chart,
+    is_llee_witness,
+    is_loop_chart,
+)
 
 TOGGLE = Chart(
     [
@@ -238,6 +247,61 @@ def test_induced_subchart(chart_g):
         chart_of_nodes(chart_g, {"nope"})
     with pytest.raises(UnknownNode):
         chart_of_nodes(chart_g, {"x"}, start="x'")
+
+
+def test_explicit_subchart_takes_only_parent_transitions_from_its_nodes():
+    c = interpret(parse("(a.b)*c"))
+    x = c.initial
+    with pytest.raises(UnknownNode):
+        NodeSetChart(c, frozenset({x}), start=x, explicit=(Transition(x, "zz", x),))
+    # a parent transition whose source is outside the node set
+    t = next(t for t in c.transitions if t.src != x and not t.terminal)
+    with pytest.raises(UnknownNode):
+        NodeSetChart(c, frozenset({x}), start=x, explicit=(t,))
+    # the parent transitions leaving the node set are accepted, √ included
+    sub = NodeSetChart(c, frozenset({x, t.dst}), explicit=tuple(c.out(x)))
+    assert sub.transitions == c.out(x)
+
+
+def _brute_has_cycle(transitions, within):
+    return bool(brute_simple_cycles([t for t in transitions if {t.src, t.dst} <= within]))
+
+
+def test_graph_kernel_vs_brute():
+    # every walk of the graph kernel a chart or sub-chart answers through,
+    # against a plain BFS and explicit cycle enumeration
+    rng = random.Random(271)
+    kinds = {"induced": 0, "generated": 0}
+    for _ in range(300):
+        g = random_chart(rng, max_nodes=7, rooted=rng.random() < 0.3)
+        nodes = sorted(g.nodes)
+        roots = rng.sample(nodes, rng.randint(0, len(nodes))) + ["nope"]
+        assert g.reachable(roots) == bfs_reachable(g.transitions, roots[:-1])
+        within = set(rng.sample(nodes, rng.randint(0, len(nodes))))
+        assert g.has_cycle() == bool(brute_simple_cycles(g.transitions))
+        assert g.has_cycle(within | {"nope"}) == _brute_has_cycle(g.transitions, within)
+        subs = []
+        if within:
+            start = rng.choice(sorted(within))
+            subs.append(("induced", start, chart_of_nodes(g, within, start=start)))
+        for x in nodes:
+            outs = [t for t in g.out(x) if not t.terminal]
+            if outs:
+                entries = rng.sample(outs, rng.randint(1, len(outs)))
+                subs.append(("generated", x, generated_chart(g, x, entries)))
+        for kind, start, sub in subs:
+            kinds[kind] += 1
+            trans = set(sub.transitions)
+            assert sub.has_cycle() == _brute_has_cycle(trans, set(sub.nodes))
+            if kind == "induced":
+                # L3 of an induced sub-chart reads the parent's terminal
+                # transitions of every member but the start
+                exits = any(g.terminal_actions(n) for n in sub.nodes - {start})
+                expected = not exits and brute_is_loop_chart(trans, start)
+            else:
+                expected = brute_is_loop_chart(trans, start)
+            assert is_loop_chart(sub, start) == expected
+    assert min(kinds.values()) > 200
 
 
 def test_subchart_relations(chart_g):

@@ -231,9 +231,15 @@ def test_loop_correspondence_errors(map_g_to_h):
         )
     with pytest.raises(UnknownNode):
         loop_correspondence(map_g_to_h, [T("X", "a", "X")], "nope")
-    with pytest.raises(LemmaViolated):
-        # no source transition carries this made-up action
+    with pytest.raises(ValueError):
+        # a made-up action: no transition of the target, so bad input
         loop_correspondence(map_g_to_h, [T("X", "zz", "X")], "x")
+
+
+def test_loop_correspondence_rejects_a_cycle_off_the_target(chart_ci):
+    theta = collapse(chart_ci).theta
+    with pytest.raises(ValueError, match="not a transition of the target"):
+        loop_correspondence(theta, [T("K", "zz", "K")], "K")
 
 
 # --- lemma conditions -------------------------------------------------------
@@ -457,6 +463,22 @@ def test_reflection_records_the_replay(monkeypatch):
         assert equiv(e, Plus(e, e)).equal
     assert len(reflected) == 165
     for w in reflected:
+        _assert_recorded_replay(w)
+
+
+def test_search_records_the_replay(chart_g, chart_ci, chart_cii, chart_h):
+    # the search's run is its witness's replay: the fixtures and a seeded
+    # sweep of charts that have a witness
+    found = [find_lee_witness(c) for c in (chart_g, chart_ci, chart_cii, chart_h)]
+    rng = random.Random(83)
+    for _ in range(300):
+        found.append(find_lee_witness(random_chart(rng, max_nodes=7, rooted=rng.random() < 0.5)))
+    found = [w for w in found if w is not None]
+    assert len(found) > 200
+    # recorded by the search, not replayed on first read
+    assert all("_replayed" in vars(w) for w in found)
+    assert sum(len(w._replayed.steps) > 2 for w in found) > 10
+    for w in found:
         _assert_recorded_replay(w)
 
 
