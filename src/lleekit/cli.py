@@ -14,14 +14,19 @@ and its check use no recursion, so some thousands of nested sequences,
 summands or stars answer.  A ``RecursionError`` is still caught, as a
 safety net: one ``error: expression nested too deeply`` line on stderr
 and exit code 2.  Output is deterministic for identical inputs.
+
+The command line is read by :func:`_parse_args` in one pass over one
+table, ``_COMMANDS``, after the global options of ``_GLOBAL``.  It accepts
+what argparse accepted, with the same values, and keeps argparse's usage
+errors; argparse is not imported, which saves a fresh process about a
+quarter of its import.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from . import expr as expr_mod
 from ._record import record
@@ -362,82 +367,234 @@ def _cmd_equiv(args, cfg):
 # --- driver ----------------------------------------------------------------
 
 
-@functools.cache
-def _build_parser():
-    # built once per process: parse_args leaves the parser unchanged
-    top = argparse.ArgumentParser(
-        prog="lleekit",
-        description="Process semantics and loop elimination for star expressions without 1.",
-    )
-    top.add_argument(
-        "--format", choices=("text", "json", "dot"), default="text", help="output format"
-    )
-    top.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        help="state cap for interpretation (default %d, env LLEEKIT_STATE_CAP)"
-        % DEFAULT_STATE_CAP,
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+_DESCRIPTION = "Process semantics and loop elimination for star expressions without 1."
 
-    p = sub.add_parser("parse", help="parse an expression and print it back")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_parse)
+# An option is (metavar, kind, help), under its flags, and sets the
+# attribute named by its long flag.  ``kind`` is str or int for an option
+# that takes a value, or the tuple of its choices; None makes a flag, which
+# sets True, and -h/--help is the flag _HELP.
+_HELP = (None, None, "show this help message and exit")
+_GLOBAL = {
+    "-h": _HELP,
+    "--help": _HELP,
+    "--format": ("{text,json,dot}", ("text", "json", "dot"), "output format"),
+    "--cap": (
+        "CAP",
+        int,
+        "state cap for interpretation (default %d, env LLEEKIT_STATE_CAP)" % DEFAULT_STATE_CAP,
+    ),
+}
 
-    p = sub.add_parser("chart", help="interpret an expression as a chart")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_chart)
 
-    p = sub.add_parser("collapse", help="collapse a chart (file) or an expression")
-    p.add_argument("target", metavar="FILE|EXPR")
-    p.add_argument("--map", metavar="PATH", help="write the collapse map to PATH")
-    p.set_defaults(func=_cmd_collapse)
+def _command(handler, positionals, about, fixed=None, **options):
+    """A row of the command table: the handler, the ``(attribute,
+    metavar)`` of each positional, given as ``attribute:METAVAR`` or as the
+    attribute alone, the options by flag, the attributes the command fixes
+    and its help."""
+    positionals = tuple((p.partition(":")[0], p.rpartition(":")[2]) for p in positionals.split())
+    flags = {"-h": _HELP, "--help": _HELP, **{"--" + name: row for name, row in options.items()}}
+    return handler, positionals, flags, fixed or {}, about
 
-    p = sub.add_parser("lee", help="search a chart file for an elimination witness")
-    p.add_argument("chart")
-    p.set_defaults(func=_cmd_lee)
 
-    p = sub.add_parser("llee", help="check that a witness is layered")
-    p.add_argument("chart")
-    p.add_argument("witness")
-    p.set_defaults(func=_cmd_check_witness, llee=True)
+_COMMANDS = {
+    "parse": _command(_cmd_parse, "expr", "parse an expression and print it back"),
+    "chart": _command(_cmd_chart, "expr", "interpret an expression as a chart"),
+    "collapse": _command(
+        _cmd_collapse,
+        "target:FILE|EXPR",
+        "collapse a chart (file) or an expression",
+        map=("PATH", str, "write the collapse map to PATH"),
+    ),
+    "lee": _command(_cmd_lee, "chart", "search a chart file for an elimination witness"),
+    "llee": _command(
+        _cmd_check_witness, "chart witness", "check that a witness is layered", {"llee": True}
+    ),
+    "lee2llee": _command(_cmd_lee2llee, "chart witness", "layer an elimination witness"),
+    "reflect": _command(
+        _cmd_reflect, "chart witness", "collapse a chart and reflect its witness onto the collapse"
+    ),
+    "solve": _command(
+        _cmd_solve, "chart witness", "extract and check a solution from a layered witness"
+    ),
+    "equiv": _command(
+        _cmd_equiv,
+        "expr1 expr2",
+        "decide bisimilarity of two expressions",
+        certificate=("DIR", str, "write certificate files to DIR"),
+    ),
+    "check-witness": _command(
+        _cmd_check_witness,
+        "chart witness",
+        "replay-check a witness",
+        llee=(None, None, "also require layering"),
+    ),
+}
 
-    p = sub.add_parser("lee2llee", help="layer an elimination witness")
-    p.add_argument("chart")
-    p.add_argument("witness")
-    p.set_defaults(func=_cmd_lee2llee)
 
-    p = sub.add_parser(
-        "reflect", help="collapse a chart and reflect its witness onto the collapse"
-    )
-    p.add_argument("chart")
-    p.add_argument("witness")
-    p.set_defaults(func=_cmd_reflect)
+def _negative(arg):
+    """Whether ``arg`` reads as a negative number, as argparse's
+    ``^-\\d+$|^-\\d*\\.\\d+$`` matched it; not compiling the pattern
+    saves a fresh process 0.2 ms."""
+    whole, dot, fraction = arg[1:].removesuffix("\n").partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (whole == "" or whole.isdecimal()) and fraction.isdecimal()
 
-    p = sub.add_parser("solve", help="extract and check a solution from a layered witness")
-    p.add_argument("chart")
-    p.add_argument("witness")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("equiv", help="decide bisimilarity of two expressions")
-    p.add_argument("expr1")
-    p.add_argument("expr2")
-    p.add_argument("--certificate", metavar="DIR", help="write certificate files to DIR")
-    p.set_defaults(func=_cmd_equiv)
+def _prog(command):
+    return "lleekit" if command is None else "lleekit " + command
 
-    p = sub.add_parser("check-witness", help="replay-check a witness")
-    p.add_argument("chart")
-    p.add_argument("witness")
-    p.add_argument("--llee", action="store_true", help="also require layering")
-    p.set_defaults(func=_cmd_check_witness)
 
-    return top
+def _flags(options):
+    """The ``(label, help)`` of each option but -h/--help."""
+    return [
+        (flag if row[1] is None else "%s %s" % (flag, row[0]), row[2])
+        for flag, row in options.items()
+        if row is not _HELP
+    ]
+
+
+def _usage(command):
+    if command is None:
+        options, tail = _GLOBAL, ["COMMAND", "..."]
+    else:
+        _, positionals, options, _, _ = _COMMANDS[command]
+        tail = [metavar for _, metavar in positionals]
+    flags = ["[%s]" % label for label, _ in _flags(options)]
+    return " ".join(["usage:", _prog(command), "[-h]"] + flags + tail) + "\n"
+
+
+def _help(command):
+    if command is None:
+        options, intro = _GLOBAL, [_DESCRIPTION, "", "commands:"]
+        listed = [(name, row[4]) for name, row in _COMMANDS.items()]
+    else:
+        _, positionals, options, _, about = _COMMANDS[command]
+        intro = [about, "", "arguments:"]
+        listed = [(metavar, "") for _, metavar in positionals]
+    flags = [("-h, --help", _HELP[2])] + _flags(options)
+    row = "  %%-%ds  %%s" % max(len(label) for label, _ in listed + flags)
+    lines = intro + [row % r for r in listed] + ["", "options:"] + [row % r for r in flags]
+    return _usage(command) + "\n" + "\n".join(line.rstrip() for line in lines) + "\n"
+
+
+def _error(command, message):
+    sys.stderr.write("%s%s: error: %s\n" % (_usage(command), _prog(command), message))
+    raise SystemExit(2)
+
+
+def _option(arg, options, command):
+    """How argparse read ``arg`` against ``options``: None for a
+    positional, else ``(flag, value)``.  ``flag`` is the flag that ``arg``
+    names, in full, or None for an unknown option; ``value`` is what
+    follows its ``=``, or None."""
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    if arg in options:
+        return arg, None
+    flag, eq, value = arg.partition("=")
+    value = value if eq else None
+    if flag in options:
+        return flag, value
+    if arg[1] == "-":
+        # a unique prefix of a long flag names it
+        found = [f for f in options if f.startswith(flag)]
+        if len(found) > 1:
+            _error(command, "ambiguous option: %s could match %s" % (arg, ", ".join(found)))
+        if found:
+            return found[0], value
+    elif arg[:2] in options:
+        # a short flag runs into its value
+        return arg[:2], arg[2:]
+    if _negative(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _parse_args(argv):
+    """The command line ``argv``, read in one pass as argparse read it.
+
+    The global options come first, and the first positional names the
+    command; its options and positionals follow in any order, up to a
+    ``--`` after which all are positionals.  A flag may be given by a
+    unique prefix, a value after ``=`` or as the next argument, and the
+    last of a repeated option wins.  A usage error writes the usage and
+    the error to stderr and raises ``SystemExit(2)``; ``-h`` writes the
+    help to stdout and raises ``SystemExit(0)``.
+    """
+    args = SimpleNamespace(format="text", cap=None)
+    command, options, positionals = None, _GLOBAL, None
+    extras = []
+    ended = False
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg == "--" and command is not None and not ended:
+            ended = True
+            continue
+        read = None if ended else _option(arg, options, command)
+        if read is None and command is None:
+            if arg not in _COMMANDS:
+                _error(
+                    None,
+                    "argument command: invalid choice: %r (choose from %s)"
+                    % (arg, ", ".join(map(repr, _COMMANDS))),
+                )
+            command = args.command = arg
+            args.func, positionals, options, fixed, _ = _COMMANDS[arg]
+            for flag, row in options.items():
+                if row is not _HELP:
+                    setattr(args, flag[2:], False if row[1] is None else None)
+            vars(args).update(fixed)
+            positionals = iter(positionals)
+        elif read is None:
+            attr, _ = next(positionals, (None, None))
+            if attr is None:
+                extras.append(arg)
+            else:
+                setattr(args, attr, arg)
+        elif read[0] is None:
+            extras.append(arg)
+        else:
+            flag, value = read
+            _, kind, _ = row = options[flag]
+            if kind is None:
+                if value is not None:
+                    _error(command, "argument %s: ignored explicit argument %r" % (flag, value))
+                if row is _HELP:
+                    sys.stdout.write(_help(command))
+                    raise SystemExit(0)
+                value = True
+            elif value is None:
+                if i == len(argv) or argv[i] == "--" or _option(argv[i], options, command):
+                    _error(command, "argument %s: expected one argument" % flag)
+                value = argv[i]
+                i += 1
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    _error(command, "argument %s: invalid int value: %r" % (flag, value))
+            elif kind not in (None, str) and value not in kind:
+                _error(
+                    command,
+                    "argument %s: invalid choice: %r (choose from %s)"
+                    % (flag, value, ", ".join(map(repr, kind))),
+                )
+            setattr(args, flag[2:], value)
+    if command is None:
+        _error(None, "the following arguments are required: command")
+    missing = [metavar for _, metavar in positionals]
+    if missing:
+        _error(command, "the following arguments are required: %s" % ", ".join(missing))
+    if extras:
+        _error(None, "unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def run(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # explicit flag beats the environment beats the default
         cfg = Config(cap=_state_cap(args.cap), format=args.format)

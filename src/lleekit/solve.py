@@ -758,8 +758,9 @@ class Certificate:
     provably equal to both inputs.
 
     :func:`equiv` derives and checks all of it on node ids.  The collapse,
-    witness and solution are the ones it computed; the two maps are built
-    on first read, validated as the :class:`BisimMap` they are, and cached.
+    witness and solution are the ones it computed; the two maps are named on
+    first read and cached, unchecked: :func:`equiv` checked their transfer
+    conditions on every id before it returned (:func:`lleekit.bisim._quotient`).
     """
 
     def __init__(self, collapse, witness, solution, evidence):
@@ -773,7 +774,7 @@ class Certificate:
         """The map from ``source``, whose node ``r`` is exploration state
         ``states[r]``, taking ids from ``offset``."""
         names, theta = self.collapse.names, self._evidence.theta
-        return BisimMap(
+        return BisimMap._of(
             source,
             self.collapse,
             {x: names[theta[offset + i]] for x, i in zip(source.names, states)},

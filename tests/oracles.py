@@ -3,7 +3,8 @@
 Everything here favours obviousness over speed: explicit enumeration of
 relations, subsets, paths, and elimination sequences.  Nothing imports the
 algorithms under test beyond the basic data containers, but for the map
-check that the record twins at the end validate with.
+check that the record twins validate with and the CLI handlers that the
+argparse twin at the end names.
 """
 
 from __future__ import annotations
@@ -967,3 +968,85 @@ class ParentRecords:
 
         def __post_init__(self):
             _state_cap(self.cap)
+
+
+# --- the command line as argparse read it -----------------------------------
+
+import argparse  # noqa: E402
+
+from lleekit import cli  # noqa: E402
+
+
+def argparse_cli():
+    """The parser that :mod:`lleekit.cli` built with ``argparse``, copied
+    verbatim but for the handlers' module.  The CLI now reads its command
+    table in one pass, which must accept and reject the same command lines
+    and give the same attributes."""
+    top = argparse.ArgumentParser(
+        prog="lleekit",
+        description="Process semantics and loop elimination for star expressions without 1.",
+    )
+    top.add_argument(
+        "--format", choices=("text", "json", "dot"), default="text", help="output format"
+    )
+    top.add_argument(
+        "--cap",
+        type=int,
+        default=None,
+        help="state cap for interpretation (default %d, env LLEEKIT_STATE_CAP)"
+        % DEFAULT_STATE_CAP,
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("parse", help="parse an expression and print it back")
+    p.add_argument("expr")
+    p.set_defaults(func=cli._cmd_parse)
+
+    p = sub.add_parser("chart", help="interpret an expression as a chart")
+    p.add_argument("expr")
+    p.set_defaults(func=cli._cmd_chart)
+
+    p = sub.add_parser("collapse", help="collapse a chart (file) or an expression")
+    p.add_argument("target", metavar="FILE|EXPR")
+    p.add_argument("--map", metavar="PATH", help="write the collapse map to PATH")
+    p.set_defaults(func=cli._cmd_collapse)
+
+    p = sub.add_parser("lee", help="search a chart file for an elimination witness")
+    p.add_argument("chart")
+    p.set_defaults(func=cli._cmd_lee)
+
+    p = sub.add_parser("llee", help="check that a witness is layered")
+    p.add_argument("chart")
+    p.add_argument("witness")
+    p.set_defaults(func=cli._cmd_check_witness, llee=True)
+
+    p = sub.add_parser("lee2llee", help="layer an elimination witness")
+    p.add_argument("chart")
+    p.add_argument("witness")
+    p.set_defaults(func=cli._cmd_lee2llee)
+
+    p = sub.add_parser(
+        "reflect", help="collapse a chart and reflect its witness onto the collapse"
+    )
+    p.add_argument("chart")
+    p.add_argument("witness")
+    p.set_defaults(func=cli._cmd_reflect)
+
+    p = sub.add_parser("solve", help="extract and check a solution from a layered witness")
+    p.add_argument("chart")
+    p.add_argument("witness")
+    p.set_defaults(func=cli._cmd_solve)
+
+    p = sub.add_parser("equiv", help="decide bisimilarity of two expressions")
+    p.add_argument("expr1")
+    p.add_argument("expr2")
+    p.add_argument("--certificate", metavar="DIR", help="write certificate files to DIR")
+    p.set_defaults(func=cli._cmd_equiv)
+
+    p = sub.add_parser("check-witness", help="replay-check a witness")
+    p.add_argument("chart")
+    p.add_argument("witness")
+    p.add_argument("--llee", action="store_true", help="also require layering")
+    p.set_defaults(func=cli._cmd_check_witness)
+
+    return top

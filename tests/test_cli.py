@@ -1,13 +1,17 @@
 """End-to-end runs of every subcommand through ``run(argv)``."""
 
 import contextlib
+import functools
 import gc
 import io
 import json
+import pathlib
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_path, in_both_collector_states, run_python
 import lleekit.bisim
@@ -15,11 +19,12 @@ import lleekit.cli
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, interpret
 from generators import random_expression
-from lleekit.cli import _build_parser, _expression_dot, run
+from lleekit.cli import _expression_dot, _parse_args, run
 from lleekit.errors import InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, to_json_dict, unparse
 from lleekit.lee import Witness, find_lee_witness, is_llee_witness
 from lleekit.solve import Solution, equiv
+from oracles import argparse_cli
 
 G = str(fixture_path("g.chart"))
 CI = str(fixture_path("ci.chart"))
@@ -615,16 +620,15 @@ def _run_captured(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_run_reuses_one_parser_without_leaking_state(capsys):
+def test_repeated_runs_leak_no_state(capsys):
+    # each argv run alone in a fresh process, then all of them twice in this one
     fresh = []
     for argv in RUN_MIX:
-        _build_parser.cache_clear()
-        fresh.append(_run_captured(argv, capsys))
+        proc = run_python(["-m", "lleekit.cli", *argv], 0, text=True)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert fresh[1] == (1, "", "error: more than 2 states while interpreting 'a.b.c'\n")
-    _build_parser.cache_clear()
     reused = [_run_captured(argv, capsys) for argv in RUN_MIX * 2]
     assert reused == fresh * 2
-    assert _build_parser.cache_info().misses == 1
     # exits 0, 1 and 2 leave the cyclic collector as they found it
     both = in_both_collector_states(lambda: [_run_captured(argv, capsys) for argv in RUN_MIX])
     assert both == [fresh, fresh]
@@ -768,14 +772,13 @@ def test_no_collection_runs_while_deciding(e2, code, capsys):
     # a decision builds acyclic objects only, and the cyclic collector is
     # paused for the whole of a command and of library equiv; unpaused,
     # these calls set off dozens of collections.  Only collections with run
-    # or equiv on the stack count.  The parser is built once per process,
-    # and collecting before each call leaves the few objects run makes
-    # before its pause short of a collection's threshold.  It also settles
-    # the collection that the first allocations after a long call set off,
-    # which CPython 3.12 and later run at the next call's entry
+    # or equiv on the stack count.  Collecting before each call leaves the
+    # few objects run makes before its pause short of a collection's
+    # threshold.  It also settles the collection that the first allocations
+    # after a long call set off, which CPython 3.12 and later run at the
+    # next call's entry
     e1 = CHAIN4000 + ".x"
     parsed = parse(e1), parse(e2)
-    _build_parser()
     calls = {run.__code__, equiv.__code__}
     collections = []
 
@@ -1020,3 +1023,232 @@ def test_invalid_json_input_is_one_error_line(tmp_path, command):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: invalid JSON input (")
     assert proc.stderr.endswith(")\n") and proc.stderr.count("\n") == 1
+
+
+# --- the command line -------------------------------------------------------
+
+# each command's positionals, and its options: True for one that takes a
+# value, False for a flag
+GRAMMAR = {
+    "parse": (1, {}),
+    "chart": (1, {}),
+    "collapse": (1, {"--map": True}),
+    "lee": (1, {}),
+    "llee": (2, {}),
+    "lee2llee": (2, {}),
+    "reflect": (2, {}),
+    "solve": (2, {}),
+    "equiv": (2, {"--certificate": True}),
+    "check-witness": (2, {"--llee": False}),
+}
+VALUES = st.one_of(
+    st.sampled_from(["a.b", "(a+b)*0", "out/cert", "-5", "-0.5", "-a b", "", "x=y", "0"]),
+    st.text("ab.+*()", min_size=1, max_size=5),
+)
+# positionals that only a "--" before them keeps from being read as options
+DASHED = st.sampled_from(["-a", "--x", "-h", "--format", "--cert"])
+FORMATS = st.sampled_from(["text", "json", "dot"])
+CAPS = st.integers(-3, 10**6).map(str)
+CORRUPTIONS = [
+    "drop", "extra", "command", "option", "choice", "int", "global after", "no value", "help"
+]
+
+
+def _spelled(draw, flag, value=None):
+    """``flag`` as a prefix that is still unique, with its value next or after ``=``."""
+    shortest = 3 if flag.startswith("--") else len(flag)
+    spelled = flag[: draw(st.integers(shortest, len(flag)))]
+    if value is None:
+        return [spelled]
+    return [spelled + "=" + value] if draw(st.booleans()) else [spelled, value]
+
+
+def _global(draw, flag=None):
+    flag = flag or draw(st.sampled_from(["--format", "--cap"]))
+    return _spelled(draw, flag, draw(FORMATS if flag == "--format" else CAPS))
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of the CLI's grammar, and the one corruption applied to it (or None)."""
+    globals_ = [_global(draw) for _ in range(draw(st.integers(0, 2)))]
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    count, options = GRAMMAR[command]
+    items = [("positional", [draw(VALUES)]) for _ in range(count)]
+    for flag, takes in options.items():
+        for _ in range(draw(st.integers(0, 2))):
+            items.append(("option", _spelled(draw, flag, draw(VALUES) if takes else None)))
+    items = draw(st.permutations(items))
+    corruption = draw(st.one_of(st.none(), st.sampled_from(CORRUPTIONS)))
+    positions = [i for i, (kind, _) in enumerate(items) if kind == "positional"]
+    if corruption == "drop" and positions:
+        del items[draw(st.sampled_from(positions))]
+    elif corruption == "extra":
+        items.insert(draw(st.integers(0, len(items))), ("positional", [draw(VALUES)]))
+    elif corruption == "command":
+        command = draw(st.sampled_from(["equi", "Equiv", "check_witness", "lee3", "parse "]))
+    elif corruption == "option":
+        unknown = draw(st.sampled_from(["--bogus", "-x", "--map", "--llee", "--certificate"]))
+        if unknown not in options:
+            items.insert(draw(st.integers(0, len(items))), ("option", [unknown]))
+    elif corruption == "choice":
+        globals_.append(_spelled(draw, "--format", draw(st.sampled_from(["xml", "TEXT", ""]))))
+    elif corruption == "int":
+        globals_.append(_spelled(draw, "--cap", draw(st.sampled_from(["x", "1.5", "", "5x"]))))
+    elif corruption == "global after":
+        items.insert(draw(st.integers(0, len(items))), ("option", _global(draw)))
+    elif corruption == "no value":
+        valued = [flag for flag, takes in options.items() if takes]
+        if valued:
+            items.append(("option", _spelled(draw, valued[0])))
+        else:
+            globals_.append([draw(st.sampled_from(["--cap", "--format"])), "--format", "json"])
+    elif corruption == "help":
+        where = draw(st.integers(0, len(globals_) + len(items)))
+        flag = [draw(st.sampled_from(["-h", "--help", "--he"]))]
+        if where <= len(globals_):
+            globals_.insert(where, flag)
+        else:
+            items.insert(where - len(globals_), ("option", flag))
+    # "--" ends the options: one or more positionals follow it, and those
+    # may then start with "-".  (argparse reported a "--" after the last
+    # positional and an option as unrecognized; a one-pass reading takes it)
+    last = max((i for i, (kind, _) in enumerate(items) if kind == "option"), default=-1)
+    if last + 1 < len(items) and draw(st.booleans()):
+        cut = draw(st.integers(last + 1, len(items) - 1))
+        after = [
+            ("positional", [draw(DASHED)]) if draw(st.booleans()) else item
+            for item in items[cut:]
+        ]
+        items = items[:cut] + [("end", ["--"])] + after
+    argv = [arg for given in globals_ for arg in given] + [command]
+    return argv + [arg for _, given in items for arg in given], corruption
+
+
+def _read(parse, argv):
+    """What ``parse(argv)`` gives: its attributes, ``func`` by name, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+    return dict(args, func=args["func"].__name__)
+
+
+@functools.lru_cache(maxsize=None)
+def _argparse_twin():
+    return argparse_cli()
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_command_line_reads_as_argparse_read_it(case):
+    argv, corruption = case
+    expected = _read(_argparse_twin().parse_args, argv)
+    assert _read(_parse_args, argv) == expected
+    if corruption is None:
+        assert expected != 2
+
+
+def test_command_line_spellings():
+    # abbreviations, "=" values, options between positionals, "--" and a
+    # repeated option, each read as argparse read them
+    argv = ["--form", "json", "--c=7", "equiv", "a", "--cert", "d1", "--", "-b"]
+    assert vars(_parse_args(argv)) == vars(_argparse_twin().parse_args(argv))
+    args = _parse_args(["--cap", "3", "--ca", "4", "check-witness", "--ll", "g", "w"])
+    assert (args.cap, args.llee, args.chart, args.witness) == (4, True, "g", "w")
+    args = _parse_args(["llee", "g", "w"])
+    assert (args.llee, args.func) == (True, lleekit.cli._cmd_check_witness)
+    args = _parse_args(["collapse", "--map=m1", "t", "--map", "m2"])
+    assert (args.target, args.map, args.format, args.cap) == ("t", "m2", "text", None)
+
+
+TOP_USAGE = "usage: lleekit [-h] [--format {text,json,dot}] [--cap CAP] COMMAND ...\n"
+EQUIV_USAGE = "usage: lleekit equiv [-h] [--certificate DIR] expr1 expr2\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        ([], TOP_USAGE + "lleekit: error: the following arguments are required: command\n"),
+        (
+            ["equiv", "a"],
+            EQUIV_USAGE + "lleekit equiv: error: the following arguments are required: expr2\n",
+        ),
+        (
+            ["--format", "xml", "parse", "a"],
+            TOP_USAGE + "lleekit: error: argument --format: invalid choice: 'xml'"
+            " (choose from 'text', 'json', 'dot')\n",
+        ),
+        (
+            ["equiv", "a", "b", "--format", "json"],
+            TOP_USAGE + "lleekit: error: unrecognized arguments: --format json\n",
+        ),
+    ],
+    ids=["no-command", "missing-positional", "bad-choice", "global-after-command"],
+)
+def test_usage_errors(argv, err, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_help_lists_the_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == TOP_USAGE + (
+        "\n"
+        "Process semantics and loop elimination for star expressions without 1.\n"
+        "\n"
+        "commands:\n"
+        "  parse                     parse an expression and print it back\n"
+        "  chart                     interpret an expression as a chart\n"
+        "  collapse                  collapse a chart (file) or an expression\n"
+        "  lee                       search a chart file for an elimination witness\n"
+        "  llee                      check that a witness is layered\n"
+        "  lee2llee                  layer an elimination witness\n"
+        "  reflect                   collapse a chart and reflect its witness onto the collapse\n"
+        "  solve                     extract and check a solution from a layered witness\n"
+        "  equiv                     decide bisimilarity of two expressions\n"
+        "  check-witness             replay-check a witness\n"
+        "\n"
+        "options:\n"
+        "  -h, --help                show this help message and exit\n"
+        "  --format {text,json,dot}  output format\n"
+        "  --cap CAP                 state cap for interpretation (default 100000, env"
+        " LLEEKIT_STATE_CAP)\n"
+    )
+    with pytest.raises(SystemExit) as exc:
+        run(["equiv", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == EQUIV_USAGE + (
+        "\n"
+        "decide bisimilarity of two expressions\n"
+        "\n"
+        "arguments:\n"
+        "  expr1\n"
+        "  expr2\n"
+        "\n"
+        "options:\n"
+        "  -h, --help         show this help message and exit\n"
+        "  --certificate DIR  write certificate files to DIR\n"
+    )
+
+
+def test_cli_loads_no_argparse():
+    # the command line is read without argparse, and so without gettext;
+    # -I ignores PYTHONPATH, so the script is given the sources' directory
+    src = str(pathlib.Path(lleekit.cli.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import lleekit.cli\n"
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))\n"
+    )
+    proc = run_python(["-I", "-c", script, src], 0, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

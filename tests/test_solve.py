@@ -22,7 +22,7 @@ from test_equiv_golden import GOLDEN, N3, P3, W3
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, TERMINATION, Transition, _States, interpret
 from lleekit.cli import run
-from lleekit.errors import InternalError, NotLLEE, StateExplosion
+from lleekit.errors import InternalError, NotABisimulation, NotLLEE, StateExplosion
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from lleekit.lee import (
     Witness,
@@ -681,6 +681,30 @@ def test_equiv_star_unfolding():
     assert cert.witness.chart == cert.collapse
     assert is_llee_witness(cert.witness)
     assert solution_check(cert.solution) == []
+
+
+def test_certificate_maps_are_checked_once(monkeypatch):
+    # equiv checks the transfer conditions of both maps on every id; the
+    # maps read from its certificate are that checked theta, named
+    calls = []
+
+    def counted(*tables, transfers=lleekit.bisim._transfers):
+        calls.append(1)
+        return transfers(*tables)
+
+    monkeypatch.setattr(lleekit.bisim, "_transfers", counted)
+    for e1, e2 in [("c.c.c.x", "c.c.c.(x+x)"), (W3, W3 + "+0"), (N3, N3 + "+0"), (P3, P3 + "+0")]:
+        calls.clear()
+        cert = equiv(parse(e1), parse(e2)).certificate
+        cert.map1, cert.map2
+        assert len(calls) == 1, (e1, e2)
+        # the maps are the ones a checked construction gives
+        for m in (cert.map1, cert.map2):
+            assert m == BisimMap(m.source, m.target, dict(m.mapping))
+    # a map given by the user is still checked
+    m = equiv(parse("c.x"), parse("c.(x+x)")).certificate.map1
+    with pytest.raises(NotABisimulation):
+        BisimMap(m.source, m.target, dict.fromkeys(m.source.nodes, m.target.initial))
 
 
 def test_equiv_reflexive():
