@@ -13,8 +13,9 @@ exploring, a reachable expression ``h.r1.….rn`` (left-nested, ``h`` not a
 sequence) is held as its head ``h`` and an interned continuation
 ``r1 … rn``, so a step and a node id cost the size of the head, not the
 length of the sequence.  Exploration numbers the states and prints
-nothing: a subterm is printed only when a state is named, and then once
-per exploration.  :func:`interpret` names every state.
+nothing.  Naming every state prints the roots once, as one token stream,
+and reads each head and operand as a slice of that text; naming one
+state prints only that state.  :func:`interpret` names every state.
 :func:`lleekit.solve.equiv` names only the members of the two blocks a
 NOT_EQUAL prints; an EQUAL names the first expression's states, and the
 second expression's only when its certificate's second map is read.
@@ -55,10 +56,10 @@ from __future__ import annotations
 
 import gc
 import os
-import re
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property
+from itertools import accumulate
 
 from ._record import record
 from .errors import ParentMismatch, ParseError, StateExplosion, UnknownNode
@@ -176,17 +177,16 @@ class Transition:
         return "%s -%s-> %s" % (self.src, self.action, "√" if self.terminal else self.dst)
 
 
-# ``\S`` excludes exactly the characters for which ``str.isspace`` holds.
-_TOKEN_RE = re.compile(r"\S+")
-
-
 def _check_token(kind, value):
-    # in text files "!" reads as √, and a line starting with "#" as a comment
+    # in text files "!" reads as √, and a line starting with "#" as a
+    # comment; ``str.split`` splits at exactly the characters for which
+    # ``str.isspace`` holds, so one piece, the value itself, means a
+    # non-empty token with no blank in it
     if (
         not isinstance(value, str)
         or value == "!"
         or value.startswith("#")
-        or not _TOKEN_RE.fullmatch(value)
+        or value.split() != [value]
     ):
         raise ValueError("invalid %s token: %r" % (kind, value))
 
@@ -225,7 +225,7 @@ class Chart:
             _check_token("node", n)
         actions.update(alphabet)
         for a in actions:
-            if not isinstance(a, str) or not _expr._ACTION_RE.fullmatch(a):
+            if not isinstance(a, str) or not _expr._is_action(a):
                 raise ValueError("invalid action token: %r" % (a,))
         if initial is not None and initial not in ns:
             raise UnknownNode("initial node %r is not a node" % (initial,))
@@ -999,7 +999,8 @@ class _Cont:
 
     As a continuation it holds the right operands pending after a state's
     head, and ``suffix`` is its printed part of a node id, ``".r1.r2…"``,
-    filled in by :meth:`_States.name` on first use (``None`` until then).
+    filled in by :meth:`_States.name` on first use (``None`` until then)
+    from slices of the exploration's one printed text.
     A state is the ``_Cont`` of its head and the head's continuation, and
     ``index`` is its id in the exploration's tables (``None`` until
     :func:`_explore` numbers it).
@@ -1015,6 +1016,12 @@ class _Cont:
 # the measure of a leaf: an action terminates, 0 does not
 _LEAF_MEASURE = {Action: (True, 0), Zero: (False, 0)}
 
+# the operand classes printed in parentheses in a node id: a head alone,
+# a head before its continuation, and a continuation's operand, which
+# print as the left and the right operand of a "."
+_ALONE = frozenset()
+_HEAD, _OPERAND = _expr._OPERANDS[Seq]
+
 
 class _States:
     """The states of one exploration, with their continuations and names.
@@ -1024,26 +1031,54 @@ class _States:
     ``r1 … rn`` are the continuation's operands.  Every expression has
     exactly one such form, so states and expressions correspond one to
     one, and equal states are the same object.  A step rewrites only the
-    head and the front of the continuation, and a node id is the printed
-    head followed by the continuation's cached suffix, so neither costs the
-    length of the spine.  A continuation whose first operand is not a
-    sequence is itself the state that runs it, so a step that finishes its
-    head looks nothing up.
+    head and the front of the continuation, so it does not cost the length
+    of the spine.  A continuation whose first operand is not a sequence is
+    itself the state that runs it, so a step that finishes its head looks
+    nothing up.
+
+    Every head and every continuation operand is a subterm of a root:
+    stepping keeps subterms and the star nodes themselves, and interning
+    keeps the first object of each equal pair.  So :meth:`name` prints the
+    roots once, in one token stream (:func:`expr._emit`), which records
+    where each operator node's text starts and ends, and reads each head
+    and operand as a slice of that text; a node id is the head's slice
+    followed by the continuation's cached suffix.  :meth:`name_one` prints
+    only its own state.
     """
 
-    def __init__(self):
+    def __init__(self, roots=()):
         self._conts = {}
         self._spare = _new(_Cont)
-        self._printed = {}
         self._measures = {}
+        # the roots, a sequence, and, once a state is named, their text
+        # with the token offsets and each operator node's token span
+        self._roots = roots
+        self._text = None
 
-    def _wrap(self, e, minimum):
-        """``e`` as printed by :func:`expr.unparse` in an operand position of
-        precedence ``minimum``; each subterm is printed once."""
-        if e.__class__ is Action:
+    def _print_roots(self):
+        """The roots printed one after another, as ``(text, offsets,
+        starts, ends)``: operator node ``x``'s text is
+        ``text[offsets[starts[id(x)]]:offsets[ends[id(x)]]]``."""
+        out, starts, ends = [], {}, {}
+        _expr._emit(self._roots[::-1], out, starts, ends)
+        offsets = [0]
+        offsets += accumulate(map(len, out))
+        self._text = ("".join(out), offsets, starts, ends)
+        return self._text
+
+    def _wrap(self, e, wrapped):
+        """``e`` as printed by :func:`expr.unparse`, in parentheses when its
+        class is in ``wrapped``: an operator node is a slice of the roots'
+        text."""
+        cls = e.__class__
+        if cls is Action:
             return e.name
-        text = _expr._printed(e, self._printed)
-        return "(" + text + ")" if _expr._level(e) < minimum else text
+        if cls is Zero:
+            return "0"
+        text, offsets, starts, ends = self._text or self._print_roots()
+        i = id(e)
+        text = text[offsets[starts[i]] : offsets[ends[i]]]
+        return "(" + text + ")" if cls in wrapped else text
 
     def push(self, e, rest):
         """The continuation that runs ``e`` and then ``rest``, interned.
@@ -1073,7 +1108,7 @@ class _States:
             k = k.rest
         text = "" if k is None else k.suffix
         for c in reversed(pending):
-            text = c.suffix = "." + self._wrap(c.expr, _expr._LEVEL_STAR) + text
+            text = c.suffix = "." + self._wrap(c.expr, _OPERAND) + text
         return text
 
     def enter(self, e, k):
@@ -1166,26 +1201,38 @@ class _States:
     def name(self, state):
         """The node id of ``state``: the printed expression it stands for.
 
-        The suffixes of the continuation are cached on the way, which pays
-        when every state is named, as :func:`interpret` does."""
+        The head and the continuation's operands are slices of the roots'
+        text, printed on the first call, and the suffixes of the
+        continuation are cached on the way, which pays when every state is
+        named, as :func:`interpret` does."""
         head, k = state.expr, state.rest
         if k is None:
-            return self._wrap(head, _expr._LEVEL_PLUS)
-        return self._wrap(head, _expr._LEVEL_SEQ) + self._suffix(k)
+            return self._wrap(head, _ALONE)
+        return self._wrap(head, _HEAD) + self._suffix(k)
 
     def name_one(self, state):
-        """:meth:`name`, printed with one walk down the continuation and
-        nothing cached: naming a few states of a long spine this way costs
-        their length, where the suffix cache would hold every suffix of the
-        spine."""
+        """:meth:`name`, printed alone: the head and one walk down the
+        continuation append to one token list, joined once, and nothing
+        is cached.  An action is its name; an operator node is printed
+        into the same list (:func:`expr._emit`).  Naming a few states of a
+        long spine this way costs their length, where the roots' text and
+        the suffix cache would cost the whole exploration."""
         head, k = state.expr, state.rest
-        if k is None:
-            return self._wrap(head, _expr._LEVEL_PLUS)
-        parts = [self._wrap(head, _expr._LEVEL_SEQ)]
-        while k is not None:
-            parts.append(self._wrap(k.expr, _expr._LEVEL_STAR))
-            k = k.rest
-        return ".".join(parts)
+        wrapped = _ALONE if k is None else _HEAD
+        out = []
+        while True:
+            cls = head.__class__
+            if cls is Action:
+                out.append(head.name)
+            elif cls in wrapped:
+                out.append("(")
+                _expr._emit([")", head], out)
+            else:
+                _expr._emit([head], out)
+            if k is None:
+                return "".join(out)
+            out.append(".")
+            head, k, wrapped = k.expr, k.rest, _OPERAND
 
 
 def step(e):
@@ -1261,7 +1308,7 @@ def _explore(roots, cap, what, labelled=False, base=0):
     """
     if cap is None:
         cap = _state_cap()
-    space = _States()
+    space = _States(roots)
     steps, push, enter, measure = space.steps, space.push, space.enter, space.measure
     states = []
     out_table, term_table = [], []

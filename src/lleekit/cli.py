@@ -326,9 +326,16 @@ def _cmd_equiv(args, cfg):
     res = equiv(e1, e2, cap=cfg.cap)
     if res.equal:
         cert = res.certificate
-        # the state cap bounds the printed expression too, counted on the
-        # shared sub-solutions before anything is written
-        if cfg.format != "dot" and size(cert.expression) > cfg.cap:
+        # the state cap bounds the printed expression too, before anything
+        # is written: the text counts syntax nodes while it prints and
+        # stops at the first past the cap; JSON counts them on the shared
+        # sub-solutions (size)
+        if cfg.format == "text":
+            text = expr_mod._unparse_within(cert.expression, cfg.cap)
+            over = text is None
+        else:
+            over = cfg.format == "json" and size(cert.expression) > cfg.cap
+        if over:
             raise StateExplosion("the solution has more than %d syntax nodes" % cfg.cap)
         if args.certificate:
             _write_certificate(cert, args.certificate)
@@ -343,7 +350,7 @@ def _cmd_equiv(args, cfg):
         elif cfg.format == "dot":
             _print(cert.collapse.to_dot(order=cert.witness.order))
         else:
-            _print("EQUAL\n%s" % unparse(cert.expression))
+            _print("EQUAL\n" + text)
         return 0
     dist = res.distinction
     if cfg.format == "json":

@@ -38,7 +38,14 @@ __all__ = [
     "actions_of",
 ]
 
-_ACTION_RE = re.compile(r"[a-z][a-z0-9_]*")
+# the characters after the first letter of an action name
+_ACTION_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
+
+
+def _is_action(name):
+    """Whether the string ``name`` is an action name, ``[a-z][a-z0-9_]*``,
+    tested character by character with no regular expression."""
+    return "a" <= name[:1] <= "z" and not name.strip(_ACTION_CHARS)
 
 
 class Expression:
@@ -67,7 +74,7 @@ class Action(Expression):
     __slots__ = ("name",)
 
     def __init__(self, name):
-        if not _ACTION_RE.fullmatch(name):
+        if not _is_action(name):
             raise ValueError("invalid action name: %r" % (name,))
         _set_name(self, name)
         _set_hash(self, hash(("action", name)))
@@ -302,24 +309,16 @@ def actions_of(e):
 
 # --- precedence ------------------------------------------------------------
 
-# Precedence levels, from the weakest binding operator to atoms.
-_LEVEL_PLUS, _LEVEL_SEQ, _LEVEL_STAR, _LEVEL_ATOM = 1, 2, 3, 4
-
-# the level of each operator node
-_LEVEL = {Plus: _LEVEL_PLUS, Seq: _LEVEL_SEQ, Star: _LEVEL_STAR}
-
-# the least level of a left and a right operand that prints without
-# parentheses: ``+`` and ``.`` associate to the left, and star operands
-# must be atoms
+# The classes of the left and of the right operands that print in
+# parentheses under each operator: ``+`` binds weakest, then ``.``, then
+# ``*``; ``+`` and ``.`` associate to the left, and star operands must be
+# atoms.  A head before a ``.`` prints as ``Seq``'s left operand and a
+# continuation's operand as its right one (:mod:`lleekit.chart`).
 _OPERANDS = {
-    Plus: (_LEVEL_PLUS, _LEVEL_SEQ),
-    Seq: (_LEVEL_SEQ, _LEVEL_STAR),
-    Star: (_LEVEL_ATOM, _LEVEL_ATOM),
+    Plus: (frozenset(), frozenset((Plus,))),
+    Seq: (frozenset((Plus,)), frozenset((Plus, Seq))),
+    Star: (frozenset((Plus, Seq, Star)), frozenset((Plus, Seq, Star))),
 }
-
-
-def _level(e):
-    return _LEVEL.get(e.__class__, _LEVEL_ATOM)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -471,50 +470,111 @@ def _parse_error(text, i, exc, message):
 
 # --- printing --------------------------------------------------------------
 
-def _printed(e, printed):
-    """The text of ``e`` as :func:`unparse` prints it.
+# per operator class: its operand classes printed in parentheses, left and
+# right, then its token with no parenthesis beside it, after a closed
+# left operand, before an opened right one, and both
+_PRINTING = {
+    cls: (left, right, cls._op, ")" + cls._op, cls._op + "(", ")" + cls._op + "(")
+    for cls, (left, right) in _OPERANDS.items()
+}
 
-    ``printed`` maps expressions to their texts: it is read first, and the
-    text of every operator node printed here is added to it.  Children are
-    printed before their parents, from an explicit stack, so a deep
-    expression does not hit the recursion limit, and a subterm shared by
-    several parents is printed once.
+
+def _emit(stack, out, starts=None, ends=None, budget=-1):
+    """Append to ``out`` the tokens of the items on ``stack``, popped from
+    its end: a string is a token as it is, an expression is printed as
+    :func:`unparse` prints it.
+
+    One explicit stack and one token list print the whole output, so a
+    deep expression does not hit the recursion limit and no subterm's text
+    is built on its own: the tokens are joined once, by the caller, and a
+    subterm shared by several parents is printed at each occurrence, as
+    the text holds it.  Each operator node pushes its right operand (an
+    action as its name), its token with the parentheses that the operands'
+    classes need (:data:`_OPERANDS`), and walks down its left operand in
+    the same loop.
+
+    With ``starts`` and ``ends``, dictionaries, each operator node's first
+    and one-past-last token are recorded under its id, so every subterm is
+    a slice of the joined text (:class:`lleekit.chart._States`); the marker
+    of a node's end is its id on the stack.  ``budget`` counts down the
+    operator nodes printed, and printing stops when it reaches 0: the
+    result is the budget left, 0 when it ran out, and a negative budget
+    never does.  Raises :class:`TypeError` on an item that is neither.
     """
-    texts = []
-    stack = [e]
+    append, pop = out.append, stack.pop
     while stack:
-        x = stack.pop()
-        if x is _BUILD:
-            x = stack.pop()
-            need_left, need_right = _OPERANDS[x.__class__]
-            right = texts.pop()
-            left = texts.pop()
-            if _level(x.left) < need_left:
-                left = "(" + left + ")"
-            if _level(x.right) < need_right:
-                right = "(" + right + ")"
-            text = printed[x] = left + x._op + right
-            texts.append(text)
-            continue
+        x = pop()
         cls = x.__class__
-        if cls is Action:
-            texts.append(x.name)
-        elif cls is Zero:
-            texts.append("0")
-        elif cls not in _OPERANDS:
-            raise TypeError("not an expression: %r" % (x,))
-        else:
-            text = printed.get(x)
-            if text is None:
-                stack += (x, _BUILD, x.right, x.left)
+        if cls is str:
+            append(x)
+            continue
+        if cls is int:
+            ends[x] = len(out)
+            continue
+        # an expression, and down its left operands
+        while True:
+            if cls is Action:
+                append(x.name)
+                break
+            printing = _PRINTING.get(cls)
+            if printing is None:
+                if cls is Zero:
+                    append("0")
+                    break
+                raise TypeError("not an expression: %r" % (x,))
+            budget -= 1
+            if not budget:
+                return 0
+            wrap_left, wrap_right, op, closed, opened, both = printing
+            if starts is not None:
+                i = id(x)
+                starts[i] = len(out)
+                stack.append(i)
+            right = x.right
+            x = x.left
+            cls = x.__class__
+            if right.__class__ in wrap_right:
+                if cls in wrap_left:
+                    stack += (")", right, both)
+                    append("(")
+                else:
+                    stack += (")", right, opened)
             else:
-                texts.append(text)
-    return texts[0]
+                if right.__class__ is Action:
+                    right = right.name
+                if cls in wrap_left:
+                    stack += (right, closed)
+                    append("(")
+                else:
+                    stack += (right, op)
+    return budget
 
 
 def unparse(e):
-    """Print ``e`` with minimal parentheses; inverse of :func:`parse`."""
-    return _printed(e, {})
+    """Print ``e`` with minimal parentheses; inverse of :func:`parse`.
+
+    One token stream, joined once (:func:`_emit`): time and memory are
+    linear in the text printed.  Raises :class:`TypeError` when ``e`` is
+    not an expression.
+    """
+    if not isinstance(e, Expression):
+        raise TypeError("not an expression: %r" % (e,))
+    out = []
+    _emit([e], out)
+    return "".join(out)
+
+
+def _unparse_within(e, cap):
+    """:func:`unparse` of ``e``, or ``None`` when ``e`` has more than ``cap``
+    syntax nodes, counted as :func:`size` counts them.  A tree of ``m``
+    operator nodes has ``2m + 1`` syntax nodes, so it passes the cap from
+    operator node ``(cap + 1) // 2`` on, and printing stops there: the
+    cost is bounded by the cap however large the tree under a shared DAG.
+    """
+    out = []
+    if not _emit([e], out, budget=(cap + 1) // 2):
+        return None
+    return "".join(out)
 
 
 # --- JSON ------------------------------------------------------------------

@@ -704,6 +704,66 @@ def reference_parse(text):
     return operands[0]
 
 
+# --- printing with a text per subterm ---------------------------------------
+
+# the printer's tables, as the printer below was written against them:
+# precedence levels from the weakest binding operator to atoms, and the
+# least level of a left and a right operand that prints without parentheses
+_PRINT_LEVEL_PLUS, _PRINT_LEVEL_SEQ, _PRINT_LEVEL_STAR, _PRINT_LEVEL_ATOM = 1, 2, 3, 4
+
+
+def reference_unparse(e, printed=None):
+    """:func:`lleekit.expr.unparse` as it was before printing became one
+    token stream: children are printed before their parents from an
+    explicit stack, and the text of every operator node is stored in
+    ``printed`` (a fresh dictionary by default), read first, so a subterm
+    shared by several parents is printed once.  ``printed`` may be any
+    mapping with ``get`` and item assignment, such as one that keeps
+    nothing, which bounds the memory on a long chain.
+    """
+    from lleekit.expr import Action, Plus, Seq, Star, Zero
+
+    level = {Plus: _PRINT_LEVEL_PLUS, Seq: _PRINT_LEVEL_SEQ, Star: _PRINT_LEVEL_STAR}
+    operands = {
+        Plus: (_PRINT_LEVEL_PLUS, _PRINT_LEVEL_SEQ),
+        Seq: (_PRINT_LEVEL_SEQ, _PRINT_LEVEL_STAR),
+        Star: (_PRINT_LEVEL_ATOM, _PRINT_LEVEL_ATOM),
+    }
+    build = object()
+    if printed is None:
+        printed = {}
+    texts = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if x is build:
+            x = stack.pop()
+            need_left, need_right = operands[x.__class__]
+            right = texts.pop()
+            left = texts.pop()
+            if level.get(x.left.__class__, _PRINT_LEVEL_ATOM) < need_left:
+                left = "(" + left + ")"
+            if level.get(x.right.__class__, _PRINT_LEVEL_ATOM) < need_right:
+                right = "(" + right + ")"
+            text = printed[x] = left + x._op + right
+            texts.append(text)
+            continue
+        cls = x.__class__
+        if cls is Action:
+            texts.append(x.name)
+        elif cls is Zero:
+            texts.append("0")
+        elif cls not in operands:
+            raise TypeError("not an expression: %r" % (x,))
+        else:
+            text = printed.get(x)
+            if text is None:
+                stack += (x, build, x.right, x.left)
+            else:
+                texts.append(text)
+    return texts[0]
+
+
 # --- the record classes as dataclasses --------------------------------------
 
 # what the twins' validation calls

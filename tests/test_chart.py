@@ -500,8 +500,8 @@ def _exploration_order_cases():
     rng = random.Random(23)
     sweep = [random_expression(rng, rng.randint(1, 15)) for _ in range(200)]
     yield pytest.param(sweep + [parse(text) for text in SPINES], id="sweep")
-    # step takes time linear and unparse time quadratic in a chain state's
-    # length, so the walk is cubic in the chain: 500 actions take about 0.6 s
+    # step and unparse take time linear in a chain state's length, so the
+    # walk is quadratic in the chain: 500 actions take about 0.4 s
     yield pytest.param([parse(".".join("abc"[i % 3] for i in range(500)))], id="chain500")
     yield pytest.param([parse("+".join("a%d" % i for i in range(3000)))], id="sum3000")
     yield pytest.param([_nested_stars(24)], id="s24")

@@ -6,11 +6,13 @@ import json
 import os
 import pickle
 import random
+import re
 import sys
 import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_python
 from generators import expressions, random_expression
@@ -22,6 +24,7 @@ from lleekit.expr import (
     Seq,
     Star,
     Zero,
+    _is_action,
     _postorder,
     actions_of,
     from_json,
@@ -380,6 +383,34 @@ def test_action_name_validation():
         Action("1a")
     with pytest.raises(ValueError):
         Action("a b")
+
+
+_ACTION_NAME = re.compile(r"[a-z][a-z0-9_]*")
+
+
+def _assert_action_name_as_the_pattern(name):
+    # the character test that replaced the compiled pattern accepts exactly
+    # what the pattern matches in full, with the same error message
+    assert _is_action(name) is (_ACTION_NAME.fullmatch(name) is not None)
+    if _is_action(name):
+        assert Action(name).name == name
+    else:
+        with pytest.raises(ValueError, match="invalid action name"):
+            Action(name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="abz019_AZ\n .-\u00e9\u0663\uff41", max_size=6)))
+def test_action_names_are_tested_as_the_pattern_matches(name):
+    _assert_action_name_as_the_pattern(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["a", "z", "a_", "ab1_x", "z9_", "", "_a", "9", "A", "a\n", "\na", "a-b", "\u00e9", "a\u0663", "\uff41"],
+)
+def test_action_name_edge_cases_as_the_pattern(name):
+    _assert_action_name_as_the_pattern(name)
 
 
 @pytest.mark.parametrize("cls", [Plus, Seq, Star])
