@@ -1038,12 +1038,15 @@ class _States:
 
     Every head and every continuation operand is a subterm of a root:
     stepping keeps subterms and the star nodes themselves, and interning
-    keeps the first object of each equal pair.  So :meth:`name` prints the
-    roots once, in one token stream (:func:`expr._emit`), which records
-    where each operator node's text starts and ends, and reads each head
-    and operand as a slice of that text; a node id is the head's slice
-    followed by the continuation's cached suffix.  :meth:`name_one` prints
-    only its own state.
+    keeps the first object of each equal pair.  A head or an operand is,
+    where it occurs in a root, the root itself, a star, the right operand
+    of a sequence, or the left one when that is not a sequence: stepping
+    enters nothing else, and walks through the operands of ``+`` and
+    ``*``.  So :meth:`name` prints the roots once, in one token stream
+    (:func:`expr._emit`), which records where the text of each such node
+    starts and ends, and reads each head and operand as a slice of that
+    text; a node id is the head's slice followed by the continuation's
+    cached suffix.  :meth:`name_one` prints only its own state.
     """
 
     def __init__(self, roots=()):

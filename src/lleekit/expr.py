@@ -496,10 +496,17 @@ def _emit(stack, out, starts=None, ends=None, budget=-1):
     With ``starts`` and ``ends``, dictionaries, each operator node's first
     and one-past-last token are recorded under its id, so every subterm is
     a slice of the joined text (:class:`lleekit.chart._States`); the marker
-    of a node's end is its id on the stack.  ``budget`` counts down the
-    operator nodes printed, and printing stops when it reaches 0: the
-    result is the budget left, 0 when it ran out, and a negative budget
-    never does.  Raises :class:`TypeError` on an item that is neither.
+    of a node's end is its id on the stack.  Only a span that a state can
+    read is recorded.  A state's head or a continuation's operand is, where
+    it occurs, a root, a star, the right operand of a ``Seq``, or its left
+    operand when that is not a ``Seq`` (:class:`lleekit.chart._States`).
+    So an operand of a ``Plus`` or a ``Star`` other than a star, and a
+    ``Seq`` on the left of a ``Seq``, as the inner nodes of a run ``a.b.c``
+    are, gets no span and no marker there; a right operand that gets none
+    is pushed in a 1-tuple.  ``budget`` counts down the operator nodes
+    printed, and printing stops when it reaches 0: the result is the budget
+    left, 0 when it ran out, and a negative budget never does.  Raises
+    :class:`TypeError` on an item that is neither.
     """
     append, pop = out.append, stack.pop
     while stack:
@@ -511,7 +518,13 @@ def _emit(stack, out, starts=None, ends=None, budget=-1):
         if cls is int:
             ends[x] = len(out)
             continue
-        # an expression, and down its left operands
+        # an expression, and down its left operands; a root or a right
+        # operand is read unless it comes in a 1-tuple
+        read = True
+        if cls is tuple:
+            (x,) = x
+            cls = x.__class__
+            read = False
         while True:
             if cls is Action:
                 append(x.name)
@@ -526,21 +539,29 @@ def _emit(stack, out, starts=None, ends=None, budget=-1):
             if not budget:
                 return 0
             wrap_left, wrap_right, op, closed, opened, both = printing
-            if starts is not None:
-                i = id(x)
-                starts[i] = len(out)
-                stack.append(i)
             right = x.right
+            right_cls = right.__class__
+            if starts is not None:
+                if read or cls is Star:
+                    i = id(x)
+                    starts[i] = len(out)
+                    stack.append(i)
+                if cls is Seq:
+                    read = x.left.__class__ is not Seq
+                else:
+                    read = False
+                    if right_cls is not Star and right_cls in _PRINTING:
+                        right = (right,)
             x = x.left
             cls = x.__class__
-            if right.__class__ in wrap_right:
+            if right_cls in wrap_right:
                 if cls in wrap_left:
                     stack += (")", right, both)
                     append("(")
                 else:
                     stack += (")", right, opened)
             else:
-                if right.__class__ is Action:
+                if right_cls is Action:
                     right = right.name
                 if cls in wrap_left:
                     stack += (right, closed)

@@ -184,7 +184,10 @@ def extract_solution(w):
     Without the fold, a star whose body is a star is read with that body
     unfolded once, and nested stars double at every level: the chart of
     ``((a*b0)*b1)*b2`` would print with 31 syntax nodes, and with the fold
-    it prints as itself.
+    it prints as itself.  A node that no transition enters, such as an
+    initial node on no cycle, sums ``s(K)`` in place of the transitions of
+    each loop node ``K`` it has, when that is smaller: the chart of
+    ``a+((b+(b+a)*c).b)*b`` prints with 31 syntax nodes, not 151.
 
     Layering bounds the rule: outside loops it descends along the
     elimination order, and inside the loop at ``X`` it follows body
@@ -274,7 +277,9 @@ def _solve(w):
     at its nodes: ``solved[y]`` is then ``f(y, x)`` for the context at
     ``x``, and ``loops[y]`` is ``ℓ(y)``.  Node ``n`` stands for ✓, as a
     return target and as the context outside every loop, which is solved
-    last.
+    last.  Every expression is kept with its tree size, the syntax nodes
+    :func:`lleekit.expr.size` counts, added up as it is built, so no
+    solution is walked to be measured.
 
     Every sum is built by ``total``, and folded there (:func:`_fold`) by
     BBP's axioms read right to left:
@@ -291,28 +296,52 @@ def _solve(w):
     the shared solution: every solution that holds a sub-solution holds it
     folded the same way.  A fold keeps the star it exposes, so it adds no
     node.
+
+    Last, each node ``X`` that no transition enters is solved again, once
+    every other node is; in a chart whose initial node reaches every node,
+    that is the initial node when it lies on no cycle.  ``X`` has no entries, and no other solution holds
+    ``s(X)``.  Its transitions are read as ``(action, target)`` pairs, ✓
+    among the targets, and so are those of every loop node ``K``, a node
+    with entries.  ``K`` is chosen when its pairs are all among ``X``'s
+    pairs that no chosen loop node covers yet, the largest sets first and
+    ties to the least id, so the chosen sets are disjoint.  The new
+    ``s(X)`` sums, as ``total`` sums them, ``X``'s transitions that no
+    chosen ``K`` covers, then ``s(K)`` for each chosen ``K``.  It is kept
+    when it has fewer syntax nodes than the ``s(X)`` solved before, which
+    wrote each ``s(K)`` out unfolded once.  The two are provably equal.
+    Gathered by A1 - A3, the summands of ``X``'s equation for ``K``'s
+    transitions are ``K``'s own equation, the sum of ``a . s(Z)`` for ``K
+    -a-> Z`` and ``b`` for ``K -b-> ✓``.  Read right to left, A4 and A5
+    (and A9 where ``s(K)`` is factored) write that as ``ℓ(K) . s(K) + T``,
+    and A8 as ``ℓ(K) * T``, which is ``s(K)``.
     """
     c, labels = w.chart, w.labels
     act, dst, first, names = c.act, c.dst, c.first, c.names
     n = len(names)
-    # one leaf per action name, and one 0; expressions are immutable
+    # one leaf per action name, and one 0, each with its tree size;
+    # expressions are immutable
     leaf = {a: _action(a) for a in set(act)}
-    zero = Zero()
+    zero = (Zero(), 1)
     body, succ, entries, terminals = [], [], [], []
+    looping = []  # the loop nodes
     for x in range(n):
-        b, e, t = [], [], []
+        b, s, e, t = [], [], [], []
         for k in range(first[x], first[x + 1]):
-            if dst[k] is None:
+            d = dst[k]
+            if d is None:
                 # a node's terminal transitions come sorted by action
-                t.append(leaf[act[k]])
+                t.append((leaf[act[k]], 1))
             elif labels[k]:
                 e.append(k)
             else:
                 b.append(k)
+                s.append(d)
         body.append(b)
-        succ.append([dst[k] for k in b])
+        succ.append(s)
         entries.append(e)
         terminals.append(t)
+        if e:
+            looping.append(x)
     rank, idom = [0] * (n + 1), [n] * (n + 1)
     m = n + 1
     loops = [None] * n
@@ -322,28 +351,42 @@ def _solve(w):
         """The sum of ``b`` for a transition ``-b-> s`` and ``b . sub(W)``
         for any other ``-b-> W`` of ``ks``, then of ``rest``,
         left-associated, and folded (:func:`_fold`) when a summand reads
-        ``b . (b * t)``; 0 if empty."""
+        ``b . (b * t)``; 0 if empty.  ``sub`` and ``rest`` give each
+        expression with its tree size, and ``total`` gives the sum so."""
         acc = None
+        size = -1
         fold = False
         for k in ks:
             d = dst[k]
             a = leaf[act[k]]
             if d == s:
                 p = a
+                size += 2
             else:
-                t = sub(d)
+                t, t_size = sub(d)
                 if t.__class__ is Star and t.left is a:
                     fold = True
                 p = _node(Seq, a, t)
+                size += t_size + 3
             acc = p if acc is None else _node(Plus, acc, p)
-        for p in rest:
+        for p, p_size in rest:
             acc = p if acc is None else _node(Plus, acc, p)
+            size += p_size + 1
         if acc is None:
             return zero
-        return _fold(acc) if fold else acc
+        if fold:
+            # the summands' sizes, which the fold updates
+            sizes = [1 if dst[k] == s else sub(dst[k])[1] + 2 for k in ks]
+            sizes += [p_size for _, p_size in rest]
+            acc = _fold(acc, sizes)
+            size = sum(sizes) + len(sizes) - 1
+        return acc, size
 
     def wrap(y, t):
-        return _node(Star, loops[y], t) if entries[y] else t
+        if not entries[y]:
+            return t
+        loop = loops[y]
+        return _node(Star, loop[0], t[0]), loop[1] + t[1] + 1
 
     def solve(x, post):
         """``f(y, x)`` for every node ``y`` of the context at ``x``."""
@@ -360,10 +403,11 @@ def _solve(w):
             acc = None if v == j else upto[v * m + j]
             for u in reversed(path):
                 if u in segments:
-                    acc = segments[u] if acc is None else _node(Seq, segments[u], acc)
+                    p = segments[u]
+                    acc = p if acc is None else (_node(Seq, p[0], acc[0]), p[1] + acc[1] + 1)
                 else:
                     a = leaf[act[body[u][0]]]
-                    acc = wrap(u, a if acc is None else _node(Seq, a, acc))
+                    acc = wrap(u, (a, 1) if acc is None else (_node(Seq, a, acc[0]), acc[1] + 2))
                 upto[u * m + j] = acc
             return acc
 
@@ -371,7 +415,8 @@ def _solve(w):
             j = idom[y]
             if j != n and len(succ[y]) > 1:
                 segment = segments[y] = wrap(y, total(body[y], j, partial(until, j)))
-                solved[y] = _node(Seq, segment, solved[j])
+                after = solved[j]
+                solved[y] = _node(Seq, segment[0], after[0]), segment[1] + after[1] + 1
             else:
                 rest = terminals[y] if x == n else ()
                 solved[y] = wrap(y, total(body[y], x, solved.__getitem__, rest))
@@ -399,10 +444,39 @@ def _solve(w):
         for y, d in zip(post, idoms):
             idom[y] = d
         solved = solve(x, post)
-        if x == n:
-            return [solved[y] for y in range(n)]
-        del scanned[x]
-        loops[x] = total(entries[x], x, solved.__getitem__)
+        if x != n:
+            del scanned[x]
+            loops[x] = total(entries[x], x, solved.__getitem__)
+            continue
+        out = [solved[y][0] for y in range(n)]
+        if not looping:
+            return out
+        # each node that no transition enters, with the loop nodes whose
+        # moves it has folded in, the largest first
+        entered = set(dst)
+        sources = [y for y in range(n) if y not in entered]
+        if sources:
+            moves = list(zip(act, dst))
+            looping.sort(key=lambda z: first[z] - first[z + 1])
+            for y in sources:
+                left = set(moves[first[y] : first[y + 1]])
+                chosen = []
+                for z in looping:
+                    if left.issuperset(moves[first[z] : first[z + 1]]):
+                        left.difference_update(moves[first[z] : first[z + 1]])
+                        chosen.append(solved[z])
+                if chosen:
+                    kept, rest = [], []
+                    for k in range(first[y], first[y + 1]):
+                        if moves[k] in left:
+                            if dst[k] is None:
+                                rest.append((leaf[act[k]], 1))
+                            else:
+                                kept.append(k)
+                    e, size = total(kept, n, solved.__getitem__, rest + chosen)
+                    if size < solved[y][1]:
+                        out[y] = e
+        return out
 
 
 def _star_of(p):
@@ -441,7 +515,7 @@ def _summands(e):
     return out
 
 
-def _fold(e):
+def _fold(e, sizes):
     """The sum ``e`` with each star folded back, by A8 right to left: a
     summand ``u . (u * t)`` and one copy of each summand of ``t`` become
     ``u * t``, in the first one's place.
@@ -453,6 +527,12 @@ def _fold(e):
     it may read ``u . (u * t)`` again by A9 (:func:`_star_of`), and is
     tried again at once.  A place that cannot fold waits until another one
     folds.  The sum is rebuilt, left-associated, only if something folded.
+
+    ``sizes`` lists the tree sizes of ``e``'s summands and is left listing
+    those of the result's.  ``u . (u * t)`` has ``1 + |u|``
+    more syntax nodes than ``u * t``, which has ``1 + |u|`` more than
+    ``t``, and so has its A9 reading, so ``u * t``'s size is the mean of
+    the summand's and ``t``'s.
     """
     out = _summands(e)
     places = {}
@@ -466,11 +546,22 @@ def _fold(e):
         k = None if out[i] is None else _star_of(out[i])
         if k is None:
             continue
-        need = dict.fromkeys(_summands(k.right))
-        # no summand of t is the summand at i, which holds t
-        if all(places.get(x) for x in need):
-            for x in need:
-                out[places[x].pop(0)] = None
+        parts = _summands(k.right)
+        # t's summands, each with its places in the sum, looked up once; no
+        # summand of t is the summand at i, which holds t
+        at = {}
+        for x in parts:
+            if x not in at:
+                places_x = places.get(x)
+                if not places_x:
+                    waiting.append(i)
+                    break
+                at[x] = places_x
+        else:
+            t = sum([sizes[at[x][0]] for x in parts]) + len(parts) - 1
+            sizes[i] = (sizes[i] + t) // 2
+            for places_x in at.values():
+                out[places_x.pop(0)] = None
             places[out[i]].remove(i)
             out[i] = k
             places.setdefault(k, []).append(i)
@@ -478,10 +569,9 @@ def _fold(e):
             tries.append(i)
             waiting = []
             folded = True
-        else:
-            waiting.append(i)
     if not folded:
         return e
+    sizes[:] = [size for p, size in zip(out, sizes) if p is not None]
     acc = None
     for p in out:
         if p is not None:
@@ -570,7 +660,16 @@ def _provable_check(sol, cap=None):
     no extracted sum has a summand ``0``.  Any other ``t`` has summands
     that leave ``J``, and a node whose paths all meet at ``J`` has none of
     them.  At ``X``, ``s(X) = a * t`` needs ``X``'s loop to be the
-    self-loop ``a``, which has no body node.  So the check accepts every
+    self-loop ``a``, which has no body node.
+
+    Last, extraction may solve a node ``X`` that no transition enters as
+    the sum of its transitions that no chosen loop node ``K`` covers and
+    ``s(K)`` for each chosen ``K``, whose transitions are all ``X``'s
+    (:func:`_solve`).  ``U`` reads a summand ``s(K)`` as ``U(s(K), ✓)``,
+    which is exactly ``K``'s transition forms when ``K``'s own equation
+    passes, and the other summands as before.  So the folded node passes
+    exactly when each chosen ``K`` does: A8 read right to left, then A4
+    and A5, with A1 - A3 to gather summands.  So the check accepts every
     solution that extraction gives.
 
     Neither exploration nor refinement is involved.  ``N`` and ``U`` are

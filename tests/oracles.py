@@ -3,8 +3,9 @@
 Everything here favours obviousness over speed: explicit enumeration of
 relations, subsets, paths, and elimination sequences.  Nothing imports the
 algorithms under test beyond the basic data containers, but for the map
-check that the record twins validate with and the CLI handlers that the
-argparse twin at the end names.
+check that the record twins validate with, the CLI handlers that the
+argparse twin at the end names, and the post-dominator and star-fold
+helpers of the extraction kept as it was before its root fold.
 """
 
 from __future__ import annotations
@@ -625,6 +626,138 @@ def reference_solution(w):
         return memo[y, x]
 
     return {x: f(x, None) for x in sorted(chart.nodes)}
+
+
+
+# --- solution extraction before the root fold ------------------------------
+
+
+def reference_unfolded_solution(w):
+    """:func:`lleekit.solve.extract_solution` as it was before it folded a
+    node that no transition enters over the loop nodes it covers: the
+    same contexts, post-dominators, factoring and star folds, and every
+    node, such a node included, solved as its own context gives it.
+    Returns ``{node: expression}``.  The root fold changes nothing else,
+    so the two agree at every other node, byte for byte.
+    """
+    from functools import partial
+
+    from lleekit.errors import InternalError
+    from lleekit.expr import Plus, Seq, Star, Zero, _action, _node
+    from lleekit.solve import _fold, _post_dominators
+
+    c, labels = w.chart, w.labels
+    act, dst, first, names = c.act, c.dst, c.first, c.names
+    n = len(names)
+    # one leaf per action name, and one 0; expressions are immutable
+    leaf = {a: _action(a) for a in set(act)}
+    zero = Zero()
+    body, succ, entries, terminals = [], [], [], []
+    for x in range(n):
+        b, e, t = [], [], []
+        for k in range(first[x], first[x + 1]):
+            if dst[k] is None:
+                # a node's terminal transitions come sorted by action
+                t.append(leaf[act[k]])
+            elif labels[k]:
+                e.append(k)
+            else:
+                b.append(k)
+        body.append(b)
+        succ.append([dst[k] for k in b])
+        entries.append(e)
+        terminals.append(t)
+    rank, idom = [0] * (n + 1), [n] * (n + 1)
+    m = n + 1
+    loops = [None] * n
+    scanned = {}
+
+    def total(ks, s, sub, rest=()):
+        """The sum of ``b`` for a transition ``-b-> s`` and ``b . sub(W)``
+        for any other ``-b-> W`` of ``ks``, then of ``rest``,
+        left-associated, and folded (:func:`_fold`) when a summand reads
+        ``b . (b * t)``; 0 if empty."""
+        acc = None
+        fold = False
+        for k in ks:
+            d = dst[k]
+            a = leaf[act[k]]
+            if d == s:
+                p = a
+            else:
+                t = sub(d)
+                if t.__class__ is Star and t.left is a:
+                    fold = True
+                p = _node(Seq, a, t)
+            acc = p if acc is None else _node(Plus, acc, p)
+        for p in rest:
+            acc = p if acc is None else _node(Plus, acc, p)
+        if acc is None:
+            return zero
+        # the fold's size bookkeeping is not needed here
+        return _fold(acc, [0] * (len(ks) + len(rest))) if fold else acc
+
+    def wrap(y, t):
+        return _node(Star, loops[y], t) if entries[y] else t
+
+    def solve(x, post):
+        """``f(y, x)`` for every node ``y`` of the context at ``x``."""
+        solved = {}
+        segments = {}  # f(y, J) for a branching node y and its join J
+        upto = {}  # f(v, J) for a join J above v, at key v * m + J
+
+        def until(j, v):
+            """f(v, j), by the join tree from ``v`` up to ``j``."""
+            path = []
+            while v != j and v * m + j not in upto:
+                path.append(v)
+                v = idom[v]
+            acc = None if v == j else upto[v * m + j]
+            for u in reversed(path):
+                if u in segments:
+                    acc = segments[u] if acc is None else _node(Seq, segments[u], acc)
+                else:
+                    a = leaf[act[body[u][0]]]
+                    acc = wrap(u, a if acc is None else _node(Seq, a, acc))
+                upto[u * m + j] = acc
+            return acc
+
+        for y in post:
+            j = idom[y]
+            if j != n and len(succ[y]) > 1:
+                segment = segments[y] = wrap(y, total(body[y], j, partial(until, j)))
+                solved[y] = _node(Seq, segment, solved[j])
+            else:
+                rest = terminals[y] if x == n else ()
+                solved[y] = wrap(y, total(body[y], x, solved.__getitem__, rest))
+        return solved
+
+    todo = [n]
+    while todo:
+        x = todo[-1]
+        if x != n and loops[x] is not None:
+            todo.pop()
+            continue
+        if x in scanned:
+            post, idoms = scanned[x]
+        else:
+            roots = range(n) if x == n else [dst[k] for k in entries[x] if dst[k] != x]
+            post, idoms = scanned[x] = _post_dominators(succ, terminals, roots, x, rank, idom, names)
+        pending = [y for y in post if entries[y] and loops[y] is None]
+        if pending:
+            for y in pending:
+                if y in scanned:
+                    raise InternalError("solution recursion revisits %s" % names[y])
+            todo += pending
+            continue
+        todo.pop()
+        for y, d in zip(post, idoms):
+            idom[y] = d
+        solved = solve(x, post)
+        if x == n:
+            return {names[y]: solved[y] for y in range(n)}
+        del scanned[x]
+        loops[x] = total(entries[x], x, solved.__getitem__)
 
 
 # --- parsing by a token scan and a reduce helper ---------------------------

@@ -487,6 +487,36 @@ def test_solve_rejects_unlayered(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_solve_folds_an_initial_node_that_no_transition_enters(capsys, tmp_path):
+    # the collapse's initial node lies on no cycle and covers the loop node
+    # ((b+(b+a)*c).b)*b: solve prints the folded root that equiv printed,
+    # from the certificate's chart and layered witness
+    e = "a+((b+(b+a)*c).b)*b"
+    assert run(["equiv", e, e + "+0", "--certificate", str(tmp_path)]) == 0
+    equal, printed = capsys.readouterr().out.splitlines()
+    assert (equal, printed) == ("EQUAL", "a+(a.(a+b)*(c.b)+b.(a+b)*(c.b)+b.b+c.b)*b")
+    chart = tmp_path / "h.chart"
+    assert chart.read_text(encoding="utf-8").splitlines()[1] == "init g:" + e
+    assert run(["solve", str(chart), str(tmp_path / "h.witness")]) == 0
+    out = capsys.readouterr().out
+    assert out == (tmp_path / "h.solution").read_text(encoding="utf-8")
+    assert "g:%s %s" % (e, printed) in out.splitlines()
+
+
+def test_solve_folds_a_hand_written_chart(capsys, tmp_path):
+    # X -a-> M -b-> K, X's other transitions those of K = (a.b)*c
+    chart, witness = tmp_path / "x.chart", tmp_path / "x.witness"
+    chart.write_text("chart v1\ninit X\nK a M\nK c !\nM b K\nX a M\nX c !\nX d !\n")
+    witness.write_text("witness v1\nK a M 1\nM b K 0\nX a M 0\n")
+    assert run(["solve", str(chart), str(witness)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "solution v1",
+        "K (a.b)*c",
+        "M b.(a.b)*c",
+        "X d+(a.b)*c",
+    ]
+
+
 def test_solve_no_dot(capsys):
     assert run(["--format", "dot", "solve", CI, CI_HAT_PRIME]) == 2
     assert "no dot rendering" in capsys.readouterr().err

@@ -17,13 +17,14 @@ import lleekit.cli as cli
 from conftest import load_chart, load_witness
 from generators import expressions, random_expression
 from oracles import reference_unparse
+from test_certificate_golden import PAIRS
 from test_chart import SPINES, _nested_stars
 from test_elimination_pins import family_n, family_p, family_w
 from test_equiv_golden import GOLDEN
 from lleekit.bisim import _refine
 from lleekit.chart import _explore, _interpreting
 from lleekit.cli import run
-from lleekit.expr import Action, Plus, Seq, Star, Zero, _unparse_within, parse, size, unparse
+from lleekit.expr import Action, Plus, Seq, Star, Zero, _emit, _unparse_within, parse, size, unparse
 from lleekit.lee import lee_to_llee
 from lleekit.solve import _blocks, equiv, extract_solution
 
@@ -196,6 +197,55 @@ def test_node_ids_print_the_expressions_of_several_roots():
     _assert_node_ids(_families())
     for roots in _fixture_solutions():
         _assert_node_ids(roots)
+    # certificate solutions whose initial node folds in a loop node's
+    # solution, which it shares
+    for e1, e2 in PAIRS.values():
+        sol = equiv(parse(e1), parse(e2)).certificate.solution
+        _assert_node_ids([sol.assign[x] for x in sorted(sol.assign)])
+
+
+def _spans(roots):
+    """``{id: text}`` of the operator nodes that :func:`_emit` records a
+    span for when it prints ``roots``."""
+    out, starts, ends = [], {}, {}
+    _emit(roots[::-1], out, starts, ends)
+    assert starts.keys() == ends.keys()
+    return {i: "".join(out[starts[i] : ends[i]]) for i in starts}
+
+
+def test_inner_nodes_of_a_run_get_no_span():
+    # a.b.c.d is ((a.b).c).d: only the root is a head or a continuation's
+    # operand; its left spine is neither, and is printed without spans
+    e = parse("a.b.c.d")
+    assert _spans([e]) == {id(e): "a.b.c.d"}
+
+
+def test_spans_only_where_a_state_reads_them():
+    # a state's head or a continuation's operand is a root, a star, or an
+    # operand of a "." other than a "." on its left; the operands of a "+"
+    # and of a "*" are stepped through, never read, unless they are stars
+    e = parse("x.(a.b.c)+(a.b)*(c.d+y.z)+(u+v).w")
+    abc, star, sum_ = e.left.left.right, e.left.right, e.right.left
+    assert _spans([e]) == {
+        id(e): "x.(a.b.c)+(a.b)*(c.d+y.z)+(u+v).w",
+        id(abc): "a.b.c",
+        id(star): "(a.b)*(c.d+y.z)",
+        id(sum_): "u+v",
+    }
+    # a star under a "+" or a "*" is read, and so are the operands of a "."
+    # under it
+    e = parse("a+(b*(c.(d+e)))*f")
+    star, inner = e.right, e.right.left
+    assert _spans([e]) == {
+        id(e): "a+(b*(c.(d+e)))*f",
+        id(star): "(b*(c.(d+e)))*f",
+        id(inner): "b*(c.(d+e))",
+        id(inner.right.right): "d+e",
+    }
+    # a node shared as an inner node of one run and the right operand of
+    # another gets the span of the occurrence that reads it
+    ab = parse("a.b")
+    assert _spans([Seq(ab, C), Seq(C, ab)])[id(ab)] == "a.b"
 
 
 # --- the text EQUAL's cap ----------------------------------------------------

@@ -17,7 +17,14 @@ import lleekit.lee
 import lleekit.solve
 from conftest import fixture_path, in_both_collector_states
 from generators import random_chart, random_expression
-from oracles import brute_interpret, naive_bisimilarity_pairs, reference_solution
+from oracles import (
+    brute_interpret,
+    naive_bisimilarity_pairs,
+    reference_solution,
+    reference_unfolded_solution,
+)
+from test_certificate_golden import PAIRS as CERTIFICATE_PAIRS
+from test_elimination_pins import family_n, family_p, family_w
 from test_equiv_golden import GOLDEN, N3, P3, W3
 from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, TERMINATION, Transition, _States, interpret
@@ -278,27 +285,56 @@ def _sum(*summands):
     return acc
 
 
+def _folded(e):
+    """:func:`_fold` of ``e``, given the tree sizes of its summands."""
+    return _fold(e, [size(p) for p in lleekit.solve._summands(e)])
+
+
 def test_fold_reads_a8_and_a9_right_to_left():
     a, b, c, d = (Action(x) for x in "abcd")
     ab = Star(a, b)
     # A8: a.(a*b) + b = a*b, in the first summand's place
-    assert _fold(_sum(c, Seq(a, ab), d, b)) == _sum(c, ab, d)
-    assert _fold(Seq(a, ab)) == Seq(a, ab)
+    assert _folded(_sum(c, Seq(a, ab), d, b)) == _sum(c, ab, d)
+    assert _folded(Seq(a, ab)) == Seq(a, ab)
     # every summand of t is needed, one copy each
     abc = Star(a, Plus(b, c))
-    assert _fold(_sum(Seq(a, abc), b)) == _sum(Seq(a, abc), b)
-    assert _fold(_sum(c, Seq(a, abc), b, c)) == _sum(abc, c)
+    assert _folded(_sum(Seq(a, abc), b)) == _sum(Seq(a, abc), b)
+    assert _folded(_sum(c, Seq(a, abc), b, c)) == _sum(abc, c)
     # t = 0 has the summand 0, which the sum lacks
     a0 = Star(a, Zero())
-    assert _fold(Seq(a, a0)) == Seq(a, a0)
+    assert _folded(Seq(a, a0)) == Seq(a, a0)
     # a*(b.K) with K = (a*b)*c reads (a*b).K by A9, and folds with c
     k = Star(ab, c)
-    assert _fold(_sum(Seq(a, Star(a, Seq(b, k))), Seq(b, k), c)) == k
+    assert _folded(_sum(Seq(a, Star(a, Seq(b, k))), Seq(b, k), c)) == k
     # and stays without c
-    assert _fold(_sum(Seq(a, Star(a, Seq(b, k))), Seq(b, k), d)) == _sum(Star(a, Seq(b, k)), d)
+    assert _folded(_sum(Seq(a, Star(a, Seq(b, k))), Seq(b, k), d)) == _sum(Star(a, Seq(b, k)), d)
     # a place that cannot fold yet waits until another place folds
     bc = Star(b, c)
-    assert _fold(_sum(Seq(a, Star(a, bc)), Seq(b, bc), c)) == Star(a, bc)
+    assert _folded(_sum(Seq(a, Star(a, bc)), Seq(b, bc), c)) == Star(a, bc)
+    # a t with a repeated summand takes one copy of it
+    abb = Star(a, Plus(b, b))
+    assert _folded(_sum(Seq(a, abb), b, b)) == _sum(abb, b)
+
+
+@pytest.mark.parametrize(
+    "e",
+    [
+        "c+a.a*b+d+b",
+        "a.a*(b+c)+b",
+        "c+a.a*(b+c)+b+c",
+        "a.a*(b+b)+b+b",
+        "a.a*(b.(a*b)*c)+b.(a*b)*c+c",
+        "a.a*(b.(a*b)*c)+b.(a*b)*c+d",
+        "a.a*(b*c)+b.b*c+c",
+    ],
+)
+def test_fold_keeps_the_summands_tree_sizes(e):
+    # given the tree sizes of the summands, _fold leaves those of the
+    # folded sum's, which extraction adds up instead of walking the result
+    e = parse(e)
+    sizes = [size(p) for p in lleekit.solve._summands(e)]
+    folded = _fold(e, sizes)
+    assert sizes == [size(p) for p in lleekit.solve._summands(folded)]
 
 
 def test_folded_solutions_pass_both_checks():
@@ -405,6 +441,141 @@ def test_solution_check_prints_no_state(monkeypatch):
     monkeypatch.setattr("lleekit.expr.unparse", unparse_forbidden)
     assert solution_check(sol) == []
     assert solution_check(wrong) == [x]
+
+
+# --- folding a node that no transition enters over its loop nodes -----------
+
+
+def _against_unfolded(w):
+    """Extraction on ``w`` against the extraction before the root fold
+    (:func:`oracles.reference_unfolded_solution`).  The solution passes
+    both checks.  A node that some transition enters, and every node of a
+    chart without a loop node, prints byte for byte as before; a node that
+    no transition enters prints so or with fewer syntax nodes.  Returns
+    the folded nodes, as ``(old, new)`` expressions."""
+    sol = extract_solution(w)
+    ref = reference_unfolded_solution(w)
+    assert _provable_check(sol) == []
+    assert solution_check(sol) == []
+    assert sol.assign.keys() == ref.keys()
+    entered = {t.dst for t in w.chart.transitions}
+    loops = any(k for k in w.order.values())
+    folded = []
+    for x, old in ref.items():
+        new = sol[x]
+        if x in entered or not loops or unparse(new) == unparse(old):
+            assert unparse(new) == unparse(old), x
+        else:
+            assert size(new) < size(old), x
+            folded.append((old, new))
+    return folded
+
+
+def _assert_bisimilar_by_the_oracle(old, new):
+    g, h = brute_interpret(old), brute_interpret(new)
+    assert (g.initial, h.initial) in naive_bisimilarity_pairs(g, h), unparse(new)
+
+
+def test_root_fold_on_a_random_sweep():
+    # e against e+0 (the collapse's witness), and the witness read off e
+    # itself, whose chart is not collapsed
+    rng = random.Random(31)
+    count = 0
+    for _ in range(600):
+        e = random_expression(rng, rng.randint(5, 25))
+        for w in (equiv(e, Plus(e, Zero())).certificate.witness, expression_witness(e)):
+            for old, new in _against_unfolded(w):
+                _assert_bisimilar_by_the_oracle(old, new)
+                count += 1
+    assert count >= 20
+
+
+def test_root_fold_on_the_mixed_small_equal_queries():
+    # the 200 EQUAL queries of the benchmark's mixed_small workload, seed 1:
+    # their initial nodes fold, and the expression printed is bisimilar to
+    # the first input
+    pairs = _mixed_small_pairs("EQUAL", 200)
+    assert len(pairs) == 200
+    count = 0
+    for e1, e2 in pairs:
+        cert = equiv(parse(e1), parse(e2)).certificate
+        folded = _against_unfolded(cert.witness)
+        for old, new in folded:
+            _assert_bisimilar_by_the_oracle(old, new)
+        if folded:
+            assert [new for _, new in folded] == [cert.expression]
+            _assert_bisimilar_by_the_oracle(parse(e1), cert.expression)
+        count += len(folded)
+    assert count >= 20
+
+
+def _family_pairs():
+    out = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 0]
+    out += list(CERTIFICATE_PAIRS.values())
+    for n in (1, 2, 3, 5, 8):
+        for e in (family_w(n), family_n(n), family_p(n), _nested_stars(n)):
+            out.append((e, e + "+0"))
+    return out
+
+
+def test_root_fold_on_the_golden_pairs_and_families():
+    # W, N, P and S have their initial nodes on a cycle, or no loop node,
+    # and print as before; mixed1 and mixed3 fold
+    folded = {}
+    for e1, e2 in _family_pairs():
+        w = equiv(parse(e1), parse(e2)).certificate.witness
+        folded[e1] = [(size(old), size(new)) for old, new in _against_unfolded(w)]
+    assert {e1: f for e1, f in folded.items() if f} == {
+        CERTIFICATE_PAIRS["mixed1"][0]: [(145, 33)],
+        CERTIFICATE_PAIRS["mixed3"][0]: [(205, 53)],
+    }
+
+
+def test_initial_node_on_no_cycle_folds_its_loop_node(capsys):
+    # the initial node has every transition of the loop node
+    # ((b+(b+a)*c).b)*b and one more, a to ✓: it sums a and that node's
+    # solution, which it wrote out unfolded once, by A8 and A4
+    e = "a+((b+(b+a)*c).b)*b"
+    printed = _printed_equal(capsys, e, e + "+0")
+    assert printed == "a+(a.(a+b)*(c.b)+b.(a+b)*(c.b)+b.b+c.b)*b"
+    assert size(parse(printed)) == 31
+    w = equiv(parse(e), parse(e + "+0")).certificate.witness
+    [(old, new)] = _against_unfolded(w)
+    assert (size(old), unparse(new)) == (151, printed)
+
+
+def test_root_fold_writes_the_loop_node_once():
+    # X -a-> M -b-> K, with X's other transitions those of K = (a.b)*c:
+    # unfolded, s(X) wrote s(M) = b.s(K) out; folded it sums d and s(K)
+    steps = ["X a M", "X c !", "X d !", "K a M", "K c !", "M b K"]
+    w = _pinned_witness(steps, {"K a M": 1}, "X")
+    assert [(unparse(old), unparse(new)) for old, new in _against_unfolded(w)] == [
+        ("a.(b.(a.b)*c)+c+d", "d+(a.b)*c")
+    ]
+
+
+def test_root_fold_keeps_a_smaller_factored_solution():
+    # every path from X meets at J, so its solution is factored there and
+    # writes s(J) once; summing c.s(J) and s(K) = e*(a+b).s(J) would write
+    # it twice, so X keeps its solution
+    steps = ["X e K", "X a J", "X b J", "X c J", "K e K", "K a J", "K b J", "J d !"]
+    w = _pinned_witness(steps, {"K e K": 1}, "X")
+    assert _against_unfolded(w) == []
+    assert unparse(extract_solution(w)["X"]) == "(c+e*(a+b)).d"
+
+
+def test_root_fold_chooses_the_largest_disjoint_loop_nodes():
+    # X covers K1 = a*c and K2 = b*(c+e), which share c: the larger, K2, is
+    # chosen, and K1 is not, as c is taken.  K3 = f*g and K4 = h*i are
+    # disjoint from K2 and of one size, and follow in id order
+    steps = ["X a K1", "X b K2", "X c !", "X e !", "X f K3", "X g !", "X h K4", "X i !"]
+    steps += ["K1 a K1", "K1 c !", "K2 b K2", "K2 c !", "K2 e !"]
+    steps += ["K3 f K3", "K3 g !", "K4 h K4", "K4 i !"]
+    orders = {"K1 a K1": 1, "K2 b K2": 1, "K3 f K3": 1, "K4 h K4": 1}
+    w = _pinned_witness(steps, orders, "X")
+    assert [(unparse(old), unparse(new)) for old, new in _against_unfolded(w)] == [
+        ("a*c+b.b*(c+e)+f*g+h*i+e", "a.a*c+b*(c+e)+f*g+h*i")
+    ]
 
 
 # --- the one-step provable-solution check ----------------------------------
