@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from ._record import record
-from .chart import Chart, chart_of_nodes
+from .chart import Chart, _lines, chart_of_nodes
 from .errors import NotABisimulation, ParseError, UnknownNode
 from .expr import _dumps
 
@@ -367,15 +367,8 @@ class BisimMap:
 
     @classmethod
     def from_text(cls, text, source, target):
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != "map v1":
-            raise ParseError("missing 'map v1' header")
         mapping = {}
-        for i, raw in enumerate(lines[1:], start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for i, parts in _lines(text, "map"):
             if len(parts) != 2:
                 raise ParseError("expected '<src-node> <dst-node>' on line %d" % i)
             if parts[0] in mapping:

@@ -399,17 +399,10 @@ class Chart:
 
     @classmethod
     def from_text(cls, text):
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != "chart v1":
-            raise ParseError("missing 'chart v1' header")
         initial = None
         transitions = []
         nodes = set()
-        for i, raw in enumerate(lines[1:], start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for i, parts in _lines(text, "chart"):
             # two tokens make a directive; ``init a y`` is a transition
             if len(parts) == 2 and parts[0] == "init":
                 if initial is not None:
@@ -426,7 +419,16 @@ class Chart:
             transitions.append(
                 Transition(src, action, TERMINATION if dst == "!" else dst)
             )
-        return cls(transitions, nodes=nodes, initial=initial)
+        return cls._read(transitions, nodes, initial)
+
+    @classmethod
+    def _read(cls, transitions, nodes, initial, alphabet=()):
+        """The chart a file gives, where an initial node that is not a node
+        is a :class:`ParseError`, like every other malformed chart file."""
+        try:
+            return cls(transitions, nodes=nodes, initial=initial, alphabet=alphabet)
+        except UnknownNode as exc:
+            raise ParseError(str(exc)) from None
 
     def to_text(self):
         names = self.names
@@ -464,7 +466,7 @@ class Chart:
         object whose ``transitions`` are objects with string ``src`` and
         ``act`` and a string or null ``dst``, whose ``nodes`` and
         ``alphabet`` are lists of strings and whose ``init`` is a string or
-        null.  A malformed token raises :class:`ValueError`, as in the text
+        null, and when ``init`` names no node.  A malformed token raises :class:`ValueError`, as in the text
         format.
         """
         if not isinstance(doc, dict):
@@ -485,11 +487,8 @@ class Chart:
         initial = doc.get("init")
         if initial is not None and not isinstance(initial, str):
             raise ParseError("init must be a string or null")
-        return cls(
-            ts,
-            nodes=_json_list(doc, "nodes", str),
-            initial=initial,
-            alphabet=_json_list(doc, "alphabet", str),
+        return cls._read(
+            ts, _json_list(doc, "nodes", str), initial, _json_list(doc, "alphabet", str)
         )
 
     def to_json(self):
@@ -560,6 +559,19 @@ class Chart:
             out.append('  %s -> %s [label="%s"%s];' % (_dot_id(t.src), dst, label, attrs))
         out.append("}")
         return "\n".join(out) + "\n"
+
+
+def _lines(text, kind):
+    """The lines of a ``<kind> v1`` text after its header, as ``(line
+    number, tokens)``; blank lines and ``#`` comments are skipped.  Raises
+    :class:`ParseError` when the header is missing."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != kind + " v1":
+        raise ParseError("missing '%s v1' header" % kind)
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if parts and not parts[0].startswith("#"):
+            yield i, parts
 
 
 def _json_list(doc, key, kind):

@@ -64,6 +64,7 @@ from .chart import (
     _explore,
     _explored_chart,
     _interpreting,
+    _lines,
     chart_of_nodes,
 )
 from .errors import (
@@ -393,15 +394,8 @@ class Witness:
 
     @classmethod
     def from_text(cls, text, chart):
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != "witness v1":
-            raise ParseError("missing 'witness v1' header")
         order = {}
-        for i, raw in enumerate(lines[1:], start=2):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for i, parts in _lines(text, "witness"):
             if len(parts) != 4:
                 raise ParseError("expected '<src> <action> <dst> <order>' on line %d" % i)
             src, action, dst, num = parts

@@ -191,10 +191,15 @@ def extract_solution(w):
 
     Layering bounds the rule: outside loops it descends along the
     elimination order, and inside the loop at ``X`` it follows body
-    transitions, which loop back to ``X`` and reach no terminal.  One pass
-    over each context orders its nodes, every node after its successors,
-    and finds their post-dominators (:func:`_post_dominators`); once the
-    loops at its nodes are solved, the context is solved in that order.
+    transitions, which loop back to ``X`` and reach no terminal.  It also
+    orders the loops (Grabmayer & Fokkink, LICS 2020): each node of the
+    loop at ``X`` lies in the body of one of ``X``'s steps, and a layered
+    run starts no step in an earlier step's body, so every loop node in it
+    takes its last step before that step.  So the loops are solved in the
+    order of their starts' last steps in the witness's run, then the part
+    outside every loop.  One pass over each context orders its nodes,
+    every node after its successors, and finds their post-dominators
+    (:func:`_post_dominators`), and the context is solved in that order.
     So each sub-solution is built once and shared wherever it recurs, and
     a long chart does not hit the recursion limit.  Raises
     :class:`NotLLEE` for non-layered witnesses.
@@ -219,10 +224,9 @@ def _post_dominators(succ, terminals, roots, loop, rank, idom, names):
     intersection of theirs, walked up the tree by post-order rank (Cooper,
     Harvey & Kennedy, *A Simple, Fast Dominance Algorithm*, 2001).
     ``rank`` and ``idom`` are scratch arrays of ``len(succ) + 1`` entries,
-    ``rank`` all zero and left so; ``idom`` holds the result for the
-    returned nodes until the next call.  Returns the nodes in post-order,
-    every node after its successors, and the list of their immediate
-    post-dominators.
+    ``rank`` all zero and left so; ``idom`` holds the immediate
+    post-dominators of the returned nodes until the next call.  Returns the
+    nodes in post-order, every node after its successors.
     """
     sink = len(succ)
     post = []
@@ -266,7 +270,7 @@ def _post_dominators(succ, terminals, roots, loop, rank, idom, names):
             rank[y] = len(post)
     for y in post:
         rank[y] = 0
-    return post, [idom[y] for y in post]
+    return post
 
 
 def _solve(w):
@@ -277,7 +281,14 @@ def _solve(w):
     at its nodes: ``solved[y]`` is then ``f(y, x)`` for the context at
     ``x``, and ``loops[y]`` is ``ℓ(y)``.  Node ``n`` stands for ✓, as a
     return target and as the context outside every loop, which is solved
-    last.  Every expression is kept with its tree size, the syntax nodes
+    last.  The loops are solved in the order of their starts' last steps
+    in ``w``'s run; the run's starts are the loop nodes.  A node of the
+    loop at ``x`` is reached from an entry's target by body transitions,
+    which no step removes, so it lies in the body of the step that removed
+    that entry; a layered run starts no later step at it, so a loop node
+    there has taken its last step before.  A context that holds a loop
+    node whose loop is not solved raises :class:`InternalError`.  Every
+    expression is kept with its tree size, the syntax nodes
     :func:`lleekit.expr.size` counts, added up as it is built, so no
     solution is walked to be measured.
 
@@ -323,7 +334,6 @@ def _solve(w):
     leaf = {a: _action(a) for a in set(act)}
     zero = (Zero(), 1)
     body, succ, entries, terminals = [], [], [], []
-    looping = []  # the loop nodes
     for x in range(n):
         b, s, e, t = [], [], [], []
         for k in range(first[x], first[x + 1]):
@@ -340,12 +350,9 @@ def _solve(w):
         succ.append(s)
         entries.append(e)
         terminals.append(t)
-        if e:
-            looping.append(x)
     rank, idom = [0] * (n + 1), [n] * (n + 1)
     m = n + 1
     loops = [None] * n
-    scanned = {}
 
     def total(ks, s, sub, rest=()):
         """The sum of ``b`` for a transition ``-b-> s`` and ``b . sub(W)``
@@ -422,61 +429,48 @@ def _solve(w):
                 solved[y] = wrap(y, total(body[y], x, solved.__getitem__, rest))
         return solved
 
-    todo = [n]
-    while todo:
-        x = todo[-1]
-        if x != n and loops[x] is not None:
-            todo.pop()
-            continue
-        if x in scanned:
-            post, idoms = scanned[x]
-        else:
-            roots = range(n) if x == n else [dst[k] for k in entries[x] if dst[k] != x]
-            post, idoms = scanned[x] = _post_dominators(succ, terminals, roots, x, rank, idom, names)
-        pending = [y for y in post if entries[y] and loops[y] is None]
-        if pending:
-            for y in pending:
-                if y in scanned:
-                    raise InternalError("solution recursion revisits %s" % names[y])
-            todo += pending
-            continue
-        todo.pop()
-        for y, d in zip(post, idoms):
-            idom[y] = d
+    # each start at its last step
+    last = {x: i for i, (_, x, _, _) in enumerate(w._replayed.steps)}
+    for x in sorted(last, key=last.get) + [n]:
+        roots = range(n) if x == n else [dst[k] for k in entries[x] if dst[k] != x]
+        post = _post_dominators(succ, terminals, roots, x, rank, idom, names)
+        for y in post:
+            if entries[y] and loops[y] is None:
+                raise InternalError(
+                    "the loop at %s is not solved before a context that holds it" % names[y]
+                )
         solved = solve(x, post)
         if x != n:
-            del scanned[x]
             loops[x] = total(entries[x], x, solved.__getitem__)
-            continue
-        out = [solved[y][0] for y in range(n)]
-        if not looping:
-            return out
-        # each node that no transition enters, with the loop nodes whose
-        # moves it has folded in, the largest first
-        entered = set(dst)
-        sources = [y for y in range(n) if y not in entered]
-        if sources:
-            moves = list(zip(act, dst))
-            looping.sort(key=lambda z: first[z] - first[z + 1])
-            for y in sources:
-                left = set(moves[first[y] : first[y + 1]])
-                chosen = []
-                for z in looping:
-                    if left.issuperset(moves[first[z] : first[z + 1]]):
-                        left.difference_update(moves[first[z] : first[z + 1]])
-                        chosen.append(solved[z])
-                if chosen:
-                    kept, rest = [], []
-                    for k in range(first[y], first[y + 1]):
-                        if moves[k] in left:
-                            if dst[k] is None:
-                                rest.append((leaf[act[k]], 1))
-                            else:
-                                kept.append(k)
-                    e, size = total(kept, n, solved.__getitem__, rest + chosen)
-                    if size < solved[y][1]:
-                        out[y] = e
+    out = [solved[y][0] for y in range(n)]
+    if not last:
         return out
+    # each node that no transition enters, with the loop nodes whose
+    # moves it has folded in, the largest first and ties to the least id
+    entered = set(dst)
+    sources = [y for y in range(n) if y not in entered]
+    if sources:
+        moves = list(zip(act, dst))
+        looping = sorted(last, key=lambda z: (first[z] - first[z + 1], z))
+        for y in sources:
+            left = set(moves[first[y] : first[y + 1]])
+            chosen = []
+            for z in looping:
+                if left.issuperset(moves[first[z] : first[z + 1]]):
+                    left.difference_update(moves[first[z] : first[z + 1]])
+                    chosen.append(solved[z])
+            if chosen:
+                kept, rest = [], []
+                for k in range(first[y], first[y + 1]):
+                    if moves[k] in left:
+                        if dst[k] is None:
+                            rest.append((leaf[act[k]], 1))
+                        else:
+                            kept.append(k)
+                e, size = total(kept, n, solved.__getitem__, rest + chosen)
+                if size < solved[y][1]:
+                    out[y] = e
+    return out
 
 
 def _star_of(p):

@@ -639,6 +639,11 @@ def reference_unfolded_solution(w):
     node, such a node included, solved as its own context gives it.
     Returns ``{node: expression}``.  The root fold changes nothing else,
     so the two agree at every other node, byte for byte.
+
+    Its driver does not read the witness's run: a stack of contexts, each
+    parked with the post-dominators it found until the loops at its nodes
+    are solved.  Extraction solves the loops in the order the run took
+    their last steps, so the two orders are checked against each other.
     """
     from functools import partial
 
@@ -742,7 +747,9 @@ def reference_unfolded_solution(w):
             post, idoms = scanned[x]
         else:
             roots = range(n) if x == n else [dst[k] for k in entries[x] if dst[k] != x]
-            post, idoms = scanned[x] = _post_dominators(succ, terminals, roots, x, rank, idom, names)
+            post = _post_dominators(succ, terminals, roots, x, rank, idom, names)
+            idoms = [idom[y] for y in post]
+            scanned[x] = post, idoms
         pending = [y for y in post if entries[y] and loops[y] is None]
         if pending:
             for y in pending:

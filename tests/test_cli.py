@@ -600,6 +600,24 @@ def test_malformed_chart_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("text.chart", "chart v1\ninit q\nx a x\n"),
+        ("json.chart", '{"v": 1, "init": "q", "transitions": [{"src": "x", "act": "a", "dst": "x"}]}'),
+    ],
+    ids=["text", "json"],
+)
+def test_an_init_that_names_no_node_is_a_parse_error(tmp_path, capsys, name, text):
+    # exit 1 would read as "no LEE witness"; a malformed chart file exits 2
+    path = tmp_path / name
+    path.write_text(text)
+    assert run(["lee", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: initial node 'q' is not a node\n"
+
+
 def test_malformed_json_file(tmp_path, capsys):
     bad = tmp_path / "bad.chart"
     bad.write_text("{not json")

@@ -471,6 +471,63 @@ def _against_unfolded(w):
     return folded
 
 
+# --- the order in which the loops are solved ---------------------------------
+
+
+def test_extraction_solves_the_loops_in_the_run_s_order():
+    # the run of (a.(b.c)*d)*e eliminates the inner loop first; recorded
+    # with the outer loop first, the outer loop's context holds the inner
+    # loop node before its loop is solved
+    w = expression_witness(parse("(a.(b.c)*d)*e"))
+    (_, inner, _, _), (_, outer, _, _) = w._replayed.steps
+    assert inner > outer
+    reversed_run = Witness._of(w.chart, w.labels)
+    reversed_run._replayed = w._replayed._replace(steps=w._replayed.steps[::-1])
+    assert is_llee_witness(reversed_run)
+    assert w.chart.names[inner] == "(b.c)*d.(a.(b.c)*d)*e"
+    with pytest.raises(InternalError) as caught:
+        extract_solution(reversed_run)
+    assert str(caught.value) == (
+        "the loop at (b.c)*d.(a.(b.c)*d)*e is not solved before a context that holds it"
+    )
+
+
+# A steps twice, with orders 1 and 3, and the loop at B, which A's second
+# step holds, is eliminated between them; B's id is larger than A's
+TWO_STEP_CHART = """chart v1
+init A
+A e A
+A a B
+A t !
+B x D
+D d B
+B b C
+C c A
+"""
+TWO_STEP_WITNESS = """witness v1
+A e A 1
+A a B 3
+B x D 2
+D d B 0
+B b C 0
+C c A 0
+"""
+
+
+def test_a_start_that_steps_twice_is_solved_at_its_last_step(tmp_path, capsys):
+    c = Chart.from_text(TWO_STEP_CHART)
+    w = Witness.from_text(TWO_STEP_WITNESS, c)
+    names = c.names
+    assert [(n, names[x]) for n, x, _, _ in w._replayed.steps] == [(1, "A"), (2, "B"), (3, "A")]
+    assert c.ids["B"] > c.ids["A"]
+    assert _against_unfolded(w) == []
+    assert unparse(extract_solution(w)["A"]) == "(a.(x.d)*(b.c)+e)*t"
+    (tmp_path / "two.chart").write_text(TWO_STEP_CHART)
+    (tmp_path / "two.witness").write_text(TWO_STEP_WITNESS)
+    assert run(["solve", str(tmp_path / "two.chart"), str(tmp_path / "two.witness")]) == 0
+    assert "A (a.(x.d)*(b.c)+e)*t" in capsys.readouterr().out.splitlines()
+
+
 def _assert_bisimilar_by_the_oracle(old, new):
     g, h = brute_interpret(old), brute_interpret(new)
     assert (g.initial, h.initial) in naive_bisimilarity_pairs(g, h), unparse(new)
