@@ -1010,19 +1010,16 @@ class _Cont:
     ``rest`` (``None`` when nothing follows).
 
     As a continuation it holds the right operands pending after a state's
-    head, and ``suffix`` is its printed part of a node id, ``".r1.r2…"``,
-    filled in by :meth:`_States.name` on first use (``None`` until then)
-    from slices of the exploration's one printed text.
-    A state is the ``_Cont`` of its head and the head's continuation, and
-    ``index`` is its id in the exploration's tables (``None`` until
-    :func:`_explore` numbers it).
+    head.  A state is the ``_Cont`` of its head and the head's
+    continuation, and ``index`` is its id in the exploration's tables
+    (``None`` until :func:`_explore` numbers it).
 
     It has no constructor: :class:`_States` makes each one empty with
-    ``object.__new__``, as a spare, and sets all four slots when it is
+    ``object.__new__``, as a spare, and sets all three slots when it is
     interned, so making one runs no Python-level call.
     """
 
-    __slots__ = ("expr", "rest", "suffix", "index")
+    __slots__ = ("expr", "rest", "index")
 
 
 # the measure of a leaf: an action terminates, 0 does not
@@ -1058,13 +1055,15 @@ class _States:
     (:func:`expr._emit`), which records where the text of each such node
     starts and ends, and reads each head and operand as a slice of that
     text; a node id is the head's slice followed by the continuation's
-    cached suffix.  :meth:`name_one` prints only its own state.
+    suffix, its printed part ``".r1.r2…"``, cached per continuation in
+    ``_suffixes``.  :meth:`name_one` prints only its own state.
     """
 
     def __init__(self, roots=()):
         self._conts = {}
         self._spare = _new(_Cont)
         self._measures = {}
+        self._suffixes = {}
         # the roots, a sequence, and, once a state is named, their text
         # with the token offsets and each operator node's token span
         self._roots = roots
@@ -1109,21 +1108,22 @@ class _States:
         if k is spare:
             k.expr = e
             k.rest = rest
-            k.suffix = k.index = None
+            k.index = None
             self._spare = _new(_Cont)
         return k
 
     def _suffix(self, k):
-        """The printed suffix of ``k``, filled in on first use for ``k`` and
+        """The printed suffix of ``k``, cached on first use for ``k`` and
         every continuation after it that has none yet.  Iterative, because
         a continuation can be thousands of operands long."""
+        suffixes = self._suffixes
         pending = []
-        while k is not None and k.suffix is None:
+        while k is not None and k not in suffixes:
             pending.append(k)
             k = k.rest
-        text = "" if k is None else k.suffix
+        text = "" if k is None else suffixes[k]
         for c in reversed(pending):
-            text = c.suffix = "." + self._wrap(c.expr, _OPERAND) + text
+            text = suffixes[c] = "." + self._wrap(c.expr, _OPERAND) + text
         return text
 
     def enter(self, e, k):
@@ -1140,7 +1140,7 @@ class _States:
             if c is spare:
                 c.expr = x
                 c.rest = k
-                c.suffix = c.index = None
+                c.index = None
                 spare = _new(_Cont)
             if head:
                 self._spare = spare
@@ -1248,6 +1248,32 @@ class _States:
                 return "".join(out)
             out.append(".")
             head, k, wrapped = k.expr, k.rest, _OPERAND
+
+
+def _state_expressions(states):
+    """The expression each of ``states`` stands for, right-nested.
+
+    A state or continuation ``c`` stands for ``c.expr`` when ``c.rest`` is
+    ``None``, and for ``c.expr . x`` otherwise, ``x`` what ``c.rest``
+    stands for.  That is ``head.(r1.(….rn))``, which BBP's A5 equates with
+    the left-nested ``head.r1.….rn`` a state stands for.  Each
+    continuation's expression is built once and shared by every state
+    that continues into it, and one loop walks down a continuation, so a
+    long chain does not recurse.
+    """
+    memo = {}
+    out = []
+    for state in states:
+        path = []
+        c = state
+        while c is not None and c not in memo:
+            path.append(c)
+            c = c.rest
+        e = None if c is None else memo[c]
+        for c in reversed(path):
+            e = memo[c] = c.expr if e is None else _expr._node(Seq, c.expr, e)
+        out.append(memo[state])
+    return out
 
 
 def step(e):
@@ -1426,6 +1452,9 @@ def _explored_chart(exploration):
     """
     space, roots, states, out, term, loops, base = exploration
     names = [space.name(s) for s in states]
+    # the suffixes are read by no later name, and on a long chain they hold
+    # about as much text as the names
+    space._suffixes.clear()
     order = sorted(range(len(names)), key=names.__getitem__)
     rank = [0] * (base + len(order))  # by id
     for r, i in enumerate(order):

@@ -21,14 +21,20 @@ they are not equivalent it names only the members of the two blocks it
 prints.  When they are, the whole EQUAL pipeline runs on ids as well: it
 names only the first expression's states, numbers them by name, and
 derives the evidence on those numbers: the common collapse, the two maps
-onto it, a layered witness for the collapse, and the collapse's extracted
-solution.  The witness needs no search: the first expression's chart
-carries a layered witness by construction
-(:func:`lleekit.lee.expression_witness`), and reflecting it through the
-first map gives a witness on the collapse that is layered as well, which
-is checked, not repaired.  The pipeline runs each step once: explore with
-witness labels, one joint refinement (verdict and collapse), the transfer
-check of both maps, replay, images, reflection, replay, extraction,
+onto it, a layered witness for the collapse, and a solution of it.  The
+witness needs no search: the first expression's chart carries a layered
+witness by construction (:func:`lleekit.lee.expression_witness`).
+
+When that chart is already the collapse, node for node, its witness,
+renamed, is the collapse's, and the expressions its states stand for
+(:func:`lleekit.chart._state_expressions`), the initial node the first
+expression itself, are the solution (Milner, JCSS 1984; Grabmayer &
+Fokkink, LICS 2020).  Otherwise reflecting the witness through the first
+map gives a witness on the collapse that is layered as well, which is
+checked, not repaired, and a solution is extracted from it.  The pipeline
+runs each step once: explore with witness labels, one joint refinement
+(verdict and collapse), the transfer check of both maps, replay, then,
+off the shortcut, images, reflection, replay and extraction, and last the
 solution check.  The solution check (:func:`_provable_check`) proves each
 node's equation in BBP on canonical forms, with no exploration and no
 refinement, so an EQUAL refines once and its check does not lean on the
@@ -53,6 +59,7 @@ from .chart import (
     _explored_chart,
     _interpreting,
     _state_cap,
+    _state_expressions,
     interpret,
 )
 from .errors import (
@@ -666,6 +673,27 @@ def _provable_check(sol, cap=None):
     and A5, with A1 - A3 to gather summands.  So the check accepts every
     solution that extraction gives.
 
+    *Completeness on state expressions.*  :func:`equiv` may instead solve
+    an expression's chart by the expressions its states stand for, ``head
+    . x(k)`` for a state with head ``head`` and continuation ``k``
+    (:func:`lleekit.chart._state_expressions`), and by the expression
+    itself at the initial node.  ``U`` of a state expression reads exactly
+    the rules of :meth:`lleekit.chart._States.steps`: ``N`` pushes ``.``
+    through ``+``, ``.`` and ``*`` to the right, so a sequence's left spine
+    becomes the continuation in front of ``k``; a sum gives both operands'
+    moves; a star ``e1 * e2`` gives ``e1``'s moves followed by the star and
+    ``e2``'s moves, whether or not ``e1`` is normed; ``0`` gives none, at
+    the head as anywhere; and an action ``a`` followed by ``k`` gives the
+    one summand ``(a, N(k, ✓))``, or ``a`` at the end.  The target of a
+    step is a state whose expression has the form ``N`` of that rest: the
+    step enters the next operand's left spine, or continues with ``k``,
+    and both forms are ``N`` of the same right-nested sequence, as is the
+    expression itself, which ``N`` re-associates as it parses.  So ``U(s(X),
+    ✓)`` is the set of ``X``'s transitions, each target's form being the
+    form of its solution.  Repeated steps, as in ``a + a``, are one
+    transition of the chart and one summand of the set.  So every
+    state-expression solution passes.
+
     Neither exploration nor refinement is involved.  ``N`` and ``U`` are
     memoised on the identities of their arguments.  Each rule above is
     one generator per operator node, which asks for the forms it needs,
@@ -843,12 +871,18 @@ class Certificate:
     ``collapse`` is the joint collapse of both interpretations (node ids
     ``g:`` + least merged node of the first); ``map1`` and ``map2`` are the
     bisimulation functions from each interpretation onto it; ``witness`` is
-    a layered witness for the collapse, obtained by
-    reflecting the witness read off the first expression
-    (:func:`lleekit.lee.expression_witness`) through ``map1``, and checked
-    to replay layered; ``solution`` solves the collapse, and ``expression``
-    is the solution's value at the collapse's initial node — an expression
-    provably equal to both inputs.
+    a layered witness for the collapse, checked to replay layered;
+    ``solution`` solves the collapse, and ``expression`` is the solution's
+    value at the collapse's initial node — an expression provably equal to
+    both inputs.
+
+    When the first interpretation is its own collapse, ``map1`` renames
+    each node ``x`` to ``g:x``; ``witness`` is then the witness read off
+    the first expression (:func:`lleekit.lee.expression_witness`), renamed,
+    and ``solution`` the expressions the first interpretation's states
+    stand for, so ``expression`` is the first expression.  Otherwise
+    ``witness`` reflects that witness through ``map1``, and ``solution`` is
+    extracted from it (:func:`extract_solution`).
 
     :func:`equiv` derives and checks all of it on node ids.  The collapse,
     witness and solution are the ones it computed; the two maps are named on
@@ -967,15 +1001,33 @@ def equiv(e1, e2, cap=None):
     names only their members; no chart is built.
 
     Otherwise the certificate is derived on ids as well.  Only the first
-    exploration's states are named: their ranks number the first chart,
-    and the collapse's nodes, one per class, are numbered by their least
-    members' names.  The collapse is read off the refiner's tables and
+    exploration's states are named: their ranks number the first chart
+    ``g``, and the collapse's nodes, one per class, are numbered by their
+    least members' names.  The collapse is read off the refiner's tables and
     both maps onto it pass the transfer check there, so the second
-    expression is never named and the collapse is not refined again.  The
-    expression's witness is replayed and reflected through the first map,
-    the reflection's run being the reflected witness's replay, and both
-    are checked to be layered; a solution is extracted and
-    checked equation by equation (:func:`_provable_check`), with no second
+    expression is never named and the collapse is not refined again.
+
+    When the collapse has as many nodes as ``g``, every class holds exactly
+    one node of ``g``, as :func:`lleekit.bisim._quotient` rejects a class
+    without one.  It numbers the classes in the order of their members,
+    which is ``g``'s, so collapse node ``r`` is the class of ``g``'s node
+    ``r``: ``theta[order[r]] == r``.  Its name is ``"g:"`` + the name of
+    ``g``'s node ``r``, and its steps are those of that member read through
+    ``theta``, which are ``g``'s.  The prefix keeps the order of the names,
+    and ✓ sorts before every name in both charts, so the steps are numbered
+    alike: the collapse's ``act``, ``dst`` and ``first`` are ``g``'s, and a
+    transition number means the same transition in both.  So the
+    expression's witness on ``g`` is, renamed, a witness on the collapse,
+    and it is replayed there and checked to be layered; the expressions
+    ``g``'s states stand for solve the collapse, the initial node's being
+    ``e1`` itself (:func:`lleekit.chart._state_expressions`).  No image,
+    reflection or extraction runs, and none of this is checked again.
+
+    Otherwise the expression's witness is replayed on ``g`` and reflected
+    through the first map, the reflection's run being the reflected
+    witness's replay, and both are checked to be layered; a solution is
+    extracted from the reflected witness.  Either solution is checked
+    equation by equation (:func:`_provable_check`), with no second
     refinement, and no lemma report is computed.  A failed invariant on the
     way is an :class:`InternalError`.  The :class:`Certificate` holds the
     collapse, the witness and the solution, and builds its two maps when
@@ -997,22 +1049,34 @@ def equiv(e1, e2, cap=None):
             distinction = Distinction(*_blocks(b1, b2, block, (("g:", x1), ("h:", x2))))
             return EquivResult(False, distinction=distinction, _inputs=(e1, e2, cap))
         g, order, heights = _explored_chart(x1)
+        states = x1.states
         del x1
         try:
             collapse, theta = _quotient(
                 outmap, term, block, order, ["g:" + x for x in g.names], order[g.root]
             )
             del outmap, term, block
-            w1 = Witness._of(g, _ranked(heights))
-            _check_layered(w1, "the expression's witness")
-            records = _images([theta[i] for i in order], w1._loops[2])
-            w_h = _reflect_witness(collapse, records)
-            _check_layered(w_h, "the reflected witness")
-            sol = extract_solution(w_h)
+            labels = _ranked(heights)
+            if len(collapse.names) == len(g.names):
+                # g is the collapse, node for node (see the docstring)
+                w_h = Witness._of(collapse, labels)
+                _check_layered(w_h, "the expression's witness")
+                assign = _state_expressions([states[i] for i in order])
+                assign[g.root] = e1
+                sol = Solution(collapse, dict(zip(collapse.names, assign)))
+                what = "the state expressions fail"
+            else:
+                w1 = Witness._of(g, labels)
+                _check_layered(w1, "the expression's witness")
+                records = _images([theta[i] for i in order], w1._loops[2])
+                w_h = _reflect_witness(collapse, records)
+                _check_layered(w_h, "the reflected witness")
+                sol = extract_solution(w_h)
+                what = "extracted solution fails"
         except (InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE) as exc:
             raise InternalError("building the certificate failed: %s" % exc) from exc
         bad = _provable_check(sol, cap)
         if bad:
-            raise InternalError("extracted solution fails at %s" % ", ".join(bad))
+            raise InternalError("%s at %s" % (what, ", ".join(bad)))
         certificate = Certificate(collapse, w_h, sol, _Evidence(g, order, x2, theta))
         return EquivResult(True, certificate=certificate)

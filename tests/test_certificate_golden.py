@@ -5,8 +5,11 @@ when they are read; these pins hold the bytes of all five certificate files
 and of one dot rendering, so the conversion at the edge cannot drift from
 what the program printed when they were recorded.  The pairs are W(3), N(3)
 and P(3) against rewritten copies, the README pair, and three EQUAL pairs of
-the benchmark's mixed_small workload (seed 1).  To record them again, run
-this file::
+the benchmark's mixed_small workload (seed 1).  The first chart of every
+pair but mixed2 and the README pair is its own collapse, so its witness is
+the first expression's own and its solution the state expressions; the
+files extraction wrote for those pairs from the reflected witness are kept
+under ``golden/reflected/``.  To record them again, run this file::
 
     PYTHONPATH=src python tests/test_certificate_golden.py
 """
@@ -20,14 +23,16 @@ import tempfile
 import pytest
 
 from lleekit.bisim import bisimilarity
-from lleekit.chart import interpret
+from lleekit.chart import Chart, interpret
 from lleekit.cli import run
-from lleekit.expr import parse, size
+from lleekit.expr import parse, size, unparse
+from lleekit.lee import Witness, is_llee_witness
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "certificates"
 UNFACTORED = GOLDEN.parent / "unfactored"
 UNFOLDED = GOLDEN.parent / "unfolded"
 UNFOLDED_ROOT = GOLDEN.parent / "unfolded_root"
+REFLECTED = GOLDEN.parent / "reflected"
 
 W3 = "(x0.(y0*z0)+x1.(y1*z1)+x2.(y2*z2))*0"
 N3 = "(a3.((a2.((a1.c0+b1)*c1)+b2)*c2)+b3)*c3"
@@ -55,6 +60,8 @@ PAIRS = {
 }
 FILES = ("h.chart", "g1_to_h.map", "g2_to_h.map", "h.witness", "h.solution")
 DOT = ("W3.dot", ["--format", "dot", "equiv", *PAIRS["W3"]])
+# the pairs whose first chart is its own collapse
+COLLAPSED = ("N3", "P3", "W3", "mixed1", "mixed3")
 
 
 def _certificate(name, directory):
@@ -101,12 +108,44 @@ def assert_same_processes(old, new):
         assert size(new[node]) <= size(old[node]), node
 
 
+def reflected(name, f):
+    """The certificate file ``f`` that the reflection route wrote for the
+    pair ``name``: kept under ``golden/reflected/`` where the pinned one
+    changed, and the pinned one otherwise."""
+    path = REFLECTED / name / f
+    return (path if path.exists() else GOLDEN / name / f).read_text(encoding="utf-8")
+
+
+# The files extraction wrote from the reflected witness for the pairs whose
+# first chart is its own collapse.  The chart and the maps are unchanged;
+# the old witness still replays layered on the chart, and the old dot and
+# EQUAL text are its rendering and its initial node's solution.  Every
+# node's state expression is bisimilar to its extracted solution, and the
+# printed expression is the first input itself.
+@pytest.mark.parametrize("name", COLLAPSED)
+def test_reflected_certificates_bisimilar_to_new(name):
+    chart = Chart.from_text((GOLDEN / name / "h.chart").read_text(encoding="utf-8"))
+    witness = Witness.from_text(reflected(name, "h.witness"), chart)
+    assert is_llee_witness(witness)
+    if name == "W3":
+        dot = (REFLECTED / "W3.dot").read_text(encoding="utf-8")
+        assert dot == chart.to_dot(order=witness.order)
+    old = solution_lines(reflected(name, "h.solution"))
+    new = solution_lines((GOLDEN / name / "h.solution").read_text(encoding="utf-8"))
+    assert old.keys() == new.keys()
+    for node in old:
+        g, h = interpret(old[node]), interpret(new[node])
+        assert (g.initial, h.initial) in bisimilarity(g, h), node
+    assert reflected(name, "stdout") == "EQUAL\n%s\n" % unparse(old[chart.initial])
+    assert new[chart.initial] == parse(PAIRS[name][0])
+
+
 # The solutions pinned before extraction factored them at join nodes; the
 # printed expression of each pair is its collapse's initial node's.
 @pytest.mark.parametrize("name", ["P3", "mixed1", "mixed2", "mixed3"])
 def test_unfactored_solutions_bisimilar_to_new(name):
     old = solution_lines((UNFACTORED / (name + ".solution")).read_text(encoding="utf-8"))
-    new = solution_lines((GOLDEN / name / "h.solution").read_text(encoding="utf-8"))
+    new = solution_lines(reflected(name, "h.solution"))
     assert_same_processes(old, new)
 
 
@@ -116,7 +155,7 @@ def test_unfactored_solutions_bisimilar_to_new(name):
 @pytest.mark.parametrize("name", ["mixed1", "mixed3"])
 def test_unfolded_solutions_bisimilar_to_new(name):
     old = solution_lines((UNFOLDED / (name + ".solution")).read_text(encoding="utf-8"))
-    new = solution_lines((GOLDEN / name / "h.solution").read_text(encoding="utf-8"))
+    new = solution_lines(reflected(name, "h.solution"))
     assert_same_processes(old, new)
 
 
@@ -126,7 +165,7 @@ def test_unfolded_solutions_bisimilar_to_new(name):
 @pytest.mark.parametrize("name", ["mixed1", "mixed3"])
 def test_unfolded_root_solutions_bisimilar_to_new(name):
     old_text = (UNFOLDED_ROOT / (name + ".solution")).read_text(encoding="utf-8")
-    new_text = (GOLDEN / name / "h.solution").read_text(encoding="utf-8")
+    new_text = reflected(name, "h.solution")
     old, new = solution_lines(old_text), solution_lines(new_text)
     assert_same_processes(old, new)
     chart = (GOLDEN / name / "h.chart").read_text(encoding="utf-8").splitlines()

@@ -154,7 +154,7 @@ def test_chart_cap_env(capsys, monkeypatch):
 
 
 def test_equiv_cap_bounds_the_printed_solution(capsys, tmp_path):
-    # 9 states, but the solution a.(b.(….(g.h))) has 15 syntax nodes
+    # 8 states, but the printed first expression a.b.….h has 15 syntax nodes
     pair = ["a.b.c.d.e.f.g.h", "a.b.c.d.e.f.g.(h+h)"]
     for fmt in ("text", "json"):
         assert run(["--cap", "14", "--format", fmt, "equiv", *pair, "--certificate", str(tmp_path)]) == 1
@@ -163,7 +163,7 @@ def test_equiv_cap_bounds_the_printed_solution(capsys, tmp_path):
         assert captured.err == "error: the solution has more than 14 syntax nodes\n"
         assert list(tmp_path.iterdir()) == []
     assert run(["--cap", "15", "equiv", *pair]) == 0
-    assert capsys.readouterr().out == "EQUAL\na.(b.(c.(d.(e.(f.(g.h))))))\n"
+    assert capsys.readouterr().out == "EQUAL\na.b.c.d.e.f.g.h\n"
     # dot prints the collapse, not the expression
     assert run(["--cap", "14", "--format", "dot", "equiv", *pair]) == 0
     capsys.readouterr()
@@ -488,19 +488,26 @@ def test_solve_rejects_unlayered(capsys):
 
 
 def test_solve_folds_an_initial_node_that_no_transition_enters(capsys, tmp_path):
-    # the collapse's initial node lies on no cycle and covers the loop node
-    # ((b+(b+a)*c).b)*b: solve prints the folded root that equiv printed,
-    # from the certificate's chart and layered witness
+    # the chart's initial node lies on no cycle and covers the loop node
+    # ((b+(b+a)*c).b)*b: solve prints the folded root from the chart, a
+    # searched witness and its layering.  The chart is its own collapse, so
+    # equiv certifies it by the expression itself and prints it
     e = "a+((b+(b+a)*c).b)*b"
-    assert run(["equiv", e, e + "+0", "--certificate", str(tmp_path)]) == 0
-    equal, printed = capsys.readouterr().out.splitlines()
-    assert (equal, printed) == ("EQUAL", "a+(a.(a+b)*(c.b)+b.(a+b)*(c.b)+b.b+c.b)*b")
-    chart = tmp_path / "h.chart"
-    assert chart.read_text(encoding="utf-8").splitlines()[1] == "init g:" + e
-    assert run(["solve", str(chart), str(tmp_path / "h.witness")]) == 0
+    printed = "a+(a.(a+b)*(c.b)+b.(a+b)*(c.b)+b.b+c.b)*b"
+    assert run(["equiv", e, e + "+0"]) == 0
+    assert capsys.readouterr().out == "EQUAL\n%s\n" % e
+    chart, lee, llee = tmp_path / "e.chart", tmp_path / "e.lee", tmp_path / "e.llee"
+    for argv, path in (
+        (["chart", e], chart),
+        (["lee", str(chart)], lee),
+        (["lee2llee", str(chart), str(lee)], llee),
+    ):
+        assert run(argv) == 0
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert chart.read_text(encoding="utf-8").splitlines()[1] == "init " + e
+    assert run(["solve", str(chart), str(llee)]) == 0
     out = capsys.readouterr().out
-    assert out == (tmp_path / "h.solution").read_text(encoding="utf-8")
-    assert "g:%s %s" % (e, printed) in out.splitlines()
+    assert "%s %s" % (e, printed) in out.splitlines()
 
 
 def test_solve_folds_a_hand_written_chart(capsys, tmp_path):
@@ -684,7 +691,8 @@ def test_repeated_runs_leak_no_state(capsys):
 
 def test_internal_error_exits_3(capsys, monkeypatch):
     # a wrong solution on the collapse's ids fails equiv's own solution
-    # check, which names the failing collapse node
+    # check, which names the failing collapse node; the README pair's first
+    # chart has two states and its collapse one, so equiv extracts
     import lleekit.solve
 
     extract = lleekit.solve.extract_solution
@@ -694,20 +702,37 @@ def test_internal_error_exits_3(capsys, monkeypatch):
         return Solution(sol.chart, {c: Action("z") for c in sol.assign})
 
     monkeypatch.setattr(lleekit.solve, "extract_solution", wrong)
-    both = in_both_collector_states(lambda: _run_captured(["equiv", "a", "a"], capsys))
-    assert both == [(3, "", "internal error: extracted solution fails at g:a\n")] * 2
+    argv = ["equiv", "((a+b).(a*b))*0", "(a+b)*0"]
+    both = in_both_collector_states(lambda: _run_captured(argv, capsys))
+    err = "internal error: extracted solution fails at g:((a+b).a*b)*0\n"
+    assert both == [(3, "", err)] * 2
+
+
+def test_wrong_state_expressions_exit_3(capsys, monkeypatch):
+    # the first chart of a.b is its own collapse, so equiv assigns it the
+    # state expressions, the initial node a.b itself; a wrong expression
+    # for g:b fails the solution check there and at g:a.b, which steps to it
+    import lleekit.solve
+
+    def wrong(states):
+        return [Action("z")] * len(states)
+
+    monkeypatch.setattr(lleekit.solve, "_state_expressions", wrong)
+    both = in_both_collector_states(lambda: _run_captured(["equiv", "a.b", "a.b+0"], capsys))
+    assert both == [(3, "", "internal error: the state expressions fail at g:a.b, g:b\n")] * 2
 
 
 @pytest.mark.parametrize("error", [InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE])
 def test_equiv_certificate_invariant_failures_exit_3(capsys, monkeypatch, error):
     # an invariant failure while the certificate is built once left equiv
     # with status 1, the NOT_EQUAL code; here the image computation on the
-    # first chart's ids fails
+    # first chart's ids fails, on the README pair, whose first chart is not
+    # its own collapse
     def broken(*args):
         raise error("broken")
 
     monkeypatch.setattr("lleekit.solve._images", broken)
-    assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
+    assert run(["equiv", "((a+b).(a*b))*0", "(a+b)*0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: building the certificate failed: broken\n"
@@ -776,11 +801,12 @@ CHAIN4000 = ".".join(["c"] * 4000)
 def test_equiv_wide_sum_answers():
     # _States.steps keeps the right operands of sums on an explicit stack:
     # a sum of 3000 terms exited 2 with "expression nested too deeply"
-    # while it recursed once per summand
+    # while it recursed once per summand.  Its chart is one node, its own
+    # collapse, so the sum is printed as it was given
     proc = run_python(["-m", "lleekit.cli", "equiv", SUM3000, SUM3000 + "+0"], 0, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-    assert proc.stdout == "EQUAL\na\n"
+    assert proc.stdout == "EQUAL\n%s\n" % SUM3000
 
 
 def test_equiv_too_deep_exits_2(monkeypatch, capsys):

@@ -54,6 +54,10 @@ T = Transition
 
 A, B, C = Action("a"), Action("b"), Action("c")
 
+# the README's EQUAL pair: its first chart has two states and its collapse
+# one, so equiv reflects the expression's witness and extracts a solution
+README_PAIR = ("((a+b).(a*b))*0", "(a+b)*0")
+
 
 # --- equation systems -------------------------------------------------------
 
@@ -259,6 +263,14 @@ def _printed_equal(capsys, e1, e2):
     return out[1]
 
 
+def _extracted_root(e1, e2):
+    """Extraction's solution at the initial node of the collapse of ``e1``
+    and ``e2``, from the layered witness of their certificate: equiv
+    prints it unless the first chart is its own collapse."""
+    cert = equiv(parse(e1), parse(e2)).certificate
+    return extract_solution(cert.witness).initial_expression()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32, 64])
 def test_nested_stars_print_at_the_input_size(capsys, n):
     # unfolded, each level of S(n) printed two copies of the one below:
@@ -271,11 +283,14 @@ def test_nested_stars_print_at_the_input_size(capsys, n):
         printed = _printed_equal(capsys, e, other)
         assert printed == e
         assert size(parse(printed)) == 2 * n + 1
+        # S(n)'s chart is its own collapse, so equiv prints S(n) itself;
+        # extraction folds its stars back to print it too
+        assert unparse(_extracted_root(e, other)) == e
 
 
-def test_fold_applies_a9_only_to_fold_a_star(capsys):
+def test_fold_applies_a9_only_to_fold_a_star():
     # A9 reads a*(b.c) as (a*b).c only where that exposes an A8 fold
-    assert _printed_equal(capsys, "(a*b).c", "a*(b.c)") == "a*(b.c)"
+    assert unparse(_extracted_root("(a*b).c", "a*(b.c)")) == "a*(b.c)"
 
 
 def _sum(*summands):
@@ -549,8 +564,8 @@ def test_root_fold_on_a_random_sweep():
 
 def test_root_fold_on_the_mixed_small_equal_queries():
     # the 200 EQUAL queries of the benchmark's mixed_small workload, seed 1:
-    # their initial nodes fold, and the expression printed is bisimilar to
-    # the first input
+    # their initial nodes fold, and the expression extracted from the
+    # certificate's witness is bisimilar to the first input
     pairs = _mixed_small_pairs("EQUAL", 200)
     assert len(pairs) == 200
     count = 0
@@ -560,8 +575,9 @@ def test_root_fold_on_the_mixed_small_equal_queries():
         for old, new in folded:
             _assert_bisimilar_by_the_oracle(old, new)
         if folded:
-            assert [new for _, new in folded] == [cert.expression]
-            _assert_bisimilar_by_the_oracle(parse(e1), cert.expression)
+            root = extract_solution(cert.witness).initial_expression()
+            assert [new for _, new in folded] == [root]
+            _assert_bisimilar_by_the_oracle(parse(e1), root)
         count += len(folded)
     assert count >= 20
 
@@ -588,12 +604,12 @@ def test_root_fold_on_the_golden_pairs_and_families():
     }
 
 
-def test_initial_node_on_no_cycle_folds_its_loop_node(capsys):
+def test_initial_node_on_no_cycle_folds_its_loop_node():
     # the initial node has every transition of the loop node
     # ((b+(b+a)*c).b)*b and one more, a to ✓: it sums a and that node's
     # solution, which it wrote out unfolded once, by A8 and A4
     e = "a+((b+(b+a)*c).b)*b"
-    printed = _printed_equal(capsys, e, e + "+0")
+    printed = unparse(_extracted_root(e, e + "+0"))
     assert printed == "a+(a.(a+b)*(c.b)+b.(a+b)*(c.b)+b.b+c.b)*b"
     assert size(parse(printed)) == 31
     w = equiv(parse(e), parse(e + "+0")).certificate.witness
@@ -824,7 +840,8 @@ def test_copied_solution_keeps_its_sharing(roundtrip):
     # Y, not as a tree of its own, which made the pickle of 2000 actions
     # grow with the square of the chain
     chain = ".".join(["c"] * 2000)
-    sol = equiv(parse(chain + ".x"), parse(chain + ".(x+x)")).certificate.solution
+    cert = equiv(parse(chain + ".x"), parse(chain + ".(x+x)")).certificate
+    sol = extract_solution(cert.witness)
     assert len(pickle.dumps(sol)) < 8_000_000
     c = roundtrip(sol)
     assert c.chart == sol.chart and list(c.assign) == list(sol.assign)
@@ -1142,7 +1159,7 @@ def test_equiv_unlayered_reflection_is_internal_error(monkeypatch, capsys):
         return Witness._of(collapse, [0] * len(collapse.dst))
 
     monkeypatch.setattr(lleekit.solve, "_reflect_witness", unlayered)
-    assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
+    assert run(["equiv", *README_PAIR]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: the reflected witness is not a layered witness")
 
@@ -1156,13 +1173,14 @@ def test_equiv_restores_the_collector_on_every_exit(monkeypatch):
 
     def exits():
         equal = equiv(parse("a*b"), parse("a.(a*b)+b")).equal
+        assert equiv(*map(parse, README_PAIR)).equal
         not_equal = equiv(parse("a"), parse("b")).equal
         with pytest.raises(StateExplosion):
             equiv(parse("a.b.c"), parse("a.b.c"), cap=2)
         with monkeypatch.context() as patched:
             patched.setattr(lleekit.solve, "_reflect_witness", unlayered)
             with pytest.raises(InternalError):
-                equiv(parse("a*b"), parse("a.(a*b)+b"))
+                equiv(*map(parse, README_PAIR))
         return equal, not_equal
 
     assert in_both_collector_states(exits) == [(True, False)] * 2
@@ -1234,11 +1252,19 @@ def test_equal_builds_no_chart(monkeypatch, capsys):
         assert res.certificate.solution.initial_expression() == res.certificate.expression
 
 
+def _collapsed(e):
+    """Whether the chart of ``e`` is its own collapse."""
+    g = interpret(parse(e))
+    return len(collapse(g).chart.nodes) == len(g.nodes)
+
+
 def test_equal_replays_each_witness_once(monkeypatch, capsys):
     # an EQUAL replays the expression's witness once, and the reflected one
     # not at all: the reflection records its own run as the reflected
     # witness's replay, which extraction and a later read of the
-    # certificate's witness use
+    # certificate's witness use.  Where the first chart is its own
+    # collapse, the one replay is of the expression's witness on the
+    # collapse, which is the certificate's witness
     replay = lleekit.lee._replay
     replayed = []
 
@@ -1248,19 +1274,24 @@ def test_equal_replays_each_witness_once(monkeypatch, capsys):
 
     monkeypatch.setattr(lleekit.lee, "_replay", counted)
     pairs = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 0]
-    pairs += _mixed_small_pairs("EQUAL", 20)
+    pairs += _mixed_small_pairs("EQUAL", 40)
+    routes = set()
     for e1, e2 in pairs:
+        shortcut = _collapsed(e1)
+        routes.add(shortcut)
         replayed.clear()
         assert run(["equiv", e1, e2]) == 0, (e1, e2)
         assert capsys.readouterr().out.startswith("EQUAL\n")
         assert len(replayed) == 1, (e1, e2)
         replayed.clear()
         res = equiv(parse(e1), parse(e2))
-        assert len(replayed) == 1 and replayed[0] is not res.certificate.witness
+        assert len(replayed) == 1
+        assert (replayed[0] is res.certificate.witness) == shortcut
         replayed.clear()
         assert is_llee_witness(res.certificate.witness)
         assert res.certificate.witness.replay().llee
         assert replayed == []
+    assert routes == {True, False}
 
 
 def test_not_equal_memory_grows_linearly():
@@ -1280,3 +1311,73 @@ def test_not_equal_memory_grows_linearly():
             tracemalloc.stop()
 
     assert peak(4000) < 6 * peak(1000)
+
+
+# --- a first chart that is its own collapse -----------------------------------
+
+
+def reflected_route(c, theta, w):
+    """The reflection route on the collapse ``c``, for the layered witness
+    ``w`` on a chart whose node ``v`` is ``c``'s node ``theta[v]``: the
+    images of ``w``'s looping-back charts, the witness reflected from them,
+    which must replay layered from scratch, and the solution extracted from
+    it, which must pass the check."""
+    w_h = lleekit.reflect._reflect_witness(c, lleekit.reflect._images(theta, w._loops[2]))
+    fresh = lleekit.lee._replay(Witness._of(c, w_h.labels))
+    assert fresh.ok and fresh.llee
+    assert is_llee_witness(w_h)
+    sol = extract_solution(w_h)
+    assert _provable_check(sol) == []
+    return sol
+
+
+def test_both_routes_agree_on_a_random_sweep():
+    # e against e+0: where e's chart is its own collapse, equiv certifies
+    # by e's own witness and its state expressions; the reflection route
+    # still runs on the same collapse and witness, and both certify
+    rng = random.Random(47)
+    routes = [0, 0]
+    for _ in range(400):
+        e = random_expression(rng, rng.randint(1, 25))
+        res = equiv(e, Plus(e, Zero()))
+        cert, g = res.certificate, res.chart1
+        shortcut = len(cert.collapse.names) == len(g.names)
+        routes[shortcut] += 1
+        if not shortcut:
+            continue
+        assert _provable_check(cert.solution) == []
+        assert cert.expression is e
+        theta = [cert.collapse.ids[cert.map1(x)] for x in g.names]
+        sol = reflected_route(cert.collapse, theta, expression_witness(e))
+        _assert_bisimilar_by_the_oracle(sol.initial_expression(), cert.expression)
+    assert routes == [27, 373]
+
+
+def test_a_collapsed_first_chart_is_the_collapse_node_for_node():
+    # when the collapse has as many nodes as the first chart g, each class
+    # holds one node of g, and the collapse numbers, names and steps its
+    # nodes as g does: its witness is g's own witness, and its solution
+    # g's state expressions, the initial node the first expression itself
+    pairs = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 0]
+    pairs += _mixed_small_pairs("EQUAL", 60) + _workload_pairs("loops_equal", "EQUAL", 26)
+    count = 0
+    for e1, e2 in pairs:
+        if not _collapsed(e1):
+            continue
+        count += 1
+        e = parse(e1)
+        res = equiv(e, parse(e2))
+        cert, g = res.certificate, res.chart1
+        c = cert.collapse
+        assert c.names == ["g:" + x for x in g.names]
+        assert (c.act, c.dst, c.first, c.root) == (g.act, g.dst, g.first, g.root)
+        assert all(cert.map1(x) == "g:" + x for x in g.names)
+        assert cert.witness.chart is c
+        assert cert.witness.labels == expression_witness(e).labels
+        rep = cert.witness.replay()
+        assert rep.ok and rep.llee
+        assert all(step.start in c.nodes for step in rep.steps)
+        assert cert.expression is e
+        assert _provable_check(cert.solution) == []
+        assert solution_check(cert.solution) == []
+    assert count >= 50
