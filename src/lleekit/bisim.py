@@ -425,26 +425,27 @@ def _transfers(outmap, term, theta, target_out, target_term):
     return True
 
 
-def _quotient(outmap, term, block, members, names, initial):
+def _quotient(outmap, term, block, members, initial, names=None):
     """The quotient of :func:`_refine`'s tables by their partition ``block``.
 
-    ``members`` are the ids whose classes become the quotient's nodes, in
-    the order of their names ``names``.  A class is numbered, named and
-    given its steps after its first member in that order, so the
-    quotient's ids are ranks of its names; ``initial`` is the id whose
-    class is the initial node.  Returns ``(quotient, theta)``: the
-    :class:`~lleekit.chart.Chart` and, for every id of the tables,
-    the node of its class.  ``theta`` is checked (:func:`_transfers`) to be
-    a functional bisimulation onto the quotient, every id against its
-    class's node, so every class must hold a member; both raise
-    :class:`NotABisimulation`.
+    ``members`` are the ids whose classes become the quotient's nodes: a
+    class is numbered and given its steps after its first member in that
+    order.  ``names``, when given, name the ids, ``members`` being in name
+    order, and each class is named after its first member, so the
+    quotient's ids are ranks of its names; without them the quotient is
+    unnamed (see :class:`~lleekit.chart.Chart`).  ``initial`` is the id
+    whose class is the initial node.  Returns ``(quotient, theta, reps)``: the
+    :class:`~lleekit.chart.Chart`, for every id of the tables the node of
+    its class, and each node's first member.  ``theta`` is checked
+    (:func:`_transfers`) to be a functional bisimulation onto the quotient,
+    every id against its class's node, so every class must hold a member;
+    both raise :class:`NotABisimulation`.
     """
     number = {}
-    reps, rep_names = [], []
-    for i, name in zip(members, names):
+    reps = []
+    for i in members:
         if number.setdefault(block[i], len(reps)) == len(reps):
             reps.append(i)
-            rep_names.append(name)
     theta = [number.get(b) for b in block]
     if None in theta:
         raise NotABisimulation("mapping hits a class without a member")
@@ -452,12 +453,13 @@ def _quotient(outmap, term, block, members, names, initial):
     ends = [term[r] for r in reps]
     if not _transfers(outmap, term, theta, outs, ends):
         raise NotABisimulation("mapping fails the transfer conditions")
+    names = range(len(reps)) if names is None else [names[i] for i in reps]
     quotient = Chart._build(
-        rep_names,
+        names,
         [out.union((a, None) for a in e) for out, e in zip(outs, ends)],
         None if initial is None else theta[initial],
     )
-    return quotient, theta
+    return quotient, theta, reps
 
 
 def collapse(chart):
@@ -469,8 +471,8 @@ def collapse(chart):
     """
     outmap, term = [], []
     _index_tables(chart, outmap, term)
-    quotient, theta = _quotient(
-        outmap, term, _refine(outmap, term), range(len(chart.names)), chart.names, chart.root
+    quotient, theta, _ = _quotient(
+        outmap, term, _refine(outmap, term), range(len(chart.names)), chart.root, chart.names
     )
     rep = {x: quotient.names[theta[i]] for i, x in enumerate(chart.names)}
     return CollapseResult(quotient, BisimMap._of(chart, quotient, rep))

@@ -17,13 +17,15 @@ nothing.  Naming every state prints the roots once, as one token stream,
 and reads each head and operand as a slice of that text; naming one
 state prints only that state.  :func:`interpret` names every state.
 :func:`lleekit.solve.equiv` names only the members of the two blocks a
-NOT_EQUAL prints; an EQUAL names the first expression's states, and the
-second expression's only when its certificate's second map is read.
+NOT_EQUAL prints.  An EQUAL names no state: its first chart and collapse
+are numbered in exploration order, and its certificate names the
+collapse's nodes, and each expression's states, only when they are read.
 
-A :class:`Chart` is stored numbered: node ids are ranks of node names, and
-transitions are numbered in :meth:`Transition.sort_key` order.
-Elimination, refinement, images, reflection and extraction run on those
-numbers; the named nodes and transitions are views, built when read.  A
+A :class:`Chart` is stored numbered: node ids are ranks of node names (an
+unnamed chart's are exploration order), and transitions are numbered in
+:meth:`Transition.sort_key` order.  Elimination, refinement, images,
+reflection and extraction run on those numbers; the named nodes and
+transitions are views, built when read.  A
 chart derived from a validated one (an interpretation, a collapse, what an
 elimination leaves) is built numbered and is not validated again.
 Every reachability walk, cycle test and start-avoiding closure on a chart
@@ -208,6 +210,17 @@ class Chart:
     ``nodes``, ``transitions``, ``alphabet``, ``initial``, ``numbered``
     (transition ``k`` as a :class:`Transition`) and :meth:`out` are views
     of those arrays, built when first read.
+
+    A chart derived from a named one (an interpretation, a collapse, what
+    an elimination leaves) keeps that order.  The two charts an EQUAL of
+    :func:`lleekit.solve.equiv` works on, its first chart and the
+    collapse, are numbered in exploration order instead: node ``i`` of the
+    first chart is the ``i``-th state its exploration found, and each node
+    of the collapse is its class's first member in that order.  They are
+    unnamed: ``names`` is ``range(n)``, so a node's name is its id, and √
+    sorts before every node.  Nothing prints them; :meth:`_renamed` names
+    one and renumbers it in name order, which is how a certificate builds
+    its charts when they are first read.
     """
 
     def __init__(self, transitions, nodes=(), initial=None, alphabet=()):
@@ -259,12 +272,13 @@ class Chart:
         """Store the chart whose node ``i`` is named ``names[i]`` and has the
         steps ``outs[i]``, with initial node ``root`` (an id or ``None``).
 
-        ``names`` are sorted, and ``outs[i]`` holds distinct ``(action,
-        dst)`` pairs in any order, ``dst`` a node id or ``None``.  They are
-        numbered in :meth:`Transition.sort_key` order, where √ sorts as
-        ``"!"`` among the names.
+        ``names`` are sorted, or ``range(n)`` for an unnamed chart, and
+        ``outs[i]`` holds distinct ``(action, dst)`` pairs in any order,
+        ``dst`` a node id or ``None``.  They are numbered in
+        :meth:`Transition.sort_key` order, where √ sorts as ``"!"`` among
+        the names, and before every id of an unnamed chart.
         """
-        end = bisect_left(names, "!") - 0.5
+        end = -0.5 if names.__class__ is range else bisect_left(names, "!") - 0.5
 
         def key(step):
             return (step[0], end if step[1] is None else step[1])
@@ -280,6 +294,33 @@ class Chart:
         self.act = act
         self.dst = dst
         self.root = root
+
+    def _renamed(self, names):
+        """This unnamed chart with node ``i`` named ``names[i]``,
+        renumbered in name order as every named chart is, and the
+        renumbering: ``(chart, node, number)``, node ``i`` being
+        ``chart``'s node ``node[i]`` and transition ``k`` its transition
+        ``number[k]``.  A certificate of :func:`lleekit.solve.equiv` names
+        its collapse, witness and solution through this one renumbering."""
+        order = sorted(range(len(names)), key=names.__getitem__)
+        node = [0] * len(order)
+        for r, i in enumerate(order):
+            node[i] = r
+        first, act, dst = self.first, self.act, self.dst
+        moved = [None if d is None else node[d] for d in dst]
+        steps = [list(zip(act[a:b], moved[a:b])) for a, b in zip(first, first[1:])]
+        chart = Chart._build(
+            [names[i] for i in order],
+            [steps[i] for i in order],
+            None if self.root is None else node[self.root],
+        )
+        # a node's steps are distinct, so each is one transition there
+        number = []
+        for i, out in enumerate(steps):
+            r = node[i]
+            at = {(chart.act[k], chart.dst[k]): k for k in range(chart.first[r], chart.first[r + 1])}
+            number += [at[step] for step in out]
+        return chart, node, number
 
     @cached_property
     def src(self):
@@ -392,7 +433,7 @@ class Chart:
         return "Chart(%d nodes, %d transitions%s)" % (
             len(self.names),
             len(self.dst),
-            ", init=%s" % self.initial if self.initial else "",
+            "" if self.root is None else ", init=%s" % self.initial,
         )
 
     # --- text format -------------------------------------------------------
@@ -916,7 +957,8 @@ class _Graph:
         reach.
 
         The chart keeps the initial node when it reaches every node kept,
-        which it always does when it is the only root.
+        which it always does when it is the only root.  The part of an
+        unnamed chart is unnamed.
         """
         if roots is None:
             roots, nodes = self.roots, self.nodes
@@ -930,9 +972,9 @@ class _Graph:
         kept = sorted(nodes)
         new = {x: i for i, x in enumerate(kept)}
         new[None] = None
-        act, first, dst, alive = c.act, c.first, self._dst, self._alive
+        act, first, dst, alive, names = c.act, c.first, self._dst, self._alive, c.names
         return Chart._build(
-            [c.names[x] for x in kept],
+            range(len(kept)) if names.__class__ is range else [names[x] for x in kept],
             [
                 [(act[k], new[dst[k]]) for k in range(first[x], first[x + 1]) if alive[k]]
                 for x in kept
@@ -1438,27 +1480,40 @@ def _interpreting(root):
     return "interpreting %r" % root
 
 
-def _explored_chart(exploration):
-    """Name the states of an exploration of one root and number them in
-    name order.
+def _named(space, states):
+    """The node ids of ``states``, each named by :meth:`_States.name`.  The
+    suffixes cached on the way are dropped: no later name reads them, and
+    on a long chain they hold about as much text as the names."""
+    names = [space.name(s) for s in states]
+    space._suffixes.clear()
+    return names
+
+
+def _explored_chart(exploration, named=True):
+    """The chart of an exploration of one root, with loop labels.
 
     ``exploration`` is what :func:`_explore` returns; its tables are read
     as they are, repeated steps merged.  Returns ``(chart, order,
-    heights)``: the :class:`Chart`, rooted at the root, whose node
-    ``r`` is state ``order[r]``, and ``heights[k]``, the largest loop label
+    heights)``: the :class:`Chart`, rooted at the root, whose node ``r``
+    is state ``order[r]``, and ``heights[k]``, the largest loop label
     :func:`_explore` gave a step of transition ``k`` (0 for an exploration
     without labels).  :func:`lleekit.lee.expression_witness` ranks the
-    heights into a layered witness.
+    heights into a layered witness.  Unless ``named`` is false, every
+    state is named and the chart numbered in name order.  Otherwise
+    nothing is named, and the chart is unnamed and numbered in exploration
+    order: node ``i`` is state ``i``, and ``order`` is ``range(n)``.
     """
     space, roots, states, out, term, loops, base = exploration
-    names = [space.name(s) for s in states]
-    # the suffixes are read by no later name, and on a long chain they hold
-    # about as much text as the names
-    space._suffixes.clear()
-    order = sorted(range(len(names)), key=names.__getitem__)
-    rank = [0] * (base + len(order))  # by id
-    for r, i in enumerate(order):
-        rank[base + i] = r
+    if named:
+        names = _named(space, states)
+        order = sorted(range(len(names)), key=names.__getitem__)
+        names = [names[i] for i in order]
+        rank = [0] * (base + len(order))  # by id
+        for r, i in enumerate(order):
+            rank[base + i] = r
+    else:
+        order = names = range(len(states))
+        rank = range(-base, len(states))  # id d is node d - base
     # per node, each distinct step with its largest label; a terminal
     # step's label is 0
     outs = []
@@ -1477,7 +1532,7 @@ def _explored_chart(exploration):
                 if steps.get(key, -1) < h:
                     steps[key] = h
         outs.append(steps)
-    chart = Chart._build([names[i] for i in order], outs, rank[roots[0]])
+    chart = Chart._build(names, outs, rank[roots[0]])
     src = chart.src
     heights = [outs[src[k]][a, d] for k, (a, d) in enumerate(zip(chart.act, chart.dst))]
     return chart, order, heights

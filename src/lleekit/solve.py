@@ -18,10 +18,12 @@ into the star by A8 (:func:`extract_solution`).
 :func:`equiv` decides bisimilarity of two expressions on the state ids of
 their explorations: the verdict needs no chart and no printed state.  When
 they are not equivalent it names only the members of the two blocks it
-prints.  When they are, the whole EQUAL pipeline runs on ids as well: it
-names only the first expression's states, numbers them by name, and
-derives the evidence on those numbers: the common collapse, the two maps
-onto it, a layered witness for the collapse, and a solution of it.  The
+prints.  When they are, the whole EQUAL pipeline runs on ids as well and
+names no state: it numbers the first expression's states in the order
+the exploration found them, and derives the evidence on those numbers:
+the common collapse, numbered by each class's first state in that order,
+the two maps onto it, a layered witness for the collapse, and a solution
+of it.  The :class:`Certificate` names them when they are read.  The
 witness needs no search: the first expression's chart carries a layered
 witness by construction (:func:`lleekit.lee.expression_witness`).
 
@@ -39,9 +41,10 @@ solution check.  The solution check (:func:`_provable_check`) proves each
 node's equation in BBP on canonical forms, with no exploration and no
 refinement, so an EQUAL refines once and its check does not lean on the
 refiner that gave the verdict.  The :class:`Certificate` holds the
-collapse, witness and solution it computed; only its two maps are built
-when they are read.  :func:`solution_check` stays the general check of
-any assignment.
+collapse, witness and solution it computed, and names them, by one
+renumbering in name order, when they are read; its two maps are built when
+they are read.  :func:`solution_check` stays the general check of any
+assignment.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .chart import (
     _explore,
     _explored_chart,
     _interpreting,
+    _named,
     _state_cap,
     _state_expressions,
     interpret,
@@ -854,27 +858,28 @@ def is_axiom_instance(lhs, rhs):
     return None
 
 
-_Evidence = namedtuple("_Evidence", "g order x2 theta")
-_Evidence.__doc__ = """What an EQUAL keeps to build its certificate's two maps.
+_Evidence = namedtuple("_Evidence", "x1 reps x2 theta")
+_Evidence.__doc__ = """What an EQUAL keeps to name its certificate.
 
-``g`` is the first expression's chart, whose node ``r`` is state
-``order[r]`` of its exploration; ``x2`` is the second exploration, named
-only when the second map is read, its state ``j`` being id ``x2.base + j``
-of the refiner's tables; ``theta`` maps every id of those tables to its
-collapse node.
+``x1`` and ``x2`` are the two explorations, state ``j`` of each being id
+``base + j`` of the refiner's tables; ``theta`` maps every id of those
+tables to its collapse node, and ``reps[r]`` is collapse node ``r``'s first
+member, an id of ``x1``.
 """
 
 
 class Certificate:
     """Evidence that two expressions are bisimilar.
 
-    ``collapse`` is the joint collapse of both interpretations (node ids
-    ``g:`` + least merged node of the first); ``map1`` and ``map2`` are the
-    bisimulation functions from each interpretation onto it; ``witness`` is
-    a layered witness for the collapse, checked to replay layered;
-    ``solution`` solves the collapse, and ``expression`` is the solution's
-    value at the collapse's initial node — an expression provably equal to
-    both inputs.
+    ``collapse`` is the joint collapse of both interpretations; ``map1``
+    and ``map2`` are the bisimulation functions from each interpretation
+    onto it; ``witness`` is a layered witness for the collapse, checked to
+    replay layered; ``solution`` solves the collapse, and ``expression`` is
+    the solution's value at the collapse's initial node — an expression
+    provably equal to both inputs.  A node of the collapse is a class of
+    bisimilar states, named ``g:`` + the name of its first member in the
+    first expression's exploration (breadth-first, in the order of each
+    state's steps).
 
     When the first interpretation is its own collapse, ``map1`` renames
     each node ``x`` to ``g:x``; ``witness`` is then the witness read off
@@ -884,38 +889,70 @@ class Certificate:
     ``witness`` reflects that witness through ``map1``, and ``solution`` is
     extracted from it (:func:`extract_solution`).
 
-    :func:`equiv` derives and checks all of it on node ids.  The collapse,
-    witness and solution are the ones it computed; the two maps are named on
-    first read and cached, unchecked: :func:`equiv` checked their transfer
-    conditions on every id before it returned (:func:`lleekit.bisim._quotient`).
+    :func:`equiv` derives and checks all of it on the collapse numbered in
+    exploration order and unnamed (see :class:`~lleekit.chart.Chart`),
+    and names nothing.  The first read of the collapse, the witness or the
+    solution names the collapse's nodes, that is, its classes' first
+    members, and renumbers it in name order (:meth:`Chart._renamed`); the
+    witness's order numbers and the solution's keys follow that one
+    renumbering, and the expressions are the ones :func:`equiv` checked.
+    The named witness replays when it is first read.  The two maps name
+    every state of their interpretation when read, and are cached,
+    unchecked: :func:`equiv` checked their transfer conditions on every id
+    before it returned (:func:`lleekit.bisim._quotient`).
     """
 
     def __init__(self, collapse, witness, solution, evidence):
-        self.collapse = collapse
-        self.witness = witness
-        self.solution = solution
+        # as equiv derived them, on the unnamed collapse
+        self._collapse = collapse
+        self._witness = witness
+        self._solution = solution
         self.expression = solution.initial_expression()
         self._evidence = evidence
 
-    def _map(self, source, states, offset):
-        """The map from ``source``, whose node ``r`` is exploration state
-        ``states[r]``, taking ids from ``offset``."""
-        names, theta = self.collapse.names, self._evidence.theta
+    @cached_property
+    def _renaming(self):
+        """:meth:`Chart._renamed` of the unnamed collapse, its nodes named
+        after their first members."""
+        x1, reps = self._evidence.x1, self._evidence.reps
+        names = _named(x1.space, [x1.states[i] for i in reps])
+        return self._collapse._renamed(["g:" + x for x in names])
+
+    @cached_property
+    def collapse(self):
+        return self._renaming[0]
+
+    @cached_property
+    def witness(self):
+        chart, _, number = self._renaming
+        labels = [0] * len(number)
+        for k, n in zip(number, self._witness.labels):
+            labels[k] = n
+        return Witness._of(chart, labels)
+
+    @cached_property
+    def solution(self):
+        chart, node, _ = self._renaming
+        names = chart.names
+        return Solution(chart, {names[node[i]]: e for i, e in self._solution.assign.items()})
+
+    def _map(self, x):
+        """The map onto the collapse from the chart of exploration ``x``."""
+        source, order, _ = _explored_chart(x)
+        names, node, theta = self.collapse.names, self._renaming[1], self._evidence.theta
         return BisimMap._of(
             source,
             self.collapse,
-            {x: names[theta[offset + i]] for x, i in zip(source.names, states)},
+            {y: names[node[theta[x.base + i]]] for y, i in zip(source.names, order)},
         )
 
     @cached_property
     def map1(self):
-        return self._map(self._evidence.g, self._evidence.order, 0)
+        return self._map(self._evidence.x1)
 
     @cached_property
     def map2(self):
-        x2 = self._evidence.x2
-        h, order, _ = _explored_chart(x2)
-        return self._map(h, order, x2.base)
+        return self._map(self._evidence.x2)
 
 
 @record
@@ -938,10 +975,10 @@ class EquivResult:
     """The verdict of :func:`equiv`, with its evidence.
 
     ``chart1`` and ``chart2`` are the interpretations of the two
-    expressions.  Neither verdict builds them: they are built on first
-    access and cached.  An EQUAL's are the sources of its certificate's two
-    maps, built when those are; a NOT_EQUAL interprets the expressions
-    again when asked.
+    expressions, named and numbered in name order.  Neither verdict builds
+    them: they are built on first access and cached.  An EQUAL's are the
+    sources of its certificate's two maps, built when those are; a
+    NOT_EQUAL interprets the expressions again when asked.
     """
 
     equal: bool
@@ -1000,28 +1037,28 @@ def equiv(e1, e2, cap=None):
     different blocks give a :class:`Distinction` of the two blocks, which
     names only their members; no chart is built.
 
-    Otherwise the certificate is derived on ids as well.  Only the first
-    exploration's states are named: their ranks number the first chart
-    ``g``, and the collapse's nodes, one per class, are numbered by their
-    least members' names.  The collapse is read off the refiner's tables and
-    both maps onto it pass the transfer check there, so the second
-    expression is never named and the collapse is not refined again.
+    Otherwise the certificate is derived on ids as well, and no state is
+    named.  The first chart ``g`` is numbered in exploration order, its
+    node ``i`` being state ``i`` of the first exploration, and the
+    collapse's nodes, one per class, are numbered by their first members
+    in that order; both are unnamed (see :class:`~lleekit.chart.Chart`).
+    The collapse is read off the refiner's tables and both maps onto it
+    pass the transfer check there, so the collapse is not refined again.
 
     When the collapse has as many nodes as ``g``, every class holds exactly
     one node of ``g``, as :func:`lleekit.bisim._quotient` rejects a class
-    without one.  It numbers the classes in the order of their members,
-    which is ``g``'s, so collapse node ``r`` is the class of ``g``'s node
-    ``r``: ``theta[order[r]] == r``.  Its name is ``"g:"`` + the name of
-    ``g``'s node ``r``, and its steps are those of that member read through
-    ``theta``, which are ``g``'s.  The prefix keeps the order of the names,
-    and ✓ sorts before every name in both charts, so the steps are numbered
-    alike: the collapse's ``act``, ``dst`` and ``first`` are ``g``'s, and a
-    transition number means the same transition in both.  So the
-    expression's witness on ``g`` is, renamed, a witness on the collapse,
-    and it is replayed there and checked to be layered; the expressions
-    ``g``'s states stand for solve the collapse, the initial node's being
-    ``e1`` itself (:func:`lleekit.chart._state_expressions`).  No image,
-    reflection or extraction runs, and none of this is checked again.
+    without one.  It numbers the classes in the order of their first
+    members, which is ``g``'s, so collapse node ``r`` is the class of
+    ``g``'s node ``r``: ``theta[r] == r``.  Its steps are those of that
+    member read through ``theta``, which are ``g``'s, and √ sorts before
+    every node in both unnamed charts, so the steps are numbered alike: the
+    collapse's ``act``, ``dst`` and ``first`` are ``g``'s, and a transition
+    number means the same transition in both.  So the expression's witness
+    on ``g`` is a witness on the collapse, and it is replayed there and
+    checked to be layered; the expressions ``g``'s states stand for solve
+    the collapse, the initial node's being ``e1`` itself
+    (:func:`lleekit.chart._state_expressions`).  No image, reflection or
+    extraction runs, and none of this is checked again.
 
     Otherwise the expression's witness is replayed on ``g`` and reflected
     through the first map, the reflection's run being the reflected
@@ -1029,12 +1066,13 @@ def equiv(e1, e2, cap=None):
     extracted from the reflected witness.  Either solution is checked
     equation by equation (:func:`_provable_check`), with no second
     refinement, and no lemma report is computed.  A failed invariant on the
-    way is an :class:`InternalError`.  The :class:`Certificate` holds the
-    collapse, the witness and the solution, and builds its two maps when
-    they are read.  The cyclic garbage collector is paused throughout
-    (:class:`lleekit.chart._collection_paused`).  A ``cap`` of ``None``
-    reads the ``LLEEKIT_STATE_CAP`` default once, here; a given one is
-    passed on as it is.
+    way is an :class:`InternalError`; a failed solution check names the
+    nodes it failed at.  The :class:`Certificate` holds the collapse, the
+    witness and the solution, names them when they are read, and builds its
+    two maps when they are read.  The cyclic garbage collector is paused
+    throughout (:class:`lleekit.chart._collection_paused`).  A ``cap`` of
+    ``None`` reads the ``LLEEKIT_STATE_CAP`` default once, here; a given
+    one is passed on as it is.
     """
     if cap is None:
         cap = _state_cap()
@@ -1048,27 +1086,23 @@ def equiv(e1, e2, cap=None):
         if b1 != b2:
             distinction = Distinction(*_blocks(b1, b2, block, (("g:", x1), ("h:", x2))))
             return EquivResult(False, distinction=distinction, _inputs=(e1, e2, cap))
-        g, order, heights = _explored_chart(x1)
-        states = x1.states
-        del x1
+        g, _, heights = _explored_chart(x1, named=False)
         try:
-            collapse, theta = _quotient(
-                outmap, term, block, order, ["g:" + x for x in g.names], order[g.root]
-            )
+            collapse, theta, reps = _quotient(outmap, term, block, g.names, g.root)
             del outmap, term, block
             labels = _ranked(heights)
             if len(collapse.names) == len(g.names):
                 # g is the collapse, node for node (see the docstring)
                 w_h = Witness._of(collapse, labels)
                 _check_layered(w_h, "the expression's witness")
-                assign = _state_expressions([states[i] for i in order])
+                assign = _state_expressions(x1.states)
                 assign[g.root] = e1
-                sol = Solution(collapse, dict(zip(collapse.names, assign)))
+                sol = Solution(collapse, dict(enumerate(assign)))
                 what = "the state expressions fail"
             else:
                 w1 = Witness._of(g, labels)
                 _check_layered(w1, "the expression's witness")
-                records = _images([theta[i] for i in order], w1._loops[2])
+                records = _images(theta[: len(g.names)], w1._loops[2])
                 w_h = _reflect_witness(collapse, records)
                 _check_layered(w_h, "the reflected witness")
                 sol = extract_solution(w_h)
@@ -1077,6 +1111,8 @@ def equiv(e1, e2, cap=None):
             raise InternalError("building the certificate failed: %s" % exc) from exc
         bad = _provable_check(sol, cap)
         if bad:
-            raise InternalError("%s at %s" % (what, ", ".join(bad)))
-        certificate = Certificate(collapse, w_h, sol, _Evidence(g, order, x2, theta))
+            name, states = x1.space.name_one, x1.states
+            shown = sorted("g:" + name(states[reps[x]]) for x in bad)
+            raise InternalError("%s at %s" % (what, ", ".join(shown)))
+        certificate = Certificate(collapse, w_h, sol, _Evidence(x1, reps, x2, theta))
         return EquivResult(True, certificate=certificate)

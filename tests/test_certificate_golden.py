@@ -9,7 +9,9 @@ the benchmark's mixed_small workload (seed 1).  The first chart of every
 pair but mixed2 and the README pair is its own collapse, so its witness is
 the first expression's own and its solution the state expressions; the
 files extraction wrote for those pairs from the reflected witness are kept
-under ``golden/reflected/``.  To record them again, run this file::
+under ``golden/reflected/``.  The mixed2 files written while the collapse
+was named and numbered in name order are kept under ``golden/name_order/``.
+To record them again, run this file::
 
     PYTHONPATH=src python tests/test_certificate_golden.py
 """
@@ -22,10 +24,11 @@ import tempfile
 
 import pytest
 
+from oracles import brute_interpret, naive_bisimilarity_pairs
 from lleekit.bisim import bisimilarity
-from lleekit.chart import Chart, interpret
+from lleekit.chart import Chart, Transition, interpret
 from lleekit.cli import run
-from lleekit.expr import parse, size, unparse
+from lleekit.expr import Plus, Seq, Star, parse, size, unparse
 from lleekit.lee import Witness, is_llee_witness
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "certificates"
@@ -33,6 +36,7 @@ UNFACTORED = GOLDEN.parent / "unfactored"
 UNFOLDED = GOLDEN.parent / "unfolded"
 UNFOLDED_ROOT = GOLDEN.parent / "unfolded_root"
 REFLECTED = GOLDEN.parent / "reflected"
+NAME_ORDER = GOLDEN.parent / "name_order"
 
 W3 = "(x0.(y0*z0)+x1.(y1*z1)+x2.(y2*z2))*0"
 N3 = "(a3.((a2.((a1.c0+b1)*c1)+b2)*c2)+b3)*c3"
@@ -110,10 +114,83 @@ def assert_same_processes(old, new):
 
 def reflected(name, f):
     """The certificate file ``f`` that the reflection route wrote for the
-    pair ``name``: kept under ``golden/reflected/`` where the pinned one
+    pair ``name`` on the collapse in name order: kept under
+    ``golden/reflected/`` or ``golden/name_order/`` where the pinned one
     changed, and the pinned one otherwise."""
-    path = REFLECTED / name / f
-    return (path if path.exists() else GOLDEN / name / f).read_text(encoding="utf-8")
+    for path in (REFLECTED / name / f, NAME_ORDER / name / f):
+        if path.exists():
+            return path.read_text(encoding="utf-8")
+    return (GOLDEN / name / f).read_text(encoding="utf-8")
+
+
+def sums_as_sets(e):
+    """``e`` up to BBP's A1 - A3: every sum read as the set of its
+    summands."""
+    if isinstance(e, Plus):
+        summands, todo = set(), [e]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, Plus):
+                todo += [x.left, x.right]
+            else:
+                summands.add(sums_as_sets(x))
+        return frozenset(summands)
+    if isinstance(e, (Seq, Star)):
+        return (e.__class__, sums_as_sets(e.left), sums_as_sets(e.right))
+    return e
+
+
+def map_lines(text):
+    """``{source node: target node}`` of a ``map v1`` text."""
+    header, *lines = text.splitlines()
+    assert header == "map v1"
+    return dict(line.split(" ") for line in lines)
+
+
+# The files of the golden pairs whose certificate changed when the collapse
+# came to be numbered in exploration order and each class named after its
+# first member there, not its least-named one: mixed2, on the reflection
+# route.  Two classes took another member's name, and extraction on the new
+# numbering lists three sums' summands in another order.  Through the two
+# maps every old node is one new node; renamed so, the charts and the
+# witnesses are equal, and every solution, the printed one too, is equal up
+# to A1 - A3 and bisimilar (by the brute-force oracle).
+@pytest.mark.parametrize("name", sorted(p.name for p in NAME_ORDER.iterdir()))
+def test_name_order_certificates_equal_new_up_to_sums_as_sets(name):
+    def read(directory, f):
+        return (directory / name / f).read_text(encoding="utf-8")
+
+    renamed = {}
+    for f in ("g1_to_h.map", "g2_to_h.map"):
+        old, new = map_lines(read(NAME_ORDER, f)), map_lines(read(GOLDEN, f))
+        assert old.keys() == new.keys()
+        for x in old:
+            assert renamed.setdefault(old[x], new[x]) == new[x]
+    assert len(set(renamed.values())) == len(renamed)
+    old_chart = Chart.from_text(read(NAME_ORDER, "h.chart"))
+    new_chart = Chart.from_text(read(GOLDEN, "h.chart"))
+
+    def moved(t):
+        return Transition(renamed[t.src], t.action, t.dst if t.terminal else renamed[t.dst])
+
+    assert Chart(
+        map(moved, old_chart.transitions), renamed.values(), renamed[old_chart.initial]
+    ) == new_chart
+    old_witness = Witness.from_text(read(NAME_ORDER, "h.witness"), old_chart)
+    new_witness = Witness.from_text(read(GOLDEN, "h.witness"), new_chart)
+    assert {moved(t): n for t, n in old_witness.order.items()} == new_witness.order
+    old = solution_lines(read(NAME_ORDER, "h.solution"))
+    new = solution_lines(read(GOLDEN, "h.solution"))
+    assert {renamed[x] for x in old} == new.keys()
+    pairs = [(old[x], new[renamed[x]]) for x in old]
+    printed = [read(d, "stdout").split("\n") for d in (NAME_ORDER, GOLDEN)]
+    assert [p[0] for p in printed] == ["EQUAL"] * 2
+    pairs.append(tuple(parse(p[1]) for p in printed))
+    assert pairs[-1][1] == new[new_chart.initial]
+    for a, b in pairs:
+        assert sums_as_sets(a) == sums_as_sets(b), (unparse(a), unparse(b))
+        g, h = brute_interpret(a), brute_interpret(b)
+        assert (g.initial, h.initial) in naive_bisimilarity_pairs(g, h)
 
 
 # The files extraction wrote from the reflected witness for the pairs whose

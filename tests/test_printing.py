@@ -379,3 +379,16 @@ def test_not_equal_through_the_command_line_memory_is_linear(capsys):
     assert code == 1
     assert capsys.readouterr().out == "NOT_EQUAL\nblock1: g:%s\nblock2: h:%s\n" % (e1, e2)
     assert peak < 1000 * (len(e1) + len(e2))
+
+
+def test_equal_on_nested_loops_names_nothing_and_stays_linear(capsys):
+    # a text EQUAL on N(400) prints the first input and names no state: a
+    # state at depth d prints the d stars around it, so naming every state
+    # held about 105 000 bytes per character of input (680 MB); without
+    # names it takes about 220
+    e1 = family_n(400)
+    e2 = e1 + "+0"
+    peak, code = _traced_peak(lambda: run(["equiv", e1, e2]))
+    assert code == 0
+    assert capsys.readouterr().out == "EQUAL\n%s\n" % e1
+    assert peak < 500 * (len(e1) + len(e2))

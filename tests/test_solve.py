@@ -2,6 +2,7 @@
 
 import copy
 import importlib.util
+import json
 import pathlib
 import pickle
 import random
@@ -27,12 +28,22 @@ from test_certificate_golden import PAIRS as CERTIFICATE_PAIRS
 from test_elimination_pins import family_n, family_p, family_w
 from test_equiv_golden import GOLDEN, N3, P3, W3
 from lleekit.bisim import BisimMap, collapse
-from lleekit.chart import Chart, TERMINATION, Transition, _States, interpret
+from lleekit.chart import (
+    Chart,
+    TERMINATION,
+    Transition,
+    _States,
+    _explore,
+    _explored_chart,
+    _interpreting,
+    interpret,
+)
 from lleekit.cli import run
 from lleekit.errors import InternalError, NotABisimulation, NotLLEE, StateExplosion
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from lleekit.lee import (
     Witness,
+    _ranked,
     expression_witness,
     find_lee_witness,
     is_llee_witness,
@@ -1127,26 +1138,39 @@ def test_equiv_against_the_bisimilarity_oracle():
                 lambda x: (x, h.initial) in gh, lambda y: (y, h.initial) in hh
             )
             continue
-        _assert_certified(res, gh)
+        _assert_certified(res, gh, e1)
     assert verdicts == {True, False}
 
 
-def _assert_certified(res, gh):
-    """An EQUAL's collapse and maps are the oracle's; ``gh`` holds the
+def _explored_first(e):
+    """``{node id: place}`` of the states of ``e``'s exploration, in the
+    order it found them."""
+    x = _explore([e], None, str)
+    return {x.space.name(s): i for i, s in enumerate(x.states)}
+
+
+def _assert_certified(res, gh, e1):
+    """An EQUAL's collapse and maps are the oracle's, each class named
+    after its first member in the exploration of ``e1``; ``gh`` holds the
     bisimilar pairs of its two charts."""
     g, h, cert = res.chart1, res.chart2, res.certificate
     plain = collapse(g)
+    place = _explored_first(e1)
+    members = {}
+    for x in g.nodes:
+        members.setdefault(plain.theta(x), []).append(x)
+    named = {c: "g:" + min(xs, key=place.__getitem__) for c, xs in members.items()}
     assert cert.collapse == Chart(
         (
-            T("g:" + t.src, t.action, t.dst if t.terminal else "g:" + t.dst)
+            T(named[t.src], t.action, t.dst if t.terminal else named[t.dst])
             for t in plain.chart.transitions
         ),
-        nodes={"g:" + x for x in plain.chart.nodes},
-        initial="g:" + plain.chart.initial,
+        nodes=set(named.values()),
+        initial=named[plain.chart.initial],
     )
-    assert all(cert.map1(x) == "g:" + plain.theta(x) for x in g.nodes)
+    assert all(cert.map1(x) == named[plain.theta(x)] for x in g.nodes)
     for y in h.nodes:
-        assert cert.map2(y) == "g:" + min(x for x in g.nodes if (x, y) in gh)
+        assert cert.map2(y) == named[plain.theta(min(x for x in g.nodes if (x, y) in gh))]
 
 
 def test_equiv_unlayered_reflection_is_internal_error(monkeypatch, capsys):
@@ -1216,19 +1240,22 @@ def test_not_equal_builds_no_chart(monkeypatch, capsys):
 
 def test_equal_builds_no_chart(monkeypatch, capsys):
     # an EQUAL decides and certifies on state ids: it builds no Chart,
-    # BisimMap, Transition or Witness, names only the first expression's
-    # states, and builds its certificate when the certificate is read
+    # BisimMap, Transition or Witness and names no state, not even on
+    # N(50), whose states print with O(n^2) characters each.  Its
+    # certificate is named when it is read: --format json prints the
+    # collapse, which names each class's first member, and nothing else
     def forbidden(*args, **kwargs):
         raise AssertionError("an EQUAL built a chart, a map, a transition or a witness")
 
     pairs = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 0]
     pairs += _mixed_small_pairs("EQUAL", 20) + _workload_pairs("loops_equal", "EQUAL", 3)
+    pairs.append((family_n(50), family_n(50) + "+0"))
     states = [len(interpret(parse(e1)).nodes) for e1, _ in pairs]
-    names = []
+    named = []
     for method in ("name", "name_one"):
 
         def counted(self, state, original=getattr(_States, method)):
-            names.append(state)
+            named.append(state)
             return original(self, state)
 
         monkeypatch.setattr(_States, method, counted)
@@ -1236,16 +1263,23 @@ def test_equal_builds_no_chart(monkeypatch, capsys):
         monkeypatch.setattr(cls, method, forbidden)
     monkeypatch.setattr(BisimMap, "__post_init__", forbidden)
     results = []
+    fewer = 0
     for (e1, e2), count in zip(pairs, states):
-        names.clear()
+        named.clear()
         assert run(["equiv", e1, e2]) == 0, (e1, e2)
         assert capsys.readouterr().out.startswith("EQUAL\n")
-        assert len(names) <= count, (e1, e2)
-        results.append(equiv(parse(e1), parse(e2)))
+        res = equiv(parse(e1), parse(e2))
+        assert named == [], (e1, e2)
+        assert run(["--format", "json", "equiv", e1, e2]) == 0, (e1, e2)
+        nodes = json.loads(capsys.readouterr().out)["chart"]["nodes"]
+        assert len(named) == len(set(map(id, named))) == len(nodes), (e1, e2)
+        fewer += len(nodes) < count
+        results.append((parse(e1), res))
+    assert fewer >= 3
     monkeypatch.undo()
-    for res in results:
+    for e1, res in results:
         assert res.equal
-        _assert_certified(res, naive_bisimilarity_pairs(res.chart1, res.chart2))
+        _assert_certified(res, naive_bisimilarity_pairs(res.chart1, res.chart2), e1)
         rep = res.certificate.witness.replay()
         assert rep.ok and rep.llee
         assert solution_check(res.certificate.solution) == []
@@ -1261,10 +1295,10 @@ def _collapsed(e):
 def test_equal_replays_each_witness_once(monkeypatch, capsys):
     # an EQUAL replays the expression's witness once, and the reflected one
     # not at all: the reflection records its own run as the reflected
-    # witness's replay, which extraction and a later read of the
-    # certificate's witness use.  Where the first chart is its own
-    # collapse, the one replay is of the expression's witness on the
-    # collapse, which is the certificate's witness
+    # witness's replay, which extraction uses.  Where the first chart is
+    # its own collapse, the one replay is of the expression's witness on
+    # the unnamed collapse, which has as many nodes as the named one.  The
+    # certificate's witness, named when it is first read, replays once
     replay = lleekit.lee._replay
     replayed = []
 
@@ -1286,11 +1320,13 @@ def test_equal_replays_each_witness_once(monkeypatch, capsys):
         replayed.clear()
         res = equiv(parse(e1), parse(e2))
         assert len(replayed) == 1
-        assert (replayed[0] is res.certificate.witness) == shortcut
+        (w,) = replayed
+        assert w.chart.names == range(len(w.chart.names))
+        assert (len(w.chart.names) == len(res.certificate.collapse.names)) == shortcut
         replayed.clear()
         assert is_llee_witness(res.certificate.witness)
         assert res.certificate.witness.replay().llee
-        assert replayed == []
+        assert replayed == [res.certificate.witness]
     assert routes == {True, False}
 
 
@@ -1357,7 +1393,10 @@ def test_a_collapsed_first_chart_is_the_collapse_node_for_node():
     # when the collapse has as many nodes as the first chart g, each class
     # holds one node of g, and the collapse numbers, names and steps its
     # nodes as g does: its witness is g's own witness, and its solution
-    # g's state expressions, the initial node the first expression itself
+    # g's state expressions, the initial node the first expression itself.
+    # That holds on the unnamed charts equiv works on, g numbered in
+    # exploration order and the collapse by each class's first member, √
+    # before every node in both, and on the named ones a read gives
     pairs = [(e1, e2) for e1, e2, code, _ in GOLDEN if code == 0]
     pairs += _mixed_small_pairs("EQUAL", 60) + _workload_pairs("loops_equal", "EQUAL", 26)
     count = 0
@@ -1368,6 +1407,18 @@ def test_a_collapsed_first_chart_is_the_collapse_node_for_node():
         e = parse(e1)
         res = equiv(e, parse(e2))
         cert, g = res.certificate, res.chart1
+        x = _explore([e], None, _interpreting, labelled=True)
+        g0, _, heights = _explored_chart(x, named=False)
+        c0 = cert._collapse
+        assert g0.names == c0.names == range(len(g.names))
+        assert (c0.act, c0.dst, c0.first, c0.root) == (g0.act, g0.dst, g0.first, g0.root)
+        for v in g0.names:
+            steps = [(g0.act[k], g0.dst[k]) for k in range(g0.first[v], g0.first[v + 1])]
+            # √ before every node among the steps of one action
+            assert steps == sorted(steps, key=lambda t: (t[0], -1 if t[1] is None else t[1]))
+        assert cert._witness.chart is c0
+        assert cert._witness.labels == _ranked(heights)
+        assert cert._solution.assign[c0.root] is e
         c = cert.collapse
         assert c.names == ["g:" + x for x in g.names]
         assert (c.act, c.dst, c.first, c.root) == (g.act, g.dst, g.first, g.root)
