@@ -137,6 +137,12 @@ def _solution_json_dict(sol):
     }
 
 
+def _print_as(obj, cfg):
+    """Print a chart or a witness in ``cfg.format``; exit code 0."""
+    _print(getattr(obj, "to_" + cfg.format)())
+    return 0
+
+
 def _no_dot(what):
     sys.stderr.write("error: no dot rendering for %s\n" % what)
     return 2
@@ -158,13 +164,7 @@ def _cmd_parse(args, cfg):
 
 def _cmd_chart(args, cfg):
     g = interpret(parse(args.expr), cap=cfg.cap)
-    if cfg.format == "json":
-        _print(g.to_json())
-    elif cfg.format == "dot":
-        _print(g.to_dot())
-    else:
-        _print(g.to_text())
-    return 0
+    return _print_as(g, cfg)
 
 
 def _cmd_collapse(args, cfg):
@@ -192,13 +192,7 @@ def _cmd_lee(args, cfg):
     if w is None:
         _print("no LEE witness")
         return 1
-    if cfg.format == "json":
-        _print(w.to_json())
-    elif cfg.format == "dot":
-        _print(w.to_dot())
-    else:
-        _print(w.to_text())
-    return 0
+    return _print_as(w, cfg)
 
 
 def _cmd_check_witness(args, cfg):
@@ -230,13 +224,7 @@ def _cmd_lee2llee(args, cfg):
     g = _load_chart(args.chart)
     w = _load_witness(args.witness, g)
     result = lee_to_llee(w)
-    if cfg.format == "json":
-        _print(result.to_json())
-    elif cfg.format == "dot":
-        _print(result.to_dot())
-    else:
-        _print(result.to_text())
-    return 0
+    return _print_as(result, cfg)
 
 
 def _layered(w):

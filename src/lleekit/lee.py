@@ -410,7 +410,16 @@ class Witness:
                 order[t] = int(num)
             except ValueError:
                 raise ParseError("bad order number %r on line %d" % (num, i)) from None
-        return cls(chart, order)
+        return cls._read(chart, order)
+
+    @classmethod
+    def _read(cls, chart, order):
+        """The witness of a file's orders, which are a :class:`ParseError`
+        when they make none, like every other malformed witness file."""
+        try:
+            return cls(chart, order)
+        except InvalidWitness as exc:
+            raise ParseError(str(exc)) from None
 
     def to_text(self):
         lines = ["witness v1"]
@@ -438,7 +447,7 @@ class Witness:
         Raises :class:`ParseError` unless it is an object with a ``chart``
         (see :meth:`Chart.from_json_dict`) and a list of ``orders``,
         objects with string ``src``, ``act`` and ``dst`` and an integer
-        ``order``.
+        ``order``, that make a witness of the chart.
         """
         import json
 
@@ -457,7 +466,7 @@ class Witness:
             if t in order:
                 raise ParseError("duplicate transition %r in orders" % (t,))
             order[t] = row[3]
-        return cls(chart, order)
+        return cls._read(chart, order)
 
     def to_dot(self):
         return self.chart.to_dot(order=self.order)

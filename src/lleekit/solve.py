@@ -303,8 +303,8 @@ def _solve(w):
     :func:`lleekit.expr.size` counts, added up as it is built, so no
     solution is walked to be measured.
 
-    Every sum is built by ``total``, and folded there (:func:`_fold`) by
-    BBP's axioms read right to left:
+    Every sum is built by ``total``, once, from its summands, which it
+    folds first (:func:`_fold`) by BBP's axioms read right to left:
 
     * A8, ``u * t = u . (u * t) + t``: the summand ``u . (u * t)`` and
       one copy of each summand of ``t`` become ``u * t``;
@@ -313,7 +313,7 @@ def _solve(w):
       q``, and then folds by A8.  A9 is applied nowhere else, so ``a * (b
       . c)`` stays as it is.
 
-    A sum is folded once, as it is built, and every sub-solution is built
+    A sum is folded once, before it is built, and every sub-solution is built
     once, before the sums that use it, so this is one bottom-up pass over
     the shared solution: every solution that holds a sub-solution holds it
     folded the same way.  A fold keeps the star it exposes, so it adds no
@@ -368,36 +368,31 @@ def _solve(w):
     def total(ks, s, sub, rest=()):
         """The sum of ``b`` for a transition ``-b-> s`` and ``b . sub(W)``
         for any other ``-b-> W`` of ``ks``, then of ``rest``,
-        left-associated, and folded (:func:`_fold`) when a summand reads
-        ``b . (b * t)``; 0 if empty.  ``sub`` and ``rest`` give each
-        expression with its tree size, and ``total`` gives the sum so."""
-        acc = None
-        size = -1
+        left-associated; 0 if empty.  ``sub`` and ``rest`` give each
+        expression with its tree size, and ``total`` gives the sum so.  The
+        summands are folded (:func:`_fold`) before they are joined when one
+        reads ``b . (b * t)``."""
+        parts = []
         fold = False
         for k in ks:
             d = dst[k]
             a = leaf[act[k]]
             if d == s:
-                p = a
-                size += 2
+                parts.append((a, 1))
             else:
                 t, t_size = sub(d)
                 if t.__class__ is Star and t.left is a:
                     fold = True
-                p = _node(Seq, a, t)
-                size += t_size + 3
-            acc = p if acc is None else _node(Plus, acc, p)
-        for p, p_size in rest:
-            acc = p if acc is None else _node(Plus, acc, p)
-            size += p_size + 1
-        if acc is None:
+                parts.append((_node(Seq, a, t), t_size + 2))
+        parts += rest
+        if not parts:
             return zero
         if fold:
-            # the summands' sizes, which the fold updates
-            sizes = [1 if dst[k] == s else sub(dst[k])[1] + 2 for k in ks]
-            sizes += [p_size for _, p_size in rest]
-            acc = _fold(acc, sizes)
-            size = sum(sizes) + len(sizes) - 1
+            parts = _fold(parts)
+        acc, size = parts[0]
+        for p, p_size in parts[1:]:
+            acc = _node(Plus, acc, p)
+            size += p_size + 1
         return acc, size
 
     def wrap(y, t):
@@ -520,10 +515,11 @@ def _summands(e):
     return out
 
 
-def _fold(e, sizes):
-    """The sum ``e`` with each star folded back, by A8 right to left: a
-    summand ``u . (u * t)`` and one copy of each summand of ``t`` become
-    ``u * t``, in the first one's place.
+def _fold(parts):
+    """The summands ``parts``, each with its tree size, with each star
+    folded back, by A8 right to left: a summand ``u . (u * t)`` and one
+    copy of each summand of ``t`` become ``u * t``, in the first one's
+    place.
 
     ``t = 0`` has the summand ``0``, which no extracted sum holds.
     Summands are looked up in a dictionary keyed by the expressions, so by
@@ -531,31 +527,29 @@ def _fold(e, sizes):
     The folded ``u * t`` is the summand's own star, so the sum shares it;
     it may read ``u . (u * t)`` again by A9 (:func:`_star_of`), and is
     tried again at once.  A place that cannot fold waits until another one
-    folds.  The sum is rebuilt, left-associated, only if something folded.
+    folds.  The summands left are returned in their order, as new
+    ``(expression, tree size)`` pairs where they folded.
 
-    ``sizes`` lists the tree sizes of ``e``'s summands and is left listing
-    those of the result's.  ``u . (u * t)`` has ``1 + |u|``
-    more syntax nodes than ``u * t``, which has ``1 + |u|`` more than
-    ``t``, and so has its A9 reading, so ``u * t``'s size is the mean of
-    the summand's and ``t``'s.
+    ``u . (u * t)`` has ``1 + |u|`` more syntax nodes than ``u * t``, which
+    has ``1 + |u|`` more than ``t``, and so has its A9 reading, so ``u *
+    t``'s size is the mean of the summand's and ``t``'s.
     """
-    out = _summands(e)
+    out = list(parts)
     places = {}
-    for j, p in enumerate(out):
+    for j, (p, _) in enumerate(out):
         places.setdefault(p, []).append(j)
-    tries = [j for j in reversed(range(len(out))) if _star_of(out[j]) is not None]
+    tries = [j for j in reversed(range(len(out))) if _star_of(out[j][0]) is not None]
     waiting = []
-    folded = False
     while tries:
         i = tries.pop()
-        k = None if out[i] is None else _star_of(out[i])
+        k = None if out[i] is None else _star_of(out[i][0])
         if k is None:
             continue
-        parts = _summands(k.right)
+        ts = _summands(k.right)
         # t's summands, each with its places in the sum, looked up once; no
         # summand of t is the summand at i, which holds t
         at = {}
-        for x in parts:
+        for x in ts:
             if x not in at:
                 places_x = places.get(x)
                 if not places_x:
@@ -563,25 +557,17 @@ def _fold(e, sizes):
                     break
                 at[x] = places_x
         else:
-            t = sum([sizes[at[x][0]] for x in parts]) + len(parts) - 1
-            sizes[i] = (sizes[i] + t) // 2
+            p, p_size = out[i]
+            t = sum([out[at[x][0]][1] for x in ts]) + len(ts) - 1
             for places_x in at.values():
                 out[places_x.pop(0)] = None
-            places[out[i]].remove(i)
-            out[i] = k
+            places[p].remove(i)
+            out[i] = k, (p_size + t) // 2
             places.setdefault(k, []).append(i)
             tries += waiting
             tries.append(i)
             waiting = []
-            folded = True
-    if not folded:
-        return e
-    sizes[:] = [size for p, size in zip(out, sizes) if p is not None]
-    acc = None
-    for p in out:
-        if p is not None:
-            acc = p if acc is None else _node(Plus, acc, p)
-    return acc
+    return [q for q in out if q is not None]
 
 
 def solution_check(sol, cap=None):

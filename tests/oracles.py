@@ -682,25 +682,28 @@ def reference_unfolded_solution(w):
         for any other ``-b-> W`` of ``ks``, then of ``rest``,
         left-associated, and folded (:func:`_fold`) when a summand reads
         ``b . (b * t)``; 0 if empty."""
-        acc = None
+        parts = []
         fold = False
         for k in ks:
             d = dst[k]
             a = leaf[act[k]]
             if d == s:
-                p = a
+                parts.append(a)
             else:
                 t = sub(d)
                 if t.__class__ is Star and t.left is a:
                     fold = True
-                p = _node(Seq, a, t)
-            acc = p if acc is None else _node(Plus, acc, p)
-        for p in rest:
-            acc = p if acc is None else _node(Plus, acc, p)
-        if acc is None:
+                parts.append(_node(Seq, a, t))
+        parts += rest
+        if not parts:
             return zero
-        # the fold's size bookkeeping is not needed here
-        return _fold(acc, [0] * (len(ks) + len(rest))) if fold else acc
+        if fold:
+            # the fold's size bookkeeping is not needed here
+            parts = [p for p, _ in _fold([(p, 0) for p in parts])]
+        acc = parts[0]
+        for p in parts[1:]:
+            acc = _node(Plus, acc, p)
+        return acc
 
     def wrap(y, t):
         return _node(Star, loops[y], t) if entries[y] else t

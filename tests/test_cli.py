@@ -353,6 +353,59 @@ def test_check_witness_rejects_a_transition_listed_twice(tmp_path, capsys, suffi
     assert captured.err == message
 
 
+# the ci fixture's transitions, each with order 0
+CI_ORDERS = dict.fromkeys(
+    [("Z", "a1", "Z"), ("Z", "a2", "X"), ("Z", "a3", "Y"), ("Z", "a4", "K"), ("X", "b1", "Z")]
+    + [("Y", "d1", "Z"), ("K", "d2", "X")],
+    0,
+)
+# orders that make no witness of the ci chart, with the message they give
+MALFORMED_ORDERS = {
+    "missing": (
+        {t: n for t, n in CI_ORDERS.items() if t != ("K", "d2", "X")},
+        "order map must cover exactly the non-terminal transitions (missing K -d2-> X)",
+    ),
+    "spurious": (
+        {**CI_ORDERS, ("Z", "b1", "Z"): 0},
+        "order map must cover exactly the non-terminal transitions (spurious Z -b1-> Z)",
+    ),
+    "negative": (
+        {**CI_ORDERS, ("Z", "a4", "K"): -1},
+        "order of Z -a4-> K must be a non-negative integer",
+    ),
+    "gap": (
+        {**CI_ORDERS, ("Z", "a1", "Z"): 2},
+        "positive orders must be 1..m without gaps, got [2]",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["llee", "check-witness", "lee2llee", "solve", "reflect"])
+@pytest.mark.parametrize(
+    "suffix, case",
+    # a text file names no transition the chart lacks: that is an unknown
+    # transition on its line
+    [(".witness", case) for case in ("missing", "negative", "gap")]
+    + [(".json", case) for case in MALFORMED_ORDERS],
+)
+def test_malformed_witness_files_are_parse_errors(tmp_path, capsys, command, suffix, case):
+    # orders that make no witness of the chart are a malformed file: one
+    # "parse error:" line and exit code 2, not the failed-check code 1
+    orders, message = MALFORMED_ORDERS[case]
+    if suffix == ".json":
+        chart = Chart.from_text(fixture_path("ci.chart").read_text()).to_json_dict()
+        rows = [{"src": s, "act": a, "dst": d, "order": n} for (s, a, d), n in orders.items()]
+        text = json.dumps({"v": 1, "chart": chart, "orders": rows})
+    else:
+        text = "witness v1\n" + "".join("%s %s %s %d\n" % (t + (n,)) for t, n in orders.items())
+    path = tmp_path / ("ci" + suffix)
+    path.write_text(text)
+    assert run([command, CI, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: %s\n" % message
+
+
 def test_chart_alphabet_tokens_are_checked(tmp_path, capsys):
     path = tmp_path / "alphabet.json"
     path.write_text(json.dumps(dict(LOOP_CHART, alphabet=["Not An Action", "5"])))

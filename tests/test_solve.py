@@ -312,8 +312,9 @@ def _sum(*summands):
 
 
 def _folded(e):
-    """:func:`_fold` of ``e``, given the tree sizes of its summands."""
-    return _fold(e, [size(p) for p in lleekit.solve._summands(e)])
+    """:func:`_fold` of ``e``'s summands, given with their tree sizes, as
+    the sum of the summands it returns."""
+    return _sum(*[p for p, _ in _fold([(p, size(p)) for p in lleekit.solve._summands(e)])])
 
 
 def test_fold_reads_a8_and_a9_right_to_left():
@@ -355,12 +356,11 @@ def test_fold_reads_a8_and_a9_right_to_left():
     ],
 )
 def test_fold_keeps_the_summands_tree_sizes(e):
-    # given the tree sizes of the summands, _fold leaves those of the
-    # folded sum's, which extraction adds up instead of walking the result
-    e = parse(e)
-    sizes = [size(p) for p in lleekit.solve._summands(e)]
-    folded = _fold(e, sizes)
-    assert sizes == [size(p) for p in lleekit.solve._summands(folded)]
+    # given the summands with their tree sizes, _fold returns the folded
+    # summands with theirs, which extraction adds up instead of walking
+    # the result
+    folded = _fold([(p, size(p)) for p in lleekit.solve._summands(parse(e))])
+    assert [p_size for _, p_size in folded] == [size(p) for p, _ in folded]
 
 
 def test_folded_solutions_pass_both_checks():
