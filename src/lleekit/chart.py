@@ -59,9 +59,9 @@ from __future__ import annotations
 import gc
 import os
 from bisect import bisect_left
-from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
+from operator import itemgetter
 
 from ._record import record
 from .errors import ParentMismatch, ParseError, StateExplosion, UnknownNode
@@ -1346,18 +1346,30 @@ def step(e):
     return result
 
 
-_Exploration = namedtuple("_Exploration", "space roots states out term loops base")
-_Exploration.__doc__ = """What :func:`_explore` returns: the states of an exploration, and
-their steps as :func:`lleekit.bisim._refine`'s tables.
+class _Exploration(tuple):
+    """What :func:`_explore` returns: the states of an exploration, and
+    their steps as :func:`lleekit.bisim._refine`'s tables: the tuple
+    ``(space, roots, states, out, term, loops, base)``.
 
-State ``i`` is id ``base + i``: ``space.name(states[i])`` is its node
-id, ``out[i]`` the list of its ``(action, dst)`` non-terminal steps,
-``dst`` an id, and ``term[i]`` the frozenset of its terminal actions.
-``roots`` are the roots' ids, in order.  When the exploration is
-labelled, ``loops[i]`` is ``(loop, height)``: the first ``loop`` steps
-of ``out[i]`` have the loop label ``height`` and the others 0.
-``loops`` is ``None`` when it is not labelled.
-"""
+    State ``i`` is id ``base + i``: ``space.name(states[i])`` is its node
+    id, ``out[i]`` the list of its ``(action, dst)`` non-terminal steps,
+    ``dst`` an id, and ``term[i]`` the frozenset of its terminal actions.
+    ``roots`` are the roots' ids, in order.  When the exploration is
+    labelled, ``loops[i]`` is ``(loop, height)``: the first ``loop`` steps
+    of ``out[i]`` have the loop label ``height`` and the others 0.
+    ``loops`` is ``None`` when it is not labelled.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, space, roots, states, out, term, loops, base):
+        return tuple.__new__(cls, (space, roots, states, out, term, loops, base))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    # the fields, read by place
+    space, roots, states, out, term, loops, base = (property(itemgetter(i)) for i in range(7))
 
 
 _NO_ENDS = frozenset()

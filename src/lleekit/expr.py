@@ -20,10 +20,8 @@ Concrete syntax accepted by :func:`parse`:
 
 from __future__ import annotations
 
-import re
-
 from ._record import _assign_frozen, _delete_frozen
-from .errors import AssocError, ParseError
+from .errors import AssocError, InternalError, ParseError
 
 __all__ = [
     "Expression",
@@ -323,12 +321,21 @@ _OPERANDS = {
 
 # --- parsing ---------------------------------------------------------------
 
-# a run of actions joined by "." with no blanks inside, or any other
-# non-space character; whitespace is skipped.  A token from "a" up to (not
-# including) "{" starts with a letter, so it is a run of one action or more.
-_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*(?:\.[a-z][a-z0-9_]*)*|\S")
-
 _ZERO = Zero()
+
+
+def _chunks(text):
+    """The chunks of ``text``: its blank-free stretches, with each ``(``,
+    ``)``, ``+`` and ``*`` a chunk of its own.  Actions and ``0`` joined
+    by ``.``, as in ``a.b.0.c``, are one chunk, which also holds a ``.``
+    just before or after them.
+
+    Each chunk is a slice of ``text``, in order, and only blanks lie
+    between two: ``str.split`` and the syntax agree on what a blank is.
+    """
+    return (
+        text.replace("(", " ( ").replace(")", " ) ").replace("+", " + ").replace("*", " * ").split()
+    )
 
 
 def parse(text):
@@ -337,112 +344,136 @@ def parse(text):
     Raises :class:`ParseError` (with ``.position``) on malformed input and
     :class:`AssocError` on an unparenthesized star chain.
 
-    One ``findall`` splits the text into tokens, then one flat
-    operator-precedence loop builds the tree with an operand stack and an
-    operator stack, so nesting depth costs no recursion.  A run of actions
-    joined by ``.`` with no blanks inside, as in ``a.b.c``, is one token:
-    its first action is an operand and the ``.`` after it reduces as a
-    ``.`` token would, its middle actions fold left in one loop that makes
-    each leaf and ``Seq`` node inline, with no call per action, and its
-    last action is left as the right operand of a pending ``.``, so a
-    ``*`` after the run takes that action alone.  Every operator
-    reduces the operators of at least its own level first, which makes
-    ``+`` and ``.`` left-associative; a ``*`` that meets an unreduced ``*``
-    is a star chain.  The operator stack starts with an open parenthesis
-    that is never closed, so no reduction checks for an empty stack.  A
-    stray character anywhere in the text is reported before any other
-    error, and positions are recovered only for an error
+    The text is cut into chunks with ``str`` methods (:func:`_chunks`),
+    then one flat operator-precedence loop builds the tree with an operand
+    stack and an operator stack, so nesting depth costs no recursion
+    (:func:`_read`).  A stray character anywhere in the text is reported
+    before any other error, and positions are recovered only for an error
     (:func:`_parse_error`).
     """
-    tokens = _TOKEN_RE.findall(text)
+    return _read(text, _chunks(text))
+
+
+def _read(text, tokens, starts=None):
+    """The expression of ``text``, read from its ``tokens``: the chunks of
+    :func:`_chunks`, or with ``starts``, their places in ``text``, the
+    tokens of :func:`_tokens`.
+
+    A chunk is read as the tokens it holds: a ``.`` at its start is a
+    ``.`` token, then its ``.``-separated names are operands with a ``.``
+    token between two, and a ``.`` at its end is one more.  In operand
+    position, its first name is the operand and the ``.`` after it
+    reduces as a ``.`` token would, its middle names fold left in one
+    loop that makes each ``Seq`` node inline, with no call per action, and
+    its last name is left as the right operand of a pending ``.``, so a
+    ``*`` after the chunk takes that name alone.  A name is an action or
+    ``0``, and an action name is checked once, when ``leaves`` first
+    misses it.  Every operator reduces the operators of at least its own
+    level first, which makes ``+`` and ``.`` left-associative; a ``*``
+    that meets an unreduced ``*`` is a star chain.  The operator stack
+    starts with an open parenthesis that is never closed, so no reduction
+    checks for an empty stack.
+    """
     operands = []
     # Plus, Seq and Star, and None for an open parenthesis: between two
     # parentheses their levels increase up the stack
     operators = [None]
     depth = 0  # the parentheses read and not yet closed
-    leaves = {}  # one immutable leaf per action name
+    leaves = {"0": _ZERO}  # one immutable leaf per name
     want_operand = True
     for i, tok in enumerate(tokens):
-        if want_operand:
-            if "a" <= tok < "{":
-                if "." in tok:
-                    # a run a1.a2.….an: a1 is the operand, and the "." after
-                    # it reduces as a "." token does; the middle actions fold
-                    # left in one loop, and an, read below as a lone action
-                    # is, is the right operand of a pending Seq, so a "*"
-                    # after the run takes an alone
-                    names = tok.split(".")
-                    tok = names.pop()
-                    names = iter(names)
-                    name = next(names)
-                    x = leaves.get(name)
-                    if x is None:
-                        x = leaves[name] = _action(name)
-                    while operators[-1] is Seq or operators[-1] is Star:
-                        x = _node(operators.pop(), operands.pop(), x)
-                    h = x._hash
-                    for name in names:
-                        # the Seq node as _node makes it, its hash chained
-                        # from the one before
-                        leaf = leaves.get(name)
-                        if leaf is None:
-                            leaf = leaves[name] = _action(name)
-                        node = _new(Seq)
-                        _set_left(node, x)
-                        _set_right(node, leaf)
-                        h = hash((".", h, leaf._hash))
-                        _set_hash(node, h)
-                        x = node
-                    operands.append(x)
-                    operators.append(Seq)
-                leaf = leaves.get(tok)
-                if leaf is None:
-                    leaf = leaves[tok] = _action(tok)
-                operands.append(leaf)
-            elif tok == "(":
-                operators.append(None)
-                depth += 1
+        if not want_operand:
+            if tok == "+":
+                while operators[-1] is not None:
+                    right = operands.pop()
+                    operands[-1] = _node(operators.pop(), operands[-1], right)
+                operators.append(Plus)
+                want_operand = True
                 continue
-            elif tok == "0":
-                operands.append(_ZERO)
-            else:
-                raise _parse_error(text, i, ParseError, "expected expression, got %r" % tok)
-            want_operand = False
-        elif tok == ".":
+            if tok == "*":
+                if operators[-1] is Star:
+                    raise _parse_error(
+                        text, starts, i, AssocError, "binary star is non-associative; parenthesize"
+                    )
+                operators.append(Star)
+                want_operand = True
+                continue
+            if tok == ")" and depth:
+                while operators[-1] is not None:
+                    right = operands.pop()
+                    operands[-1] = _node(operators.pop(), operands[-1], right)
+                operators.pop()
+                depth -= 1
+                continue
+            if tok[0] != ".":
+                # a run in operator position is reported by its first action
+                tok = tok.partition(".")[0]
+                if depth:
+                    raise _parse_error(text, starts, i, ParseError, "expected ')', got %r" % tok)
+                raise _parse_error(text, starts, i, ParseError, "trailing input %r" % tok)
             while operators[-1] is Seq or operators[-1] is Star:
                 right = operands.pop()
                 operands[-1] = _node(operators.pop(), operands[-1], right)
             operators.append(Seq)
             want_operand = True
-        elif tok == "+":
-            while operators[-1] is not None:
-                right = operands.pop()
-                operands[-1] = _node(operators.pop(), operands[-1], right)
-            operators.append(Plus)
-            want_operand = True
-        elif tok == "*":
-            if operators[-1] is Star:
-                raise _parse_error(
-                    text, i, AssocError, "binary star is non-associative; parenthesize"
-                )
-            operators.append(Star)
-            want_operand = True
-        elif tok == ")" and depth:
-            while operators[-1] is not None:
-                right = operands.pop()
-                operands[-1] = _node(operators.pop(), operands[-1], right)
-            operators.pop()
-            depth -= 1
-        else:
-            # a run in operator position is reported by its first action
-            tok = tok.partition(".")[0]
-            if depth:
-                raise _parse_error(text, i, ParseError, "expected ')', got %r" % tok)
-            raise _parse_error(text, i, ParseError, "trailing input %r" % tok)
+            # the rest of a chunk that starts with a "."
+            tok = tok[1:]
+            if not tok:
+                continue
+        if tok == "(":
+            operators.append(None)
+            depth += 1
+            continue
+        if "." in tok:
+            # a1.a2.….an: a1 is the operand, and the "." after it reduces as
+            # a "." token does; the middle names fold left in one loop, and
+            # an, read below as a lone name is, is the right operand of a
+            # pending Seq, so a "*" after the chunk takes an alone.  An
+            # empty an is a "." at the chunk's end
+            names = tok.split(".")
+            tok = names.pop()
+            names = iter(names)
+            name = next(names)
+            x = leaves.get(name)
+            if x is None:
+                if not _is_action(name):
+                    # of the tokens of _tokens, only a lone "." gets here
+                    raise _parse_error(text, starts, i, ParseError, "expected expression, got '.'")
+                x = leaves[name] = _action(name)
+            while operators[-1] is Seq or operators[-1] is Star:
+                x = _node(operators.pop(), operands.pop(), x)
+            h = x._hash
+            for name in names:
+                # the Seq node as _node makes it, its hash chained from the
+                # one before
+                leaf = leaves.get(name)
+                if leaf is None:
+                    if not _is_action(name):
+                        # only a chunk of several tokens gets here, and the
+                        # error is read from its tokens
+                        raise _parse_error(text, starts, i, ParseError, "")
+                    leaf = leaves[name] = _action(name)
+                node = _new(Seq)
+                _set_left(node, x)
+                _set_right(node, leaf)
+                h = hash((".", h, leaf._hash))
+                _set_hash(node, h)
+                x = node
+            operands.append(x)
+            operators.append(Seq)
+            if not tok:
+                continue
+        leaf = leaves.get(tok)
+        if leaf is None:
+            if not _is_action(tok):
+                raise _parse_error(text, starts, i, ParseError, "expected expression, got %r" % tok)
+            leaf = leaves[tok] = _action(tok)
+        operands.append(leaf)
+        want_operand = False
     if want_operand or depth:
         expected = "expression" if want_operand else "')'"
         raise _parse_error(
-            text, len(tokens), ParseError, "expected %s, got 'end of input'" % expected
+            text, starts, len(tokens), ParseError, "expected %s, got 'end of input'" % expected
         )
     while operators[-1] is not None:
         right = operands.pop()
@@ -450,22 +481,60 @@ def parse(text):
     return operands[0]
 
 
-def _parse_error(text, i, exc, message):
+def _tokens(text):
+    """The tokens of ``text`` and their places in it: a run of actions
+    joined by ``.`` with no blanks inside, as in ``a.b.c``, or any other
+    character that is not a blank.
+
+    Each chunk of :func:`_chunks` is cut at every character that cannot go
+    on a run; a ``.`` goes on one only when a letter follows it.  Only an
+    error reads these: they place each token, and a chunk such as ``a.0b``
+    holds more than its names.
+    """
+    tokens, starts = [], []
+    end = 0
+    for chunk in _chunks(text):
+        start = text.index(chunk, end)
+        end = start + len(chunk)
+        j = 0
+        while j < len(chunk):
+            k = j + 1
+            if "a" <= chunk[j] <= "z":
+                while k < len(chunk):
+                    if chunk[k] in _ACTION_CHARS:
+                        k += 1
+                    elif chunk[k] == "." and "a" <= chunk[k + 1 : k + 2] <= "z":
+                        k += 2
+                    else:
+                        break
+            tokens.append(chunk[j:k])
+            starts.append(start + j)
+            j = k
+    return tokens, starts
+
+
+def _parse_error(text, starts, i, exc, message):
     """The error :func:`parse` raises at token ``i`` of ``text``, or at its
     end when ``i`` is the number of tokens.
 
-    The text is scanned again to find the token's position.  A stray
-    character anywhere in the text is the error instead, the first one
-    found: the grammar is read only from valid tokens.
+    With ``starts``, the places of :func:`_tokens`, it is ``exc(message)``
+    at token ``i``.  Without, ``i`` counts the chunks of :func:`_chunks`,
+    which may hold several tokens, so the text is read again from its
+    tokens, and the error of that reading is returned.  A stray character
+    anywhere in the text is the error instead, the first one found: the
+    grammar is read only from valid tokens.
     """
-    position = len(text)
-    for j, m in enumerate(_TOKEN_RE.finditer(text)):
-        tok = m.group()
+    if starts is not None:
+        return exc(message, starts[i] if i < len(starts) else len(text))
+    tokens, starts = _tokens(text)
+    for tok, start in zip(tokens, starts):
         if not "a" <= tok < "{" and tok not in "0+.*()":
-            return ParseError("unexpected character %r" % tok, m.start())
-        if j == i:
-            position = m.start()
-    return exc(message, position)
+            return ParseError("unexpected character %r" % tok, start)
+    try:
+        _read(text, tokens, starts)
+    except ParseError as error:
+        return error
+    raise InternalError("the tokens of %r parse where its chunks did not" % (text,))
 
 
 # --- printing --------------------------------------------------------------

@@ -51,8 +51,9 @@ name their results, and a replay builds its final chart once, at the end.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import deque
 from functools import cached_property
+from operator import itemgetter
 
 from ._record import record
 from .chart import (
@@ -472,10 +473,22 @@ class Witness:
         return self.chart.to_dot(order=self.order)
 
 
-_Replay = namedtuple("_Replay", "ok reason llee llee_reason steps graph")
-_Replay.__doc__ = """What :func:`_replay` reports: as :class:`ReplayResult`, with the
-steps as ``(order, start, entries, body)`` on ids and numbers, and the
-working graph where the run got to its end (``None`` otherwise)."""
+class _Replay(tuple):
+    """What :func:`_replay` reports, the tuple ``(ok, reason, llee,
+    llee_reason, steps, graph)``: as :class:`ReplayResult`, with the steps
+    as ``(order, start, entries, body)`` on ids and numbers, and the
+    working graph where the run got to its end (``None`` otherwise)."""
+
+    __slots__ = ()
+
+    def __new__(cls, ok, reason, llee, llee_reason, steps, graph):
+        return tuple.__new__(cls, (ok, reason, llee, llee_reason, steps, graph))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    # the fields, read by place
+    ok, reason, llee, llee_reason, steps, graph = (property(itemgetter(i)) for i in range(6))
 
 
 def _replay(w):

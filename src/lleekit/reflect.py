@@ -29,7 +29,7 @@ whose run is the reflected witness's replay) serves
 
 from __future__ import annotations
 
-from collections import namedtuple
+from operator import itemgetter
 
 from ._record import record
 from .bisim import bisimilarity_partition
@@ -143,10 +143,21 @@ def images(theta, w):
     return ImageHierarchy(records, order)
 
 
-_Image = namedtuple("_Image", "nodes start preimages chosen")
-_Image.__doc__ = """One image, on ids: the target's ``nodes`` and ``start``, the starts
-of its ``preimages`` in the source and the ``chosen`` well-structured
-one among them."""
+class _Image(tuple):
+    """One image, on ids, the tuple ``(nodes, start, preimages, chosen)``:
+    the target's ``nodes`` and ``start``, the starts of its ``preimages``
+    in the source and the ``chosen`` well-structured one among them."""
+
+    __slots__ = ()
+
+    def __new__(cls, nodes, start, preimages, chosen):
+        return tuple.__new__(cls, (nodes, start, preimages, chosen))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    # the fields, read by place
+    nodes, start, preimages, chosen = (property(itemgetter(i)) for i in range(4))
 
 
 def _images(theta, lbcs):

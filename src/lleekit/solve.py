@@ -49,8 +49,8 @@ assignment.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cached_property, partial
+from operator import itemgetter
 
 from ._record import record
 from .bisim import BisimMap, _index_tables, _quotient, _refine
@@ -844,14 +844,26 @@ def is_axiom_instance(lhs, rhs):
     return None
 
 
-_Evidence = namedtuple("_Evidence", "x1 reps x2 theta")
-_Evidence.__doc__ = """What an EQUAL keeps to name its certificate.
+class _Evidence(tuple):
+    """What an EQUAL keeps to name its certificate, the tuple ``(x1, reps,
+    x2, theta)``.
 
-``x1`` and ``x2`` are the two explorations, state ``j`` of each being id
-``base + j`` of the refiner's tables; ``theta`` maps every id of those
-tables to its collapse node, and ``reps[r]`` is collapse node ``r``'s first
-member, an id of ``x1``.
-"""
+    ``x1`` and ``x2`` are the two explorations, state ``j`` of each being
+    id ``base + j`` of the refiner's tables; ``theta`` maps every id of
+    those tables to its collapse node, and ``reps[r]`` is collapse node
+    ``r``'s first member, an id of ``x1``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x1, reps, x2, theta):
+        return tuple.__new__(cls, (x1, reps, x2, theta))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    # the fields, read by place
+    x1, reps, x2, theta = (property(itemgetter(i)) for i in range(4))
 
 
 class Certificate:

@@ -825,9 +825,10 @@ def test_equiv_rejects_a_witness_without_loop_labels(capsys, monkeypatch):
 
     def unlabelled(*args, **kwargs):
         x = explore(*args, **kwargs)
-        if x.loops is None:
+        space, roots, states, out, term, loops, base = x
+        if loops is None:
             return x
-        return x._replace(loops=[(0, 0)] * len(x.loops))
+        return type(x)(space, roots, states, out, term, [(0, 0)] * len(loops), base)
 
     monkeypatch.setattr(lleekit.solve, "_explore", unlabelled)
     assert run(["equiv", "a*b", "a.(a*b)+b"]) == 3
@@ -1379,3 +1380,32 @@ def test_cli_loads_no_argparse():
     proc = run_python(["-I", "-c", script, src], 0, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_loads_no_re_and_makes_one_namedtuple():
+    # parsing uses no regular expression, and the private records are
+    # classes written in source: the public CollapseResult is the one
+    # namedtuple left, and each one compiles a generated __new__.  -S keeps
+    # site from loading re beforehand; functools makes a namedtuple of its
+    # own when it is imported, so it is imported before the count starts
+    src = str(pathlib.Path(lleekit.cli.__file__).resolve().parent.parent)
+    script = (
+        "import collections, functools, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "made = []\n"
+        "factory = collections.namedtuple\n"
+        "def counted(*args, **kwargs):\n"
+        "    made.append(args[0])\n"
+        "    return factory(*args, **kwargs)\n"
+        "collections.namedtuple = counted\n"
+        "import lleekit.cli\n"
+        "codes = [\n"
+        "    lleekit.cli.run(['equiv', '((a+b).(a*b))*0', '(a+b)*0']),\n"
+        "    lleekit.cli.run(['equiv', 'a.(b+c)', 'a.b+a.c']),\n"
+        "    lleekit.cli.run(['parse', 'a+']),\n"
+        "]\n"
+        "print(codes, sorted({'re', 'enum'} & set(sys.modules)), made)\n"
+    )
+    proc = run_python(["-I", "-S", "-c", script, src], 0, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 1, 2] [] ['CollapseResult']"

@@ -102,6 +102,30 @@ PARSE_ERRORS = [
     # a run of actions in operator position is reported by its first action
     ("a b.c", 2, "trailing input 'b'"),
     ("(a b.c", 3, "expected ')', got 'b'"),
+    # blanks are the characters that both str.split and the syntax skip
+    ("a\x1cb", 2, "trailing input 'b'"),
+    ("a\x85b", 2, "trailing input 'b'"),
+    ("a\xa0.b c", 5, "trailing input 'c'"),
+    ("a\u2000b", 2, "trailing input 'b'"),
+    ("a\u200bb", 1, "unexpected character '\\u200b'"),
+    # a "." beside a name that is no action, at either end of a run, twice
+    (".0", 0, "expected expression, got '.'"),
+    ("0.", 2, "expected expression, got " + _END),
+    ("a._", 2, "unexpected character '_'"),
+    ("a.9", 2, "unexpected character '9'"),
+    ("a..", 2, "expected expression, got '.'"),
+    ("0.a b", 4, "trailing input 'b'"),
+    ("0a", 1, "trailing input 'a'"),
+    ("a.0b", 3, "trailing input 'b'"),
+    ("a.b.0c.d", 5, "trailing input 'c'"),
+    ("(a.b.0c.d", 6, "expected ')', got 'c'"),
+    # a "." just before "(" and just after ")"
+    ("a.(b", 4, "expected ')', got " + _END),
+    ("a.)", 2, "expected expression, got ')'"),
+    ("a..(b)", 2, "expected expression, got '.'"),
+    ("(a).", 4, "expected expression, got " + _END),
+    ("(a)..b", 4, "expected expression, got '.'"),
+    ("(a).b c", 6, "trailing input 'c'"),
 ]
 
 
@@ -122,6 +146,12 @@ def test_parse_errors_carry_positions(text, position, message):
 # what a mutation may insert: the grammar's characters, multi-letter and
 # digit-bearing action names, blanks, and stray characters
 _INSERTS = list("abz0+.*() \t_9A#{é") + ["x1_y", "a*b*c", "((", "))", " q"]
+# what the parser's pieces could mishandle: characters that str.split and
+# the syntax both call blanks, one that neither does, a "." beside a name
+# that is no action or beside another ".", and a "." just before "(" or
+# just after ")"
+_INSERTS += ["\x1c", "\x85", "\xa0", "\u2000", "\u200b"]
+_INSERTS += [".0", "._", "..", "0.a", "a.0", ".(", ")."]
 
 
 def _mutate(rng, text):
@@ -160,6 +190,17 @@ def test_parse_agrees_with_the_reference_parser():
     assert 0.3 * len(texts) < failures < 0.8 * len(texts)
     for text in texts:
         assert _parsed(parse, text) == _parsed(reference_parse, text), text
+
+
+@settings(max_examples=2000, deadline=None)
+@given(expressions, st.integers(0, 3), st.randoms(use_true_random=False))
+def test_parse_agrees_with_the_reference_parser_hypothesis(e, edits, rng):
+    # the seeded sweep above, with the printed expression and its edits
+    # drawn, and shrunk, by hypothesis
+    text = unparse(e)
+    for _ in range(edits):
+        text = _mutate(rng, text)
+    assert _parsed(parse, text) == _parsed(reference_parse, text), text
 
 
 @pytest.mark.parametrize(

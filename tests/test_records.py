@@ -1,5 +1,6 @@
 """The record classes against their ``@dataclass`` twins in ``oracles``."""
 
+import collections
 import copy
 import dataclasses
 import inspect
@@ -11,7 +12,7 @@ import pytest
 from conftest import run_python
 from oracles import ParentRecords
 from lleekit.bisim import BisimMap, CollapseResult, Partition, bisimilarity_partition, collapse
-from lleekit.chart import NodeSetChart, Transition, chart_of_nodes
+from lleekit.chart import NodeSetChart, Transition, _Exploration, chart_of_nodes
 from lleekit.cli import Config
 from lleekit.expr import parse
 from lleekit.lee import (
@@ -19,6 +20,7 @@ from lleekit.lee import (
     PropertyReport,
     ReplayResult,
     ReplayStep,
+    _Replay,
     all_looping_back_charts,
     check_lbc_properties,
 )
@@ -26,6 +28,7 @@ from lleekit.reflect import (
     ImageHierarchy,
     ImageRecord,
     LemmaReport,
+    _Image,
     check_lemma_conditions,
     images,
 )
@@ -34,6 +37,7 @@ from lleekit.solve import (
     EquationSystem,
     EquivResult,
     Solution,
+    _Evidence,
     equation_system,
     equiv,
 )
@@ -282,3 +286,31 @@ def test_unpickled_record_compares_before_first_use(cls, instances):
         [[hashed(x) == hashed(y) for y in xs] for x in xs],
     ]
     assert proc.stdout.decode().splitlines() == [str(line) for line in expected]
+
+
+# the private records, tuples written in source, and the fields of each
+PRIVATE = {
+    _Exploration: "space roots states out term loops base",
+    _Replay: "ok reason llee llee_reason steps graph",
+    _Image: "nodes start preimages chosen",
+    _Evidence: "x1 reps x2 theta",
+}
+
+
+@pytest.mark.parametrize("cls", PRIVATE, ids=lambda c: c.__name__)
+def test_private_record_reads_copies_and_pickles_as_a_named_tuple(cls):
+    twin = collections.namedtuple(cls.__name__, PRIVATE[cls])
+    values = [[i] for i in range(len(twin._fields))]
+    x, tx = cls(*values), twin(*values)
+    assert x == tx and tuple(x) == tuple(tx) and len(x) == len(tx)
+    for name in twin._fields:
+        assert getattr(x, name) is getattr(tx, name)
+    for roundtrip in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        y = roundtrip(x)
+        assert type(y) is cls and y == x
+    for change in (
+        lambda o: setattr(o, twin._fields[0], None),
+        lambda o: setattr(o, "extra", 1),
+    ):
+        with pytest.raises(AttributeError):
+            change(x)

@@ -508,7 +508,8 @@ def test_extraction_solves_the_loops_in_the_run_s_order():
     (_, inner, _, _), (_, outer, _, _) = w._replayed.steps
     assert inner > outer
     reversed_run = Witness._of(w.chart, w.labels)
-    reversed_run._replayed = w._replayed._replace(steps=w._replayed.steps[::-1])
+    ok, reason, llee, llee_reason, steps, graph = w._replayed
+    reversed_run._replayed = type(w._replayed)(ok, reason, llee, llee_reason, steps[::-1], graph)
     assert is_llee_witness(reversed_run)
     assert w.chart.names[inner] == "(b.c)*d.(a.(b.c)*d)*e"
     with pytest.raises(InternalError) as caught:
