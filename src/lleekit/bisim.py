@@ -425,25 +425,27 @@ def _transfers(outmap, term, theta, target_out, target_term):
     return True
 
 
-def _quotient(outmap, term, block, members, initial, names=None):
+def _quotient(outmap, term, block, chart):
     """The quotient of :func:`_refine`'s tables by their partition ``block``.
 
-    ``members`` are the ids whose classes become the quotient's nodes: a
-    class is numbered and given its steps after its first member in that
-    order.  ``names``, when given, name the ids, ``members`` being in name
-    order, and each class is named after its first member, so the
-    quotient's ids are ranks of its names; without them the quotient is
-    unnamed (see :class:`~lleekit.chart.Chart`).  ``initial`` is the id
-    whose class is the initial node.  Returns ``(quotient, theta, reps)``: the
-    :class:`~lleekit.chart.Chart`, for every id of the tables the node of
-    its class, and each node's first member.  ``theta`` is checked
-    (:func:`_transfers`) to be a functional bisimulation onto the quotient,
-    every id against its class's node, so every class must hold a member;
-    both raise :class:`NotABisimulation`.
+    ``chart``'s nodes are the ids ``0..n-1`` of the tables, and their
+    classes become the quotient's nodes: a class is numbered, named and
+    given its steps after its first node in ``chart``'s order, so the
+    quotient of a named chart is numbered in name order and that of an
+    unnamed one is unnamed (see :class:`~lleekit.chart.Chart`).  The
+    initial node is the class of ``chart``'s, and the alphabet is
+    ``chart``'s.  When every class holds exactly one of ``chart``'s nodes
+    the quotient is ``chart`` itself: each class then has its node's number
+    and steps.  Returns ``(quotient, theta, reps)``: the quotient, for every
+    id of the tables the node of its class, and each node's first member.
+    ``theta`` is checked (:func:`_transfers`) to be a functional
+    bisimulation onto the quotient, every id against its class's node, so
+    every class must hold one of ``chart``'s nodes; both raise
+    :class:`NotABisimulation`.
     """
     number = {}
     reps = []
-    for i in members:
+    for i in range(len(chart.names)):
         if number.setdefault(block[i], len(reps)) == len(reps):
             reps.append(i)
     theta = [number.get(b) for b in block]
@@ -453,12 +455,15 @@ def _quotient(outmap, term, block, members, initial, names=None):
     ends = [term[r] for r in reps]
     if not _transfers(outmap, term, theta, outs, ends):
         raise NotABisimulation("mapping fails the transfer conditions")
-    names = range(len(reps)) if names is None else [names[i] for i in reps]
+    names = chart.names
+    if len(reps) == len(names):
+        return chart, theta, reps
     quotient = Chart._build(
-        names,
+        range(len(reps)) if names.__class__ is range else [names[i] for i in reps],
         [out.union((a, None) for a in e) for out, e in zip(outs, ends)],
-        None if initial is None else theta[initial],
+        None if chart.root is None else theta[chart.root],
     )
+    quotient.alphabet = chart.alphabet
     return quotient, theta, reps
 
 
@@ -467,12 +472,12 @@ def collapse(chart):
 
     Each class is represented by its least node id.  Returns the quotient
     chart together with the quotient :class:`BisimMap`; the quotient has no
-    two distinct bisimilar nodes and is bisimilar to the input.
+    two distinct bisimilar nodes, is bisimilar to the input and keeps its
+    alphabet.  A chart with no two distinct bisimilar nodes is its own
+    quotient.
     """
     outmap, term = [], []
     _index_tables(chart, outmap, term)
-    quotient, theta, _ = _quotient(
-        outmap, term, _refine(outmap, term), range(len(chart.names)), chart.root, chart.names
-    )
+    quotient, theta, _ = _quotient(outmap, term, _refine(outmap, term), chart)
     rep = {x: quotient.names[theta[i]] for i, x in enumerate(chart.names)}
     return CollapseResult(quotient, BisimMap._of(chart, quotient, rep))

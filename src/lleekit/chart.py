@@ -386,7 +386,7 @@ class Chart:
     def reachable(self, roots):
         """Nodes reachable from ``roots`` (which are included if they are nodes)."""
         ids, names = self.ids, self.names
-        reached = _Graph(self).reach([ids[r] for r in roots if r in ids])
+        reached = _Graph(self).closure(None, [ids[r] for r in roots if r in ids])[0]
         return frozenset(names[i] for i in reached)
 
     def has_cycle(self, within=None):
@@ -749,11 +749,11 @@ class _Graph:
 
     Built from a :class:`Chart` and roots (every node when none are given),
     it keeps which of the chart's numbered transitions and which nodes are
-    live.  Every reachability walk (:meth:`reach`), cycle test
-    (:meth:`has_cycle`) and ``start``-avoiding closure (:meth:`closure`) on
-    a chart runs here, on ``_succ``, ``_dst`` and ``_alive`` directly.  A
-    :class:`NodeSetChart` walks its parent's graph with only its own
-    transitions live.
+    live.  Every cycle test (:meth:`has_cycle`) and ``start``-avoiding
+    closure (:meth:`closure`) on a chart runs here, on ``_succ``, ``_dst``
+    and ``_alive`` directly; a reachability walk is the closure that
+    avoids no node, ``closure(None, roots)``.  A :class:`NodeSetChart`
+    walks its parent's graph with only its own transitions live.
 
     It is also the one working graph of an elimination run.  There, exactly
     the nodes the roots reach are live, and a transition is live when its
@@ -794,21 +794,6 @@ class _Graph:
         """The live transitions leaving ``node``, in number order."""
         alive = self._alive
         return [k for k in self._succ[node] if alive[k]]
-
-    def reach(self, roots):
-        """The live ``roots`` and the nodes live transitions lead to from
-        them."""
-        alive, dst, succ = self._alive, self._dst, self._succ
-        seen = self.nodes.intersection(roots)
-        stack = list(seen)
-        while stack:
-            for k in succ[stack.pop()]:
-                if alive[k]:
-                    d = dst[k]
-                    if d is not None and d not in seen:
-                        seen.add(d)
-                        stack.append(d)
-        return seen
 
     def has_cycle(self, within=None):
         """True if some live cycle exists (restricted to ``within`` if given)."""
@@ -964,10 +949,12 @@ class _Graph:
             roots, nodes = self.roots, self.nodes
         else:
             roots = frozenset(roots)
-            nodes = self.reach(roots)
+            nodes = self.closure(None, self.nodes & roots)[0]
         c = self.chart
         initial = c.root
-        if roots != {initial} and not (initial in nodes and self.reach([initial]) == nodes):
+        if roots != {initial} and not (
+            initial in nodes and self.closure(None, [initial])[0] == nodes
+        ):
             initial = None
         kept = sorted(nodes)
         new = {x: i for i, x in enumerate(kept)}
@@ -1506,11 +1493,13 @@ def _explored_chart(exploration, named=True):
 
     ``exploration`` is what :func:`_explore` returns; its tables are read
     as they are, repeated steps merged.  Returns ``(chart, order,
-    heights)``: the :class:`Chart`, rooted at the root, whose node ``r``
-    is state ``order[r]``, and ``heights[k]``, the largest loop label
-    :func:`_explore` gave a step of transition ``k`` (0 for an exploration
-    without labels).  :func:`lleekit.lee.expression_witness` ranks the
-    heights into a layered witness.  Unless ``named`` is false, every
+    orders)``: the :class:`Chart`, rooted at the root, whose node ``r``
+    is state ``order[r]``, and the witness orders of its transitions, the
+    layered witness :func:`lleekit.lee.expression_witness` reads.  The
+    order of transition ``k`` ranks the largest loop label
+    :func:`_explore` gave a step of it among the positive labels, the
+    smallest as 1, and is 0 for a label 0, which is every label of an
+    exploration without them.  Unless ``named`` is false, every
     state is named and the chart numbered in name order.  Otherwise
     nothing is named, and the chart is unnamed and numbered in exploration
     order: node ``i`` is state ``i``, and ``order`` is ``range(n)``.
@@ -1547,4 +1536,5 @@ def _explored_chart(exploration, named=True):
     chart = Chart._build(names, outs, rank[roots[0]])
     src = chart.src
     heights = [outs[src[k]][a, d] for k, (a, d) in enumerate(zip(chart.act, chart.dst))]
-    return chart, order, heights
+    rank = {h: r for r, h in enumerate(sorted({0, *heights}))}
+    return chart, order, [rank[h] for h in heights]

@@ -36,14 +36,16 @@ __all__ = [
     "actions_of",
 ]
 
-# the characters after the first letter of an action name
-_ACTION_CHARS = "abcdefghijklmnopqrstuvwxyz0123456789_"
+# the characters after the first letter of an action name, as bytes:
+# ``bytes.strip`` is several times faster than ``str.strip`` on a long name
+_ACTION_CHARS = b"abcdefghijklmnopqrstuvwxyz0123456789_"
 
 
 def _is_action(name):
     """Whether the string ``name`` is an action name, ``[a-z][a-z0-9_]*``,
-    tested character by character with no regular expression."""
-    return "a" <= name[:1] <= "z" and not name.strip(_ACTION_CHARS)
+    tested with no regular expression.  A character that is not ASCII
+    encodes as ``?``, which no name holds."""
+    return "a" <= name[:1] <= "z" and not name.encode("ascii", "replace").strip(_ACTION_CHARS)
 
 
 class Expression:
@@ -367,12 +369,13 @@ def _read(text, tokens, starts=None):
     loop that makes each ``Seq`` node inline, with no call per action, and
     its last name is left as the right operand of a pending ``.``, so a
     ``*`` after the chunk takes that name alone.  A name is an action or
-    ``0``, and an action name is checked once, when ``leaves`` first
-    misses it.  Every operator reduces the operators of at least its own
-    level first, which makes ``+`` and ``.`` left-associative; a ``*``
-    that meets an unreduced ``*`` is a star chain.  The operator stack
-    starts with an open parenthesis that is never closed, so no reduction
-    checks for an empty stack.
+    ``0``, and an action name is checked when ``leaves`` first misses it;
+    a chunk's last name is checked before its middle names are folded, so
+    a malformed last name costs no fold.  Every operator reduces the
+    operators of at least its own level first, which makes ``+`` and ``.``
+    left-associative; a ``*`` that meets an unreduced ``*`` is a star
+    chain.  The operator stack starts with an open parenthesis that is
+    never closed, so no reduction checks for an empty stack.
     """
     operands = []
     # Plus, Seq and Star, and None for an open parenthesis: between two
@@ -432,6 +435,9 @@ def _read(text, tokens, starts=None):
             # empty an is a "." at the chunk's end
             names = tok.split(".")
             tok = names.pop()
+            if tok and tok not in leaves and not _is_action(tok):
+                # the error is read from the tokens
+                raise _parse_error(text, starts, i, ParseError, "")
             names = iter(names)
             name = next(names)
             x = leaves.get(name)
@@ -487,26 +493,33 @@ def _tokens(text):
     character that is not a blank.
 
     Each chunk of :func:`_chunks` is cut at every character that cannot go
-    on a run; a ``.`` goes on one only when a letter follows it.  Only an
+    on a run; a ``.`` goes on one only when a letter follows it.  A run is
+    read a name at a time with ``str`` and ``bytes`` methods, each name
+    bounded by the next ``.`` of its chunk, and any other token is one
+    character.  Only an
     error reads these: they place each token, and a chunk such as ``a.0b``
     holds more than its names.
     """
     tokens, starts = [], []
     end = 0
     for chunk in _chunks(text):
-        start = text.index(chunk, end)
+        # only blanks lie before the chunk
+        start = text.index(chunk[0], end)
         end = start + len(chunk)
         j = 0
         while j < len(chunk):
             k = j + 1
             if "a" <= chunk[j] <= "z":
+                # a name at a time, up to the next "." or the first
+                # character no name holds, while a "." and a letter follow
                 while k < len(chunk):
-                    if chunk[k] in _ACTION_CHARS:
-                        k += 1
-                    elif chunk[k] == "." and "a" <= chunk[k + 1 : k + 2] <= "z":
-                        k += 2
-                    else:
+                    dot = chunk.find(".", k)
+                    if dot < 0:
+                        dot = len(chunk)
+                    k = dot - len(chunk[k:dot].encode("ascii", "replace").lstrip(_ACTION_CHARS))
+                    if k < dot or not "a" <= chunk[k + 1 : k + 2] <= "z":
                         break
+                    k += 2
             tokens.append(chunk[j:k])
             starts.append(start + j)
             j = k

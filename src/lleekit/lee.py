@@ -617,23 +617,16 @@ def expression_witness(e, cap=None):
     while the chart is explored: a step of the body ``e1`` of a star head
     ``e1*e2`` with ``e1`` normed enters that star's loop and is labelled
     with the star height of ``e1*e2``; every other step is labelled 0 (see
-    :func:`lleekit.chart._explore`).  The distinct positive heights are
-    ranked to orders ``1..m``, the smallest height as order 1, so inner
+    :func:`lleekit.chart._explore`).  The chart is read off with the
+    distinct positive heights ranked to orders ``1..m``, the smallest
+    height as order 1 (:func:`lleekit.chart._explored_chart`), so inner
     loops are eliminated before the loops around them.  No search and no
     re-layering is involved.  Returns a :class:`Witness` on
     ``interpret(e, cap)``; raises :class:`StateExplosion` as
     :func:`lleekit.chart.interpret` does.
     """
-    c, _, heights = _explored_chart(_explore([e], cap, _interpreting, labelled=True))
-    return Witness._of(c, _ranked(heights))
-
-
-def _ranked(heights):
-    """The order numbers of the loop labels ``heights``: each positive
-    height its rank among them, the smallest 1."""
-    rank = {h: i for i, h in enumerate(sorted(set(heights) - {0}), start=1)}
-    rank[0] = 0
-    return [rank[h] for h in heights]
+    c, _, orders = _explored_chart(_explore([e], cap, _interpreting, labelled=True))
+    return Witness._of(c, orders)
 
 
 # --- looping-back structure ------------------------------------------------

@@ -27,17 +27,17 @@ of it.  The :class:`Certificate` names them when they are read.  The
 witness needs no search: the first expression's chart carries a layered
 witness by construction (:func:`lleekit.lee.expression_witness`).
 
-When that chart is already the collapse, node for node, its witness,
-renamed, is the collapse's, and the expressions its states stand for
-(:func:`lleekit.chart._state_expressions`), the initial node the first
-expression itself, are the solution (Milner, JCSS 1984; Grabmayer &
-Fokkink, LICS 2020).  Otherwise reflecting the witness through the first
-map gives a witness on the collapse that is layered as well, which is
-checked, not repaired, and a solution is extracted from it.  The pipeline
-runs each step once: explore with witness labels, one joint refinement
-(verdict and collapse), the transfer check of both maps, replay, then,
-off the shortcut, images, reflection, replay and extraction, and last the
-solution check.  The solution check (:func:`_provable_check`) proves each
+When no two nodes of that chart are bisimilar, the chart is its own
+collapse: its witness is the collapse's, and the expressions its states
+stand for (:func:`lleekit.chart._state_expressions`), the initial node
+the first expression itself, are the solution (Milner, JCSS 1984;
+Grabmayer & Fokkink, LICS 2020).  Otherwise reflecting the witness
+through the first map gives a witness on the collapse that is layered as
+well, which is checked, not repaired, and a solution is extracted from
+it.  The pipeline runs each step once: explore with witness labels, one
+joint refinement (verdict and collapse), the transfer check of both
+maps, replay, then, off the shortcut, images, reflection, replay and
+extraction, and last the solution check.  The solution check (:func:`_provable_check`) proves each
 node's equation in BBP on canonical forms, with no exploration and no
 refinement, so an EQUAL refines once and its check does not lean on the
 refiner that gave the verdict.  The :class:`Certificate` holds the
@@ -50,7 +50,6 @@ assignment.
 from __future__ import annotations
 
 from functools import cached_property, partial
-from operator import itemgetter
 
 from ._record import record
 from .bisim import BisimMap, _index_tables, _quotient, _refine
@@ -75,7 +74,7 @@ from .errors import (
     StateExplosion,
 )
 from .expr import Action, Plus, Seq, Star, Zero, _action, _flatten, _node, _unflatten
-from .lee import Witness, _ranked, is_llee_witness
+from .lee import Witness, is_llee_witness
 from .reflect import _images, _reflect_witness
 
 __all__ = [
@@ -844,28 +843,6 @@ def is_axiom_instance(lhs, rhs):
     return None
 
 
-class _Evidence(tuple):
-    """What an EQUAL keeps to name its certificate, the tuple ``(x1, reps,
-    x2, theta)``.
-
-    ``x1`` and ``x2`` are the two explorations, state ``j`` of each being
-    id ``base + j`` of the refiner's tables; ``theta`` maps every id of
-    those tables to its collapse node, and ``reps[r]`` is collapse node
-    ``r``'s first member, an id of ``x1``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x1, reps, x2, theta):
-        return tuple.__new__(cls, (x1, reps, x2, theta))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    # the fields, read by place
-    x1, reps, x2, theta = (property(itemgetter(i)) for i in range(4))
-
-
 class Certificate:
     """Evidence that two expressions are bisimilar.
 
@@ -898,22 +875,28 @@ class Certificate:
     every state of their interpretation when read, and are cached,
     unchecked: :func:`equiv` checked their transfer conditions on every id
     before it returned (:func:`lleekit.bisim._quotient`).
+
+    The last four arguments name them: ``x1`` and ``x2`` are the two
+    explorations, state ``j`` of each being id ``base + j`` of the
+    refiner's tables; ``theta`` maps every id of those tables to its
+    collapse node, and ``reps[r]`` is collapse node ``r``'s first member,
+    an id of ``x1``.
     """
 
-    def __init__(self, collapse, witness, solution, evidence):
+    def __init__(self, collapse, witness, solution, x1, reps, x2, theta):
         # as equiv derived them, on the unnamed collapse
         self._collapse = collapse
         self._witness = witness
         self._solution = solution
         self.expression = solution.initial_expression()
-        self._evidence = evidence
+        self._x1, self._reps, self._x2, self._theta = x1, reps, x2, theta
 
     @cached_property
     def _renaming(self):
         """:meth:`Chart._renamed` of the unnamed collapse, its nodes named
         after their first members."""
-        x1, reps = self._evidence.x1, self._evidence.reps
-        names = _named(x1.space, [x1.states[i] for i in reps])
+        x1 = self._x1
+        names = _named(x1.space, [x1.states[i] for i in self._reps])
         return self._collapse._renamed(["g:" + x for x in names])
 
     @cached_property
@@ -937,7 +920,7 @@ class Certificate:
     def _map(self, x):
         """The map onto the collapse from the chart of exploration ``x``."""
         source, order, _ = _explored_chart(x)
-        names, node, theta = self.collapse.names, self._renaming[1], self._evidence.theta
+        names, node, theta = self.collapse.names, self._renaming[1], self._theta
         return BisimMap._of(
             source,
             self.collapse,
@@ -946,11 +929,11 @@ class Certificate:
 
     @cached_property
     def map1(self):
-        return self._map(self._evidence.x1)
+        return self._map(self._x1)
 
     @cached_property
     def map2(self):
-        return self._map(self._evidence.x2)
+        return self._map(self._x2)
 
 
 @record
@@ -1043,20 +1026,12 @@ def equiv(e1, e2, cap=None):
     The collapse is read off the refiner's tables and both maps onto it
     pass the transfer check there, so the collapse is not refined again.
 
-    When the collapse has as many nodes as ``g``, every class holds exactly
-    one node of ``g``, as :func:`lleekit.bisim._quotient` rejects a class
-    without one.  It numbers the classes in the order of their first
-    members, which is ``g``'s, so collapse node ``r`` is the class of
-    ``g``'s node ``r``: ``theta[r] == r``.  Its steps are those of that
-    member read through ``theta``, which are ``g``'s, and √ sorts before
-    every node in both unnamed charts, so the steps are numbered alike: the
-    collapse's ``act``, ``dst`` and ``first`` are ``g``'s, and a transition
-    number means the same transition in both.  So the expression's witness
-    on ``g`` is a witness on the collapse, and it is replayed there and
-    checked to be layered; the expressions ``g``'s states stand for solve
-    the collapse, the initial node's being ``e1`` itself
-    (:func:`lleekit.chart._state_expressions`).  No image, reflection or
-    extraction runs, and none of this is checked again.
+    When every class holds exactly one node of ``g``, the collapse is ``g``
+    itself (:func:`lleekit.bisim._quotient`).  Then the expression's
+    witness is replayed on it and checked to be layered, and the
+    expressions ``g``'s states stand for solve it, the initial node's being
+    ``e1`` itself (:func:`lleekit.chart._state_expressions`).  No image,
+    reflection or extraction runs, and none of this is checked again.
 
     Otherwise the expression's witness is replayed on ``g`` and reflected
     through the first map, the reflection's run being the reflected
@@ -1084,14 +1059,12 @@ def equiv(e1, e2, cap=None):
         if b1 != b2:
             distinction = Distinction(*_blocks(b1, b2, block, (("g:", x1), ("h:", x2))))
             return EquivResult(False, distinction=distinction, _inputs=(e1, e2, cap))
-        g, _, heights = _explored_chart(x1, named=False)
+        g, _, labels = _explored_chart(x1, named=False)
         try:
-            collapse, theta, reps = _quotient(outmap, term, block, g.names, g.root)
+            collapse, theta, reps = _quotient(outmap, term, block, g)
             del outmap, term, block
-            labels = _ranked(heights)
-            if len(collapse.names) == len(g.names):
-                # g is the collapse, node for node (see the docstring)
-                w_h = Witness._of(collapse, labels)
+            if collapse is g:
+                w_h = Witness._of(g, labels)
                 _check_layered(w_h, "the expression's witness")
                 assign = _state_expressions(x1.states)
                 assign[g.root] = e1
@@ -1112,5 +1085,5 @@ def equiv(e1, e2, cap=None):
             name, states = x1.space.name_one, x1.states
             shown = sorted("g:" + name(states[reps[x]]) for x in bad)
             raise InternalError("%s at %s" % (what, ", ".join(shown)))
-        certificate = Certificate(collapse, w_h, sol, _Evidence(x1, reps, x2, theta))
+        certificate = Certificate(collapse, w_h, sol, x1, reps, x2, theta)
         return EquivResult(True, certificate=certificate)

@@ -1,6 +1,7 @@
 """Bisimulation: partitions, the two-chart relation, maps, and collapse."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from lleekit.chart import (
     chart_of_nodes,
     interpret,
 )
+from lleekit.cli import run
 from lleekit.errors import NotABisimulation, ParseError, UnknownNode
 from lleekit.expr import Seq, parse, unparse
 
@@ -214,6 +216,7 @@ def test_image(chart_g, chart_h, map_g_to_h):
 
 def test_collapse_g(chart_g):
     res = collapse(chart_g)
+    assert res.chart is not chart_g
     assert res.chart.nodes == {"x"}
     assert res.chart.initial == "x"
     assert res.chart.transitions == {
@@ -249,6 +252,7 @@ def test_collapse_checks_its_map_once(monkeypatch, chart_g):
 
 def test_collapse_cii(chart_cii, chart_ci):
     res = collapse(chart_cii)
+    assert res.chart is not chart_cii
     assert res.chart.nodes == {"z", "x", "y", "k"}
     assert res.chart.initial == "z"
     # structurally CI with lower-case class representatives
@@ -266,6 +270,66 @@ def test_collapse_cii(chart_cii, chart_ci):
         "y": "y",
         "k": "k",
     }
+
+
+def test_a_minimal_chart_is_its_own_collapse(chart_h, chart_ci):
+    # no two nodes of h or ci are bisimilar: the quotient is the chart
+    # itself, and the map the identity
+    for c in (chart_h, chart_ci):
+        res = collapse(c)
+        assert res.chart is c
+        assert res.theta == BisimMap(c, c, {x: x for x in c.nodes})
+
+
+@pytest.mark.parametrize(
+    "transitions",
+    [
+        # one node: minimal, its own collapse
+        [Transition("x", "a", "x")],
+        # x and y are bisimilar: the collapse merges them
+        [Transition("x", "a", "y"), Transition("y", "a", "x")],
+    ],
+    ids=["minimal", "merged"],
+)
+def test_collapse_keeps_the_declared_alphabet(transitions, tmp_path, capsys):
+    # an action the chart declares and no transition uses stays in the
+    # collapse's alphabet, the one output that shows it being JSON's
+    c = Chart(transitions, initial="x", alphabet=["a", "z"])
+    res = collapse(c)
+    assert len(res.chart.names) == 1
+    assert res.chart.alphabet == {"a", "z"}
+    path = tmp_path / "chart.json"
+    path.write_text(c.to_json())
+    assert run(["--format", "json", "collapse", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["chart"]["alphabet"] == ["a", "z"]
+
+
+def test_is_bisimulation_vs_the_oracle_on_random_relations():
+    # random non-empty relations over random charts with terminal
+    # transitions, most of them no bisimulation: every other one a subset
+    # of the greatest bisimulation, whose pairs agree on their terminal
+    # actions, so that an unmatched move is its only possible fault
+    rng = random.Random(53)
+    verdicts = {True: 0, False: 0}
+    unmatched = 0
+    for i in range(400):
+        g = random_chart(rng, max_nodes=4)
+        h = g if rng.random() < 0.5 else random_chart(rng, max_nodes=4)
+        if i % 2:
+            pairs = sorted(bisimilarity(g, h))
+        else:
+            pairs = [(x, y) for x in sorted(g.nodes) for y in sorted(h.nodes)]
+        if not pairs:
+            continue
+        rel = set(rng.sample(pairs, rng.randint(1, len(pairs))))
+        expected = relation_is_bisimulation(rel, g, h)
+        assert is_bisimulation(rel, g, h) is expected
+        verdicts[expected] += 1
+        agree = all(g.terminal_actions(x) == h.terminal_actions(y) for x, y in rel)
+        unmatched += agree and not expected
+    assert verdicts[False] > verdicts[True] >= 100
+    assert unmatched >= 50
 
 
 def test_collapse_random_properties():

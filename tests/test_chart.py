@@ -47,7 +47,6 @@ from lleekit.errors import (
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from lleekit.lee import (
     Witness,
-    _ranked,
     expression_witness,
     generated_chart,
     is_llee_witness,
@@ -634,15 +633,14 @@ def test_explored_chart_reads_the_tables():
         g = brute_interpret(e)
         for labelled, base in ((False, 0), (True, 0), (True, 5)):
             x = _explore([e], None, str, labelled=labelled, base=base)
-            chart, order, heights = _explored_chart(x)
+            chart, order, ranks = _explored_chart(x)
             assert chart == g
             assert chart.names == sorted(x.space.name(x.states[i]) for i in order)
             if labelled:
-                ranks = _ranked(heights)
                 orders = {t: r for t, r in zip(chart.numbered, ranks) if not t.terminal}
                 assert orders == brute_expression_witness(e), unparse(e)
             else:
-                assert heights == [0] * len(heights)
+                assert ranks == [0] * len(ranks)
         assert is_llee_witness(expression_witness(e))
 
 
@@ -704,6 +702,13 @@ def test_state_cap():
     with pytest.raises(StateExplosion, match=r"interpreting '\(a\+b\)\.c'$"):
         interpret(parse("(a+b).c"), cap=0)
     interpret(parse("a.b.c"), cap=3)
+    # the state past the cap is a successor of a sum and of a star
+    with pytest.raises(StateExplosion, match=r"^more than 2 states while .* 'a\.b\+a\.c'$"):
+        interpret(parse("a.b+a.c"), cap=2)
+    with pytest.raises(StateExplosion, match=r"^more than 1 states while .* '\(a\.b\)\*c'$"):
+        interpret(parse("(a.b)*c"), cap=1)
+    interpret(parse("a.b+a.c"), cap=3)
+    interpret(parse("(a.b)*c"), cap=2)
 
 
 def test_state_cap_environment(monkeypatch):

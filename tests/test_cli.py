@@ -313,6 +313,50 @@ def test_malformed_json_files_are_parse_errors(tmp_path, capsys, chart, witness)
     assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "chart, witness, message",
+    [
+        (LOOP_CHART, {"v": 1, "chart": [], "orders": []}, "a chart must be a JSON object"),
+        (
+            {"transitions": [{"src": 1, "act": "a", "dst": None}]},
+            None,
+            'transition {"src": 1, "act": "a", "dst": null} needs string src and act,'
+            " and dst a string or null",
+        ),
+        ({"transitions": [], "nodes": ["x"], "init": 1}, None, "init must be a string or null"),
+        (
+            LOOP_CHART,
+            {"v": 1},
+            "a witness must be a JSON object with a chart and a list of orders",
+        ),
+        (
+            LOOP_CHART,
+            _loop_witness(src=["X"]),
+            'order {"src": ["X"], "act": "a", "dst": "X", "order": 1} needs string src,'
+            " act and dst and an integer order",
+        ),
+    ],
+    ids=["list-chart", "int-src", "int-init", "no-chart", "list-src"],
+)
+def test_malformed_json_files_are_parse_errors_in_process(
+    tmp_path, capsys, chart, witness, message
+):
+    # malformed documents read by run() in this process: one "parse error:"
+    # line and exit code 2.  A file is read as JSON when it starts with "{",
+    # so a chart that is no object is a witness's
+    chart_path = tmp_path / "chart.json"
+    chart_path.write_text(json.dumps(chart))
+    argv = ["collapse", str(chart_path)]
+    if witness is not None:
+        witness_path = tmp_path / "witness.json"
+        witness_path.write_text(json.dumps(witness))
+        argv = ["llee", str(chart_path), str(witness_path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: %s\n" % message
+
+
 def test_check_witness_replay_failure(tmp_path, capsys):
     w = tmp_path / "zero.witness"
     w.write_text("witness v1\nx a x' 0\nx b x' 0\nx' a x' 0\nx' b x 0\n")

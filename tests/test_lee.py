@@ -70,6 +70,10 @@ def test_generated_chart_self_loop(chart_g):
     assert set(gen.transitions) == {T("x'", "a", "x'")}
     assert not gen.is_induced
     assert gen.start == "x'"
+    # its own transitions from x', not the parent's two; x is not its node
+    assert gen.out("x'") == (T("x'", "a", "x'"),)
+    with pytest.raises(UnknownNode):
+        gen.out("x")
 
 
 def test_generated_chart_continuation(chart_g):
@@ -192,6 +196,10 @@ def test_eliminate(chart_g):
 def test_eliminate_not_a_loop(chart_g):
     with pytest.raises(NotALoopChart):
         eliminate(chart_g, "x", [T("x", "a", "x'")], roots={"x"})
+    # an entry to √ never returns to the start
+    c = Chart([T("X", "a", "X"), T("X", "b", TERMINATION)])
+    with pytest.raises(NotALoopChart):
+        eliminate(c, "X", [T("X", "b", TERMINATION)], roots={"X"})
 
 
 def test_eliminate_garbage_collects(chart_ci):

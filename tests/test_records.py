@@ -37,7 +37,6 @@ from lleekit.solve import (
     EquationSystem,
     EquivResult,
     Solution,
-    _Evidence,
     equation_system,
     equiv,
 )
@@ -293,7 +292,6 @@ PRIVATE = {
     _Exploration: "space roots states out term loops base",
     _Replay: "ok reason llee llee_reason steps graph",
     _Image: "nodes start preimages chosen",
-    _Evidence: "x1 reps x2 theta",
 }
 
 

@@ -286,6 +286,28 @@ def test_lemma_report_transition_escapes(hierarchy, map_cii_to_ci, witness_cii_h
     )
 
 
+def test_lemma_report_terminal_transition_off_the_start():
+    # X starts the outer loop {X, Y} and may terminate there, which a start
+    # may; a pre-image starting at Y makes X a non-start node of that image
+    c = Chart(
+        [T("X", "a", "Y"), T("Y", "b", "X"), T("Y", "d", "Y"), T("X", "c", TERMINATION)],
+        initial="X",
+    )
+    w = lleekit.lee.Witness(c, {T("Y", "d", "Y"): 1, T("X", "a", "Y"): 2, T("Y", "b", "X"): 0})
+    theta = BisimMap(c, c, {x: x for x in c.nodes})
+    hierarchy = images(theta, w)
+    assert _lemma_report(theta, hierarchy).ok
+    inner, outer = sorted(hierarchy.records, key=lambda rec: len(rec.image.nodes))
+    assert (inner.start, outer.start) == ("Y", "X")
+    moved = ImageRecord(outer.image, outer.start, inner.preimages, outer.well_structured)
+    records = tuple(moved if rec is outer else rec for rec in hierarchy.records)
+    report = _lemma_report(theta, ImageHierarchy(records, hierarchy.order))
+    assert not report
+    assert report.violations == (
+        ("3", "non-start node X of image {X, Y} has a terminal transition"),
+    )
+
+
 # --- reflecting a witness through the collapse ------------------------------
 
 

@@ -43,7 +43,6 @@ from lleekit.errors import InternalError, NotABisimulation, NotLLEE, StateExplos
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from lleekit.lee import (
     Witness,
-    _ranked,
     expression_witness,
     find_lee_witness,
     is_llee_witness,
@@ -1390,6 +1389,36 @@ def test_both_routes_agree_on_a_random_sweep():
     assert routes == [27, 373]
 
 
+def _charts_built(monkeypatch, e1, e2):
+    """How many charts ``lleekit equiv e1 e2`` builds, counted at
+    :meth:`Chart._build`, which every derived chart goes through."""
+    build = Chart._build.__func__
+    calls = []
+
+    def counted(cls, *args):
+        calls.append(1)
+        return build(cls, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(Chart, "_build", classmethod(counted))
+        assert run(["equiv", e1, e2]) == 0
+    return len(calls)
+
+
+def test_a_first_chart_that_is_its_own_collapse_is_built_once(monkeypatch, capsys):
+    # the first chart is the collapse itself, so an EQUAL that takes the
+    # shortcut builds one chart; the README pair, whose collapse merges
+    # two states, builds the first chart and the collapse
+    w8 = _workload_pairs("loops_equal", "EQUAL", 26)[4]
+    assert "x7." in w8[0] and "x8" not in w8[0]
+    for e1, e2 in [("(a.b)*0", "(a.b)*0+(a.b)*0"), w8]:
+        assert _collapsed(e1)
+        assert _charts_built(monkeypatch, e1, e2) == 1
+    assert not _collapsed(README_PAIR[0])
+    assert _charts_built(monkeypatch, *README_PAIR) == 2
+    capsys.readouterr()
+
+
 def test_a_collapsed_first_chart_is_the_collapse_node_for_node():
     # when the collapse has as many nodes as the first chart g, each class
     # holds one node of g, and the collapse numbers, names and steps its
@@ -1409,7 +1438,7 @@ def test_a_collapsed_first_chart_is_the_collapse_node_for_node():
         res = equiv(e, parse(e2))
         cert, g = res.certificate, res.chart1
         x = _explore([e], None, _interpreting, labelled=True)
-        g0, _, heights = _explored_chart(x, named=False)
+        g0, _, ranks = _explored_chart(x, named=False)
         c0 = cert._collapse
         assert g0.names == c0.names == range(len(g.names))
         assert (c0.act, c0.dst, c0.first, c0.root) == (g0.act, g0.dst, g0.first, g0.root)
@@ -1418,7 +1447,7 @@ def test_a_collapsed_first_chart_is_the_collapse_node_for_node():
             # √ before every node among the steps of one action
             assert steps == sorted(steps, key=lambda t: (t[0], -1 if t[1] is None else t[1]))
         assert cert._witness.chart is c0
-        assert cert._witness.labels == _ranked(heights)
+        assert cert._witness.labels == ranks
         assert cert._solution.assign[c0.root] is e
         c = cert.collapse
         assert c.names == ["g:" + x for x in g.names]
