@@ -1026,17 +1026,18 @@ def equiv(e1, e2, cap=None):
     The collapse is read off the refiner's tables and both maps onto it
     pass the transfer check there, so the collapse is not refined again.
 
-    When every class holds exactly one node of ``g``, the collapse is ``g``
-    itself (:func:`lleekit.bisim._quotient`).  Then the expression's
-    witness is replayed on it and checked to be layered, and the
-    expressions ``g``'s states stand for solve it, the initial node's being
-    ``e1`` itself (:func:`lleekit.chart._state_expressions`).  No image,
-    reflection or extraction runs, and none of this is checked again.
+    The expression's witness is replayed on ``g`` and checked to be
+    layered.  When every class holds exactly one node of ``g``, the
+    collapse is ``g`` itself (:func:`lleekit.bisim._quotient`), that witness
+    is the collapse's, and the expressions ``g``'s states stand for solve
+    it, the initial node's being ``e1`` itself
+    (:func:`lleekit.chart._state_expressions`).  No image, reflection or
+    extraction runs, and none of this is checked again.
 
-    Otherwise the expression's witness is replayed on ``g`` and reflected
-    through the first map, the reflection's run being the reflected
-    witness's replay, and both are checked to be layered; a solution is
-    extracted from the reflected witness.  Either solution is checked
+    Otherwise the witness is reflected through the first map, the
+    reflection's run being the reflected witness's replay, which is checked
+    to be layered as well; a solution is extracted from the reflected
+    witness.  Either solution is checked
     equation by equation (:func:`_provable_check`), with no second
     refinement, and no lemma report is computed.  A failed invariant on the
     way is an :class:`InternalError`; a failed solution check names the
@@ -1063,17 +1064,15 @@ def equiv(e1, e2, cap=None):
         try:
             collapse, theta, reps = _quotient(outmap, term, block, g)
             del outmap, term, block
+            w_h = Witness._of(g, labels)
+            _check_layered(w_h, "the expression's witness")
             if collapse is g:
-                w_h = Witness._of(g, labels)
-                _check_layered(w_h, "the expression's witness")
                 assign = _state_expressions(x1.states)
                 assign[g.root] = e1
                 sol = Solution(collapse, dict(enumerate(assign)))
                 what = "the state expressions fail"
             else:
-                w1 = Witness._of(g, labels)
-                _check_layered(w1, "the expression's witness")
-                records = _images(theta[: len(g.names)], w1._loops[2])
+                records = _images(theta[: len(g.names)], w_h._loops[2])
                 w_h = _reflect_witness(collapse, records)
                 _check_layered(w_h, "the reflected witness")
                 sol = extract_solution(w_h)
