@@ -35,7 +35,6 @@ from .chart import DEFAULT_STATE_CAP, Chart, _collection_paused, _state_cap, int
 from .errors import InternalError, LleekitError, ParseError, StateExplosion
 from .expr import Action, Plus, Seq, Star, Zero, parse, size, unparse
 from .lee import Witness, find_lee_witness, lee_to_llee
-from .reflect import _reflect
 from .solve import _provable_check, equiv, extract_solution
 
 __all__ = ["Config", "run", "main"]
@@ -242,6 +241,8 @@ def _cmd_reflect(args, cfg):
     # ``collapse`` built the map and ``_layered`` layered the witness, so
     # the checks of ``collapse_lee_witness`` would refine the collapse a
     # second time; ids are name ranks, so sorted ids list sorted names
+    from .reflect import _reflect
+
     records, w_h = _reflect(theta, w)
     shown = [
         ([h.names[v] for v in sorted(rec.nodes)], h.names[rec.start], rec)

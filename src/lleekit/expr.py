@@ -370,12 +370,13 @@ def _read(text, tokens, starts=None):
     its last name is left as the right operand of a pending ``.``, so a
     ``*`` after the chunk takes that name alone.  A name is an action or
     ``0``, and an action name is checked when ``leaves`` first misses it;
-    a chunk's last name is checked before its middle names are folded, so
-    a malformed last name costs no fold.  Every operator reduces the
-    operators of at least its own level first, which makes ``+`` and ``.``
-    left-associative; a ``*`` that meets an unreduced ``*`` is a star
-    chain.  The operator stack starts with an open parenthesis that is
-    never closed, so no reduction checks for an empty stack.
+    a chunk's last name is checked, and its leaf made, before its middle
+    names are folded, so a malformed last name costs no fold.  Every
+    operator reduces the operators of at least its own level first, which
+    makes ``+`` and ``.`` left-associative; a ``*`` that meets an
+    unreduced ``*`` is a star chain.  The operator stack starts with an
+    open parenthesis that is never closed, so no reduction checks for an
+    empty stack.
     """
     operands = []
     # Plus, Seq and Star, and None for an open parenthesis: between two
@@ -435,9 +436,11 @@ def _read(text, tokens, starts=None):
             # empty an is a "." at the chunk's end
             names = tok.split(".")
             tok = names.pop()
-            if tok and tok not in leaves and not _is_action(tok):
-                # the error is read from the tokens
-                raise _parse_error(text, starts, i, ParseError, "")
+            if tok and tok not in leaves:
+                if not _is_action(tok):
+                    # the error is read from the tokens
+                    raise _parse_error(text, starts, i, ParseError, "")
+                leaves[tok] = _action(tok)
             names = iter(names)
             name = next(names)
             x = leaves.get(name)

@@ -75,7 +75,6 @@ from .errors import (
 )
 from .expr import Action, Plus, Seq, Star, Zero, _action, _flatten, _node, _unflatten
 from .lee import Witness, is_llee_witness
-from .reflect import _images, _reflect_witness
 
 __all__ = [
     "EquationSystem",
@@ -1072,6 +1071,10 @@ def equiv(e1, e2, cap=None):
                 sol = Solution(collapse, dict(enumerate(assign)))
                 what = "the state expressions fail"
             else:
+                # reflect is imported where a witness is reflected: a
+                # NOT_EQUAL or a shortcut EQUAL needs none of it
+                from .reflect import _images, _reflect_witness
+
                 records = _images(theta[: len(g.names)], w_h._loops[2])
                 w_h = _reflect_witness(collapse, records)
                 _check_layered(w_h, "the reflected witness")

@@ -828,7 +828,7 @@ def test_equiv_certificate_invariant_failures_exit_3(capsys, monkeypatch, error)
     def broken(*args):
         raise error("broken")
 
-    monkeypatch.setattr("lleekit.solve._images", broken)
+    monkeypatch.setattr("lleekit.reflect._images", broken)
     assert run(["equiv", "((a+b).(a*b))*0", "(a+b)*0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1145,19 +1145,24 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
 def test_text_equiv_loads_no_json(capsys):
     # json loads only where JSON is read or written: a text equiv, EQUAL or
     # NOT_EQUAL, needs none of these modules, and a JSON one still prints
-    # its document
+    # its document.  reflect loads only where a witness is reflected: the
+    # shortcut EQUAL, whose first chart is its own collapse, and the
+    # NOT_EQUAL need none of it, and the README pair loads it
     script = (
         "import sys\n"
         "from lleekit.cli import run\n"
-        "guarded = {'dataclasses', 'inspect', 'json', 'typing'}\n"
+        "guarded = {'dataclasses', 'inspect', 'json', 'lleekit.reflect', 'typing'}\n"
         "run(['equiv', 'a*b', 'a.(a*b)+b'])\n"
         "run(['equiv', 'a.(b+c)', 'a.b+a.c'])\n"
+        "print(sorted(guarded & set(sys.modules)))\n"
+        "run(['equiv', '((a+b).(a*b))*0', '(a+b)*0'])\n"
         "print(sorted(guarded & set(sys.modules)))\n"
         "run(['--format', 'json', 'equiv', 'a.(b+c)', 'a.b+a.c'])\n"
     )
     proc = run_python(["-S", "-c", script], 0, text=True)
     assert proc.returncode == 0, proc.stderr
     text = "EQUAL\na*b\nNOT_EQUAL\nblock1: g:a.(b+c)\nblock2: h:a.b+a.c\n[]\n"
+    text += "EQUAL\n(a+b)*0\n['lleekit.reflect']\n"
     assert run(["--format", "json", "equiv", "a.(b+c)", "a.b+a.c"]) == 1
     assert proc.stdout == text + capsys.readouterr().out
 

@@ -8,7 +8,6 @@ import pytest
 
 import lleekit.lee
 import lleekit.reflect
-import lleekit.solve
 from generators import random_chart, random_expression
 from oracles import reference_smaller_preimage
 from test_cli_golden import CASES, GOLDEN, _run
@@ -470,7 +469,6 @@ def test_reflection_records_the_replay(monkeypatch):
         reflected.append(w)
         return w
 
-    monkeypatch.setattr(lleekit.solve, "_reflect_witness", recording)
     monkeypatch.setattr(lleekit.reflect, "_reflect_witness", recording)
     # every reflect case of the CLI goldens, on the fixtures
     golden = json.loads(GOLDEN.read_text())

@@ -1182,7 +1182,7 @@ def test_equiv_unlayered_reflection_is_internal_error(monkeypatch, capsys):
         # replay recorded, so the check replays it
         return Witness._of(collapse, [0] * len(collapse.dst))
 
-    monkeypatch.setattr(lleekit.solve, "_reflect_witness", unlayered)
+    monkeypatch.setattr(lleekit.reflect, "_reflect_witness", unlayered)
     assert run(["equiv", *README_PAIR]) == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: the reflected witness is not a layered witness")
@@ -1202,7 +1202,7 @@ def test_equiv_restores_the_collector_on_every_exit(monkeypatch):
         with pytest.raises(StateExplosion):
             equiv(parse("a.b.c"), parse("a.b.c"), cap=2)
         with monkeypatch.context() as patched:
-            patched.setattr(lleekit.solve, "_reflect_witness", unlayered)
+            patched.setattr(lleekit.reflect, "_reflect_witness", unlayered)
             with pytest.raises(InternalError):
                 equiv(*map(parse, README_PAIR))
         return equal, not_equal
