@@ -406,7 +406,7 @@ def image(theta, a):
 CollapseResult = namedtuple("CollapseResult", "chart theta")
 
 
-def _transfers(outmap, term, theta, target_out, target_term):
+def _transfers(outmap, term, theta, target_out, target_term, reps=None):
     """Whether ``theta`` is a functional bisimulation from the nodes of
     :func:`_refine`'s tables ``outmap``/``term`` to a target's.
 
@@ -417,10 +417,14 @@ def _transfers(outmap, term, theta, target_out, target_term):
     through ``theta``, are exactly the steps of ``theta[i]``.  This is the
     one transfer check of a map: :class:`BisimMap` runs it on the tables of
     its charts, and :func:`_quotient` on the tables it was refined from.
+    A quotient's node ``y`` is built from the row of its representative,
+    the id ``reps[y]``, which would pass by construction; given ``reps``,
+    those ids are skipped and every other id is checked.
     """
-    for i, out in enumerate(outmap):
+    ids = range(len(outmap)) if reps is None else [i for i, y in enumerate(theta) if reps[y] != i]
+    for i in ids:
         y = theta[i]
-        if term[i] != target_term[y] or {(a, theta[d]) for a, d in out} != target_out[y]:
+        if term[i] != target_term[y] or {(a, theta[d]) for a, d in outmap[i]} != target_out[y]:
             return False
     return True
 
@@ -439,8 +443,9 @@ def _quotient(outmap, term, block, chart):
     and steps.  Returns ``(quotient, theta, reps)``: the quotient, for every
     id of the tables the node of its class, and each node's first member.
     ``theta`` is checked (:func:`_transfers`) to be a functional
-    bisimulation onto the quotient, every id against its class's node, so
-    every class must hold one of ``chart``'s nodes; both raise
+    bisimulation onto the quotient, every id but the representatives
+    against its class's node, whose row is its representative's, so every
+    class must hold one of ``chart``'s nodes; both raise
     :class:`NotABisimulation`.
     """
     number = {}
@@ -453,7 +458,7 @@ def _quotient(outmap, term, block, chart):
         raise NotABisimulation("mapping hits a class without a member")
     outs = [{(a, theta[d]) for a, d in outmap[r]} for r in reps]
     ends = [term[r] for r in reps]
-    if not _transfers(outmap, term, theta, outs, ends):
+    if not _transfers(outmap, term, theta, outs, ends, reps):
         raise NotABisimulation("mapping fails the transfer conditions")
     names = chart.names
     if len(reps) == len(names):

@@ -277,6 +277,12 @@ class Chart:
         ``dst`` a node id or ``None``.  They are numbered in
         :meth:`Transition.sort_key` order, where √ sorts as ``"!"`` among
         the names, and before every id of an unnamed chart.
+
+        A node's steps are sorted as the tuples they are, with no key
+        function: their actions decide, unless one action both terminates
+        and leads to a node, whose two steps compare ``None`` with an id,
+        which raises :class:`TypeError`.  Only those nodes are sorted again,
+        with √ ranked ``end`` among the ids.
         """
         end = -0.5 if names.__class__ is range else bisect_left(names, "!") - 0.5
 
@@ -285,7 +291,11 @@ class Chart:
 
         first, act, dst = [0], [], []
         for out in outs:
-            for a, d in sorted(out, key=key):
+            try:
+                out = sorted(out)
+            except TypeError:
+                out = sorted(out, key=key)
+            for a, d in out:
                 act.append(a)
                 dst.append(d)
             first.append(len(act))
@@ -1221,17 +1231,33 @@ class _States:
         """``(normed, star height)`` of ``e``; ``e`` is normed when it can
         terminate.  Memoised by id: an exploration measures only subterms
         of its states' heads, which its interned continuations keep alive.
-        Operands are measured before their parents (:func:`expr._postorder`),
-        so a deep expression does not hit the recursion limit.
+
+        One flat stack walks the operator nodes not measured yet, and the
+        memo is its visited set: the node on top is measured once both its
+        operands are leaves or in the memo, and otherwise the first operand
+        that is not is pushed.  A node shared by several parents is measured
+        once, and a deep expression does not hit the recursion limit.
         """
         memo = self._measures
-        m = _LEAF_MEASURE.get(e.__class__) or memo.get(id(e))
+        leaf = _LEAF_MEASURE
+        m = leaf.get(e.__class__) or memo.get(id(e))
         if m is not None:
             return m
-        for x in _expr._postorder((e,), memo):
+        stack = [e]
+        while stack:
+            x = stack[-1]
+            left = leaf.get(x.left.__class__) or memo.get(id(x.left))
+            if left is None:
+                stack.append(x.left)
+                continue
+            right = leaf.get(x.right.__class__) or memo.get(id(x.right))
+            if right is None:
+                stack.append(x.right)
+                continue
+            stack.pop()
+            ln, lh = left
+            rn, rh = right
             cls = x.__class__
-            ln, lh = _LEAF_MEASURE.get(x.left.__class__) or memo[id(x.left)]
-            rn, rh = _LEAF_MEASURE.get(x.right.__class__) or memo[id(x.right)]
             if cls is Star:
                 lh += 1
                 ln = rn

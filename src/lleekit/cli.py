@@ -310,8 +310,11 @@ def _write_certificate(cert, directory):
 
 
 def _cmd_equiv(args, cfg):
-    e1 = parse(args.expr1)
-    e2 = parse(args.expr2)
+    # one table of leaves for both operands: each action name is checked
+    # and its leaf built once per command
+    leaves = {}
+    e1 = parse(args.expr1, _leaves=leaves)
+    e2 = parse(args.expr2, _leaves=leaves)
     res = equiv(e1, e2, cap=cfg.cap)
     if res.equal:
         cert = res.certificate

@@ -211,14 +211,13 @@ def _node(cls, left, right):
 _BUILD = object()
 
 
-def _postorder(roots, known=()):
+def _postorder(roots):
     """Each distinct operator node under ``roots``, after its operands.
 
     One explicit stack walks the roots in order, each node's left operand
     before its right, so a deep expression does not hit the recursion
-    limit.  A node is entered once however many parents share it, and a
-    node whose id is in ``known`` is not entered at all: neither it nor
-    anything below it through it is yielded.  Leaves are never yielded.
+    limit.  A node is entered once however many parents share it.  Leaves
+    are never yielded.
     """
     seen = set()
     stack = list(roots)[::-1]
@@ -226,7 +225,7 @@ def _postorder(roots, known=()):
         x = stack.pop()
         if x is _BUILD:
             yield stack.pop()
-        elif x.__class__ in _OPERANDS and id(x) not in seen and id(x) not in known:
+        elif x.__class__ in _OPERANDS and id(x) not in seen:
             seen.add(id(x))
             stack += (x, _BUILD, x.right, x.left)
 
@@ -340,7 +339,7 @@ def _chunks(text):
     )
 
 
-def parse(text):
+def parse(text, *, _leaves=None):
     """Parse concrete syntax into an :class:`Expression`.
 
     Raises :class:`ParseError` (with ``.position``) on malformed input and
@@ -352,14 +351,19 @@ def parse(text):
     (:func:`_read`).  A stray character anywhere in the text is reported
     before any other error, and positions are recovered only for an error
     (:func:`_parse_error`).
+
+    ``_leaves`` is private: a table of leaves by name that the parse reads
+    and adds to, so texts parsed with one table share their leaves and
+    check each action name once (:func:`lleekit.cli._cmd_equiv`).
     """
-    return _read(text, _chunks(text))
+    return _read(text, _chunks(text), leaves=_leaves)
 
 
-def _read(text, tokens, starts=None):
+def _read(text, tokens, starts=None, leaves=None):
     """The expression of ``text``, read from its ``tokens``: the chunks of
     :func:`_chunks`, or with ``starts``, their places in ``text``, the
-    tokens of :func:`_tokens`.
+    tokens of :func:`_tokens`.  ``leaves`` is the table of leaves by name
+    it reads and adds to, a fresh one by default.
 
     A chunk is read as the tokens it holds: a ``.`` at its start is a
     ``.`` token, then its ``.``-separated names are operands with a ``.``
@@ -383,7 +387,9 @@ def _read(text, tokens, starts=None):
     # parentheses their levels increase up the stack
     operators = [None]
     depth = 0  # the parentheses read and not yet closed
-    leaves = {"0": _ZERO}  # one immutable leaf per name
+    if leaves is None:
+        leaves = {}
+    leaves["0"] = _ZERO  # one immutable leaf per name
     want_operand = True
     for i, tok in enumerate(tokens):
         if not want_operand:

@@ -593,6 +593,14 @@ def solution_check(sol, cap=None):
     return [c.names[i] for i, r in enumerate(x.roots) if block[r] != block[offset + i]]
 
 
+# the steps of :func:`_provable_check`'s frames: what the form handed to a
+# frame is.  A sequence waits for its right operand's form, then for its
+# left operand's when that is not an action; an N star for its body's
+# form, then its exit's; a U star for its own N form, then for U of its
+# body and of its exit; and a sum for each operand's form in turn
+_SEQ, _DONE, _BODY, _EXIT, _LOOP, _LEFT, _RIGHT, _SUM = range(8)
+
+
 def _provable_check(sol, cap=None):
     """Check an extracted solution equation by equation, in BBP.
 
@@ -683,13 +691,18 @@ def _provable_check(sol, cap=None):
     state-expression solution passes.
 
     Neither exploration nor refinement is involved.  ``N`` and ``U`` are
-    memoised on the identities of their arguments.  Each rule above is
-    one generator per operator node, which asks for the forms it needs,
-    and one loop runs them from an explicit stack, so a deep or long
-    solution neither recurses nor is scanned twice.  Returns
-    the failing nodes, in id order (empty means the solution passes).
-    Raises :class:`StateExplosion` when more than ``cap`` canonical forms
-    appear (``cap`` defaults as in :func:`lleekit.chart.interpret`).
+    memoised on the identities of their arguments.  The rules run from one
+    explicit stack of frames, one frame per operator node whose form is
+    not memoised yet: a frame records the node, its ``k`` and ``u``, the
+    step its rule is at and the forms it has been given so far, and a sum's
+    frame also holds the operands of ``+`` it has still to read.  One loop
+    asks for the form the top frame needs next, answers it from the memo or
+    a leaf at once or pushes its frame, and hands each finished form to
+    the frame below.  So a deep or long solution neither recurses nor is
+    scanned twice, and no rule is a call of its own.  Returns the failing
+    nodes, in id order (empty means the solution passes).  Raises
+    :class:`StateExplosion` when more than ``cap`` canonical forms appear
+    (``cap`` defaults as in :func:`lleekit.chart.interpret`).
     """
     c = sol.chart
     names, act, dst, first = c.names, c.act, c.dst, c.first
@@ -707,65 +720,110 @@ def _provable_check(sol, cap=None):
             )
         return g
 
-    def rule(e, k, u):
-        """The rule of ``N(e, k)``, or of ``U(e, k)`` with ``u``, for an
-        operator node ``e``: a generator that yields each ``(e', k', u')``
-        whose form it needs, is sent that form, and returns its own.  An
-        action operand is read on the spot."""
-        cls = e.__class__
-        if cls is Seq:
-            # N(e1, N(e2, k)), or U(e1, N(e2, k))
-            k = yield e.right, k, False
-            if e.left.__class__ is Action:
-                return intern(((e.left.name, k),))
-            return (yield e.left, k, u)
-        if cls is Star and not u:
-            # the summand ("*", N(e1, ✓), N(e2, k))
-            body = yield e.left, None, False
-            return intern((("*", body, (yield e.right, k, False)),))
-        if cls is Star:
-            # U(e1, N(e1 * e2, k)) ∪ U(e2, k)
-            loop = yield e, k, False
-            return (yield e.left, loop, True) | (yield e.right, k, True)
-        # the union over the operands of the whole sum
-        acc = set()
-        for x in _summands(e):
-            if x.__class__ is Action:
-                acc.add(x.name if k is None else (x.name, k))
-            elif x.__class__ is Seq and x.left.__class__ is Action:
-                acc.add((x.left.name, (yield x.right, k, False)))
-            else:
-                acc |= yield x, k, u
-        return acc if u else intern(acc)
-
     def walk(e, k, u):
-        """``N(e, k)``, or ``U(e, k)`` with ``u``: a form that is memoised,
-        or of a leaf, is answered at once, and any other starts its rule on
-        the stack.  ``U`` is ``N`` on an expression without a star at its
-        head, and is asked of ``N`` when a look at the top shows that."""
-        rules = []  # (send, memo, key) of the rules' generators under way
+        """``N(e, k)``, or ``U(e, k)`` with ``u``.  ``U`` is ``N`` on an
+        expression without a star at its head, and is asked of ``N`` when
+        a look at the top shows that.
+
+        A frame is ``[e, k, u, key, step, form, todo]``: ``step`` says
+        what the form handed to it next is (the constants above
+        :func:`_provable_check`), and ``form`` holds the form it was
+        handed before.  A sum's ``form`` is the set of its summands so
+        far, and ``todo`` its stack of operands still to read, topped by
+        the one whose form it waits for."""
+        frames = []
         while True:
+            # the form of (e, k, u) is asked for
             cls = e.__class__
             if u and cls is not Plus and cls is not Star and (cls is not Seq or e.left.__class__ is Action):
                 u = False
-            memo = memo_u if u else memo_n
             key = (id(e), id(k))
-            ret = memo.get(key)
+            ret = (memo_u if u else memo_n).get(key)
             if ret is None:
                 if cls is Action:
-                    ret = memo[key] = intern((e.name,) if k is None else ((e.name, k),))
+                    ret = memo_n[key] = intern((e.name,) if k is None else ((e.name, k),))
                 elif cls is Zero:
-                    ret = memo[key] = intern(())
+                    ret = memo_n[key] = intern(())
+                elif cls is Seq:
+                    # N(e2, k) first
+                    frames.append([e, k, u, key, _SEQ, None, None])
+                    e, u = e.right, False
+                    continue
+                elif cls is Star:
+                    # N(e1, ✓) first for N, N(e1 * e2, k) first for U
+                    frames.append([e, k, u, key, _LOOP if u else _BODY, None, None])
+                    if u:
+                        u = False
+                    else:
+                        e, k = e.left, None
+                    continue
                 else:
-                    rules.append((rule(e, k, u).send, memo, key))
-            while rules:
-                send, memo, key = rules[-1]
-                try:
-                    e, k, u = send(ret)
+                    # a sum reads its operands below, from a stack
+                    frames.append([e, k, u, key, _SUM, set(), [e]])
+            # hand ret to the frames, until one asks for another form
+            while frames:
+                f = frames[-1]
+                step = f[4]
+                if step == _SEQ:
+                    # ret is N(e2, k): N(e1, ret), or U(e1, ret)
+                    x = f[0].left
+                    if x.__class__ is not Action:
+                        f[4] = _DONE
+                        e, k, u = x, ret, f[2]
+                        break
+                    ret = intern(((x.name, ret),))
+                elif step == _BODY:
+                    # ret is N(e1, ✓); N(e2, k) next
+                    f[4], f[5] = _EXIT, ret
+                    e, k = f[0].right, f[1]
                     break
-                except StopIteration as done:
-                    ret = memo[key] = done.value
-                    rules.pop()
+                elif step == _EXIT:
+                    ret = intern((("*", f[5], ret),))
+                elif step == _LOOP:
+                    # ret is N(e1 * e2, k); U(e1, ret), then U(e2, k)
+                    f[4] = _LEFT
+                    e, k, u = f[0].left, ret, True
+                    break
+                elif step == _LEFT:
+                    f[4], f[5] = _RIGHT, ret
+                    e, k, u = f[0].right, f[1], True
+                    break
+                elif step == _RIGHT:
+                    ret = f[5] | ret
+                elif step == _SUM:
+                    acc, todo = f[5], f[6]
+                    if ret is not None:
+                        # ret is the form of the operand on top of todo
+                        x = todo.pop()
+                        if x.__class__ is Seq and x.left.__class__ is Action:
+                            acc.add((x.left.name, ret))
+                        else:
+                            acc |= ret
+                    k = f[1]
+                    while todo:
+                        x = todo[-1]
+                        cls = x.__class__
+                        if cls is Plus:
+                            todo[-1] = x.right
+                            todo.append(x.left)
+                        elif cls is Action:
+                            todo.pop()
+                            acc.add(x.name if k is None else (x.name, k))
+                        elif cls is Seq and x.left.__class__ is Action:
+                            e, u = x.right, False
+                            break
+                        else:
+                            e, u = x, f[2]
+                            break
+                    else:
+                        ret = acc if f[2] else intern(acc)
+                        (memo_u if f[2] else memo_n)[f[3]] = ret
+                        frames.pop()
+                        continue
+                    break
+                # ret is the frame's own form
+                (memo_u if f[2] else memo_n)[f[3]] = ret
+                frames.pop()
             else:
                 return ret
 

@@ -4,8 +4,9 @@ Everything here favours obviousness over speed: explicit enumeration of
 relations, subsets, paths, and elimination sequences.  Nothing imports the
 algorithms under test beyond the basic data containers, but for the map
 check that the record twins validate with, the CLI handlers that the
-argparse twin at the end names, and the post-dominator and star-fold
-helpers of the extraction kept as it was before its root fold.
+argparse twin at the end names, the post-dominator and star-fold helpers
+of the extraction kept as it was before its root fold, and the sum reader
+of the provable check kept as it was with generators.
 """
 
 from __future__ import annotations
@@ -1253,3 +1254,110 @@ def argparse_cli():
     p.set_defaults(func=cli._cmd_check_witness)
 
     return top
+
+
+# --- the provable check as one generator per rule ---------------------------
+
+
+def reference_provable_check(sol, cap=None):
+    """:func:`lleekit.solve._provable_check` as it was written with one
+    generator per operator node: each rule yields the ``(e, k, u)`` whose
+    form it needs, is sent that form and returns its own, and one loop
+    runs the generators from an explicit stack.  The rules, memo keys,
+    interning, ``cap``, message and failing-node list are the kernel's,
+    copied verbatim; the kernel now runs the same rules from a stack of
+    frames, and must give the same failing nodes and raise at the same
+    ``cap``."""
+    from lleekit.errors import StateExplosion
+    from lleekit.expr import Action, Plus, Seq, Star, Zero
+    from lleekit.solve import _summands
+
+    c = sol.chart
+    names, act, dst, first = c.names, c.act, c.dst, c.first
+    if cap is None:
+        cap = _state_cap()
+    forms = {}
+    memo_n, memo_u = {}, {}  # keyed (id(e), id(k))
+
+    def intern(summands):
+        f = frozenset(summands)
+        g = forms.setdefault(f, f)
+        if g is f and len(forms) > cap:
+            raise StateExplosion(
+                "more than %d states while checking a solution of %d nodes" % (cap, len(names))
+            )
+        return g
+
+    def rule(e, k, u):
+        """The rule of ``N(e, k)``, or of ``U(e, k)`` with ``u``, for an
+        operator node ``e``: a generator that yields each ``(e', k', u')``
+        whose form it needs, is sent that form, and returns its own.  An
+        action operand is read on the spot."""
+        cls = e.__class__
+        if cls is Seq:
+            # N(e1, N(e2, k)), or U(e1, N(e2, k))
+            k = yield e.right, k, False
+            if e.left.__class__ is Action:
+                return intern(((e.left.name, k),))
+            return (yield e.left, k, u)
+        if cls is Star and not u:
+            # the summand ("*", N(e1, ✓), N(e2, k))
+            body = yield e.left, None, False
+            return intern((("*", body, (yield e.right, k, False)),))
+        if cls is Star:
+            # U(e1, N(e1 * e2, k)) ∪ U(e2, k)
+            loop = yield e, k, False
+            return (yield e.left, loop, True) | (yield e.right, k, True)
+        # the union over the operands of the whole sum
+        acc = set()
+        for x in _summands(e):
+            if x.__class__ is Action:
+                acc.add(x.name if k is None else (x.name, k))
+            elif x.__class__ is Seq and x.left.__class__ is Action:
+                acc.add((x.left.name, (yield x.right, k, False)))
+            else:
+                acc |= yield x, k, u
+        return acc if u else intern(acc)
+
+    def walk(e, k, u):
+        """``N(e, k)``, or ``U(e, k)`` with ``u``: a form that is memoised,
+        or of a leaf, is answered at once, and any other starts its rule on
+        the stack.  ``U`` is ``N`` on an expression without a star at its
+        head, and is asked of ``N`` when a look at the top shows that."""
+        rules = []  # (send, memo, key) of the rules' generators under way
+        while True:
+            cls = e.__class__
+            if u and cls is not Plus and cls is not Star and (cls is not Seq or e.left.__class__ is Action):
+                u = False
+            memo = memo_u if u else memo_n
+            key = (id(e), id(k))
+            ret = memo.get(key)
+            if ret is None:
+                if cls is Action:
+                    ret = memo[key] = intern((e.name,) if k is None else ((e.name, k),))
+                elif cls is Zero:
+                    ret = memo[key] = intern(())
+                else:
+                    rules.append((rule(e, k, u).send, memo, key))
+            while rules:
+                send, memo, key = rules[-1]
+                try:
+                    e, k, u = send(ret)
+                    break
+                except StopIteration as done:
+                    ret = memo[key] = done.value
+                    rules.pop()
+            else:
+                return ret
+
+    assign = [sol.assign[x] for x in names]
+    normal = [walk(e, None, False) for e in assign]
+    bad = []
+    for x, e in enumerate(assign):
+        want = set()
+        for j in range(first[x], first[x + 1]):
+            d = dst[j]
+            want.add(act[j] if d is None else (act[j], normal[d]))
+        if walk(e, None, True) != want:
+            bad.append(names[x])
+    return bad

@@ -18,6 +18,7 @@ import lleekit.bisim
 from lleekit.bisim import (
     BisimMap,
     _index_tables,
+    _quotient,
     _refine,
     bisimilarity,
     bisimilarity_partition,
@@ -248,6 +249,23 @@ def test_collapse_checks_its_map_once(monkeypatch, chart_g):
     with pytest.raises(NotABisimulation):
         BisimMap(chart_g, interpret(parse("a*0")), {"x": "a*0", "x'": "a*0"})
     assert len(calls) == 41
+
+
+def test_quotient_checks_every_id_but_the_representatives():
+    # ids 0 to 3 are the chart's nodes and 4 lies after them; none has a
+    # step, so an id in the wrong class fails on its own row only.  The
+    # row of each class's node is its representative's, which is skipped;
+    # an id that is not a representative, in the chart or after it, is
+    # checked
+    a, b = frozenset("a"), frozenset("b")
+    term = [a, a, b, b, b]
+    outmap = [[] for _ in term]
+    chart = Chart._build(range(4), [[(next(iter(t)), None)] for t in term[:4]], 0)
+    quotient, theta, reps = _quotient(outmap, term, [0, 0, 1, 1, 1], chart)
+    assert (len(quotient.names), theta, reps) == (2, [0, 0, 1, 1, 1], [0, 2])
+    for block in ([0, 0, 1, 0, 1], [0, 0, 1, 1, 0]):
+        with pytest.raises(NotABisimulation, match="transfer conditions"):
+            _quotient(outmap, term, block, chart)
 
 
 def test_collapse_cii(chart_cii, chart_ci):

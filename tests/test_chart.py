@@ -18,6 +18,8 @@ from oracles import (
     brute_simple_cycles,
     brute_step,
     naive_bisimilarity_pairs,
+    _normed,
+    _star_height,
 )
 from lleekit.bisim import _refine, collapse
 from lleekit.chart import (
@@ -663,6 +665,26 @@ def test_measure_deep_expression():
     assert _States().measure(e) == (True, 5000)
     assert _States().measure(Seq(e, Zero())) == (False, 5000)
     assert _States().measure(Star(Zero(), e)) == (True, 5000)
+
+
+def test_measure_matches_the_recursive_definitions():
+    # the flat walk against the oracles' recursive normedness and star
+    # height: random expressions, each subterm measured in one space that
+    # memoises across them, and a DAG whose shared subterm sits under both
+    # operands of every level
+    rng = random.Random(71)
+    for _ in range(300):
+        e = random_expression(rng, rng.randint(1, 30))
+        space = _States()
+        for x in [e, e.left, e.right] if isinstance(e, (Plus, Seq, Star)) else [e]:
+            assert space.measure(x) == (_normed(x), _star_height(x)), unparse(x)
+    shared = Star(Seq(Action("a"), Zero()), Action("b"))
+    for level in range(12):
+        shared = (Plus, Seq, Star)[level % 3](shared, shared)
+        space = _States()
+        assert space.measure(shared) == (_normed(shared), _star_height(shared))
+        # each distinct operator node is measured once, and only those
+        assert len(space._measures) == level + 3
 
 
 @pytest.mark.parametrize("text", sorted(SPINES))

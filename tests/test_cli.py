@@ -20,7 +20,7 @@ from lleekit.bisim import BisimMap, collapse
 from lleekit.chart import Chart, interpret
 from generators import random_expression
 from lleekit.cli import _expression_dot, _parse_args, run
-from lleekit.errors import InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE
+from lleekit.errors import InvalidWitness, LemmaViolated, NotABisimulation, NotLLEE, ParseError
 from lleekit.expr import Action, Plus, Seq, Star, Zero, parse, to_json_dict, unparse
 from lleekit.lee import Witness, find_lee_witness, is_llee_witness
 from lleekit.solve import Solution, equiv
@@ -676,6 +676,71 @@ def test_equiv_certificate(tmp_path, capsys):
     assert node == h.initial and unparse(parse(text)) == "(a+b)*0"
 
 
+# W(8) and its A8 unfolding followed by +0, the golden pair of equiv_W8.json
+W8 = "(%s)*0" % "+".join("x%d.(y%d*z%d)" % (i, i, i) for i in range(8))
+W8_UNFOLDED = "(%s).(%s)+0" % (W8[1:-3], W8)
+
+
+def _counted(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return original
+
+
+def test_equiv_reads_both_operands_through_one_leaf_table(capsys, monkeypatch):
+    # each action name of the two texts is checked and its leaf built once
+    # per command, and both texts are still read by expr.parse
+    import lleekit.expr
+
+    calls = []
+    for name in ("_action", "_is_action"):
+        _counted(monkeypatch, lleekit.expr, name, calls)
+    parse = _counted(monkeypatch, lleekit.expr, "parse", calls)
+    monkeypatch.setattr(lleekit.cli, "parse", lleekit.expr.parse)
+    assert run(["equiv", W8, W8_UNFOLDED]) == 0
+    counts = {name: calls.count(name) for name in ("parse", "_action", "_is_action")}
+    assert capsys.readouterr().out == "EQUAL\n%s\n" % unparse(parse(W8))
+    names = lleekit.expr.actions_of(parse(W8)) | lleekit.expr.actions_of(parse(W8_UNFOLDED))
+    assert len(names) == 24
+    assert counts == {"parse": 2, "_action": len(names), "_is_action": len(names)}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a.b+(c*d*e)", "a.b+#", "a.(b", "a.b.", "a..b", "a.b)", "a.0b", "b.a.B", "a+", "a.b c"],
+)
+def test_equiv_second_operand_fails_as_parse_does(capsys, monkeypatch, text):
+    # the second text is read with the first one's leaves in the table, and
+    # fails as lleekit parse fails on it: class, message, position, exit 2
+    import lleekit.expr
+
+    raised = []
+    parse = lleekit.expr.parse
+
+    def kept(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except ParseError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(lleekit.cli, "parse", kept)
+    assert run(["parse", text]) == 2
+    alone = capsys.readouterr()
+    assert run(["equiv", "a.b.(a*b)", text]) == 2
+    assert capsys.readouterr() == alone
+    first, second = raised
+    assert (type(first), str(first), first.position) == (
+        type(second), str(second), second.position
+    )
+    assert alone.out == "" and alone.err == "parse error: %s\n" % first
+
+
 def test_equiv_dot_only_for_certificates(capsys):
     assert run(["--format", "dot", "equiv", "a", "b"]) == 2
     assert "no dot rendering" in capsys.readouterr().err
@@ -858,6 +923,56 @@ def test_equiv_rejects_a_map_that_fails_the_transfer_check(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("internal error:")
     assert "mapping fails the transfer conditions" in captured.err
+
+
+@pytest.mark.parametrize(
+    "pair,in_first",
+    [
+        (("(a*b).c", "a*(b.c)"), False),
+        (("c.(a*0)+d.a.(a*0)+e.(b*0)+f.b.(b*0)", "c.(a*0)+d.a.(a*0)+e.(b*0)+f.b.(b*0)+0"), True),
+    ],
+    ids=["second-exploration", "first-exploration"],
+)
+def test_equiv_checks_every_id_but_the_representatives(capsys, monkeypatch, pair, in_first):
+    # the quotient's transfer check skips each class's representative, whose
+    # row its class's node is built from, and no other id: two ids that are
+    # not representatives, in different classes, merged into one class
+    # still fail it.  In the second pair both lie in the first exploration,
+    # whose chart is then not its own collapse
+    import lleekit.solve
+
+    refine, explore = lleekit.solve._refine, lleekit.solve._explore
+    sizes, merged = [], []
+
+    def sized(*args, **kwargs):
+        x = explore(*args, **kwargs)
+        sizes.append(len(x.states))
+        return x
+
+    def corrupted(outmap, term):
+        block = refine(outmap, term)
+        n = sizes[0]
+        reps = set()
+        for i in range(n):
+            if block[i] not in {block[r] for r in reps}:
+                reps.add(i)
+        # the second exploration's root stays in the initial block
+        others = [i for i in range(len(block)) if i not in reps]
+        i, j = next((i, j) for i in others for j in others if i < j != n and block[i] != block[j])
+        block[j] = block[i]
+        merged.append((i, j, n))
+        return block
+
+    monkeypatch.setattr(lleekit.solve, "_explore", sized)
+    monkeypatch.setattr(lleekit.solve, "_refine", corrupted)
+    assert run(["equiv", *pair]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: building the certificate failed: mapping fails the transfer conditions\n"
+    )
+    [(i, j, n)] = merged
+    assert (j < n) is in_first
 
 
 def test_equiv_rejects_a_witness_without_loop_labels(capsys, monkeypatch):

@@ -7,7 +7,9 @@ Extraction must pass the equation-by-equation check, and it must agree,
 byte for byte, with the reference extraction that finds the order of the
 loops by itself (:func:`oracles.reference_unfolded_solution`) at every
 node some transition enters.  Only a node that no transition enters may
-be folded over its loop nodes.  On each such chart that is its own
+be folded over its loop nodes.  The equation-by-equation check and the
+generator kernel it replaced (:func:`oracles.reference_provable_check`)
+must both pass it.  On each such chart that is its own
 collapse, the witness reflected through the collapse must replay
 layered, and extraction from it must agree with extraction from the
 witness itself up to bisimilarity.
@@ -21,7 +23,12 @@ import itertools
 
 import pytest
 
-from oracles import brute_interpret, naive_bisimilarity_pairs, reference_unfolded_solution
+from oracles import (
+    brute_interpret,
+    naive_bisimilarity_pairs,
+    reference_provable_check,
+    reference_unfolded_solution,
+)
 from test_solve import reflected_route
 from lleekit.bisim import collapse
 from lleekit.chart import TERMINATION, Chart, Transition, interpret
@@ -64,7 +71,7 @@ def test_extraction_on_every_small_chart(nodes, actions, rooted, lee):
         if not is_llee_witness(w):
             w = lee_to_llee(w)
         sol = extract_solution(w)
-        assert _provable_check(sol) == [], c.to_text()
+        assert _provable_check(sol) == [] == reference_provable_check(sol), c.to_text()
         ref = reference_unfolded_solution(w)
         for x in {t.dst for t in c.transitions if not t.terminal}:
             assert unparse(sol[x]) == unparse(ref[x]), (c.to_text(), x)

@@ -21,6 +21,7 @@ from generators import random_chart, random_expression
 from oracles import (
     brute_interpret,
     naive_bisimilarity_pairs,
+    reference_provable_check,
     reference_solution,
     reference_unfolded_solution,
 )
@@ -759,6 +760,8 @@ def test_provable_check_flags_what_solution_check_flags():
             expected = solution_check(mutant)
             got = _provable_check(mutant)
             assert set(expected) <= set(got), (kind, {x: unparse(e) for x, e in mutant.assign.items()})
+            # the frame-stack kernel flags exactly the generator kernel's nodes
+            assert got == reference_provable_check(mutant)
             wrong[kind] += bool(expected)
     # every kind of mutation produced wrong solutions
     assert min(wrong.values()) > 20, wrong
@@ -795,6 +798,90 @@ def test_provable_check_cap_bounds_the_canonical_forms():
     ):
         _provable_check(sol, cap=1)
     assert _provable_check(sol, cap=2) == []
+
+
+def _checked_solutions(monkeypatch, pairs):
+    """The solutions ``equiv`` checks on the text ``pairs``, each an EQUAL,
+    as ``(solution, extracted)``: unnamed, as the check sees them, and
+    whether the reflection route extracted it."""
+    checked, extracted = [], set()
+    check, extract = lleekit.solve._provable_check, lleekit.solve.extract_solution
+
+    def keep(sol, cap=None):
+        checked.append(sol)
+        return check(sol, cap)
+
+    def mark(w):
+        sol = extract(w)
+        extracted.add(id(sol))
+        return sol
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lleekit.solve, "_provable_check", keep)
+        patched.setattr(lleekit.solve, "extract_solution", mark)
+        for e1, e2 in pairs:
+            assert equiv(parse(e1), parse(e2)).equal, (e1, e2)
+    return [(sol, id(sol) in extracted) for sol in checked]
+
+
+def test_provable_check_matches_the_generator_kernel_on_the_workloads(monkeypatch):
+    # every EQUAL of the benchmark's workloads at seeds 1 to 3, on both
+    # routes: the frame-stack kernel and the generator kernel it replaced
+    # give the same failing nodes, none
+    pairs = [
+        pair
+        for seed in (1, 2, 3)
+        for workload in ("mixed_small", "loops_equal", "chain_distinct")
+        for pair in _workload_pairs(workload, "EQUAL", None, seed)
+    ]
+    routes = [0, 0]
+    for sol, extracted in _checked_solutions(monkeypatch, pairs):
+        routes[extracted] += 1
+        assert _provable_check(sol) == reference_provable_check(sol) == []
+    assert routes[0] > 500 and routes[1] > 50, routes
+
+
+def test_provable_check_raises_at_the_cap_of_the_generator_kernel(monkeypatch):
+    # at every cap both kernels pass, fail the same nodes, or raise the
+    # same message: they intern the same forms
+    g = Chart([T("X", "a", TERMINATION), T("Y", "b", TERMINATION)])
+    solutions = [Solution(g, {"X": A, "Y": B})]
+    solutions += [
+        sol for sol, _ in _checked_solutions(monkeypatch, [(W3, W3 + "+0"), README_PAIR])
+    ]
+    solutions.append(Solution(g, {"X": B, "Y": Plus(A, B)}))
+    for sol in solutions:
+        outcomes = set()
+        for cap in range(60):
+            got = []
+            for check in (_provable_check, reference_provable_check):
+                try:
+                    got.append(check(sol, cap))
+                except StateExplosion as exc:
+                    got.append(str(exc))
+            assert got[0] == got[1], (cap, got)
+            outcomes.add(got[0].__class__)
+        assert outcomes == {str, list}
+
+
+def test_provable_check_and_measure_do_not_recurse(monkeypatch):
+    # under a recursion limit of 100: N(300)'s shortcut solution, a
+    # 20000-action chain inside a star, and a 10000-deep right-nested body
+    chain = "(%s)*x" % ".".join(["c"] * 20000)
+    nested = "(%s%s)*b" % ("a.(" * 9999 + "a", ")" * 9999)
+    texts = [family_n(300), chain, nested]
+    solutions = _checked_solutions(monkeypatch, [(e, e + "+0") for e in texts])
+    assert [extracted for _, extracted in solutions] == [False] * 3
+    stars = [parse(e) for e in texts]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        bad = [_provable_check(sol) for sol, _ in solutions]
+        measures = [(_States().measure(e), _States().measure(e.left)) for e in stars]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert bad == [[], [], []]
+    assert measures == [((True, 300), (True, 299)), ((True, 1), (True, 0)), ((True, 1), (True, 0))]
 
 
 def test_equiv_reads_the_state_cap_once(monkeypatch):
@@ -1047,14 +1134,14 @@ def test_solution_transfer():
 # --- equiv reads its witness off the expression -----------------------------
 
 
-def _workload_pairs(workload, expected, count):
+def _workload_pairs(workload, expected, count, seed=1):
     # the benchmark's query lists, loaded from their file: text pairs whose
     # verdict is known by construction
     path = pathlib.Path(__file__).resolve().parent.parent / "equivbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("equivbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    pairs = [(q.e1, q.e2) for q in workloads.queries(workload, 1) if q.expected == expected]
+    pairs = [(q.e1, q.e2) for q in workloads.queries(workload, seed) if q.expected == expected]
     return pairs[:count]
 
 
